@@ -11,7 +11,8 @@
 
 Exit codes are a stable contract for CI: 0 success / verified, 1 a
 mathematical mismatch (verification failed, pipelines disagree, sweep not
-constant), 2 invalid input of any kind.
+constant), 2 invalid input of any kind, 3 an internal error (a bug in
+ascart, never a property of the input).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 
 from .cartier import cartier_matrix
 from .curve import CurveSpec, validate
-from .errors import AscartError, ConditionNotSatisfied
+from .errors import AscartError, ConditionNotSatisfied, InconsistentCounts, NotInSpan
 from .invariants import a_number, theorem_a_value
 from .specfile import parse_spec
 from .sweep import SweepConfig, run_sweep
@@ -266,6 +267,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (NotInSpan, InconsistentCounts, AssertionError) as exc:
+        # The CLI reaches InconsistentCounts only through l_polynomial, whose
+        # counts come from a genuine curve; like NotInSpan and the
+        # unreachable assertions it can only mean a bug.
+        print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 3
     except (AscartError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -163,12 +163,15 @@ class Field:
     __slots__ = ("p", "k", "modulus", "order", "_zero", "_one", "_gen")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+        # The cap comes before the trial-division primality test, which would
+        # run for hours on a large p.  k >= 24 gives p^k >= 2^24 > 10^7, so a
+        # huge k never forms p**k.
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**k > _MAX_FIELD_SIZE:
+        if p >= 2 and (k >= _MAX_FIELD_SIZE.bit_length() or p**k > _MAX_FIELD_SIZE):
             raise ValueError(f"field GF({p}^{k}) exceeds the {_MAX_FIELD_SIZE}-element cap")
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         self.p = p
         self.k = k
         if modulus is None:

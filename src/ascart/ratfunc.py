@@ -311,10 +311,6 @@ class RatFunc:
             raise ZeroDivisionError(f"pole at {x!r}")
         return self.num.evaluate(x) / d
 
-    def infinity_pole_order(self) -> int:
-        """Order of the pole at infinity (0 if there is none)."""
-        return max(0, self.num.degree() - self.den.degree())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatFunc)

@@ -7,6 +7,18 @@ is prime to p.  So
 
     N_s = (m+1) + p * #{ x in F_(q^s), x not a pole, Tr(f(x)) = 0 }.
 
+The L-polynomial needs N_1..N_g, g = D(p-1)/2, but enumeration stops at
+s <= min(D, g).  Write the distribution of Tr f(x) over F_(q^s) as the
+character sum S_s = sum_x zeta^(Tr f(x)) in Z[zeta_p]; then
+N_s = q^s + 1 + Tr_(Q(zeta_p)/Q)(S_s).  The L-function
+L(f, psi, T) = exp(sum_s S_s T^s / s) is a polynomial of degree D
+(Bombieri 1966; Adolphson-Sperber 1989), and L(u) is the product of its
+p-1 Galois conjugates.  So when D < g (p >= 5) Newton's identities turn
+S_1..S_D into the coefficients e_1..e_D of L(f, psi, T), each an exact
+division in Z[zeta_p] (a remainder raises InconsistentCounts), and the
+recurrence with e_n = 0 for n > D continues the sums to s = g.  Elements
+of Z[zeta_p] are integer vectors on 1, zeta, ..., zeta^(p-2).
+
 The numerator L(u) of the zeta function is recovered from N_1..N_g through
 the exponential power series identity (exact integer arithmetic; a
 non-integral coefficient raises InconsistentCounts) and completed to degree
@@ -44,6 +56,11 @@ from .ratfunc import Poly
 def count_points(spec: CurveSpec, s: int) -> int:
     """Number of points of the smooth projective curve over F_(q^s)."""
     inv = validate(spec)
+    return (inv.m + 1) + spec.p * _trace_distribution(spec, s)[0]
+
+
+def _trace_distribution(spec: CurveSpec, s: int) -> list[int]:
+    """counts[c] = #{x in F_(q^s), x not a pole : Tr f(x) = c}, c in [0, p)."""
     base = spec.field
     if s == 1:
         big = base
@@ -56,7 +73,7 @@ def count_points(spec: CurveSpec, s: int) -> int:
         for datum in spec.poles[1:]
     ]
     locations = {loc for loc, _ in finite}
-    zeros = 0
+    counts = [0] * base.p
     for x in big.elements():
         if x in locations:
             continue
@@ -67,9 +84,8 @@ def count_points(spec: CurveSpec, s: int) -> int:
             for c in reversed(coeffs):
                 acc = (acc + c) * t
             val = val + acc
-        if val.trace_to_prime() == 0:
-            zeros += 1
-    return (inv.m + 1) + base.p * zeros
+        counts[val.trace_to_prime()] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +164,48 @@ def l_from_counts(counts, q: int, g: int) -> LPolynomial:
 
 
 def l_polynomial(spec: CurveSpec) -> LPolynomial:
-    """Recover L(u) of the curve by counting points over F_q..F_(q^g)."""
+    """Recover L(u) from the trace distributions of f over F_q..F_(q^min(D,g))."""
     inv = validate(spec)
-    q = spec.field.order
-    counts = [count_points(spec, s) for s in range(1, inv.g + 1)]
-    return l_from_counts(counts, q, inv.g)
+    p, q, D, g = spec.p, spec.field.order, inv.D, inv.g
+    sums = [_cyclotomic(_trace_distribution(spec, s)) for s in range(1, min(D, g) + 1)]
+    if D < g:
+        # coefficients of L(f, psi, T) by Newton's identities n e_n = sum_s S_s e_(n-s)
+        e = [[1] + [0] * (p - 2)]
+        for n in range(1, D + 1):
+            ne = _dot(zip(sums, reversed(e)), p)
+            if any(c % n for c in ne):
+                raise InconsistentCounts(f"coefficient {n} of L(f, psi, T) is not integral")
+            e.append([c // n for c in ne])
+        # deg L(f, psi, T) = D, so S_n = -sum_(j=1..D) e_j S_(n-j) for n > D
+        for _ in range(D + 1, g + 1):
+            sums.append([-c for c in _dot(zip(e[1:], reversed(sums)), p)])
+    counts = [q**s + 1 + _cyclotomic_trace(S) for s, S in enumerate(sums, start=1)]
+    return l_from_counts(counts, q, g)
+
+
+# Elements of Z[zeta_p] are integer vectors on 1, zeta, ..., zeta^(p-2).
+
+
+def _cyclotomic(coeffs: list[int]) -> list[int]:
+    """sum_c coeffs[c] zeta^c over c in [0, p), reduced by Phi_p(zeta) = 0."""
+    top = coeffs[-1]
+    return [c - top for c in coeffs[:-1]]
+
+
+def _dot(pairs, p: int) -> list[int]:
+    """sum of a*b over the pairs (a, b) of elements of Z[zeta_p]."""
+    acc = [0] * p
+    for a, b in pairs:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    acc[(i + j) % p] += ai * bj
+    return _cyclotomic(acc)
+
+
+def _cyclotomic_trace(a: list[int]) -> int:
+    """Tr_(Q(zeta_p)/Q): zeta^0 has trace p-1, every other zeta^i trace -1."""
+    return len(a) * a[0] - sum(a[1:])
 
 
 # ---------------------------------------------------------------------------

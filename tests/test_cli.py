@@ -5,12 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from ascart import GF, parse_spec_text, validate
+from ascart import GF, cli, parse_spec_text, validate, zeta
 from ascart.cartier import CartierMatrix
 from ascart.cli import main
-from ascart.errors import DuplicatePoleLocation, ParseError, PoleOrderDivisibleByP
+from ascart.errors import (
+    DuplicatePoleLocation,
+    NotInSpan,
+    ParseError,
+    PoleOrderDivisibleByP,
+)
 
 CURVES = Path(__file__).resolve().parent.parent / "curves"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "zeta"
 
 CUBIC = "p = 7\npole inf: 0 0 0 1\n"
 TWO_POLE = "p = 3\npole inf: 0 0 1\npole 1: 1\n"
@@ -214,3 +220,46 @@ class TestSweepCommand:
     def test_field_too_small(self, capsys):
         # 4 distinct finite poles cannot fit in GF(3)
         assert main(["sweep", "--p", "3", "--orders", "2,1,1,1,1", "--samples", "1"]) == 2
+
+
+class TestZetaGolden:
+    """`ascart zeta` output on the shipped curves, captured from brute-force
+    enumeration over F_(q^s) for every s <= g."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CURVES.glob("*.curve")))
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_byte_identical(self, name, fmt, capsys):
+        args = ["zeta", str(CURVES / f"{name}.curve")]
+        if fmt == "json":
+            args.append("--json")
+        assert main(args) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+class TestExitCodes:
+    def test_huge_prime_rejected_before_primality_test(self, tmp_path, capsys):
+        path = write(tmp_path, "p = 1000000000000000003\npole inf: 0 1\n")
+        assert main(["info", path]) == 2
+        assert "exceeds the 10000000-element cap" in capsys.readouterr().err
+
+    def test_inconsistent_counts_is_internal(self, tmp_path, capsys, monkeypatch):
+        fake = {1: [5, 0, 0, 0, 0], 2: [0, 25, 0, 0, 0]}
+        monkeypatch.setattr(zeta, "_trace_distribution", lambda spec, s: fake[s])
+        assert main(["zeta", write(tmp_path, "p = 5\npole inf: 0 0 0 1\n")]) == 3
+        assert "internal error (InconsistentCounts)" in capsys.readouterr().err
+
+    def test_not_in_span_is_internal(self, tmp_path, capsys, monkeypatch):
+        def broken(spec, pipeline="local"):
+            raise NotInSpan("monomial falls outside the basis")
+
+        monkeypatch.setattr(cli, "cartier_matrix", broken)
+        assert main(["matrix", write(tmp_path, CUBIC)]) == 3
+        assert "internal error (NotInSpan)" in capsys.readouterr().err
+
+    def test_assertion_is_internal(self, tmp_path, capsys, monkeypatch):
+        def broken(spec, pipeline="local"):
+            raise AssertionError("twisted ranks increased")
+
+        monkeypatch.setattr(cli, "a_number", broken)
+        assert main(["anumber", write(tmp_path, CUBIC)]) == 3
+        assert "internal error (AssertionError)" in capsys.readouterr().err

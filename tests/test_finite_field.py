@@ -64,6 +64,14 @@ class TestModulusSelection:
         with pytest.raises(ValueError):
             Field(101, 4)
 
+    def test_size_cap_before_primality(self):
+        # trial division of a 19-digit prime, or forming 2**(10**9), would
+        # take far longer than the cap check
+        with pytest.raises(ValueError, match="cap"):
+            Field(10**18 + 3)
+        with pytest.raises(ValueError, match="cap"):
+            Field(2, 10**9)
+
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [
             2, 3, 5, 7, 11, 13, 17, 19, 23, 29,

@@ -1,10 +1,14 @@
 """Point counts, L-polynomials, Newton and Hodge polygons."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ascart import (
+    GF,
     compare_polygons,
     count_points,
     hodge_polygon,
@@ -12,7 +16,9 @@ from ascart import (
     newton_polygon,
     validate,
 )
+from ascart import zeta
 from ascart.errors import InconsistentCounts, NotShrinkable
+from ascart.sweep import random_curve
 from ascart.zeta import LPolynomial, SlopePolygon, l_from_counts
 
 from conftest import curve
@@ -203,3 +209,69 @@ class TestEndToEnd:
     def test_slope_json(self):
         hp = hodge_polygon([2, 1])
         assert hp.to_json() == [[0, 1, 1], [1, 2, 1], [1, 1, 1]]
+
+
+def assert_counts_match(spec):
+    """L from character sums predicts the enumerated N_s for every s <= g."""
+    L = l_polynomial(spec)
+    for s in range(1, validate(spec).g + 1):
+        assert L.predicted_count(s) == count_points(spec, s), s
+
+
+class TestCharacterSumRoute:
+    @pytest.mark.parametrize(
+        "spec_args",
+        [
+            (5, [0, 0, 0, 1], (), 1),  # x^3, D=2 < g=4
+            (5, [3, 2], ((2, [4]),), 1),  # orders (1,1) with a finite pole
+            (7, [0, 0, 1], (), 1),  # x^2, D=1 < g=3
+            (5, [0, 0, 1], (), 2),  # x^2 over GF(5^2), D=1 < g=2
+        ],
+    )
+    def test_extended_sums_match_enumeration(self, spec_args):
+        p, inf_coeffs, finite, k = spec_args
+        spec = curve(p, inf_coeffs, finite, k=k)
+        inv = validate(spec)
+        assert inv.D < inv.g
+        assert_counts_match(spec)
+
+    def test_p7_cubic(self):
+        L = l_polynomial(curve(7, [0, 0, 0, 1]))
+        assert L.coeffs == (1, 0, 0, 14, 0, 0, 735, 0, 0, 4802, 0, 0, 117649)
+
+    @pytest.mark.parametrize(
+        "spec_args",
+        [
+            (2, [0, 1, 0, 1], ((1, [1]),)),  # g = D/2 < D
+            (3, [1, 0, 2], ((2, [2]),)),  # g = D
+        ],
+    )
+    def test_small_p_needs_no_extension(self, spec_args):
+        p, inf_coeffs, finite = spec_args
+        spec = curve(p, inf_coeffs, finite)
+        inv = validate(spec)
+        assert inv.g <= inv.D
+        assert_counts_match(spec)
+
+    def test_non_integral_sums_raise(self, monkeypatch):
+        # Tr f(x) = 0 on all of F_5 and 1 on all of F_25:
+        # 2 e_2 = S_1^2 + S_2 = 25 + 25 zeta is not integral.
+        fake = {1: [5, 0, 0, 0, 0], 2: [0, 25, 0, 0, 0]}
+        monkeypatch.setattr(zeta, "_trace_distribution", lambda spec, s: fake[s])
+        with pytest.raises(InconsistentCounts, match="coefficient 2 of L\\(f, psi, T\\)"):
+            l_polynomial(curve(5, [0, 0, 0, 1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        k=st.integers(1, 2),
+        raw_orders=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_enumeration_property(self, p, k, raw_orders, seed):
+        orders = tuple(d for d in raw_orders if d % p)
+        assume(orders)
+        q = p**k
+        g = (sum(d + 1 for d in orders) - 2) * (p - 1) // 2
+        assume(q**g <= 5 * 10**3 and len(orders) - 1 <= q)
+        assert_counts_match(random_curve(GF(p, k), orders, random.Random(seed)))
