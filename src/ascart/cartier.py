@@ -163,6 +163,9 @@ class _Engine:
         self.spec = spec
         self.inv = validate(spec)
         self.field = spec.field
+        self.forms = basis(spec)
+        self.index = {form: i for i, form in enumerate(self.forms)}
+        self.loc_to_j = _pole_index_map(spec)
         self._pow_rat: dict[int, RatFunc] = {}
         self._pow_pf: dict[int, PartialFraction] = {}
         self._c_rat: dict[tuple[int, int, int], RatFunc] = {}
@@ -374,27 +377,25 @@ class CartierMatrix:
         return CartierMatrix(field, forms, rows)
 
 
+def _column(engine: _Engine, form: BasisForm, pipeline: str) -> list[FieldElement]:
+    """Coordinates of C(form) in the ordered basis, by either pipeline."""
+    vec = [engine.field.zero] * len(engine.forms)
+    index, loc_to_j = engine.index, engine.loc_to_j
+    if pipeline == "rational":
+        for r, coeff in engine.image_rational(form).terms.items():
+            _accumulate_layer(partial_fractions(coeff), r, index, loc_to_j, vec)
+    else:
+        for r, pf in engine.image_local(form).items():
+            _accumulate_layer(pf, r, index, loc_to_j, vec)
+    return vec
+
+
 def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
     """The full matrix of the Cartier operator, by either pipeline."""
     _check_pipeline(pipeline)
     engine = _Engine(spec)
-    forms = basis(spec)
-    index = {form: i for i, form in enumerate(forms)}
-    loc_to_j = _pole_index_map(spec)
-    g = len(forms)
-    columns = []
-    for form in forms:
-        vec = [spec.field.zero] * g
-        if pipeline == "rational":
-            md = engine.image_rational(form)
-            for r, coeff in md.terms.items():
-                _accumulate_layer(partial_fractions(coeff), r, index, loc_to_j, vec)
-        else:
-            for r, pf in engine.image_local(form).items():
-                _accumulate_layer(pf, r, index, loc_to_j, vec)
-        columns.append(vec)
-    rows = tuple(tuple(columns[j][i] for j in range(g)) for i in range(g))
-    return CartierMatrix(spec.field, tuple(forms), rows)
+    columns = [_column(engine, form, pipeline) for form in engine.forms]
+    return CartierMatrix(spec.field, tuple(engine.forms), tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +428,7 @@ def key_term(spec: CurveSpec, form: BasisForm) -> KeyTerm:
         raise NotInH(f"{form} is not in the pivot set H")
     target = kappa(spec, form)
     engine = _Engine(spec)
-    forms = basis(spec)
-    index = {f: i for i, f in enumerate(forms)}
-    loc_to_j = _pole_index_map(spec)
-    vec = [spec.field.zero] * len(forms)
-    for r, pf in engine.image_local(form).items():
-        _accumulate_layer(pf, r, index, loc_to_j, vec)
-    coeff = vec[index[target]]
+    coeff = _column(engine, form, "local")[engine.index[target]]
     if coeff.is_zero():
         raise AssertionError(f"pivot coefficient of {form} vanished")  # unreachable
     return KeyTerm(form, target, coeff)

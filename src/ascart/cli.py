@@ -23,7 +23,13 @@ import sys
 
 from .cartier import cartier_matrix
 from .curve import CurveSpec, validate
-from .errors import AscartError, ConditionNotSatisfied, InconsistentCounts, NotInSpan
+from .errors import (
+    AscartError,
+    ConditionNotSatisfied,
+    FieldTooLarge,
+    InconsistentCounts,
+    NotInSpan,
+)
 from .invariants import a_number, theorem_a_value
 from .specfile import parse_spec
 from .sweep import SweepConfig, run_sweep
@@ -44,8 +50,10 @@ def cmd_info(args) -> int:
     except AscartError as exc:
         if args.json:
             _print_json({"valid": False, "error": str(exc)})
-        else:
-            print(f"invalid curve: {exc}")
+            return 2
+        if isinstance(exc, FieldTooLarge):
+            raise  # oversized, not invalid: main reports it on stderr
+        print(f"invalid curve: {exc}")
         return 2
     inv = validate(spec)
     if args.json:

@@ -89,6 +89,10 @@ class FieldTooSmall(AscartError):
     """The coefficient field has too few elements for the requested draw."""
 
 
+class FieldTooLarge(AscartError, ValueError):
+    """The requested field exceeds the element cap of exhaustive procedures."""
+
+
 class ParseError(AscartError):
     """A curve-spec file is malformed."""
 

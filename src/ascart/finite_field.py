@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterator
 
-from .errors import FieldTooSmall, NotPrime
+from .errors import FieldTooLarge, FieldTooSmall, NotPrime
 
 _MAX_FIELD_SIZE = 10**7
 
@@ -169,7 +169,7 @@ class Field:
         if k < 1:
             raise ValueError("extension degree must be >= 1")
         if p >= 2 and (k >= _MAX_FIELD_SIZE.bit_length() or p**k > _MAX_FIELD_SIZE):
-            raise ValueError(f"field GF({p}^{k}) exceeds the {_MAX_FIELD_SIZE}-element cap")
+            raise FieldTooLarge(f"field GF({p}^{k}) exceeds the {_MAX_FIELD_SIZE}-element cap")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p

@@ -1,11 +1,13 @@
 """Rank, a-number and p-rank from the Cartier matrix.
 
-The a-number is the corank: a = g - rank(M).  Rank is computed by exact
-Gaussian elimination with first-nonzero pivoting; over prime fields the
-elimination runs on int64 arrays mod p (a pure speed path -- the arithmetic
-is identical), over extension fields on field elements directly.  Both give
-the rank over the algebraic closure, since row echelon form does not care
-about the ground field.
+The a-number is the corank: a = g - rank(M).  Every rank, over every field,
+comes from one exact Gaussian elimination on int64 arrays mod p, with
+first-nonzero pivoting.  A matrix over GF(q), q = p^k, enters it through
+the regular representation: the entry c becomes the k x k GF(p) matrix
+rho(c) of multiplication by c in the basis 1, t, ..., t^(k-1), and the
+GF(p) rank of the block matrix rho(M) is k * rank(M).  Rank does not care
+about the ground field, so this is also the rank over the algebraic
+closure.  For k = 1, rho is the identity and the residues go in directly.
 
 When p = 1 mod L the a-number also has a closed form depending only on the
 pole orders:
@@ -19,14 +21,21 @@ which covers p != 1 mod d as well (a_monomial_remark).
 
 The p-rank is the stable rank of the 1/p-semilinear operator: with sigma
 the entrywise p-power map, s = rank(M * M^(sigma^-1) * ... ) once the
-product stops dropping rank, which provably happens within g factors.  The
-iteration keeps only a full-row-rank echelon basis V_n of the row space of
-the n-factor product (rank(U @ W) = rank(W) whenever U has full column
-rank), so each step is one r x g by g x g multiply plus an elimination.
+product stops dropping rank.  The twist is GF(p)-linear as well: with Phi
+the matrix of pth_root, rho(c^(sigma^-1)) = Phi rho(c) Phi^-1, so with
+P = I_g (x) Phi the n-factor product has GF(p) rank rank(A^n) for the one
+matrix A = rho(M) P.  A is built block by block (rho(M_ij) Phi), never as
+a gk x gk Kronecker product, and its rank is that of rho(M) because P is
+invertible.  The iteration keeps only an echelon basis V_n of the row space
+of A^n, so each step is one multiply V_n A plus an elimination.  By
+Fitting's lemma, once rank(A^(n+1)) = rank(A^n) the image is stable under
+A, so the p-rank stops at the first stationary step, which comes within g.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +43,33 @@ import numpy as np
 from .cartier import CartierMatrix, cartier_matrix
 from .curve import CurveSpec, validate
 from .errors import ConditionNotSatisfied, DNotCoprime
-from .finite_field import FieldElement
+from .finite_field import Field
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination
+# Exact elimination over GF(p)
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def regular_representation(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """GF(p)-matrices T[l] of x -> t^l * x (l < k) and Phi of x -> pth_root(x).
+
+    Column j of each matrix holds the digits of the image of t^j, so they act
+    on digit vectors from the left.  rho(c) = sum_l c.digits[l] * T[l] is
+    the matrix of multiplication by c, and rho(pth_root(c)) =
+    Phi @ rho(c) @ Phi^-1.  Built once per field, like GF's instances, from
+    the field's own * and pth_root; read-only because the cache shares them.
+    """
+    powers = [field.one]
+    for _ in range(field.k - 1):
+        powers.append(powers[-1] * field.gen)
+    T = np.array([[(tl * tj).digits for tj in powers] for tl in powers], dtype=np.int64)
+    T = T.transpose(0, 2, 1).copy()
+    Phi = np.array([tj.pth_root().digits for tj in powers], dtype=np.int64).T.copy()
+    T.setflags(write=False)
+    Phi.setflags(write=False)
+    return T, Phi
 
 
 def _echelon_int(rows: np.ndarray, p: int) -> np.ndarray:
@@ -48,70 +78,44 @@ def _echelon_int(rows: np.ndarray, p: int) -> np.ndarray:
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        if r + 1 < nrows:
-            factors = a[r + 1 :, c : c + 1]
-            a[r + 1 :] = (a[r + 1 :] - factors * a[r : r + 1]) % p
-        r += 1
         if r == nrows:
             break
-    return a[:r]
-
-
-def _echelon_generic(rows: list[list[FieldElement]]) -> list[list[FieldElement]]:
-    """Same elimination on field elements, for extension fields."""
-    a = [list(row) for row in rows]
-    if not a:
-        return []
-    ncols = len(a[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(a)):
-            if not a[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [v * inv for v in a[r]]
-        for i in range(r + 1, len(a)):
-            f = a[i][c]
-            if not f.is_zero():
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        piv = r + int(nonzero[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        below = a[r + 1 :]
+        below -= below[:, c : c + 1] * a[r]
+        below %= p
         r += 1
-        if r == len(a):
-            break
     return a[:r]
 
 
-def _int_rows(M: CartierMatrix) -> np.ndarray | None:
-    if M.field.k != 1:
-        return None
-    return np.array(
-        [[c.digits[0] for c in row] for row in M.entries], dtype=np.int64
-    )
+def _prime_matrix(M: CartierMatrix, cols) -> np.ndarray:
+    """The columns cols of M as the GF(p) matrix rho(M[:, cols]) (I (x) Phi).
+
+    For k = 1 this is the matrix of residues itself.
+    """
+    g, n, k = M.dimension, len(cols), M.field.k
+    flat = itertools.chain.from_iterable(row[j].digits for row in M.entries for j in cols)
+    digits = np.fromiter(flat, dtype=np.int64, count=g * n * k).reshape(g, n, k)
+    if k == 1:
+        return digits.reshape(g, n)
+    p = M.field.p
+    T, Phi = regular_representation(M.field)
+    blocks = np.tensordot(digits, T, axes=(2, 0)) % p @ Phi % p  # (g, n, k, k)
+    return blocks.transpose(0, 2, 1, 3).reshape(g * k, n * k)
 
 
-def rank(M: CartierMatrix) -> int:
-    """Exact rank over the field (invariant under any field extension)."""
-    if M.dimension == 0:
-        return 0
-    ints = _int_rows(M)
-    if ints is not None:
-        return _echelon_int(ints, M.field.p).shape[0]
-    return len(_echelon_generic([list(row) for row in M.entries]))
+def _over_field(prime_rank: int, k: int) -> int:
+    """GF(q) rank from the GF(p) rank of a regular representation."""
+    r, rest = divmod(prime_rank, k)
+    if rest:  # unreachable
+        raise AssertionError(f"GF(p) rank {prime_rank} is not a multiple of k = {k}")
+    return r
 
 
 def rank_of_columns(M: CartierMatrix, columns) -> int:
@@ -119,16 +123,28 @@ def rank_of_columns(M: CartierMatrix, columns) -> int:
     cols = sorted(columns)
     if not cols:
         return 0
-    rows = [[M.entries[i][j] for j in cols] for i in range(M.dimension)]
-    if M.field.k == 1:
-        a = np.array([[c.digits[0] for c in row] for row in rows], dtype=np.int64)
-        return _echelon_int(a, M.field.p).shape[0]
-    return len(_echelon_generic(rows))
+    A = _prime_matrix(M, cols)
+    return _over_field(_echelon_int(A, M.field.p).shape[0], M.field.k)
+
+
+def rank(M: CartierMatrix) -> int:
+    """Exact rank over the field (invariant under any field extension)."""
+    return rank_of_columns(M, range(M.dimension))
 
 
 # ---------------------------------------------------------------------------
 # p-rank: stable rank of twisted products
 # ---------------------------------------------------------------------------
+
+
+def _twisted_ranks(M: CartierMatrix):
+    """Ranks of the 1-, 2-, ... factor twisted products, without end."""
+    p, k = M.field.p, M.field.k
+    A = _prime_matrix(M, range(M.dimension))
+    V = _echelon_int(A, p)
+    while True:
+        yield _over_field(V.shape[0], k)
+        V = _echelon_int(V @ A % p, p)
 
 
 def twisted_rank_profile(M: CartierMatrix, factors: int | None = None) -> list[int]:
@@ -140,51 +156,24 @@ def twisted_rank_profile(M: CartierMatrix, factors: int | None = None) -> list[i
     g = M.dimension
     if factors is None:
         factors = g + 1
-    if g == 0 or factors == 0:
+    if g == 0:
         return []
-    p = M.field.p
-    ints = _int_rows(M)
-    profile = []
-    if ints is not None:
-        # prime field: the twist is the identity
-        V = _echelon_int(ints, p)
-        profile.append(V.shape[0])
-        for _ in range(factors - 1):
-            V = _echelon_int(V @ ints % p, p)
-            profile.append(V.shape[0])
-        return profile
-    rows = [list(row) for row in M.entries]
-    V = _echelon_generic(rows)
-    profile.append(len(V))
-    twisted = rows
-    for _ in range(factors - 1):
-        twisted = [[c.pth_root() for c in row] for row in twisted]
-        W = [
-            [
-                sum(
-                    (vi * twisted[l][j] for l, vi in enumerate(vrow) if not vi.is_zero()),
-                    M.field.zero,
-                )
-                for j in range(g)
-            ]
-            for vrow in V
-        ]
-        V = _echelon_generic(W)
-        profile.append(len(V))
-    return profile
+    return list(itertools.islice(_twisted_ranks(M), factors))
 
 
 def p_rank_stable(M: CartierMatrix) -> int:
-    """Stable rank of the twisted products; equals the p-rank m(p-1)."""
+    """Stable rank of the twisted products; equals the p-rank m(p-1).
+
+    Stops at the first n <= g with rank(n+1 factors) = rank(n factors).
+    """
     g = M.dimension
     if g == 0:
         return 0
-    profile = twisted_rank_profile(M, g + 1)
-    if any(profile[i] < profile[i + 1] for i in range(len(profile) - 1)):
-        raise AssertionError("twisted ranks increased")  # unreachable
-    if profile[-1] != profile[-2]:
-        raise AssertionError("rank not stationary after g factors")  # unreachable
-    return profile[g - 1]
+    ranks = itertools.islice(_twisted_ranks(M), g + 1)
+    for r, r_next in itertools.pairwise(ranks):
+        if r == r_next:
+            return r
+    raise AssertionError("rank not stationary after g factors")  # unreachable
 
 
 # ---------------------------------------------------------------------------

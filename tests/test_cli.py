@@ -17,6 +17,7 @@ from ascart.errors import (
 
 CURVES = Path(__file__).resolve().parent.parent / "curves"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "zeta"
+SWEEP_GOLDEN = Path(__file__).resolve().parent / "golden" / "sweep"
 
 CUBIC = "p = 7\npole inf: 0 0 0 1\n"
 TWO_POLE = "p = 3\npole inf: 0 0 1\npole 1: 1\n"
@@ -236,6 +237,22 @@ class TestZetaGolden:
         assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
+class TestSweepGolden:
+    """`ascart sweep` over GF(5^2), captured from the element-wise elimination
+    that rank and p-rank used for extension fields before the regular
+    representation."""
+
+    ARGS = ["sweep", "--p", "5", "--orders", "4,2", "--field-degree", "2",
+            "--samples", "20", "--seed", "3"]
+
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_byte_identical(self, fmt, capsys):
+        args = self.ARGS + (["--json"] if fmt == "json" else [])
+        assert main(args) == 0
+        golden = SWEEP_GOLDEN / f"p5_k2_o4-2_n20_s3.{fmt}"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 class TestExitCodes:
     def test_huge_prime_rejected_before_primality_test(self, tmp_path, capsys):
         path = write(tmp_path, "p = 1000000000000000003\npole inf: 0 1\n")
@@ -263,3 +280,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "a_number", broken)
         assert main(["anumber", write(tmp_path, CUBIC)]) == 3
         assert "internal error (AssertionError)" in capsys.readouterr().err
+
+    def test_info_json_oversized_field(self, tmp_path, capsys):
+        path = write(tmp_path, "p = 101\nfield_degree = 4\npole inf: 0 1\n")
+        assert main(["info", path, "--json"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data == {
+            "valid": False,
+            "error": "field GF(101^4) exceeds the 10000000-element cap",
+        }
+
+    def test_info_json_huge_prime(self, tmp_path, capsys):
+        path = write(tmp_path, "p = 1000000000000000003\npole inf: 0 1\n")
+        assert main(["info", path, "--json"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["valid"] is False and "element cap" in data["error"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ascart import GF, Field, embedding
-from ascart.errors import NotPrime
+from ascart.errors import AscartError, FieldTooLarge, NotPrime
 from ascart.finite_field import _poly_rem, is_prime
 
 
@@ -71,6 +71,12 @@ class TestModulusSelection:
             Field(10**18 + 3)
         with pytest.raises(ValueError, match="cap"):
             Field(2, 10**9)
+
+    def test_size_cap_is_an_ascart_error(self):
+        # callers catching AscartError see the cap; ValueError catchers still do
+        with pytest.raises(FieldTooLarge) as exc:
+            Field(101, 4)
+        assert isinstance(exc.value, AscartError) and isinstance(exc.value, ValueError)
 
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [
