@@ -47,12 +47,12 @@ def _load(args) -> CurveSpec:
 def cmd_info(args) -> int:
     try:
         spec = _load(args)
-    except AscartError as exc:
+    except (AscartError, OSError) as exc:
         if args.json:
             _print_json({"valid": False, "error": str(exc)})
             return 2
-        if isinstance(exc, FieldTooLarge):
-            raise  # oversized, not invalid: main reports it on stderr
+        if isinstance(exc, (FieldTooLarge, OSError)):
+            raise  # unreadable or oversized, not invalid: main reports it on stderr
         print(f"invalid curve: {exc}")
         return 2
     inv = validate(spec)

@@ -8,9 +8,22 @@ sum(c_i * p**i), i.e. coefficient tuples are compared from the highest
 degree down.  Two runs (or two implementations following the same rule)
 therefore agree on every digit of every result.
 
+For k = 1 elements are plain residues mod p.  For k >= 2 one kernel does
+all the arithmetic: a fold table, the digits of t^i mod m for
+k <= i <= 2k-2, turns the schoolbook product of two digit vectors into
+their product mod m, and one square-and-multiply loop gives powers.
+Everything else is read off that kernel once per field:
+
+- the inverse is a^(q-2);
+- Frobenius x -> x^p is a field automorphism of order k, so p-th roots
+  exist and are unique: pth_root(a) = a^(p^(k-1)), a GF(p)-linear map
+  applied as a mat-vec with its k x k matrix Phi;
+- the absolute trace is a dot product with the vector Tr(t^j);
+- the modulus is chosen by Rabin's test in the same ring, with "is a unit"
+  tested as h^(p^k - 1) = 1.
+
 Everything is immutable and every operation is exact; there is no lazy
-reduction and no floating point.  Frobenius x -> x^p is a field automorphism
-of order k, so p-th roots exist and are unique: pth_root(a) = a^(p^(k-1)).
+reduction and no floating point.
 
 Fields are capped at about 10**7 elements.  The cap keeps exhaustive
 procedures (root finding, point counting, element enumeration) honest.
@@ -20,6 +33,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
+from operator import mul
 
 from .errors import FieldTooLarge, FieldTooSmall, NotPrime
 
@@ -41,59 +55,51 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomials over the prime field, represented as lists of ints.
-# These power modulus selection and element arithmetic; they are internal.
+# The arithmetic kernel of GF(p)[t]/m for k >= 2, on k-digit tuples.  Modulus
+# selection runs in it too, so m here need not be irreducible.
 # ---------------------------------------------------------------------------
 
 
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _fold_table(m: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
+    """Digits of t^i mod m for k <= i <= 2k-2, for a monic m of degree k >= 2.
+
+    Built by shift-and-subtract from t^k = -(m_0 + ... + m_(k-1) t^(k-1)).
+    Stored transposed, the order _mul reads it in: entry [l][i - k] is
+    digit l of t^i mod m.
+    """
+    k = len(m) - 1
+    row = [(-c) % p for c in m[:k]]
+    rows = [row]
+    for _ in range(k - 2):
+        top = row[-1]
+        row = [(s - top * c) % p for s, c in zip([0] + row[:-1], m)]
+        rows.append(row)
+    return tuple(zip(*rows))
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _mul(a: tuple[int, ...], b: tuple[int, ...], fold, p: int) -> tuple[int, ...]:
+    """a * b mod m: the schoolbook product, degrees >= k folded back by table."""
+    k = len(a)
+    prod = [0] * (2 * k - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+    high = prod[k:]
+    if not any(high):  # most often a GF(p) constant times an element
+        return tuple([c % p for c in prod[:k]])
+    return tuple([(c + sum(map(mul, high, col))) % p for c, col in zip(prod, fold)])
 
 
-def _poly_rem(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        q = (a[-1] * inv_lead) % p
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - q * mi) % p
-        _trim(a)
-    return a
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _poly_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_rem(base, m, p)
+def _pow(a: tuple[int, ...], e: int, fold, p: int) -> tuple[int, ...]:
+    """a^e mod m for e >= 0, by square-and-multiply."""
+    result = (1,) + (0,) * (len(a) - 1)
     while e:
         if e & 1:
-            result = _poly_rem(_poly_mul(result, base, p), m, p)
-        base = _poly_rem(_poly_mul(base, base, p), m, p)
+            result = _mul(result, a, fold, p)
         e >>= 1
+        if e:
+            a = _mul(a, a, fold, p)
     return result
 
 
@@ -110,25 +116,30 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _is_irreducible(m: list[int], p: int) -> bool:
-    """Rabin test: t^(p^k) = t mod m, and t^(p^(k/q)) - t coprime to m."""
+def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
+    """Rabin's test: t^(p^k) = t mod m, and t^(p^(k/q)) - t is a unit for
+    every prime q | k.
+
+    Once t^(p^k) = t, m is squarefree and the degrees of its factors divide
+    k, so GF(p)[t]/m is a product of fields GF(p^d) with d | k.  Its units
+    are then exactly the h with h^(p^k - 1) = 1, which stands in for
+    gcd(h, m) = 1.
+    """
     k = len(m) - 1
     if k == 1:
         return True
-    t = [0, 1]
-    # t^(p^j) mod m by iterating the p-power map.
-    frob = _poly_powmod(t, p, m, p)
-    powers = [t, frob]
-    for _ in range(k - 1):
-        powers.append(_poly_powmod(powers[-1], p, m, p))
-    if powers[k] != _poly_rem(t, m, p):
+    fold = _fold_table(m, p)
+    t = (0, 1) + (0,) * (k - 2)
+    frob = [t]  # t^(p^j) mod m
+    for _ in range(k):
+        frob.append(_pow(frob[-1], p, fold, p))
+    if frob[k] != t:
         return False
+    one = (1,) + (0,) * (k - 1)
     for q in _prime_divisors(k):
-        h = [x % p for x in powers[k // q]]
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(m, _trim(diff), p)
-        if len(g) - 1 != 0:
+        h = list(frob[k // q])
+        h[1] = (h[1] - 1) % p
+        if _pow(tuple(h), p**k - 1, fold, p) != one:
             return False
     return True
 
@@ -142,9 +153,9 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
         for _ in range(k):
             digits.append(n % p)
             n //= p
-        m = digits + [1]
+        m = tuple(digits) + (1,)
         if _is_irreducible(m, p):
-            return tuple(m)
+            return m
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -160,7 +171,7 @@ class Field:
     too.  A Field compares equal to any Field with the same (p, k, modulus).
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_zero", "_one", "_gen")
+    __slots__ = ("p", "k", "modulus", "order", "_zero", "_one", "_gen", "_fold", "_phi", "_trace")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         # The cap comes before the trial-division primality test, which would
@@ -180,13 +191,27 @@ class Field:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
-            if not _is_irreducible(list(modulus), p):
+            if not _is_irreducible(modulus, p):
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
         self.order = p**k
         self._zero = FieldElement(self, (0,) * k)
         self._one = FieldElement(self, (1,) + (0,) * (k - 1))
         self._gen = None if k == 1 else FieldElement(self, (0, 1) + (0,) * (k - 2))
+        if k > 1:
+            self._fold = fold = _fold_table(modulus, p)
+            # Phi, the matrix of x -> x^(p^(k-1)), as rows; its column j is
+            # pth_root(t^j) = pth_root(t)^j.
+            root = _pow(self._gen.digits, p ** (k - 1), fold, p)
+            columns = [self._one.digits]
+            for _ in range(k - 1):
+                columns.append(_mul(columns[-1], root, fold, p))
+            self._phi = tuple(zip(*columns))
+            # Tr(t^j), the trace of multiplication by t^j: sum_l [t^(j+l) mod m]_l.
+            self._trace = tuple(
+                (k * (j == 0) + sum(fold[l][j + l - k] for l in range(k - j, k))) % p
+                for j in range(k)
+            )
 
     # -- construction -------------------------------------------------------
 
@@ -333,9 +358,7 @@ class FieldElement:
         f = self.field
         if f.k == 1:
             return FieldElement(f, ((self.digits[0] * other.digits[0]) % f.p,))
-        prod = _poly_mul(list(self.digits), list(other.digits), f.p)
-        red = _poly_rem(prod, list(f.modulus), f.p)
-        return FieldElement(f, tuple(red) + (0,) * (f.k - len(red)))
+        return FieldElement(f, _mul(self.digits, other.digits, f._fold, f.p))
 
     __rmul__ = __mul__
 
@@ -345,36 +368,7 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero")
         if f.k == 1:
             return FieldElement(f, (pow(self.digits[0], -1, f.p),))
-        # extended Euclid in GF(p)[t] against the modulus
-        p = f.p
-        r0, r1 = list(f.modulus), _trim(list(self.digits))
-        s0, s1 = [], [1]
-        while r1:
-            # divmod r0 by r1
-            q = []
-            rem = list(r0)
-            inv_lead = pow(r1[-1], -1, p)
-            while rem and len(rem) >= len(r1):
-                shift = len(rem) - len(r1)
-                c = (rem[-1] * inv_lead) % p
-                if len(q) < shift + 1:
-                    q += [0] * (shift + 1 - len(q))
-                q[shift] = c
-                for i, ri in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - c * ri) % p
-                _trim(rem)
-            r0, r1 = r1, rem
-            new_s = list(s0)
-            qs = _poly_mul(q, s1, p)
-            if len(new_s) < len(qs):
-                new_s += [0] * (len(qs) - len(new_s))
-            for i, c in enumerate(qs):
-                new_s[i] = (new_s[i] - c) % p
-            s0, s1 = s1, _trim(new_s)
-        inv_r = pow(r0[-1], -1, p)
-        res = [(c * inv_r) % p for c in s0]
-        res = _poly_rem(res, list(f.modulus), p)
-        return FieldElement(f, tuple(res) + (0,) * (f.k - len(res)))
+        return self ** (f.order - 2)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -395,13 +389,7 @@ class FieldElement:
             return FieldElement(f, (pow(self.digits[0], e, f.p),))
         if e < 0:
             return self.inverse() ** (-e)
-        result, base = f.one, self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FieldElement(f, _pow(self.digits, e, f._fold, f.p))
 
     # -- Frobenius structure --------------------------------------------------
 
@@ -413,24 +401,17 @@ class FieldElement:
 
     def pth_root(self) -> "FieldElement":
         """The unique r with r^p = self; equals self^(p^(k-1))."""
-        if self.field.k == 1:
+        f = self.field
+        if f.k == 1:
             return self
-        r = self
-        for _ in range(self.field.k - 1):
-            r = r.frobenius()
-        return r
+        return FieldElement(f, tuple([sum(map(mul, row, self.digits)) % f.p for row in f._phi]))
 
     def trace_to_prime(self) -> int:
         """Sum of the Galois conjugates, as a residue in [0, p)."""
-        if self.field.k == 1:
+        f = self.field
+        if f.k == 1:
             return self.digits[0]
-        acc, cur = self, self
-        for _ in range(self.field.k - 1):
-            cur = cur.frobenius()
-            acc = acc + cur
-        if any(acc.digits[1:]):
-            raise AssertionError("trace left the prime field")  # unreachable
-        return acc.digits[0]
+        return sum(map(mul, f._trace, self.digits)) % f.p
 
     # -- identity -----------------------------------------------------------
 

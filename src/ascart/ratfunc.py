@@ -126,12 +126,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def shift(self, n: int) -> "Poly":
-        """Multiply by x^n."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero,) * n + self.coeffs)
-
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

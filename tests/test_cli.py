@@ -108,6 +108,11 @@ class TestCommands:
     def test_missing_file_returns_2(self, capsys):
         assert main(["info", "/nonexistent.curve"]) == 2
 
+    def test_missing_file_json_envelope(self, capsys):
+        assert main(["info", "/nonexistent.curve", "--json"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["valid"] is False and "No such file" in data["error"]
+
     def test_matrix_json_round_trip(self, tmp_path, capsys):
         assert main(["matrix", write(tmp_path, CUBIC), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

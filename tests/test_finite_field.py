@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from ascart import GF, Field, embedding
 from ascart.errors import AscartError, FieldTooLarge, NotPrime
-from ascart.finite_field import _poly_rem, is_prime
+from ascart.finite_field import is_prime
+from naive_field import mul_mod, poly_rem, pow_mod
 
 
 def brute_force_smallest_modulus(p, k):
@@ -16,7 +17,7 @@ def brute_force_smallest_modulus(p, k):
     1..k-1, scanning counter order; trial division only."""
 
     def divides(d, m):
-        return not _poly_rem(list(m), list(d), p)
+        return not poly_rem(list(m), list(d), p)
 
     def all_monics(deg):
         for n in range(p**deg):
@@ -43,9 +44,24 @@ class TestModulusSelection:
     def test_prime_field_uses_t(self):
         assert GF(3).modulus == (0, 1)
 
-    @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2), (2, 4)])
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2), (2, 4), (2, 6), (3, 4)])
     def test_matches_exhaustive_oracle(self, p, k):
         assert Field(p, k).modulus == brute_force_smallest_modulus(p, k)
+
+    @pytest.mark.parametrize(
+        "p,k,modulus",
+        [
+            (2, 6, (0, 1, 0, 0, 0, 1, 1)),  # t (t^2+t+1) (t^3+t+1)
+            (3, 6, (1, 0, 0, 1, 0, 1, 1)),  # (t+1) (t^2+1) (t^3+2t+1)
+        ],
+    )
+    def test_reducible_modulus_rejected(self, p, k, modulus):
+        # squarefree with factor degrees dividing k, so t^(p^k) = t holds and
+        # only the unit condition on t^(p^(k/q)) - t can reject it
+        t = (0, 1) + (0,) * (k - 2)
+        assert pow_mod(t, p**k, modulus, p) == t
+        with pytest.raises(ValueError, match="modulus is reducible"):
+            Field(p, k, modulus)
 
     def test_frozen_examples(self):
         # oracle-derived: t^2+1 over GF(3), t^2+2 over GF(5)
@@ -143,6 +159,23 @@ class TestArithmetic:
         assert t**8 == F.one  # multiplicative order divides 8
         assert t**0 == F.one
         assert t**-1 == t.inverse()
+
+
+@pytest.mark.parametrize("field", [GF(3, 3), GF(2, 5), GF(3, 7)])
+def test_kernel_matches_naive_reference(field):
+    """Product, inverse, trace and p-th root against tests/naive_field.py."""
+    p, k, m = field.p, field.k, field.modulus
+    one = (1,) + (0,) * (k - 1)
+    r = random.Random(field.order)
+    for _ in range(60):
+        a = field.random_element(r, nonzero=True)
+        b = field.random_element(r)
+        assert (a * b).digits == mul_mod(a.digits, b.digits, m, p)
+        assert mul_mod(a.digits, a.inverse().digits, m, p) == one
+        conjugates = [pow_mod(a.digits, p**i, m, p) for i in range(k)]
+        trace = tuple(sum(col) % p for col in zip(*conjugates))
+        assert trace == (a.trace_to_prime(),) + (0,) * (k - 1)
+        assert a.pth_root().digits == pow_mod(a.digits, p ** (k - 1), m, p)
 
 
 class TestFrobenius:
