@@ -40,7 +40,7 @@ from .curve import (
     partition_HA,
     validate,
 )
-from .errors import ConditionNotSatisfied, NotInH, NotInSpan
+from .errors import ConditionNotSatisfied, IrreducibleDenominatorFactor, NotInH, NotInSpan
 from .finite_field import Field, FieldElement
 from .ratfunc import PartialFraction, Poly, RatFunc, partial_fractions
 
@@ -303,6 +303,26 @@ def _accumulate_layer(
             vec[index[key]] = vec[index[key]] + c
 
 
+def _accumulate_rational(
+    md: MixedDifferential,
+    index: dict[BasisForm, int],
+    loc_to_j: dict,
+    vec: list[FieldElement],
+) -> None:
+    # A regular differential, the Cartier image of one included, has poles
+    # in x only where the curve does, so the finite pole locations are the
+    # only candidate roots; a factor left elsewhere is a bug.
+    for r, g in md.terms.items():
+        try:
+            pf = partial_fractions(g, candidates=loc_to_j.keys())
+        except IrreducibleDenominatorFactor as exc:
+            raise NotInSpan(
+                f"denominator keeps a factor of degree {exc.degree} "
+                "away from the poles of the curve"
+            ) from exc
+        _accumulate_layer(pf, r, index, loc_to_j, vec)
+
+
 def express_in_basis(
     spec: CurveSpec,
     md: MixedDifferential,
@@ -310,17 +330,16 @@ def express_in_basis(
 ) -> list[FieldElement]:
     """Exact coordinates of a regular differential in the ordered basis.
 
-    Each y-layer is decomposed into partial fractions and its monomials are
-    matched against basis forms; any monomial outside the basis raises
-    NotInSpan (which, for Cartier images of regular forms, means a bug).
+    Each y-layer is decomposed into partial fractions at the curve's finite
+    poles and its monomials are matched against basis forms; a pole
+    elsewhere or a monomial outside the basis raises NotInSpan (which, for
+    Cartier images of regular forms, means a bug).
     """
     if basis_forms is None:
         basis_forms = basis(spec)
     index = {form: i for i, form in enumerate(basis_forms)}
-    loc_to_j = _pole_index_map(spec)
     vec = [spec.field.zero] * len(basis_forms)
-    for r, g in md.terms.items():
-        _accumulate_layer(partial_fractions(g), r, index, loc_to_j, vec)
+    _accumulate_rational(md, index, _pole_index_map(spec), vec)
     return vec
 
 
@@ -382,8 +401,7 @@ def _column(engine: _Engine, form: BasisForm, pipeline: str) -> list[FieldElemen
     vec = [engine.field.zero] * len(engine.forms)
     index, loc_to_j = engine.index, engine.loc_to_j
     if pipeline == "rational":
-        for r, coeff in engine.image_rational(form).terms.items():
-            _accumulate_layer(partial_fractions(coeff), r, index, loc_to_j, vec)
+        _accumulate_rational(engine.image_rational(form), index, loc_to_j, vec)
     else:
         for r, pf in engine.image_local(form).items():
             _accumulate_layer(pf, r, index, loc_to_j, vec)

@@ -14,10 +14,14 @@ k <= i <= 2k-2, turns the schoolbook product of two digit vectors into
 their product mod m, and one square-and-multiply loop gives powers.
 Everything else is read off that kernel once per field:
 
-- the inverse is a^(q-2);
 - Frobenius x -> x^p is a field automorphism of order k, so p-th roots
   exist and are unique: pth_root(a) = a^(p^(k-1)), a GF(p)-linear map
   applied as a mat-vec with its k x k matrix Phi;
+- the inverse of an element of GF(p) is its inverse mod p; any other a is
+  inverted by Itoh-Tsujii: the product a^(r-1) of its conjugates other
+  than a itself, r = (q-1)/(p-1), comes from k-1 mat-vecs with Phi and k-2
+  products, the norm N(a) = a * a^(r-1) lies in GF(p), and
+  a^(-1) = a^(r-1) * N(a)^(-1);
 - the absolute trace is a dot product with the vector Tr(t^j);
 - the modulus is chosen by Rabin's test in the same ring, with "is a unit"
   tested as h^(p^k - 1) = 1.
@@ -89,6 +93,11 @@ def _mul(a: tuple[int, ...], b: tuple[int, ...], fold, p: int) -> tuple[int, ...
     if not any(high):  # most often a GF(p) constant times an element
         return tuple([c % p for c in prod[:k]])
     return tuple([(c + sum(map(mul, high, col))) % p for c, col in zip(prod, fold)])
+
+
+def _matvec(rows, a: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The GF(p)-linear map with the given matrix rows, applied to a."""
+    return tuple([sum(map(mul, row, a)) % p for row in rows])
 
 
 def _pow(a: tuple[int, ...], e: int, fold, p: int) -> tuple[int, ...]:
@@ -305,7 +314,7 @@ class FieldElement:
 
     def _check(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field == self.field:
+            if other.field is self.field or other.field == self.field:
                 return other
             raise ValueError("elements of different fields")
         if isinstance(other, int):
@@ -364,11 +373,18 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         f = self.field
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if f.k == 1:
-            return FieldElement(f, (pow(self.digits[0], -1, f.p),))
-        return self ** (f.order - 2)
+        a = self.digits
+        if not any(a[1:]):  # in GF(p)
+            if a[0] == 0:
+                raise ZeroDivisionError("inverse of zero")
+            return FieldElement(f, (pow(a[0], -1, f.p),) + a[1:])
+        p, fold = f.p, f._fold
+        conjugate = rest = _matvec(f._phi, a, p)
+        for _ in range(f.k - 2):
+            conjugate = _matvec(f._phi, conjugate, p)
+            rest = _mul(rest, conjugate, fold, p)
+        norm_inv = pow(_mul(a, rest, fold, p)[0], -1, p)
+        return FieldElement(f, tuple([c * norm_inv % p for c in rest]))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -404,7 +420,7 @@ class FieldElement:
         f = self.field
         if f.k == 1:
             return self
-        return FieldElement(f, tuple([sum(map(mul, row, self.digits)) % f.p for row in f._phi]))
+        return FieldElement(f, _matvec(f._phi, self.digits, f.p))
 
     def trace_to_prime(self) -> int:
         """Sum of the Galois conjugates, as a residue in [0, p)."""
@@ -417,7 +433,9 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.digits == other.digits
+            return self.digits == other.digits and (
+                self.field is other.field or self.field == other.field
+            )
         if isinstance(other, int):
             return self == self.field(other)
         return NotImplemented

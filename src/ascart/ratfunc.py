@@ -13,9 +13,12 @@ with synthetic division against linear factors and with local binomial
 expansions at each pole.  partial_fractions() and assemble() convert between
 the two representations and are exact inverses of each other.
 
-Denominators must split into linear factors over the coefficient field;
-root finding is exhaustive over the field, which is the honest choice at
-desk scale.  A non-split denominator raises IrreducibleDenominatorFactor.
+Denominators must split into linear factors over the coefficient field.
+partial_fractions() looks for their roots among a caller's list of
+candidates, the pole locations of a curve for instance, and scans the
+whole field in counter order when given none.  A factor left over by that
+search, a non-split one or a root missing from the candidates, raises
+IrreducibleDenominatorFactor.
 """
 
 from __future__ import annotations
@@ -498,22 +501,24 @@ class PartialFraction:
         return " + ".join(parts) if parts else "0"
 
 
-def partial_fractions(f: RatFunc) -> PartialFraction:
+def partial_fractions(f: RatFunc, *, candidates=None) -> PartialFraction:
     """Exact partial fraction decomposition of f.
 
-    The denominator must split into linear factors over f's field;
-    otherwise IrreducibleDenominatorFactor is raised.
+    The roots of the denominator are looked for among `candidates`, an
+    iterable of elements of f's field, or among all of the field when it
+    is None.  The denominator must be a product of linear factors at those
+    roots; otherwise IrreducibleDenominatorFactor is raised.
     """
     field = f.field
     poly_part, rem = divmod(f.num, f.den)
     if rem.is_zero():
         return PartialFraction(poly_part)
 
-    # exhaustive root extraction with multiplicities
+    # root extraction with multiplicities
     den = f.den
     roots: list[tuple[FieldElement, int]] = []
     cofactor = den
-    for e in field.elements():
+    for e in field.elements() if candidates is None else candidates:
         if cofactor.degree() == 0:
             break
         if cofactor.evaluate(e).is_zero():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ascart import (
     GF,
@@ -25,6 +27,7 @@ from ascart.curve import BasisForm, basis, order_key
 from ascart.errors import ConditionNotSatisfied, NotInH, NotInSpan
 from ascart.invariants import rank, rank_of_columns
 from ascart.ratfunc import partial_fractions
+from ascart.sweep import random_curve
 
 from conftest import curve, random_specs
 
@@ -103,6 +106,24 @@ class TestCartierLocal:
             pf = partial_fractions(g)
             local = cartier_local(pf).assemble()
             assert local == cartier_rational(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    k=st.integers(3, 7),
+    raw_orders=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=3, k=7, raw_orders=[2, 1], seed=0)
+def test_pipelines_agree_over_extensions(p, k, raw_orders, seed):
+    """Both pipelines over GF(p^k), k >= 3, where the rational one finds its
+    denominator roots among the curve's poles and not by scanning the field."""
+    orders = tuple(d for d in raw_orders if d % p)
+    genus = (sum(d + 1 for d in orders) - 2) * (p - 1) // 2
+    assume(orders and 1 <= genus <= 6 and p**k <= 3**7)
+    spec = random_curve(GF(p, k), orders, random.Random(seed))
+    assert cartier_matrix(spec, "rational").entries == cartier_matrix(spec, "local").entries
 
 
 class TestOperatorAxioms:

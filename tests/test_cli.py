@@ -5,8 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from ascart import GF, cli, parse_spec_text, validate, zeta
-from ascart.cartier import CartierMatrix
+from ascart import (
+    GF,
+    MixedDifferential,
+    Poly,
+    RatFunc,
+    cartier_matrix,
+    cli,
+    parse_spec_text,
+    validate,
+    zeta,
+)
+from ascart.cartier import CartierMatrix, _Engine
 from ascart.cli import main
 from ascart.errors import (
     DuplicatePoleLocation,
@@ -18,6 +28,7 @@ from ascart.errors import (
 CURVES = Path(__file__).resolve().parent.parent / "curves"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "zeta"
 SWEEP_GOLDEN = Path(__file__).resolve().parent / "golden" / "sweep"
+MATRIX_GOLDEN = Path(__file__).resolve().parent / "golden" / "matrix"
 
 CUBIC = "p = 7\npole inf: 0 0 0 1\n"
 TWO_POLE = "p = 3\npole inf: 0 0 1\npole 1: 1\n"
@@ -242,6 +253,24 @@ class TestZetaGolden:
         assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
+class TestMatrixGolden:
+    """`ascart matrix --pipeline both` on the shipped curves and on one curve
+    over GF(3^7) kept beside the goldens, captured while the rational
+    pipeline still found denominator roots by scanning the whole field."""
+
+    SPECS = sorted(CURVES.glob("*.curve")) + sorted(MATRIX_GOLDEN.glob("*.curve"))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda path: path.stem)
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_byte_identical(self, spec, fmt, capsys):
+        args = ["matrix", str(spec), "--pipeline", "both"]
+        if fmt == "json":
+            args.append("--json")
+        assert main(args) == 0
+        golden = MATRIX_GOLDEN / f"{spec.stem}.{fmt}"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 class TestSweepGolden:
     """`ascart sweep` over GF(5^2), captured from the element-wise elimination
     that rank and p-rank used for extension fields before the regular
@@ -276,6 +305,18 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cartier_matrix", broken)
         assert main(["matrix", write(tmp_path, CUBIC)]) == 3
+        assert "internal error (NotInSpan)" in capsys.readouterr().err
+
+    def test_foreign_pole_in_rational_pipeline_is_internal(self, tmp_path, capsys, monkeypatch):
+        # a Cartier image with a pole at x = 2, where the curve has none
+        def stray(self, form):
+            lin = Poly.x(self.field) - Poly.constant(self.field, 2)
+            return MixedDifferential(self.field, {0: RatFunc(Poly.constant(self.field, 1), lin)})
+
+        monkeypatch.setattr(_Engine, "image_rational", stray)
+        with pytest.raises(NotInSpan):
+            cartier_matrix(parse_spec_text(TWO_POLE), "rational")
+        assert main(["matrix", write(tmp_path, TWO_POLE), "--pipeline", "rational"]) == 3
         assert "internal error (NotInSpan)" in capsys.readouterr().err
 
     def test_assertion_is_internal(self, tmp_path, capsys, monkeypatch):

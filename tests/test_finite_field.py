@@ -178,6 +178,41 @@ def test_kernel_matches_naive_reference(field):
         assert a.pth_root().digits == pow_mod(a.digits, p ** (k - 1), m, p)
 
 
+def test_mixing_fields():
+    """Equal fields mix whether or not they are the same object; others raise."""
+    twin = Field(3, 2)
+    assert twin is not GF(3, 2)
+    a, b = GF(3, 2)([1, 2]), twin([2, 2])
+    assert a + b == GF(3, 2)([0, 1])
+    assert a * b == a * GF(3, 2)([2, 2])
+    with pytest.raises(ValueError):
+        a + GF(3, 3)([1, 2])
+    with pytest.raises(ValueError):
+        a * GF(5, 2)([1, 2])
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (2, 5), (5, 2), (3, 7)])
+def test_inverse_matches_fermat(p, k):
+    """Itoh-Tsujii and the GF(p) shortcut against a^(q-2) from tests/naive_field.py,
+    on every element, or on the GF(p) constants and 197 samples of GF(3^7)."""
+    field = GF(p, k)
+    if field.order < 5000:
+        elements = list(field.elements())
+    else:
+        r = random.Random(37)
+        elements = [field(c) for c in range(p)]
+        elements += [field.random_element(r) for _ in range(200 - p)]
+    m = field.modulus
+    for a in elements:
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            continue
+        inv = a.inverse()
+        assert inv.digits == pow_mod(a.digits, field.order - 2, m, p)
+        assert a * inv == field.one
+
+
 class TestFrobenius:
     def test_prime_field_identity(self):
         assert GF(3)(2).pth_root() == GF(3)(2)

@@ -184,6 +184,43 @@ class TestPartialFractions:
         assert pf.pole_orders() == {"inf": 2, F3(1): 2}
 
 
+class TestCandidateRoots:
+    """partial_fractions(f, candidates=...) against the full-field scan."""
+
+    @staticmethod
+    def split_denominator(field, rng, roots):
+        den = Poly.constant(field, 1)
+        mults = [rng.randrange(1, 4) for _ in roots]  # repeated roots included
+        for e, n in zip(roots, mults):
+            den = den * (Poly.x(field) - Poly.constant(field, e)) ** n
+        return den, mults
+
+    @pytest.mark.parametrize("field", [GF(7), GF(3, 3), GF(2, 5)], ids=repr)
+    def test_matches_full_scan(self, field):
+        rng = random.Random(field.order)
+        for _ in range(60):
+            picks = rng.sample(range(field.order), rng.randrange(1, 6))
+            elements = [field.from_counter(n) for n in picks]
+            n_roots = rng.randrange(1, len(elements) + 1)
+            den, _mults = self.split_denominator(field, rng, elements[:n_roots])
+            f = RatFunc(random_poly(field, rng, 6), den)
+            candidates = list(elements)  # the roots and some non-roots
+            rng.shuffle(candidates)
+            assert partial_fractions(f, candidates=candidates) == partial_fractions(f)
+
+    @pytest.mark.parametrize("field", [GF(7), GF(3, 3), GF(2, 5)], ids=repr)
+    def test_missing_root_raises(self, field):
+        rng = random.Random(field.order + 1)
+        for _ in range(20):
+            picks = rng.sample(range(field.order), 4)
+            kept, missing, *others = [field.from_counter(n) for n in picks]
+            den, mults = self.split_denominator(field, rng, [kept, missing])
+            f = RatFunc(Poly.constant(field, 1), den)
+            with pytest.raises(IrreducibleDenominatorFactor) as exc:
+                partial_fractions(f, candidates=[kept, *others])
+            assert exc.value.degree == mults[1]
+
+
 class TestBinomMod:
     def test_against_math_comb(self, rng):
         for p in (2, 3, 5, 7, 13):
