@@ -20,8 +20,16 @@ reduction code, so each serves as an oracle for the other:
 
   * rational -- write g = (num * den^(p-1)) / den^p, apply the polynomial
     rule to the amplified numerator, divide by den (cartier_rational);
-  * local -- decompose g into partial fractions and apply the polynomial
-    and pole rules term by term (cartier_local).
+  * local -- read the principal part of g = x_j^b f^e at each pole off its
+    Laurent series in the paper's local parameter there, w = 1/x at
+    infinity and u = x - e_l at a finite pole, and apply the pole rules to
+    it.  With f = u^(-d_l) H_l(u), the series H_l is the pole's own
+    principal part plus the expansions there of f_0 and of the other
+    poles' parts; its powers H_l^e (e <= p-2) and their products with the
+    series of x_j^b are truncated convolutions of int64 digit arrays.  C
+    keeps the coefficients at exponents -1 mod p in x at infinity and
+    1 mod p in 1/u at a finite pole, under a p-th root.  cartier_local
+    applies the same pole rules to a PartialFraction.
 
 A matrix column is the coordinate vector of C(omega_j) in the ordered
 basis; entry (i, j) is the coefficient of omega_i in C(omega_j).
@@ -29,18 +37,28 @@ basis; entry (i, j) is the coefficient of omega_i in C(omega_j).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .curve import (
     BasisForm,
     CurveSpec,
     basis,
     in_basis,
+    ordered_basis,
     partition_HA,
     validate,
 )
-from .errors import ConditionNotSatisfied, IrreducibleDenominatorFactor, NotInH, NotInSpan
+from .errors import (
+    ConditionNotSatisfied,
+    IrreducibleDenominatorFactor,
+    NotInH,
+    NotInSpan,
+    SeriesTooLarge,
+)
 from .finite_field import Field, FieldElement
 from .ratfunc import PartialFraction, Poly, RatFunc, partial_fractions
 
@@ -152,26 +170,21 @@ class MixedDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Engine: cached powers of f and Cartier images of x_j^b f^e dx
+# Rational pipeline: cached powers of f and images of x_j^b f^e dx
 # ---------------------------------------------------------------------------
 
 
 class _Engine:
-    """Per-curve caches shared by all columns of one matrix computation."""
+    """Per-curve caches of the rational pipeline, shared by all columns."""
 
     def __init__(self, spec: CurveSpec):
         self.spec = spec
-        self.inv = validate(spec)
         self.field = spec.field
         self.forms = basis(spec)
         self.index = {form: i for i, form in enumerate(self.forms)}
         self.loc_to_j = _pole_index_map(spec)
         self._pow_rat: dict[int, RatFunc] = {}
-        self._pow_pf: dict[int, PartialFraction] = {}
         self._c_rat: dict[tuple[int, int, int], RatFunc] = {}
-        self._c_pf: dict[tuple[int, int, int], PartialFraction] = {}
-
-    # powers of f in both representations
 
     def f_power_rat(self, e: int) -> RatFunc:
         if e not in self._pow_rat:
@@ -185,16 +198,6 @@ class _Engine:
         if 1 not in self._pow_rat:
             self._pow_rat[1] = self.spec.f_ratfunc()
         return self._pow_rat[1]
-
-    def f_power_pf(self, e: int) -> PartialFraction:
-        if e not in self._pow_pf:
-            if e == 0:
-                self._pow_pf[0] = PartialFraction(Poly.constant(self.field, 1))
-            elif e == 1:
-                self._pow_pf[1] = self.spec.f_partial_fraction()
-            else:
-                self._pow_pf[e] = self.f_power_pf(e - 1) * self.f_power_pf(1)
-        return self._pow_pf[e]
 
     # C(x_j^b f^e dx), cached per (j, b, e)
 
@@ -211,20 +214,6 @@ class _Engine:
             self._c_rat[key] = cartier_rational(g)
         return self._c_rat[key]
 
-    def c_monomial_pf(self, j: int, b: int, e: int) -> PartialFraction:
-        key = (j, b, e)
-        if key not in self._c_pf:
-            g = self.f_power_pf(e)
-            if j == 0:
-                if b:
-                    g = g * PartialFraction(Poly.monomial(self.field, b))
-            else:
-                loc = self.spec.poles[j].location
-                mono = PartialFraction(Poly(self.field), {loc: {b: self.field.one}})
-                g = g * mono
-            self._c_pf[key] = cartier_local(g)
-        return self._c_pf[key]
-
     # full Cartier image of a basis form
 
     def image_rational(self, form: BasisForm) -> MixedDifferential:
@@ -237,15 +226,242 @@ class _Engine:
                 terms[t.y_power] = g
         return MixedDifferential(self.field, terms)
 
-    def image_local(self, form: BasisForm) -> dict[int, PartialFraction]:
-        layers: dict[int, PartialFraction] = {}
-        for t in binomial_expansion(form.r, self.field.p).terms:
-            pf = self.c_monomial_pf(form.j, form.b, t.f_power).scale(
-                self.field(t.coefficient)
-            )
-            if not pf.is_zero():
-                layers[t.y_power] = pf
-        return layers
+
+# ---------------------------------------------------------------------------
+# Local pipeline: truncated Laurent series at each pole
+# ---------------------------------------------------------------------------
+
+
+def _series_sizes(p: int, k: int, orders) -> list[int]:
+    """Terms kept of the series at each pole: (p-1)*d_l + 1.
+
+    C(x_j^b f^e dx) reads H_l^e, or its product with the series of x_j^b,
+    below index (e+1)*d_l since b <= d_l in every basis form, and
+    e <= p-2; the one term more keeps the expansions of the other poles
+    nonempty at p = 2.  A product sums at most N*k digit products below
+    (p-1)^2, so N*k*(p-1)^2 must stay below 2^63.
+    """
+    sizes = [(p - 1) * d + 1 for d in orders]
+    if max(sizes) * k * (p - 1) ** 2 >= 2**63:
+        raise SeriesTooLarge(
+            f"local Laurent series of {max(sizes)} terms over GF({p}^{k}) "
+            "would overflow int64 sums"
+        )
+    return sizes
+
+
+class _SeriesRing:
+    """Truncated power series over GF(p^k) as int64 arrays of shape
+    (..., N, k): N coefficients, each the digit vector of a field element."""
+
+    def __init__(self, field: Field):
+        p, k = field.p, field.k
+        self.p, self.k = p, k
+        # digit l of t^i mod m is reduce[i, l]: the identity for i < k, then
+        # the field's fold table; pth_root(a) = a @ phi
+        fold = np.array(field._fold, dtype=np.int64).reshape(k, k - 1).T
+        self.reduce = np.vstack([np.eye(k, dtype=np.int64), fold])
+        self.phi = np.array(field._phi, dtype=np.int64).T
+        self.one = np.eye(1, k, dtype=np.int64)
+        for table in (self.reduce, self.phi, self.one):
+            table.setflags(write=False)  # shared by every curve over the field
+
+    def digits(self, elements) -> np.ndarray:
+        """The (len(elements), k) digit array of a sequence of elements."""
+        return np.array([c.digits for c in elements], dtype=np.int64).reshape(-1, self.k)
+
+    def mul(self, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+        """The first n terms of a_i * b for every series a_i of the batch a.
+
+        Entries stay below 2^63 while n*k*(p-1)^2 does; _series_sizes checks
+        that bound.
+        """
+        a, b = a[..., :n, :], b[:n]
+        k, slot, rows, gap = self.k, 2 * self.k - 1, a.shape[-2], len(b) - 1
+        # Kronecker packing: a slot of 2k-1 entries holds the schoolbook
+        # product of two digit vectors, and rows `width` slots apart hold
+        # the products of different series, so one convolution makes all.
+        # Only the last row's product needs no room after it.
+        width = max(n, rows + gap)
+        pa = np.zeros(a.shape[:-2] + (width, slot), dtype=np.int64)
+        pa[..., :rows, :k] = a
+        pb = np.zeros((len(b), slot), dtype=np.int64)
+        pb[:, :k] = b
+        c = np.convolve(pa.ravel()[: pa.size - min(width - rows, gap) * slot], pb.ravel())
+        c = c[: pa.size].reshape(pa.shape)[..., :n, :] % self.p @ self.reduce
+        return np.remainder(c, self.p, out=c)
+
+    def geometric(self, z: np.ndarray, n: int) -> np.ndarray:
+        """1, z, ..., z^(n-1) for the element with digits z, by doubling."""
+        out, zm = self.one, z[None]
+        while len(out) < n:
+            # z^0, ..., z^m times z^m is z^m, ..., z^(2m)
+            step = self.mul(np.concatenate([out, zm]), zm, len(out) + 1)
+            out, zm = np.concatenate([out, step[:-1]]), step[-1:]
+        return out[:n]
+
+    def horner(self, coeffs: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+        """sum_i coeffs[i] * x^i to n terms, for a power series x and at
+        least two coefficients."""
+        acc = coeffs[-1:]
+        for c in coeffs[-2::-1]:
+            acc = self.mul(acc, x, n)
+            acc[0] = (acc[0] + c) % self.p
+        return acc
+
+
+_series_ring = functools.lru_cache(maxsize=None)(_SeriesRing)
+
+
+class _Layout:
+    """The part of the local pipeline that depends only on p, k and the pole
+    orders: the basis, the (j, b) of its forms, the series indices C reads
+    at each pole, and the matrix position of every reading."""
+
+    def __init__(self, p: int, k: int, orders):
+        self.orders, self.sizes = orders, _series_sizes(p, k, orders)  # before the basis
+        self.forms = forms = tuple(ordered_basis(p, orders))
+        if not forms:
+            return
+        self.e_max = e_max = max(form.r for form in forms)
+        b_max = [0] * len(orders)
+        for form in forms:
+            b_max[form.j] = max(b_max[form.j], form.b)
+        self.b_max = tuple(b_max)
+        self.groups = groups = tuple(sorted({(form.j, form.b) for form in forms}))
+        # At pole l, x_j^b f^e = u^-(e*d + s) q_e with s = b for j = l, as
+        # x_l^b = u^(-b), and s = 0 otherwise; q_e is H_l^e, or its product
+        # with the series of x_j^b.  C keeps u^-n for n = 1 mod p (x^n for
+        # n = -1 mod p at infinity), the entries of q_e at e*d + s - n.
+        js, bs = np.array(groups).T[:, :, None, None]
+        g, e = np.arange(len(groups))[:, None, None], np.arange(e_max + 1)[:, None]
+        self.reads, pole, power = [], [], []
+        for l, d in enumerate(orders):
+            first = np.where(js == l, bs, 0) + d * e - (p - 1 if l == 0 else 1)
+            count = max(first.max() // p + 1, 0)
+            t = first - p * np.arange(count)
+            self.reads.append(((g, e, t.clip(0)), t[..., None] >= 0))
+            pole.append(np.full(count, l))
+            power.append(np.arange(count) + (l > 0))
+        self.pole, self.power = np.concatenate(pole), np.concatenate(power)
+        # sign[r, e]: the coefficient of y^(r-e) C(x_j^b f^e dx) in C(x_j^b y^r dx)
+        self.sign = np.zeros((e_max + 1, e_max + 1), dtype=np.int64)
+        for r in range(e_max + 1):
+            terms = binomial_expansion(r, p).terms
+            self.sign[r, [t.f_power for t in terms]] = [t.coefficient for t in terms]
+        # where[l, i, b]: position of x_l^b y^i dx in the basis, -1 outside it
+        width = max(self.power.max(initial=0), max(self.b_max)) + 1
+        where = np.full((len(orders), e_max + 1, width), -1)
+        for i, form in enumerate(forms):
+            where[form.j, form.r, form.b] = i
+        self.cols = where[js[..., 0], np.arange(e_max + 1), bs[..., 0]]  # [g, r]
+        y_power = np.subtract.outer(np.arange(e_max + 1), np.arange(e_max + 1)).clip(0)
+        self.rows = where[self.pole, y_power[..., None], self.power]  # [r, e, a]
+        reads = [a for index, read in self.reads for a in (*index, read)]
+        for table in (self.pole, self.power, self.sign, self.cols, self.rows, *reads):
+            table.setflags(write=False)  # shared by every curve with these orders
+
+
+_layout = functools.lru_cache(maxsize=64)(_Layout)
+
+
+class _Laurent:
+    """Per pole l of a curve, the powers H_l^e (e up to the largest y-power
+    of the forms) and the series of x_j^b for the forms' (j, b), in the
+    local parameter w = 1/x at infinity or u = x - e_l at a finite pole."""
+
+    def __init__(self, spec: CurveSpec, layout: _Layout):
+        field = spec.field
+        self.ring = ring = _series_ring(field)
+        self.p = field.p
+        locs = [datum.location for datum in spec.poles]
+        own = [ring.digits(datum.coeffs) for datum in spec.poles]
+        # f_j as a polynomial in x_j; a finite pole's part has no constant term
+        polys = own[:1] + [np.vstack([np.zeros_like(ring.one), c]) for c in own[1:]]
+        orders = layout.orders
+        self.x_powers: dict[tuple[int, int], list] = {}
+        self.powers = []
+        for l, (n, d) in enumerate(zip(layout.sizes, orders)):
+            # H_l = u^d f: the own principal part, reversed, plus u^d times
+            # the expansions of the other f_j(x_j) at this pole
+            h = np.zeros((n, field.k), dtype=np.int64)
+            h[: len(own[l])] = own[l][::-1]
+            for j in range(len(orders)):
+                if j != l:
+                    x = self._local_x(locs, j, l, n)
+                    h[d:] = (h[d:] + ring.horner(polys[j], x, n - d)) % self.p
+                    x_powers = [None, x]
+                    for _ in range(layout.b_max[j] - 1):
+                        x_powers.append(ring.mul(x_powers[-1], x, n))
+                    self.x_powers[j, l] = x_powers
+            powers = np.zeros((layout.e_max + 1, n, field.k), dtype=np.int64)
+            powers[0, :1] = ring.one
+            powers[1:2] = h
+            m = 1
+            while m < layout.e_max:  # H^(m+1), ..., H^(2m) as H^1, ..., H^m times H^m
+                top = min(2 * m, layout.e_max)
+                powers[m + 1 : top + 1] = ring.mul(powers[1 : top - m + 1], powers[m], n)
+                m = top
+            self.powers.append(powers)
+
+    def _local_x(self, locs, j: int, l: int, n: int) -> np.ndarray:
+        """x_j to n terms in the local parameter at pole l != j."""
+        ring = self.ring
+        if l == 0:  # x_j = w / (1 - e_j w)
+            series = ring.geometric(ring.digits([locs[j]])[0], n - 1)
+            return np.vstack([np.zeros_like(ring.one), series])
+        if j == 0:  # x = e_l + u
+            return ring.digits([locs[l], locs[l].field.one])
+        # x_j = 1/(u + e_l - e_j) = -sum_s z^(s+1) u^s with z = 1/(e_j - e_l)
+        z = ring.digits([(locs[j] - locs[l]).inverse()])[0]
+        return -ring.geometric(z, n + 1)[1:] % self.p
+
+    def images(self, layout: _Layout) -> np.ndarray:
+        """C(x_j^b f^e dx) for each (j, b) of the layout's groups and every e.
+
+        Entry [g, e, a] is the coefficient of x^b' dx (l = 0) or of x_l^b' dx
+        (l >= 1), for the pole l and power b' of the layout's column a.
+        """
+        ring, picked = self.ring, []
+        for l, (powers, (index, read)) in enumerate(zip(self.powers, layout.reads)):
+            n = powers.shape[1]
+            q = np.stack([
+                powers if j == l or not b else ring.mul(powers, self.x_powers[j, l][b], n)
+                for j, b in layout.groups
+            ])
+            picked.append(np.where(read, q[index], 0))
+        return np.concatenate(picked, axis=2) @ ring.phi % self.p  # pth_root of each
+
+
+def _local_matrix(spec: CurveSpec) -> tuple[tuple[BasisForm, ...], np.ndarray]:
+    """The basis and the (g, g, k) digits of the Cartier matrix, by the
+    local pipeline."""
+    field = spec.field
+    p, layout = field.p, _layout(field.p, field.k, validate(spec).orders)
+    forms = layout.forms
+    out = np.zeros((len(forms), len(forms), field.k), dtype=np.int64)
+    if not forms:
+        return forms, out
+    images = _Laurent(spec, layout).images(layout)
+    vals = layout.sign[:, :, None, None] * images[:, None] % p  # [g, r, e, a, :]
+    live = vals.any(-1) & (layout.cols[:, :, None, None] >= 0)
+    outside = np.argwhere(live & (layout.rows < 0))
+    if len(outside):
+        _, r, e, a = outside[0]
+        form = BasisForm(int(layout.pole[a]), int(layout.power[a]), int(r - e))
+        raise NotInSpan(f"monomial {form.label()} falls outside the basis")
+    g, r, e, a = np.nonzero(live)
+    out[layout.rows[r, e, a], layout.cols[g, r]] = vals[g, r, e, a]
+    return forms, out
+
+
+def _elements(field: Field, digits: np.ndarray) -> tuple[tuple[FieldElement, ...], ...]:
+    """Rows of field elements from a (g, g, k) digit array."""
+    counters = digits @ field.p ** np.arange(field.k)
+    values, inverse = np.unique(counters, return_inverse=True)
+    elements = [field.from_counter(c) for c in values.tolist()]
+    rows = inverse.reshape(counters.shape).tolist()
+    return tuple(tuple(map(elements.__getitem__, row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +474,21 @@ def cartier_basis_form(
 ) -> MixedDifferential:
     """C applied to one basis form, as a differential sum_i g_i y^i dx."""
     _check_pipeline(pipeline)
-    engine = _Engine(spec)
-    if not in_basis(spec.p, engine.inv.orders, form):
+    orders = validate(spec).orders
+    if not in_basis(spec.p, orders, form):
         raise ValueError(f"{form} is not a basis form of this curve")
     if pipeline == "rational":
-        return engine.image_rational(form)
-    layers = engine.image_local(form)
-    return MixedDifferential(
-        spec.field, {i: pf.assemble() for i, pf in layers.items()}
-    )
+        return _Engine(spec).image_rational(form)
+    # the column of the form: its principal parts, as forms x_j^b y^r dx
+    M, field = cartier_matrix(spec, "local"), spec.field
+    layers: dict[int, PartialFraction] = {}
+    for (j, b, r), c in zip(M.basis, M.column(M.basis.index(form))):
+        if j:
+            pf = PartialFraction(Poly(field), {spec.poles[j].location: {b: c}})
+        else:
+            pf = PartialFraction(Poly.monomial(field, b, c))
+        layers[r] = layers.get(r, PartialFraction.zero(field)) + pf
+    return MixedDifferential(field, {r: pf.assemble() for r, pf in layers.items()})
 
 
 def _check_pipeline(pipeline: str) -> None:
@@ -396,23 +618,21 @@ class CartierMatrix:
         return CartierMatrix(field, forms, rows)
 
 
-def _column(engine: _Engine, form: BasisForm, pipeline: str) -> list[FieldElement]:
-    """Coordinates of C(form) in the ordered basis, by either pipeline."""
+def _column(engine: _Engine, form: BasisForm) -> list[FieldElement]:
+    """Coordinates of C(form) in the ordered basis, by the rational pipeline."""
     vec = [engine.field.zero] * len(engine.forms)
-    index, loc_to_j = engine.index, engine.loc_to_j
-    if pipeline == "rational":
-        _accumulate_rational(engine.image_rational(form), index, loc_to_j, vec)
-    else:
-        for r, pf in engine.image_local(form).items():
-            _accumulate_layer(pf, r, index, loc_to_j, vec)
+    _accumulate_rational(engine.image_rational(form), engine.index, engine.loc_to_j, vec)
     return vec
 
 
 def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
     """The full matrix of the Cartier operator, by either pipeline."""
     _check_pipeline(pipeline)
+    if pipeline == "local":
+        forms, digits = _local_matrix(spec)
+        return CartierMatrix(spec.field, forms, _elements(spec.field, digits))
     engine = _Engine(spec)
-    columns = [_column(engine, form, pipeline) for form in engine.forms]
+    columns = [_column(engine, form) for form in engine.forms]
     return CartierMatrix(spec.field, tuple(engine.forms), tuple(zip(*columns)))
 
 
@@ -445,8 +665,8 @@ def key_term(spec: CurveSpec, form: BasisForm) -> KeyTerm:
     if form not in H:
         raise NotInH(f"{form} is not in the pivot set H")
     target = kappa(spec, form)
-    engine = _Engine(spec)
-    coeff = _column(engine, form, "local")[engine.index[target]]
+    forms = basis(spec)
+    coeff = cartier_matrix(spec, "local").entry(forms.index(target), forms.index(form))
     if coeff.is_zero():
         raise AssertionError(f"pivot coefficient of {form} vanished")  # unreachable
     return KeyTerm(form, target, coeff)

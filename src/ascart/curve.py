@@ -268,10 +268,12 @@ def in_basis(p: int, orders, form: BasisForm) -> bool:
 
 def basis_blocks(spec: CurveSpec) -> list[list[BasisForm]]:
     """The W_j blocks, unsorted within the overall order."""
-    inv = validate(spec)
-    p = spec.p
+    return _blocks(spec.p, validate(spec).orders)
+
+
+def _blocks(p: int, orders) -> list[list[BasisForm]]:
     blocks = []
-    for j, d in enumerate(inv.orders):
+    for j, d in enumerate(orders):
         bound = block_bound(p, d, j)
         block = []
         b = 0 if j == 0 else 1
@@ -295,7 +297,12 @@ def compare_forms(w1: BasisForm, w2: BasisForm) -> int:
 
 def basis(spec: CurveSpec) -> list[BasisForm]:
     """The full ordered basis of regular 1-forms; its length is the genus."""
-    forms = [form for block in basis_blocks(spec) for form in block]
+    return ordered_basis(spec.p, validate(spec).orders)
+
+
+def ordered_basis(p: int, orders) -> list[BasisForm]:
+    """basis() of every curve in characteristic p with these pole orders."""
+    forms = [form for block in _blocks(p, orders) for form in block]
     forms.sort(key=order_key)
     return forms
 

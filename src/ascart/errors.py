@@ -93,6 +93,10 @@ class FieldTooLarge(AscartError, ValueError):
     """The requested field exceeds the element cap of exhaustive procedures."""
 
 
+class SeriesTooLarge(AscartError, ValueError):
+    """The local Cartier pipeline's Laurent series would overflow int64 sums."""
+
+
 class ParseError(AscartError):
     """A curve-spec file is malformed."""
 

@@ -207,7 +207,10 @@ class Field:
         self._zero = FieldElement(self, (0,) * k)
         self._one = FieldElement(self, (1,) + (0,) * (k - 1))
         self._gen = None if k == 1 else FieldElement(self, (0, 1) + (0,) * (k - 2))
-        if k > 1:
+        if k == 1:
+            # nothing to fold, and Frobenius is the identity on GF(p)
+            self._fold, self._phi = (), ((1,),)
+        else:
             self._fold = fold = _fold_table(modulus, p)
             # Phi, the matrix of x -> x^(p^(k-1)), as rows; its column j is
             # pth_root(t^j) = pth_root(t)^j.

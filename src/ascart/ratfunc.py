@@ -7,11 +7,12 @@ PartialFraction is a polynomial part plus, per finite pole e, the principal
 part  sum_n c_n (x-e)^(-n)  stored as {e: {n: c_n}} with zero coefficients
 dropped, so decompositions are unique and comparable.
 
-PartialFraction supports exact ring arithmetic directly on the decomposed
-form (no round trip through a common denominator): products are reduced
-with synthetic division against linear factors and with local binomial
-expansions at each pole.  partial_fractions() and assemble() convert between
-the two representations and are exact inverses of each other.
+PartialFraction adds and scales on the decomposed form.  A product goes
+through assemble() and back through partial_fractions() at the poles of
+both factors: no pipeline multiplies partial fractions (the local Cartier
+pipeline multiplies truncated Laurent series; see ascart.cartier).
+partial_fractions() and assemble() convert between the two
+representations and are exact inverses of each other.
 
 Denominators must split into linear factors over the coefficient field.
 partial_fractions() looks for their roots among a caller's list of
@@ -25,25 +26,6 @@ from __future__ import annotations
 
 from .errors import IrreducibleDenominatorFactor, SingularTransform
 from .finite_field import Field, FieldElement
-
-
-def binom_mod(n: int, k: int, p: int) -> int:
-    """Binomial coefficient mod p by Lucas' theorem; n, k >= 0."""
-    if k < 0 or k > n:
-        return 0
-    result = 1
-    while n or k:
-        ni, ki = n % p, k % p
-        if ki > ni:
-            return 0
-        num = den = 1
-        for i in range(ki):
-            num = num * (ni - i) % p
-            den = den * (i + 1) % p
-        result = result * num * pow(den, -1, p) % p
-        n //= p
-        k //= p
-    return result
 
 
 class Poly:
@@ -380,91 +362,12 @@ class PartialFraction:
         }
         return PartialFraction(self.poly * c, tails)
 
-    # -- multiplication, fully reduced on the decomposed form ------------------
+    # -- multiplication -------------------------------------------------------
 
     def __mul__(self, other: "PartialFraction") -> "PartialFraction":
-        field = self.field
-        acc_poly = self.poly * other.poly
-        acc_tails: dict[FieldElement, dict[int, FieldElement]] = {}
-
-        def add_tail(e, n, c):
-            if not c.is_zero():
-                t = acc_tails.setdefault(e, {})
-                t[n] = t.get(n, field.zero) + c
-
-        def poly_times_tail(P: Poly, e, tail):
-            # P(x) * (x-e)^(-n) = sum_{s<n} a_s (x-e)^(s-n) + Q_n(x)
-            # with a_s, Q_s from repeated synthetic division of P by (x-e).
-            nonlocal acc_poly
-            if P.is_zero():
-                return
-            nmax = max(tail)
-            quotients, rems, cur = [P], [], P
-            for _ in range(nmax):
-                cur, rem = cur.divmod_linear(e)
-                quotients.append(cur)
-                rems.append(rem)
-            for n, c in tail.items():
-                for s in range(n):
-                    add_tail(e, n - s, c * rems[s])
-                acc_poly = acc_poly + quotients[n] * c
-
-        def same_pole(e, t1, t2):
-            for n1, c1 in t1.items():
-                for n2, c2 in t2.items():
-                    add_tail(e, n1 + n2, c1 * c2)
-
-        def cross_series(tail, delta_inv, depth):
-            # power series, to the given depth, of a principal part at e2
-            # re-expanded around e1, where delta_inv = 1/(e1-e2)
-            p = field.p
-            coeffs = [field.zero] * depth
-            for n2, c2 in tail.items():
-                w = delta_inv**n2
-                for s in range(depth):
-                    b = binom_mod(n2 + s - 1, s, p)
-                    if b:
-                        term = c2 * w * field(b)
-                        coeffs[s] = coeffs[s] + (term if s % 2 == 0 else -term)
-                    w = w * delta_inv
-            return coeffs
-
-        def cross_poles(e1, t1, e2, t2):
-            # (principal part at e1) * (principal part at e2): contributes
-            # principal parts at both poles and nothing else.
-            delta = e1 - e2
-            series2 = cross_series(t2, delta.inverse(), max(t1))
-            for n, c in t1.items():
-                for s in range(n):
-                    add_tail(e1, n - s, c * series2[s])
-            series1 = cross_series(t1, (-delta).inverse(), max(t2))
-            for n, c in t2.items():
-                for s in range(n):
-                    add_tail(e2, n - s, c * series1[s])
-
-        for e, t in other.tails.items():
-            poly_times_tail(self.poly, e, t)
-        for e, t in self.tails.items():
-            poly_times_tail(other.poly, e, t)
-        for e1, t1 in self.tails.items():
-            for e2, t2 in other.tails.items():
-                if e1 == e2:
-                    same_pole(e1, t1, t2)
-                else:
-                    cross_poles(e1, t1, e2, t2)
-        return PartialFraction(acc_poly, acc_tails)
-
-    def __pow__(self, n: int) -> "PartialFraction":
-        if n < 0:
-            raise ValueError("negative power of a partial fraction")
-        result = PartialFraction(Poly.constant(self.field, 1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        """The product, through assemble() and back at the poles of both."""
+        poles = self.tails.keys() | other.tails.keys()
+        return partial_fractions(self.assemble() * other.assemble(), candidates=poles)
 
     # -- conversion -----------------------------------------------------------
 

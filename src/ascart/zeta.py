@@ -167,6 +167,8 @@ def l_polynomial(spec: CurveSpec) -> LPolynomial:
     """Recover L(u) from the trace distributions of f over F_q..F_(q^min(D,g))."""
     inv = validate(spec)
     p, q, D, g = spec.p, spec.field.order, inv.D, inv.g
+    if min(D, g):
+        GF(p, spec.field.k * min(D, g))  # the largest field, so an oversized one fails first
     sums = [_cyclotomic(_trace_distribution(spec, s)) for s in range(1, min(D, g) + 1)]
     if D < g:
         # coefficients of L(f, psi, T) by Newton's identities n e_n = sum_s S_s e_(n-s)

@@ -1,5 +1,6 @@
 """Cartier operator: axioms, dual pipelines, matrices, key terms."""
 
+import inspect
 import random
 
 import pytest
@@ -22,14 +23,16 @@ from ascart import (
     key_term,
     partition_HA,
 )
-from ascart.cartier import CartierMatrix, binomial_expansion
+from ascart import cartier
+from ascart.cartier import CartierMatrix, _series_sizes, binomial_expansion
 from ascart.curve import BasisForm, basis, order_key
-from ascart.errors import ConditionNotSatisfied, NotInH, NotInSpan
+from ascart.errors import ConditionNotSatisfied, NotInH, NotInSpan, SeriesTooLarge
 from ascart.invariants import rank, rank_of_columns
 from ascart.ratfunc import partial_fractions
 from ascart.sweep import random_curve
 
 from conftest import curve, random_specs
+from naive_local import naive_local_matrix
 
 F3 = GF(3)
 F7 = GF(7)
@@ -124,6 +127,96 @@ def test_pipelines_agree_over_extensions(p, k, raw_orders, seed):
     assume(orders and 1 <= genus <= 6 and p**k <= 3**7)
     spec = random_curve(GF(p, k), orders, random.Random(seed))
     assert cartier_matrix(spec, "rational").entries == cartier_matrix(spec, "local").entries
+
+
+def check_local_series(spec, rational=True):
+    """The series route against the partial-fraction reference and, unless
+    that takes minutes, the rational pipeline, matrix and basis forms."""
+    local = cartier_matrix(spec, "local")
+    assert local.entries == naive_local_matrix(spec).entries
+    if rational:
+        assert local.entries == cartier_matrix(spec, "rational").entries
+        forms = basis(spec)
+        for form in forms[:: max(1, len(forms) // 3)]:
+            assert cartier_basis_form(spec, form, "local") == cartier_basis_form(
+                spec, form, "rational"
+            )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    k=st.integers(1, 3),
+    raw_orders=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_local_series_matches_references(p, k, raw_orders, seed):
+    orders = tuple(d for d in raw_orders if d % p)
+    genus = (sum(d + 1 for d in orders) - 2) * (p - 1) // 2
+    assume(orders and genus <= 40 and len(orders) - 1 <= p**k)
+    check_local_series(random_curve(GF(p, k), orders, random.Random(seed)))
+
+
+@pytest.mark.parametrize(
+    "p,orders,k,seed",
+    [
+        (2, (3, 1, 1), 1, 0),  # every y-power is 0, so only f^0 occurs
+        (61, (4,), 1, 1),
+        (11, (5, 2, 1), 1, 2),
+        (3, (2, 1, 1), 7, 3),  # GF(3^7) with two finite poles
+    ],
+)
+def test_local_series_examples(p, orders, k, seed):
+    check_local_series(random_curve(GF(p, k), orders, random.Random(seed)))
+
+
+def test_local_series_large_genus():
+    # g = 120; the rational pipeline takes minutes here
+    spec = random_curve(GF(31), (5, 3), random.Random(4))
+    check_local_series(spec, rational=False)
+
+
+class TestLocalSeriesGuards:
+    def test_sizes(self):
+        assert _series_sizes(13, 1, (4, 3)) == [49, 37]
+        assert _series_sizes(3, 7, (2, 1)) == [5, 3]
+
+    def test_int64_bound(self):
+        # at p = 2 the bound is N*k < 2^63 with N = d + 1
+        assert _series_sizes(2, 1, (2**63 - 3,)) == [2**63 - 2]
+        with pytest.raises(SeriesTooLarge, match="overflow int64"):
+            _series_sizes(2, 1, (2**63 - 1,))
+        with pytest.raises(SeriesTooLarge):
+            _series_sizes(2_000_003, 1, (7,))
+        with pytest.raises(SeriesTooLarge):
+            _series_sizes(2, 2, (2**62,))
+
+    def test_series_route_names_nothing_of_the_rational_route(self):
+        """The two pipelines must stay independent oracles: walk the code of
+        the series route, following every function of the cartier module it
+        calls, and look for the rational route."""
+        todo = [cartier._local_matrix, cartier._elements, cartier._Laurent, cartier._Layout,
+                cartier._SeriesRing]
+        seen, names = set(), set()
+        while todo:
+            item = todo.pop()
+            if item in seen:
+                continue
+            seen.add(item)
+            members = vars(item).values() if isinstance(item, type) else [item]
+            codes = [f.__code__ for f in members if inspect.isfunction(f)]
+            while codes:
+                code = codes.pop()
+                names.update(code.co_names)
+                codes.extend(c for c in code.co_consts if inspect.iscode(c))
+                for name in code.co_names:
+                    target = vars(cartier).get(name)
+                    if inspect.isfunction(target) and target.__module__ == cartier.__name__:
+                        todo.append(target)
+        assert {"_series_sizes", "convolve", "binomial_expansion"} <= names
+        rational = {"RatFunc", "partial_fractions", "cartier_rational", "cartier_poly",
+                    "_Engine", "_accumulate_rational"}
+        assert not names & rational
 
 
 class TestOperatorAxioms:

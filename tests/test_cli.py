@@ -336,6 +336,21 @@ class TestExitCodes:
             "error": "field GF(101^4) exceeds the 10000000-element cap",
         }
 
+    def test_zeta_over_the_cap_fails_before_enumerating(self, capsys, monkeypatch):
+        # GF(3^7), D = g = 3: the sums need GF(3^21), over the cap
+        def enumerated(spec, s):
+            raise AssertionError(f"enumerated F_(q^{s})")
+
+        monkeypatch.setattr(zeta, "_trace_distribution", enumerated)
+        assert main(["zeta", str(MATRIX_GOLDEN / "p3_gf2187_o2-1.curve")]) == 2
+        assert "GF(3^21) exceeds the 10000000-element cap" in capsys.readouterr().err
+
+    def test_local_series_past_int64_is_invalid_input(self, tmp_path, capsys):
+        # (p-1)*7 + 1 terms times (p-1)^2 is about 5.6e19 > 2^63
+        path = write(tmp_path, "p = 2000003\npole inf: 0 0 0 0 0 0 0 1\n")
+        assert main(["matrix", path]) == 2
+        assert "would overflow int64 sums" in capsys.readouterr().err
+
     def test_info_json_huge_prime(self, tmp_path, capsys):
         path = write(tmp_path, "p = 1000000000000000003\npole inf: 0 1\n")
         assert main(["info", path, "--json"]) == 2

@@ -11,11 +11,12 @@ from ascart import GF, PartialFraction, Poly, RatFunc
 from ascart.errors import IrreducibleDenominatorFactor, SingularTransform
 from ascart.ratfunc import (
     assemble,
-    binom_mod,
     moebius_substitute,
     partial_fractions,
     pole_order_multiset,
 )
+
+from naive_local import binom_mod, pf_mul, pf_pow
 
 F3 = GF(3)
 F7 = GF(7)
@@ -174,8 +175,22 @@ class TestPartialFractions:
     def test_multiplication_matches_ratfunc(self, rng):
         for _ in range(150):
             a, b = random_pf(F7, rng), random_pf(F7, rng)
-            assert (a * b).assemble() == a.assemble() * b.assemble()
+            assert pf_mul(a, b).assemble() == a.assemble() * b.assemble()
             assert (a + b).assemble() == a.assemble() + b.assemble()
+
+    @pytest.mark.parametrize("field", [F7, GF(3, 2)], ids=repr)
+    def test_operator_matches_reference_product(self, field):
+        rng = random.Random(field.order)
+        for _ in range(60):
+            a, b = random_pf(field, rng), random_pf(field, rng)
+            assert a * b == pf_mul(a, b)
+
+    def test_reference_power(self, rng):
+        for _ in range(30):
+            a, n = random_pf(F7, rng, max_poly_deg=2), rng.randrange(4)
+            assert pf_pow(a, n).assemble() == a.assemble() ** n
+        with pytest.raises(ValueError):
+            pf_pow(random_pf(F7, rng), -1)
 
     def test_pole_orders(self):
         pf = PartialFraction(
