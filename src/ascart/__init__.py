@@ -32,7 +32,6 @@ from .curve import (
     CurveSpec,
     PoleDatum,
     basis,
-    compare_forms,
     embed_curve,
     partition_HA,
     validate,
@@ -51,7 +50,6 @@ from .ratfunc import (
     PartialFraction,
     Poly,
     RatFunc,
-    assemble,
     moebius_substitute,
     partial_fractions,
 )

@@ -149,9 +149,6 @@ class MixedDifferential:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, r: int) -> RatFunc:
-        return self.terms.get(r, RatFunc(Poly(self.field)))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MixedDifferential)
@@ -545,11 +542,7 @@ def _accumulate_rational(
         _accumulate_layer(pf, r, index, loc_to_j, vec)
 
 
-def express_in_basis(
-    spec: CurveSpec,
-    md: MixedDifferential,
-    basis_forms: list[BasisForm] | None = None,
-) -> list[FieldElement]:
+def express_in_basis(spec: CurveSpec, md: MixedDifferential) -> list[FieldElement]:
     """Exact coordinates of a regular differential in the ordered basis.
 
     Each y-layer is decomposed into partial fractions at the curve's finite
@@ -557,10 +550,9 @@ def express_in_basis(
     elsewhere or a monomial outside the basis raises NotInSpan (which, for
     Cartier images of regular forms, means a bug).
     """
-    if basis_forms is None:
-        basis_forms = basis(spec)
-    index = {form: i for i, form in enumerate(basis_forms)}
-    vec = [spec.field.zero] * len(basis_forms)
+    forms = basis(spec)
+    index = {form: i for i, form in enumerate(forms)}
+    vec = [spec.field.zero] * len(forms)
     _accumulate_rational(md, index, _pole_index_map(spec), vec)
     return vec
 
@@ -586,18 +578,6 @@ class CartierMatrix:
 
     def column(self, j: int) -> tuple[FieldElement, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def unmodified(self) -> "CartierMatrix":
-        """The classical variant with every entry raised to the p-th power.
-
-        Its rank equals the rank of this matrix, so either may be used for
-        the a-number.
-        """
-        return CartierMatrix(
-            self.field,
-            self.basis,
-            tuple(tuple(c**self.field.p for c in row) for row in self.entries),
-        )
 
     def to_json(self) -> dict:
         return {

@@ -2,8 +2,9 @@
 
     ascart info    SPEC [--json]
     ascart matrix  SPEC [--json] [--pipeline rational|local|both]
-    ascart anumber SPEC [--json] [--method rank|formula|both] [--pipeline ...]
-    ascart verify  SPEC [--json] [--pipeline ...]
+    ascart anumber SPEC [--json] [--method rank|formula|both]
+                   [--pipeline rational|local]
+    ascart verify  SPEC [--json] [--pipeline rational|local]
     ascart zeta    SPEC [--json]
     ascart oracle  SPEC [--json]
     ascart sweep   --p P --orders d0,d1,... [--field-degree K]
@@ -20,8 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
-from .cartier import cartier_matrix
+from .cartier import PIPELINES, cartier_matrix
 from .curve import CurveSpec, validate
 from .errors import (
     AscartError,
@@ -187,10 +189,7 @@ def _render_slopes(poly) -> str:
 
 
 def cmd_oracle(args) -> int:
-    spec = _load(args)
-    m_rat = cartier_matrix(spec, "rational")
-    m_loc = cartier_matrix(spec, "local")
-    agree = m_rat.entries == m_loc.entries
+    _, agree = _matrix_for(_load(args), "both")
     if args.json:
         _print_json({"pipelines_agree": agree})
     else:
@@ -228,16 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_command(name, func, help_text, pipeline=False, method=False):
+    def add_spec_command(name, func, help_text, pipelines=(), method=False):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("spec", help="curve-spec file")
         sp.add_argument("--json", action="store_true", help="machine output")
-        if pipeline:
-            sp.add_argument(
-                "--pipeline",
-                choices=["rational", "local", "both"],
-                default="local",
-            )
+        if pipelines:
+            sp.add_argument("--pipeline", choices=pipelines, default="local")
         if method:
             sp.add_argument(
                 "--method", choices=["rank", "formula", "both"], default="both"
@@ -246,14 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     add_spec_command("info", cmd_info, "validate and print curve invariants")
-    add_spec_command("matrix", cmd_matrix, "print the Cartier matrix", pipeline=True)
+    add_spec_command(
+        "matrix", cmd_matrix, "print the Cartier matrix", pipelines=(*PIPELINES, "both")
+    )
     add_spec_command(
         "anumber", cmd_anumber, "a-number by rank and by formula",
-        pipeline=True, method=True,
+        pipelines=PIPELINES, method=True,
     )
     add_spec_command(
         "verify", cmd_verify, "check rank-based a-number against the formula",
-        pipeline=True,
+        pipelines=PIPELINES,
     )
     add_spec_command("zeta", cmd_zeta, "point counts, L-polynomial, polygons")
     add_spec_command("oracle", cmd_oracle, "compare the two matrix pipelines")
@@ -275,15 +272,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotInSpan, InconsistentCounts, AssertionError) as exc:
+    except (NotInSpan, InconsistentCounts) as exc:
         # The CLI reaches InconsistentCounts only through l_polynomial, whose
-        # counts come from a genuine curve; like NotInSpan and the
-        # unreachable assertions it can only mean a bug.
-        print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 3
+        # counts come from a genuine curve; like NotInSpan it can only mean
+        # a bug.
+        bug = exc
     except (AscartError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # an unreachable assertion or any other bug
+        traceback.print_exc()
+        bug = exc
+    print(f"internal error ({type(bug).__name__}): {bug}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from typing import NamedTuple
 
 from .errors import (
     ConditionNotSatisfied,
-    ConstantTermOnFinitePole,
     DuplicatePoleLocation,
     MissingInfinitePole,
     PoleOrderDivisibleByP,
@@ -79,22 +78,9 @@ class PoleDatum:
         return PoleDatum(INF, tuple(field(c) for c in coeffs))
 
     @staticmethod
-    def finite(field: Field, location, coeffs, lowest_degree: int = 1) -> "PoleDatum":
-        """Principal part at a finite pole.
-
-        With lowest_degree=0 the sequence explicitly includes a degree-0
-        slot; a nonzero value there violates the normal form.
-        """
-        cs = tuple(field(c) for c in coeffs)
-        if lowest_degree == 0:
-            if cs and not cs[0].is_zero():
-                raise ConstantTermOnFinitePole(
-                    f"finite pole at {location!r} has constant term {cs[0]!r}"
-                )
-            cs = cs[1:]
-        elif lowest_degree != 1:
-            raise ValueError("lowest_degree must be 0 or 1")
-        return PoleDatum(field(location), cs)
+    def finite(field: Field, location, coeffs) -> "PoleDatum":
+        """Principal part at a finite pole, coefficients of degrees 1..d."""
+        return PoleDatum(field(location), tuple(field(c) for c in coeffs))
 
     @property
     def is_infinite(self) -> bool:
@@ -151,9 +137,6 @@ class CurveSpec:
         """f as a single canonical rational function."""
         return self.f_partial_fraction().assemble()
 
-    def finite_locations(self) -> list[FieldElement]:
-        return [p.location for p in self.poles[1:]]
-
 
 @dataclass(frozen=True)
 class CurveInvariants:
@@ -201,19 +184,14 @@ def validate(spec: CurveSpec) -> CurveInvariants:
 
     orders = []
     for j, datum in enumerate(spec.poles):
-        if not datum.coeffs or datum.coeffs[-1].is_zero():
-            if datum.is_infinite and datum.order < 1:
-                raise MissingInfinitePole(
-                    "f is regular at infinity; apply moebius_substitute to "
-                    "move a pole there"
-                )
-            raise ZeroLeadingCoefficient(f"pole {j}: leading coefficient is zero")
         d = datum.order
         if datum.is_infinite and d < 1:
             raise MissingInfinitePole(
                 "f is regular at infinity; apply moebius_substitute to move "
                 "a pole there"
             )
+        if not datum.coeffs or datum.leading.is_zero():
+            raise ZeroLeadingCoefficient(f"pole {j}: leading coefficient is zero")
         if d % p == 0:
             raise PoleOrderDivisibleByP(f"pole {j} has order {d} divisible by p={p}")
         orders.append(d)
@@ -287,12 +265,6 @@ def _blocks(p: int, orders) -> list[list[BasisForm]]:
 def order_key(form: BasisForm) -> tuple[int, int, int]:
     """Sort key realizing the basis order: by r, then pole index, then b."""
     return (form.r, form.j, form.b)
-
-
-def compare_forms(w1: BasisForm, w2: BasisForm) -> int:
-    """-1, 0 or +1 as w1 precedes, equals or follows w2."""
-    k1, k2 = order_key(w1), order_key(w2)
-    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
 
 
 def basis(spec: CurveSpec) -> list[BasisForm]:

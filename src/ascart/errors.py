@@ -54,10 +54,6 @@ class MissingInfinitePole(AscartError):
     """
 
 
-class ConstantTermOnFinitePole(AscartError):
-    """A principal part at a finite pole carries a constant term."""
-
-
 class ConditionNotSatisfied(AscartError):
     """An operation requires p = 1 (mod L) and the curve does not satisfy it."""
 

@@ -412,12 +412,6 @@ class FieldElement:
 
     # -- Frobenius structure --------------------------------------------------
 
-    def frobenius(self) -> "FieldElement":
-        """x -> x^p, the generator of the Galois group over GF(p)."""
-        if self.field.k == 1:
-            return self
-        return self**self.field.p
-
     def pth_root(self) -> "FieldElement":
         """The unique r with r^p = self; equals self^(p^(k-1))."""
         f = self.field

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartier import CartierMatrix, cartier_matrix
+from .cartier import CartierMatrix, _series_ring, cartier_matrix
 from .curve import CurveSpec, validate
 from .errors import ConditionNotSatisfied, DNotCoprime
 from .finite_field import Field
@@ -58,18 +58,13 @@ def regular_representation(field: Field) -> tuple[np.ndarray, np.ndarray]:
     Column j of each matrix holds the digits of the image of t^j, so they act
     on digit vectors from the left.  rho(c) = sum_l c.digits[l] * T[l] is
     the matrix of multiplication by c, and rho(pth_root(c)) =
-    Phi @ rho(c) @ Phi^-1.  Built once per field, like GF's instances, from
-    the field's own * and pth_root; read-only because the cache shares them.
+    Phi @ rho(c) @ Phi^-1.  Built once per field from the field's tables of
+    t^i mod m and of pth_root; read-only because the cache shares them.
     """
-    powers = [field.one]
-    for _ in range(field.k - 1):
-        powers.append(powers[-1] * field.gen)
-    T = np.array([[(tl * tj).digits for tj in powers] for tl in powers], dtype=np.int64)
-    T = T.transpose(0, 2, 1).copy()
-    Phi = np.array([tj.pth_root().digits for tj in powers], dtype=np.int64).T.copy()
+    ring = _series_ring(field)
+    T = np.stack([ring.reduce[l : l + field.k].T for l in range(field.k)])
     T.setflags(write=False)
-    Phi.setflags(write=False)
-    return T, Phi
+    return T, ring.phi.T
 
 
 def _echelon_int(rows: np.ndarray, p: int) -> np.ndarray:

@@ -8,11 +8,12 @@ part  sum_n c_n (x-e)^(-n)  stored as {e: {n: c_n}} with zero coefficients
 dropped, so decompositions are unique and comparable.
 
 PartialFraction adds and scales on the decomposed form.  A product goes
-through assemble() and back through partial_fractions() at the poles of
-both factors: no pipeline multiplies partial fractions (the local Cartier
-pipeline multiplies truncated Laurent series; see ascart.cartier).
-partial_fractions() and assemble() convert between the two
-representations and are exact inverses of each other.
+through PartialFraction.assemble() and back through partial_fractions() at
+the poles of both factors: no pipeline multiplies partial fractions (the
+local Cartier pipeline multiplies truncated Laurent series; see
+ascart.cartier).  partial_fractions() and PartialFraction.assemble()
+convert between the two representations and are exact inverses of each
+other.
 
 Denominators must split into linear factors over the coefficient field.
 partial_fractions() looks for their roots among a caller's list of
@@ -331,15 +332,6 @@ class PartialFraction:
     def is_zero(self) -> bool:
         return self.poly.is_zero() and not self.tails
 
-    def pole_orders(self) -> dict:
-        """Map pole location (or the string 'inf') to its order."""
-        out = {}
-        if self.poly.degree() >= 1:
-            out["inf"] = self.poly.degree()
-        for e, tail in self.tails.items():
-            out[e] = max(tail)
-        return out
-
     # -- linear structure -----------------------------------------------------
 
     def __add__(self, other: "PartialFraction") -> "PartialFraction":
@@ -454,11 +446,6 @@ def partial_fractions(f: RatFunc, *, candidates=None) -> PartialFraction:
     return PartialFraction(poly_part, tails)
 
 
-def assemble(pf: PartialFraction) -> RatFunc:
-    """Inverse of partial_fractions."""
-    return pf.assemble()
-
-
 def moebius_substitute(f: RatFunc, coeffs) -> RatFunc:
     """f((a*x + b)/(c*x + d)) as a canonical rational function.
 
@@ -495,12 +482,3 @@ def moebius_substitute(f: RatFunc, coeffs) -> RatFunc:
         # for an invertible transform with canonical f
         raise SingularTransform("denominator collapsed")
     return RatFunc(new_num, new_den)
-
-
-def pole_order_multiset(f: RatFunc) -> list[int]:
-    """Sorted pole orders of f, the pole at infinity included."""
-    pf = partial_fractions(f)
-    orders = [max(t) for t in pf.tails.values()]
-    if pf.poly.degree() >= 1:
-        orders.append(pf.poly.degree())
-    return sorted(orders)

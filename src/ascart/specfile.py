@@ -1,6 +1,7 @@
 """Line-oriented text format for curve specifications.
 
-Grammar (UTF-8, '#' starts a comment, blank lines ignored):
+Grammar (UTF-8, '#' starts a comment, blank lines ignored, each key at
+most once):
 
     p = <prime>                    # required, before any pole
     field_degree = <k>             # optional, default 1
@@ -47,8 +48,7 @@ def _parse_element(token: str, field: Field, lineno: int) -> FieldElement:
 
 def parse_spec_text(text: str) -> CurveSpec:
     """Parse and validate a curve spec from a string."""
-    p = None
-    k = 1
+    keys: dict[str, int] = {}
     field: Field | None = None
     poles: list[PoleDatum] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -59,10 +59,10 @@ def parse_spec_text(text: str) -> CurveSpec:
             rest = line[4:].strip()
             if ":" not in rest:
                 raise ParseError(lineno, "pole line needs 'pole <loc>: coeffs'")
-            if p is None:
+            if "p" not in keys:
                 raise ParseError(lineno, "p must be set before any pole")
             if field is None:
-                field = GF(p, k)
+                field = GF(keys["p"], keys.get("field_degree", 1))
             loc_token, coeff_part = rest.split(":", 1)
             loc_token = loc_token.strip()
             tokens = coeff_part.split()
@@ -83,23 +83,20 @@ def parse_spec_text(text: str) -> CurveSpec:
                 ivalue = int(value)
             except ValueError:
                 raise ParseError(lineno, f"bad integer {value!r}") from None
-            if key == "p":
-                if p is not None:
-                    raise ParseError(lineno, "p given twice")
-                p = ivalue
-            elif key == "field_degree":
-                if ivalue < 1:
-                    raise ParseError(lineno, "field_degree must be >= 1")
-                k = ivalue
-            else:
+            if key not in ("p", "field_degree"):
                 raise ParseError(lineno, f"unknown key {key!r}")
+            if key in keys:
+                raise ParseError(lineno, f"{key} given twice")
+            if key == "field_degree" and ivalue < 1:
+                raise ParseError(lineno, "field_degree must be >= 1")
+            keys[key] = ivalue
         else:
             raise ParseError(lineno, f"cannot parse line {raw!r}")
-    if p is None:
+    if "p" not in keys:
         raise ParseError(0, "file does not set p")
     if not poles:
         raise ParseError(0, "file defines no poles")
-    spec = CurveSpec(GF(p, k), tuple(poles))
+    spec = CurveSpec(field, tuple(poles))
     validate(spec)
     return spec
 

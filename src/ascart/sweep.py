@@ -134,6 +134,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """Draw the configured samples and check a-number constancy."""
     if config.samples < 1:
         raise ValueError("sample count must be >= 1")
+    if not config.orders or min(config.orders) < 1:
+        raise ValueError("pole orders must be >= 1")
     field = GF(config.p, config.field_degree)
     try:
         theorem = theorem_a_value(config.p, config.orders)

@@ -356,15 +356,6 @@ class TestMatrix:
         with pytest.raises(ValueError):
             cartier_matrix(curve(3, [0, 0, 1]), "fast")
 
-    def test_unmodified_is_entrywise_pth_power(self):
-        spec = curve(3, [0, 1, 2], [(2, [1, 2])], k=2)
-        M = cartier_matrix(spec)
-        Mt = M.unmodified()
-        for i in range(M.dimension):
-            for j in range(M.dimension):
-                assert Mt.entry(i, j) == M.entry(i, j) ** 3
-        assert rank(Mt) == rank(M)
-
     def test_json_round_trip(self):
         spec = curve(3, [0, 0, 1], [(1, [1])], k=2)
         M = cartier_matrix(spec)

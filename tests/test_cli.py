@@ -13,6 +13,7 @@ from ascart import (
     cartier_matrix,
     cli,
     parse_spec_text,
+    sweep,
     validate,
     zeta,
 )
@@ -75,6 +76,7 @@ class TestParse:
         [
             ("pole inf: 0 1\n", "p must be set"),
             ("p = 7\np = 7\npole inf: 0 1\n", "twice"),
+            ("p = 3\nfield_degree = 2\nfield_degree = 1\npole inf: 0 1\n", "field_degree given twice"),
             ("p = 7\nwidth = 2\npole inf: 0 1\n", "unknown key"),
             ("p = 7\npole inf 0 1\n", "pole"),
             ("p = 7\npole inf: (1,2\n", "unterminated"),
@@ -238,6 +240,21 @@ class TestSweepCommand:
         # 4 distinct finite poles cannot fit in GF(3)
         assert main(["sweep", "--p", "3", "--orders", "2,1,1,1,1", "--samples", "1"]) == 2
 
+    @pytest.mark.parametrize("orders", ["0", "3,0", "3,-1"])
+    def test_order_below_one_rejected_before_sampling(self, orders, capsys):
+        assert main(["sweep", "--p", "7", "--orders", orders]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "pole orders must be >= 1" in err
+
+    def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
+        def broken(p, orders):
+            raise ZeroDivisionError("integer division or modulo by zero")
+
+        monkeypatch.setattr(sweep, "theorem_a_value", broken)
+        assert main(self.ARGS) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "internal error (ZeroDivisionError)" in err
+
 
 class TestZetaGolden:
     """`ascart zeta` output on the shipped curves, captured from brute-force
@@ -326,6 +343,19 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "a_number", broken)
         assert main(["anumber", write(tmp_path, CUBIC)]) == 3
         assert "internal error (AssertionError)" in capsys.readouterr().err
+
+    def test_repeated_field_degree_is_invalid_input(self, tmp_path, capsys):
+        path = write(tmp_path, "p = 3\nfield_degree = 2\nfield_degree = 1\npole inf: 0 1\n")
+        assert main(["info", path]) == 2
+        assert "field_degree given twice" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["anumber", "verify"])
+    def test_pipeline_both_only_for_matrix(self, command, tmp_path, capsys):
+        # an a-number comes from one matrix; only `matrix` compares two
+        with pytest.raises(SystemExit) as exc:
+            main([command, write(tmp_path, CUBIC), "--pipeline", "both"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'both'" in capsys.readouterr().err
 
     def test_info_json_oversized_field(self, tmp_path, capsys):
         path = write(tmp_path, "p = 101\nfield_degree = 4\npole inf: 0 1\n")

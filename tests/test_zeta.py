@@ -33,7 +33,7 @@ def brute_count(spec, s):
     big = base if s == 1 else GFc(base.p, base.k * s)
     espec = embed_curve(spec, big)
     f = espec.f_ratfunc()
-    locations = set(espec.finite_locations())
+    locations = {d.location for d in espec.poles[1:]}
     total = len(spec.poles)
     for x in big.elements():
         if x in locations:
