@@ -247,67 +247,47 @@ def _series_sizes(p: int, k: int, orders) -> list[int]:
     return sizes
 
 
-class _SeriesRing:
-    """Truncated power series over GF(p^k) as int64 arrays of shape
-    (..., N, k): N coefficients, each the digit vector of a field element."""
+def _series_mul(field: Field, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The first n terms of a_i * b for every series a_i of the batch a.
 
-    def __init__(self, field: Field):
-        p, k = field.p, field.k
-        self.p, self.k = p, k
-        # digit l of t^i mod m is reduce[i, l]: the identity for i < k, then
-        # the field's fold table; pth_root(a) = a @ phi
-        fold = np.array(field._fold, dtype=np.int64).reshape(k, k - 1).T
-        self.reduce = np.vstack([np.eye(k, dtype=np.int64), fold])
-        self.phi = np.array(field._phi, dtype=np.int64).T
-        self.one = np.eye(1, k, dtype=np.int64)
-        for table in (self.reduce, self.phi, self.one):
-            table.setflags(write=False)  # shared by every curve over the field
-
-    def digits(self, elements) -> np.ndarray:
-        """The (len(elements), k) digit array of a sequence of elements."""
-        return np.array([c.digits for c in elements], dtype=np.int64).reshape(-1, self.k)
-
-    def mul(self, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-        """The first n terms of a_i * b for every series a_i of the batch a.
-
-        Entries stay below 2^63 while n*k*(p-1)^2 does; _series_sizes checks
-        that bound.
-        """
-        a, b = a[..., :n, :], b[:n]
-        k, slot, rows, gap = self.k, 2 * self.k - 1, a.shape[-2], len(b) - 1
-        # Kronecker packing: a slot of 2k-1 entries holds the schoolbook
-        # product of two digit vectors, and rows `width` slots apart hold
-        # the products of different series, so one convolution makes all.
-        # Only the last row's product needs no room after it.
-        width = max(n, rows + gap)
-        pa = np.zeros(a.shape[:-2] + (width, slot), dtype=np.int64)
-        pa[..., :rows, :k] = a
-        pb = np.zeros((len(b), slot), dtype=np.int64)
-        pb[:, :k] = b
-        c = np.convolve(pa.ravel()[: pa.size - min(width - rows, gap) * slot], pb.ravel())
-        c = c[: pa.size].reshape(pa.shape)[..., :n, :] % self.p @ self.reduce
-        return np.remainder(c, self.p, out=c)
-
-    def geometric(self, z: np.ndarray, n: int) -> np.ndarray:
-        """1, z, ..., z^(n-1) for the element with digits z, by doubling."""
-        out, zm = self.one, z[None]
-        while len(out) < n:
-            # z^0, ..., z^m times z^m is z^m, ..., z^(2m)
-            step = self.mul(np.concatenate([out, zm]), zm, len(out) + 1)
-            out, zm = np.concatenate([out, step[:-1]]), step[-1:]
-        return out[:n]
-
-    def horner(self, coeffs: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-        """sum_i coeffs[i] * x^i to n terms, for a power series x and at
-        least two coefficients."""
-        acc = coeffs[-1:]
-        for c in coeffs[-2::-1]:
-            acc = self.mul(acc, x, n)
-            acc[0] = (acc[0] + c) % self.p
-        return acc
+    A series over GF(p^k) is an int64 array (..., N, k) of N coefficients,
+    each the digit row of a field element.  Entries stay below 2^63 while
+    n*k*(p-1)^2 does; _series_sizes checks that bound.
+    """
+    a, b = a[..., :n, :], b[:n]
+    k, slot, rows, gap = field.k, 2 * field.k - 1, a.shape[-2], len(b) - 1
+    # Kronecker packing: a slot of 2k-1 entries holds the schoolbook
+    # product of two digit vectors, and rows `width` slots apart hold
+    # the products of different series, so one convolution makes all.
+    # Only the last row's product needs no room after it.
+    width = max(n, rows + gap)
+    pa = np.zeros(a.shape[:-2] + (width, slot), dtype=np.int64)
+    pa[..., :rows, :k] = a
+    pb = np.zeros((len(b), slot), dtype=np.int64)
+    pb[:, :k] = b
+    c = np.convolve(pa.ravel()[: pa.size - min(width - rows, gap) * slot], pb.ravel())
+    c = c[: pa.size].reshape(pa.shape)[..., :n, :] % field.p @ field.reduction
+    return np.remainder(c, field.p, out=c)
 
 
-_series_ring = functools.lru_cache(maxsize=None)(_SeriesRing)
+def _geometric(field: Field, z: np.ndarray, n: int) -> np.ndarray:
+    """1, z, ..., z^(n-1) for the element with digits z, by doubling."""
+    out, zm = np.eye(1, field.k, dtype=np.int64), z[None]
+    while len(out) < n:
+        # z^0, ..., z^m times z^m is z^m, ..., z^(2m)
+        step = _series_mul(field, np.concatenate([out, zm]), zm, len(out) + 1)
+        out, zm = np.concatenate([out, step[:-1]]), step[-1:]
+    return out[:n]
+
+
+def _horner(field: Field, coeffs: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """sum_i coeffs[i] * x^i to n terms, for a power series x and at least
+    two coefficients."""
+    acc = coeffs[-1:]
+    for c in coeffs[-2::-1]:
+        acc = _series_mul(field, acc, x, n)
+        acc[0] = (acc[0] + c) % field.p
+    return acc
 
 
 class _Layout:
@@ -368,13 +348,11 @@ class _Laurent:
     local parameter w = 1/x at infinity or u = x - e_l at a finite pole."""
 
     def __init__(self, spec: CurveSpec, layout: _Layout):
-        field = spec.field
-        self.ring = ring = _series_ring(field)
-        self.p = field.p
+        self.field = field = spec.field
         locs = [datum.location for datum in spec.poles]
-        own = [ring.digits(datum.coeffs) for datum in spec.poles]
+        own = [field.digit_array(datum.coeffs) for datum in spec.poles]
         # f_j as a polynomial in x_j; a finite pole's part has no constant term
-        polys = own[:1] + [np.vstack([np.zeros_like(ring.one), c]) for c in own[1:]]
+        polys = own[:1] + [np.vstack([np.zeros_like(c[:1]), c]) for c in own[1:]]
         orders = layout.orders
         self.x_powers: dict[tuple[int, int], list] = {}
         self.powers = []
@@ -386,32 +364,32 @@ class _Laurent:
             for j in range(len(orders)):
                 if j != l:
                     x = self._local_x(locs, j, l, n)
-                    h[d:] = (h[d:] + ring.horner(polys[j], x, n - d)) % self.p
+                    h[d:] = (h[d:] + _horner(field, polys[j], x, n - d)) % field.p
                     x_powers = [None, x]
                     for _ in range(layout.b_max[j] - 1):
-                        x_powers.append(ring.mul(x_powers[-1], x, n))
+                        x_powers.append(_series_mul(field, x_powers[-1], x, n))
                     self.x_powers[j, l] = x_powers
             powers = np.zeros((layout.e_max + 1, n, field.k), dtype=np.int64)
-            powers[0, :1] = ring.one
+            powers[0, 0, 0] = 1
             powers[1:2] = h
             m = 1
             while m < layout.e_max:  # H^(m+1), ..., H^(2m) as H^1, ..., H^m times H^m
                 top = min(2 * m, layout.e_max)
-                powers[m + 1 : top + 1] = ring.mul(powers[1 : top - m + 1], powers[m], n)
+                powers[m + 1 : top + 1] = _series_mul(field, powers[1 : top - m + 1], powers[m], n)
                 m = top
             self.powers.append(powers)
 
     def _local_x(self, locs, j: int, l: int, n: int) -> np.ndarray:
         """x_j to n terms in the local parameter at pole l != j."""
-        ring = self.ring
+        field = self.field
         if l == 0:  # x_j = w / (1 - e_j w)
-            series = ring.geometric(ring.digits([locs[j]])[0], n - 1)
-            return np.vstack([np.zeros_like(ring.one), series])
+            series = _geometric(field, field.digit_array([locs[j]])[0], n - 1)
+            return np.vstack([np.zeros_like(series[:1]), series])
         if j == 0:  # x = e_l + u
-            return ring.digits([locs[l], locs[l].field.one])
+            return field.digit_array([locs[l], field.one])
         # x_j = 1/(u + e_l - e_j) = -sum_s z^(s+1) u^s with z = 1/(e_j - e_l)
-        z = ring.digits([(locs[j] - locs[l]).inverse()])[0]
-        return -ring.geometric(z, n + 1)[1:] % self.p
+        z = field.digit_array([(locs[j] - locs[l]).inverse()])[0]
+        return -_geometric(field, z, n + 1)[1:] % field.p
 
     def images(self, layout: _Layout) -> np.ndarray:
         """C(x_j^b f^e dx) for each (j, b) of the layout's groups and every e.
@@ -419,15 +397,16 @@ class _Laurent:
         Entry [g, e, a] is the coefficient of x^b' dx (l = 0) or of x_l^b' dx
         (l >= 1), for the pole l and power b' of the layout's column a.
         """
-        ring, picked = self.ring, []
+        field, picked = self.field, []
         for l, (powers, (index, read)) in enumerate(zip(self.powers, layout.reads)):
             n = powers.shape[1]
             q = np.stack([
-                powers if j == l or not b else ring.mul(powers, self.x_powers[j, l][b], n)
+                powers if j == l or not b
+                else _series_mul(field, powers, self.x_powers[j, l][b], n)
                 for j, b in layout.groups
             ])
             picked.append(np.where(read, q[index], 0))
-        return np.concatenate(picked, axis=2) @ ring.phi % self.p  # pth_root of each
+        return np.concatenate(picked, axis=2) @ field.pth_root_matrix % field.p  # pth_root of each
 
 
 def _local_matrix(spec: CurveSpec) -> tuple[tuple[BasisForm, ...], np.ndarray]:
@@ -450,15 +429,6 @@ def _local_matrix(spec: CurveSpec) -> tuple[tuple[BasisForm, ...], np.ndarray]:
     g, r, e, a = np.nonzero(live)
     out[layout.rows[r, e, a], layout.cols[g, r]] = vals[g, r, e, a]
     return forms, out
-
-
-def _elements(field: Field, digits: np.ndarray) -> tuple[tuple[FieldElement, ...], ...]:
-    """Rows of field elements from a (g, g, k) digit array."""
-    counters = digits @ field.p ** np.arange(field.k)
-    values, inverse = np.unique(counters, return_inverse=True)
-    elements = [field.from_counter(c) for c in values.tolist()]
-    rows = inverse.reshape(counters.shape).tolist()
-    return tuple(tuple(map(elements.__getitem__, row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +580,7 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
     _check_pipeline(pipeline)
     if pipeline == "local":
         forms, digits = _local_matrix(spec)
-        return CartierMatrix(spec.field, forms, _elements(spec.field, digits))
+        return CartierMatrix(spec.field, forms, spec.field.element_rows(digits))
     engine = _Engine(spec)
     columns = [_column(engine, form) for form in engine.forms]
     return CartierMatrix(spec.field, tuple(engine.forms), tuple(zip(*columns)))

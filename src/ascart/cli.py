@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import nullcontext
 
 from .cartier import PIPELINES, cartier_matrix
 from .curve import CurveSpec, validate
@@ -206,11 +207,11 @@ def cmd_sweep(args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    report = run_sweep(config)
-    out = report.render_json() if args.json else report.render()
-    sys.stdout.write(out)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+    # an unwritable path is invalid input, refused before the first sample
+    with open(args.csv, "w", encoding="utf-8") if args.csv else nullcontext() as fh:
+        report = run_sweep(config)
+        sys.stdout.write(report.render_json() if args.json else report.render())
+        if fh is not None:
             fh.write("\n".join(report.csv_lines()) + "\n")
     if report.passed is False:
         return 1

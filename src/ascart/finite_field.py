@@ -36,8 +36,11 @@ procedures (root finding, point counting, element enumeration) honest.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+import itertools
+from collections.abc import Iterable, Iterator
 from operator import mul
+
+import numpy as np
 
 from .errors import FieldTooLarge, FieldTooSmall, NotPrime
 
@@ -178,9 +181,15 @@ class Field:
 
     Construct via GF(p, k) to share instances; direct construction is fine
     too.  A Field compares equal to any Field with the same (p, k, modulus).
+
+    Batch code holds elements as rows of k int64 digits; digit_array and
+    element_rows convert, and two read-only arrays give the tables for such
+    rows: reduction, (2k-1, k), whose row i is t^i mod m, and
+    pth_root_matrix, (k, k), with a @ pth_root_matrix = pth_root(a).
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_zero", "_one", "_gen", "_fold", "_phi", "_trace")
+    __slots__ = ("p", "k", "modulus", "order", "reduction", "pth_root_matrix",
+                 "_zero", "_one", "_gen", "_fold", "_phi", "_trace")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         # The cap comes before the trial-division primality test, which would
@@ -224,6 +233,11 @@ class Field:
                 (k * (j == 0) + sum(fold[l][j + l - k] for l in range(k - j, k))) % p
                 for j in range(k)
             )
+        self.reduction = np.eye(2 * k - 1, k, dtype=np.int64)
+        self.reduction[k:] = np.array(self._fold, dtype=np.int64).reshape(k, k - 1).T
+        self.pth_root_matrix = np.array(self._phi, dtype=np.int64).T
+        for table in (self.reduction, self.pth_root_matrix):
+            table.setflags(write=False)  # shared by everything over the field
 
     # -- construction -------------------------------------------------------
 
@@ -267,6 +281,20 @@ class Field:
         """All elements in canonical (counter) order."""
         for n in range(self.order):
             yield self.from_counter(n)
+
+    def digit_array(self, elements: Iterable[FieldElement]) -> np.ndarray:
+        """The (n, k) int64 array whose rows are the digits of n elements."""
+        flat = itertools.chain.from_iterable(c.digits for c in elements)
+        return np.fromiter(flat, dtype=np.int64).reshape(-1, self.k)
+
+    def element_rows(self, digits: np.ndarray) -> tuple[tuple[FieldElement, ...], ...]:
+        """Rows of elements from a (rows, cols, k) digit array, one element
+        object per distinct value."""
+        counters = digits @ self.p ** np.arange(self.k)
+        values, inverse = np.unique(counters, return_inverse=True)
+        elements = [self.from_counter(c) for c in values.tolist()]
+        rows = inverse.reshape(counters.shape).tolist()
+        return tuple(tuple(map(elements.__getitem__, row)) for row in rows)
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElement:
         while True:

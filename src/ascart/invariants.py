@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartier import CartierMatrix, _series_ring, cartier_matrix
+from .cartier import CartierMatrix, cartier_matrix
 from .curve import CurveSpec, validate
 from .errors import ConditionNotSatisfied, DNotCoprime
 from .finite_field import Field
@@ -58,13 +58,12 @@ def regular_representation(field: Field) -> tuple[np.ndarray, np.ndarray]:
     Column j of each matrix holds the digits of the image of t^j, so they act
     on digit vectors from the left.  rho(c) = sum_l c.digits[l] * T[l] is
     the matrix of multiplication by c, and rho(pth_root(c)) =
-    Phi @ rho(c) @ Phi^-1.  Built once per field from the field's tables of
-    t^i mod m and of pth_root; read-only because the cache shares them.
+    Phi @ rho(c) @ Phi^-1.  Built once per field from Field.reduction and
+    Field.pth_root_matrix; read-only because the cache shares them.
     """
-    ring = _series_ring(field)
-    T = np.stack([ring.reduce[l : l + field.k].T for l in range(field.k)])
+    T = np.stack([field.reduction[l : l + field.k].T for l in range(field.k)])
     T.setflags(write=False)
-    return T, ring.phi.T
+    return T, field.pth_root_matrix.T
 
 
 def _echelon_int(rows: np.ndarray, p: int) -> np.ndarray:
@@ -95,8 +94,7 @@ def _prime_matrix(M: CartierMatrix, cols) -> np.ndarray:
     For k = 1 this is the matrix of residues itself.
     """
     g, n, k = M.dimension, len(cols), M.field.k
-    flat = itertools.chain.from_iterable(row[j].digits for row in M.entries for j in cols)
-    digits = np.fromiter(flat, dtype=np.int64, count=g * n * k).reshape(g, n, k)
+    digits = M.field.digit_array([row[j] for row in M.entries for j in cols]).reshape(g, n, k)
     if k == 1:
         return digits.reshape(g, n)
     p = M.field.p

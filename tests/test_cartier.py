@@ -195,8 +195,8 @@ class TestLocalSeriesGuards:
         """The two pipelines must stay independent oracles: walk the code of
         the series route, following every function of the cartier module it
         calls, and look for the rational route."""
-        todo = [cartier._local_matrix, cartier._elements, cartier._Laurent, cartier._Layout,
-                cartier._SeriesRing]
+        todo = [cartier._local_matrix, cartier._Laurent, cartier._Layout, cartier._series_mul,
+                cartier._geometric, cartier._horner]
         seen, names = set(), set()
         while todo:
             item = todo.pop()

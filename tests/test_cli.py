@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ascart import (
     GF,
@@ -20,6 +22,7 @@ from ascart import (
 from ascart.cartier import CartierMatrix, _Engine
 from ascart.cli import main
 from ascart.errors import (
+    AscartError,
     DuplicatePoleLocation,
     NotInSpan,
     ParseError,
@@ -41,7 +44,50 @@ def write(tmp_path, text, name="c.curve"):
     return str(path)
 
 
+# the spec grammar's pieces, well-formed and not, for fuzzing the parser
+_ELEMENT = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.lists(st.integers(-3, 9), max_size=4).map(lambda ds: "(" + ",".join(map(str, ds)) + ")"),
+)
+_JUNK = st.one_of(
+    st.sampled_from(["(1,2", "()", "(,)", "(a,1)", "((0,1))", "zz", "1.5", "inf", ":", "#"]),
+    st.text(max_size=4),
+)
+_ELEMENTS = st.lists(_ELEMENT, min_size=1, max_size=6).map(" ".join)
+_TOKENS = st.lists(st.one_of(_ELEMENT, _JUNK), max_size=6).map(" ".join)
+_GRAMMAR_LINE = st.one_of(
+    st.builds("field_degree = {}".format, st.integers(-2, 5)),
+    st.builds("pole inf: {}".format, _ELEMENTS),
+    st.builds("pole {}: {}".format, _ELEMENT, _ELEMENTS),
+)
+_SPEC_LINE = st.one_of(
+    _GRAMMAR_LINE,
+    st.builds("field_degree = {}".format, _JUNK),
+    st.builds("pole {}: {}".format, st.one_of(_ELEMENT, _JUNK), _TOKENS),
+    st.builds("pole {} {}".format, _ELEMENT, _TOKENS),
+    st.builds("{} = {}".format, st.sampled_from(["p", "q", ""]), st.one_of(_ELEMENT, _JUNK)),
+    st.text(max_size=20),
+)
+_LINES = st.lists(_SPEC_LINE, max_size=8).map("\n".join)
+# p first and then grammar lines, so that most specs reach validation
+_SPEC = st.builds(
+    lambda p, tail: "\n".join([f"p = {p}", *tail]),
+    st.sampled_from([2, 3, 5, 7, 13]),
+    st.lists(_GRAMMAR_LINE, min_size=1, max_size=5),
+)
+
+
 class TestParse:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=200), _LINES, _SPEC))
+    def test_fuzzed_text_raises_only_input_errors(self, text):
+        """Any text either parses or raises an error the CLI maps to exit 2;
+        nothing else escapes."""
+        try:
+            parse_spec_text(text)
+        except (AscartError, ValueError):
+            pass
+
     def test_cubic(self):
         spec = parse_spec_text(CUBIC)
         assert spec.field == GF(7)
@@ -237,8 +283,23 @@ class TestSweepCommand:
         assert main(["sweep", "--p", "3", "--orders", "2,,1"]) == 2
 
     def test_field_too_small(self, capsys):
-        # 4 distinct finite poles cannot fit in GF(3)
+        # 4 distinct finite poles cannot fit in GF(3), nor 3 in GF(2)
         assert main(["sweep", "--p", "3", "--orders", "2,1,1,1,1", "--samples", "1"]) == 2
+        assert main(["sweep", "--p", "2", "--orders", "1,1,1,1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "fewer than 4 finite poles" in err
+        assert "fewer than 3 finite poles" in err
+
+    def test_unwritable_csv_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def sampled(config):
+            raise AssertionError("swept before opening the CSV")
+
+        monkeypatch.setattr(cli, "run_sweep", sampled)
+        missing = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--p", "7", "--orders", "3", "--samples", "2",
+                     "--csv", str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "No such file or directory" in err
 
     @pytest.mark.parametrize("orders", ["0", "3,0", "3,-1"])
     def test_order_below_one_rejected_before_sampling(self, orders, capsys):

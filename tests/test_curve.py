@@ -15,6 +15,7 @@ from ascart.curve import (
 from ascart.errors import (
     ConditionNotSatisfied,
     DuplicatePoleLocation,
+    FieldTooSmall,
     MissingInfinitePole,
     PoleOrderDivisibleByP,
     ZeroLeadingCoefficient,
@@ -233,3 +234,9 @@ def test_random_curve_respects_orders():
         assert inv.orders == (2, 2, 1)
         locs = [d.location for d in spec.poles[1:]]
         assert len(set(locs)) == 2
+
+
+def test_random_curve_needs_room_for_its_poles():
+    with pytest.raises(FieldTooSmall, match="fewer than 3 finite poles"):
+        random_curve(GF(2), (1, 1, 1, 1), random.Random(0))
+    assert validate(random_curve(GF(3), (1, 1, 1, 1), random.Random(0))).orders == (1, 1, 1, 1)

@@ -1,0 +1,22 @@
+"""Module boundaries: no module of the package imports another's private names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ascart"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_private_import_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        f"line {node.lineno}: {node.module or '.'} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "ascart")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private

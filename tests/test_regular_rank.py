@@ -89,6 +89,40 @@ class TestRegularRepresentation:
             Phi[0, 0] = 2
 
 
+class TestFieldDigitArrays:
+    @pytest.mark.parametrize("p,k", FIELDS)
+    def test_round_trip(self, p, k):
+        F = GF(p, k)
+        r = random.Random(p * 10 + k)
+        elements = [F.random_element(r) for _ in range(10)] + [F.zero, F.one]
+        arr = F.digit_array(elements)
+        assert arr.dtype == np.int64 and arr.shape == (12, k)
+        assert [tuple(row) for row in arr.tolist()] == [c.digits for c in elements]
+        rows = F.element_rows(arr.reshape(3, 4, k))
+        assert rows == tuple(tuple(elements[i : i + 4]) for i in range(0, 12, 4))
+        assert F.digit_array([]).shape == (0, k)
+        assert F.element_rows(np.zeros((0, 0, k), dtype=np.int64)) == ()
+
+    def test_equal_digits_share_one_element(self):
+        F = GF(3, 2)
+        (a, b), (c, d) = F.element_rows(np.array([[[1, 2], [0, 0]], [[0, 0], [1, 2]]]))
+        assert a is d and b is c and a == F((1, 2)) and b.is_zero()
+
+    @pytest.mark.parametrize("p,k", FIELDS)
+    def test_tables(self, p, k):
+        F = GF(p, k)
+        t = F.gen if k > 1 else F.one
+        assert F.reduction.tolist() == [list((t**i).digits) for i in range(2 * k - 1)]
+        r = random.Random(p * 10 + k)
+        for _ in range(10):
+            a = F.random_element(r)
+            assert (digits(a) @ F.pth_root_matrix % p == digits(a.pth_root())).all()
+        for table in (F.reduction, F.pth_root_matrix):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+
+
 class TestAgainstNaiveElimination:
     @pytest.mark.parametrize("p,k", FIELDS)
     def test_cartier_matrices(self, p, k):
