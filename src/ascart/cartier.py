@@ -18,8 +18,10 @@ r <= p-2 for every basis form, all the binomial coefficients are units.
 Two pipelines reduce the inner C(g dx) for rational g and never share
 reduction code, so each serves as an oracle for the other:
 
-  * rational -- write g = (num * den^(p-1)) / den^p, apply the polynomial
-    rule to the amplified numerator, divide by den (cartier_rational);
+  * rational -- amplify g = x_j^b f^e pole by pole to a p-th power
+    denominator, apply the polynomial rule to the numerator, divide by the
+    p-th root (_Engine.image), and decompose once per (j, b, e).
+    cartier_rational amplifies a whole denominator, num*den^(p-1) / den^p;
   * local -- read the principal part of g = x_j^b f^e at each pole off its
     Laurent series in the paper's local parameter there, w = 1/x at
     infinity and u = x - e_l at a finite pole, and apply the pole rules to
@@ -63,6 +65,7 @@ from .finite_field import Field, FieldElement
 from .ratfunc import PartialFraction, Poly, RatFunc, partial_fractions
 
 PIPELINES = ("rational", "local")
+_MAX_DIGITS = 2**20  # on g^2 * k, the digits of a Cartier matrix
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +170,13 @@ class MixedDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Rational pipeline: cached powers of f and images of x_j^b f^e dx
+# Rational pipeline: one image of x_j^b f^e dx per (j, b, e), decomposed once
 # ---------------------------------------------------------------------------
 
 
 class _Engine:
-    """Per-curve caches of the rational pipeline, shared by all columns."""
+    """Per-curve caches of the rational pipeline, shared by all columns: the
+    powers of f's numerator N and the decompositions of the images."""
 
     def __init__(self, spec: CurveSpec):
         self.spec = spec
@@ -180,48 +184,30 @@ class _Engine:
         self.forms = basis(spec)
         self.index = {form: i for i, form in enumerate(self.forms)}
         self.loc_to_j = _pole_index_map(spec)
-        self._pow_rat: dict[int, RatFunc] = {}
-        self._c_rat: dict[tuple[int, int, int], RatFunc] = {}
+        self._num_powers = [Poly.constant(self.field, 1), spec.f_ratfunc().num]
+        self._decompositions: dict[tuple[int, int, int], PartialFraction] = {}
 
-    def f_power_rat(self, e: int) -> RatFunc:
-        if e not in self._pow_rat:
-            if e == 0:
-                self._pow_rat[0] = RatFunc(Poly.constant(self.field, 1))
-            else:
-                self._pow_rat[e] = self.f_power_rat(e - 1) * self._f_rat()
-        return self._pow_rat[e]
+    def image(self, j: int, b: int, e: int) -> RatFunc:
+        """C(x_j^b f^e dx), amplified pole by pole.  With the pole
+        multiplicities m_l = e*d_l (+ b at l = j), x_j^b f^e = G / h^p for
+        G = N^e x^b[j = 0] prod_l (x - e_l)^(-m_l mod p) and
+        h = prod_l (x - e_l)^ceil(m_l/p), and C(G/h^p dx) = C(G dx) / h."""
+        field, p = self.field, self.field.p
+        while len(self._num_powers) <= e:
+            self._num_powers.append(self._num_powers[-1] * self._num_powers[1])
+        num = self._num_powers[e] * Poly.monomial(field, b if j == 0 else 0)
+        h = Poly.constant(field, 1)
+        for l, datum in enumerate(self.spec.poles[1:], start=1):
+            m = e * datum.order + (b if l == j else 0)
+            lin = Poly.x(field) - Poly.constant(field, datum.location)
+            num, h = num * lin ** (-m % p), h * lin ** -(-m // p)
+        return RatFunc(cartier_poly(num), h)
 
-    def _f_rat(self) -> RatFunc:
-        if 1 not in self._pow_rat:
-            self._pow_rat[1] = self.spec.f_ratfunc()
-        return self._pow_rat[1]
-
-    # C(x_j^b f^e dx), cached per (j, b, e)
-
-    def c_monomial_rat(self, j: int, b: int, e: int) -> RatFunc:
+    def decomposition(self, j: int, b: int, e: int) -> PartialFraction:
         key = (j, b, e)
-        if key not in self._c_rat:
-            g = self.f_power_rat(e)
-            if j == 0:
-                g = g * RatFunc(Poly.monomial(self.field, b))
-            else:
-                loc = self.spec.poles[j].location
-                lin = Poly.x(self.field) - Poly.constant(self.field, loc)
-                g = g * RatFunc(Poly.constant(self.field, 1), lin**b)
-            self._c_rat[key] = cartier_rational(g)
-        return self._c_rat[key]
-
-    # full Cartier image of a basis form
-
-    def image_rational(self, form: BasisForm) -> MixedDifferential:
-        terms: dict[int, RatFunc] = {}
-        for t in binomial_expansion(form.r, self.field.p).terms:
-            g = self.c_monomial_rat(form.j, form.b, t.f_power) * self.field(
-                t.coefficient
-            )
-            if not g.is_zero():
-                terms[t.y_power] = g
-        return MixedDifferential(self.field, terms)
+        if key not in self._decompositions:
+            self._decompositions[key] = _decompose(self.image(j, b, e), self.loc_to_j)
+        return self._decompositions[key]
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +395,11 @@ class _Laurent:
         return np.concatenate(picked, axis=2) @ field.pth_root_matrix % field.p  # pth_root of each
 
 
-def _local_matrix(spec: CurveSpec) -> tuple[tuple[BasisForm, ...], np.ndarray]:
+def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.ndarray]:
     """The basis and the (g, g, k) digits of the Cartier matrix, by the
     local pipeline."""
     field = spec.field
-    p, layout = field.p, _layout(field.p, field.k, validate(spec).orders)
+    p, layout = field.p, _layout(field.p, field.k, orders)
     forms = layout.forms
     out = np.zeros((len(forms), len(forms), field.k), dtype=np.int64)
     if not forms:
@@ -445,11 +431,15 @@ def cartier_basis_form(
     if not in_basis(spec.p, orders, form):
         raise ValueError(f"{form} is not a basis form of this curve")
     if pipeline == "rational":
-        return _Engine(spec).image_rational(form)
-    # the column of the form: its principal parts, as forms x_j^b y^r dx
-    M, field = cartier_matrix(spec, "local"), spec.field
+        engine = _Engine(spec)
+        forms, column = engine.forms, _column(engine, form)
+    else:
+        M = cartier_matrix(spec, "local")
+        forms, column = M.basis, M.column(M.basis.index(form))
+    # the column as principal parts of the forms x_j^b y^r dx
+    field = spec.field
     layers: dict[int, PartialFraction] = {}
-    for (j, b, r), c in zip(M.basis, M.column(M.basis.index(form))):
+    for (j, b, r), c in zip(forms, column):
         if j:
             pf = PartialFraction(Poly(field), {spec.poles[j].location: {b: c}})
         else:
@@ -474,42 +464,28 @@ def _accumulate_layer(
     loc_to_j: dict,
     vec: list[FieldElement],
 ) -> None:
-    for bdeg, c in enumerate(pf.poly.coeffs):
-        if c.is_zero():
-            continue
-        key = BasisForm(0, bdeg, r)
+    terms = [(BasisForm(0, b, r), c) for b, c in enumerate(pf.poly.coeffs) if not c.is_zero()]
+    for e, tail in pf.tails.items():
+        if e not in loc_to_j:
+            raise NotInSpan(f"pole at {e!r} is not a pole of the curve")
+        terms.extend((BasisForm(loc_to_j[e], n, r), c) for n, c in tail.items())
+    for key, c in terms:
         if key not in index:
             raise NotInSpan(f"monomial {key.label()} falls outside the basis")
         vec[index[key]] = vec[index[key]] + c
-    for e, tail in pf.tails.items():
-        j = loc_to_j.get(e)
-        if j is None:
-            raise NotInSpan(f"pole at {e!r} is not a pole of the curve")
-        for n, c in tail.items():
-            key = BasisForm(j, n, r)
-            if key not in index:
-                raise NotInSpan(f"monomial {key.label()} falls outside the basis")
-            vec[index[key]] = vec[index[key]] + c
 
 
-def _accumulate_rational(
-    md: MixedDifferential,
-    index: dict[BasisForm, int],
-    loc_to_j: dict,
-    vec: list[FieldElement],
-) -> None:
+def _decompose(g: RatFunc, loc_to_j: dict) -> PartialFraction:
     # A regular differential, the Cartier image of one included, has poles
     # in x only where the curve does, so the finite pole locations are the
     # only candidate roots; a factor left elsewhere is a bug.
-    for r, g in md.terms.items():
-        try:
-            pf = partial_fractions(g, candidates=loc_to_j.keys())
-        except IrreducibleDenominatorFactor as exc:
-            raise NotInSpan(
-                f"denominator keeps a factor of degree {exc.degree} "
-                "away from the poles of the curve"
-            ) from exc
-        _accumulate_layer(pf, r, index, loc_to_j, vec)
+    try:
+        return partial_fractions(g, candidates=loc_to_j.keys())
+    except IrreducibleDenominatorFactor as exc:
+        raise NotInSpan(
+            f"denominator keeps a factor of degree {exc.degree} "
+            "away from the poles of the curve"
+        ) from exc
 
 
 def express_in_basis(spec: CurveSpec, md: MixedDifferential) -> list[FieldElement]:
@@ -522,8 +498,10 @@ def express_in_basis(spec: CurveSpec, md: MixedDifferential) -> list[FieldElemen
     """
     forms = basis(spec)
     index = {form: i for i, form in enumerate(forms)}
+    loc_to_j = _pole_index_map(spec)
     vec = [spec.field.zero] * len(forms)
-    _accumulate_rational(md, index, _pole_index_map(spec), vec)
+    for r, g in md.terms.items():
+        _accumulate_layer(_decompose(g, loc_to_j), r, index, loc_to_j, vec)
     return vec
 
 
@@ -569,17 +547,32 @@ class CartierMatrix:
 
 
 def _column(engine: _Engine, form: BasisForm) -> list[FieldElement]:
-    """Coordinates of C(form) in the ordered basis, by the rational pipeline."""
-    vec = [engine.field.zero] * len(engine.forms)
-    _accumulate_rational(engine.image_rational(form), engine.index, engine.loc_to_j, vec)
+    """Coordinates of C(form) in the ordered basis, by the rational pipeline:
+    the signed sum over the binomial expansion of the images' decompositions."""
+    field = engine.field
+    vec = [field.zero] * len(engine.forms)
+    for t in binomial_expansion(form.r, field.p).terms:
+        pf = engine.decomposition(form.j, form.b, t.f_power).scale(t.coefficient)
+        _accumulate_layer(pf, t.y_power, engine.index, engine.loc_to_j, vec)
     return vec
 
 
 def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
-    """The full matrix of the Cartier operator, by either pipeline."""
+    """The full matrix of the Cartier operator, by either pipeline.
+
+    A curve over the digit cap is refused before anything is built: every
+    dense array has O(g^2 * k) entries, since e_max + 1 <= g and the series
+    have (p-1)*d_l + 1 <= 4g + 1 terms.
+    """
     _check_pipeline(pipeline)
+    field, inv = spec.field, validate(spec)
+    if pipeline == "local":  # its int64 bound first, with its own message
+        _series_sizes(field.p, field.k, inv.orders)
+    if inv.g**2 * field.k > _MAX_DIGITS:
+        raise SeriesTooLarge(f"Cartier matrix of genus {inv.g} over {field} exceeds "
+                             f"the {_MAX_DIGITS}-digit cap on g^2*k")
     if pipeline == "local":
-        forms, digits = _local_matrix(spec)
+        forms, digits = _local_matrix(spec, inv.orders)
         return CartierMatrix(spec.field, forms, spec.field.element_rows(digits))
     engine = _Engine(spec)
     columns = [_column(engine, form) for form in engine.forms]

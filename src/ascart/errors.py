@@ -90,7 +90,7 @@ class FieldTooLarge(AscartError, ValueError):
 
 
 class SeriesTooLarge(AscartError, ValueError):
-    """The local Cartier pipeline's Laurent series would overflow int64 sums."""
+    """A Cartier matrix too large to build: over the g^2 * k cap, or int64 overflow."""
 
 
 class ParseError(AscartError):

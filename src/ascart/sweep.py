@@ -56,11 +56,21 @@ def random_curve(field: Field, orders, rng: random.Random) -> CurveSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's parameters; whatever they alone decide is checked here."""
+
     p: int
     field_degree: int
     orders: tuple[int, ...]
     samples: int
     seed: int
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError("sample count must be >= 1")
+        if not self.orders or min(self.orders) < 1:
+            raise ValueError("pole orders must be >= 1")
+        # the field, its room for the finite poles and the orders prime to p
+        validate(random_curve(GF(self.p, self.field_degree), self.orders, random.Random(0)))
 
 
 @dataclass(frozen=True)
@@ -132,10 +142,6 @@ class SweepReport:
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Draw the configured samples and check a-number constancy."""
-    if config.samples < 1:
-        raise ValueError("sample count must be >= 1")
-    if not config.orders or min(config.orders) < 1:
-        raise ValueError("pole orders must be >= 1")
     field = GF(config.p, config.field_degree)
     try:
         theorem = theorem_a_value(config.p, config.orders)

@@ -129,18 +129,18 @@ def test_pipelines_agree_over_extensions(p, k, raw_orders, seed):
     assert cartier_matrix(spec, "rational").entries == cartier_matrix(spec, "local").entries
 
 
-def check_local_series(spec, rational=True):
-    """The series route against the partial-fraction reference and, unless
-    that takes minutes, the rational pipeline, matrix and basis forms."""
+def check_local_series(spec):
+    """The series route against the partial-fraction reference and the
+    rational pipeline, matrix and basis forms; a rational basis form image,
+    one RatFunc per y-power, decomposes back into its matrix column."""
     local = cartier_matrix(spec, "local")
     assert local.entries == naive_local_matrix(spec).entries
-    if rational:
-        assert local.entries == cartier_matrix(spec, "rational").entries
-        forms = basis(spec)
-        for form in forms[:: max(1, len(forms) // 3)]:
-            assert cartier_basis_form(spec, form, "local") == cartier_basis_form(
-                spec, form, "rational"
-            )
+    assert local.entries == cartier_matrix(spec, "rational").entries
+    forms = basis(spec)
+    for form in forms[:: max(1, len(forms) // 3)]:
+        image = cartier_basis_form(spec, form, "rational")
+        assert cartier_basis_form(spec, form, "local") == image
+        assert express_in_basis(spec, image) == list(local.column(forms.index(form)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -171,9 +171,8 @@ def test_local_series_examples(p, orders, k, seed):
 
 
 def test_local_series_large_genus():
-    # g = 120; the rational pipeline takes minutes here
-    spec = random_curve(GF(31), (5, 3), random.Random(4))
-    check_local_series(spec, rational=False)
+    spec = random_curve(GF(31), (5, 3), random.Random(4))  # g = 120
+    check_local_series(spec)
 
 
 class TestLocalSeriesGuards:
@@ -215,8 +214,20 @@ class TestLocalSeriesGuards:
                         todo.append(target)
         assert {"_series_sizes", "convolve", "binomial_expansion"} <= names
         rational = {"RatFunc", "partial_fractions", "cartier_rational", "cartier_poly",
-                    "_Engine", "_accumulate_rational"}
+                    "_Engine", "_column", "_decompose", "_accumulate_layer"}
         assert not names & rational
+
+
+@pytest.mark.parametrize("pipeline", ["rational", "local"])
+def test_matrix_over_the_digit_cap_is_refused_before_building(pipeline, monkeypatch):
+    def built(*args):
+        raise AssertionError("a pipeline started past the cap")
+
+    monkeypatch.setattr(cartier, "_Engine", built)
+    monkeypatch.setattr(cartier, "_local_matrix", built)
+    # y^1031 - y = x^3 has g = 1030, and 1030^2 is over the 2^20 cap
+    with pytest.raises(SeriesTooLarge, match="genus 1030 over GF"):
+        cartier_matrix(curve(1031, [0, 0, 0, 1]), pipeline)
 
 
 class TestOperatorAxioms:

@@ -1,15 +1,22 @@
 """Spec-file parsing, commands, exit codes, output determinism."""
 
+import contextlib
+import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ascart
 from ascart import (
     GF,
-    MixedDifferential,
     Poly,
     RatFunc,
     cartier_matrix,
@@ -301,6 +308,23 @@ class TestSweepCommand:
         out, err = capsys.readouterr()
         assert out == "" and "No such file or directory" in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--p", "4", "--orders", "3"], "4 is not prime"),
+            (["--p", "7", "--orders", "0"], "pole orders must be >= 1"),
+            (["--p", "7", "--orders", "7"], "pole 0 has order 7 divisible by p=7"),
+            (["--p", "2", "--orders", "1,1,1,1"], "fewer than 3 finite poles"),
+        ],
+    )
+    def test_invalid_config_leaves_the_csv_alone(self, args, message, tmp_path, capsys):
+        csv_path = tmp_path / "kept.csv"
+        csv_path.write_bytes(b"sample,seed\n0,1\n")
+        assert main(["sweep", *args, "--csv", str(csv_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+        assert csv_path.read_bytes() == b"sample,seed\n0,1\n"
+
     @pytest.mark.parametrize("orders", ["0", "3,0", "3,-1"])
     def test_order_below_one_rejected_before_sampling(self, orders, capsys):
         assert main(["sweep", "--p", "7", "--orders", orders]) == 2
@@ -387,11 +411,11 @@ class TestExitCodes:
 
     def test_foreign_pole_in_rational_pipeline_is_internal(self, tmp_path, capsys, monkeypatch):
         # a Cartier image with a pole at x = 2, where the curve has none
-        def stray(self, form):
+        def stray(self, j, b, e):
             lin = Poly.x(self.field) - Poly.constant(self.field, 2)
-            return MixedDifferential(self.field, {0: RatFunc(Poly.constant(self.field, 1), lin)})
+            return RatFunc(Poly.constant(self.field, 1), lin)
 
-        monkeypatch.setattr(_Engine, "image_rational", stray)
+        monkeypatch.setattr(_Engine, "image", stray)
         with pytest.raises(NotInSpan):
             cartier_matrix(parse_spec_text(TWO_POLE), "rational")
         assert main(["matrix", write(tmp_path, TWO_POLE), "--pipeline", "rational"]) == 3
@@ -442,8 +466,61 @@ class TestExitCodes:
         assert main(["matrix", path]) == 2
         assert "would overflow int64 sums" in capsys.readouterr().err
 
+    def test_oversized_curve_is_invalid_input(self, tmp_path):
+        # g = 100002: without the cap the local pipeline's sign table alone
+        # is 33 GiB, a MemoryError (exit 3) under this address-space limit
+        path = write(tmp_path, "p = 100003\npole inf: 0 0 0 1\n")
+        limit = 2 * 10**9
+        proc = subprocess.run(
+            [sys.executable, "-m", "ascart.cli", "matrix", path],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(ascart.__file__).parents[1]),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            "error: Cartier matrix of genus 100002 over GF(100003) "
+            "exceeds the 1048576-digit cap on g^2*k\n"
+        )
+
     def test_info_json_huge_prime(self, tmp_path, capsys):
         path = write(tmp_path, "p = 1000000000000000003\npole inf: 0 1\n")
         assert main(["info", path, "--json"]) == 2
         data = json.loads(capsys.readouterr().out)
         assert data["valid"] is False and "element cap" in data["error"]
+
+
+# grammar lines in the order the parser wants, so that most specs are
+# curves, with at most four coefficients per pole, so that the pipelines stay
+# quick; zeta and sweep stay out, their cost grows with q^min(D, g)
+_SMALL_COEFFS = st.lists(st.integers(-30, 30).map(str), min_size=1, max_size=4).map(" ".join)
+_SMALL_SPEC = st.builds(
+    "p = {}\nfield_degree = {}\npole inf: {}\n{}".format,
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.integers(1, 3),
+    _SMALL_COEFFS,
+    st.lists(st.builds("pole {}: {}".format, st.integers(-30, 30), _SMALL_COEFFS),
+             max_size=3).map("\n".join),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.one_of(st.text(max_size=100), _LINES, _SMALL_SPEC),
+    command=st.sampled_from([
+        ["info"], ["info", "--json"], ["matrix", "--pipeline", "both"], ["anumber"],
+        ["verify", "--json"], ["oracle"],
+    ]),
+)
+def test_fuzzed_cli_never_reports_an_internal_error(text, command):
+    """Any spec text ends in exit 0, 1 or 2 for every command: a malformed
+    or oversized curve is invalid input, never an internal error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.curve")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], path, *command[1:]])
+    assert code in (0, 1, 2), err.getvalue()
