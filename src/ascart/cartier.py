@@ -39,6 +39,7 @@ basis; entry (i, j) is the coefficient of omega_i in C(omega_j).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -184,7 +185,7 @@ class _Engine:
         self.forms = basis(spec)
         self.index = {form: i for i, form in enumerate(self.forms)}
         self.loc_to_j = _pole_index_map(spec)
-        self._num_powers = [Poly.constant(self.field, 1), spec.f_ratfunc().num]
+        self._num_powers = [Poly.constant(self.field, 1), _f_numerator(spec)]
         self._decompositions: dict[tuple[int, int, int], PartialFraction] = {}
 
     def image(self, j: int, b: int, e: int) -> RatFunc:
@@ -208,6 +209,25 @@ class _Engine:
         if key not in self._decompositions:
             self._decompositions[key] = _decompose(self.image(j, b, e), self.loc_to_j)
         return self._decompositions[key]
+
+
+def _f_numerator(spec: CurveSpec) -> Poly:
+    """N = f * prod_l (x - e_l)^(d_l), straight from the pole data.
+
+    Pole by pole: with N/D the parts so far and P = (x - e_l)^(d_l), adding
+    the part T/P at e_l, T = sum_n c_n (x - e_l)^(d_l - n), gives
+    (N P + T D) / (D P).
+    """
+    field = spec.field
+    num, den = Poly(field, spec.poles[0].coeffs), Poly.constant(field, 1)
+    for datum in spec.poles[1:]:
+        lin = Poly.x(field) - Poly.constant(field, datum.location)
+        tail = Poly(field)
+        for c in datum.coeffs:  # Horner from c_1, the coefficient of lin^(d-1)
+            tail = tail * lin + Poly.constant(field, c)
+        power = lin**datum.order
+        num, den = num * power + tail * den, den * power
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +530,24 @@ class CartierMatrix:
     """Matrix of the Cartier operator in the ordered basis.
 
     Column j holds the coordinates of C(omega_j): entries[i][j] is the
-    coefficient of omega_i.  Entries are exact field elements.
+    coefficient of omega_i.  Entries are exact field elements.  digits is
+    the same matrix as a read-only (g, g, k) int64 array of their digits:
+    the local pipeline hands over the array it computed, and any other
+    construction derives it once from the entries.  It takes no part in
+    equality, hashing or repr.
     """
 
     field: Field
     basis: tuple[BasisForm, ...]
     entries: tuple[tuple[FieldElement, ...], ...]
+    digits: np.ndarray = dataclasses.field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.digits is None:
+            g, flat = len(self.entries), [c for row in self.entries for c in row]
+            digits = self.field.digit_array(flat).reshape(g, g, self.field.k)
+            object.__setattr__(self, "digits", digits)  # the dataclass is frozen
+        self.digits.setflags(write=False)
 
     @property
     def dimension(self) -> int:
@@ -573,7 +605,7 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
                              f"the {_MAX_DIGITS}-digit cap on g^2*k")
     if pipeline == "local":
         forms, digits = _local_matrix(spec, inv.orders)
-        return CartierMatrix(spec.field, forms, spec.field.element_rows(digits))
+        return CartierMatrix(spec.field, forms, spec.field.element_rows(digits), digits)
     engine = _Engine(spec)
     columns = [_column(engine, form) for form in engine.forms]
     return CartierMatrix(spec.field, tuple(engine.forms), tuple(zip(*columns)))

@@ -1,8 +1,9 @@
 """Rank, a-number and p-rank from the Cartier matrix.
 
 The a-number is the corank: a = g - rank(M).  Every rank, over every field,
-comes from one exact Gaussian elimination on int64 arrays mod p, with
-first-nonzero pivoting.  A matrix over GF(q), q = p^k, enters it through
+comes from one exact fraction-free elimination on int64 arrays mod p, one
+step per pivot, on the digits the matrix carries (CartierMatrix.digits).
+A matrix over GF(q), q = p^k, enters it through
 the regular representation: the entry c becomes the k x k GF(p) matrix
 rho(c) of multiplication by c in the basis 1, t, ..., t^(k-1), and the
 GF(p) rank of the block matrix rho(M) is k * rank(M).  Rank does not care
@@ -26,8 +27,9 @@ the matrix of pth_root, rho(c^(sigma^-1)) = Phi rho(c) Phi^-1, so with
 P = I_g (x) Phi the n-factor product has GF(p) rank rank(A^n) for the one
 matrix A = rho(M) P.  A is built block by block (rho(M_ij) Phi), never as
 a gk x gk Kronecker product, and its rank is that of rho(M) because P is
-invertible.  The iteration keeps only an echelon basis V_n of the row space
-of A^n, so each step is one multiply V_n A plus an elimination.  By
+invertible.  The iteration keeps only a basis V_n of the row space of
+A^n, so each step is one multiply V_n A plus an elimination; V_1 is the
+elimination rank(M) made, when it ran last on the same matrix object.  By
 Fitting's lemma, once rank(A^(n+1)) = rank(A^n) the image is stable under
 A, so the p-rank stops at the first stationary step, which comes within g.
 """
@@ -67,40 +69,60 @@ def regular_representation(field: Field) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _echelon_int(rows: np.ndarray, p: int) -> np.ndarray:
-    """Nonzero echelon rows of an int matrix mod p (rows already reduced)."""
-    a = rows.copy()
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nonzero = np.flatnonzero(a[r:, c])
-        if not nonzero.size:
-            continue
-        piv = r + int(nonzero[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        below = a[r + 1 :]
-        below -= below[:, c : c + 1] * a[r]
-        below %= p
-        r += 1
-    return a[:r]
+    """Independent rows spanning the row space of an int matrix mod p (rows
+    already reduced).
+
+    One step per pivot: the first remaining row pivots on its first nonzero
+    column c, every other row r nonzero there becomes (a*r - r[c]*pivot)
+    mod p for the pivot entry a, and the rows that vanish drop out
+    together.  Each kept row is nonzero in its pivot column, where every
+    later one is zero, so the cost follows the rank, not the column count.
+    """
+    rest = rows[rows.any(axis=1)]  # a copy, so the updates below stay private
+    out = np.empty_like(rest)
+    n = 0
+    while len(rest):
+        pivot, rest = rest[0], rest[1:]
+        out[n] = pivot
+        n += 1
+        c = pivot.nonzero()[0][0]
+        hit = rest[:, c].nonzero()[0]
+        if len(hit):
+            below = rest[hit]
+            rest[hit] = (below * pivot[c] - below[:, c : c + 1] * pivot) % p
+            rest = rest[rest.any(axis=1)]
+    return out[:n]
 
 
-def _prime_matrix(M: CartierMatrix, cols) -> np.ndarray:
-    """The columns cols of M as the GF(p) matrix rho(M[:, cols]) (I (x) Phi).
+def _prime_matrix(M: CartierMatrix, cols=slice(None)) -> np.ndarray:
+    """The columns cols of M as the GF(p) matrix rho(M[:, cols]) (I (x) Phi),
+    read off M.digits.
 
     For k = 1 this is the matrix of residues itself.
     """
-    g, n, k = M.dimension, len(cols), M.field.k
-    digits = M.field.digit_array([row[j] for row in M.entries for j in cols]).reshape(g, n, k)
+    digits = M.digits[:, cols]
+    g, n, k = digits.shape
     if k == 1:
         return digits.reshape(g, n)
     p = M.field.p
     T, Phi = regular_representation(M.field)
     blocks = np.tensordot(digits, T, axes=(2, 0)) % p @ Phi % p  # (g, n, k, k)
     return blocks.transpose(0, 2, 1, 3).reshape(g * k, n * k)
+
+
+# The last matrix eliminated whole, as (M, A, a basis of A's row space) with
+# A = _prime_matrix(M): rank(M) and then p_rank_stable(M) eliminate A once.
+# Keyed by identity, because hashing M walks its g^2 entries.
+_last_elimination: tuple = (None, None, None)
+
+
+def _eliminated(M: CartierMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """A = rho(M) (I (x) Phi) and independent rows spanning its row space."""
+    global _last_elimination
+    if _last_elimination[0] is not M:
+        A = _prime_matrix(M)
+        _last_elimination = (M, A, _echelon_int(A, M.field.p))
+    return _last_elimination[1:]
 
 
 def _over_field(prime_rank: int, k: int) -> int:
@@ -122,7 +144,7 @@ def rank_of_columns(M: CartierMatrix, columns) -> int:
 
 def rank(M: CartierMatrix) -> int:
     """Exact rank over the field (invariant under any field extension)."""
-    return rank_of_columns(M, range(M.dimension))
+    return _over_field(_eliminated(M)[1].shape[0], M.field.k)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +155,7 @@ def rank(M: CartierMatrix) -> int:
 def _twisted_ranks(M: CartierMatrix):
     """Ranks of the 1-, 2-, ... factor twisted products, without end."""
     p, k = M.field.p, M.field.k
-    A = _prime_matrix(M, range(M.dimension))
-    V = _echelon_int(A, p)
+    A, V = _eliminated(M)
     while True:
         yield _over_field(V.shape[0], k)
         V = _echelon_int(V @ A % p, p)

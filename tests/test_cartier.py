@@ -3,6 +3,7 @@
 import inspect
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -371,6 +372,56 @@ class TestMatrix:
         spec = curve(3, [0, 0, 1], [(1, [1])], k=2)
         M = cartier_matrix(spec)
         assert CartierMatrix.from_json(M.to_json()) == M
+
+
+class TestMatrixDigits:
+    """CartierMatrix.digits: the entries' digits, read-only, however built."""
+
+    @staticmethod
+    def check(M):
+        F, g = M.field, M.dimension
+        flat = [c for row in M.entries for c in row]
+        assert M.digits.dtype == np.int64 and M.digits.shape == (g, g, F.k)
+        assert (M.digits == F.digit_array(flat).reshape(g, g, F.k)).all()
+        assert not M.digits.flags.writeable
+        if M.digits.size:
+            with pytest.raises(ValueError):
+                M.digits[0, 0, 0] = 1
+
+    @pytest.mark.parametrize("p,orders,k,seed", [(13, (4, 3), 1, 41), (5, (4, 2), 2, 42),
+                                                 (3, (2, 1), 7, 43), (2, (3, 1), 3, 44)])
+    def test_every_construction(self, p, orders, k, seed):
+        spec = random_specs(p, orders, 1, seed, k=k)[0]
+        local, rational = cartier_matrix(spec, "local"), cartier_matrix(spec, "rational")
+        rebuilt = CartierMatrix.from_json(local.to_json())
+        by_hand = CartierMatrix(local.field, local.basis, local.entries)
+        for M in (local, rational, rebuilt, by_hand):
+            self.check(M)
+
+    def test_empty_matrix(self):
+        self.check(CartierMatrix(GF(3, 2), (), ()))
+
+    def test_not_part_of_equality_hash_or_repr(self):
+        M = cartier_matrix(curve(7, [0, 0, 0, 1]))
+        other = CartierMatrix(M.field, M.basis, M.entries, np.zeros_like(M.digits))
+        assert other == M and hash(other) == hash(M) and repr(other) == repr(M)
+        assert "digits" not in repr(M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 13]),
+    k=st.integers(1, 3),
+    orders=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_numerator_from_pole_data(p, k, orders, seed):
+    """The rational pipeline's N = f * prod (x - e_l)^(d_l), built from the
+    pole data, is the numerator of the assembled f."""
+    orders = orders[:1] + [max(d, 1) for d in orders[1:]]
+    assume(len(orders) - 1 <= p**k)
+    spec = random_curve(GF(p, k), orders, random.Random(seed))
+    assert cartier._f_numerator(spec) == spec.f_ratfunc().num
 
 
 class TestKeyTerms:

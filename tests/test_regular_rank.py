@@ -4,6 +4,7 @@ The reference is tests/naive_rank.py: elimination on field elements with an
 entrywise pth_root twist, sharing no code with ascart.invariants.
 """
 
+import inspect
 import itertools
 import random
 from pathlib import Path
@@ -22,7 +23,12 @@ from ascart.invariants import rank_of_columns, regular_representation
 from ascart.sweep import random_curve
 
 from conftest import curve
-from naive_rank import naive_rank, naive_rank_of_columns, naive_twisted_rank_profile
+from naive_rank import (
+    echelon_elements,
+    naive_rank,
+    naive_rank_of_columns,
+    naive_twisted_rank_profile,
+)
 
 CURVES = Path(__file__).resolve().parent.parent / "curves"
 
@@ -160,6 +166,120 @@ class TestAgainstNaiveElimination:
         assert_matches_naive(M, r)
         inv = validate(spec)
         assert p_rank_stable(M) == inv.s == inv.m * (p - 1)
+
+
+def reference_rank(rows, p):
+    F = GF(p)
+    return len(echelon_elements([[F(int(v)) for v in row] for row in rows]))
+
+
+def check_echelon(rows, p):
+    """_echelon_int against the element-wise reference: as many rows as the
+    rank, inside the row space, and independent."""
+    out = invariants._echelon_int(rows, p)
+    r = reference_rank(rows, p)
+    assert out.shape == (r, rows.shape[1])
+    assert reference_rank(np.vstack([rows, out]), p) == r
+    assert reference_rank(out, p) == r
+
+
+class TestEchelonInt:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 13]),
+        nrows=st.integers(0, 9),
+        ncols=st.integers(0, 9),
+        planted=st.integers(0, 9),
+        copies=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, p, nrows, ncols, planted, copies, seed):
+        # a product of n x r and r x m factors has rank at most r; copies of
+        # its rows, shuffled in, keep the rank and test the row drop
+        rng = np.random.default_rng(seed)
+        r = min(planted, nrows, ncols)
+        rows = rng.integers(0, p, (nrows, r)) @ rng.integers(0, p, (r, ncols)) % p
+        if nrows:
+            rows = np.vstack([rows, rows[rng.integers(0, nrows, copies)]])
+        check_echelon(rng.permutation(rows), p)
+
+    @pytest.mark.parametrize("p", [2, 3, 13])
+    def test_edge_cases(self, p):
+        rng = np.random.default_rng(p)
+        row = rng.integers(1, p, (1, 6))
+        for rows in (
+            np.zeros((0, 5), dtype=np.int64),
+            np.zeros((4, 0), dtype=np.int64),
+            np.zeros((4, 5), dtype=np.int64),
+            row,
+            np.zeros((1, 6), dtype=np.int64),
+            np.vstack([row, row, row * 2 % p, row]),
+            np.eye(5, dtype=np.int64)[::-1],
+            rng.integers(0, p, (7, 4)),
+        ):
+            check_echelon(rows, p)
+
+    def test_input_untouched(self):
+        rows = np.array([[1, 2, 0], [2, 4, 1], [0, 0, 1]])
+        rows.setflags(write=False)
+        invariants._echelon_int(rows, 5)
+        assert rows.tolist() == [[1, 2, 0], [2, 4, 1], [0, 0, 1]]
+
+
+class TestSharedElimination:
+    def count_calls(self, monkeypatch):
+        calls = {"_prime_matrix": 0, "_echelon_int": 0}
+        for name in calls:
+            real = getattr(invariants, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(invariants, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("p,k,orders,seed", [(7, 1, (3,), 1), (13, 1, (4, 3), 2),
+                                                 (5, 2, (4, 2), 3), (3, 7, (2, 1), 4)])
+    def test_rank_then_p_rank_eliminate_once(self, p, k, orders, seed, monkeypatch):
+        spec = random_curve(GF(p, k), orders, random.Random(seed))
+        M = cartier_matrix(spec)
+        profile = naive_twisted_rank_profile(M, M.dimension + 1)
+        # twisted products after the first, up to the first stationary one
+        steps = next(n for n in range(1, len(profile)) if profile[n - 1] == profile[n])
+        calls = self.count_calls(monkeypatch)
+        r = rank(M)
+        assert p_rank_stable(M) == validate(spec).s
+        assert r == naive_rank(M)
+        assert calls == {"_prime_matrix": 1, "_echelon_int": 1 + steps}
+        # an equal matrix that is another object eliminates again
+        twin = CartierMatrix(M.field, M.basis, M.entries)
+        assert twin == M and twin is not M
+        assert rank(twin) == r
+        assert calls == {"_prime_matrix": 2, "_echelon_int": 2 + steps}
+
+    def test_round_trip_through_elements_stays_out(self):
+        """Walk the code of the rank and p-rank route, following every
+        function of the invariants module it calls: the matrix enters only
+        through M.digits, never through its FieldElement entries."""
+        todo = [invariants._prime_matrix, invariants.rank, invariants._twisted_ranks]
+        seen, names = set(), set()
+        while todo:
+            item = todo.pop()
+            if item in seen:
+                continue
+            seen.add(item)
+            codes = [item.__code__]
+            while codes:
+                code = codes.pop()
+                names.update(code.co_names)
+                codes.extend(c for c in code.co_consts if inspect.iscode(c))
+                for name in code.co_names:
+                    target = vars(invariants).get(name)
+                    if inspect.isfunction(target) and target.__module__ == invariants.__name__:
+                        todo.append(target)
+        assert {"digits", "_echelon_int", "_eliminated"} <= names
+        assert not names & {"entries", "digit_array", "entry", "column"}
 
 
 class TestFittingStop:
