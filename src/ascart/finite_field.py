@@ -26,6 +26,13 @@ Everything else is read off that kernel once per field:
 - the modulus is chosen by Rabin's test in the same ring, with "is a unit"
   tested as h^(p^k - 1) = 1.
 
+For enumerating a whole field a Field also gives log tables (Zech
+logarithms, as in FLINT's fq_zech; Huber, IEEE Trans. IT 1990), built on
+first use and cached for the fields of a tower at once: with a primitive g
+every nonzero element is g^i, a product is a sum of logs mod q-1 and a sum
+is one lookup, g^a + g^b = g^(a + Z(b - a)) with Z(n) = log(1 + g^n).  The
+tables are an enumeration device only; FieldElement keeps the fold kernel.
+
 Everything is immutable and every operation is exact; there is no lazy
 reduction and no floating point.
 
@@ -37,8 +44,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,7 +198,7 @@ class Field:
     """
 
     __slots__ = ("p", "k", "modulus", "order", "reduction", "pth_root_matrix",
-                 "_zero", "_one", "_gen", "_fold", "_phi", "_trace")
+                 "_zero", "_one", "_gen", "_fold", "_phi", "_trace", "_primitive")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         # The cap comes before the trial-division primality test, which would
@@ -216,9 +225,10 @@ class Field:
         self._zero = FieldElement(self, (0,) * k)
         self._one = FieldElement(self, (1,) + (0,) * (k - 1))
         self._gen = None if k == 1 else FieldElement(self, (0, 1) + (0,) * (k - 2))
+        self._primitive = None  # found on first use
         if k == 1:
-            # nothing to fold, and Frobenius is the identity on GF(p)
-            self._fold, self._phi = (), ((1,),)
+            # nothing to fold, Frobenius is the identity and Tr(a) = a on GF(p)
+            self._fold, self._phi, self._trace = (), ((1,),), (1,)
         else:
             self._fold = fold = _fold_table(modulus, p)
             # Phi, the matrix of x -> x^(p^(k-1)), as rows; its column j is
@@ -295,6 +305,37 @@ class Field:
         elements = [self.from_counter(c) for c in values.tolist()]
         rows = inverse.reshape(counters.shape).tolist()
         return tuple(tuple(map(elements.__getitem__, row)) for row in rows)
+
+    def primitive(self) -> FieldElement:
+        """The generator of the multiplicative group with the smallest counter.
+
+        g is primitive when g^((q-1)/r) != 1 for every prime r | q-1.
+        """
+        if self._primitive is None:
+            n, one = self.order - 1, self._one.digits
+            cofactors = [n // r for r in _prime_divisors(n)]
+            for counter in range(1, self.order):
+                g = self.from_counter(counter)
+                if all(_pow(g.digits, e, self._fold, self.p) != one for e in cofactors):
+                    self._primitive = g
+                    break
+        return self._primitive
+
+    def log_tables(self) -> LogTables:
+        """This field's log tables, built on first use (see LogTables).
+
+        The tables of recently used fields are kept until they hold more than
+        2 * _MAX_FIELD_SIZE elements together, so a whole tower
+        GF(q), GF(q^2), ..., GF(q^S) stays cached: sum_(s<=S) q^s < 2 q^S.
+        """
+        tables = _LOG_TABLES.pop(self, None)
+        if tables is None:
+            room = 2 * _MAX_FIELD_SIZE - self.order
+            while _LOG_TABLES and sum(f.order for f in _LOG_TABLES) > room:
+                _LOG_TABLES.popitem(last=False)  # the least recently used
+            tables = _build_log_tables(self)
+        _LOG_TABLES[self] = tables
+        return tables
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElement:
         while True:
@@ -481,6 +522,77 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
+# Log tables
+# ---------------------------------------------------------------------------
+
+
+class LogTables(NamedTuple):
+    """Read-only log tables of GF(q) for its primitive element g.
+
+    Elements are named by their counters, and n = q - 1 stands for the log
+    of zero:
+
+    antilog[i]  counter of g^i, 0 <= i < n: a permutation of 1..n;
+    log[c]      the i with g^i = element c, and log[0] = n;
+    zech[i]     log(1 + g^i), n where 1 + g^i = 0;
+    trace[i]    Tr(g^i) in [0, p), and trace[n] = Tr(0) = 0.
+
+    The first three are int32 (q <= 10^7 < 2^31), the trace the narrowest
+    unsigned type that holds p - 1.
+    """
+
+    antilog: np.ndarray
+    log: np.ndarray
+    zech: np.ndarray
+    trace: np.ndarray
+
+
+# Field -> LogTables, least recently used first; Field.log_tables keeps it.
+_LOG_TABLES: OrderedDict = OrderedDict()
+
+# Powers of g made per step of the table build.
+_LOG_BLOCK = 1 << 14
+
+
+def _build_log_tables(field: Field) -> LogTables:
+    """The tables of field, a block of B powers of g at a time.
+
+    The first block comes from the fold kernel; each later one is the one
+    before times the k x k matrix of multiplication by g^B.  Only counters
+    and traces are kept, so no (q, k) digit array is ever formed.
+    """
+    p, k, n = field.p, field.k, field.order - 1
+    fold, g = field._fold, field.primitive().digits
+    powers = [field._one.digits]
+    for _ in range(min(n, _LOG_BLOCK) - 1):
+        powers.append(_mul(powers[-1], g, fold, p))
+    rows = [_mul(powers[-1], g, fold, p)]  # t^j * g^B
+    for _ in range(k - 1):
+        rows.append(_mul(rows[-1], field._gen.digits, fold, p))
+    step = np.array(rows, dtype=np.int64)
+    place = p ** np.arange(k, dtype=np.int64)
+    weights = np.array(field._trace, dtype=np.int64)
+    block = np.array(powers, dtype=np.int64)
+    antilog = np.empty(n, dtype=np.int32)
+    trace = np.zeros(n + 1, dtype=np.min_scalar_type(p - 1))
+    for start in range(0, n, len(block)):
+        stop = min(start + len(block), n)
+        antilog[start:stop] = block[: stop - start] @ place
+        trace[start:stop] = block[: stop - start] @ weights % p
+        block = block @ step % p
+    log = np.empty(n + 1, dtype=np.int32)
+    log[antilog] = np.arange(n, dtype=np.int32)
+    log[0] = n
+    # 1 + g^i: digit 0 of the counter goes up by one, wrapping from p - 1
+    plus_one = antilog + 1
+    plus_one[antilog % p == p - 1] -= p
+    zech = log[plus_one]
+    for table in (antilog, log, zech, trace):
+        table.setflags(write=False)
+    return LogTables(antilog, log, zech, trace)
+
+
+# ---------------------------------------------------------------------------
 # Embeddings GF(p^k) -> GF(p^(k*s))
 # ---------------------------------------------------------------------------
 
@@ -491,6 +603,10 @@ def embedding(src: Field, dst: Field):
     Requires src.p == dst.p and src.k | dst.k.  The generator of src is sent
     to the root of src's modulus that comes first in dst's canonical element
     order, which pins the embedding uniquely.  Returns a callable.
+
+    The roots lie in the subfield of order r = src.order, whose nonzero
+    elements are the powers of h = g^((dst.order - 1)/(r - 1)) for the
+    primitive g of dst, so only those r - 1 elements are tried.
     """
     if src.p != dst.p or dst.k % src.k != 0:
         raise ValueError(f"no embedding {src} -> {dst}")
@@ -499,17 +615,19 @@ def embedding(src: Field, dst: Field):
     if src.k == 1:
         consts = [dst(n) for n in range(src.p)]
         return lambda a: consts[a.digits[0]]
-    root = None
     mod_consts = [dst(c) for c in src.modulus]
-    for x in dst.elements():
+    h = dst.primitive() ** ((dst.order - 1) // (src.order - 1))
+    roots, x = [], dst.one
+    for _ in range(src.order - 1):
         acc = dst.zero
         for c in reversed(mod_consts):
             acc = acc * x + c
         if acc.is_zero():
-            root = x
-            break
-    if root is None:
+            roots.append(x)
+        x = x * h
+    if not roots:
         raise FieldTooSmall(f"{dst} contains no root of the modulus of {src}")
+    root = min(roots, key=FieldElement.counter)
     powers = [dst.one]
     for _ in range(src.k - 1):
         powers.append(powers[-1] * root)

@@ -7,6 +7,9 @@ is prime to p.  So
 
     N_s = (m+1) + p * #{ x in F_(q^s), x not a pole, Tr(f(x)) = 0 }.
 
+The enumeration runs on all of F_(q^s) at once in the log arithmetic of
+the field's Zech tables (Field.log_tables), so it reaches the field cap.
+
 The L-polynomial needs N_1..N_g, g = D(p-1)/2, but enumeration stops at
 s <= min(D, g).  Write the distribution of Tr f(x) over F_(q^s) as the
 character sum S_s = sum_x zeta^(Tr f(x)) in Z[zeta_p]; then
@@ -37,6 +40,7 @@ rational arithmetic only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +49,6 @@ import numpy as np
 from .curve import CurveSpec, validate
 from .errors import InconsistentCounts, NotShrinkable
 from .finite_field import GF, embedding
-from .ratfunc import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -60,32 +63,58 @@ def count_points(spec: CurveSpec, s: int) -> int:
 
 
 def _trace_distribution(spec: CurveSpec, s: int) -> list[int]:
-    """counts[c] = #{x in F_(q^s), x not a pole : Tr f(x) = c}, c in [0, p)."""
+    """counts[c] = #{x in F_(q^s), x not a pole : Tr f(x) = c}, c in [0, p).
+
+    Every nonzero x is g^i for the primitive g of the field's log tables,
+    so f is evaluated on all i at once in log arithmetic, n = q^s - 1
+    standing for the log of zero: a_j x^j has log log(a_j) + j*i,
+    x - e = -e * (1 + x/(-e)) has log c + Z(i - c) with c = log(-e), a
+    power of it is a multiple, and sums are Zech additions.  x = 0 is
+    evaluated on its own.
+    """
     base = spec.field
-    if s == 1:
-        big = base
-    else:
-        big = GF(base.p, base.k * s)
+    big = base if s == 1 else GF(base.p, base.k * s)
     phi = embedding(base, big)
-    f0 = Poly(big, [phi(c) for c in spec.poles[0].coeffs])
-    finite = [
-        (phi(datum.location), [phi(c) for c in datum.coeffs])
-        for datum in spec.poles[1:]
-    ]
-    locations = {loc for loc, _ in finite}
-    counts = [0] * base.p
-    for x in big.elements():
-        if x in locations:
-            continue
-        val = f0.evaluate(x)
-        for loc, coeffs in finite:
-            t = (x - loc).inverse()
-            acc = big.zero
-            for c in reversed(coeffs):
-                acc = (acc + c) * t
-            val = val + acc
+    tables = big.log_tables()
+    n = big.order - 1
+
+    def log(a):
+        return int(tables.log[a.counter()])
+
+    f0 = [phi(c) for c in spec.poles[0].coeffs]
+    poles = [(phi(datum.location), [phi(c) for c in datum.coeffs]) for datum in spec.poles[1:]]
+    counts = np.zeros(base.p, dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, n))
+        terms = [(log(a) + j * i) % n for j, a in enumerate(f0) if a]
+        for e, coeffs in poles:
+            # at x = e this is log(-e), not the log of zero; x = e is taken out below
+            lx = (log(-e) + tables.zech[(i - log(-e)) % n]) % n if e else i
+            terms += [(log(a) - m * lx) % n for m, a in enumerate(coeffs, 1) if a]
+        value = functools.reduce(lambda a, b: _zech_add(a, b, tables.zech, n), terms)
+        trace = tables.trace[value]
+        counts += np.bincount(trace, minlength=base.p)
+        for e, _ in poles:
+            if e and 0 <= (at := log(e) - start) < len(i):
+                counts[trace[at]] -= 1
+    if all(e for e, _ in poles):  # x = 0 is not a pole
+        val = f0[0]
+        for e, coeffs in poles:
+            for m, a in enumerate(coeffs, 1):
+                val = val + a * (-e) ** (-m)
         counts[val.trace_to_prime()] += 1
-    return counts
+    return counts.tolist()
+
+
+# x = g^i for this many i at a time, so temporaries stay small at the cap
+_CHUNK = 1 << 16
+
+
+def _zech_add(a, b, zech, n):
+    """log(g^a + g^b) for arrays of logs a (n for zero) and b (never zero):
+    the terms of f are never zero, only a running sum can be."""
+    z = zech[(a - b) % n]  # g^a + g^b = g^b * (1 + g^(a - b))
+    return np.where(a == n, b, np.where(z == n, n, (b + z) % n))
 
 
 # ---------------------------------------------------------------------------

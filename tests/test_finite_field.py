@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascart import GF, Field, embedding
+from ascart import GF, Field, embedding, finite_field
 from ascart.errors import AscartError, FieldTooLarge, NotPrime
 from ascart.finite_field import is_prime
 from naive_field import mul_mod, poly_rem, pow_mod
@@ -308,3 +308,109 @@ class TestEmbedding:
             embedding(GF(3, 2), GF(3, 3))
         with pytest.raises(ValueError):
             embedding(GF(3), GF(5))
+
+    @pytest.mark.parametrize(
+        "p,k,s", [(2, 2, 2), (2, 3, 3), (3, 2, 3), (3, 4, 2), (5, 2, 3), (13, 2, 2)]
+    )
+    def test_subfield_search_matches_full_scan(self, p, k, s):
+        src, dst = GF(p, k), GF(p, k * s)
+        assert embedding(src, dst)(src.gen) == first_root_by_full_scan(src, dst)
+
+
+def first_root_by_full_scan(src, dst):
+    """Oracle: the first element of dst, in counter order, that is a root of
+    src's modulus."""
+    mod_consts = [dst(c) for c in src.modulus]
+    for x in dst.elements():
+        acc = dst.zero
+        for c in reversed(mod_consts):
+            acc = acc * x + c
+        if acc.is_zero():
+            return x
+    raise AssertionError("no root")
+
+
+LOG_FIELDS = [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 1), (13, 2), (257, 1)]
+
+
+class TestLogTables:
+    @pytest.mark.parametrize("p,k", LOG_FIELDS)
+    def test_primitive_has_full_order(self, p, k):
+        F = GF(p, k)
+        g = F.primitive()
+        powers, x = set(), F.one
+        for _ in range(F.order - 1):
+            powers.add(x.counter())
+            x = x * g
+        assert x == F.one and len(powers) == F.order - 1
+        # and no element with a smaller counter generates the group
+        for c in range(1, g.counter()):
+            h = F.from_counter(c)
+            assert any(h ** ((F.order - 1) // r) == F.one for r in prime_factors(F.order - 1))
+
+    @pytest.mark.parametrize("p,k", LOG_FIELDS)
+    def test_tables_are_narrow_and_read_only(self, p, k):
+        tables = GF(p, k).log_tables()
+        for table in tables:
+            assert table.dtype.kind in "iu" and table.dtype.itemsize <= 4
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+        assert tables.trace.dtype.itemsize == (1 if p <= 256 else 2)
+
+    @pytest.mark.parametrize("p,k", LOG_FIELDS)
+    def test_antilog_and_log_are_inverse_permutations(self, p, k):
+        F = GF(p, k)
+        tables, n = F.log_tables(), F.order - 1
+        assert sorted(tables.antilog.tolist()) == list(range(1, F.order))
+        assert tables.log[0] == n
+        assert tables.log[tables.antilog].tolist() == list(range(n))
+        g, x = F.primitive(), F.one
+        for i in range(min(n, 300)):
+            assert tables.antilog[i] == x.counter()
+            x = x * g
+
+    @pytest.mark.parametrize("p,k", LOG_FIELDS)
+    def test_zech_and_trace_agree_with_element_arithmetic(self, p, k):
+        F = GF(p, k)
+        tables, n = F.log_tables(), F.order - 1
+        sample = random.Random(p * 100 + k).sample(range(n), min(n, 200))
+        for i in sample:
+            x = F.from_counter(int(tables.antilog[i]))
+            z = int(tables.zech[i])
+            if z == n:
+                assert (x + 1).is_zero()
+            else:
+                assert F.from_counter(int(tables.antilog[z])) == x + 1
+            assert tables.trace[i] == x.trace_to_prime()
+        assert tables.trace[n] == 0
+
+    def test_two_l_polynomials_build_each_table_once(self, monkeypatch):
+        from ascart.sweep import random_curve
+        from ascart.zeta import l_polynomial
+
+        built = []
+        build = finite_field._build_log_tables
+        monkeypatch.setattr(finite_field, "_LOG_TABLES", finite_field.OrderedDict())
+        monkeypatch.setattr(
+            finite_field, "_build_log_tables", lambda field: built.append(field) or build(field)
+        )
+        rng = random.Random(0)
+        for _ in range(2):
+            l_polynomial(random_curve(GF(5), (1, 1), rng))  # GF(5) and GF(25)
+        assert built == [GF(5), GF(5, 2)]
+
+    def test_least_recently_used_evicted_past_twice_the_cap(self, monkeypatch):
+        monkeypatch.setattr(finite_field, "_LOG_TABLES", finite_field.OrderedDict())
+        monkeypatch.setattr(finite_field, "_MAX_FIELD_SIZE", 30)
+        for F in (GF(5), GF(5, 2), GF(7)):  # 37 <= 60 elements
+            F.log_tables()
+        GF(5).log_tables()  # now the most recently used
+        GF(3, 3).log_tables()  # 37 + 27 > 60: the oldest, GF(5^2), goes
+        assert list(finite_field._LOG_TABLES) == [GF(7), GF(5), GF(3, 3)]
+        GF(5, 2).log_tables()  # 39 + 25 > 60: GF(7) goes
+        assert list(finite_field._LOG_TABLES) == [GF(5), GF(3, 3), GF(5, 2)]
+
+
+def prime_factors(n):
+    return [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
