@@ -39,8 +39,8 @@ basis; entry (i, j) is the coefficient of omega_i in C(omega_j).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -525,45 +525,76 @@ def express_in_basis(spec: CurveSpec, md: MixedDifferential) -> list[FieldElemen
     return vec
 
 
-@dataclass(frozen=True)
+class _DigitStore:
+    """The entries field of CartierMatrix, stored as digits.
+
+    Setting it, in the constructor or through dataclasses.replace, takes
+    rows of field elements or a (g, g, k) digit array and keeps only the
+    read-only int64 array, as the instance's digits.  Reading it builds the
+    rows of elements from those digits.
+    """
+
+    def __get__(self, M, owner=None):
+        if M is None:
+            raise AttributeError("entries")  # so the dataclass field has no default
+        return M.field.element_rows(M.digits)
+
+    def __set__(self, M, value):
+        field, g = M.field, len(M.basis)
+        if isinstance(value, np.ndarray):
+            digits = np.asarray(value, dtype=np.int64)
+        else:
+            digits = field.digit_array(itertools.chain.from_iterable(value))
+            if len(digits) == g * g:
+                digits = digits.reshape(g, g, field.k)
+        if digits.shape != (g, g, field.k):
+            raise ValueError(f"a basis of {g} forms needs a {g} x {g} matrix")
+        digits.setflags(write=False)
+        object.__setattr__(M, "digits", digits)  # the dataclass is frozen
+
+
+@dataclass(frozen=True, eq=False)
 class CartierMatrix:
     """Matrix of the Cartier operator in the ordered basis.
 
-    Column j holds the coordinates of C(omega_j): entries[i][j] is the
-    coefficient of omega_i.  Entries are exact field elements.  digits is
-    the same matrix as a read-only (g, g, k) int64 array of their digits:
-    the local pipeline hands over the array it computed, and any other
-    construction derives it once from the entries.  It takes no part in
-    equality, hashing or repr.
+    Column j holds the coordinates of C(omega_j): entry (i, j) is the
+    coefficient of omega_i.  The matrix is stored once, as digits, a
+    read-only (g, g, k) int64 array of the entries' digits; equality and
+    hashing read it.  entries, entry and column are views that build exact
+    field elements from it on each read.  The constructor takes the
+    entries as rows of elements or as a digit array (see _DigitStore).
     """
 
     field: Field
     basis: tuple[BasisForm, ...]
-    entries: tuple[tuple[FieldElement, ...], ...]
-    digits: np.ndarray = dataclasses.field(default=None, compare=False, repr=False)
+    entries: tuple[tuple[FieldElement, ...], ...] = _DigitStore()
 
-    def __post_init__(self):
-        if self.digits is None:
-            g, flat = len(self.entries), [c for row in self.entries for c in row]
-            digits = self.field.digit_array(flat).reshape(g, g, self.field.k)
-            object.__setattr__(self, "digits", digits)  # the dataclass is frozen
-        self.digits.setflags(write=False)
+    def _key(self) -> tuple:
+        return self.field, self.basis, self.digits.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def entry(self, i: int, j: int) -> FieldElement:
-        return self.entries[i][j]
+        return self.field(self.digits[i, j])
 
     def column(self, j: int) -> tuple[FieldElement, ...]:
-        return tuple(row[j] for row in self.entries)
+        return self.field.element_rows(self.digits[None, :, j])[0]
 
     def to_json(self) -> dict:
         return {
             "field": self.field.to_json(),
             "basis": [list(form) for form in self.basis],
-            "entries": [c.to_json() for row in self.entries for c in row],
+            "entries": self.digits.reshape(-1, self.field.k).tolist(),
         }
 
     @staticmethod
@@ -605,7 +636,7 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
                              f"the {_MAX_DIGITS}-digit cap on g^2*k")
     if pipeline == "local":
         forms, digits = _local_matrix(spec, inv.orders)
-        return CartierMatrix(spec.field, forms, spec.field.element_rows(digits), digits)
+        return CartierMatrix(spec.field, forms, digits)
     engine = _Engine(spec)
     columns = [_column(engine, form) for form in engine.forms]
     return CartierMatrix(spec.field, tuple(engine.forms), tuple(zip(*columns)))

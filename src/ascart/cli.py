@@ -79,7 +79,7 @@ def _matrix_for(spec: CurveSpec, pipeline: str):
     if pipeline == "both":
         m_rat = cartier_matrix(spec, "rational")
         m_loc = cartier_matrix(spec, "local")
-        return m_rat, m_rat.entries == m_loc.entries
+        return m_rat, m_rat == m_loc
     return cartier_matrix(spec, pipeline), True
 
 

@@ -597,6 +597,7 @@ def _build_log_tables(field: Field) -> LogTables:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def embedding(src: Field, dst: Field):
     """The canonical field embedding src -> dst.
 
@@ -606,7 +607,8 @@ def embedding(src: Field, dst: Field):
 
     The roots lie in the subfield of order r = src.order, whose nonzero
     elements are the powers of h = g^((dst.order - 1)/(r - 1)) for the
-    primitive g of dst, so only those r - 1 elements are tried.
+    primitive g of dst, so only those r - 1 elements are tried.  The search
+    runs once per (src, dst): the callables are cached.
     """
     if src.p != dst.p or dst.k % src.k != 0:
         raise ValueError(f"no embedding {src} -> {dst}")

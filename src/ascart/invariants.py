@@ -112,7 +112,9 @@ def _prime_matrix(M: CartierMatrix, cols=slice(None)) -> np.ndarray:
 
 # The last matrix eliminated whole, as (M, A, a basis of A's row space) with
 # A = _prime_matrix(M): rank(M) and then p_rank_stable(M) eliminate A once.
-# Keyed by identity, because hashing M walks its g^2 entries.
+# Keyed by identity: the callers that pair the two pass one object, and an
+# equal matrix built apart is eliminated anew, so the number of
+# eliminations follows the calls made on each object alone.
 _last_elimination: tuple = (None, None, None)
 
 

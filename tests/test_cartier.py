@@ -1,6 +1,8 @@
 """Cartier operator: axioms, dual pipelines, matrices, key terms."""
 
+import dataclasses
 import inspect
+import itertools
 import random
 
 import numpy as np
@@ -34,6 +36,7 @@ from ascart.sweep import random_curve
 
 from conftest import curve, random_specs
 from naive_local import naive_local_matrix
+from naive_rank import naive_rank
 
 F3 = GF(3)
 F7 = GF(7)
@@ -375,7 +378,7 @@ class TestMatrix:
 
 
 class TestMatrixDigits:
-    """CartierMatrix.digits: the entries' digits, read-only, however built."""
+    """CartierMatrix.digits: the one stored form, read-only, however built."""
 
     @staticmethod
     def check(M):
@@ -387,6 +390,9 @@ class TestMatrixDigits:
         if M.digits.size:
             with pytest.raises(ValueError):
                 M.digits[0, 0, 0] = 1
+        assert all(M.column(j) == tuple(row[j] for row in M.entries) for j in range(g))
+        assert all(M.entry(i, j) == c for i, row in enumerate(M.entries)
+                   for j, c in enumerate(row))
 
     @pytest.mark.parametrize("p,orders,k,seed", [(13, (4, 3), 1, 41), (5, (4, 2), 2, 42),
                                                  (3, (2, 1), 7, 43), (2, (3, 1), 3, 44)])
@@ -395,17 +401,32 @@ class TestMatrixDigits:
         local, rational = cartier_matrix(spec, "local"), cartier_matrix(spec, "rational")
         rebuilt = CartierMatrix.from_json(local.to_json())
         by_hand = CartierMatrix(local.field, local.basis, local.entries)
-        for M in (local, rational, rebuilt, by_hand):
+        from_digits = CartierMatrix(local.field, local.basis, local.digits.copy())
+        # M + I through dataclasses.replace: the digits follow the new rows
+        F = local.field
+        rows = tuple(tuple(c + F.one if i == j else c for j, c in enumerate(row))
+                     for i, row in enumerate(local.entries))
+        shifted = dataclasses.replace(local, entries=rows)
+        equal = (local, rational, rebuilt, by_hand, from_digits)
+        for M in (*equal, shifted):
             self.check(M)
+        assert all(M == local and hash(M) == hash(local) and repr(M) == repr(local)
+                   for M in equal)
+        assert shifted.entries == rows
+        assert (shifted.digits == F.digit_array(itertools.chain(*rows)).reshape(local.digits.shape)).all()
+        assert rank(shifted) == naive_rank(shifted)
+        twin = CartierMatrix(F, local.basis, rows)
+        assert shifted == twin and hash(shifted) == hash(twin) and shifted != local
 
     def test_empty_matrix(self):
         self.check(CartierMatrix(GF(3, 2), (), ()))
 
-    def test_not_part_of_equality_hash_or_repr(self):
+    def test_shape_must_match_basis(self):
         M = cartier_matrix(curve(7, [0, 0, 0, 1]))
-        other = CartierMatrix(M.field, M.basis, M.entries, np.zeros_like(M.digits))
-        assert other == M and hash(other) == hash(M) and repr(other) == repr(M)
-        assert "digits" not in repr(M)
+        with pytest.raises(ValueError, match="6 x 6"):
+            CartierMatrix(M.field, M.basis, M.digits[:5, :5])
+        with pytest.raises(ValueError, match="6 x 6"):
+            CartierMatrix(M.field, M.basis, M.entries[:5])
 
 
 @settings(max_examples=40, deadline=None)

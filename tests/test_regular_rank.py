@@ -19,8 +19,9 @@ from ascart import invariants
 from ascart.cartier import CartierMatrix
 from ascart.cli import main
 from ascart.curve import BasisForm
+from ascart.finite_field import Field
 from ascart.invariants import rank_of_columns, regular_representation
-from ascart.sweep import random_curve
+from ascart.sweep import SweepConfig, random_curve, run_sweep
 
 from conftest import curve
 from naive_rank import (
@@ -280,6 +281,17 @@ class TestSharedElimination:
                         todo.append(target)
         assert {"digits", "_echelon_int", "_eliminated"} <= names
         assert not names & {"entries", "digit_array", "entry", "column"}
+
+    @pytest.mark.parametrize("p,k,orders", [(13, 1, (4, 3)), (5, 2, (4, 2))])
+    def test_sweep_builds_no_matrix_elements(self, p, k, orders, monkeypatch):
+        """The local matrix hands over its digits, so a sweep (matrix, rank,
+        p-rank) never turns them into FieldElements."""
+        def refuse(self, digits):
+            raise AssertionError("element_rows called on the sweep route")
+
+        monkeypatch.setattr(Field, "element_rows", refuse)
+        report = run_sweep(SweepConfig(p=p, field_degree=k, orders=orders, samples=3, seed=5))
+        assert report.passed and len(report.samples) == 3
 
 
 class TestFittingStop:

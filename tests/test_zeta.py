@@ -1,5 +1,6 @@
 """Point counts, L-polynomials, Newton and Hodge polygons."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,11 +20,24 @@ from ascart import (
 from ascart import zeta
 from ascart.errors import InconsistentCounts, NotShrinkable
 from ascart.curve import CurveSpec, PoleDatum
+from ascart.finite_field import embedding
 from ascart.sweep import random_curve
 from ascart.zeta import LPolynomial, SlopePolygon, l_from_counts
 
 from conftest import curve
 from naive_zeta import naive_trace_distribution
+
+
+def _product(factors):
+    """Coefficients of the product of integer polynomials, constant first."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
 def brute_count(spec, s):
@@ -115,6 +129,35 @@ class TestLPolynomial:
         assert LPolynomial((1, 0, 3), q=3).weil_bounds_ok()
         # (1+u)(1+3u): reciprocal roots 1 and 3, not sqrt(3)
         assert not LPolynomial((1, 4, 3), q=3).weil_bounds_ok()
+
+    def test_weil_bounds_repeated_roots(self):
+        # L of the GF(5^4) curve with orders (1, 1), f = (1 + 2t) x + (1 + 3t^2)
+        # + (4 + 4t) / (x - (2 + t^2)): four times each root of 1 - 6u + 625u^2,
+        # where floating point root finding misses |alpha| = 25 by 1.7e-4
+        assert LPolynomial(tuple(_product([(1, -6, 625)] * 4)), q=625).weil_bounds_ok()
+
+    @pytest.mark.parametrize("factors,q,ok", [
+        ([(1, -6, 9)], 9, True),  # alpha = 3 twice, x = 6 = 2 sqrt(q): the end of the range
+        ([(1, 6, 9), (1, -6, 9)], 9, True),  # alpha = -3 and 3, each twice
+        ([(1, 0, 9)] * 3, 9, True),  # x = 0 three times
+        ([(1, -7, 9)], 9, False),  # x = 7: real alpha off the circle
+        ([(1, -6, 9), (1, -6, 9), (1, 7, 9)], 9, False),
+        ([(1, 0, 2 * 9 + 1, 0, 81)], 9, False),  # h = x^2 + 1: x = +-i
+        ([(1, 0, 2 * 9 - 1, 0, 81)], 9, True),  # h = x^2 - 1: x = +-1
+        ([], 9, True),  # genus 0
+    ])
+    def test_weil_bounds_exact_cases(self, factors, q, ok):
+        assert LPolynomial(tuple(_product(factors)), q).weil_bounds_ok() is ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.sampled_from([2, 3, 4, 5, 7, 9, 25, 49, 625]),
+           traces=st.lists(st.integers(-60, 60), min_size=1, max_size=5))
+    def test_weil_bounds_of_quadratic_factors(self, q, traces):
+        """prod (1 - a u + q u^2) has every |alpha| = sqrt(q) exactly when
+        every a^2 <= 4q, repeated factors and endpoints included."""
+        traces = [t * (2 * math.isqrt(q) + 2) // 40 for t in traces]  # |a| up to ~3 sqrt(q)
+        L = LPolynomial(tuple(_product([(1, -a, q) for a in traces])), q)
+        assert L.weil_bounds_ok() is all(a * a <= 4 * q for a in traces)
 
 
 class TestNewtonPolygon:
@@ -351,3 +394,15 @@ class TestTableRoute:
         assert compare_polygons(newton_polygon(L, spec.field.order), hodge, 5) == "equal"
         assert L.weil_bounds_ok()
         assert L.predicted_count(1) == brute_count(spec, 1)
+
+    def test_embedding_searched_once_per_field_pair(self):
+        # GF(3^3), orders (1, 1): D = 2, so GF(3^6) is enumerated and the
+        # GF(3^3) -> GF(3^6) embedding needs a subfield root search
+        rng = random.Random(5)
+        first, second = (random_curve(GF(3, 3), (1, 1), rng) for _ in range(2))
+        l_polynomial(first)
+        before = embedding.cache_info()
+        L = l_polynomial(second)
+        after = embedding.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+        assert [L.predicted_count(s) for s in (1, 2)] == [brute_count(second, s) for s in (1, 2)]
