@@ -9,11 +9,12 @@ differentials, and on the rational function field acts coefficientwise:
 with a p-th root applied to each coefficient.  On a basis form x_j^b y^r dx
 the computation substitutes y^r = (y^p - f)^r and expands binomially,
 
-    C(x_j^b y^r dx) = sum_i (-1)^(r-i) C(r,i) y^i C(x_j^b f^(r-i) dx),
+    C(x_j^b y^r dx) = sum_e (-1)^e C(r,e) y^(r-e) C(x_j^b f^e dx),
 
 which regroups the multinomial expansion over the individual principal
 parts of f into powers of f itself and avoids enumerating tuples.  Since
-r <= p-2 for every basis form, all the binomial coefficients are units.
+r <= p-2 for every basis form, all the binomial coefficients are units;
+both pipelines read them from one table of signs mod p (_signs).
 
 Two pipelines reduce the inner C(g dx) for rational g and never share
 reduction code, so each serves as an oracle for the other:
@@ -27,11 +28,12 @@ reduction code, so each serves as an oracle for the other:
     infinity and u = x - e_l at a finite pole, and apply the pole rules to
     it.  With f = u^(-d_l) H_l(u), the series H_l is the pole's own
     principal part plus the expansions there of f_0 and of the other
-    poles' parts; its powers H_l^e (e <= p-2) and their products with the
-    series of x_j^b are truncated convolutions of int64 digit arrays.  C
-    keeps the coefficients at exponents -1 mod p in x at infinity and
-    1 mod p in 1/u at a finite pole, under a p-th root.  cartier_local
-    applies the same pole rules to a PartialFraction.
+    poles' parts; its powers H_l^e (e <= p-2), the powers of the x_j there
+    and the products of the two are truncated convolutions of int64 digit
+    arrays, one pass per pole.  C keeps the coefficients at exponents
+    -1 mod p in x at infinity and 1 mod p in 1/u at a finite pole, under a
+    p-th root.  cartier_local applies the same pole rules to a
+    PartialFraction.
 
 A matrix column is the coordinate vector of C(omega_j) in the ordered
 basis; entry (i, j) is the coefficient of omega_i in C(omega_j).
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,40 +106,18 @@ def cartier_local(pf: PartialFraction) -> PartialFraction:
 
 
 # ---------------------------------------------------------------------------
-# Binomial regrouping of the y^r substitution
+# Binomial regrouping of the y^r substitution, read by both pipelines
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """One term of the regrouped expansion of C(x_j^b y^r dx)."""
-
-    y_power: int  # surviving power of y
-    coefficient: int  # (-1)^(r - y_power) * binom(r, y_power) mod p
-    f_power: int  # power of f inside the inner Cartier image
-
-
-@dataclass(frozen=True)
-class CartierExpansion:
-    r: int
-    terms: tuple[ExpansionTerm, ...]
-
-
-def binomial_expansion(r: int, p: int) -> CartierExpansion:
-    """Terms of (y^p - f)^r grouped by the surviving power of y.
-
-    Requires r <= p-2, which every basis form satisfies; under that bound
-    every binomial coefficient is nonzero mod p.
-    """
-    if r > p - 2:
-        raise ValueError(f"y-power {r} exceeds p-2 = {p - 2}")
-    terms = []
-    for i in range(r + 1):
-        c = math.comb(r, i) % p
-        if (r - i) % 2:
-            c = (-c) % p
-        terms.append(ExpansionTerm(i, c, r - i))
-    return CartierExpansion(r, tuple(terms))
+def _signs(p: int, e_max: int) -> np.ndarray:
+    """sign[r, e] = (-1)^e C(r, e) mod p for r, e <= e_max, by Pascal's rule:
+    the coefficient of y^(r-e) C(x_j^b f^e dx) in C(x_j^b y^r dx)."""
+    sign = np.zeros((e_max + 1, e_max + 1), dtype=np.int64)
+    sign[:, 0] = 1
+    for r in range(1, e_max + 1):
+        sign[r, 1:] = (sign[r - 1, 1:] - sign[r - 1, :-1]) % p
+    return sign
 
 
 class MixedDifferential:
@@ -185,6 +164,7 @@ class _Engine:
         self.forms = basis(spec)
         self.index = {form: i for i, form in enumerate(self.forms)}
         self.loc_to_j = _pole_index_map(spec)
+        self.sign = _signs(self.field.p, max((form.r for form in self.forms), default=0))
         self._num_powers = [Poly.constant(self.field, 1), _f_numerator(spec)]
         self._decompositions: dict[tuple[int, int, int], PartialFraction] = {}
 
@@ -276,24 +256,18 @@ def _series_mul(field: Field, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarra
     return np.remainder(c, field.p, out=c)
 
 
-def _geometric(field: Field, z: np.ndarray, n: int) -> np.ndarray:
-    """1, z, ..., z^(n-1) for the element with digits z, by doubling."""
-    out, zm = np.eye(1, field.k, dtype=np.int64), z[None]
-    while len(out) < n:
-        # z^0, ..., z^m times z^m is z^m, ..., z^(2m)
-        step = _series_mul(field, np.concatenate([out, zm]), zm, len(out) + 1)
-        out, zm = np.concatenate([out, step[:-1]]), step[-1:]
-    return out[:n]
-
-
-def _horner(field: Field, coeffs: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """sum_i coeffs[i] * x^i to n terms, for a power series x and at least
-    two coefficients."""
-    acc = coeffs[-1:]
-    for c in coeffs[-2::-1]:
-        acc = _series_mul(field, acc, x, n)
-        acc[0] = (acc[0] + c) % field.p
-    return acc
+def _powers(field: Field, s: np.ndarray, m: int, n: int) -> np.ndarray:
+    """s^0, ..., s^m to n terms each, for the series s, by doubling: the
+    (m+1, n, k) digits.  Every power table of the local pipeline is one."""
+    out = np.zeros((m + 1, n, field.k), dtype=np.int64)
+    out[0, 0, 0] = 1
+    out[1:2, : len(s)] = s[:n]
+    top = 1
+    while top < m:  # s^(top+1), ..., s^(2top) as s^1, ..., s^top times s^top
+        new = min(2 * top, m)
+        out[top + 1 : new + 1] = _series_mul(field, out[1 : new - top + 1], out[top], n)
+        top = new
+    return out
 
 
 class _Layout:
@@ -307,10 +281,6 @@ class _Layout:
         if not forms:
             return
         self.e_max = e_max = max(form.r for form in forms)
-        b_max = [0] * len(orders)
-        for form in forms:
-            b_max[form.j] = max(b_max[form.j], form.b)
-        self.b_max = tuple(b_max)
         self.groups = groups = tuple(sorted({(form.j, form.b) for form in forms}))
         # At pole l, x_j^b f^e = u^-(e*d + s) q_e with s = b for j = l, as
         # x_l^b = u^(-b), and s = 0 otherwise; q_e is H_l^e, or its product
@@ -327,13 +297,9 @@ class _Layout:
             pole.append(np.full(count, l))
             power.append(np.arange(count) + (l > 0))
         self.pole, self.power = np.concatenate(pole), np.concatenate(power)
-        # sign[r, e]: the coefficient of y^(r-e) C(x_j^b f^e dx) in C(x_j^b y^r dx)
-        self.sign = np.zeros((e_max + 1, e_max + 1), dtype=np.int64)
-        for r in range(e_max + 1):
-            terms = binomial_expansion(r, p).terms
-            self.sign[r, [t.f_power for t in terms]] = [t.coefficient for t in terms]
+        self.sign = _signs(p, e_max)
         # where[l, i, b]: position of x_l^b y^i dx in the basis, -1 outside it
-        width = max(self.power.max(initial=0), max(self.b_max)) + 1
+        width = max(self.power.max(initial=0), max(form.b for form in forms)) + 1
         where = np.full((len(orders), e_max + 1, width), -1)
         for i, form in enumerate(forms):
             where[form.j, form.r, form.b] = i
@@ -348,71 +314,49 @@ class _Layout:
 _layout = functools.lru_cache(maxsize=64)(_Layout)
 
 
-class _Laurent:
-    """Per pole l of a curve, the powers H_l^e (e up to the largest y-power
-    of the forms) and the series of x_j^b for the forms' (j, b), in the
-    local parameter w = 1/x at infinity or u = x - e_l at a finite pole."""
+def _local_images(spec: CurveSpec, layout: _Layout) -> np.ndarray:
+    """C(x_j^b f^e dx) for each (j, b) of the layout's groups and every e.
 
-    def __init__(self, spec: CurveSpec, layout: _Layout):
-        self.field = field = spec.field
-        locs = [datum.location for datum in spec.poles]
-        own = [field.digit_array(datum.coeffs) for datum in spec.poles]
-        # f_j as a polynomial in x_j; a finite pole's part has no constant term
-        polys = own[:1] + [np.vstack([np.zeros_like(c[:1]), c]) for c in own[1:]]
-        orders = layout.orders
-        self.x_powers: dict[tuple[int, int], list] = {}
-        self.powers = []
-        for l, (n, d) in enumerate(zip(layout.sizes, orders)):
-            # H_l = u^d f: the own principal part, reversed, plus u^d times
-            # the expansions of the other f_j(x_j) at this pole
-            h = np.zeros((n, field.k), dtype=np.int64)
-            h[: len(own[l])] = own[l][::-1]
-            for j in range(len(orders)):
-                if j != l:
-                    x = self._local_x(locs, j, l, n)
-                    h[d:] = (h[d:] + _horner(field, polys[j], x, n - d)) % field.p
-                    x_powers = [None, x]
-                    for _ in range(layout.b_max[j] - 1):
-                        x_powers.append(_series_mul(field, x_powers[-1], x, n))
-                    self.x_powers[j, l] = x_powers
-            powers = np.zeros((layout.e_max + 1, n, field.k), dtype=np.int64)
-            powers[0, 0, 0] = 1
-            powers[1:2] = h
-            m = 1
-            while m < layout.e_max:  # H^(m+1), ..., H^(2m) as H^1, ..., H^m times H^m
-                top = min(2 * m, layout.e_max)
-                powers[m + 1 : top + 1] = _series_mul(field, powers[1 : top - m + 1], powers[m], n)
-                m = top
-            self.powers.append(powers)
-
-    def _local_x(self, locs, j: int, l: int, n: int) -> np.ndarray:
-        """x_j to n terms in the local parameter at pole l != j."""
-        field = self.field
-        if l == 0:  # x_j = w / (1 - e_j w)
-            series = _geometric(field, field.digit_array([locs[j]])[0], n - 1)
-            return np.vstack([np.zeros_like(series[:1]), series])
-        if j == 0:  # x = e_l + u
-            return field.digit_array([locs[l], field.one])
-        # x_j = 1/(u + e_l - e_j) = -sum_s z^(s+1) u^s with z = 1/(e_j - e_l)
-        z = field.digit_array([(locs[j] - locs[l]).inverse()])[0]
-        return -_geometric(field, z, n + 1)[1:] % field.p
-
-    def images(self, layout: _Layout) -> np.ndarray:
-        """C(x_j^b f^e dx) for each (j, b) of the layout's groups and every e.
-
-        Entry [g, e, a] is the coefficient of x^b' dx (l = 0) or of x_l^b' dx
-        (l >= 1), for the pole l and power b' of the layout's column a.
-        """
-        field, picked = self.field, []
-        for l, (powers, (index, read)) in enumerate(zip(self.powers, layout.reads)):
-            n = powers.shape[1]
-            q = np.stack([
-                powers if j == l or not b
-                else _series_mul(field, powers, self.x_powers[j, l][b], n)
-                for j, b in layout.groups
-            ])
-            picked.append(np.where(read, q[index], 0))
-        return np.concatenate(picked, axis=2) @ field.pth_root_matrix % field.p  # pth_root of each
+    One pass per pole l, in the local parameter there, w = 1/x at infinity
+    or u = x - e_l at a finite pole: the powers of every other x_j, then
+    H_l = u^d f, whose regular part is sum_j f_j(x_j) over those powers,
+    then the powers H_l^e and their products with the x_j^b, read at once.
+    Entry [g, e, a] is the coefficient of x^b' dx (l = 0) or of x_l^b' dx
+    (l >= 1), for the pole l and power b' of the layout's column a.
+    """
+    field, p = spec.field, spec.field.p
+    locs = [datum.location for datum in spec.poles]
+    # f_j as a polynomial in x_j; a finite pole's part has no constant term
+    polys = [field.digit_array(datum.coeffs) for datum in spec.poles]
+    polys[1:] = [np.vstack([np.zeros_like(c[:1]), c]) for c in polys[1:]]
+    picked = []
+    for l, (n, d, (index, read)) in enumerate(zip(layout.sizes, layout.orders, layout.reads)):
+        h = np.zeros((n, field.k), dtype=np.int64)
+        h[: len(polys[l])] = polys[l][::-1]  # the own principal part times u^d
+        x_powers = {}
+        for j, c in enumerate(polys):
+            if j == l:
+                continue
+            if l == 0:  # x_j = w / (1 - e_j w) = sum_s e_j^s w^(s+1)
+                x = np.zeros((n, field.k), dtype=np.int64)
+                x[1:] = _powers(field, field.digit_array([locs[j]]), n - 2, 1)[:, 0]
+            elif j == 0:  # x = e_l + u
+                x = field.digit_array([locs[l], field.one])
+            else:  # x_j = 1/(u + e_l - e_j) = -sum_s z^(s+1) u^s with z = 1/(e_j - e_l)
+                z = field.digit_array([(locs[j] - locs[l]).inverse()])
+                x = -_powers(field, z, n, 1)[1:, 0] % p
+            x_powers[j] = xp = _powers(field, x, len(c) - 1, n)
+            # term t of f_j(x_j) = sum_i c_i x_j^i is term deg f_j of the
+            # series (x_j^i)_t in i times c reversed
+            f_j = _series_mul(field, xp.swapaxes(0, 1)[: n - d], c[::-1], len(c))[:, -1]
+            h[d:] = (h[d:] + f_j) % p
+        powers = _powers(field, h, layout.e_max, n)
+        q = np.stack([
+            powers if j == l or not b else _series_mul(field, powers, x_powers[j][b], n)
+            for j, b in layout.groups
+        ])
+        picked.append(np.where(read, q[index], 0))
+    return np.concatenate(picked, axis=2) @ field.pth_root_matrix % p  # pth_root of each
 
 
 def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.ndarray]:
@@ -424,7 +368,7 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
     out = np.zeros((len(forms), len(forms), field.k), dtype=np.int64)
     if not forms:
         return forms, out
-    images = _Laurent(spec, layout).images(layout)
+    images = _local_images(spec, layout)
     vals = layout.sign[:, :, None, None] * images[:, None] % p  # [g, r, e, a, :]
     live = vals.any(-1) & (layout.cols[:, :, None, None] >= 0)
     outside = np.argwhere(live & (layout.rows < 0))
@@ -529,9 +473,10 @@ class _DigitStore:
     """The entries field of CartierMatrix, stored as digits.
 
     Setting it, in the constructor or through dataclasses.replace, takes
-    rows of field elements or a (g, g, k) digit array and keeps only the
-    read-only int64 array, as the instance's digits.  Reading it builds the
-    rows of elements from those digits.
+    rows of elements of the matrix's field or a (g, g, k) integer digit
+    array, each digit in [0, p), and keeps only a private read-only int64
+    copy, as the instance's digits.  Reading it builds the rows of elements
+    from those digits.
     """
 
     def __get__(self, M, owner=None):
@@ -542,13 +487,20 @@ class _DigitStore:
     def __set__(self, M, value):
         field, g = M.field, len(M.basis)
         if isinstance(value, np.ndarray):
-            digits = np.asarray(value, dtype=np.int64)
+            if value.dtype.kind not in "iu":
+                raise ValueError(f"matrix digits must be integers, not {value.dtype}")
+            digits = value.astype(np.int64)  # a copy: no alias of value can change it
         else:
-            digits = field.digit_array(itertools.chain.from_iterable(value))
+            flat = list(itertools.chain.from_iterable(value))
+            if any(c.field != field for c in flat):
+                raise ValueError(f"matrix entries must lie in {field}")
+            digits = field.digit_array(flat)
             if len(digits) == g * g:
                 digits = digits.reshape(g, g, field.k)
         if digits.shape != (g, g, field.k):
             raise ValueError(f"a basis of {g} forms needs a {g} x {g} matrix")
+        if digits.size and not 0 <= digits.min() <= digits.max() < field.p:
+            raise ValueError(f"matrix digits must lie in [0, {field.p})")
         digits.setflags(write=False)
         object.__setattr__(M, "digits", digits)  # the dataclass is frozen
 
@@ -614,9 +566,9 @@ def _column(engine: _Engine, form: BasisForm) -> list[FieldElement]:
     the signed sum over the binomial expansion of the images' decompositions."""
     field = engine.field
     vec = [field.zero] * len(engine.forms)
-    for t in binomial_expansion(form.r, field.p).terms:
-        pf = engine.decomposition(form.j, form.b, t.f_power).scale(t.coefficient)
-        _accumulate_layer(pf, t.y_power, engine.index, engine.loc_to_j, vec)
+    for e, sign in enumerate(engine.sign[form.r, : form.r + 1].tolist()):
+        pf = engine.decomposition(form.j, form.b, e).scale(sign)
+        _accumulate_layer(pf, form.r - e, engine.index, engine.loc_to_j, vec)
     return vec
 
 

@@ -9,8 +9,8 @@ cartier_local to x_j^b f^e.  It shares no code with the series route:
 tests compare the two, and compare pf_mul with products of RatFuncs.
 """
 
-from ascart.cartier import CartierMatrix, _accumulate_layer, binomial_expansion, cartier_local
-from ascart.curve import basis
+from ascart.cartier import CartierMatrix, cartier_local
+from ascart.curve import BasisForm, basis
 from ascart.finite_field import FieldElement
 from ascart.ratfunc import PartialFraction, Poly
 
@@ -150,11 +150,21 @@ def naive_local_matrix(spec) -> CartierMatrix:
             images[key] = cartier_local(g)
         return images[key]
 
+    def accumulate(pf: PartialFraction, y_power: int, vec: list) -> None:
+        # the monomials x^b and x_j^n of pf, times y^y_power, onto vec
+        terms = [(BasisForm(0, b, y_power), c) for b, c in enumerate(pf.poly.coeffs)]
+        for loc, tail in pf.tails.items():
+            terms.extend((BasisForm(loc_to_j[loc], n, y_power), c) for n, c in tail.items())
+        for form, c in terms:
+            if not c.is_zero():
+                vec[index[form]] = vec[index[form]] + c
+
     columns = []
     for form in forms:
         vec = [field.zero] * len(forms)
-        for t in binomial_expansion(form.r, field.p).terms:
-            pf = c_monomial_pf(form.j, form.b, t.f_power).scale(field(t.coefficient))
-            _accumulate_layer(pf, t.y_power, index, loc_to_j, vec)
+        # (y^p - f)^r = sum_e (-1)^e C(r, e) y^(p(r-e)) f^e
+        for e in range(form.r + 1):
+            sign = (-1) ** e * binom_mod(form.r, e, field.p)
+            accumulate(c_monomial_pf(form.j, form.b, e).scale(field(sign)), form.r - e, vec)
         columns.append(vec)
     return CartierMatrix(field, tuple(forms), tuple(zip(*columns)))

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import math
 import random
 
 import numpy as np
@@ -27,9 +28,10 @@ from ascart import (
     partition_HA,
 )
 from ascart import cartier
-from ascart.cartier import CartierMatrix, _series_sizes, binomial_expansion
+from ascart.cartier import CartierMatrix, _series_sizes, _signs
 from ascart.curve import BasisForm, basis, order_key
 from ascart.errors import ConditionNotSatisfied, NotInH, NotInSpan, SeriesTooLarge
+from ascart.finite_field import Field
 from ascart.invariants import rank, rank_of_columns
 from ascart.ratfunc import partial_fractions
 from ascart.sweep import random_curve
@@ -198,28 +200,42 @@ class TestLocalSeriesGuards:
         """The two pipelines must stay independent oracles: walk the code of
         the series route, following every function of the cartier module it
         calls, and look for the rational route."""
-        todo = [cartier._local_matrix, cartier._Laurent, cartier._Layout, cartier._series_mul,
-                cartier._geometric, cartier._horner]
-        seen, names = set(), set()
-        while todo:
-            item = todo.pop()
-            if item in seen:
-                continue
-            seen.add(item)
-            members = vars(item).values() if isinstance(item, type) else [item]
-            codes = [f.__code__ for f in members if inspect.isfunction(f)]
-            while codes:
-                code = codes.pop()
-                names.update(code.co_names)
-                codes.extend(c for c in code.co_consts if inspect.iscode(c))
-                for name in code.co_names:
-                    target = vars(cartier).get(name)
-                    if inspect.isfunction(target) and target.__module__ == cartier.__name__:
-                        todo.append(target)
-        assert {"_series_sizes", "convolve", "binomial_expansion"} <= names
+        names = names_reached(cartier._local_matrix, cartier._local_images, cartier._Layout,
+                              cartier._series_mul, cartier._powers, cartier._signs)
+        assert {"_series_sizes", "convolve", "_signs"} <= names
         rational = {"RatFunc", "partial_fractions", "cartier_rational", "cartier_poly",
-                    "_Engine", "_column", "_decompose", "_accumulate_layer"}
+                    "_Engine", "_column", "_decompose", "_accumulate_layer", "_f_numerator"}
         assert not names & rational
+
+    def test_rational_route_names_nothing_of_the_series_route(self):
+        names = names_reached(cartier._Engine, cartier._column, cartier._decompose,
+                              cartier._f_numerator)
+        assert {"partial_fractions", "cartier_poly", "_signs"} <= names
+        series = {"_series_mul", "_powers", "_local_images", "_Layout", "_layout", "convolve",
+                  "_series_sizes", "_local_matrix"}
+        assert not names & series
+
+
+def names_reached(*roots) -> set[str]:
+    """Every name in the code of the roots (functions, or classes for their
+    methods), following each function of the cartier module they name."""
+    todo, seen, names = list(roots), set(), set()
+    while todo:
+        item = todo.pop()
+        if item in seen:
+            continue
+        seen.add(item)
+        members = vars(item).values() if isinstance(item, type) else [item]
+        codes = [f.__code__ for f in members if inspect.isfunction(f)]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes.extend(c for c in code.co_consts if inspect.iscode(c))
+            for name in code.co_names:
+                target = vars(cartier).get(name)
+                if inspect.isfunction(target) and target.__module__ == cartier.__name__:
+                    todo.append(target)
+    return names
 
 
 @pytest.mark.parametrize("pipeline", ["rational", "local"])
@@ -254,21 +270,27 @@ class TestOperatorAxioms:
                 assert cartier_rational(h ** (p - 1) * h.derivative()) == h.derivative()
 
 
-class TestBinomialExpansion:
+class TestSigns:
+    """_signs: sign[r, e] = (-1)^e C(r, e) mod p, by Pascal's rule."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
+    def test_against_comb(self, p):
+        e_max = min(p + 3, 40)  # past p - 2, where Pascal's rule wraps mod p
+        sign = _signs(p, e_max)
+        assert sign.shape == (e_max + 1, e_max + 1) and sign.dtype == np.int64
+        assert sign.tolist() == [[(-1) ** e * math.comb(r, e) % p for e in range(e_max + 1)]
+                                 for r in range(e_max + 1)]
+
     def test_small(self):
-        exp = binomial_expansion(2, 7)
-        assert [(t.y_power, t.coefficient, t.f_power) for t in exp.terms] == [
-            (0, 1, 2), (1, 5, 1), (2, 1, 0),  # (+1, -2, +1) mod 7
-        ]
+        assert _signs(7, 2).tolist() == [[1, 0, 0], [1, 6, 0], [1, 5, 1]]  # (+1, -2, +1) mod 7
+        assert _signs(5, 0).tolist() == [[1]]
 
-    def test_r_too_large(self):
-        with pytest.raises(ValueError):
-            binomial_expansion(6, 7)
-
-    def test_coefficients_never_vanish(self):
-        for p in (3, 5, 7, 13):
-            for r in range(p - 1):
-                assert all(t.coefficient for t in binomial_expansion(r, p).terms)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
+    def test_no_entry_vanishes_below_p_minus_one(self, p):
+        r = max(p - 2, 0)  # the largest y-power of a basis form
+        sign = _signs(p, r)
+        assert (sign != 0)[np.tril_indices(r + 1)].all()
+        assert sign[r].tolist() == [(-1) ** e * math.comb(r, e) % p for e in range(r + 1)]
 
 
 class TestBasisFormImages:
@@ -420,6 +442,38 @@ class TestMatrixDigits:
 
     def test_empty_matrix(self):
         self.check(CartierMatrix(GF(3, 2), (), ()))
+
+    def test_digits_are_a_private_copy(self):
+        M = cartier_matrix(random_curve(GF(13), (4, 3), random.Random(1)))  # g = 42
+        assert M.dimension == 42 and rank(M) == 22
+        big = np.stack([M.digits, M.digits])  # writable
+        N = CartierMatrix(M.field, M.basis, big[0])
+        key = hash(N)
+        big[0] = 0
+        self.check(N)
+        assert N == M and hash(N) == key and rank(N) == naive_rank(N) == 22
+
+    @pytest.mark.parametrize("bad", ["plus_p", "all_p", "negative", "float", "bool"])
+    def test_digits_must_be_reduced_integers(self, bad):
+        M = cartier_matrix(random_curve(GF(13), (4, 3), random.Random(1)))
+        g = M.dimension
+        digits = {
+            "plus_p": lambda: M.digits + 13,
+            "all_p": lambda: np.full((g, g, 1), 13),
+            "negative": lambda: M.digits - 1,
+            "float": lambda: M.digits.astype(float),
+            "bool": lambda: M.digits > 0,
+        }[bad]()
+        with pytest.raises(ValueError, match="matrix digits must"):
+            CartierMatrix(M.field, M.basis, digits)
+        with pytest.raises(ValueError, match="matrix digits must"):
+            dataclasses.replace(M, entries=digits)
+
+    def test_entries_must_lie_in_the_field(self):
+        other = Field(3, 2, modulus=(2, 2, 1))  # GF(3^2), but not the default modulus
+        assert other != GF(3, 2)
+        with pytest.raises(ValueError, match="matrix entries must lie in"):
+            CartierMatrix(GF(3, 2), (BasisForm(0, 0, 0),), ((other.gen,),))
 
     def test_shape_must_match_basis(self):
         M = cartier_matrix(curve(7, [0, 0, 0, 1]))

@@ -1,14 +1,18 @@
-"""Module boundaries: no module of the package imports another's private names."""
+"""Module boundaries: no module of the package imports another's private
+names, and no reference implementation under tests/ (naive_*.py) imports a
+private name of the package, so each stays an independent oracle."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ascart"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ascart"
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("naive_*.py")),
+                         ids=lambda path: path.name)
 def test_no_private_import_across_modules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     private = [

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ascart import (
     GF,
+    cartier_matrix,
     compare_polygons,
     count_points,
     hodge_polygon,
@@ -406,3 +407,47 @@ class TestTableRoute:
         after = embedding.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
         assert [L.predicted_count(s) for s in (1, 2)] == [brute_count(second, s) for s in (1, 2)]
+
+
+def det_one_minus_t(A) -> list[int]:
+    """det(I - T A) of an integer matrix, exactly, by Faddeev-LeVerrier in
+    Fractions: with N_1 = I, N_k = A N_(k-1) + c_(k-1) I, c_k = -tr(A N_k)/k."""
+    g = len(A)
+    coeffs, N = [Fraction(1)], [[Fraction(0)] * g for _ in range(g)]
+    for k in range(1, g + 1):
+        N = [[sum(a * b for a, b in zip(row, col)) + (coeffs[-1] if i == j else 0)
+              for j, col in enumerate(zip(*N))] for i, row in enumerate(A)]
+        coeffs.append(-sum(A[i][j] * N[j][i] for i in range(g) for j in range(g)) / k)
+    assert all(c.denominator == 1 for c in coeffs)
+    return [int(c) for c in coeffs]
+
+
+class TestManinCongruence:
+    """L(T) = det(I - T M) mod p at k = 1, for the Cartier matrix M: the
+    matrix against the point counts, two independent derivations."""
+
+    def test_det_of_small_matrices(self):
+        assert det_one_minus_t([]) == [1]
+        assert det_one_minus_t([[3]]) == [1, -3]
+        assert det_one_minus_t([[1, 2], [3, 4]]) == [1, -5, -2]  # 1 - tr T + det T^2
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=st.sampled_from([3, 5, 7, 11, 13]),
+        raw_orders=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=7, raw_orders=[3], seed=0)  # 7 = 1 mod 3
+    @example(p=5, raw_orders=[3], seed=0)  # 5 != 1 mod 3
+    @example(p=3, raw_orders=[2, 1], seed=1)  # 3 = 1 mod 2, a finite pole
+    @example(p=5, raw_orders=[3, 1, 1], seed=2)  # 5 != 1 mod 3, two finite poles
+    def test_l_polynomial_is_det_mod_p(self, p, raw_orders, seed):
+        orders = tuple(d for d in raw_orders if d % p)
+        assume(orders and len(orders) - 1 <= p)
+        spec = random_curve(GF(p), orders, random.Random(seed))
+        inv = validate(spec)
+        assume(p ** min(inv.D, inv.g) <= 3000 and inv.g <= 30)
+        M = cartier_matrix(spec)
+        det = det_one_minus_t(M.digits[..., 0].tolist())
+        L = l_polynomial(spec).coeffs
+        assert [c % p for c in L] == [c % p for c in det] + [0] * inv.g
