@@ -21,8 +21,10 @@ reduction code, so each serves as an oracle for the other:
 
   * rational -- amplify g = x_j^b f^e pole by pole to a p-th power
     denominator, apply the polynomial rule to the numerator, divide by the
-    p-th root (_Engine.image), and decompose once per (j, b, e).
-    cartier_rational amplifies a whole denominator, num*den^(p-1) / den^p;
+    p-th root (_rational_image), and decompose once per (j, b, e); the
+    columns are sums of the decompositions' coefficients, handed over as
+    digits (_rational_columns).  cartier_rational amplifies a whole
+    denominator, num*den^(p-1) / den^p;
   * local -- read the principal part of g = x_j^b f^e at each pole off its
     Laurent series in the paper's local parameter there, w = 1/x at
     infinity and u = x - e_l at a finite pole, and apply the pole rules to
@@ -154,43 +156,6 @@ class MixedDifferential:
 # ---------------------------------------------------------------------------
 
 
-class _Engine:
-    """Per-curve caches of the rational pipeline, shared by all columns: the
-    powers of f's numerator N and the decompositions of the images."""
-
-    def __init__(self, spec: CurveSpec):
-        self.spec = spec
-        self.field = spec.field
-        self.forms = basis(spec)
-        self.index = {form: i for i, form in enumerate(self.forms)}
-        self.loc_to_j = _pole_index_map(spec)
-        self.sign = _signs(self.field.p, max((form.r for form in self.forms), default=0))
-        self._num_powers = [Poly.constant(self.field, 1), _f_numerator(spec)]
-        self._decompositions: dict[tuple[int, int, int], PartialFraction] = {}
-
-    def image(self, j: int, b: int, e: int) -> RatFunc:
-        """C(x_j^b f^e dx), amplified pole by pole.  With the pole
-        multiplicities m_l = e*d_l (+ b at l = j), x_j^b f^e = G / h^p for
-        G = N^e x^b[j = 0] prod_l (x - e_l)^(-m_l mod p) and
-        h = prod_l (x - e_l)^ceil(m_l/p), and C(G/h^p dx) = C(G dx) / h."""
-        field, p = self.field, self.field.p
-        while len(self._num_powers) <= e:
-            self._num_powers.append(self._num_powers[-1] * self._num_powers[1])
-        num = self._num_powers[e] * Poly.monomial(field, b if j == 0 else 0)
-        h = Poly.constant(field, 1)
-        for l, datum in enumerate(self.spec.poles[1:], start=1):
-            m = e * datum.order + (b if l == j else 0)
-            lin = Poly.x(field) - Poly.constant(field, datum.location)
-            num, h = num * lin ** (-m % p), h * lin ** -(-m // p)
-        return RatFunc(cartier_poly(num), h)
-
-    def decomposition(self, j: int, b: int, e: int) -> PartialFraction:
-        key = (j, b, e)
-        if key not in self._decompositions:
-            self._decompositions[key] = _decompose(self.image(j, b, e), self.loc_to_j)
-        return self._decompositions[key]
-
-
 def _f_numerator(spec: CurveSpec) -> Poly:
     """N = f * prod_l (x - e_l)^(d_l), straight from the pole data.
 
@@ -208,6 +173,84 @@ def _f_numerator(spec: CurveSpec) -> Poly:
         power = lin**datum.order
         num, den = num * power + tail * den, den * power
     return num
+
+
+def _rational_image(spec: CurveSpec, num: Poly, j: int, b: int, e: int) -> RatFunc:
+    """C(x_j^b f^e dx) for num = N^e, amplified pole by pole.  With the pole
+    multiplicities m_l = e*d_l (+ b at l = j), x_j^b f^e = G / h^p for
+    G = N^e x^b[j = 0] prod_l (x - e_l)^(-m_l mod p) and
+    h = prod_l (x - e_l)^ceil(m_l/p), and C(G/h^p dx) = C(G dx) / h."""
+    field, p = spec.field, spec.field.p
+    num = num * Poly.monomial(field, b if j == 0 else 0)
+    h = Poly.constant(field, 1)
+    for l, datum in enumerate(spec.poles[1:], start=1):
+        m = e * datum.order + (b if l == j else 0)
+        lin = Poly.x(field) - Poly.constant(field, datum.location)
+        num, h = num * lin ** (-m % p), h * lin ** -(-m // p)
+    return RatFunc(cartier_poly(num), h)
+
+
+def _rational_columns(spec: CurveSpec, forms, wanted) -> np.ndarray:
+    """The (g, len(wanted), k) digits of the columns of the wanted forms in
+    the ordered basis forms, by the rational pipeline: the column of
+    x_j^b y^r dx is the signed sum over e <= r of the decompositions of
+    C(x_j^b f^e dx), each in y-layer r - e.  The powers N^e are built once
+    and each (j, b, e) is decomposed once, for every column that reads it."""
+    field = spec.field
+    index = {form: i for i, form in enumerate(forms)}
+    loc_to_j = _pole_index_map(spec)
+    e_max = max((form.r for form in wanted), default=0)
+    sign = _signs(field.p, e_max)
+    powers = [Poly.constant(field, 1), _f_numerator(spec)]  # N^0, N^1, ...
+    while len(powers) <= e_max:
+        powers.append(powers[-1] * powers[1])
+
+    @functools.cache
+    def decomposition(j: int, b: int, e: int) -> PartialFraction:
+        return _decompose(_rational_image(spec, powers[e], j, b, e), loc_to_j)
+
+    out = np.zeros((len(forms), len(wanted), field.k), dtype=np.int64)
+    for col, (j, b, r) in enumerate(wanted):
+        vec = [field.zero] * len(forms)
+        for e, s in enumerate(sign[r, : r + 1].tolist()):
+            _accumulate_layer(decomposition(j, b, e).scale(s), r - e, index, loc_to_j, vec)
+        out[:, col] = field.digit_array(vec)
+    return out
+
+
+def _pole_index_map(spec: CurveSpec) -> dict:
+    return {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
+
+
+def _decompose(g: RatFunc, loc_to_j: dict) -> PartialFraction:
+    # A regular differential, the Cartier image of one included, has poles
+    # in x only where the curve does, so the finite pole locations are the
+    # only candidate roots; a factor left elsewhere is a bug.
+    try:
+        return partial_fractions(g, candidates=loc_to_j.keys())
+    except IrreducibleDenominatorFactor as exc:
+        raise NotInSpan(
+            f"denominator keeps a factor of degree {exc.degree} "
+            "away from the poles of the curve"
+        ) from exc
+
+
+def _accumulate_layer(
+    pf: PartialFraction,
+    r: int,
+    index: dict[BasisForm, int],
+    loc_to_j: dict,
+    vec: list[FieldElement],
+) -> None:
+    terms = [(BasisForm(0, b, r), c) for b, c in enumerate(pf.poly.coeffs) if not c.is_zero()]
+    for e, tail in pf.tails.items():
+        if e not in loc_to_j:
+            raise NotInSpan(f"pole at {e!r} is not a pole of the curve")
+        terms.extend((BasisForm(loc_to_j[e], n, r), c) for n, c in tail.items())
+    for key, c in terms:
+        if key not in index:
+            raise NotInSpan(f"monomial {key.label()} falls outside the basis")
+        vec[index[key]] = vec[index[key]] + c
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +319,11 @@ class _Layout:
     at each pole, and the matrix position of every reading."""
 
     def __init__(self, p: int, k: int, orders):
-        self.orders, self.sizes = orders, _series_sizes(p, k, orders)  # before the basis
+        self.orders = orders
         self.forms = forms = tuple(ordered_basis(p, orders))
-        if not forms:
+        if not forms:  # g = 0 builds no series, so needs no int64 bound
             return
+        self.sizes = _series_sizes(p, k, orders)
         self.e_max = e_max = max(form.r for form in forms)
         self.groups = groups = tuple(sorted({(form.j, form.b) for form in forms}))
         # At pole l, x_j^b f^e = u^-(e*d + s) q_e with s = b for j = l, as
@@ -394,16 +438,16 @@ def cartier_basis_form(
     orders = validate(spec).orders
     if not in_basis(spec.p, orders, form):
         raise ValueError(f"{form} is not a basis form of this curve")
+    field = spec.field
     if pipeline == "rational":
-        engine = _Engine(spec)
-        forms, column = engine.forms, _column(engine, form)
+        forms = basis(spec)
+        digits = _rational_columns(spec, forms, [form])[:, 0]
     else:
         M = cartier_matrix(spec, "local")
-        forms, column = M.basis, M.column(M.basis.index(form))
+        forms, digits = M.basis, M.digits[:, M.basis.index(form)]
     # the column as principal parts of the forms x_j^b y^r dx
-    field = spec.field
     layers: dict[int, PartialFraction] = {}
-    for (j, b, r), c in zip(forms, column):
+    for (j, b, r), c in zip(forms, field.element_rows(digits[None])[0]):
         if j:
             pf = PartialFraction(Poly(field), {spec.poles[j].location: {b: c}})
         else:
@@ -415,41 +459,6 @@ def cartier_basis_form(
 def _check_pipeline(pipeline: str) -> None:
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
-
-
-def _pole_index_map(spec: CurveSpec) -> dict:
-    return {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
-
-
-def _accumulate_layer(
-    pf: PartialFraction,
-    r: int,
-    index: dict[BasisForm, int],
-    loc_to_j: dict,
-    vec: list[FieldElement],
-) -> None:
-    terms = [(BasisForm(0, b, r), c) for b, c in enumerate(pf.poly.coeffs) if not c.is_zero()]
-    for e, tail in pf.tails.items():
-        if e not in loc_to_j:
-            raise NotInSpan(f"pole at {e!r} is not a pole of the curve")
-        terms.extend((BasisForm(loc_to_j[e], n, r), c) for n, c in tail.items())
-    for key, c in terms:
-        if key not in index:
-            raise NotInSpan(f"monomial {key.label()} falls outside the basis")
-        vec[index[key]] = vec[index[key]] + c
-
-
-def _decompose(g: RatFunc, loc_to_j: dict) -> PartialFraction:
-    # A regular differential, the Cartier image of one included, has poles
-    # in x only where the curve does, so the finite pole locations are the
-    # only candidate roots; a factor left elsewhere is a bug.
-    try:
-        return partial_fractions(g, candidates=loc_to_j.keys())
-    except IrreducibleDenominatorFactor as exc:
-        raise NotInSpan(
-            f"denominator keeps a factor of degree {exc.degree} "
-            "away from the poles of the curve"
-        ) from exc
 
 
 def express_in_basis(spec: CurveSpec, md: MixedDifferential) -> list[FieldElement]:
@@ -554,22 +563,10 @@ class CartierMatrix:
         field = Field.from_json(data["field"])
         forms = tuple(BasisForm(*f) for f in data["basis"])
         g = len(forms)
-        flat = [field(digits) for digits in data["entries"]]
+        flat = field.digit_array(map(field, data["entries"]))  # each entry as field() reads it
         if len(flat) != g * g:
             raise ValueError("entry count does not match basis size")
-        rows = tuple(tuple(flat[i * g : (i + 1) * g]) for i in range(g))
-        return CartierMatrix(field, forms, rows)
-
-
-def _column(engine: _Engine, form: BasisForm) -> list[FieldElement]:
-    """Coordinates of C(form) in the ordered basis, by the rational pipeline:
-    the signed sum over the binomial expansion of the images' decompositions."""
-    field = engine.field
-    vec = [field.zero] * len(engine.forms)
-    for e, sign in enumerate(engine.sign[form.r, : form.r + 1].tolist()):
-        pf = engine.decomposition(form.j, form.b, e).scale(sign)
-        _accumulate_layer(pf, form.r - e, engine.index, engine.loc_to_j, vec)
-    return vec
+        return CartierMatrix(field, forms, flat.reshape(g, g, field.k))
 
 
 def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
@@ -577,21 +574,22 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
 
     A curve over the digit cap is refused before anything is built: every
     dense array has O(g^2 * k) entries, since e_max + 1 <= g and the series
-    have (p-1)*d_l + 1 <= 4g + 1 terms.
+    have (p-1)*d_l + 1 <= 4g + 1 terms.  At g = 0 no series is built, so
+    the local pipeline's int64 bound does not apply.
     """
     _check_pipeline(pipeline)
     field, inv = spec.field, validate(spec)
-    if pipeline == "local":  # its int64 bound first, with its own message
+    if pipeline == "local" and inv.g:  # its int64 bound first, with its own message
         _series_sizes(field.p, field.k, inv.orders)
     if inv.g**2 * field.k > _MAX_DIGITS:
         raise SeriesTooLarge(f"Cartier matrix of genus {inv.g} over {field} exceeds "
                              f"the {_MAX_DIGITS}-digit cap on g^2*k")
     if pipeline == "local":
         forms, digits = _local_matrix(spec, inv.orders)
-        return CartierMatrix(spec.field, forms, digits)
-    engine = _Engine(spec)
-    columns = [_column(engine, form) for form in engine.forms]
-    return CartierMatrix(spec.field, tuple(engine.forms), tuple(zip(*columns)))
+    else:
+        forms = tuple(basis(spec))
+        digits = _rational_columns(spec, forms, forms)
+    return CartierMatrix(field, forms, digits)
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,6 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Monic irreducible of degree k minimizing sum(c_i * p**i)."""
-    if k == 1:
-        return (0, 1)  # the polynomial t
     for counter in range(p**k):
         digits, n = [], counter
         for _ in range(k):

@@ -204,13 +204,13 @@ class TestLocalSeriesGuards:
                               cartier._series_mul, cartier._powers, cartier._signs)
         assert {"_series_sizes", "convolve", "_signs"} <= names
         rational = {"RatFunc", "partial_fractions", "cartier_rational", "cartier_poly",
-                    "_Engine", "_column", "_decompose", "_accumulate_layer", "_f_numerator"}
+                    "_rational_columns", "_rational_image", "_decompose", "_accumulate_layer",
+                    "_f_numerator"}
         assert not names & rational
 
     def test_rational_route_names_nothing_of_the_series_route(self):
-        names = names_reached(cartier._Engine, cartier._column, cartier._decompose,
-                              cartier._f_numerator)
-        assert {"partial_fractions", "cartier_poly", "_signs"} <= names
+        names = names_reached(cartier._rational_columns)
+        assert {"partial_fractions", "cartier_poly", "_signs", "_rational_image"} <= names
         series = {"_series_mul", "_powers", "_local_images", "_Layout", "_layout", "convolve",
                   "_series_sizes", "_local_matrix"}
         assert not names & series
@@ -243,11 +243,42 @@ def test_matrix_over_the_digit_cap_is_refused_before_building(pipeline, monkeypa
     def built(*args):
         raise AssertionError("a pipeline started past the cap")
 
-    monkeypatch.setattr(cartier, "_Engine", built)
+    monkeypatch.setattr(cartier, "_rational_columns", built)
     monkeypatch.setattr(cartier, "_local_matrix", built)
     # y^1031 - y = x^3 has g = 1030, and 1030^2 is over the 2^20 cap
     with pytest.raises(SeriesTooLarge, match="genus 1030 over GF"):
         cartier_matrix(curve(1031, [0, 0, 0, 1]), pipeline)
+
+
+@pytest.mark.parametrize("pipeline", cartier.PIPELINES)
+def test_genus_zero_needs_no_series_bound(pipeline):
+    # y^p - y = x has g = 0: no series is built, though one of (p-1)*1 + 1
+    # terms would be past the int64 bound at this p
+    spec = curve(2_200_013, [0, 1])
+    M = cartier_matrix(spec, pipeline)
+    assert M.basis == () and M.digits.shape == (0, 0, 1) and rank(M) == 0
+    assert cartier._layout(2_200_013, 1, (1,)).forms == ()
+
+
+@pytest.mark.parametrize("build", [*cartier.PIPELINES, "from_json"])
+def test_matrix_is_built_from_digits(build, monkeypatch):
+    """Both pipelines and from_json hand CartierMatrix a digit array, never
+    rows of elements."""
+    spec = curve(3, [0, 0, 1], [(1, [1])], k=2)
+    reference = cartier_matrix(spec)
+    handed = []
+
+    def spy(field, forms, entries):
+        handed.append(entries)
+        return CartierMatrix(field, forms, entries)
+
+    monkeypatch.setattr(cartier, "CartierMatrix", spy)
+    if build == "from_json":
+        M = CartierMatrix.from_json(reference.to_json())
+    else:
+        M = cartier_matrix(spec, build)
+    assert [type(entries) for entries in handed] == [np.ndarray]
+    assert M == reference
 
 
 class TestOperatorAxioms:

@@ -26,7 +26,8 @@ from ascart import (
     validate,
     zeta,
 )
-from ascart.cartier import CartierMatrix, _Engine
+from ascart import cartier
+from ascart.cartier import CartierMatrix
 from ascart.cli import main
 from ascart.errors import (
     AscartError,
@@ -411,11 +412,11 @@ class TestExitCodes:
 
     def test_foreign_pole_in_rational_pipeline_is_internal(self, tmp_path, capsys, monkeypatch):
         # a Cartier image with a pole at x = 2, where the curve has none
-        def stray(self, j, b, e):
-            lin = Poly.x(self.field) - Poly.constant(self.field, 2)
-            return RatFunc(Poly.constant(self.field, 1), lin)
+        def stray(spec, num, j, b, e):
+            lin = Poly.x(spec.field) - Poly.constant(spec.field, 2)
+            return RatFunc(Poly.constant(spec.field, 1), lin)
 
-        monkeypatch.setattr(_Engine, "image", stray)
+        monkeypatch.setattr(cartier, "_rational_image", stray)
         with pytest.raises(NotInSpan):
             cartier_matrix(parse_spec_text(TWO_POLE), "rational")
         assert main(["matrix", write(tmp_path, TWO_POLE), "--pipeline", "rational"]) == 3
@@ -465,6 +466,17 @@ class TestExitCodes:
         path = write(tmp_path, "p = 2000003\npole inf: 0 0 0 0 0 0 0 1\n")
         assert main(["matrix", path]) == 2
         assert "would overflow int64 sums" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["anumber", "matrix", "verify", "oracle"])
+    def test_genus_zero_past_the_series_bound_runs(self, tmp_path, capsys, command):
+        # y^p - y = x has g = 0, so no series is built and the int64 bound
+        # that would refuse one of p terms does not apply
+        assert main([command, write(tmp_path, "p = 2200013\npole inf: 0 1\n")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_genus_zero_sweep_past_the_series_bound_runs(self, capsys):
+        assert main(["sweep", "--p", "2200013", "--orders", "1", "--samples", "1"]) == 0
+        assert "pass: True" in capsys.readouterr().out
 
     def test_oversized_curve_is_invalid_input(self, tmp_path):
         # g = 100002: without the cap the local pipeline's sign table alone
