@@ -21,10 +21,12 @@ reduction code, so each serves as an oracle for the other:
 
   * rational -- amplify g = x_j^b f^e pole by pole to a p-th power
     denominator, apply the polynomial rule to the numerator, divide by the
-    p-th root (_rational_image), and decompose once per (j, b, e); the
-    columns are sums of the decompositions' coefficients, handed over as
-    digits (_rational_columns).  cartier_rational amplifies a whole
-    denominator, num*den^(p-1) / den^p;
+    p-th root (_rational_image), and decompose the unreduced quotient
+    C(G dx)/h once per (j, b, e), with no gcd; the pole factors
+    (x - e_l)^i and the powers N^e of f's numerator are tabulated once per
+    curve.  The columns are sums of the decompositions' coefficients,
+    handed over as digits (_rational_columns).  cartier_rational amplifies
+    a whole denominator, num*den^(p-1) / den^p;
   * local -- read the principal part of g = x_j^b f^e at each pole off its
     Laurent series in the paper's local parameter there, w = 1/x at
     infinity and u = x - e_l at a finite pole, and apply the pole rules to
@@ -156,64 +158,93 @@ class MixedDifferential:
 # ---------------------------------------------------------------------------
 
 
-def _f_numerator(spec: CurveSpec) -> Poly:
-    """N = f * prod_l (x - e_l)^(d_l), straight from the pole data.
+def _pole_factors(spec: CurveSpec) -> list[list[Poly]]:
+    """(x - e_l)^i for i <= max(p - 1, d_l), at each finite pole e_l: every
+    power that N and the amplified images read, as -m mod p < p and
+    ceil(m/p) <= d_l for m <= (e + 1)*d_l, e <= p - 2.  Each power is one
+    product by x - e_l from the one before."""
+    field, x = spec.field, Poly.x(spec.field)
+    tables = []
+    for datum in spec.poles[1:]:
+        table = [Poly.constant(field, 1), x - Poly.constant(field, datum.location)]
+        while len(table) < max(field.p, datum.order + 1):
+            table.append(table[-1] * table[1])
+        tables.append(table)
+    return tables
+
+
+def _product(field: Field, factors) -> Poly:
+    """The product of the polynomials factors, none of them 1."""
+    return functools.reduce(Poly.__mul__, factors) if factors else Poly.constant(field, 1)
+
+
+def _f_numerator(spec: CurveSpec, factors) -> Poly:
+    """N = f * prod_l (x - e_l)^(d_l), straight from the pole data and the
+    pole factors (_pole_factors).
 
     Pole by pole: with N/D the parts so far and P = (x - e_l)^(d_l), adding
     the part T/P at e_l, T = sum_n c_n (x - e_l)^(d_l - n), gives
-    (N P + T D) / (D P).
+    (N P + T D) / (D P), with D = 1 before the first finite pole.
     """
     field = spec.field
-    num, den = Poly(field, spec.poles[0].coeffs), Poly.constant(field, 1)
-    for datum in spec.poles[1:]:
-        lin = Poly.x(field) - Poly.constant(field, datum.location)
-        tail = Poly(field)
-        for c in datum.coeffs:  # Horner from c_1, the coefficient of lin^(d-1)
-            tail = tail * lin + Poly.constant(field, c)
-        power = lin**datum.order
-        num, den = num * power + tail * den, den * power
+    num, den = Poly(field, spec.poles[0].coeffs), []
+    for datum, table in zip(spec.poles[1:], factors):
+        tail = Poly.constant(field, datum.coeffs[0])
+        for c in datum.coeffs[1:]:  # Horner from c_1, the coefficient of lin^(d-1)
+            tail = tail * table[1] + Poly.constant(field, c)
+        power = table[datum.order]
+        num = num * power + _product(field, [tail, *den])
+        den.append(power)
     return num
 
 
-def _rational_image(spec: CurveSpec, num: Poly, j: int, b: int, e: int) -> RatFunc:
-    """C(x_j^b f^e dx) for num = N^e, amplified pole by pole.  With the pole
-    multiplicities m_l = e*d_l (+ b at l = j), x_j^b f^e = G / h^p for
-    G = N^e x^b[j = 0] prod_l (x - e_l)^(-m_l mod p) and
-    h = prod_l (x - e_l)^ceil(m_l/p), and C(G/h^p dx) = C(G dx) / h."""
+def _rational_image(spec: CurveSpec, num: Poly, j: int, b: int, e: int, factors):
+    """C(x_j^b f^e dx) as the unreduced pair (C(G dx), h), for num = N^e
+    (1 at e = 0) and the pole factors (_pole_factors), amplified pole by
+    pole.  With the pole multiplicities m_l = e*d_l (+ b at l = j),
+    x_j^b f^e = G / h^p for G = N^e x^b[j = 0] prod_l (x - e_l)^(-m_l mod p)
+    and h = prod_l (x - e_l)^ceil(m_l/p), and C(G/h^p dx) = C(G dx) / h."""
     field, p = spec.field, spec.field.p
-    num = num * Poly.monomial(field, b if j == 0 else 0)
-    h = Poly.constant(field, 1)
-    for l, datum in enumerate(spec.poles[1:], start=1):
+    tops, bottoms = [num] if e else [], []
+    for l, (datum, table) in enumerate(zip(spec.poles[1:], factors), start=1):
         m = e * datum.order + (b if l == j else 0)
-        lin = Poly.x(field) - Poly.constant(field, datum.location)
-        num, h = num * lin ** (-m % p), h * lin ** -(-m // p)
-    return RatFunc(cartier_poly(num), h)
+        if m % p:
+            tops.append(table[-m % p])
+        if m:
+            bottoms.append(table[-(-m // p)])
+    top = _product(field, tops)
+    if j == 0:  # times x^b, a shift
+        top = Poly(field, (field.zero,) * b + top.coeffs)
+    return cartier_poly(top), _product(field, bottoms)
 
 
 def _rational_columns(spec: CurveSpec, forms, wanted) -> np.ndarray:
     """The (g, len(wanted), k) digits of the columns of the wanted forms in
     the ordered basis forms, by the rational pipeline: the column of
     x_j^b y^r dx is the signed sum over e <= r of the decompositions of
-    C(x_j^b f^e dx), each in y-layer r - e.  The powers N^e are built once
-    and each (j, b, e) is decomposed once, for every column that reads it."""
+    C(x_j^b f^e dx), each in y-layer r - e.  The pole factors and the
+    powers N^e are built once per curve, and each (j, b, e) is decomposed
+    once, for every column that reads it."""
     field = spec.field
     index = {form: i for i, form in enumerate(forms)}
     loc_to_j = _pole_index_map(spec)
     e_max = max((form.r for form in wanted), default=0)
     sign = _signs(field.p, e_max)
-    powers = [Poly.constant(field, 1), _f_numerator(spec)]  # N^0, N^1, ...
+    factors = _pole_factors(spec)
+    powers = [Poly.constant(field, 1), _f_numerator(spec, factors)]  # N^0, N^1, ...
     while len(powers) <= e_max:
         powers.append(powers[-1] * powers[1])
 
     @functools.cache
     def decomposition(j: int, b: int, e: int) -> PartialFraction:
-        return _decompose(_rational_image(spec, powers[e], j, b, e), loc_to_j)
+        return _decompose(_rational_image(spec, powers[e], j, b, e, factors), loc_to_j)
 
     out = np.zeros((len(forms), len(wanted), field.k), dtype=np.int64)
     for col, (j, b, r) in enumerate(wanted):
         vec = [field.zero] * len(forms)
         for e, s in enumerate(sign[r, : r + 1].tolist()):
-            _accumulate_layer(decomposition(j, b, e).scale(s), r - e, index, loc_to_j, vec)
+            pf = decomposition(j, b, e)
+            _accumulate_layer(pf if s == 1 else pf.scale(s), r - e, index, loc_to_j, vec)
         out[:, col] = field.digit_array(vec)
     return out
 
@@ -222,10 +253,11 @@ def _pole_index_map(spec: CurveSpec) -> dict:
     return {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
 
 
-def _decompose(g: RatFunc, loc_to_j: dict) -> PartialFraction:
-    # A regular differential, the Cartier image of one included, has poles
-    # in x only where the curve does, so the finite pole locations are the
-    # only candidate roots; a factor left elsewhere is a bug.
+def _decompose(g, loc_to_j: dict) -> PartialFraction:
+    # g is a RatFunc or an unreduced (num, den) pair.  A regular
+    # differential, the Cartier image of one included, has poles in x only
+    # where the curve does, so the finite pole locations are the only
+    # candidate roots; a factor left elsewhere is a bug.
     try:
         return partial_fractions(g, candidates=loc_to_j.keys())
     except IrreducibleDenominatorFactor as exc:

@@ -15,6 +15,13 @@ ascart.cartier).  partial_fractions() and PartialFraction.assemble()
 convert between the two representations and are exact inverses of each
 other.
 
+partial_fractions() also takes an unreduced pair (num, den) of
+polynomials, not necessarily coprime nor den monic, and gives the
+decomposition of num/den: a surplus top coefficient of a principal part
+comes out zero and is dropped.  That skips RatFunc's gcd, its exact
+divisions and its monic scaling for a caller whose fraction is known to
+decompose, such as the rational Cartier pipeline.
+
 Denominators must split into linear factors over the coefficient field.
 partial_fractions() looks for their roots among a caller's list of
 candidates, the pole locations of a curve for instance, and scans the
@@ -138,13 +145,15 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.constant(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return Poly.constant(self.field, 1)
+        # left to right from the top bit: bit_length(n) - 1 squarings and
+        # popcount(n) - 1 products by self, none of them by 1
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def gcd(self, other: "Poly") -> "Poly":
@@ -396,33 +405,40 @@ class PartialFraction:
         return " + ".join(parts) if parts else "0"
 
 
-def partial_fractions(f: RatFunc, *, candidates=None) -> PartialFraction:
+def partial_fractions(f, *, candidates=None) -> PartialFraction:
     """Exact partial fraction decomposition of f.
+
+    f is a RatFunc or a pair (num, den) of polynomials, which need not be
+    coprime nor den monic: the decomposition is that of num/den all the
+    same, as the principal parts come out of the series of num/den at each
+    root of den and a surplus top coefficient there is zero.  A zero den
+    raises ZeroDivisionError.
 
     The roots of the denominator are looked for among `candidates`, an
     iterable of elements of f's field, or among all of the field when it
     is None.  The denominator must be a product of linear factors at those
     roots; otherwise IrreducibleDenominatorFactor is raised.
     """
-    field = f.field
-    poly_part, rem = divmod(f.num, f.den)
+    num, den = f if isinstance(f, tuple) else (f.num, f.den)
+    field = num.field
+    poly_part, rem = divmod(num, den)
     if rem.is_zero():
         return PartialFraction(poly_part)
 
-    # root extraction with multiplicities
-    den = f.den
+    # root extraction with multiplicities; a candidate that is no root
+    # costs one synthetic division, whose remainder is the value there
     roots: list[tuple[FieldElement, int]] = []
     cofactor = den
     for e in field.elements() if candidates is None else candidates:
         if cofactor.degree() == 0:
             break
-        if cofactor.evaluate(e).is_zero():
-            mult = 0
-            while True:
-                q, r = cofactor.divmod_linear(e)
-                if not r.is_zero():
-                    break
-                cofactor, mult = q, mult + 1
+        mult = 0
+        while True:
+            q, r = cofactor.divmod_linear(e)
+            if not r.is_zero():
+                break
+            cofactor, mult = q, mult + 1
+        if mult:
             roots.append((e, mult))
     if cofactor.degree() > 0:
         raise IrreducibleDenominatorFactor(cofactor.degree())

@@ -527,7 +527,22 @@ def test_numerator_from_pole_data(p, k, orders, seed):
     orders = orders[:1] + [max(d, 1) for d in orders[1:]]
     assume(len(orders) - 1 <= p**k)
     spec = random_curve(GF(p, k), orders, random.Random(seed))
-    assert cartier._f_numerator(spec) == spec.f_ratfunc().num
+    assert cartier._f_numerator(spec, cartier._pole_factors(spec)) == spec.f_ratfunc().num
+
+
+@pytest.mark.parametrize("p,k,orders", [(13, 1, (4, 3)), (5, 2, (4, 2)), (3, 7, (2, 1)),
+                                         (7, 1, (2, 1, 3))])
+def test_rational_route_reduces_no_fraction(p, k, orders, monkeypatch):
+    """The rational route decomposes C(G dx)/h unreduced: no gcd is taken,
+    and the matrix is still the local pipeline's."""
+    specs = random_specs(p, orders, 2, seed=p * k, k=k)
+
+    def gcd(self, other):
+        raise AssertionError("the rational route took a gcd")
+
+    monkeypatch.setattr(Poly, "gcd", gcd)
+    for spec in specs:
+        assert cartier_matrix(spec, "rational") == cartier_matrix(spec, "local")
 
 
 class TestKeyTerms:

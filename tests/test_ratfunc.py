@@ -97,6 +97,26 @@ class TestPolyArith:
                 rebuilt = rebuilt + lin**s * c
             assert rebuilt == a
 
+    @pytest.mark.parametrize("ints", [[3, 1, 5], [0, 1], [4]])
+    def test_pow_is_the_repeated_product_in_few_products(self, ints, monkeypatch):
+        base = Poly.from_ints(F7, ints)
+        products = [Poly.constant(F7, 1)]
+        for _ in range(40):
+            products.append(products[-1] * base)
+        calls = []
+        mul = Poly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        for n, product in enumerate(products):
+            calls.clear()
+            assert base**n == product
+            # square-and-multiply from the base, with no final squaring
+            assert len(calls) == max(n.bit_length() + bin(n).count("1") - 2, 0)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 6), max_size=5), st.lists(st.integers(0, 6), max_size=5))
     def test_mul_commutes(self, xs, ys):
@@ -223,6 +243,42 @@ class TestCandidateRoots:
             with pytest.raises(IrreducibleDenominatorFactor) as exc:
                 partial_fractions(f, candidates=[kept, *others])
             assert exc.value.degree == mults[1]
+
+
+def linear_power(field, e, m):
+    return (Poly.x(field) - Poly.constant(field, e)) ** m
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from([GF(7), GF(3, 2), GF(2, 3)]), data=st.data())
+def test_unreduced_pair_decomposes_as_its_ratfunc(field, data):
+    """partial_fractions((num, den)) for den = c * prod (x - e_i)^(m_i), c
+    any unit, and num sharing factors with den, equals the decomposition
+    of the canonical RatFunc(num, den)."""
+    element = st.integers(0, field.order - 1).map(field.from_counter)
+    roots = data.draw(st.lists(element, max_size=3, unique=True))
+    unit = data.draw(st.integers(1, field.order - 1).map(field.from_counter))
+    num = Poly(field, data.draw(st.lists(element, max_size=5)))
+    den = Poly.constant(field, unit)
+    for e in roots:
+        den = den * linear_power(field, e, data.draw(st.integers(1, 3)))
+        num = num * linear_power(field, e, data.draw(st.integers(0, 4)))
+    others = data.draw(st.lists(element, max_size=3))
+    candidates = data.draw(st.permutations(roots + others))
+    assert partial_fractions((num, den), candidates=candidates) == partial_fractions(
+        RatFunc(num, den), candidates=candidates
+    )
+
+
+def test_unreduced_pair_errors():
+    F = GF(5)
+    e1, e2 = F(1), F(2)
+    with pytest.raises(ZeroDivisionError):
+        partial_fractions((Poly.x(F), Poly(F)), candidates=[e1])
+    den = linear_power(F, e1, 1) * linear_power(F, e2, 2) * F(3)
+    with pytest.raises(IrreducibleDenominatorFactor) as exc:
+        partial_fractions((Poly.constant(F, 1), den), candidates=[e1])
+    assert exc.value.degree == 2
 
 
 class TestBinomMod:
