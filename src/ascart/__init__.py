@@ -15,13 +15,9 @@ See the README for the file format and the `ascart` command line tool.
 from .cartier import (
     CartierMatrix,
     KeyTerm,
-    MixedDifferential,
-    cartier_basis_form,
-    cartier_local,
     cartier_matrix,
     cartier_poly,
     cartier_rational,
-    express_in_basis,
     kappa,
     key_term,
 )

@@ -26,7 +26,7 @@ reduction code, so each serves as an oracle for the other:
     (x - e_l)^i and the powers N^e of f's numerator are tabulated once per
     curve.  The columns are sums of the decompositions' coefficients,
     handed over as digits (_rational_columns).  cartier_rational amplifies
-    a whole denominator, num*den^(p-1) / den^p;
+    a whole denominator, num*den^(p-1) / den^p, on a RatFunc;
   * local -- read the principal part of g = x_j^b f^e at each pole off its
     Laurent series in the paper's local parameter there, w = 1/x at
     infinity and u = x - e_l at a finite pole, and apply the pole rules to
@@ -36,11 +36,11 @@ reduction code, so each serves as an oracle for the other:
     and the products of the two are truncated convolutions of int64 digit
     arrays, one pass per pole.  C keeps the coefficients at exponents
     -1 mod p in x at infinity and 1 mod p in 1/u at a finite pole, under a
-    p-th root.  cartier_local applies the same pole rules to a
-    PartialFraction.
+    p-th root.
 
-A matrix column is the coordinate vector of C(omega_j) in the ordered
-basis; entry (i, j) is the coefficient of omega_i in C(omega_j).
+The output is the matrix only, cartier_matrix: a column is the coordinate
+vector of C(omega_j) in the ordered basis, and entry (i, j) is the
+coefficient of omega_i in C(omega_j).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .curve import (
     BasisForm,
     CurveSpec,
     basis,
-    in_basis,
     ordered_basis,
     partition_HA,
     validate,
@@ -75,7 +74,7 @@ _MAX_DIGITS = 2**20  # on g^2 * k, the digits of a Cartier matrix
 
 
 # ---------------------------------------------------------------------------
-# The operator on polynomials, rational functions and partial fractions
+# The operator on polynomials and rational functions
 # ---------------------------------------------------------------------------
 
 
@@ -95,20 +94,6 @@ def cartier_rational(g: RatFunc) -> RatFunc:
     return RatFunc(cartier_poly(amplified), g.den)
 
 
-def cartier_local(pf: PartialFraction) -> PartialFraction:
-    """C(g dx) term by term on a partial fraction decomposition."""
-    p = pf.field.p
-    tails = {}
-    for e, tail in pf.tails.items():
-        t = {}
-        for n, c in tail.items():
-            if n % p == 1:
-                t[(n - 1) // p + 1] = c.pth_root()
-        if t:
-            tails[e] = t
-    return PartialFraction(cartier_poly(pf.poly), tails)
-
-
 # ---------------------------------------------------------------------------
 # Binomial regrouping of the y^r substitution, read by both pipelines
 # ---------------------------------------------------------------------------
@@ -122,35 +107,6 @@ def _signs(p: int, e_max: int) -> np.ndarray:
     for r in range(1, e_max + 1):
         sign[r, 1:] = (sign[r - 1, 1:] - sign[r - 1, :-1]) % p
     return sign
-
-
-class MixedDifferential:
-    """sum_r g_r(x) y^r dx with rational coefficients g_r."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: Field, terms: dict[int, RatFunc] | None = None):
-        self.field = field
-        self.terms = {r: g for r, g in (terms or {}).items() if not g.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MixedDifferential)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [
-            f"({self.terms[r]!r})" + ("" if r == 0 else f" y^{r}")
-            for r in sorted(self.terms)
-        ]
-        return " + ".join(parts) + " dx"
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +174,16 @@ def _rational_image(spec: CurveSpec, num: Poly, j: int, b: int, e: int, factors)
     return cartier_poly(top), _product(field, bottoms)
 
 
-def _rational_columns(spec: CurveSpec, forms, wanted) -> np.ndarray:
-    """The (g, len(wanted), k) digits of the columns of the wanted forms in
-    the ordered basis forms, by the rational pipeline: the column of
-    x_j^b y^r dx is the signed sum over e <= r of the decompositions of
-    C(x_j^b f^e dx), each in y-layer r - e.  The pole factors and the
-    powers N^e are built once per curve, and each (j, b, e) is decomposed
-    once, for every column that reads it."""
+def _rational_columns(spec: CurveSpec, forms) -> np.ndarray:
+    """The (g, g, k) digits of the Cartier matrix in the ordered basis forms,
+    by the rational pipeline: the column of x_j^b y^r dx is the signed sum
+    over e <= r of the decompositions of C(x_j^b f^e dx), each in y-layer
+    r - e.  The pole factors and the powers N^e are built once per curve,
+    and each (j, b, e) is decomposed once, for every column that reads it."""
     field = spec.field
     index = {form: i for i, form in enumerate(forms)}
-    loc_to_j = _pole_index_map(spec)
-    e_max = max((form.r for form in wanted), default=0)
+    loc_to_j = {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
+    e_max = max((form.r for form in forms), default=0)
     sign = _signs(field.p, e_max)
     factors = _pole_factors(spec)
     powers = [Poly.constant(field, 1), _f_numerator(spec, factors)]  # N^0, N^1, ...
@@ -239,8 +194,8 @@ def _rational_columns(spec: CurveSpec, forms, wanted) -> np.ndarray:
     def decomposition(j: int, b: int, e: int) -> PartialFraction:
         return _decompose(_rational_image(spec, powers[e], j, b, e, factors), loc_to_j)
 
-    out = np.zeros((len(forms), len(wanted), field.k), dtype=np.int64)
-    for col, (j, b, r) in enumerate(wanted):
+    out = np.zeros((len(forms), len(forms), field.k), dtype=np.int64)
+    for col, (j, b, r) in enumerate(forms):
         vec = [field.zero] * len(forms)
         for e, s in enumerate(sign[r, : r + 1].tolist()):
             pf = decomposition(j, b, e)
@@ -249,17 +204,13 @@ def _rational_columns(spec: CurveSpec, forms, wanted) -> np.ndarray:
     return out
 
 
-def _pole_index_map(spec: CurveSpec) -> dict:
-    return {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
-
-
-def _decompose(g, loc_to_j: dict) -> PartialFraction:
-    # g is a RatFunc or an unreduced (num, den) pair.  A regular
+def _decompose(pair, loc_to_j: dict) -> PartialFraction:
+    # pair is an image (C(G dx), h) of _rational_image, unreduced.  A regular
     # differential, the Cartier image of one included, has poles in x only
     # where the curve does, so the finite pole locations are the only
     # candidate roots; a factor left elsewhere is a bug.
     try:
-        return partial_fractions(g, candidates=loc_to_j.keys())
+        return partial_fractions(pair, candidates=loc_to_j.keys())
     except IrreducibleDenominatorFactor as exc:
         raise NotInSpan(
             f"denominator keeps a factor of degree {exc.degree} "
@@ -275,9 +226,7 @@ def _accumulate_layer(
     vec: list[FieldElement],
 ) -> None:
     terms = [(BasisForm(0, b, r), c) for b, c in enumerate(pf.poly.coeffs) if not c.is_zero()]
-    for e, tail in pf.tails.items():
-        if e not in loc_to_j:
-            raise NotInSpan(f"pole at {e!r} is not a pole of the curve")
+    for e, tail in pf.tails.items():  # at the curve's poles only (_decompose)
         terms.extend((BasisForm(loc_to_j[e], n, r), c) for n, c in tail.items())
     for key, c in terms:
         if key not in index:
@@ -462,54 +411,6 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
 # ---------------------------------------------------------------------------
 
 
-def cartier_basis_form(
-    spec: CurveSpec, form: BasisForm, pipeline: str = "rational"
-) -> MixedDifferential:
-    """C applied to one basis form, as a differential sum_i g_i y^i dx."""
-    _check_pipeline(pipeline)
-    orders = validate(spec).orders
-    if not in_basis(spec.p, orders, form):
-        raise ValueError(f"{form} is not a basis form of this curve")
-    field = spec.field
-    if pipeline == "rational":
-        forms = basis(spec)
-        digits = _rational_columns(spec, forms, [form])[:, 0]
-    else:
-        M = cartier_matrix(spec, "local")
-        forms, digits = M.basis, M.digits[:, M.basis.index(form)]
-    # the column as principal parts of the forms x_j^b y^r dx
-    layers: dict[int, PartialFraction] = {}
-    for (j, b, r), c in zip(forms, field.element_rows(digits[None])[0]):
-        if j:
-            pf = PartialFraction(Poly(field), {spec.poles[j].location: {b: c}})
-        else:
-            pf = PartialFraction(Poly.monomial(field, b, c))
-        layers[r] = layers.get(r, PartialFraction.zero(field)) + pf
-    return MixedDifferential(field, {r: pf.assemble() for r, pf in layers.items()})
-
-
-def _check_pipeline(pipeline: str) -> None:
-    if pipeline not in PIPELINES:
-        raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
-
-
-def express_in_basis(spec: CurveSpec, md: MixedDifferential) -> list[FieldElement]:
-    """Exact coordinates of a regular differential in the ordered basis.
-
-    Each y-layer is decomposed into partial fractions at the curve's finite
-    poles and its monomials are matched against basis forms; a pole
-    elsewhere or a monomial outside the basis raises NotInSpan (which, for
-    Cartier images of regular forms, means a bug).
-    """
-    forms = basis(spec)
-    index = {form: i for i, form in enumerate(forms)}
-    loc_to_j = _pole_index_map(spec)
-    vec = [spec.field.zero] * len(forms)
-    for r, g in md.terms.items():
-        _accumulate_layer(_decompose(g, loc_to_j), r, index, loc_to_j, vec)
-    return vec
-
-
 class _DigitStore:
     """The entries field of CartierMatrix, stored as digits.
 
@@ -609,7 +510,8 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
     have (p-1)*d_l + 1 <= 4g + 1 terms.  At g = 0 no series is built, so
     the local pipeline's int64 bound does not apply.
     """
-    _check_pipeline(pipeline)
+    if pipeline not in PIPELINES:
+        raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
     field, inv = spec.field, validate(spec)
     if pipeline == "local" and inv.g:  # its int64 bound first, with its own message
         _series_sizes(field.p, field.k, inv.orders)
@@ -620,7 +522,7 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
         forms, digits = _local_matrix(spec, inv.orders)
     else:
         forms = tuple(basis(spec))
-        digits = _rational_columns(spec, forms, forms)
+        digits = _rational_columns(spec, forms)
     return CartierMatrix(field, forms, digits)
 
 

@@ -42,7 +42,7 @@ from .errors import (
     ZeroLeadingCoefficient,
 )
 from .finite_field import Field, FieldElement, embedding
-from .ratfunc import PartialFraction, Poly, RatFunc, partial_fractions
+from .ratfunc import RatFunc, partial_fractions
 
 
 class Infinity:
@@ -123,19 +123,6 @@ class CurveSpec:
                 PoleDatum(e, tuple(tail.get(n, field.zero) for n in range(1, d + 1)))
             )
         return CurveSpec(field, tuple(poles))
-
-    def f_partial_fraction(self) -> PartialFraction:
-        """f as a PartialFraction, straight from the pole data."""
-        inf = self.poles[0]
-        tails = {
-            p.location: {n: c for n, c in enumerate(p.coeffs, start=1)}
-            for p in self.poles[1:]
-        }
-        return PartialFraction(Poly(self.field, inf.coeffs), tails)
-
-    def f_ratfunc(self) -> RatFunc:
-        """f as a single canonical rational function."""
-        return self.f_partial_fraction().assemble()
 
 
 @dataclass(frozen=True)
@@ -235,13 +222,6 @@ class BasisForm(NamedTuple):
 def block_bound(p: int, d: int, j: int) -> int:
     """Right side of the W_j inequality r*d + b*p <= bound."""
     return (p - 1) * (d - 1) - 2 if j == 0 else (p - 1) * (d + 1)
-
-
-def in_basis(p: int, orders, form: BasisForm) -> bool:
-    j, b, r = form
-    if j < 0 or j >= len(orders) or r < 0 or b < (0 if j == 0 else 1):
-        return False
-    return r * orders[j] + b * p <= block_bound(p, orders[j], j)
 
 
 def basis_blocks(spec: CurveSpec) -> list[list[BasisForm]]:

@@ -7,13 +7,13 @@ PartialFraction is a polynomial part plus, per finite pole e, the principal
 part  sum_n c_n (x-e)^(-n)  stored as {e: {n: c_n}} with zero coefficients
 dropped, so decompositions are unique and comparable.
 
-PartialFraction adds and scales on the decomposed form.  A product goes
-through PartialFraction.assemble() and back through partial_fractions() at
-the poles of both factors: no pipeline multiplies partial fractions (the
-local Cartier pipeline multiplies truncated Laurent series; see
-ascart.cartier).  partial_fractions() and PartialFraction.assemble()
-convert between the two representations and are exact inverses of each
-other.
+PartialFraction scales on the decomposed form, which is all the rational
+Cartier pipeline asks of it.  A product goes through
+PartialFraction.assemble() and back through partial_fractions() at the
+poles of both factors: no pipeline multiplies partial fractions (the local
+Cartier pipeline multiplies truncated Laurent series; see ascart.cartier).
+partial_fractions() and PartialFraction.assemble() convert between the two
+representations and are exact inverses of each other.
 
 partial_fractions() also takes an unreduced pair (num, den) of
 polynomials, not necessarily coprime nor den monic, and gives the
@@ -341,18 +341,7 @@ class PartialFraction:
     def is_zero(self) -> bool:
         return self.poly.is_zero() and not self.tails
 
-    # -- linear structure -----------------------------------------------------
-
-    def __add__(self, other: "PartialFraction") -> "PartialFraction":
-        tails = {e: dict(t) for e, t in self.tails.items()}
-        for e, t in other.tails.items():
-            dst = tails.setdefault(e, {})
-            for n, c in t.items():
-                dst[n] = dst.get(n, self.field.zero) + c
-        return PartialFraction(self.poly + other.poly, tails)
-
-    def __sub__(self, other: "PartialFraction") -> "PartialFraction":
-        return self + other.scale(-self.field.one)
+    # -- scaling --------------------------------------------------------------
 
     def scale(self, c) -> "PartialFraction":
         c = self.field(c)

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from ascart import GF, CurveSpec, PoleDatum
+from ascart import GF, CurveSpec, PoleDatum, Poly, RatFunc
 from ascart.sweep import random_curve
 
 
@@ -34,3 +34,14 @@ def random_specs(p, orders, count, seed, k=1):
     field = GF(p, k)
     r = random.Random(seed)
     return [random_curve(field, orders, r) for _ in range(count)]
+
+
+def random_split_ratfunc(field, rng, max_num_deg=4, max_poles=2, max_order=3):
+    """Random f whose denominator splits into linear factors."""
+    num = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(max_num_deg + 2))])
+    den = Poly.constant(field, 1)
+    for n in rng.sample(range(field.order), rng.randrange(max_poles + 1)):
+        e = field.from_counter(n)
+        lin = Poly.x(field) - Poly.constant(field, e)
+        den = den * lin ** (rng.randrange(max_order) + 1)
+    return RatFunc(num, den)

@@ -5,14 +5,38 @@ truncated Laurent series at each pole.  It multiplies whole
 PartialFractions in FieldElement arithmetic, reducing every product on the
 decomposed form with synthetic division against linear factors and local
 binomial expansions at each pole, and applies the pole rules of
-cartier_local to x_j^b f^e.  It shares no code with the series route:
+cartier_local to x_j^b f^e, with f from the pole data as
+f_partial_fraction(spec).  It shares no code with the series route:
 tests compare the two, and compare pf_mul with products of RatFuncs.
 """
 
-from ascart.cartier import CartierMatrix, cartier_local
-from ascart.curve import BasisForm, basis
+from ascart.cartier import CartierMatrix, cartier_poly
+from ascart.curve import BasisForm, CurveSpec, basis
 from ascart.finite_field import FieldElement
 from ascart.ratfunc import PartialFraction, Poly
+
+
+def f_partial_fraction(spec: CurveSpec) -> PartialFraction:
+    """f as a PartialFraction, straight from the pole data."""
+    tails = {
+        datum.location: {n: c for n, c in enumerate(datum.coeffs, start=1)}
+        for datum in spec.poles[1:]
+    }
+    return PartialFraction(Poly(spec.field, spec.poles[0].coeffs), tails)
+
+
+def cartier_local(pf: PartialFraction) -> PartialFraction:
+    """C(g dx) term by term on a partial fraction decomposition."""
+    p = pf.field.p
+    tails = {}
+    for e, tail in pf.tails.items():
+        t = {}
+        for n, c in tail.items():
+            if n % p == 1:
+                t[(n - 1) // p + 1] = c.pth_root()
+        if t:
+            tails[e] = t
+    return PartialFraction(cartier_poly(pf.poly), tails)
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
@@ -129,7 +153,7 @@ def naive_local_matrix(spec) -> CartierMatrix:
     forms = basis(spec)
     index = {form: i for i, form in enumerate(forms)}
     loc_to_j = {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
-    powers = [PartialFraction(Poly.constant(field, 1)), spec.f_partial_fraction()]
+    powers = [PartialFraction(Poly.constant(field, 1)), f_partial_fraction(spec)]
     images: dict[tuple[int, int, int], PartialFraction] = {}
 
     def f_power_pf(e: int) -> PartialFraction:

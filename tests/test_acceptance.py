@@ -29,10 +29,9 @@ from ascart import (
 from ascart.cartier import kappa
 from ascart.curve import BasisForm, basis, basis_blocks, order_key
 from ascart.invariants import a_monomial_remark, a_number, rank_of_columns
-from ascart.ratfunc import Poly, RatFunc
 from ascart.sweep import SweepConfig, child_seed, random_curve, run_sweep
 
-from conftest import curve
+from conftest import curve, random_split_ratfunc
 
 SWEEP_TUPLES = [
     (3, (2,)),
@@ -105,16 +104,6 @@ def test_criterion_2_hand_verified_instance():
     print("\nACCEPTANCE 2 PASS: p=7, f=x^3 matrix, rank 2, g=6, a=4=formula")
 
 
-def _random_split_ratfunc(field, rng, max_num_deg, max_poles, max_order):
-    num = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(max_num_deg + 2))])
-    den = Poly.constant(field, 1)
-    for n in rng.sample(range(field.order), rng.randrange(max_poles + 1)):
-        e = field.from_counter(n)
-        lin = Poly.x(field) - Poly.constant(field, e)
-        den = den * lin ** (rng.randrange(max_order) + 1)
-    return RatFunc(num, den)
-
-
 def test_criterion_3_cartier_axiom_suite():
     """>= 1000 random rational h across GF(p^k), all four axioms, exact."""
     fields = [GF(3), GF(5), GF(7), GF(3, 2)]
@@ -123,9 +112,9 @@ def test_criterion_3_cartier_axiom_suite():
         p = field.p
         rng = random.Random(3000 + field.order)
         for _ in range(250):
-            h = _random_split_ratfunc(field, rng, 2, 1, 2)
-            g1 = _random_split_ratfunc(field, rng, 3, 2, 2)
-            g2 = _random_split_ratfunc(field, rng, 3, 2, 2)
+            h = random_split_ratfunc(field, rng, 2, 1, 2)
+            g1 = random_split_ratfunc(field, rng, 3, 2, 2)
+            g2 = random_split_ratfunc(field, rng, 3, 2, 2)
             assert cartier_rational(g1 + g2) == cartier_rational(g1) + cartier_rational(g2)
             assert cartier_rational(h**p * g1) == h * cartier_rational(g1)
             assert cartier_rational(h.derivative()).is_zero()

@@ -26,6 +26,7 @@ from ascart.sweep import random_curve
 from ascart.zeta import LPolynomial, SlopePolygon, l_from_counts
 
 from conftest import curve
+from naive_local import f_partial_fraction
 from naive_zeta import naive_trace_distribution
 
 
@@ -49,7 +50,7 @@ def brute_count(spec, s):
     base = spec.field
     big = base if s == 1 else GFc(base.p, base.k * s)
     espec = embed_curve(spec, big)
-    f = espec.f_ratfunc()
+    f = f_partial_fraction(espec).assemble()
     locations = {d.location for d in espec.poles[1:]}
     total = len(spec.poles)
     for x in big.elements():
