@@ -12,15 +12,7 @@ The package computes, entirely in exact arithmetic over GF(p^k):
 See the README for the file format and the `ascart` command line tool.
 """
 
-from .cartier import (
-    CartierMatrix,
-    KeyTerm,
-    cartier_matrix,
-    cartier_poly,
-    cartier_rational,
-    kappa,
-    key_term,
-)
+from .cartier import CartierMatrix, cartier_matrix, cartier_poly, cartier_rational
 from .curve import (
     INF,
     BasisForm,
@@ -29,6 +21,7 @@ from .curve import (
     PoleDatum,
     basis,
     embed_curve,
+    kappa,
     partition_HA,
     validate,
 )

@@ -51,21 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (
-    BasisForm,
-    CurveSpec,
-    basis,
-    ordered_basis,
-    partition_HA,
-    validate,
-)
-from .errors import (
-    ConditionNotSatisfied,
-    IrreducibleDenominatorFactor,
-    NotInH,
-    NotInSpan,
-    SeriesTooLarge,
-)
+from .curve import BasisForm, CurveSpec, basis, ordered_basis, validate
+from .errors import IrreducibleDenominatorFactor, NotInSpan, SeriesTooLarge
 from .finite_field import Field, FieldElement
 from .ratfunc import PartialFraction, Poly, RatFunc, partial_fractions
 
@@ -525,38 +512,3 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
         digits = _rational_columns(spec, forms)
     return CartierMatrix(field, forms, digits)
 
-
-# ---------------------------------------------------------------------------
-# Key terms (matrix pivots)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KeyTerm:
-    """The pivot monomial of C(source) and its (nonzero) coefficient."""
-
-    source: BasisForm
-    target: BasisForm
-    coefficient: FieldElement
-
-
-def kappa(spec: CurveSpec, form: BasisForm) -> BasisForm:
-    """The designated pivot target x_j^b y^(r - (b - eps_j)*gamma_j) dx."""
-    inv = validate(spec)
-    if not inv.theorem_applicable:
-        raise ConditionNotSatisfied(f"p = {spec.p} is not 1 mod L = {inv.L}")
-    eps = inv.epsilon[form.j]
-    return BasisForm(form.j, form.b, form.r - (form.b - eps) * inv.gamma[form.j])
-
-
-def key_term(spec: CurveSpec, form: BasisForm) -> KeyTerm:
-    """Pivot coefficient of C(form) for a form in H; provably nonzero."""
-    H, _a = partition_HA(spec)
-    if form not in H:
-        raise NotInH(f"{form} is not in the pivot set H")
-    target = kappa(spec, form)
-    forms = basis(spec)
-    coeff = cartier_matrix(spec, "local").entry(forms.index(target), forms.index(form))
-    if coeff.is_zero():
-        raise AssertionError(f"pivot coefficient of {form} vanished")  # unreachable
-    return KeyTerm(form, target, coeff)

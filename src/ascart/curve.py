@@ -14,8 +14,9 @@ coefficients, distinct locations, infinity present and listed first) and
 returns the numeric invariants: D, L, the genus g = D(p-1)/2, the p-rank
 s = m(p-1), and, when p = 1 mod L, the slopes gamma_j = (p-1)/d_j.
 
-basis() enumerates the monomial basis of regular 1-forms: blocks W_j of
-forms x_j^b y^r dx subject to
+basis() enumerates the monomial basis of regular 1-forms, and
+ordered_basis() that of every curve with given p and pole orders: blocks
+W_j of forms x_j^b y^r dx subject to
 
     j = 0:   r, b >= 0      and  r*d_0 + b*p <= (p-1)*(d_0 - 1) - 2
     j >= 1:  r >= 0, b >= 1 and  r*d_j + b*p <= (p-1)*(d_j + 1)
@@ -23,13 +24,20 @@ forms x_j^b y^r dx subject to
 sorted by r, then pole index, then b.  Block j has (d_j + eps_j)*(p-1)/2
 elements, eps_0 = -1 and eps_j = 1 otherwise, so the total is the genus.
 
-partition_HA() splits the basis (only when p = 1 mod L) into the forms H
-whose Cartier images carry pivots, r >= (b - eps_j)*gamma_j, and the
-complement A; the a-number equals #A in that regime.
+When p = 1 mod L the pivot structure of the Cartier matrix depends on p and
+the pole orders alone, and is computed once per (p, orders): the forms H
+with r >= (b - eps_j)*gamma_j, each with a pivot at
+
+    kappa(x_j^b y^r dx) = x_j^b y^(r - (b - eps_j)*gamma_j) dx,
+
+and the complement A.  partition_HA(p, orders) returns (H, A), and
+kappa(p, orders, form) the pivot of a form of H; the a-number equals #A in
+that regime.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,6 +46,7 @@ from .errors import (
     ConditionNotSatisfied,
     DuplicatePoleLocation,
     MissingInfinitePole,
+    NotInH,
     PoleOrderDivisibleByP,
     ZeroLeadingCoefficient,
 )
@@ -219,29 +228,6 @@ class BasisForm(NamedTuple):
         return " ".join(parts + ["dx"])
 
 
-def block_bound(p: int, d: int, j: int) -> int:
-    """Right side of the W_j inequality r*d + b*p <= bound."""
-    return (p - 1) * (d - 1) - 2 if j == 0 else (p - 1) * (d + 1)
-
-
-def basis_blocks(spec: CurveSpec) -> list[list[BasisForm]]:
-    """The W_j blocks, unsorted within the overall order."""
-    return _blocks(spec.p, validate(spec).orders)
-
-
-def _blocks(p: int, orders) -> list[list[BasisForm]]:
-    blocks = []
-    for j, d in enumerate(orders):
-        bound = block_bound(p, d, j)
-        block = []
-        b = 0 if j == 0 else 1
-        while b * p <= bound:
-            block.extend(BasisForm(j, b, r) for r in range((bound - b * p) // d + 1))
-            b += 1
-        blocks.append(block)
-    return blocks
-
-
 def order_key(form: BasisForm) -> tuple[int, int, int]:
     """Sort key realizing the basis order: by r, then pole index, then b."""
     return (form.r, form.j, form.b)
@@ -254,32 +240,54 @@ def basis(spec: CurveSpec) -> list[BasisForm]:
 
 def ordered_basis(p: int, orders) -> list[BasisForm]:
     """basis() of every curve in characteristic p with these pole orders."""
-    forms = [form for block in _blocks(p, orders) for form in block]
+    forms = []
+    for j, d in enumerate(orders):
+        # W_j is r*d + b*p <= bound
+        bound = (p - 1) * (d - 1) - 2 if j == 0 else (p - 1) * (d + 1)
+        b = 0 if j == 0 else 1
+        while b * p <= bound:
+            forms.extend(BasisForm(j, b, r) for r in range((bound - b * p) // d + 1))
+            b += 1
     forms.sort(key=order_key)
     return forms
 
 
-def partition_HA(spec: CurveSpec) -> tuple[set[BasisForm], set[BasisForm]]:
-    """Split the basis into pivot forms H and the complement A.
+@functools.lru_cache(maxsize=64)
+def _pivots(p: int, orders: tuple[int, ...]) -> dict[BasisForm, BasisForm]:
+    """{omega: kappa(omega)} for the forms omega of H, in basis order.
 
-    Defined only when p = 1 mod L: H consists of the forms with
-    r >= (b - eps_j) * gamma_j.  The a-number equals #A in that regime.
+    Defined only when p = 1 mod L, where gamma_j = (p-1)/d_j is integral.
+    Callers must not mutate the cached dict.
     """
-    inv = validate(spec)
-    if not inv.theorem_applicable:
+    L = math.lcm(*orders)
+    if (p - 1) % L:
         raise ConditionNotSatisfied(
-            f"p = {spec.p} is not 1 mod L = {inv.L}; the partition needs "
-            "integral slopes gamma_j"
+            f"p = {p} is not 1 mod L = {L}; the partition needs integral "
+            "slopes gamma_j"
         )
-    H, A = set(), set()
-    for block in basis_blocks(spec):
-        for form in block:
-            eps = inv.epsilon[form.j]
-            if form.r >= (form.b - eps) * inv.gamma[form.j]:
-                H.add(form)
-            else:
-                A.add(form)
-    return H, A
+    pivots = {}
+    for form in ordered_basis(p, orders):
+        eps = -1 if form.j == 0 else 1
+        r = form.r - (form.b - eps) * ((p - 1) // orders[form.j])
+        if r >= 0:
+            pivots[form] = BasisForm(form.j, form.b, r)
+    return pivots
+
+
+def partition_HA(p: int, orders) -> tuple[frozenset[BasisForm], frozenset[BasisForm]]:
+    """Split ordered_basis(p, orders) into the pivot forms H and the
+    complement A, when p = 1 mod L; the a-number equals #A there."""
+    H = frozenset(_pivots(p, tuple(orders)))
+    return H, frozenset(ordered_basis(p, orders)) - H
+
+
+def kappa(p: int, orders, form: BasisForm) -> BasisForm:
+    """The pivot target x_j^b y^(r - (b - eps_j)*gamma_j) dx of a form of H,
+    when p = 1 mod L; a form outside H raises NotInH."""
+    target = _pivots(p, tuple(orders)).get(form)
+    if target is None:
+        raise NotInH(f"{form.label()} is not in the pivot set H")
+    return target
 
 
 def embed_curve(spec: CurveSpec, dst: Field) -> CurveSpec:

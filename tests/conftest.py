@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from ascart import GF, CurveSpec, PoleDatum, Poly, RatFunc
+from ascart import GF, CurveSpec, PoleDatum, Poly, RatFunc, kappa, partition_HA, validate
+from ascart.invariants import rank, rank_of_columns
 from ascart.sweep import random_curve
 
 
@@ -45,3 +46,21 @@ def random_split_ratfunc(field, rng, max_num_deg=4, max_poles=2, max_order=3):
         lin = Poly.x(field) - Poly.constant(field, e)
         den = den * lin ** (rng.randrange(max_order) + 1)
     return RatFunc(num, den)
+
+
+def assert_pivot_structure(spec, M):
+    """The paper's pivot lemmas on the Cartier matrix M of spec, p = 1 mod L:
+    C(omega) has a nonzero coefficient at kappa(omega) for each omega in H,
+    no form before omega in basis order has one there, the targets are
+    distinct, and the columns of H carry the whole rank."""
+    orders = validate(spec).orders
+    index = {form: i for i, form in enumerate(M.basis)}
+    H, _ = partition_HA(spec.p, orders)
+    targets = set()
+    for w in H:
+        t = kappa(spec.p, orders, w)
+        assert not M.entry(index[t], index[w]).is_zero(), w
+        assert not M.digits[index[t], : index[w]].any(), w  # M.basis is in basis order
+        targets.add(t)
+    assert len(targets) == len(H)
+    assert rank_of_columns(M, [index[w] for w in H]) == len(H) == rank(M)

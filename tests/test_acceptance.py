@@ -20,18 +20,16 @@ from ascart import (
     l_polynomial,
     newton_polygon,
     p_rank_stable,
-    partition_HA,
     rank,
     theorem_a_value,
     twisted_rank_profile,
     validate,
 )
-from ascart.cartier import kappa
-from ascart.curve import BasisForm, basis, basis_blocks, order_key
-from ascart.invariants import a_monomial_remark, a_number, rank_of_columns
+from ascart.curve import BasisForm, basis
+from ascart.invariants import a_monomial_remark, a_number
 from ascart.sweep import SweepConfig, child_seed, random_curve, run_sweep
 
-from conftest import curve, random_split_ratfunc
+from conftest import assert_pivot_structure, curve, random_split_ratfunc
 
 SWEEP_TUPLES = [
     (3, (2,)),
@@ -149,20 +147,7 @@ def test_criterion_5_pivot_structure(swept):
     specs_checked = 0
     for (p, orders), records in swept.items():
         for spec, inv, M, r in records:
-            index = {f: i for i, f in enumerate(M.basis)}
-            H, _ = partition_HA(spec)
-            targets = set()
-            for w in H:
-                t = kappa(spec, w)
-                ti, wi = index[t], index[w]
-                assert not M.entry(ti, wi).is_zero(), (p, orders, w)
-                targets.add(t)
-                kw = order_key(w)
-                for wp in M.basis:
-                    if order_key(wp) < kw:
-                        assert M.entry(ti, index[wp]).is_zero(), (p, orders, w, wp)
-            assert len(targets) == len(H)
-            assert rank_of_columns(M, [index[w] for w in H]) == len(H) == r
+            assert_pivot_structure(spec, M)
             specs_checked += 1
     print(
         f"\nACCEPTANCE 5 PASS: pivot lemmas and rank = #H on {specs_checked} swept specs"
@@ -184,10 +169,11 @@ def test_criterion_7_genus_and_block_counts(swept):
     """|W| = D(p-1)/2 and per-block counts (d_j+eps_j)(p-1)/2, every spec."""
     for (p, orders), records in swept.items():
         for spec, inv, M, r in records:
-            blocks = basis_blocks(spec)
-            assert sum(len(b) for b in blocks) == inv.g == inv.D * (p - 1) // 2
-            for j, block in enumerate(blocks):
-                assert len(block) == (inv.orders[j] + inv.epsilon[j]) * (p - 1) // 2
+            forms = basis(spec)
+            assert len(forms) == inv.g == inv.D * (p - 1) // 2
+            for j, d in enumerate(inv.orders):
+                block = [f for f in forms if f.j == j]
+                assert len(block) == (d + inv.epsilon[j]) * (p - 1) // 2
     print("\nACCEPTANCE 7 PASS: basis sizes match genus and block formulas on all swept specs")
 
 

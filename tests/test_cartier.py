@@ -20,19 +20,17 @@ from ascart import (
     cartier_poly,
     cartier_rational,
     kappa,
-    key_term,
-    partition_HA,
 )
 from ascart import cartier
 from ascart.cartier import CartierMatrix, _series_sizes, _signs
-from ascart.curve import BasisForm, basis, order_key
+from ascart.curve import BasisForm, basis
 from ascart.errors import ConditionNotSatisfied, NotInH, NotInSpan, SeriesTooLarge
 from ascart.finite_field import Field
-from ascart.invariants import rank, rank_of_columns
+from ascart.invariants import rank
 from ascart.ratfunc import partial_fractions
 from ascart.sweep import random_curve
 
-from conftest import curve, random_specs, random_split_ratfunc
+from conftest import assert_pivot_structure, curve, random_specs, random_split_ratfunc
 from naive_local import cartier_local, f_partial_fraction, naive_local_matrix
 from naive_rank import naive_rank
 
@@ -185,7 +183,9 @@ class TestLocalSeriesGuards:
     def test_series_route_names_nothing_of_the_rational_route(self):
         """The two pipelines must stay independent oracles: walk the code of
         the series route, following every function of the cartier module it
-        calls, and look for the rational route."""
+        calls, and look for the rational route.  Neither route reads the
+        pivot structure or the closed form that the corank is checked
+        against (CLOSED_FORM)."""
         names = names_reached(cartier._local_matrix, cartier._local_images, cartier._Layout,
                               cartier._series_mul, cartier._powers, cartier._signs)
         assert {"_series_sizes", "convolve", "_signs"} <= names
@@ -193,6 +193,7 @@ class TestLocalSeriesGuards:
                     "_rational_columns", "_rational_image", "_decompose", "_accumulate_layer",
                     "_f_numerator"}
         assert not names & rational
+        assert not names & CLOSED_FORM
 
     def test_rational_route_names_nothing_of_the_series_route(self):
         names = names_reached(cartier._rational_columns)
@@ -200,6 +201,10 @@ class TestLocalSeriesGuards:
         series = {"_series_mul", "_powers", "_local_images", "_Layout", "_layout", "convolve",
                   "_series_sizes", "_local_matrix"}
         assert not names & series
+        assert not names & CLOSED_FORM
+
+
+CLOSED_FORM = {"partition_HA", "kappa", "theorem_a_value"}
 
 
 def names_reached(*roots) -> set[str]:
@@ -492,51 +497,39 @@ def test_monomial_outside_the_basis_is_refused(monkeypatch):
         cartier_matrix(curve(7, [0, 0, 0, 1]), "rational")
 
 
+def pivot_coefficient(M, p, orders, form):
+    """The key term of C(form): its target kappa(form) and the coefficient
+    there, read off the matrix M."""
+    target = kappa(p, orders, form)
+    return target, M.entry(M.basis.index(target), M.basis.index(form))
+
+
 class TestKeyTerms:
     def test_cubic_pivots(self):
-        spec = curve(7, [0, 0, 0, 1])
-        kt2 = key_term(spec, BasisForm(0, 0, 2))
-        assert kt2.target == BasisForm(0, 0, 0)
-        assert kt2.coefficient == F7(1)
-        kt3 = key_term(spec, BasisForm(0, 0, 3))
-        assert kt3.target == BasisForm(0, 0, 1)
-        assert kt3.coefficient == F7(3)
+        for pipeline in cartier.PIPELINES:
+            M = cartier_matrix(curve(7, [0, 0, 0, 1]), pipeline)
+            assert pivot_coefficient(M, 7, (3,), BasisForm(0, 0, 2)) == (BasisForm(0, 0, 0), F7(1))
+            assert pivot_coefficient(M, 7, (3,), BasisForm(0, 0, 3)) == (BasisForm(0, 0, 1), F7(3))
 
     def test_self_pivot_on_finite_pole(self):
-        spec = curve(3, [0, 0, 1], [(1, [1])])
-        kt = key_term(spec, BasisForm(1, 1, 1))
-        assert kt.target == BasisForm(1, 1, 1)
-        assert kt.coefficient == F3(1)
+        for pipeline in cartier.PIPELINES:
+            M = cartier_matrix(curve(3, [0, 0, 1], [(1, [1])]), pipeline)
+            target = BasisForm(1, 1, 1)
+            assert pivot_coefficient(M, 3, (2, 1), target) == (target, F3(1))
 
     def test_not_in_h(self):
-        spec = curve(7, [0, 0, 0, 1])
-        with pytest.raises(NotInH):
-            key_term(spec, BasisForm(0, 0, 0))
+        # dx is in A, and x^5 y^9 dx is not even in the basis of y^7 - y = x^3
+        for form in (BasisForm(0, 0, 0), BasisForm(0, 5, 9)):
+            with pytest.raises(NotInH):
+                kappa(7, (3,), form)
 
     def test_condition_not_satisfied(self):
-        spec = curve(3, [0, 0, 0, 0, 1])
         with pytest.raises(ConditionNotSatisfied):
-            kappa(spec, BasisForm(0, 0, 0))
+            kappa(3, (4,), BasisForm(0, 0, 0))
 
     @pytest.mark.parametrize(
         "p,orders,seed", [(3, (2, 1), 41), (5, (2, 4), 42), (7, (3, 2), 43), (7, (6,), 44)]
     )
     def test_pivot_structure(self, p, orders, seed):
-        """Nonzero pivots, zeros in earlier columns, distinct targets,
-        H-columns carry the whole rank."""
         for spec in random_specs(p, orders, 4, seed):
-            forms = basis(spec)
-            index = {f: i for i, f in enumerate(forms)}
-            H, _ = partition_HA(spec)
-            M = cartier_matrix(spec, "local")
-            targets = {}
-            for w in H:
-                t = kappa(spec, w)
-                assert not M.entry(index[t], index[w]).is_zero()
-                targets[w] = t
-                for wp in forms:
-                    if order_key(wp) < order_key(w):
-                        assert M.entry(index[t], index[wp]).is_zero()
-            assert len(set(targets.values())) == len(H)
-            h_cols = [index[w] for w in H]
-            assert rank_of_columns(M, h_cols) == len(H) == rank(M)
+            assert_pivot_structure(spec, cartier_matrix(spec, "local"))

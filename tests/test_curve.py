@@ -1,16 +1,13 @@
 """Normal form validation, invariants, basis enumeration, H/A partition."""
 
+import itertools
+import math
 import random
 
 import pytest
 
-from ascart import GF, CurveSpec, PoleDatum, basis, partition_HA, validate
-from ascart.curve import (
-    BasisForm,
-    basis_blocks,
-    embed_curve,
-    order_key,
-)
+from ascart import GF, CurveSpec, PoleDatum, basis, kappa, partition_HA, validate
+from ascart.curve import BasisForm, embed_curve, order_key, ordered_basis
 from ascart.errors import (
     ConditionNotSatisfied,
     DuplicatePoleLocation,
@@ -19,6 +16,7 @@ from ascart.errors import (
     PoleOrderDivisibleByP,
     ZeroLeadingCoefficient,
 )
+from ascart.invariants import theorem_a_value
 from ascart.ratfunc import Poly, RatFunc
 from ascart.sweep import random_curve
 
@@ -123,11 +121,10 @@ class TestBasis:
     def test_block_counts_and_total(self, p, orders, seed):
         for spec in random_specs(p, orders, 10, seed):
             inv = validate(spec)
-            blocks = basis_blocks(spec)
-            for j, block in enumerate(blocks):
-                d, eps = inv.orders[j], inv.epsilon[j]
-                assert len(block) == (d + eps) * (p - 1) // 2
-            assert len(basis(spec)) == inv.g == inv.D * (p - 1) // 2
+            forms = basis(spec)
+            for j, (d, eps) in enumerate(zip(inv.orders, inv.epsilon)):
+                assert sum(1 for f in forms if f.j == j) == (d + eps) * (p - 1) // 2
+            assert len(forms) == inv.g == inv.D * (p - 1) // 2
 
     def test_triangle_description_when_applicable(self):
         # under p = 1 mod L the blocks fill closed lattice triangles
@@ -135,15 +132,15 @@ class TestBasis:
             for spec in random_specs(p, orders, 3, seed):
                 inv = validate(spec)
                 assert inv.theorem_applicable
-                for j, block in enumerate(basis_blocks(spec)):
-                    eps, gamma = inv.epsilon[j], inv.gamma[j]
+                forms = basis(spec)
+                for j, (eps, gamma) in enumerate(zip(inv.epsilon, inv.gamma)):
                     triangle = {
                         (b, r)
                         for b in range((1 + eps) // 2, p + max(inv.orders))
                         for r in range(p)
                         if r <= (p - 2 + eps * gamma) - gamma * b
                     }
-                    assert {(f.b, f.r) for f in block} == triangle
+                    assert {(f.b, f.r) for f in forms if f.j == j} == triangle
 
 
 class TestOrdering:
@@ -171,40 +168,56 @@ class TestOrdering:
         assert forms == sorted(forms, key=order_key)
 
 
+# Every (p, orders) with p = 1 mod L and at most 3 poles, for p up to this bound
+PARTITION_MAX_P = 23
+
+
+def admissible_families(max_p, max_poles):
+    for p in range(2, max_p + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+            for n in range(1, max_poles + 1):
+                yield from ((p, orders) for orders in itertools.product(divisors, repeat=n))
+
+
 class TestPartition:
     def test_monomial_cubic(self):
-        spec = curve(7, [0, 0, 0, 1])
-        H, A = partition_HA(spec)
+        H, A = partition_HA(7, (3,))
         assert H == {BasisForm(0, 0, 2), BasisForm(0, 0, 3)}
         assert len(A) == 4
-        assert H | A == set(basis(spec))
+        assert H | A == set(basis(curve(7, [0, 0, 0, 1])))
         assert not H & A
 
     def test_single_even_pole(self):
-        H, A = partition_HA(curve(3, [0, 0, 1]))
+        H, A = partition_HA(3, (2,))
         assert H == set()
         assert A == {BasisForm(0, 0, 0)}
 
     def test_two_poles(self):
-        H, A = partition_HA(curve(3, [0, 0, 1], [(1, [1])]))
+        H, A = partition_HA(3, [2, 1])
         assert H == {BasisForm(1, 1, 0), BasisForm(1, 1, 1)}
         assert A == {BasisForm(0, 0, 0)}
 
     def test_condition_not_satisfied(self):
-        with pytest.raises(ConditionNotSatisfied):
-            partition_HA(curve(3, [0, 0, 0, 0, 1]))
+        with pytest.raises(ConditionNotSatisfied, match="not 1 mod L = 4"):
+            partition_HA(3, (4,))
 
-    @pytest.mark.parametrize("p,orders,seed", [(5, (2, 4), 11), (7, (6,), 12), (13, (4, 3), 13)])
-    def test_block_A_sizes_match_formula(self, p, orders, seed):
-        # #A_j equals the closed-form a_j value
-        from ascart.invariants import theorem_a_value
-
-        for spec in random_specs(p, orders, 5, seed):
-            inv = validate(spec)
-            H, A = partition_HA(spec)
-            for j, d in enumerate(inv.orders):
-                a_j = theorem_a_value(p, [d])
-                assert sum(1 for f in A if f.j == j) == a_j
+    def test_block_A_sizes_match_formula(self):
+        """Over every admissible family: H and A split the basis, #A_j is the
+        closed-form a_j, and kappa maps H one to one into the basis, never to
+        a form after its source."""
+        families = 0
+        for p, orders in admissible_families(PARTITION_MAX_P, 3):
+            forms = ordered_basis(p, orders)
+            H, A = partition_HA(p, orders)
+            assert H | A == set(forms) and not H & A, (p, orders)
+            for j, d in enumerate(orders):
+                assert sum(1 for f in A if f.j == j) == theorem_a_value(p, [d]), (p, orders)
+            targets = {kappa(p, orders, w): w for w in H}
+            assert len(targets) == len(H) and set(targets) <= set(forms), (p, orders)
+            assert all(order_key(t) <= order_key(w) for t, w in targets.items()), (p, orders)
+            families += 1
+        assert families == 979
 
 
 class TestEmbedCurve:

@@ -209,7 +209,7 @@ class TestStructuralProperties:
         for spec in random_specs(p, orders, 5, seed):
             inv = validate(spec)
             M = cartier_matrix(spec)
-            H, A = partition_HA(spec)
+            H, A = partition_HA(p, inv.orders)
             r = rank(M)
             assert r == len(H)
             a = inv.g - r
