@@ -202,7 +202,17 @@ class TestPartition:
         with pytest.raises(ConditionNotSatisfied, match="not 1 mod L = 4"):
             partition_HA(3, (4,))
 
-    def test_block_A_sizes_match_formula(self):
+    @pytest.mark.parametrize("p,orders,seed", [(5, (2, 4), 11), (7, (6,), 12), (13, (4, 3), 13)])
+    def test_block_A_sizes_match_formula(self, p, orders, seed):
+        # #A_j equals the closed-form a_j value on the orders of random curves
+        for spec in random_specs(p, orders, 5, seed):
+            inv = validate(spec)
+            H, A = partition_HA(p, inv.orders)
+            assert H | A == set(basis(spec)) and not H & A
+            for j, d in enumerate(inv.orders):
+                assert sum(1 for f in A if f.j == j) == theorem_a_value(p, [d])
+
+    def test_pivot_structure_every_admissible_family(self):
         """Over every admissible family: H and A split the basis, #A_j is the
         closed-form a_j, and kappa maps H one to one into the basis, never to
         a form after its source."""
