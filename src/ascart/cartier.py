@@ -24,8 +24,8 @@ reduction code, so each serves as an oracle for the other:
     p-th root (_rational_image), and decompose the unreduced quotient
     C(G dx)/h once per (j, b, e), with no gcd; the pole factors
     (x - e_l)^i and the powers N^e of f's numerator are tabulated once per
-    curve.  The columns are sums of the decompositions' coefficients,
-    handed over as digits (_rational_columns).  cartier_rational amplifies
+    curve.  A column is a signed sum of the decompositions' digits, each
+    read once per (j, b, e) (_rational_columns).  cartier_rational amplifies
     a whole denominator, num*den^(p-1) / den^p, on a RatFunc;
   * local -- read the principal part of g = x_j^b f^e at each pole off its
     Laurent series in the paper's local parameter there, w = 1/x at
@@ -38,9 +38,10 @@ reduction code, so each serves as an oracle for the other:
     -1 mod p in x at infinity and 1 mod p in 1/u at a finite pole, under a
     p-th root.
 
-The output is the matrix only, cartier_matrix: a column is the coordinate
-vector of C(omega_j) in the ordered basis, and entry (i, j) is the
-coefficient of omega_i in C(omega_j).
+The output is the matrix only, cartier_matrix, the one gate of both
+pipelines (one validation, one size check, the g = 0 case): a column is the
+coordinate vector of C(omega_j) in the ordered basis, and entry (i, j) is
+the coefficient of omega_i in C(omega_j).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BasisForm, CurveSpec, basis, ordered_basis, validate
+from .curve import BasisForm, CurveSpec, ordered_basis, validate
 from .errors import IrreducibleDenominatorFactor, NotInSpan, SeriesTooLarge
 from .finite_field import Field, FieldElement
 from .ratfunc import PartialFraction, Poly, RatFunc, partial_fractions
@@ -170,7 +171,7 @@ def _rational_columns(spec: CurveSpec, forms) -> np.ndarray:
     field = spec.field
     index = {form: i for i, form in enumerate(forms)}
     loc_to_j = {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
-    e_max = max((form.r for form in forms), default=0)
+    e_max = max(form.r for form in forms)
     sign = _signs(field.p, e_max)
     factors = _pole_factors(spec)
     powers = [Poly.constant(field, 1), _f_numerator(spec, factors)]  # N^0, N^1, ...
@@ -178,17 +179,23 @@ def _rational_columns(spec: CurveSpec, forms) -> np.ndarray:
         powers.append(powers[-1] * powers[1])
 
     @functools.cache
-    def decomposition(j: int, b: int, e: int) -> PartialFraction:
-        return _decompose(_rational_image(spec, powers[e], j, b, e, factors), loc_to_j)
+    def decomposition(j: int, b: int, e: int) -> list[tuple[tuple[int, int], np.ndarray]]:
+        """C(x_j^b f^e dx) as ((j', b'), digits) pairs, one per term x_j'^b' dx."""
+        pf = _decompose(_rational_image(spec, powers[e], j, b, e, factors), loc_to_j)
+        terms = [((0, n), c) for n, c in enumerate(pf.poly.coeffs)]
+        for loc, tail in pf.tails.items():  # at the curve's poles only (_decompose)
+            terms.extend(((loc_to_j[loc], n), c) for n, c in tail.items())
+        return [(key, np.array(c.digits)) for key, c in terms if not c.is_zero()]
 
     out = np.zeros((len(forms), len(forms), field.k), dtype=np.int64)
     for col, (j, b, r) in enumerate(forms):
-        vec = [field.zero] * len(forms)
         for e, s in enumerate(sign[r, : r + 1].tolist()):
-            pf = decomposition(j, b, e)
-            _accumulate_layer(pf if s == 1 else pf.scale(s), r - e, index, loc_to_j, vec)
-        out[:, col] = field.digit_array(vec)
-    return out
+            for (pole, power), digits in decomposition(j, b, e):
+                form = BasisForm(pole, power, r - e)
+                if form not in index:
+                    raise NotInSpan(f"monomial {form.label()} falls outside the basis")
+                out[index[form], col] += s * digits
+    return out % field.p
 
 
 def _decompose(pair, loc_to_j: dict) -> PartialFraction:
@@ -205,43 +212,9 @@ def _decompose(pair, loc_to_j: dict) -> PartialFraction:
         ) from exc
 
 
-def _accumulate_layer(
-    pf: PartialFraction,
-    r: int,
-    index: dict[BasisForm, int],
-    loc_to_j: dict,
-    vec: list[FieldElement],
-) -> None:
-    terms = [(BasisForm(0, b, r), c) for b, c in enumerate(pf.poly.coeffs) if not c.is_zero()]
-    for e, tail in pf.tails.items():  # at the curve's poles only (_decompose)
-        terms.extend((BasisForm(loc_to_j[e], n, r), c) for n, c in tail.items())
-    for key, c in terms:
-        if key not in index:
-            raise NotInSpan(f"monomial {key.label()} falls outside the basis")
-        vec[index[key]] = vec[index[key]] + c
-
-
 # ---------------------------------------------------------------------------
 # Local pipeline: truncated Laurent series at each pole
 # ---------------------------------------------------------------------------
-
-
-def _series_sizes(p: int, k: int, orders) -> list[int]:
-    """Terms kept of the series at each pole: (p-1)*d_l + 1.
-
-    C(x_j^b f^e dx) reads H_l^e, or its product with the series of x_j^b,
-    below index (e+1)*d_l since b <= d_l in every basis form, and
-    e <= p-2; the one term more keeps the expansions of the other poles
-    nonempty at p = 2.  A product sums at most N*k digit products below
-    (p-1)^2, so N*k*(p-1)^2 must stay below 2^63.
-    """
-    sizes = [(p - 1) * d + 1 for d in orders]
-    if max(sizes) * k * (p - 1) ** 2 >= 2**63:
-        raise SeriesTooLarge(
-            f"local Laurent series of {max(sizes)} terms over GF({p}^{k}) "
-            "would overflow int64 sums"
-        )
-    return sizes
 
 
 def _series_mul(field: Field, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -249,7 +222,7 @@ def _series_mul(field: Field, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarra
 
     A series over GF(p^k) is an int64 array (..., N, k) of N coefficients,
     each the digit row of a field element.  Entries stay below 2^63 while
-    n*k*(p-1)^2 does; _series_sizes checks that bound.
+    n*k*(p-1)^2 does, which the digit cap ensures (cartier_matrix).
     """
     a, b = a[..., :n, :], b[:n]
     k, slot, rows, gap = field.k, 2 * field.k - 1, a.shape[-2], len(b) - 1
@@ -282,16 +255,18 @@ def _powers(field: Field, s: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 class _Layout:
-    """The part of the local pipeline that depends only on p, k and the pole
-    orders: the basis, the (j, b) of its forms, the series indices C reads
-    at each pole, and the matrix position of every reading."""
+    """The part of the local pipeline that depends only on p and the pole
+    orders (of genus g >= 1): the basis, the (j, b) of its forms, the series
+    indices C reads at each pole, and the matrix position of every reading."""
 
-    def __init__(self, p: int, k: int, orders):
+    def __init__(self, p: int, orders):
         self.orders = orders
         self.forms = forms = tuple(ordered_basis(p, orders))
-        if not forms:  # g = 0 builds no series, so needs no int64 bound
-            return
-        self.sizes = _series_sizes(p, k, orders)
+        # C(x_j^b f^e dx) reads H_l^e, or its product with the series of
+        # x_j^b, below index (e+1)*d_l since b <= d_l in every basis form,
+        # and e <= p-2; the one term more keeps the expansions of the other
+        # poles nonempty at p = 2.
+        self.sizes = [(p - 1) * d + 1 for d in orders]
         self.e_max = e_max = max(form.r for form in forms)
         self.groups = groups = tuple(sorted({(form.j, form.b) for form in forms}))
         # At pole l, x_j^b f^e = u^-(e*d + s) q_e with s = b for j = l, as
@@ -375,11 +350,9 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
     """The basis and the (g, g, k) digits of the Cartier matrix, by the
     local pipeline."""
     field = spec.field
-    p, layout = field.p, _layout(field.p, field.k, orders)
+    p, layout = field.p, _layout(field.p, orders)
     forms = layout.forms
     out = np.zeros((len(forms), len(forms), field.k), dtype=np.int64)
-    if not forms:
-        return forms, out
     images = _local_images(spec, layout)
     vals = layout.sign[:, :, None, None] * images[:, None] % p  # [g, r, e, a, :]
     live = vals.any(-1) & (layout.cols[:, :, None, None] >= 0)
@@ -492,23 +465,25 @@ class CartierMatrix:
 def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
     """The full matrix of the Cartier operator, by either pipeline.
 
-    A curve over the digit cap is refused before anything is built: every
-    dense array has O(g^2 * k) entries, since e_max + 1 <= g and the series
-    have (p-1)*d_l + 1 <= 4g + 1 terms.  At g = 0 no series is built, so
-    the local pipeline's int64 bound does not apply.
+    The one gate of both pipelines: the curve is validated once, and the
+    digit cap, g^2 * k <= 2^20, is its only size check, before anything is
+    built.  Every dense array has O(g^2 * k) entries, since e_max + 1 <= g
+    and the series have N = (p-1)*d_l + 1 <= 4g + 1 terms; as p - 1 <= 2g
+    for g >= 1, the local pipeline's int64 sums stay below
+    N*k*(p-1)^2 <= (4g + 1)*4*2^20 < 2^35.  At g = 0 neither pipeline runs.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
     field, inv = spec.field, validate(spec)
-    if pipeline == "local" and inv.g:  # its int64 bound first, with its own message
-        _series_sizes(field.p, field.k, inv.orders)
     if inv.g**2 * field.k > _MAX_DIGITS:
         raise SeriesTooLarge(f"Cartier matrix of genus {inv.g} over {field} exceeds "
                              f"the {_MAX_DIGITS}-digit cap on g^2*k")
+    if not inv.g:
+        return CartierMatrix(field, (), np.zeros((0, 0, field.k), dtype=np.int64))
     if pipeline == "local":
         forms, digits = _local_matrix(spec, inv.orders)
     else:
-        forms = tuple(basis(spec))
+        forms = tuple(ordered_basis(field.p, inv.orders))
         digits = _rational_columns(spec, forms)
     return CartierMatrix(field, forms, digits)
 

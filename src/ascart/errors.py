@@ -90,7 +90,7 @@ class FieldTooLarge(AscartError, ValueError):
 
 
 class SeriesTooLarge(AscartError, ValueError):
-    """A Cartier matrix too large to build: over the g^2 * k cap, or int64 overflow."""
+    """A Cartier matrix too large to build: over the cap on its g^2 * k digits."""
 
 
 class ParseError(AscartError):

@@ -121,10 +121,11 @@ _last_elimination: tuple = (None, None, None)
 def _eliminated(M: CartierMatrix) -> tuple[np.ndarray, np.ndarray]:
     """A = rho(M) (I (x) Phi) and independent rows spanning its row space."""
     global _last_elimination
-    if _last_elimination[0] is not M:
+    last = _last_elimination  # read once: another caller may replace it
+    if last[0] is not M:
         A = _prime_matrix(M)
-        _last_elimination = (M, A, _echelon_int(A, M.field.p))
-    return _last_elimination[1:]
+        last = _last_elimination = (M, A, _echelon_int(A, M.field.p))
+    return last[1:]
 
 
 def _over_field(prime_rank: int, k: int) -> int:

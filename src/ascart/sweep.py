@@ -151,16 +151,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     for i in range(config.samples):
         seed_i = child_seed(config.seed, i)
         spec = random_curve(field, config.orders, random.Random(seed_i))
-        inv = validate(spec)
         M = cartier_matrix(spec, "local")
         r = rank(M)
         results.append(
             SampleResult(
                 index=i,
                 seed=seed_i,
-                a=inv.g - r,
+                a=M.dimension - r,
                 s=p_rank_stable(M),
-                g=inv.g,
+                g=M.dimension,
                 rank=r,
             )
         )

@@ -461,15 +461,17 @@ class TestExitCodes:
         assert "GF(3^21) exceeds the 10000000-element cap" in capsys.readouterr().err
 
     def test_local_series_past_int64_is_invalid_input(self, tmp_path, capsys):
-        # (p-1)*7 + 1 terms times (p-1)^2 is about 5.6e19 > 2^63
+        # (p-1)*7 + 1 terms times (p-1)^2 is about 5.6e19 > 2^63, but the
+        # digit cap, the one size check, refuses the curve first: g = 6000006
         path = write(tmp_path, "p = 2000003\npole inf: 0 0 0 0 0 0 0 1\n")
         assert main(["matrix", path]) == 2
-        assert "would overflow int64 sums" in capsys.readouterr().err
+        assert "genus 6000006 over GF(2000003) exceeds the 1048576-digit cap" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("command", ["anumber", "matrix", "verify", "oracle"])
     def test_genus_zero_past_the_series_bound_runs(self, tmp_path, capsys, command):
-        # y^p - y = x has g = 0, so no series is built and the int64 bound
-        # that would refuse one of p terms does not apply
+        # y^p - y = x has g = 0, so no series of p terms is built
         assert main([command, write(tmp_path, "p = 2200013\npole inf: 0 1\n")]) == 0
         assert capsys.readouterr().err == ""
 

@@ -7,6 +7,7 @@ entrywise pth_root twist, sharing no code with ascart.invariants.
 import inspect
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,35 @@ class TestSharedElimination:
         assert twin == M and twin is not M
         assert rank(twin) == r
         assert calls == {"_prime_matrix": 2, "_echelon_int": 2 + steps}
+
+    def test_caller_between_check_and_return_keeps_its_own_elimination(self):
+        """Another rank() that runs after _eliminated(M1) has checked the
+        shared cache, and before it returns, must not hand M1 the other
+        matrix's elimination."""
+        M1 = cartier_matrix(random_curve(GF(7), (3,), random.Random(1)))
+        M2 = cartier_matrix(random_curve(GF(13), (4, 3), random.Random(2)))
+        lines, start = inspect.getsourcelines(invariants._eliminated)
+        ret = start + next(i for i, line in enumerate(lines) if line.strip().startswith("return"))
+        interleaved = []
+
+        def at_line(frame, event, arg):
+            if event == "line" and frame.f_lineno == ret and not interleaved:
+                interleaved.append(rank(M2))  # the trace function itself is not traced
+            return at_line
+
+        def on_call(frame, event, arg):
+            if frame.f_code is invariants._eliminated.__code__ and frame.f_locals["M"] is M1:
+                return at_line
+            return None
+
+        tracer = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            r = rank(M1)
+        finally:
+            sys.settrace(tracer)
+        assert interleaved == [22]
+        assert r == naive_rank(M1) == 2
 
     def test_round_trip_through_elements_stays_out(self):
         """Walk the code of the rank and p-rank route, following every
