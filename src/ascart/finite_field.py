@@ -8,10 +8,10 @@ sum(c_i * p**i), i.e. coefficient tuples are compared from the highest
 degree down.  Two runs (or two implementations following the same rule)
 therefore agree on every digit of every result.
 
-For k = 1 elements are plain residues mod p.  For k >= 2 one kernel does
-all the arithmetic: a fold table, the digits of t^i mod m for
-k <= i <= 2k-2, turns the schoolbook product of two digit vectors into
-their product mod m, and one square-and-multiply loop gives powers.
+One kernel does the arithmetic for every k: a fold table, the digits of
+t^i mod m for k <= i <= 2k-2, turns the schoolbook product of two digit
+vectors into their product mod m, and one square-and-multiply loop gives
+powers; a product in GF(p) is taken mod p at once (a measured shortcut).
 Everything else is read off that kernel once per field:
 
 - Frobenius x -> x^p is a field automorphism of order k, so p-th roots
@@ -34,7 +34,8 @@ is one lookup, g^a + g^b = g^(a + Z(b - a)) with Z(n) = log(1 + g^n).  The
 tables are an enumeration device only; FieldElement keeps the fold kernel.
 
 Everything is immutable and every operation is exact; there is no lazy
-reduction and no floating point.
+reduction and no floating point.  Fields, embeddings and log tables are
+cached process-wide; the log-table cache is kept under a lock.
 
 Fields are capped at about 10**7 elements.  The cap keeps exhaustive
 procedures (root finding, point counting, element enumeration) honest.
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from operator import mul
@@ -58,35 +60,25 @@ _MAX_FIELD_SIZE = 10**7
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; fields are desk scale."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_divisors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
-# The arithmetic kernel of GF(p)[t]/m for k >= 2, on k-digit tuples.  Modulus
+# The arithmetic kernel of GF(p)[t]/m, on k-digit tuples.  Modulus
 # selection runs in it too, so m here need not be irreducible.
 # ---------------------------------------------------------------------------
 
 
 def _fold_table(m: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
-    """Digits of t^i mod m for k <= i <= 2k-2, for a monic m of degree k >= 2.
+    """Digits of t^i mod m for k <= i <= 2k-2, for a monic m of degree k.
 
-    Built by shift-and-subtract from t^k = -(m_0 + ... + m_(k-1) t^(k-1)).
-    Stored transposed, the order _mul reads it in: entry [l][i - k] is
-    digit l of t^i mod m.
+    Built from t^(k-1) by shift-and-subtract with t^k = -(m_0 + ... +
+    m_(k-1) t^(k-1)), so empty at k = 1.  Stored transposed, the order _mul
+    reads it in: entry [l][i - k] is digit l of t^i mod m.
     """
     k = len(m) - 1
-    row = [(-c) % p for c in m[:k]]
-    rows = [row]
-    for _ in range(k - 2):
+    row, rows = [0] * (k - 1) + [1], []
+    for _ in range(k - 1):
         top = row[-1]
         row = [(s - top * c) % p for s, c in zip([0] + row[:-1], m)]
         rows.append(row)
@@ -196,7 +188,7 @@ class Field:
     """
 
     __slots__ = ("p", "k", "modulus", "order", "reduction", "pth_root_matrix",
-                 "_zero", "_one", "_gen", "_fold", "_phi", "_trace", "_primitive")
+                 "_zero", "_one", "_fold", "_phi", "_trace", "_primitive")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         # The cap comes before the trial-division primality test, which would
@@ -222,25 +214,20 @@ class Field:
         self.order = p**k
         self._zero = FieldElement(self, (0,) * k)
         self._one = FieldElement(self, (1,) + (0,) * (k - 1))
-        self._gen = None if k == 1 else FieldElement(self, (0, 1) + (0,) * (k - 2))
         self._primitive = None  # found on first use
-        if k == 1:
-            # nothing to fold, Frobenius is the identity and Tr(a) = a on GF(p)
-            self._fold, self._phi, self._trace = (), ((1,),), (1,)
-        else:
-            self._fold = fold = _fold_table(modulus, p)
-            # Phi, the matrix of x -> x^(p^(k-1)), as rows; its column j is
-            # pth_root(t^j) = pth_root(t)^j.
-            root = _pow(self._gen.digits, p ** (k - 1), fold, p)
-            columns = [self._one.digits]
-            for _ in range(k - 1):
-                columns.append(_mul(columns[-1], root, fold, p))
-            self._phi = tuple(zip(*columns))
-            # Tr(t^j), the trace of multiplication by t^j: sum_l [t^(j+l) mod m]_l.
-            self._trace = tuple(
-                (k * (j == 0) + sum(fold[l][j + l - k] for l in range(k - j, k))) % p
-                for j in range(k)
-            )
+        self._fold = fold = _fold_table(modulus, p)
+        # Phi, the matrix of x -> x^(p^(k-1)), as rows; its column j is
+        # pth_root(t^j) = pth_root(t)^j.  Only k >= 2 reads root.
+        root = _pow((0, 1, *(0,) * (k - 2))[:k], p ** (k - 1), fold, p)
+        columns = [self._one.digits]
+        for _ in range(k - 1):
+            columns.append(_mul(columns[-1], root, fold, p))
+        self._phi = tuple(zip(*columns))
+        # Tr(t^j), the trace of multiplication by t^j: sum_l [t^(j+l) mod m]_l.
+        self._trace = tuple(
+            (k * (j == 0) + sum(fold[l][j + l - k] for l in range(k - j, k))) % p
+            for j in range(k)
+        )
         self.reduction = np.eye(2 * k - 1, k, dtype=np.int64)
         self.reduction[k:] = np.array(self._fold, dtype=np.int64).reshape(k, k - 1).T
         self.pth_root_matrix = np.array(self._phi, dtype=np.int64).T
@@ -273,9 +260,9 @@ class Field:
     @property
     def gen(self) -> FieldElement:
         """The class of t, a root of the modulus (k >= 2)."""
-        if self._gen is None:
+        if self.k == 1:
             raise ValueError("prime field has no extension generator")
-        return self._gen
+        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
 
     def from_counter(self, n: int) -> FieldElement:
         """The n-th element in canonical order, n in [0, p^k)."""
@@ -326,13 +313,14 @@ class Field:
         2 * _MAX_FIELD_SIZE elements together, so a whole tower
         GF(q), GF(q^2), ..., GF(q^S) stays cached: sum_(s<=S) q^s < 2 q^S.
         """
-        tables = _LOG_TABLES.pop(self, None)
-        if tables is None:
-            room = 2 * _MAX_FIELD_SIZE - self.order
-            while _LOG_TABLES and sum(f.order for f in _LOG_TABLES) > room:
-                _LOG_TABLES.popitem(last=False)  # the least recently used
-            tables = _build_log_tables(self)
-        _LOG_TABLES[self] = tables
+        with _LOG_LOCK:
+            tables = _LOG_TABLES.pop(self, None)
+            if tables is None:
+                room = 2 * _MAX_FIELD_SIZE - self.order
+                while _LOG_TABLES and sum(f.order for f in _LOG_TABLES) > room:
+                    _LOG_TABLES.popitem(last=False)  # the least recently used
+                tables = _build_log_tables(self)
+            _LOG_TABLES[self] = tables
         return tables
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElement:
@@ -435,7 +423,7 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        if f.k == 1:
+        if f.k == 1:  # the kernel's one shortcut, see the module docstring
             return FieldElement(f, ((self.digits[0] * other.digits[0]) % f.p,))
         return FieldElement(f, _mul(self.digits, other.digits, f._fold, f.p))
 
@@ -467,12 +455,6 @@ class FieldElement:
 
     def __pow__(self, e: int) -> "FieldElement":
         f = self.field
-        if f.k == 1:
-            if self.digits[0] == 0 and e < 0:
-                raise ZeroDivisionError("inverse of zero")
-            if self.digits[0] == 0:
-                return f.one if e == 0 else f.zero
-            return FieldElement(f, (pow(self.digits[0], e, f.p),))
         if e < 0:
             return self.inverse() ** (-e)
         return FieldElement(f, _pow(self.digits, e, f._fold, f.p))
@@ -482,15 +464,11 @@ class FieldElement:
     def pth_root(self) -> "FieldElement":
         """The unique r with r^p = self; equals self^(p^(k-1))."""
         f = self.field
-        if f.k == 1:
-            return self
         return FieldElement(f, _matvec(f._phi, self.digits, f.p))
 
     def trace_to_prime(self) -> int:
         """Sum of the Galois conjugates, as a residue in [0, p)."""
         f = self.field
-        if f.k == 1:
-            return self.digits[0]
         return sum(map(mul, f._trace, self.digits)) % f.p
 
     # -- identity -----------------------------------------------------------
@@ -545,8 +523,10 @@ class LogTables(NamedTuple):
     trace: np.ndarray
 
 
-# Field -> LogTables, least recently used first; Field.log_tables keeps it.
+# Field -> LogTables, least recently used first; Field.log_tables keeps it
+# under _LOG_LOCK, so no thread iterates it while another inserts.
 _LOG_TABLES: OrderedDict = OrderedDict()
+_LOG_LOCK = threading.Lock()
 
 # Powers of g made per step of the table build.
 _LOG_BLOCK = 1 << 14
@@ -566,7 +546,7 @@ def _build_log_tables(field: Field) -> LogTables:
         powers.append(_mul(powers[-1], g, fold, p))
     rows = [_mul(powers[-1], g, fold, p)]  # t^j * g^B
     for _ in range(k - 1):
-        rows.append(_mul(rows[-1], field._gen.digits, fold, p))
+        rows.append(_mul(rows[-1], field.gen.digits, fold, p))
     step = np.array(rows, dtype=np.int64)
     place = p ** np.arange(k, dtype=np.int64)
     weights = np.array(field._trace, dtype=np.int64)
@@ -606,7 +586,8 @@ def embedding(src: Field, dst: Field):
     The roots lie in the subfield of order r = src.order, whose nonzero
     elements are the powers of h = g^((dst.order - 1)/(r - 1)) for the
     primitive g of dst, so only those r - 1 elements are tried.  The search
-    runs once per (src, dst): the callables are cached.
+    runs once per (src, dst): the callables are cached.  For k >= 2 the
+    callable is one mat-vec; GF(p) goes through a table of its p images.
     """
     if src.p != dst.p or dst.k % src.k != 0:
         raise ValueError(f"no embedding {src} -> {dst}")
@@ -628,15 +609,8 @@ def embedding(src: Field, dst: Field):
     if not roots:
         raise FieldTooSmall(f"{dst} contains no root of the modulus of {src}")
     root = min(roots, key=FieldElement.counter)
-    powers = [dst.one]
+    columns = [dst.one.digits]  # root^j, the image of t^j
     for _ in range(src.k - 1):
-        powers.append(powers[-1] * root)
-
-    def embed(a: FieldElement) -> FieldElement:
-        acc = dst.zero
-        for d, rp in zip(a.digits, powers):
-            if d:
-                acc = acc + dst(d) * rp
-        return acc
-
-    return embed
+        columns.append(_mul(columns[-1], root.digits, dst._fold, dst.p))
+    rows = tuple(zip(*columns))
+    return lambda a: FieldElement(dst, _matvec(rows, a.digits, dst.p))

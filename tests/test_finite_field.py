@@ -1,6 +1,8 @@
 """Field arithmetic, deterministic moduli, Frobenius structure."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -161,10 +163,11 @@ class TestArithmetic:
         assert t**-1 == t.inverse()
 
 
-@pytest.mark.parametrize("field", [GF(3, 3), GF(2, 5), GF(3, 7)])
+@pytest.mark.parametrize("field", [GF(2), GF(13), GF(101), GF(3, 3), GF(2, 5), GF(3, 7)])
 def test_kernel_matches_naive_reference(field):
-    """Product, inverse, trace and p-th root against tests/naive_field.py."""
-    p, k, m = field.p, field.k, field.modulus
+    """Product, inverse, powers, trace and p-th root against tests/naive_field.py,
+    on prime fields and extensions alike."""
+    p, k, m, q = field.p, field.k, field.modulus, field.order
     one = (1,) + (0,) * (k - 1)
     r = random.Random(field.order)
     for _ in range(60):
@@ -172,10 +175,17 @@ def test_kernel_matches_naive_reference(field):
         b = field.random_element(r)
         assert (a * b).digits == mul_mod(a.digits, b.digits, m, p)
         assert mul_mod(a.digits, a.inverse().digits, m, p) == one
+        for e in (0, 1, q - 2, 3 * q + 1):
+            assert (a**e).digits == pow_mod(a.digits, e, m, p)
+            assert a**-e == (a**e).inverse()
         conjugates = [pow_mod(a.digits, p**i, m, p) for i in range(k)]
         trace = tuple(sum(col) % p for col in zip(*conjugates))
         assert trace == (a.trace_to_prime(),) + (0,) * (k - 1)
         assert a.pth_root().digits == pow_mod(a.digits, p ** (k - 1), m, p)
+    zero = field.zero
+    assert zero**0 == field.one and zero**3 == zero
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        zero**-1
 
 
 def test_mixing_fields():
@@ -216,6 +226,12 @@ def test_inverse_matches_fermat(p, k):
 class TestFrobenius:
     def test_prime_field_identity(self):
         assert GF(3)(2).pth_root() == GF(3)(2)
+
+    @pytest.mark.parametrize("p", [2, 13, 101])
+    def test_prime_field_tables(self, p):
+        """At k = 1 the kernel's reduction and Frobenius tables are the identity."""
+        F = Field(p, 1)
+        assert F.reduction.tolist() == [[1]] and F.pth_root_matrix.tolist() == [[1]]
 
     def test_gf9_example(self):
         F = GF(3, 2)
@@ -410,6 +426,37 @@ class TestLogTables:
         assert list(finite_field._LOG_TABLES) == [GF(7), GF(5), GF(3, 3)]
         GF(5, 2).log_tables()  # 39 + 25 > 60: GF(7) goes
         assert list(finite_field._LOG_TABLES) == [GF(5), GF(3, 3), GF(5, 2)]
+
+    def test_miss_while_another_thread_inserts(self, monkeypatch):
+        """A second thread caches GF(11) while a miss on GF(3^3) sums the cached
+        orders; both tables end up cached and neither call raises."""
+        monkeypatch.setattr(finite_field, "_LOG_TABLES", finite_field.OrderedDict())
+        for F in (GF(5), GF(5, 2), GF(7)):
+            F.log_tables()
+        field = Field(3, 3)
+        other = threading.Thread(target=GF(11).log_tables)
+
+        def in_genexpr(frame, event, arg):
+            if event == "line" and other.ident is None:
+                other.start()
+                other.join(timeout=1)
+            return in_genexpr
+
+        def on_call(frame, event, arg):
+            caller = frame.f_back.f_code
+            if frame.f_code.co_name == "<genexpr>" and caller is Field.log_tables.__code__:
+                return in_genexpr  # the sum over the cached fields
+            return None
+
+        tracer = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            field.log_tables()
+        finally:
+            sys.settrace(tracer)
+            other.join()
+        assert other.ident is not None
+        assert set(finite_field._LOG_TABLES) == {GF(5), GF(5, 2), GF(7), GF(3, 3), GF(11)}
 
 
 def prime_factors(n):

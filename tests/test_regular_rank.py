@@ -88,6 +88,17 @@ class TestRegularRepresentation:
         T, Phi = regular_representation(GF(13))
         assert T.tolist() == [[[1]]] and Phi.tolist() == [[1]]
 
+    @pytest.mark.parametrize("p", [2, 13, 101])
+    def test_prime_matrix_reshape_matches_general_route(self, p):
+        """_prime_matrix's k = 1 shortcut is rho(M) (I (x) Phi) built block by
+        block from regular_representation(GF(p))."""
+        F = GF(p)
+        _, Phi = regular_representation(F)
+        M = random_matrix(F, 6, 4, random.Random(p))
+        general = np.block([[rho(c) @ Phi % p for c in row] for row in M.entries])
+        assert (invariants._prime_matrix(M) == general).all()
+        assert (invariants._prime_matrix(M, [1, 4]) == general[:, [1, 4]]).all()
+
     def test_cached_and_read_only(self):
         T, Phi = regular_representation(GF(3, 2))
         assert regular_representation(GF(3, 2))[0] is T
