@@ -34,8 +34,9 @@ is one lookup, g^a + g^b = g^(a + Z(b - a)) with Z(n) = log(1 + g^n).  The
 tables are an enumeration device only; FieldElement keeps the fold kernel.
 
 Everything is immutable and every operation is exact; there is no lazy
-reduction and no floating point.  Fields, embeddings and log tables are
-cached process-wide; the log-table cache is kept under a lock.
+reduction and no floating point.  Fields, primitive elements, embeddings
+and log tables are cached process-wide; the log-table cache is kept under a
+lock.
 
 Fields are capped at about 10**7 elements.  The cap keeps exhaustive
 procedures (root finding, point counting, element enumeration) honest.
@@ -188,7 +189,7 @@ class Field:
     """
 
     __slots__ = ("p", "k", "modulus", "order", "reduction", "pth_root_matrix",
-                 "_zero", "_one", "_fold", "_phi", "_trace", "_primitive")
+                 "_zero", "_one", "_fold", "_phi", "_trace")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         # The cap comes before the trial-division primality test, which would
@@ -214,7 +215,6 @@ class Field:
         self.order = p**k
         self._zero = FieldElement(self, (0,) * k)
         self._one = FieldElement(self, (1,) + (0,) * (k - 1))
-        self._primitive = None  # found on first use
         self._fold = fold = _fold_table(modulus, p)
         # Phi, the matrix of x -> x^(p^(k-1)), as rows; its column j is
         # pth_root(t^j) = pth_root(t)^j.  Only k >= 2 reads root.
@@ -291,20 +291,17 @@ class Field:
         rows = inverse.reshape(counters.shape).tolist()
         return tuple(tuple(map(elements.__getitem__, row)) for row in rows)
 
+    @functools.cache
     def primitive(self) -> FieldElement:
         """The generator of the multiplicative group with the smallest counter.
 
-        g is primitive when g^((q-1)/r) != 1 for every prime r | q-1.
+        g is primitive when g^((q-1)/r) != 1 for every prime r | q-1.  Found
+        on first use and kept per field, so equal fields share it.
         """
-        if self._primitive is None:
-            n, one = self.order - 1, self._one.digits
-            cofactors = [n // r for r in _prime_divisors(n)]
-            for counter in range(1, self.order):
-                g = self.from_counter(counter)
-                if all(_pow(g.digits, e, self._fold, self.p) != one for e in cofactors):
-                    self._primitive = g
-                    break
-        return self._primitive
+        n, one = self.order - 1, self._one.digits
+        cofactors = [n // r for r in _prime_divisors(n)]
+        return next(g for g in map(self.from_counter, range(1, self.order))
+                    if all(_pow(g.digits, e, self._fold, self.p) != one for e in cofactors))
 
     def log_tables(self) -> LogTables:
         """This field's log tables, built on first use (see LogTables).
@@ -524,7 +521,8 @@ class LogTables(NamedTuple):
 
 
 # Field -> LogTables, least recently used first; Field.log_tables keeps it
-# under _LOG_LOCK, so no thread iterates it while another inserts.
+# under _LOG_LOCK, so no thread iterates it while another inserts.  It evicts
+# by the fields' total size, which functools.lru_cache cannot express.
 _LOG_TABLES: OrderedDict = OrderedDict()
 _LOG_LOCK = threading.Lock()
 

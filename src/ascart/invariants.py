@@ -29,7 +29,7 @@ matrix A = rho(M) P.  A is built block by block (rho(M_ij) Phi), never as
 a gk x gk Kronecker product, and its rank is that of rho(M) because P is
 invertible.  The iteration keeps only a basis V_n of the row space of
 A^n, so each step is one multiply V_n A plus an elimination; V_1 is the
-elimination rank(M) made, when it ran last on the same matrix object.  By
+elimination rank(M) made, when it ran last on an equal matrix.  By
 Fitting's lemma, once rank(A^(n+1)) = rank(A^n) the image is stable under
 A, so the p-rank stops at the first stationary step, which comes within g.
 """
@@ -110,22 +110,16 @@ def _prime_matrix(M: CartierMatrix, cols=slice(None)) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(g * k, n * k)
 
 
-# The last matrix eliminated whole, as (M, A, a basis of A's row space) with
-# A = _prime_matrix(M): rank(M) and then p_rank_stable(M) eliminate A once.
-# Keyed by identity: the callers that pair the two pass one object, and an
-# equal matrix built apart is eliminated anew, so the number of
-# eliminations follows the calls made on each object alone.
-_last_elimination: tuple = (None, None, None)
-
-
+@functools.lru_cache(maxsize=1)
 def _eliminated(M: CartierMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """A = rho(M) (I (x) Phi) and independent rows spanning its row space."""
-    global _last_elimination
-    last = _last_elimination  # read once: another caller may replace it
-    if last[0] is not M:
-        A = _prime_matrix(M)
-        last = _last_elimination = (M, A, _echelon_int(A, M.field.p))
-    return last[1:]
+    """A = rho(M) (I (x) Phi) and independent rows spanning its row space.
+
+    The last matrix's result is kept, so rank(M) and then p_rank_stable(M)
+    eliminate A once; an equal matrix shares it, as A depends on the digits
+    alone.
+    """
+    A = _prime_matrix(M)
+    return A, _echelon_int(A, M.field.p)
 
 
 def _over_field(prime_rank: int, k: int) -> int:

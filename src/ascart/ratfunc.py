@@ -7,11 +7,11 @@ PartialFraction is a polynomial part plus, per finite pole e, the principal
 part  sum_n c_n (x-e)^(-n)  stored as {e: {n: c_n}} with zero coefficients
 dropped, so decompositions are unique and comparable.
 
-PartialFraction scales on the decomposed form, which is all the rational
-Cartier pipeline asks of it.  A product goes through
-PartialFraction.assemble() and back through partial_fractions() at the
-poles of both factors: no pipeline multiplies partial fractions (the local
-Cartier pipeline multiplies truncated Laurent series; see ascart.cartier).
+The rational Cartier pipeline only reads a decomposition's poly and
+tails.  A product goes through PartialFraction.assemble() and back through
+partial_fractions() at the poles of both factors: no pipeline multiplies
+partial fractions (the local Cartier pipeline multiplies truncated Laurent
+series; see ascart.cartier).
 partial_fractions() and PartialFraction.assemble() convert between the two
 representations and are exact inverses of each other.
 
@@ -334,23 +334,8 @@ class PartialFraction:
     def field(self) -> Field:
         return self.poly.field
 
-    @staticmethod
-    def zero(field: Field) -> "PartialFraction":
-        return PartialFraction(Poly(field))
-
     def is_zero(self) -> bool:
         return self.poly.is_zero() and not self.tails
-
-    # -- scaling --------------------------------------------------------------
-
-    def scale(self, c) -> "PartialFraction":
-        c = self.field(c)
-        if c.is_zero():
-            return PartialFraction.zero(self.field)
-        tails = {
-            e: {n: v * c for n, v in t.items()} for e, t in self.tails.items()
-        }
-        return PartialFraction(self.poly * c, tails)
 
     # -- multiplication -------------------------------------------------------
 

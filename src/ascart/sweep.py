@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .cartier import cartier_matrix
 from .curve import CurveSpec, PoleDatum, validate
@@ -75,7 +75,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SampleResult:
-    index: int
+    sample: int
     seed: int
     a: int
     s: int
@@ -93,10 +93,8 @@ class SweepReport:
     passed: bool | None
 
     def csv_lines(self) -> list[str]:
-        lines = ["sample,seed,a,s,g,rank"]
-        lines.extend(
-            f"{r.index},{r.seed},{r.a},{r.s},{r.g},{r.rank}" for r in self.samples
-        )
+        lines = [",".join(f.name for f in fields(SampleResult))]
+        lines.extend(",".join(map(str, astuple(r))) for r in self.samples)
         return lines
 
     def render(self) -> str:
@@ -114,26 +112,13 @@ class SweepReport:
 
     def to_json(self) -> dict:
         return {
-            "p": self.config.p,
-            "field_degree": self.config.field_degree,
+            **asdict(self.config),
             "orders": list(self.config.orders),
-            "samples": self.config.samples,
-            "seed": self.config.seed,
             "generator": self.generator,
             "theorem_a": self.theorem_value,
             "distinct_a": sorted(self.distinct_a),
             "pass": self.passed,
-            "results": [
-                {
-                    "sample": r.index,
-                    "seed": r.seed,
-                    "a": r.a,
-                    "s": r.s,
-                    "g": r.g,
-                    "rank": r.rank,
-                }
-                for r in self.samples
-            ],
+            "results": [asdict(r) for r in self.samples],
         }
 
     def render_json(self) -> str:
@@ -155,7 +140,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         r = rank(M)
         results.append(
             SampleResult(
-                index=i,
+                sample=i,
                 seed=seed_i,
                 a=M.dimension - r,
                 s=p_rank_stable(M),

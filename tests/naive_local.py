@@ -174,14 +174,14 @@ def naive_local_matrix(spec) -> CartierMatrix:
             images[key] = cartier_local(g)
         return images[key]
 
-    def accumulate(pf: PartialFraction, y_power: int, vec: list) -> None:
-        # the monomials x^b and x_j^n of pf, times y^y_power, onto vec
+    def accumulate(pf: PartialFraction, scale, y_power: int, vec: list) -> None:
+        # the monomials x^b and x_j^n of pf, times scale * y^y_power, onto vec
         terms = [(BasisForm(0, b, y_power), c) for b, c in enumerate(pf.poly.coeffs)]
         for loc, tail in pf.tails.items():
             terms.extend((BasisForm(loc_to_j[loc], n, y_power), c) for n, c in tail.items())
         for form, c in terms:
             if not c.is_zero():
-                vec[index[form]] = vec[index[form]] + c
+                vec[index[form]] = vec[index[form]] + c * scale
 
     columns = []
     for form in forms:
@@ -189,6 +189,6 @@ def naive_local_matrix(spec) -> CartierMatrix:
         # (y^p - f)^r = sum_e (-1)^e C(r, e) y^(p(r-e)) f^e
         for e in range(form.r + 1):
             sign = (-1) ** e * binom_mod(form.r, e, field.p)
-            accumulate(c_monomial_pf(form.j, form.b, e).scale(field(sign)), form.r - e, vec)
+            accumulate(c_monomial_pf(form.j, form.b, e), field(sign), form.r - e, vec)
         columns.append(vec)
     return CartierMatrix(field, tuple(forms), tuple(zip(*columns)))

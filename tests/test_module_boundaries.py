@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports another's private
 names, and no reference implementation under tests/ (naive_*.py) imports a
-private name of the package, so each stays an independent oracle."""
+private name of the package, so each stays an independent oracle.  No
+module rebinds a global either: process-wide state lives in caches."""
 
 import ast
 from pathlib import Path
@@ -24,3 +25,11 @@ def test_no_private_import_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert not private
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_global_statement(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    rebound = [f"line {node.lineno}: global {', '.join(node.names)}"
+               for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert not rebound

@@ -8,6 +8,7 @@ import inspect
 import itertools
 import random
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,18 @@ def assert_matches_naive(M, rng):
     cols = rng.sample(range(g), rng.randint(0, g)) if g else []
     assert rank_of_columns(M, cols) == naive_rank_of_columns(M, cols)
     assert twisted_rank_profile(M) == naive_twisted_rank_profile(M, g + 1)
+
+
+@pytest.fixture(autouse=True)
+def fresh_elimination():
+    """An empty elimination cache before and after each test: the cache is
+    keyed by value, so an equal matrix eliminated by an earlier test would
+    change the counts of TestSharedElimination and TestFittingStop, and
+    TestDivisibilityCheck, which breaks _echelon_int, must not leave its
+    result behind."""
+    invariants._eliminated.cache_clear()
+    yield
+    invariants._eliminated.cache_clear()
 
 
 def random_matrix(field, g, r, rng):
@@ -265,11 +278,11 @@ class TestSharedElimination:
         assert p_rank_stable(M) == validate(spec).s
         assert r == naive_rank(M)
         assert calls == {"_prime_matrix": 1, "_echelon_int": 1 + steps}
-        # an equal matrix that is another object eliminates again
+        # an equal matrix that is another object shares the elimination
         twin = CartierMatrix(M.field, M.basis, M.entries)
         assert twin == M and twin is not M
         assert rank(twin) == r
-        assert calls == {"_prime_matrix": 2, "_echelon_int": 2 + steps}
+        assert calls == {"_prime_matrix": 1, "_echelon_int": 1 + steps}
 
     def test_caller_between_check_and_return_keeps_its_own_elimination(self):
         """Another rank() that runs after _eliminated(M1) has checked the
@@ -287,7 +300,8 @@ class TestSharedElimination:
             return at_line
 
         def on_call(frame, event, arg):
-            if frame.f_code is invariants._eliminated.__code__ and frame.f_locals["M"] is M1:
+            code = invariants._eliminated.__wrapped__.__code__
+            if frame.f_code is code and frame.f_locals["M"] is M1:
                 return at_line
             return None
 
@@ -333,6 +347,41 @@ class TestSharedElimination:
         monkeypatch.setattr(Field, "element_rows", refuse)
         report = run_sweep(SweepConfig(p=p, field_degree=k, orders=orders, samples=3, seed=5))
         assert report.passed and len(report.samples) == 3
+
+    def test_threads_match_serial(self):
+        """Four threads, each on matrices of its own over GF(13) and GF(5^2),
+        share the one-entry elimination cache; switching threads every
+        microsecond interleaves their rank and p-rank calls."""
+        cases = [(GF(13), (4, 3)), (GF(5, 2), (4, 2))]
+        specs = [[random_curve(F, orders, random.Random(10 * t + i))
+                  for i, (F, orders) in enumerate(cases)] for t in range(4)]
+        mats = [[cartier_matrix(spec) for spec in row] for row in specs]
+        serial = [[(rank(M), p_rank_stable(M)) for M in row] for row in mats]
+        assert serial == [[(naive_rank(M), validate(spec).s) for M, spec in zip(row, spec_row)]
+                          for row, spec_row in zip(mats, specs)]
+        rounds = 10
+        results, errors = {}, []
+
+        def work(t):
+            try:
+                results[t] = [[(rank(M), p_rank_stable(M)) for M in mats[t]]
+                              for _ in range(rounds)]
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [thread for thread in threads if thread.is_alive()]
+        assert not errors
+        assert results == {t: [serial[t]] * rounds for t in range(4)}
 
 
 class TestFittingStop:
