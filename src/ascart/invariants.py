@@ -26,12 +26,13 @@ product stops dropping rank.  The twist is GF(p)-linear as well: with Phi
 the matrix of pth_root, rho(c^(sigma^-1)) = Phi rho(c) Phi^-1, so with
 P = I_g (x) Phi the n-factor product has GF(p) rank rank(A^n) for the one
 matrix A = rho(M) P.  A is built block by block (rho(M_ij) Phi), never as
-a gk x gk Kronecker product, and its rank is that of rho(M) because P is
-invertible.  The iteration keeps only a basis V_n of the row space of
-A^n, so each step is one multiply V_n A plus an elimination; V_1 is the
-elimination rank(M) made, when it ran last on an equal matrix.  By
-Fitting's lemma, once rank(A^(n+1)) = rank(A^n) the image is stable under
-A, so the p-rank stops at the first stationary step, which comes within g.
+a gk x gk Kronecker product; P is invertible, so A has the rank of rho(M).
+The images shrink at every step until one keeps them (Fitting's lemma),
+so the rank is stable from g factors on: s = rank(A^(2^m)) for 2^m >= g,
+m squarings and one elimination.  The products are float64, reduced with
+fmod, and exact: sums stay below 2^53 (_product_mod).  twisted_rank_profile
+derives s a second way, by the chain of bases V_n of the row spaces of
+A^n, one product V_n A and one elimination per factor.
 """
 
 from __future__ import annotations
@@ -110,16 +111,15 @@ def _prime_matrix(M: CartierMatrix, cols=slice(None)) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(g * k, n * k)
 
 
-@functools.lru_cache(maxsize=1)
-def _eliminated(M: CartierMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """A = rho(M) (I (x) Phi) and independent rows spanning its row space.
-
-    The last matrix's result is kept, so rank(M) and then p_rank_stable(M)
-    eliminate A once; an equal matrix shares it, as A depends on the digits
-    alone.
-    """
-    A = _prime_matrix(M)
-    return A, _echelon_int(A, M.field.p)
+def _product_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """X @ Y mod p for float64 residues, exactly: a chunk of the inner
+    dimension adds step products to the carried residue, p - 1 + step *
+    (p-1)^2 < 2^53.  Every matrix cartier_matrix admits is one chunk."""
+    step = (2**53 - p) // (p - 1) ** 2
+    out = np.fmod(X[:, :step] @ Y[:step], p)
+    for i in range(step, X.shape[1], step):
+        out = np.fmod(out + X[:, i : i + step] @ Y[i : i + step], p)
+    return out
 
 
 def _over_field(prime_rank: int, k: int) -> int:
@@ -141,7 +141,7 @@ def rank_of_columns(M: CartierMatrix, columns) -> int:
 
 def rank(M: CartierMatrix) -> int:
     """Exact rank over the field (invariant under any field extension)."""
-    return _over_field(_eliminated(M)[1].shape[0], M.field.k)
+    return _over_field(_echelon_int(_prime_matrix(M), M.field.p).shape[0], M.field.k)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +152,12 @@ def rank(M: CartierMatrix) -> int:
 def _twisted_ranks(M: CartierMatrix):
     """Ranks of the 1-, 2-, ... factor twisted products, without end."""
     p, k = M.field.p, M.field.k
-    A, V = _eliminated(M)
+    A = _prime_matrix(M)
+    V = _echelon_int(A, p)
+    A = A.astype(np.float64)
     while True:
         yield _over_field(V.shape[0], k)
-        V = _echelon_int(V @ A % p, p)
+        V = _echelon_int(_product_mod(V.astype(np.float64), A, p).astype(np.int64), p)
 
 
 def twisted_rank_profile(M: CartierMatrix, factors: int | None = None) -> list[int]:
@@ -173,18 +175,16 @@ def twisted_rank_profile(M: CartierMatrix, factors: int | None = None) -> list[i
 
 
 def p_rank_stable(M: CartierMatrix) -> int:
-    """Stable rank of the twisted products; equals the p-rank m(p-1).
-
-    Stops at the first n <= g with rank(n+1 factors) = rank(n factors).
-    """
+    """Stable rank of the twisted products, rank(A^(2^m)) for the least
+    2^m >= g; equals the p-rank m(p-1)."""
     g = M.dimension
     if g == 0:
         return 0
-    ranks = itertools.islice(_twisted_ranks(M), g + 1)
-    for r, r_next in itertools.pairwise(ranks):
-        if r == r_next:
-            return r
-    raise AssertionError("rank not stationary after g factors")  # unreachable
+    p = M.field.p
+    A = _prime_matrix(M).astype(np.float64)
+    for _ in range((g - 1).bit_length()):
+        A = _product_mod(A, A, p)
+    return _over_field(_echelon_int(A.astype(np.int64), p).shape[0], M.field.k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 """Module boundaries: no module of the package imports another's private
 names, and no reference implementation under tests/ (naive_*.py) imports a
 private name of the package, so each stays an independent oracle.  No
-module rebinds a global either: process-wide state lives in caches."""
+module rebinds a global either: process-wide state lives in caches.  Floating
+point stays inside the rank layer's exact products, and no result is a float."""
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
+
+from ascart import GF, cartier_matrix, p_rank_stable, rank, twisted_rank_profile
+from ascart.sweep import random_curve
+
+from conftest import curve
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ascart"
@@ -33,3 +40,43 @@ def test_no_global_statement(path):
     rebound = [f"line {node.lineno}: global {', '.join(node.names)}"
                for node in ast.walk(tree) if isinstance(node, ast.Global)]
     assert not rebound
+
+
+FLOAT_NAMES = {"float", "float16", "float32", "float64", "float128", "double", "longdouble", "fmod"}
+
+
+def float_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value  # a dtype given by name
+        else:
+            continue
+        if name in FLOAT_NAMES:
+            yield f"line {node.lineno}: {name}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_floats_only_in_invariants(path):
+    """invariants' products are float64, exact below 2^53; nothing else in
+    the package names a float type or fmod."""
+    used = list(float_names(ast.parse(path.read_text(encoding="utf-8"))))
+    if path.name == "invariants.py":
+        assert used
+    else:
+        assert not used
+
+
+@pytest.mark.parametrize("spec", [
+    curve(7, [0, 0, 0, 1]),
+    curve(5, [0, 1]),  # g = 0
+    random_curve(GF(13), (4, 3), random.Random(1)),
+    random_curve(GF(5, 2), (4, 2), random.Random(2)),
+], ids=["p7", "g0", "gf13", "gf25"])
+def test_ranks_are_python_ints(spec):
+    M = cartier_matrix(spec)
+    results = [rank(M), p_rank_stable(M), *twisted_rank_profile(M)]
+    assert [type(r) for r in results] == [int] * len(results)

@@ -6,6 +6,7 @@ entrywise pth_root twist, sharing no code with ascart.invariants.
 
 import inspect
 import itertools
+import math
 import random
 import sys
 import threading
@@ -17,11 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ascart import GF, cartier_matrix, p_rank_stable, rank, twisted_rank_profile, validate
-from ascart import invariants
+from ascart import cartier, invariants
 from ascart.cartier import CartierMatrix
 from ascart.cli import main
 from ascart.curve import BasisForm
-from ascart.finite_field import Field
+from ascart.finite_field import _MAX_FIELD_SIZE, Field, is_prime
 from ascart.invariants import rank_of_columns, regular_representation
 from ascart.sweep import SweepConfig, random_curve, run_sweep
 
@@ -56,19 +57,24 @@ def assert_matches_naive(M, rng):
     assert rank(M) == naive_rank(M)
     cols = rng.sample(range(g), rng.randint(0, g)) if g else []
     assert rank_of_columns(M, cols) == naive_rank_of_columns(M, cols)
-    assert twisted_rank_profile(M) == naive_twisted_rank_profile(M, g + 1)
+    profile = naive_twisted_rank_profile(M, g + 1)
+    assert twisted_rank_profile(M) == profile
+    assert p_rank_stable(M) == (profile[-1] if g else 0)
 
 
-@pytest.fixture(autouse=True)
-def fresh_elimination():
-    """An empty elimination cache before and after each test: the cache is
-    keyed by value, so an equal matrix eliminated by an earlier test would
-    change the counts of TestSharedElimination and TestFittingStop, and
-    TestDivisibilityCheck, which breaks _echelon_int, must not leave its
-    result behind."""
-    invariants._eliminated.cache_clear()
-    yield
-    invariants._eliminated.cache_clear()
+def record_calls(monkeypatch, *names):
+    """For each named function of invariants, the shape of the first
+    argument of every call (the argument itself when it has no shape)."""
+    calls = {name: [] for name in names}
+    for name, shapes in calls.items():
+        real = getattr(invariants, name)
+
+        def recording(first, *args, shapes=shapes, real=real):
+            shapes.append(getattr(first, "shape", first))
+            return real(first, *args)
+
+        monkeypatch.setattr(invariants, name, recording)
+    return calls
 
 
 def random_matrix(field, g, r, rng):
@@ -253,72 +259,26 @@ class TestEchelonInt:
 
 
 class TestSharedElimination:
-    def count_calls(self, monkeypatch):
-        calls = {"_prime_matrix": 0, "_echelon_int": 0}
-        for name in calls:
-            real = getattr(invariants, name)
-
-            def counting(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(invariants, name, counting)
-        return calls
-
     @pytest.mark.parametrize("p,k,orders,seed", [(7, 1, (3,), 1), (13, 1, (4, 3), 2),
                                                  (5, 2, (4, 2), 3), (3, 7, (2, 1), 4)])
     def test_rank_then_p_rank_eliminate_once(self, p, k, orders, seed, monkeypatch):
+        """rank eliminates A; p_rank_stable squares A and eliminates the
+        power, one gk x gk array, once."""
         spec = random_curve(GF(p, k), orders, random.Random(seed))
         M = cartier_matrix(spec)
-        profile = naive_twisted_rank_profile(M, M.dimension + 1)
-        # twisted products after the first, up to the first stationary one
-        steps = next(n for n in range(1, len(profile)) if profile[n - 1] == profile[n])
-        calls = self.count_calls(monkeypatch)
-        r = rank(M)
+        gk = M.dimension * k
+        calls = record_calls(monkeypatch, "_prime_matrix", "_echelon_int")
+        assert rank(M) == naive_rank(M)
+        assert calls == {"_prime_matrix": [M], "_echelon_int": [(gk, gk)]}
         assert p_rank_stable(M) == validate(spec).s
-        assert r == naive_rank(M)
-        assert calls == {"_prime_matrix": 1, "_echelon_int": 1 + steps}
-        # an equal matrix that is another object shares the elimination
-        twin = CartierMatrix(M.field, M.basis, M.entries)
-        assert twin == M and twin is not M
-        assert rank(twin) == r
-        assert calls == {"_prime_matrix": 1, "_echelon_int": 1 + steps}
-
-    def test_caller_between_check_and_return_keeps_its_own_elimination(self):
-        """Another rank() that runs after _eliminated(M1) has checked the
-        shared cache, and before it returns, must not hand M1 the other
-        matrix's elimination."""
-        M1 = cartier_matrix(random_curve(GF(7), (3,), random.Random(1)))
-        M2 = cartier_matrix(random_curve(GF(13), (4, 3), random.Random(2)))
-        lines, start = inspect.getsourcelines(invariants._eliminated)
-        ret = start + next(i for i, line in enumerate(lines) if line.strip().startswith("return"))
-        interleaved = []
-
-        def at_line(frame, event, arg):
-            if event == "line" and frame.f_lineno == ret and not interleaved:
-                interleaved.append(rank(M2))  # the trace function itself is not traced
-            return at_line
-
-        def on_call(frame, event, arg):
-            code = invariants._eliminated.__wrapped__.__code__
-            if frame.f_code is code and frame.f_locals["M"] is M1:
-                return at_line
-            return None
-
-        tracer = sys.gettrace()
-        sys.settrace(on_call)
-        try:
-            r = rank(M1)
-        finally:
-            sys.settrace(tracer)
-        assert interleaved == [22]
-        assert r == naive_rank(M1) == 2
+        assert calls == {"_prime_matrix": [M, M], "_echelon_int": [(gk, gk)] * 2}
 
     def test_round_trip_through_elements_stays_out(self):
         """Walk the code of the rank and p-rank route, following every
         function of the invariants module it calls: the matrix enters only
         through M.digits, never through its FieldElement entries."""
-        todo = [invariants._prime_matrix, invariants.rank, invariants._twisted_ranks]
+        todo = [invariants._prime_matrix, invariants.rank, invariants._twisted_ranks,
+                invariants.p_rank_stable]
         seen, names = set(), set()
         while todo:
             item = todo.pop()
@@ -334,7 +294,7 @@ class TestSharedElimination:
                     target = vars(invariants).get(name)
                     if inspect.isfunction(target) and target.__module__ == invariants.__name__:
                         todo.append(target)
-        assert {"digits", "_echelon_int", "_eliminated"} <= names
+        assert {"digits", "_echelon_int", "_product_mod"} <= names
         assert not names & {"entries", "digit_array", "entry", "column"}
 
     @pytest.mark.parametrize("p,k,orders", [(13, 1, (4, 3)), (5, 2, (4, 2))])
@@ -348,10 +308,21 @@ class TestSharedElimination:
         report = run_sweep(SweepConfig(p=p, field_degree=k, orders=orders, samples=3, seed=5))
         assert report.passed and len(report.samples) == 3
 
+    @pytest.mark.parametrize("p,k,orders", [(13, 1, (4, 3)), (5, 2, (4, 2))])
+    def test_sweep_hashes_no_matrix(self, p, k, orders, monkeypatch):
+        """Nothing on the sweep route keys a cache by a CartierMatrix, so a
+        sweep never hashes one."""
+        def refuse(self):
+            raise AssertionError("CartierMatrix hashed on the sweep route")
+
+        monkeypatch.setattr(CartierMatrix, "__hash__", refuse)
+        report = run_sweep(SweepConfig(p=p, field_degree=k, orders=orders, samples=3, seed=5))
+        assert report.passed and len(report.samples) == 3
+
     def test_threads_match_serial(self):
-        """Four threads, each on matrices of its own over GF(13) and GF(5^2),
-        share the one-entry elimination cache; switching threads every
-        microsecond interleaves their rank and p-rank calls."""
+        """Four threads, each on matrices of its own over GF(13) and GF(5^2):
+        switching threads every microsecond interleaves their rank and
+        p-rank calls."""
         cases = [(GF(13), (4, 3)), (GF(5, 2), (4, 2))]
         specs = [[random_curve(F, orders, random.Random(10 * t + i))
                   for i, (F, orders) in enumerate(cases)] for t in range(4)]
@@ -385,35 +356,96 @@ class TestSharedElimination:
 
 
 class TestFittingStop:
-    def count_eliminations(self, monkeypatch):
-        calls = []
-        real = invariants._echelon_int
-
-        def counting(rows, p):
-            calls.append(rows.shape)
-            return real(rows, p)
-
-        monkeypatch.setattr(invariants, "_echelon_int", counting)
-        return calls
-
-    def test_stops_at_first_stationary_step(self, monkeypatch):
-        # y^7 - y = x^3: g = 6, profile [2, 0, 0, ...]
+    def test_three_squarings_and_one_elimination(self, monkeypatch):
+        # y^7 - y = x^3: g = 6, profile [2, 0, 0, ...]; 2^3 >= 6
         M = cartier_matrix(curve(7, [0, 0, 0, 1]))
-        calls = self.count_eliminations(monkeypatch)
+        calls = record_calls(monkeypatch, "_product_mod", "_echelon_int")
         assert p_rank_stable(M) == 0
-        assert len(calls) == 3  # ranks of M, M^2, M^3; not g + 1 = 7
+        assert calls == {"_product_mod": [(6, 6)] * 3, "_echelon_int": [(6, 6)]}
 
     def test_profile_keeps_its_explicit_count(self, monkeypatch):
         M = cartier_matrix(curve(7, [0, 0, 0, 1]))
-        calls = self.count_eliminations(monkeypatch)
+        calls = record_calls(monkeypatch, "_product_mod", "_echelon_int")
         assert twisted_rank_profile(M, 5) == [2, 0, 0, 0, 0]
-        assert len(calls) == 5
+        assert len(calls["_echelon_int"]) == 5
+        assert len(calls["_product_mod"]) == 4
 
-    def test_never_stationary_is_internal(self, monkeypatch):
-        M = random_matrix(GF(3, 2), 3, 3, random.Random(1))
-        monkeypatch.setattr(invariants, "_twisted_ranks", lambda M: itertools.count(9, -1))
-        with pytest.raises(AssertionError, match="not stationary"):
-            p_rank_stable(M)
+
+def residues(rng, shape, p, top):
+    """Random residues mod p; with top, all within 3 of p - 1, where sums of
+    products are largest."""
+    if top:
+        return (p - 1 - rng.integers(0, min(p, 4), shape)).astype(np.float64)
+    return rng.integers(0, p, shape).astype(np.float64)
+
+
+class TestProductMod:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from([2, 13, 1009, 9999991]),
+        rows=st.integers(0, 4),
+        inner=st.integers(0, 200),
+        cols=st.integers(0, 4),
+        top=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, p, rows, inner, cols, top, seed):
+        # GF(9999991) takes 90 products a chunk, so inner > 90 crosses a
+        # chunk boundary
+        rng = np.random.default_rng(seed)
+        X, Y = residues(rng, (rows, inner), p, top), residues(rng, (inner, cols), p, top)
+        out = invariants._product_mod(X, Y, p)
+        expect = X.astype(np.int64).astype(object) @ Y.astype(np.int64).astype(object) % p
+        assert out.dtype == np.float64 and out.shape == (rows, cols)
+        assert out.astype(np.int64).tolist() == expect.tolist()
+
+    @pytest.mark.parametrize("inner", [90, 91, 180, 181, 200])
+    def test_chunk_boundaries_at_large_residues(self, inner):
+        # (p-2)^2 is odd, so from 91 terms on the unchunked sum passes 2^53
+        # and is rounded
+        p = 9999991
+        X = np.full((2, inner), p - 2.0)
+        assert invariants._product_mod(X, X.T, p).tolist() == [[4 * inner % p] * 2] * 2
+
+    def test_stable_rank_across_a_chunk_boundary(self):
+        """A dense g = 100 matrix over GF(9999991), M = U N U+ with U+ U = I,
+        so M^n = U N^n U+ and its profile is that of the 8 x 8 matrix N:
+        nilpotent blocks of sizes 3 and 2 and an invertible 3 x 3 block."""
+        p, g = 9999991, 100
+        F = GF(p)
+        rng = np.random.default_rng(7)
+        R = rng.integers(0, p, (g - 8, 8)).astype(object)
+        X = rng.integers(0, p, (8, g - 8)).astype(object)
+        U = np.vstack([np.eye(8, dtype=np.int64).astype(object), R])
+        U_left = np.hstack([(np.eye(8, dtype=np.int64) - X @ R) % p, X])  # U_left @ U = I
+        N = np.zeros((8, 8), dtype=np.int64).astype(object)
+        N[0, 1] = N[1, 2] = N[3, 4] = 1
+        N[5:, 5:] = rng.integers(0, p, (3, 3)) + np.eye(3, dtype=np.int64) * 17
+        M_digits = (U @ N @ U_left % p).astype(np.int64).reshape(g, g, 1)
+        M = CartierMatrix(F, tuple(BasisForm(0, i, 0) for i in range(g)), M_digits)
+        assert (U_left @ U % p == np.eye(8, dtype=np.int64)).all()
+        profile = naive_twisted_rank_profile(M, 4)
+        assert profile[-2] == profile[-1]  # stationary, so stable
+        assert p_rank_stable(M) == profile[-1] == 3 and profile[0] == rank(M) == 6
+
+    def test_digit_cap_makes_every_product_one_chunk(self):
+        """The digit cap bounds every product p_rank_stable takes: the inner
+        dimension is gk, so a sum of products of residues is at most
+        gk*(p-1)^2.  A curve of genus g >= 1 has g = D*(p-1)/2 with D >= 1,
+        so p - 1 <= 2g and gk*(p-1)^2 <= 4*g^3*k; under the cap, g^2*k <= cap,
+        g <= sqrt(cap) and 4*g^3*k <= 4*cap^(3/2) = 2^32, with the residue
+        carried from a chunk still far below 2^53."""
+        cap = cartier._MAX_DIGITS
+        worst = (0,)
+        for p in filter(is_prime, range(2, 2 * math.isqrt(cap) + 2)):
+            for k in itertools.takewhile(lambda k: p**k <= _MAX_FIELD_SIZE, itertools.count(1)):
+                g = math.isqrt(cap // k)  # the largest with g^2*k <= cap
+                if 2 * g >= p - 1:
+                    assert g * k * (p - 1) ** 2 <= 4 * g**3 * k
+                    worst = max(worst, (4 * g**3 * k, p, k, g))
+        # at the cap of 2^20: 2^32 at k = 1, g = 1024, first reached at p = 2
+        assert worst[0] <= 2**32, f"4*g^3*k = {worst[0]:,} at (p, k, g) = {worst[1:]}"
+        assert worst[0] + worst[1] < 2**53
 
 
 class TestDivisibilityCheck:
