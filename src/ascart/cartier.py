@@ -35,8 +35,13 @@ reduction code, so each serves as an oracle for the other:
     poles' parts; its powers H_l^e (e <= p-2), the powers of the x_j there
     and the products of the two are truncated convolutions of int64 digit
     arrays, one pass per pole.  C keeps the coefficients at exponents
-    -1 mod p in x at infinity and 1 mod p in 1/u at a finite pole, under a
-    p-th root.
+    -1 mod p in x at infinity and 1 mod p in 1/u at a finite pole.  What
+    depends on (p, orders) alone is a cached layout (_Layout): the basis
+    and, at each pole, one flat read table, the series entry, matrix entry
+    and sign of each coefficient kept.  Its guard that no read falls
+    outside the basis runs once per (p, orders); per curve, each pole is
+    one gather and one signed scatter, and the p-th root is taken once, on
+    the matrix.
 
 The output is the matrix only, cartier_matrix, the one gate of both
 pipelines (one validation, one size check, the g = 0 case): a column is the
@@ -257,7 +262,9 @@ def _powers(field: Field, s: np.ndarray, m: int, n: int) -> np.ndarray:
 class _Layout:
     """The part of the local pipeline that depends only on p and the pole
     orders (of genus g >= 1): the basis, the (j, b) of its forms, the series
-    indices C reads at each pole, and the matrix position of every reading."""
+    sizes, and at each pole one flat read-only table, a column per read of
+    C: the series entry (group, e, t) read, the matrix entry (row, col) it
+    fills and its sign.  A read outside the basis is refused here, once."""
 
     def __init__(self, p: int, orders):
         self.orders = orders
@@ -269,55 +276,60 @@ class _Layout:
         self.sizes = [(p - 1) * d + 1 for d in orders]
         self.e_max = e_max = max(form.r for form in forms)
         self.groups = groups = tuple(sorted({(form.j, form.b) for form in forms}))
+        group = {jb: i for i, jb in enumerate(groups)}
+        gs = np.array([group[form.j, form.b] for form in forms])
+        js, bs, rs = np.array(forms).T
+        # where[l, i, b]: position of x_l^b y^i dx in the basis, -1 outside
+        # it, for every b of the basis (past p - 1 at p = 2) and every power
+        # read (at most first // p + 1, below)
+        width = max(bs.max(), (bs.max() + max(orders) * e_max) // p + 1) + 1
+        where = np.full((len(orders), e_max + 1, width), -1)
+        where[js, rs, bs] = np.arange(len(forms))
+        sign, e = _signs(p, e_max), np.arange(e_max + 1)
         # At pole l, x_j^b f^e = u^-(e*d + s) q_e with s = b for j = l, as
         # x_l^b = u^(-b), and s = 0 otherwise; q_e is H_l^e, or its product
         # with the series of x_j^b.  C keeps u^-n for n = 1 mod p (x^n for
-        # n = -1 mod p at infinity), the entries of q_e at e*d + s - n.
-        js, bs = np.array(groups).T[:, :, None, None]
-        g, e = np.arange(len(groups))[:, None, None], np.arange(e_max + 1)[:, None]
-        self.reads, pole, power = [], [], []
+        # n = -1 mod p at infinity), the entry of q_e at t = e*d + s - n, as
+        # the coefficient of x_l^power dx in layer y = r - e of x_j^b y^r dx.
+        self.reads = []
         for l, d in enumerate(orders):
-            first = np.where(js == l, bs, 0) + d * e - (p - 1 if l == 0 else 1)
-            count = max(first.max() // p + 1, 0)
-            t = first - p * np.arange(count)
-            self.reads.append(((g, e, t.clip(0)), t[..., None] >= 0))
-            pole.append(np.full(count, l))
-            power.append(np.arange(count) + (l > 0))
-        self.pole, self.power = np.concatenate(pole), np.concatenate(power)
-        self.sign = _signs(p, e_max)
-        # where[l, i, b]: position of x_l^b y^i dx in the basis, -1 outside it
-        width = max(self.power.max(initial=0), max(form.b for form in forms)) + 1
-        where = np.full((len(orders), e_max + 1, width), -1)
-        for i, form in enumerate(forms):
-            where[form.j, form.r, form.b] = i
-        self.cols = where[js[..., 0], np.arange(e_max + 1), bs[..., 0]]  # [g, r]
-        y_power = np.subtract.outer(np.arange(e_max + 1), np.arange(e_max + 1)).clip(0)
-        self.rows = where[self.pole, y_power[..., None], self.power]  # [r, e, a]
-        reads = [a for index, read in self.reads for a in (*index, read)]
-        for table in (self.pole, self.power, self.sign, self.cols, self.rows, *reads):
+            first = np.where(js == l, bs, 0)[:, None] + d * e - (p - 1 if l == 0 else 1)
+            t = first[..., None] - p * np.arange(first.max() // p + 1)
+            col, e_col, i = np.nonzero((t >= 0) & (e <= rs[:, None])[..., None])
+            power, y = i + (l > 0), rs[col] - e_col
+            row = where[l, y, power]
+            if (row < 0).any():
+                a = np.argmax(row < 0)
+                form = BasisForm(l, int(power[a]), int(y[a]))
+                raise NotInSpan(f"monomial {form.label()} falls outside the basis")
+            table = np.stack([gs[col], e_col, t[col, e_col, i], row, col, sign[rs[col], e_col]])
             table.setflags(write=False)  # shared by every curve with these orders
+            self.reads.append(table)
 
 
 _layout = functools.lru_cache(maxsize=64)(_Layout)
 
 
-def _local_images(spec: CurveSpec, layout: _Layout) -> np.ndarray:
-    """C(x_j^b f^e dx) for each (j, b) of the layout's groups and every e.
+def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.ndarray]:
+    """The basis and the (g, g, k) digits of the Cartier matrix, by the
+    local pipeline.
 
     One pass per pole l, in the local parameter there, w = 1/x at infinity
     or u = x - e_l at a finite pole: the powers of every other x_j, then
     H_l = u^d f, whose regular part is sum_j f_j(x_j) over those powers,
-    then the powers H_l^e and their products with the x_j^b, read at once.
-    Entry [g, e, a] is the coefficient of x^b' dx (l = 0) or of x_l^b' dx
-    (l >= 1), for the pole l and power b' of the layout's column a.
+    then the powers H_l^e and their products with the x_j^b, q[group, e, t].
+    The layout's table at l gathers its entries once and scatters them,
+    signed, into the matrix.  The p-th root, GF(p)-linear, is taken once,
+    on the matrix.
     """
     field, p = spec.field, spec.field.p
+    layout = _layout(p, orders)
     locs = [datum.location for datum in spec.poles]
     # f_j as a polynomial in x_j; a finite pole's part has no constant term
     polys = [field.digit_array(datum.coeffs) for datum in spec.poles]
     polys[1:] = [np.vstack([np.zeros_like(c[:1]), c]) for c in polys[1:]]
-    picked = []
-    for l, (n, d, (index, read)) in enumerate(zip(layout.sizes, layout.orders, layout.reads)):
+    out = np.zeros((len(layout.forms), len(layout.forms), field.k), dtype=np.int64)
+    for l, (n, d, reads) in enumerate(zip(layout.sizes, layout.orders, layout.reads)):
         h = np.zeros((n, field.k), dtype=np.int64)
         h[: len(polys[l])] = polys[l][::-1]  # the own principal part times u^d
         x_powers = {}
@@ -342,28 +354,10 @@ def _local_images(spec: CurveSpec, layout: _Layout) -> np.ndarray:
             powers if j == l or not b else _series_mul(field, powers, x_powers[j][b], n)
             for j, b in layout.groups
         ])
-        picked.append(np.where(read, q[index], 0))
-    return np.concatenate(picked, axis=2) @ field.pth_root_matrix % p  # pth_root of each
-
-
-def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.ndarray]:
-    """The basis and the (g, g, k) digits of the Cartier matrix, by the
-    local pipeline."""
-    field = spec.field
-    p, layout = field.p, _layout(field.p, orders)
-    forms = layout.forms
-    out = np.zeros((len(forms), len(forms), field.k), dtype=np.int64)
-    images = _local_images(spec, layout)
-    vals = layout.sign[:, :, None, None] * images[:, None] % p  # [g, r, e, a, :]
-    live = vals.any(-1) & (layout.cols[:, :, None, None] >= 0)
-    outside = np.argwhere(live & (layout.rows < 0))
-    if len(outside):
-        _, r, e, a = outside[0]
-        form = BasisForm(int(layout.pole[a]), int(layout.power[a]), int(r - e))
-        raise NotInSpan(f"monomial {form.label()} falls outside the basis")
-    g, r, e, a = np.nonzero(live)
-    out[layout.rows[r, e, a], layout.cols[g, r]] = vals[g, r, e, a]
-    return forms, out
+        group, e, t, row, col, sign = reads
+        out[row, col] = sign[:, None] * q[group, e, t] % p
+    out = out @ field.pth_root_matrix  # the pth_root of each entry
+    return layout.forms, np.remainder(out, p, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Tests draw random curves through ascart.sweep.random_curve with fixed
 seeds, so every run exercises identical inputs.
 """
 
+import itertools
+import math
 import random
 
 import pytest
@@ -23,6 +25,18 @@ def curve(p, inf_coeffs, finite=(), k=1):
     for loc, coeffs in finite:
         poles.append(PoleDatum.finite(field, loc, coeffs))
     return CurveSpec(field, tuple(poles))
+
+
+# Every (p, orders) with p = 1 mod L and at most 3 poles, for p up to this bound
+PARTITION_MAX_P = 23
+
+
+def admissible_families(max_p, max_poles):
+    for p in range(2, max_p + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+            for n in range(1, max_poles + 1):
+                yield from ((p, orders) for orders in itertools.product(divisors, repeat=n))
 
 
 @pytest.fixture

@@ -23,14 +23,16 @@ from ascart import (
 )
 from ascart import cartier
 from ascart.cartier import CartierMatrix, _signs
-from ascart.curve import BasisForm, basis
+from ascart.cli import main
+from ascart.curve import BasisForm, basis, ordered_basis
 from ascart.errors import ConditionNotSatisfied, NotInH, NotInSpan, SeriesTooLarge
 from ascart.finite_field import _MAX_FIELD_SIZE, Field, is_prime
 from ascart.invariants import rank
 from ascart.ratfunc import partial_fractions
 from ascart.sweep import random_curve
 
-from conftest import assert_pivot_structure, curve, random_specs, random_split_ratfunc
+from conftest import (PARTITION_MAX_P, admissible_families, assert_pivot_structure, curve,
+                      random_specs, random_split_ratfunc)
 from naive_local import cartier_local, f_partial_fraction, naive_local_matrix
 from naive_rank import naive_rank
 
@@ -190,8 +192,8 @@ class TestLocalSeriesGuards:
         calls, and look for the rational route.  Neither route reads the
         pivot structure or the closed form that the corank is checked
         against (CLOSED_FORM)."""
-        names = names_reached(cartier._local_matrix, cartier._local_images, cartier._Layout,
-                              cartier._series_mul, cartier._powers, cartier._signs)
+        names = names_reached(cartier._local_matrix, cartier._Layout, cartier._series_mul,
+                              cartier._powers, cartier._signs)
         assert {"convolve", "_signs"} <= names
         rational = {"RatFunc", "partial_fractions", "cartier_rational", "cartier_poly",
                     "_rational_columns", "_rational_image", "_decompose", "_accumulate_layer",
@@ -205,8 +207,8 @@ class TestLocalSeriesGuards:
         # the decompositions' terms go straight to digits: no scaled copies
         # of a PartialFraction, no lists of elements turned into digits
         assert not names & {"digit_array", "scale"}
-        series = {"_series_mul", "_powers", "_local_images", "_Layout", "_layout", "convolve",
-                  "_series_sizes", "_local_matrix"}
+        series = {"_series_mul", "_powers", "_Layout", "_layout", "convolve", "_series_sizes",
+                  "_local_matrix"}
         assert not names & series
         assert not names & CLOSED_FORM
 
@@ -505,6 +507,43 @@ def test_monomial_outside_the_basis_is_refused(monkeypatch):
     monkeypatch.setattr(cartier, "_rational_image", stray)
     with pytest.raises(NotInSpan, match=r"monomial x\^3 dx falls outside the basis"):
         cartier_matrix(curve(7, [0, 0, 0, 1]), "rational")
+
+
+def test_local_read_outside_the_basis_is_refused(tmp_path, monkeypatch, capsys):
+    """A read of the local route that lands outside the basis is a bug,
+    refused when the layout is built: with dx, the key term of y^2 dx on
+    y^7 - y = x^3, dropped from the basis, NotInSpan, never a wrong matrix,
+    and exit 3 from the CLI."""
+    def without_dx(p, orders):
+        return [form for form in ordered_basis(p, orders) if form != BasisForm(0, 0, 0)]
+
+    monkeypatch.setattr(cartier, "ordered_basis", without_dx)
+    cartier._layout.cache_clear()
+    try:
+        with pytest.raises(NotInSpan, match="monomial dx falls outside the basis"):
+            cartier_matrix(curve(7, [0, 0, 0, 1]), "local")
+        path = tmp_path / "cubic.curve"
+        path.write_text("p = 7\npole inf: 0 0 0 1\n")
+        assert main(["matrix", str(path)]) == 3
+        assert "internal error (NotInSpan)" in capsys.readouterr().err
+    finally:
+        cartier._layout.cache_clear()
+
+
+def test_layout_of_every_admissible_family():
+    """Every read of the local route's layout lands in the basis, at a
+    matrix entry no other read fills (the scatter assigns), inside its
+    series, with a unit sign."""
+    for p, orders in admissible_families(PARTITION_MAX_P, 3):
+        g = len(ordered_basis(p, orders))
+        if not g:  # no layout at g = 0
+            continue
+        layout = cartier._Layout(p, orders)
+        entries = np.hstack([row * g + col for _, _, _, row, col, _ in layout.reads])
+        assert np.bincount(entries).max(initial=0) <= 1, (p, orders)
+        for (_, _, t, _, _, sign), n in zip(layout.reads, layout.sizes):
+            assert (0 <= t).all() and (t < n).all(), (p, orders)
+            assert (sign % p != 0).all(), (p, orders)
 
 
 def pivot_coefficient(M, p, orders, form):

@@ -1,7 +1,5 @@
 """Normal form validation, invariants, basis enumeration, H/A partition."""
 
-import itertools
-import math
 import random
 
 import pytest
@@ -20,7 +18,7 @@ from ascart.invariants import theorem_a_value
 from ascart.ratfunc import Poly, RatFunc
 from ascart.sweep import random_curve
 
-from conftest import curve, random_specs
+from conftest import PARTITION_MAX_P, admissible_families, curve, random_specs
 from naive_local import f_partial_fraction
 
 
@@ -166,18 +164,6 @@ class TestOrdering:
     def test_sorted_by_key(self):
         forms = basis(curve(7, [0, 0, 0, 1]))
         assert forms == sorted(forms, key=order_key)
-
-
-# Every (p, orders) with p = 1 mod L and at most 3 poles, for p up to this bound
-PARTITION_MAX_P = 23
-
-
-def admissible_families(max_p, max_poles):
-    for p in range(2, max_p + 1):
-        if all(p % q for q in range(2, math.isqrt(p) + 1)):
-            divisors = [d for d in range(1, p) if (p - 1) % d == 0]
-            for n in range(1, max_poles + 1):
-                yield from ((p, orders) for orders in itertools.product(divisors, repeat=n))
 
 
 class TestPartition:
