@@ -32,6 +32,7 @@ from .errors import (
     FieldTooLarge,
     InconsistentCounts,
     NotInSpan,
+    NotShrinkable,
 )
 from .invariants import a_number, theorem_a_value
 from .specfile import parse_spec
@@ -273,10 +274,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotInSpan, InconsistentCounts) as exc:
+    except (NotInSpan, InconsistentCounts, NotShrinkable) as exc:
         # The CLI reaches InconsistentCounts only through l_polynomial, whose
-        # counts come from a genuine curve; like NotInSpan it can only mean
-        # a bug.
+        # counts come from a genuine curve, and NotShrinkable only through
+        # the Newton polygon of a genuine L(u), a norm from Q(zeta_p) whose
+        # slope multiplicities are all divisible by p - 1; like NotInSpan,
+        # each can only mean a bug.
         bug = exc
     except (AscartError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

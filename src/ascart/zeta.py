@@ -8,7 +8,8 @@ is prime to p.  So
     N_s = (m+1) + p * #{ x in F_(q^s), x not a pole, Tr(f(x)) = 0 }.
 
 The enumeration runs on all of F_(q^s) at once in the log arithmetic of
-the field's Zech tables (Field.log_tables), so it reaches the field cap.
+the field's Zech tables (Field.log_tables), so it reaches the field cap;
+the trace is additive, so Tr f(x) is the sum of its terms' traces mod p.
 
 The L-polynomial needs N_1..N_g, g = D(p-1)/2, but enumeration stops at
 s <= min(D, g).  Write the distribution of Tr f(x) over F_(q^s) as the
@@ -40,7 +41,6 @@ rational arithmetic only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,11 +67,12 @@ def _trace_distribution(spec: CurveSpec, s: int) -> list[int]:
     """counts[c] = #{x in F_(q^s), x not a pole : Tr f(x) = c}, c in [0, p).
 
     Every nonzero x is g^i for the primitive g of the field's log tables,
-    so f is evaluated on all i at once in log arithmetic, n = q^s - 1
-    standing for the log of zero: a_j x^j has log log(a_j) + j*i,
-    x - e = -e * (1 + x/(-e)) has log c + Z(i - c) with c = log(-e), a
-    power of it is a multiple, and sums are Zech additions.  x = 0 is
-    evaluated on its own.
+    so the terms of f are evaluated on all i at once in log arithmetic,
+    n = q^s - 1: a_j x^j has log log(a_j) + j*i, x - e = -e * (1 + x/(-e))
+    has log c + Z(i - c) with c = log(-e) (the only Zech lookup), and a
+    power of it is a multiple.  Each term's trace is one table lookup, and
+    since the trace is additive, Tr f(x) is the sum of those traces mod p.
+    x = 0 is evaluated on its own.
     """
     base = spec.field
     big = base if s == 1 else GF(base.p, base.k * s)
@@ -92,8 +93,8 @@ def _trace_distribution(spec: CurveSpec, s: int) -> list[int]:
             # at x = e this is log(-e), not the log of zero; x = e is taken out below
             lx = (log(-e) + tables.zech[(i - log(-e)) % n]) % n if e else i
             terms += [(log(a) - m * lx) % n for m, a in enumerate(coeffs, 1) if a]
-        value = functools.reduce(lambda a, b: _zech_add(a, b, tables.zech, n), terms)
-        trace = tables.trace[value]
+        # the table is uint8 or uint16, so widen before summing
+        trace = sum(tables.trace[t].astype(np.int64) for t in terms) % base.p
         counts += np.bincount(trace, minlength=base.p)
         for e, _ in poles:
             if e and 0 <= (at := log(e) - start) < len(i):
@@ -109,13 +110,6 @@ def _trace_distribution(spec: CurveSpec, s: int) -> list[int]:
 
 # x = g^i for this many i at a time, so temporaries stay small at the cap
 _CHUNK = 1 << 16
-
-
-def _zech_add(a, b, zech, n):
-    """log(g^a + g^b) for arrays of logs a (n for zero) and b (never zero):
-    the terms of f are never zero, only a running sum can be."""
-    z = zech[(a - b) % n]  # g^a + g^b = g^b * (1 + g^(a - b))
-    return np.where(a == n, b, np.where(z == n, n, (b + z) % n))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +146,8 @@ class LPolynomial:
         """N_s implied by this polynomial (Newton's identities, exact)."""
         # L = prod (1 - alpha_i u); power sums A_s of the alpha_i satisfy
         # s*c_s = -sum_{r<=s} A_r c_{s-r}; then N_s = q^s + 1 - A_s.
+        if s < 1:
+            raise ValueError("s must be >= 1")
         c = list(self.coeffs)
         A: list[int] = []
         for r in range(1, s + 1):
@@ -395,10 +391,9 @@ def newton_polygon(L: LPolynomial, q: int) -> SlopePolygon:
             else:
                 break
         hull.append(pt)
-    slopes: list[Fraction] = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slopes.extend([Fraction(y2 - y1, (x2 - x1) * a)] * (x2 - x1))
-    return SlopePolygon.from_multiset(slopes)
+    # collinear points were popped, so the segments' slopes strictly increase
+    return SlopePolygon(tuple((Fraction(y2 - y1, (x2 - x1) * a), x2 - x1)
+                              for (x1, y1), (x2, y2) in itertools.pairwise(hull)))
 
 
 def hodge_polygon(orders) -> SlopePolygon:

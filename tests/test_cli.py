@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from ascart.errors import (
     ParseError,
     PoleOrderDivisibleByP,
 )
+from ascart.zeta import SlopePolygon
 
 CURVES = Path(__file__).resolve().parent.parent / "curves"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "zeta"
@@ -400,6 +402,12 @@ class TestExitCodes:
         monkeypatch.setattr(zeta, "_trace_distribution", lambda spec, s: fake[s])
         assert main(["zeta", write(tmp_path, "p = 5\npole inf: 0 0 0 1\n")]) == 3
         assert "internal error (InconsistentCounts)" in capsys.readouterr().err
+
+    def test_not_shrinkable_is_internal(self, tmp_path, capsys, monkeypatch):
+        odd = SlopePolygon(((Fraction(1, 2), 3),))  # 3 is not divisible by p - 1 = 2
+        monkeypatch.setattr(cli, "newton_polygon", lambda L, q: odd)
+        assert main(["zeta", write(tmp_path, "p = 3\npole inf: 0 0 1\n")]) == 3
+        assert "internal error (NotShrinkable)" in capsys.readouterr().err
 
     def test_not_in_span_is_internal(self, tmp_path, capsys, monkeypatch):
         def broken(spec, pipeline="local"):

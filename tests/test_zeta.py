@@ -116,6 +116,11 @@ class TestLPolynomial:
             assert L.predicted_count(s) == count_points(spec, s)
         assert L.weil_bounds_ok()
 
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_predicted_count_needs_positive_s(self, s):
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            LPolynomial((1, 0, 3), 3).predicted_count(s)
+
     def test_functional_equation_enforced(self):
         with pytest.raises(ValueError):
             LPolynomial((1, 0, 5), q=3)
@@ -180,6 +185,11 @@ class TestNewtonPolygon:
         # q = 9: ord_9(3) = 1/2
         np_ = newton_polygon(LPolynomial((1, 0, 9), 9), 9)
         assert np_.slopes == ((Fraction(1, 2), 2),)
+
+    def test_collinear_point_merges_segments(self):
+        # (2, 1) lies on the segment from (0, 0) to (4, 2)
+        np_ = newton_polygon(LPolynomial((1, 0, 3, 0, 9), 3), 3)
+        assert np_.slopes == ((Fraction(1, 2), 4),)
 
 
 class TestHodgePolygon:
@@ -249,6 +259,8 @@ class TestEndToEnd:
         assert np_.length == 2 * inv.g == inv.D * (p - 1)
         assert np_.multiplicity(0) == inv.s  # p-rank = slope-0 length
         assert np_.is_symmetric()
+        slopes = [t for t, _ in np_.slopes]
+        assert slopes == sorted(set(slopes))
         if inv.theorem_applicable:
             hp = hodge_polygon(inv.orders)
             assert compare_polygons(np_, hp, p) == "equal"
@@ -369,6 +381,9 @@ class TestTableRoute:
             (2, [0, 1], ((0, [1]),), 3),  # GF(8), a pole at x = 0
             (3, [0, 0, 1], ((0, [0, 1]), ((1, 1), [2])), 2),  # GF(9), zero coefficients
             (2, [0, 1], ((0, [1]), (1, [1]), ((0, 1), [1]), ((1, 1), [1])), 2),  # all of GF(4)
+            # uint8 and uint16 traces whose sums pass 255
+            (251, [200, 150, 100], ((1, [200, 180]),), 1),
+            (257, [200, 150, 100], ((1, [200, 180]),), 1),
         ],
     )
     def test_examples(self, spec_args):
