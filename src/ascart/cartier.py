@@ -32,16 +32,20 @@ reduction code, so each serves as an oracle for the other:
     infinity and u = x - e_l at a finite pole, and apply the pole rules to
     it.  With f = u^(-d_l) H_l(u), the series H_l is the pole's own
     principal part plus the expansions there of f_0 and of the other
-    poles' parts; its powers H_l^e (e <= p-2), the powers of the x_j there
-    and the products of the two are truncated convolutions of int64 digit
-    arrays, one pass per pole.  C keeps the coefficients at exponents
-    -1 mod p in x at infinity and 1 mod p in 1/u at a finite pole.  What
-    depends on (p, orders) alone is a cached layout (_Layout): the basis
-    and, at each pole, one flat read table, the series entry, matrix entry
-    and sign of each coefficient kept.  Its guard that no read falls
-    outside the basis runs once per (p, orders); per curve, each pole is
-    one gather and one signed scatter, and the p-th root is taken once, on
-    the matrix.
+    poles' parts; its powers H_l^e (e <= p-2) and the powers of the x_j
+    there are truncated convolutions of int64 digit arrays, one pass per
+    pole.  C keeps the coefficients at exponents -1 mod p in x at infinity
+    and 1 mod p in 1/u at a finite pole, so of the products H_l^e x_j^b
+    only those coefficients are computed, each as a gathered dot product
+    sum_s H_l^e[t-s] x_j^b[s] over the terms where x_j^b can be nonzero.
+    What depends on (p, orders) alone is a cached layout (_Layout): the
+    basis and, at each pole, two flat read tables, one for the coefficients
+    read off H_l^e and one for those of the products, with the matrix entry
+    and sign of each and, for a product, its term range and gather data.
+    Its guard that no read falls outside the basis runs once per
+    (p, orders); per curve, each pole is one gather from H_l^e, the
+    gathered dot products in chunks of bounded size, and their signed
+    scatters, and the p-th root is taken once, on the matrix.
 
 The output is the matrix only, cartier_matrix, the one gate of both
 pipelines (one validation, one size check, the g = 0 case): a column is the
@@ -261,10 +265,20 @@ def _powers(field: Field, s: np.ndarray, m: int, n: int) -> np.ndarray:
 
 class _Layout:
     """The part of the local pipeline that depends only on p and the pole
-    orders (of genus g >= 1): the basis, the (j, b) of its forms, the series
-    sizes, and at each pole one flat read-only table, a column per read of
-    C: the series entry (group, e, t) read, the matrix entry (row, col) it
-    fills and its sign.  A read outside the basis is refused here, once."""
+    orders (of genus g >= 1): the basis, the series sizes, and at each pole
+    l two flat read-only tables with a column per read of C, each naming
+    the matrix entry (row, col) it fills and its sign.
+
+    A direct read takes term t of H_l^e itself: a column (e, t, row, col,
+    sign) of direct[l].  A product read takes term t of H_l^e x_j^b,
+    sum_s H_l^e[t-s] x_j^b[s] over its term range lo <= s <= hi: a column
+    (e, t, x, lo, hi, row, col, sign) of products[l], with x the position of
+    x_j^b in the stack of the powers x_j^0, ..., x_j^(d_j) of every j != l.
+    gathers[l] holds the same reads as flat gather data, (h0, x0, length,
+    start): with the terms of all reads numbered m = start, ...,
+    start + length - 1, term m is the product of entry h0 - m of the
+    flattened powers H_l^e and entry x0 + m of the flattened stack.
+    A read outside the basis is refused here, once."""
 
     def __init__(self, p: int, orders):
         self.orders = orders
@@ -275,9 +289,6 @@ class _Layout:
         # poles nonempty at p = 2.
         self.sizes = [(p - 1) * d + 1 for d in orders]
         self.e_max = e_max = max(form.r for form in forms)
-        self.groups = groups = tuple(sorted({(form.j, form.b) for form in forms}))
-        group = {jb: i for i, jb in enumerate(groups)}
-        gs = np.array([group[form.j, form.b] for form in forms])
         js, bs, rs = np.array(forms).T
         # where[l, i, b]: position of x_l^b y^i dx in the basis, -1 outside
         # it, for every b of the basis (past p - 1 at p = 2) and every power
@@ -286,13 +297,14 @@ class _Layout:
         where = np.full((len(orders), e_max + 1, width), -1)
         where[js, rs, bs] = np.arange(len(forms))
         sign, e = _signs(p, e_max), np.arange(e_max + 1)
-        # At pole l, x_j^b f^e = u^-(e*d + s) q_e with s = b for j = l, as
-        # x_l^b = u^(-b), and s = 0 otherwise; q_e is H_l^e, or its product
-        # with the series of x_j^b.  C keeps u^-n for n = 1 mod p (x^n for
-        # n = -1 mod p at infinity), the entry of q_e at t = e*d + s - n, as
-        # the coefficient of x_l^power dx in layer y = r - e of x_j^b y^r dx.
-        self.reads = []
-        for l, d in enumerate(orders):
+        self.direct, self.products, self.gathers = [], [], []
+        for l, (d, n) in enumerate(zip(orders, self.sizes)):
+            # At pole l, x_j^b f^e = u^-(e*d + s) q_e with s = b for j = l,
+            # as x_l^b = u^(-b), and s = 0 otherwise; q_e is H_l^e, or its
+            # product with the series of x_j^b.  C keeps u^-n for n = 1 mod
+            # p (x^n for n = -1 mod p at infinity), the entry of q_e at
+            # t = e*d + s - n, as the coefficient of x_l^power dx in layer
+            # y = r - e of x_j^b y^r dx.
             first = np.where(js == l, bs, 0)[:, None] + d * e - (p - 1 if l == 0 else 1)
             t = first[..., None] - p * np.arange(first.max() // p + 1)
             col, e_col, i = np.nonzero((t >= 0) & (e <= rs[:, None])[..., None])
@@ -302,12 +314,72 @@ class _Layout:
                 a = np.argmax(row < 0)
                 form = BasisForm(l, int(power[a]), int(y[a]))
                 raise NotInSpan(f"monomial {form.label()} falls outside the basis")
-            table = np.stack([gs[col], e_col, t[col, e_col, i], row, col, sign[rs[col], e_col]])
-            table.setflags(write=False)  # shared by every curve with these orders
-            self.reads.append(table)
+            t, j, b, s = t[col, e_col, i], js[col], bs[col], sign[rs[col], e_col]
+            # The series of x_j^b at l starts at w^b at infinity, as
+            # x_j = w/(1 - e_j w), and is (e_l + u)^b, of degree b, for j = 0
+            # at a finite pole.  A product read with an empty range is 0 and
+            # is dropped, leaving its matrix entry 0.
+            lo = b * (l == 0)
+            hi = np.where((l > 0) & (j == 0), np.minimum(t, b), t)
+            direct = (j == l) | (b == 0)
+            product = ~direct & (lo <= hi)
+            stacked = np.array(orders) + 1  # x_j^0, ..., x_j^(d_j) for each j != l
+            stacked[l] = 0
+            x = (np.cumsum(stacked) - stacked)[j] + b
+            tables = [np.stack([e_col, t, row, col, s])[:, direct],
+                      np.stack([e_col, t, x, lo, hi, row, col, s])[:, product]]
+            e_p, t_p, x_p, lo_p, hi_p = tables[1][:5]
+            length = hi_p - lo_p + 1
+            start = np.cumsum(length) - length
+            tables.append(np.stack([e_p * n + t_p - lo_p + start, x_p * n + lo_p - start,
+                                    length, start]))
+            for table, kept in zip(tables, (self.direct, self.products, self.gathers)):
+                table.setflags(write=False)  # shared by every curve with these orders
+                kept.append(table)
 
 
 _layout = functools.lru_cache(maxsize=64)(_Layout)
+
+_CHUNK = 2**16  # digit products summed at a time by _gathered_products
+
+
+@functools.lru_cache(maxsize=64)
+def _digit_fold(field: Field) -> np.ndarray:
+    """The (k^2, k) matrix taking the k x k digit products a_i b_j of two
+    elements, flattened, to the digits of their product: row i*k + j is
+    t^(i+j) mod m, read off field.reduction."""
+    k = field.k
+    fold = field.reduction[np.add.outer(np.arange(k), np.arange(k)).ravel()]
+    fold.setflags(write=False)
+    return fold
+
+
+def _gathered_products(field: Field, powers: np.ndarray, xs: np.ndarray, gather) -> np.ndarray:
+    """The (reads, k) digits of the product reads of one pole: term t of
+    H^e x_j^b, sum_s H^e[t-s] x_j^b[s], for powers H^e and the stack xs of
+    the x_j powers, as gather (a table of _Layout.gathers) lays them out.
+
+    The reads go in chunks, those that start within one window of
+    _CHUNK // k^2 terms, so a chunk has at most one read's terms more than
+    that.  Each chunk is one gather from the powers, one from xs, their
+    k x k digit products, one np.add.reduceat over each read's terms, and
+    one fold to k digits (_digit_fold).
+    """
+    p, k = field.p, field.k
+    h0, x0, length, start = gather
+    hs, xs = powers.reshape(-1, k), xs.reshape(-1, k)
+    out = np.empty((len(start), k), dtype=np.int64)
+    windows = np.arange(0, start[-1] + length[-1], max(1, _CHUNK // k**2))
+    cuts = np.searchsorted(start, windows).tolist()
+    for a, b in zip(cuts, [*cuts[1:], len(start)]):
+        if a == b:  # the window lies inside a read that started before it
+            continue
+        m = np.arange(start[a], start[b - 1] + length[b - 1])
+        h = hs.take(np.repeat(h0[a:b], length[a:b]) - m, axis=0)
+        x = xs.take(np.repeat(x0[a:b], length[a:b]) + m, axis=0)
+        terms = (h[:, :, None] * x[:, None, :]).reshape(len(m), k * k)
+        out[a:b] = np.add.reduceat(terms, start[a:b] - start[a]) % p @ _digit_fold(field) % p
+    return out
 
 
 def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.ndarray]:
@@ -317,10 +389,18 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
     One pass per pole l, in the local parameter there, w = 1/x at infinity
     or u = x - e_l at a finite pole: the powers of every other x_j, then
     H_l = u^d f, whose regular part is sum_j f_j(x_j) over those powers,
-    then the powers H_l^e and their products with the x_j^b, q[group, e, t].
-    The layout's table at l gathers its entries once and scatters them,
+    then the powers H_l^e.  The layout's direct reads gather their entries
+    of H_l^e; its product reads compute only the terms of H_l^e x_j^b that
+    C keeps, as gathered dot products (_gathered_products).  Both scatter,
     signed, into the matrix.  The p-th root, GF(p)-linear, is taken once,
     on the matrix.
+
+    The int64 sums stay exact for series of N terms: each of the k^2 digit
+    sums of a product read, before the fold to k digits, adds at most N
+    digit products, each at most (p-1)^2, and an entry of a series product
+    (_series_mul) at most N*k, so every sum is at most N*k*(p-1)^2 < 2^35
+    under the digit cap (cartier_matrix).  The fold and the scatter take
+    residues mod p.
     """
     field, p = spec.field, spec.field.p
     layout = _layout(p, orders)
@@ -329,10 +409,10 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
     polys = [field.digit_array(datum.coeffs) for datum in spec.poles]
     polys[1:] = [np.vstack([np.zeros_like(c[:1]), c]) for c in polys[1:]]
     out = np.zeros((len(layout.forms), len(layout.forms), field.k), dtype=np.int64)
-    for l, (n, d, reads) in enumerate(zip(layout.sizes, layout.orders, layout.reads)):
+    for l, (n, d) in enumerate(zip(layout.sizes, layout.orders)):
         h = np.zeros((n, field.k), dtype=np.int64)
         h[: len(polys[l])] = polys[l][::-1]  # the own principal part times u^d
-        x_powers = {}
+        x_powers = []  # x_j^0, ..., x_j^(d_j) for every j != l, stacked
         for j, c in enumerate(polys):
             if j == l:
                 continue
@@ -344,18 +424,19 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
             else:  # x_j = 1/(u + e_l - e_j) = -sum_s z^(s+1) u^s with z = 1/(e_j - e_l)
                 z = field.digit_array([(locs[j] - locs[l]).inverse()])
                 x = -_powers(field, z, n, 1)[1:, 0] % p
-            x_powers[j] = xp = _powers(field, x, len(c) - 1, n)
+            xp = _powers(field, x, len(c) - 1, n)
+            x_powers.append(xp)
             # term t of f_j(x_j) = sum_i c_i x_j^i is term deg f_j of the
             # series (x_j^i)_t in i times c reversed
             f_j = _series_mul(field, xp.swapaxes(0, 1)[: n - d], c[::-1], len(c))[:, -1]
             h[d:] = (h[d:] + f_j) % p
         powers = _powers(field, h, layout.e_max, n)
-        q = np.stack([
-            powers if j == l or not b else _series_mul(field, powers, x_powers[j][b], n)
-            for j, b in layout.groups
-        ])
-        group, e, t, row, col, sign = reads
-        out[row, col] = sign[:, None] * q[group, e, t] % p
+        e, t, row, col, sign = layout.direct[l]
+        out[row, col] = sign[:, None] * powers[e, t] % p
+        *_, row, col, sign = layout.products[l]
+        if len(sign):
+            values = _gathered_products(field, powers, np.concatenate(x_powers), layout.gathers[l])
+            out[row, col] = sign[:, None] * values % p
     out = out @ field.pth_root_matrix  # the pth_root of each entry
     return layout.forms, np.remainder(out, p, out=out)
 

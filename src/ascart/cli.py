@@ -166,7 +166,7 @@ def cmd_zeta(args) -> int:
     np_ = newton_polygon(L, spec.field.order)
     hp = hodge_polygon(inv.orders)
     comparison = compare_polygons(np_, hp, spec.p)
-    counts = [L.predicted_count(s) for s in range(1, inv.g + 1)]
+    counts = L.predicted_counts(inv.g)
     if args.json:
         _print_json(
             {

@@ -142,21 +142,25 @@ class LPolynomial:
     def genus(self) -> int:
         return (len(self.coeffs) - 1) // 2
 
-    def predicted_count(self, s: int) -> int:
-        """N_s implied by this polynomial (Newton's identities, exact)."""
+    def predicted_counts(self, n: int) -> list[int]:
+        """N_1, ..., N_n implied by this polynomial, by one pass of Newton's
+        identities (exact)."""
         # L = prod (1 - alpha_i u); power sums A_s of the alpha_i satisfy
         # s*c_s = -sum_{r<=s} A_r c_{s-r}; then N_s = q^s + 1 - A_s.
+        c = self.coeffs
+        A: list[int] = []
+        for s in range(1, n + 1):
+            acc = s * (c[s] if s < len(c) else 0)
+            for t in range(max(1, s - len(c) + 1), s):
+                acc += A[t - 1] * c[s - t]
+            A.append(-acc)
+        return [self.q**s + 1 - a for s, a in enumerate(A, start=1)]
+
+    def predicted_count(self, s: int) -> int:
+        """N_s implied by this polynomial (predicted_counts)."""
         if s < 1:
             raise ValueError("s must be >= 1")
-        c = list(self.coeffs)
-        A: list[int] = []
-        for r in range(1, s + 1):
-            acc = r * (c[r] if r < len(c) else 0)
-            for t in range(1, r):
-                if r - t < len(c):
-                    acc += A[t - 1] * c[r - t]
-            A.append(-acc)
-        return self.q**s + 1 - A[s - 1]
+        return self.predicted_counts(s)[-1]
 
     def weil_bounds_ok(self) -> bool:
         """Every reciprocal root has absolute value sqrt(q), decided exactly.

@@ -167,6 +167,19 @@ def test_local_series_large_genus():
     check_local_series(spec)
 
 
+@pytest.mark.parametrize("p,k,orders,seed", [(7, 1, (3, 2, 1), 0), (5, 2, (4, 2), 1)])
+def test_gathered_products_in_small_chunks(p, k, orders, seed, monkeypatch):
+    """The product reads summed three terms at a time, so that most reads
+    span several chunks and leave some chunks empty, still give the
+    reference matrix."""
+    field = GF(p, k)
+    monkeypatch.setattr(cartier, "_CHUNK", 3 * k**2)
+    lengths = np.hstack([length for _, _, length, _ in cartier._layout(p, orders).gathers])
+    assert lengths.max() > 3 and lengths.sum() > 3 * len(lengths)
+    spec = random_curve(field, orders, random.Random(seed))
+    assert cartier_matrix(spec, "local").entries == naive_local_matrix(spec).entries
+
+
 class TestLocalSeriesGuards:
     def test_digit_cap_keeps_series_sums_in_int64(self):
         """The digit cap is the only size check, so it must bound every
@@ -193,8 +206,9 @@ class TestLocalSeriesGuards:
         pivot structure or the closed form that the corank is checked
         against (CLOSED_FORM)."""
         names = names_reached(cartier._local_matrix, cartier._Layout, cartier._series_mul,
-                              cartier._powers, cartier._signs)
-        assert {"convolve", "_signs"} <= names
+                              cartier._powers, cartier._signs, cartier._gathered_products,
+                              cartier._digit_fold)
+        assert {"convolve", "_signs", "_gathered_products", "reduceat"} <= names
         rational = {"RatFunc", "partial_fractions", "cartier_rational", "cartier_poly",
                     "_rational_columns", "_rational_image", "_decompose", "_accumulate_layer",
                     "_f_numerator"}
@@ -208,7 +222,7 @@ class TestLocalSeriesGuards:
         # of a PartialFraction, no lists of elements turned into digits
         assert not names & {"digit_array", "scale"}
         series = {"_series_mul", "_powers", "_Layout", "_layout", "convolve", "_series_sizes",
-                  "_local_matrix"}
+                  "_local_matrix", "_gathered_products", "_digit_fold", "_CHUNK", "reduceat"}
         assert not names & series
         assert not names & CLOSED_FORM
 
@@ -533,17 +547,46 @@ def test_local_read_outside_the_basis_is_refused(tmp_path, monkeypatch, capsys):
 def test_layout_of_every_admissible_family():
     """Every read of the local route's layout lands in the basis, at a
     matrix entry no other read fills (the scatter assigns), inside its
-    series, with a unit sign."""
+    series, with a unit sign.  Each read is direct or a product, never
+    both: a product read is one of H_l^e by x_j^b for j != l and b >= 1,
+    its indices t - s and s lie inside the rows of H_l^e and x_j^b for
+    every s of its term range, and its flat gather data name those
+    entries."""
     for p, orders in admissible_families(PARTITION_MAX_P, 3):
         g = len(ordered_basis(p, orders))
         if not g:  # no layout at g = 0
             continue
         layout = cartier._Layout(p, orders)
-        entries = np.hstack([row * g + col for _, _, _, row, col, _ in layout.reads])
+        entries = np.hstack([table[-3] * g + table[-2]
+                             for table in layout.direct + layout.products])
         assert np.bincount(entries).max(initial=0) <= 1, (p, orders)
-        for (_, _, t, _, _, sign), n in zip(layout.reads, layout.sizes):
-            assert (0 <= t).all() and (t < n).all(), (p, orders)
-            assert (sign % p != 0).all(), (p, orders)
+        jb = np.array(layout.forms)[:, :2]
+        for l, n in enumerate(layout.sizes):
+            direct, products, gather = layout.direct[l], layout.products[l], layout.gathers[l]
+            assert direct.shape[0] == 5 and products.shape[0] == 8, (p, orders)
+            e, t, x, lo, hi, _, col, _ = products
+            j, b = jb[col].T
+            others = np.array([(jj, bb) for jj, d in enumerate(orders) if jj != l
+                               for bb in range(d + 1)]).reshape(-1, 2)
+            assert (others[x] == jb[col]).all(), (p, orders, l)
+            assert (j != l).all() and (b >= 1).all(), (p, orders, l)
+            e_d, t_d, _, col_d, _ = direct
+            j_d, b_d = jb[col_d].T
+            assert ((j_d == l) | (b_d == 0)).all(), (p, orders, l)
+            for e_, t_, sign in ((e_d, t_d, direct[-1]), (e, t, products[-1])):
+                assert (0 <= e_).all() and (e_ <= layout.e_max).all(), (p, orders)
+                assert (0 <= t_).all() and (t_ < n).all(), (p, orders)
+                assert (sign % p != 0).all(), (p, orders)
+            # every s in [lo, hi]: 0 <= t - s and s < n, s >= 0
+            assert (0 <= lo).all() and (lo <= hi).all() and (hi <= t).all(), (p, orders, l)
+            h0, x0, length, start = gather
+            assert (length == hi - lo + 1).all() and (start == np.cumsum(length) - length).all()
+            # term m of a read, s = lo + m - start, reads entries h0 - m and
+            # x0 + m; both are linear in m, so the two ends of each range
+            # decide it
+            for m, s in ((start, lo), (start + length - 1, hi)):
+                assert (h0 - m == e * n + t - s).all(), (p, orders, l)
+                assert (x0 + m == x * n + s).all(), (p, orders, l)
 
 
 def pivot_coefficient(M, p, orders, form):

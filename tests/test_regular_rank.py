@@ -448,6 +448,17 @@ class TestProductMod:
         assert worst[0] + worst[1] < 2**53
 
 
+@pytest.mark.parametrize("p", [2, 13, 1009, 9999991])
+def test_reduce_mod_matches_integer_remainder(p):
+    """Z - floor(Z/p)*p equals Z % p on the whole range 0 <= Z < 2^53,
+    at its ends and at each side of multiples of p up to the largest."""
+    top = (2**53 - 1) // p
+    multiples = [m * p for m in (1, 2, top // 2, top)]
+    Z = [0, 2**53 - 1, *multiples, *(z - 1 for z in multiples)]
+    out = invariants._reduce_mod(np.array(Z, dtype=np.float64), p)
+    assert out.astype(np.int64).tolist() == [z % p for z in Z]
+
+
 class TestDivisibilityCheck:
     def drop_a_row(self, monkeypatch):
         real = invariants._echelon_int

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,6 +23,7 @@ from ascart import zeta
 from ascart.errors import InconsistentCounts, NotShrinkable
 from ascart.curve import CurveSpec, PoleDatum
 from ascart.finite_field import embedding
+from ascart.specfile import parse_spec
 from ascart.sweep import random_curve
 from ascart.zeta import LPolynomial, SlopePolygon, l_from_counts
 
@@ -95,6 +97,20 @@ class TestCountPoints:
         assert count_points(plain, 1) != count_points(shifted, 1)
 
 
+CURVE_FILES = sorted((Path(__file__).resolve().parent.parent / "curves").glob("*.curve"))
+
+
+def count_by_newton(L: LPolynomial, s: int) -> int:
+    """N_s from L alone, rerunning Newton's identities from r = 1: the
+    power sums A_r of the reciprocal roots satisfy
+    r*c_r = -sum_(t<r) A_t c_(r-t) - A_r, and N_s = q^s + 1 - A_s."""
+    c = list(L.coeffs) + [0] * s
+    A = []
+    for r in range(1, s + 1):
+        A.append(-r * c[r] - sum(A[t - 1] * c[r - t] for t in range(1, r)))
+    return L.q**s + 1 - A[-1]
+
+
 class TestLPolynomial:
     def test_p3_x2(self):
         L = l_polynomial(curve(3, [0, 0, 1]))
@@ -120,6 +136,21 @@ class TestLPolynomial:
     def test_predicted_count_needs_positive_s(self, s):
         with pytest.raises(ValueError, match="s must be >= 1"):
             LPolynomial((1, 0, 3), 3).predicted_count(s)
+
+    @pytest.mark.parametrize("spec", [
+        *(parse_spec(path) for path in CURVE_FILES),
+        curve(101, [0, 0, 1]),  # g = 50
+    ], ids=[*(path.stem for path in CURVE_FILES), "p101_x2"])
+    def test_predicted_counts_in_one_pass(self, spec):
+        """N_1..N_n from one pass equal N_s from Newton's identities rerun
+        for each s, and the point counts small enough to enumerate."""
+        L = l_polynomial(spec)
+        n = 2 * L.genus + 1
+        counts = L.predicted_counts(n)
+        assert counts == [count_by_newton(L, s) for s in range(1, n + 1)]
+        assert counts == [L.predicted_count(s) for s in range(1, n + 1)]
+        small = [s for s in range(1, n + 1) if L.q**s <= 10**4]
+        assert [counts[s - 1] for s in small] == [count_points(spec, s) for s in small]
 
     def test_functional_equation_enforced(self):
         with pytest.raises(ValueError):
