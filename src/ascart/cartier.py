@@ -32,20 +32,32 @@ reduction code, so each serves as an oracle for the other:
     infinity and u = x - e_l at a finite pole, and apply the pole rules to
     it.  With f = u^(-d_l) H_l(u), the series H_l is the pole's own
     principal part plus the expansions there of f_0 and of the other
-    poles' parts; its powers H_l^e (e <= p-2) and the powers of the x_j
-    there are truncated convolutions of int64 digit arrays, one pass per
-    pole.  C keeps the coefficients at exponents -1 mod p in x at infinity
-    and 1 mod p in 1/u at a finite pole, so of the products H_l^e x_j^b
-    only those coefficients are computed, each as a gathered dot product
-    sum_s H_l^e[t-s] x_j^b[s] over the terms where x_j^b can be nonzero.
-    What depends on (p, orders) alone is a cached layout (_Layout): the
-    basis and, at each pole, two flat read tables, one for the coefficients
-    read off H_l^e and one for those of the products, with the matrix entry
-    and sign of each and, for a product, its term range and gather data.
-    Its guard that no read falls outside the basis runs once per
-    (p, orders); per curve, each pole is one gather from H_l^e, the
-    gathered dot products in chunks of bounded size, and their signed
-    scatters, and the p-th root is taken once, on the matrix.
+    poles' parts.  The series of the x_j there need no products: each term
+    is a binomial coefficient mod p times a power of one z,
+
+        at infinity, x_j^b = w^b (1 - e_j w)^(-b):   C(t-1, t-b) e_j^(t-b),
+        at e_l, x^b = (e_l + u)^b:                   C(b, t) e_l^(b-t),
+        at e_l, x_j^b = (-z/(1 - z u))^b:            (-1)^b C(b+t-1, t) z^(b+t)
+
+    for z = 1/(e_j - e_l), so each pole's stack of them is one gather from
+    one geometric table of every z per curve, built by doubling, times a
+    coefficient table, and sum_j f_j(x_j) is one contraction of that stack.
+    The powers H_l^e (e <= p-2) are the only series products, truncated
+    convolutions of int64 digit arrays.  C keeps the coefficients at
+    exponents -1 mod p in x at infinity and 1 mod p in 1/u at a finite
+    pole, so of the products H_l^e x_j^b only those coefficients are
+    computed, each as a gathered dot product sum_s H_l^e[t-s] x_j^b[s] over
+    the terms where x_j^b can be nonzero.  What depends on (p, orders) alone
+    is a cached layout (_Layout): the basis, the coefficients of each
+    pole's stack (binomials mod p, by Pascal's rule) and the positions of
+    their powers of z, the doubling plan of the geometric table, and at
+    each pole two flat read tables, one for the coefficients read off H_l^e
+    and one for those of the products, with the matrix entry and sign of
+    each and, for a product, its term range and gather data.  Its guard
+    that no read falls outside the basis runs once per (p, orders); per
+    curve, each pole is one gather from H_l^e, the gathered dot products in
+    chunks of bounded size, and their signed scatters, and the p-th root is
+    taken once, on the matrix.
 
 The output is the matrix only, cartier_matrix, the one gate of both
 pipelines (one validation, one size check, the g = 0 case): a column is the
@@ -58,6 +70,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,7 +264,7 @@ def _series_mul(field: Field, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarra
 
 def _powers(field: Field, s: np.ndarray, m: int, n: int) -> np.ndarray:
     """s^0, ..., s^m to n terms each, for the series s, by doubling: the
-    (m+1, n, k) digits.  Every power table of the local pipeline is one."""
+    (m+1, n, k) digits.  The local pipeline builds the powers H_l^e with it."""
     out = np.zeros((m + 1, n, field.k), dtype=np.int64)
     out[0, 0, 0] = 1
     out[1:2, : len(s)] = s[:n]
@@ -263,11 +276,62 @@ def _powers(field: Field, s: np.ndarray, m: int, n: int) -> np.ndarray:
     return out
 
 
+def _binomials(p: int, b_max: int, n: int) -> np.ndarray:
+    """C(b, t) mod p for b <= b_max and t < n, by Pascal's rule: the terms
+    of (e + u)^b = sum_t C(b, t) e^(b-t) u^t."""
+    out = np.zeros((b_max + 1, n), dtype=np.int64)
+    out[:, 0] = 1
+    for b in range(1, b_max + 1):
+        out[b, 1:] = (out[b - 1, 1:] + out[b - 1, :-1]) % p
+    return out
+
+
+def _negative_binomials(p: int, b_max: int, n: int) -> np.ndarray:
+    """C(b + t - 1, t) mod p for b <= b_max and t < n: the terms of
+    (1 - z w)^(-b) = sum_t C(b + t - 1, t) z^t w^t.  Row 0 is the series 1,
+    and row b is the running sum of row b - 1, as (1 - w)^(-1) = sum_t w^t."""
+    out = np.zeros((b_max + 1, n), dtype=np.int64)
+    out[0, 0] = 1
+    for b in range(1, b_max + 1):
+        out[b] = np.cumsum(out[b - 1]) % p
+    return out
+
+
+class _Doubling(NamedTuple):
+    """How _geometric lays out and fills rows of given lengths n_r >= 1,
+    one row after another in a flat table of size entries: row r starts at
+    starts[r], its term 1 is set for the rows second, and each step is the
+    flat positions (dst, src, pivot) with z^dst = z^src * z^pivot."""
+
+    size: int
+    starts: np.ndarray
+    second: np.ndarray
+    steps: list
+
+
+def _doubling(lengths) -> _Doubling:
+    """The _Doubling of rows of these lengths.  With z^0, ..., z^(T-1) known
+    in every row longer than T, one step sets z^T, ..., z^(2T-2) there, as
+    z^1, ..., z^(T-1) times z^(T-1); T starts at 2."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    steps, top = [], 2
+    while top < lengths.max(initial=0):
+        rows = np.nonzero(lengths > top)[0]
+        count = np.minimum(lengths[rows], 2 * top - 1) - top
+        first = np.repeat(starts[rows], count)
+        s = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        steps.append((first + top + s, first + 1 + s, first + top - 1))
+        top = 2 * top - 1
+    return _Doubling(int(lengths.sum()), starts, np.nonzero(lengths > 1)[0], steps)
+
+
 class _Layout:
     """The part of the local pipeline that depends only on p and the pole
-    orders (of genus g >= 1): the basis, the series sizes, and at each pole
-    l two flat read-only tables with a column per read of C, each naming
-    the matrix entry (row, col) it fills and its sign.
+    orders (of genus g >= 1): the basis, the series sizes, the closed forms
+    of the x_j series, and at each pole l two flat read-only tables with a
+    column per read of C, each naming the matrix entry (row, col) it fills
+    and its sign.
 
     A direct read takes term t of H_l^e itself: a column (e, t, row, col,
     sign) of direct[l].  A product read takes term t of H_l^e x_j^b,
@@ -278,7 +342,22 @@ class _Layout:
     start): with the terms of all reads numbered m = start, ...,
     start + length - 1, term m is the product of entry h0 - m of the
     flattened powers H_l^e and entry x0 + m of the flattened stack.
-    A read outside the basis is refused here, once."""
+    A read outside the basis is refused here, once.
+
+    Term t of x_j^b at pole l is a binomial coefficient mod p times a power
+    of one z, a pole location e_j or, for a pair of finite poles, the
+    inverse 1/(e_j - e_l) of pairs[i], in that order (z row j - 1, or
+    len(orders) - 1 + i):
+
+        at infinity, x_j = w/(1 - e_j w):  x_j^b[t] = C(t-1, t-b) e_j^(t-b),
+        at e_l, x = e_l + u:               x^b[t] = C(b, t) e_l^(b-t),
+        at e_l, x_j = -z/(1 - z u):        x_j^b[t] = (-1)^b C(b+t-1, t) z^(b+t),
+
+    with the series 1 at b = 0.  stacks[l] is (power, coef, coeff): for the
+    flattened stack, the position of each term's power of z in the flat
+    table of the doubling plan doubling (_geometric) and its coefficient,
+    and for each stacked x_j^i the position of the coefficient c_(j,i) of
+    f_j in the concatenated digits of the f_j."""
 
     def __init__(self, p: int, orders):
         self.orders = orders
@@ -336,6 +415,47 @@ class _Layout:
             for table, kept in zip(tables, (self.direct, self.products, self.gathers)):
                 table.setflags(write=False)  # shared by every curve with these orders
                 kept.append(table)
+        self._closed_forms(p, orders)
+
+    def _closed_forms(self, p: int, orders) -> None:
+        """stacks, pairs and doubling, from the closed forms above."""
+        m = len(orders)
+        self.pairs = [(l, j) for l in range(1, m) for j in range(1, m) if j != l]
+        pair = {lj: i for i, lj in enumerate(self.pairs)}
+        coeffs = np.cumsum(np.array(orders) + 1) - np.array(orders) - 1  # where f_j starts
+        if m > 1:
+            binom = _binomials(p, orders[0], orders[0] + 1)
+            negative = _negative_binomials(p, max(orders[1:]), max(self.sizes))
+        lengths = np.ones((m - 1) ** 2, dtype=np.int64)  # of each z row's powers read
+        stacks = []
+        for l, n in enumerate(self.sizes):
+            t = np.arange(n)
+            rows = [(np.zeros(0, np.int64), np.zeros((0, n), np.int64),  # empty for one pole
+                     np.zeros((0, n), np.int64), np.zeros(0, np.int64))]
+            for j in range(m):
+                if j == l:
+                    continue
+                b = np.arange(orders[j] + 1)[:, None]
+                if l == 0:
+                    s = np.maximum(t - b, 0)
+                    z, power, coef = j - 1, s, np.where(t >= b, negative[b, s], 0)
+                elif j == 0:
+                    s = np.minimum(t, b)
+                    z, power, coef = l - 1, b - s, np.where(t <= b, binom[b, s], 0)
+                else:
+                    z = m - 1 + pair[l, j]
+                    power, coef = b + t, (1 - 2 * (b % 2)) * negative[b, t] % p
+                rows.append((np.full(len(b), z), power, coef, coeffs[j] + b[:, 0]))
+            z, power, coef, coeff = (np.concatenate(part) for part in zip(*rows))
+            np.maximum.at(lengths, z, power.max(axis=1, initial=0) + 1)
+            stacks.append((z, power, coef, coeff))
+        self.doubling = _doubling(lengths)
+        self.stacks = []
+        for z, power, coef, coeff in stacks:
+            tables = ((self.doubling.starts[z, None] + power).ravel(), coef.reshape(-1, 1), coeff)
+            for table in tables:
+                table.setflags(write=False)
+            self.stacks.append(tables)
 
 
 _layout = functools.lru_cache(maxsize=64)(_Layout)
@@ -352,6 +472,23 @@ def _digit_fold(field: Field) -> np.ndarray:
     fold = field.reduction[np.add.outer(np.arange(k), np.arange(k)).ravel()]
     fold.setflags(write=False)
     return fold
+
+
+def _geometric(field: Field, z: np.ndarray, plan: _Doubling) -> np.ndarray:
+    """z_r^0, ..., z_r^(n_r - 1) for every row z_r of the (rows, k) digits z,
+    laid out flat by the plan (_doubling) of the lengths n_r: the
+    (plan.size, k) digits.  Each doubling step is one digit product of a
+    batch of known powers by one known power per row, folded to k digits
+    (_digit_fold); its sums stay below k^2 * p^3 < 2^63 within the field
+    cap."""
+    p, k, fold = field.p, field.k, _digit_fold(field)
+    out = np.zeros((plan.size, k), dtype=np.int64)
+    out[plan.starts, 0] = 1
+    out[plan.starts[plan.second] + 1] = z[plan.second]
+    for dst, src, pivot in plan.steps:
+        terms = out.take(src, axis=0)[:, :, None] * out.take(pivot, axis=0)[:, None, :]
+        out[dst] = terms.reshape(len(dst), k * k) @ fold % p
+    return out
 
 
 def _gathered_products(field: Field, powers: np.ndarray, xs: np.ndarray, gather) -> np.ndarray:
@@ -386,57 +523,51 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
     """The basis and the (g, g, k) digits of the Cartier matrix, by the
     local pipeline.
 
-    One pass per pole l, in the local parameter there, w = 1/x at infinity
-    or u = x - e_l at a finite pole: the powers of every other x_j, then
-    H_l = u^d f, whose regular part is sum_j f_j(x_j) over those powers,
-    then the powers H_l^e.  The layout's direct reads gather their entries
-    of H_l^e; its product reads compute only the terms of H_l^e x_j^b that
-    C keeps, as gathered dot products (_gathered_products).  Both scatter,
-    signed, into the matrix.  The p-th root, GF(p)-linear, is taken once,
-    on the matrix.
+    One geometric table of every z the closed forms read (_geometric), then
+    one pass per pole l, in the local parameter there, w = 1/x at infinity
+    or u = x - e_l at a finite pole: the stack of the powers of every other
+    x_j, one gather from that table times the layout's coefficients; H_l =
+    u^d f, whose regular part sum_j f_j(x_j) is one contraction of the
+    stack with the coefficients of the f_j; then the powers H_l^e.  The
+    layout's direct reads gather their entries of H_l^e; its product reads
+    compute only the terms of H_l^e x_j^b that C keeps, as gathered dot
+    products (_gathered_products).  Both scatter, signed, into the matrix.
+    The p-th root, GF(p)-linear, is taken once, on the matrix.
 
     The int64 sums stay exact for series of N terms: each of the k^2 digit
     sums of a product read, before the fold to k digits, adds at most N
     digit products, each at most (p-1)^2, and an entry of a series product
     (_series_mul) at most N*k, so every sum is at most N*k*(p-1)^2 < 2^35
-    under the digit cap (cartier_matrix).  The fold and the scatter take
-    residues mod p.
+    under the digit cap (cartier_matrix).  The contraction adds one digit
+    product per stacked power, fewer than D + 2 <= 2g + 2 of them, so its
+    sums stay below (2g + 2)*(p-1)^2 < 2^35 too.  The fold and the scatter
+    take residues mod p.
     """
-    field, p = spec.field, spec.field.p
+    field, p, k = spec.field, spec.field.p, spec.field.k
     layout = _layout(p, orders)
     locs = [datum.location for datum in spec.poles]
     # f_j as a polynomial in x_j; a finite pole's part has no constant term
     polys = [field.digit_array(datum.coeffs) for datum in spec.poles]
     polys[1:] = [np.vstack([np.zeros_like(c[:1]), c]) for c in polys[1:]]
-    out = np.zeros((len(layout.forms), len(layout.forms), field.k), dtype=np.int64)
+    coeffs = np.concatenate(polys)
+    z = field.digit_array(locs[1:] + [(locs[j] - locs[l]).inverse() for l, j in layout.pairs])
+    geometric = _geometric(field, z, layout.doubling)
+    out = np.zeros((len(layout.forms), len(layout.forms), k), dtype=np.int64)
     for l, (n, d) in enumerate(zip(layout.sizes, layout.orders)):
-        h = np.zeros((n, field.k), dtype=np.int64)
+        power, coef, coeff = layout.stacks[l]
+        xs = geometric.take(power, axis=0) * coef % p  # x_j^0, ..., x_j^(d_j), j != l
+        # term t of sum_j f_j(x_j): the digit products of sum_(j,i) x_j^i[t] c_(j,i)
+        f = (xs.reshape(len(coeff), n * k).T @ coeffs[coeff]).reshape(n, k * k)
+        h = np.zeros((n, k), dtype=np.int64)
         h[: len(polys[l])] = polys[l][::-1]  # the own principal part times u^d
-        x_powers = []  # x_j^0, ..., x_j^(d_j) for every j != l, stacked
-        for j, c in enumerate(polys):
-            if j == l:
-                continue
-            if l == 0:  # x_j = w / (1 - e_j w) = sum_s e_j^s w^(s+1)
-                x = np.zeros((n, field.k), dtype=np.int64)
-                x[1:] = _powers(field, field.digit_array([locs[j]]), n - 2, 1)[:, 0]
-            elif j == 0:  # x = e_l + u
-                x = field.digit_array([locs[l], field.one])
-            else:  # x_j = 1/(u + e_l - e_j) = -sum_s z^(s+1) u^s with z = 1/(e_j - e_l)
-                z = field.digit_array([(locs[j] - locs[l]).inverse()])
-                x = -_powers(field, z, n, 1)[1:, 0] % p
-            xp = _powers(field, x, len(c) - 1, n)
-            x_powers.append(xp)
-            # term t of f_j(x_j) = sum_i c_i x_j^i is term deg f_j of the
-            # series (x_j^i)_t in i times c reversed
-            f_j = _series_mul(field, xp.swapaxes(0, 1)[: n - d], c[::-1], len(c))[:, -1]
-            h[d:] = (h[d:] + f_j) % p
+        h[d:] = (h[d:] + f[: n - d] % p @ _digit_fold(field)) % p
         powers = _powers(field, h, layout.e_max, n)
         e, t, row, col, sign = layout.direct[l]
         out[row, col] = sign[:, None] * powers[e, t] % p
         *_, row, col, sign = layout.products[l]
         if len(sign):
-            values = _gathered_products(field, powers, np.concatenate(x_powers), layout.gathers[l])
-            out[row, col] = sign[:, None] * values % p
+            out[row, col] = sign[:, None] * _gathered_products(field, powers, xs,
+                                                               layout.gathers[l]) % p
     out = out @ field.pth_root_matrix  # the pth_root of each entry
     return layout.forms, np.remainder(out, p, out=out)
 

@@ -3,6 +3,8 @@
 The a-number is the corank: a = g - rank(M).  Every rank, over every field,
 comes from one exact fraction-free elimination on int64 arrays mod p, one
 step per pivot, on the digits the matrix carries (CartierMatrix.digits).
+It walks the rows in order and skips a row that earlier pivots reduced to
+zero, so no step compacts the rows left.
 A matrix over GF(q), q = p^k, enters it through
 the regular representation: the entry c becomes the k x k GF(p) matrix
 rho(c) of multiplication by c in the basis 1, t, ..., t^(k-1), and the
@@ -29,7 +31,8 @@ matrix A = rho(M) P.  A is built block by block (rho(M_ij) Phi), never as
 a gk x gk Kronecker product; P is invertible, so A has the rank of rho(M).
 The images shrink at every step until one keeps them (Fitting's lemma),
 so the rank is stable from g factors on: s = rank(A^(2^m)) for 2^m >= g,
-m squarings and one elimination.  The products are float64, reduced as
+m squarings and one elimination, or s = 0 as soon as a squared power is
+zero, with no elimination.  The products are float64, reduced as
 Z - floor(Z/p)*p, and exact: sums stay below 2^53 (_product_mod).
 twisted_rank_profile derives s a second way, by the chain of bases V_n of
 the row spaces of A^n, one product V_n A and one elimination per factor.
@@ -73,26 +76,28 @@ def _echelon_int(rows: np.ndarray, p: int) -> np.ndarray:
     """Independent rows spanning the row space of an int matrix mod p (rows
     already reduced).
 
-    One step per pivot: the first remaining row pivots on its first nonzero
-    column c, every other row r nonzero there becomes (a*r - r[c]*pivot)
-    mod p for the pivot entry a, and the rows that vanish drop out
-    together.  Each kept row is nonzero in its pivot column, where every
-    later one is zero, so the cost follows the rank, not the column count.
+    One step per pivot, walking the rows in order: a row reduced to zero
+    by the time the walk reaches it is skipped; any other row pivots on its
+    first nonzero column c, and every later row r nonzero there becomes
+    (a*r - r[c]*pivot) mod p for the pivot entry a.  The pivots are packed
+    to the front as they are found, so no step compacts the rows left.
+    Each kept row is nonzero in its pivot column, where every later one is
+    zero, so the cost follows the rank, not the column count.
     """
     rest = rows[rows.any(axis=1)]  # a copy, so the updates below stay private
-    out = np.empty_like(rest)
     n = 0
-    while len(rest):
-        pivot, rest = rest[0], rest[1:]
-        out[n] = pivot
+    for i, pivot in enumerate(rest):
+        nonzero = pivot.nonzero()[0]
+        if not len(nonzero):
+            continue
+        c = nonzero[0]
+        rest[n] = pivot
         n += 1
-        c = pivot.nonzero()[0][0]
-        hit = rest[:, c].nonzero()[0]
+        hit = i + 1 + rest[i + 1 :, c].nonzero()[0]
         if len(hit):
             below = rest[hit]
             rest[hit] = (below * pivot[c] - below[:, c : c + 1] * pivot) % p
-            rest = rest[rest.any(axis=1)]
-    return out[:n]
+    return rest[:n]
 
 
 def _prime_matrix(M: CartierMatrix, cols=slice(None)) -> np.ndarray:
@@ -191,7 +196,8 @@ def twisted_rank_profile(M: CartierMatrix, factors: int | None = None) -> list[i
 
 def p_rank_stable(M: CartierMatrix) -> int:
     """Stable rank of the twisted products, rank(A^(2^m)) for the least
-    2^m >= g; equals the p-rank m(p-1)."""
+    2^m >= g, or 0 at the first squared power that is zero; equals the
+    p-rank m(p-1)."""
     g = M.dimension
     if g == 0:
         return 0
@@ -199,6 +205,8 @@ def p_rank_stable(M: CartierMatrix) -> int:
     A = _prime_matrix(M).astype(np.float64)
     for _ in range((g - 1).bit_length()):
         A = _product_mod(A, A, p)
+        if not A.any():  # nilpotent: every later power is zero too
+            return 0
     return _over_field(_echelon_int(A.astype(np.int64), p).shape[0], M.field.k)
 
 

@@ -180,6 +180,60 @@ def test_gathered_products_in_small_chunks(p, k, orders, seed, monkeypatch):
     assert cartier_matrix(spec, "local").entries == naive_local_matrix(spec).entries
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_binomial_tables_against_comb(p):
+    """The local route's Pascal-rule tables equal math.comb mod p, also past
+    p, where Lucas' theorem makes some entries 0: C(p, t) for 0 < t < p, and
+    C(p + t - 1, t) for 0 < t < p as well."""
+    b_max, n = 2 * p + 1, 3 * p + 2
+    binom = cartier._binomials(p, b_max, n)
+    negative = cartier._negative_binomials(p, b_max, n)
+    assert binom.tolist() == [[math.comb(b, t) % p for t in range(n)] for b in range(b_max + 1)]
+    assert negative.tolist() == [[math.comb(b + t - 1, t) % p if b else int(t == 0)
+                                  for t in range(n)] for b in range(b_max + 1)]
+    assert not binom[p, 1:p].any() and not negative[p, 1:p].any()
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (5, 2), (3, 7)])
+def test_geometric_table_against_field_powers(p, k):
+    """Each row of _geometric holds z^0, ..., z^(n-1) of its z, against
+    running FieldElement products: rows of lengths 1, 2 and 3, and longer
+    ones that take several doubling steps, for z = 0, z = 1 and random z,
+    in one batch."""
+    field = GF(p, k)
+    rng = random.Random(p * k)
+    zs = [field.zero, field.one] + [field.random_element(rng, nonzero=True) for _ in range(3)]
+    rows = [(z, n) for z in zs for n in (1, 2, 3, 4, 9, 40)]
+    rng.shuffle(rows)
+    plan = cartier._doubling([n for _, n in rows])
+    table = cartier._geometric(field, field.digit_array([z for z, _ in rows]), plan)
+    assert table.shape == (plan.size, k) == (sum(n for _, n in rows), k)
+    for (z, n), start in zip(rows, plan.starts.tolist()):
+        expected = [field.one]
+        while len(expected) < n:
+            expected.append(expected[-1] * z)
+        assert field.element_rows(table[None, start : start + n])[0] == tuple(expected), (z, n)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # at infinity x_1 = w/(1 - e_1 w); at e_1, x = e_1 + u
+        curve(7, [1, 2, 3, 1], [(3, [4, 5])]),
+        # the same with e_1 = 0, whose powers vanish past z^0
+        curve(5, [2, 1, 0, 1], [(0, [1, 2])]),
+        # two finite poles over GF(5^2), at 0 and 1: z = 1/(e_j - e_l) is 1 and -1
+        curve(5, [0, 1, 1], [(0, [3]), (1, [1, 0, 2])], k=2),
+        # two finite poles over GF(3^7), at t and 1 + 2t
+        curve(3, [1, 0, 1], [((0, 1), [1]), ((1, 2), [2, 1])], k=7),
+    ],
+    ids=["infinity-and-x", "location-zero", "pair-gf25", "pair-gf2187"],
+)
+def test_closed_form_series_cases(spec):
+    """One curve per closed form of the x_j series against the references."""
+    check_local_series(spec)
+
+
 class TestLocalSeriesGuards:
     def test_digit_cap_keeps_series_sums_in_int64(self):
         """The digit cap is the only size check, so it must bound every
@@ -207,8 +261,11 @@ class TestLocalSeriesGuards:
         against (CLOSED_FORM)."""
         names = names_reached(cartier._local_matrix, cartier._Layout, cartier._series_mul,
                               cartier._powers, cartier._signs, cartier._gathered_products,
-                              cartier._digit_fold)
-        assert {"convolve", "_signs", "_gathered_products", "reduceat"} <= names
+                              cartier._digit_fold, cartier._binomials,
+                              cartier._negative_binomials, cartier._doubling,
+                              cartier._geometric)
+        assert {"convolve", "_signs", "_gathered_products", "reduceat", "_binomials",
+                "_negative_binomials", "_doubling", "_geometric"} <= names
         rational = {"RatFunc", "partial_fractions", "cartier_rational", "cartier_poly",
                     "_rational_columns", "_rational_image", "_decompose", "_accumulate_layer",
                     "_f_numerator"}
@@ -222,7 +279,9 @@ class TestLocalSeriesGuards:
         # of a PartialFraction, no lists of elements turned into digits
         assert not names & {"digit_array", "scale"}
         series = {"_series_mul", "_powers", "_Layout", "_layout", "convolve", "_series_sizes",
-                  "_local_matrix", "_gathered_products", "_digit_fold", "_CHUNK", "reduceat"}
+                  "_local_matrix", "_gathered_products", "_digit_fold", "_CHUNK", "reduceat",
+                  "_binomials", "_negative_binomials", "_doubling", "_Doubling", "_geometric",
+                  "_closed_forms"}
         assert not names & series
         assert not names & CLOSED_FORM
 
@@ -587,6 +646,13 @@ def test_layout_of_every_admissible_family():
             for m, s in ((start, lo), (start + length - 1, hi)):
                 assert (h0 - m == e * n + t - s).all(), (p, orders, l)
                 assert (x0 + m == x * n + s).all(), (p, orders, l)
+            # the closed forms: one power of z and one coefficient per term
+            # of the stack, and one coefficient of f_j per stacked power
+            power, coef, coeff = layout.stacks[l]
+            assert len(power) == len(coef) == len(others) * n, (p, orders, l)
+            assert (0 <= power).all() and (power < layout.doubling.size).all(), (p, orders, l)
+            assert (0 <= coef).all() and (coef < p).all(), (p, orders, l)
+            assert len(coeff) == len(others) and (coeff < sum(orders) + len(orders)).all()
 
 
 def pivot_coefficient(M, p, orders, form):

@@ -257,21 +257,50 @@ class TestEchelonInt:
         invariants._echelon_int(rows, 5)
         assert rows.tolist() == [[1, 2, 0], [2, 4, 1], [0, 0, 1]]
 
+    def test_rank_reads_a_view_of_the_digits_and_leaves_them(self):
+        """At k = 1, _prime_matrix hands the elimination a read-only view of
+        M.digits, no copy; the elimination leaves it as it was."""
+        M = cartier_matrix(random_curve(GF(13), (4, 3), random.Random(3)))
+        A = invariants._prime_matrix(M)
+        assert np.shares_memory(A, M.digits) and not A.flags.writeable
+        before = M.digits.copy()
+        assert rank(M) == naive_rank(M)
+        assert (M.digits == before).all()
+
+    @pytest.mark.parametrize("p", [2, 5, 13])
+    def test_rows_that_vanish_mid_elimination(self, p):
+        """Rows that are zero only once earlier pivots reduce them, and zero
+        rows from the start between nonzero ones: the walk skips each, and
+        the rank and row space stay the reference's."""
+        rng = np.random.default_rng(p)
+        base = rng.integers(0, p, (4, 7))
+        zero = np.zeros((1, 7), dtype=np.int64)
+        for rows in (
+            np.vstack([base, base]),  # duplicates
+            np.vstack([base[:2], (base[0] + base[1]) % p, base[2:]]),  # a sum of two others
+            np.vstack([base[0], (p - 1) * base[0] % p, zero, base[1]]),  # a multiple
+            np.vstack([zero, base[0], zero, base[1], zero, (base[0] + 2 * base[1]) % p,
+                       zero, base[2], zero]),
+        ):
+            check_echelon(rows, p)
+            check_echelon(rows[::-1], p)
+
 
 class TestSharedElimination:
     @pytest.mark.parametrize("p,k,orders,seed", [(7, 1, (3,), 1), (13, 1, (4, 3), 2),
                                                  (5, 2, (4, 2), 3), (3, 7, (2, 1), 4)])
     def test_rank_then_p_rank_eliminate_once(self, p, k, orders, seed, monkeypatch):
         """rank eliminates A; p_rank_stable squares A and eliminates the
-        power, one gk x gk array, once."""
+        power, one gk x gk array, once, unless a power vanishes first, which
+        happens exactly when s = 0 (y^7 - y = x^3 here)."""
         spec = random_curve(GF(p, k), orders, random.Random(seed))
         M = cartier_matrix(spec)
-        gk = M.dimension * k
+        gk, s = M.dimension * k, validate(spec).s
         calls = record_calls(monkeypatch, "_prime_matrix", "_echelon_int")
         assert rank(M) == naive_rank(M)
         assert calls == {"_prime_matrix": [M], "_echelon_int": [(gk, gk)]}
-        assert p_rank_stable(M) == validate(spec).s
-        assert calls == {"_prime_matrix": [M, M], "_echelon_int": [(gk, gk)] * 2}
+        assert p_rank_stable(M) == s
+        assert calls == {"_prime_matrix": [M, M], "_echelon_int": [(gk, gk)] * (2 if s else 1)}
 
     def test_round_trip_through_elements_stays_out(self):
         """Walk the code of the rank and p-rank route, following every
@@ -356,12 +385,22 @@ class TestSharedElimination:
 
 
 class TestFittingStop:
-    def test_three_squarings_and_one_elimination(self, monkeypatch):
-        # y^7 - y = x^3: g = 6, profile [2, 0, 0, ...]; 2^3 >= 6
+    def test_nilpotent_stops_at_the_first_zero_power(self, monkeypatch):
+        # y^7 - y = x^3: g = 6, profile [2, 0, 0, ...], so A^2 = 0 already:
+        # one squaring, and no elimination
         M = cartier_matrix(curve(7, [0, 0, 0, 1]))
         calls = record_calls(monkeypatch, "_product_mod", "_echelon_int")
         assert p_rank_stable(M) == 0
-        assert calls == {"_product_mod": [(6, 6)] * 3, "_echelon_int": [(6, 6)]}
+        assert calls == {"_product_mod": [(6, 6)], "_echelon_int": []}
+
+    def test_non_nilpotent_takes_every_squaring(self, monkeypatch):
+        # y^13 - y over GF(13) with orders (4, 3): g = 42, s = 12, so no
+        # power vanishes: 2^6 >= 42 takes six squarings and one elimination
+        spec = random_curve(GF(13), (4, 3), random.Random(1))
+        M = cartier_matrix(spec)
+        calls = record_calls(monkeypatch, "_product_mod", "_echelon_int")
+        assert p_rank_stable(M) == validate(spec).s == 12
+        assert calls == {"_product_mod": [(42, 42)] * 6, "_echelon_int": [(42, 42)]}
 
     def test_profile_keeps_its_explicit_count(self, monkeypatch):
         M = cartier_matrix(curve(7, [0, 0, 0, 1]))
