@@ -12,7 +12,7 @@ The package computes, entirely in exact arithmetic over GF(p^k):
 See the README for the file format and the `ascart` command line tool.
 """
 
-from .cartier import CartierMatrix, cartier_matrix, cartier_poly, cartier_rational
+from .cartier import CartierMatrix, cartier_matrix, cartier_poly
 from .curve import (
     INF,
     BasisForm,
@@ -20,7 +20,6 @@ from .curve import (
     CurveSpec,
     PoleDatum,
     basis,
-    embed_curve,
     kappa,
     partition_HA,
     validate,
@@ -35,13 +34,7 @@ from .invariants import (
     theorem_a_value,
     twisted_rank_profile,
 )
-from .ratfunc import (
-    PartialFraction,
-    Poly,
-    RatFunc,
-    moebius_substitute,
-    partial_fractions,
-)
+from .ratfunc import PartialFraction, Poly, partial_fractions
 from .specfile import parse_spec, parse_spec_text
 from .sweep import SweepConfig, SweepReport, random_curve, run_sweep
 from .zeta import (

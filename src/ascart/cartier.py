@@ -25,8 +25,7 @@ reduction code, so each serves as an oracle for the other:
     C(G dx)/h once per (j, b, e), with no gcd; the pole factors
     (x - e_l)^i and the powers N^e of f's numerator are tabulated once per
     curve.  A column is a signed sum of the decompositions' digits, each
-    read once per (j, b, e) (_rational_columns).  cartier_rational amplifies
-    a whole denominator, num*den^(p-1) / den^p, on a RatFunc;
+    read once per (j, b, e) (_rational_columns);
   * local -- read the principal part of g = x_j^b f^e at each pole off its
     Laurent series in the paper's local parameter there, w = 1/x at
     infinity and u = x - e_l at a finite pole, and apply the pole rules to
@@ -77,14 +76,14 @@ import numpy as np
 from .curve import BasisForm, CurveSpec, ordered_basis, validate
 from .errors import IrreducibleDenominatorFactor, NotInSpan, SeriesTooLarge
 from .finite_field import Field, FieldElement
-from .ratfunc import PartialFraction, Poly, RatFunc, partial_fractions
+from .ratfunc import PartialFraction, Poly, partial_fractions
 
 PIPELINES = ("rational", "local")
 _MAX_DIGITS = 2**20  # on g^2 * k, the digits of a Cartier matrix
 
 
 # ---------------------------------------------------------------------------
-# The operator on polynomials and rational functions
+# The operator on polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -95,13 +94,6 @@ def cartier_poly(g: Poly) -> Poly:
         g.coeff(a * p + p - 1).pth_root() for a in range(g.degree() // p + 2)
     ]
     return Poly(g.field, out)
-
-
-def cartier_rational(g: RatFunc) -> RatFunc:
-    """C(g dx) via denominator amplification: g = num*den^(p-1) / den^p."""
-    p = g.field.p
-    amplified = g.num * g.den ** (p - 1)
-    return RatFunc(cartier_poly(amplified), g.den)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,7 @@ from .errors import (
     PoleOrderDivisibleByP,
     ZeroLeadingCoefficient,
 )
-from .finite_field import Field, FieldElement, embedding
-from .ratfunc import RatFunc, partial_fractions
+from .finite_field import Field, FieldElement
 
 
 class Infinity:
@@ -115,24 +114,6 @@ class CurveSpec:
     def p(self) -> int:
         return self.field.p
 
-    @staticmethod
-    def from_rational(field: Field, f: RatFunc) -> "CurveSpec":
-        """Build the pole-data form of f; f must have a pole at infinity."""
-        pf = partial_fractions(f)
-        if pf.poly.degree() < 1:
-            raise MissingInfinitePole(
-                "f has no pole at infinity; apply moebius_substitute to move "
-                "one pole there first"
-            )
-        poles = [PoleDatum(INF, pf.poly.coeffs)]
-        for e in sorted(pf.tails, key=lambda v: v.counter()):
-            tail = pf.tails[e]
-            d = max(tail)
-            poles.append(
-                PoleDatum(e, tuple(tail.get(n, field.zero) for n in range(1, d + 1)))
-            )
-        return CurveSpec(field, tuple(poles))
-
 
 @dataclass(frozen=True)
 class CurveInvariants:
@@ -167,8 +148,8 @@ def validate(spec: CurveSpec) -> CurveInvariants:
     p = spec.p
     if not spec.poles or not spec.poles[0].is_infinite:
         raise MissingInfinitePole(
-            "the first pole must be at infinity; apply moebius_substitute to "
-            "move a pole of f there"
+            "the first pole must be at infinity; substitute x -> e + 1/x to "
+            "move a pole e of f there"
         )
     seen: set = set()
     for datum in spec.poles[1:]:
@@ -183,8 +164,8 @@ def validate(spec: CurveSpec) -> CurveInvariants:
         d = datum.order
         if datum.is_infinite and d < 1:
             raise MissingInfinitePole(
-                "f is regular at infinity; apply moebius_substitute to move "
-                "a pole there"
+                "f is regular at infinity; substitute x -> e + 1/x to move a "
+                "pole e of f there"
             )
         if not datum.coeffs or datum.leading.is_zero():
             raise ZeroLeadingCoefficient(f"pole {j}: leading coefficient is zero")
@@ -288,16 +269,3 @@ def kappa(p: int, orders, form: BasisForm) -> BasisForm:
     if target is None:
         raise NotInH(f"{form.label()} is not in the pivot set H")
     return target
-
-
-def embed_curve(spec: CurveSpec, dst: Field) -> CurveSpec:
-    """The same curve with all data pushed through the canonical embedding."""
-    phi = embedding(spec.field, dst)
-    poles = tuple(
-        PoleDatum(
-            INF if p.is_infinite else phi(p.location),
-            tuple(phi(c) for c in p.coeffs),
-        )
-        for p in spec.poles
-    )
-    return CurveSpec(dst, poles)

@@ -30,10 +30,6 @@ class IrreducibleDenominatorFactor(AscartError):
         )
 
 
-class SingularTransform(AscartError):
-    """The matrix of a fractional linear substitution has determinant zero."""
-
-
 class PoleOrderDivisibleByP(AscartError):
     """A pole order is divisible by the characteristic p."""
 
@@ -49,8 +45,8 @@ class DuplicatePoleLocation(AscartError):
 class MissingInfinitePole(AscartError):
     """The first pole is not at infinity.
 
-    Apply a fractional linear substitution (moebius_substitute) that moves
-    one pole of f to infinity, then rebuild the curve.
+    The substitution x -> e + 1/x moves a pole e of f to infinity with its
+    order; rewrite f in the new x and rebuild the curve.
     """
 
 

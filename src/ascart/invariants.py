@@ -35,7 +35,9 @@ m squarings and one elimination, or s = 0 as soon as a squared power is
 zero, with no elimination.  The products are float64, reduced as
 Z - floor(Z/p)*p, and exact: sums stay below 2^53 (_product_mod).
 twisted_rank_profile derives s a second way, by the chain of bases V_n of
-the row spaces of A^n, one product V_n A and one elimination per factor.
+the row spaces of A^n, one product V_n A and one elimination per factor up
+to the first repeated rank: the row space of A^(n+1) lies in that of A^n,
+so equal ranks mean equal spaces, and every later power keeps them.
 """
 
 from __future__ import annotations
@@ -100,19 +102,17 @@ def _echelon_int(rows: np.ndarray, p: int) -> np.ndarray:
     return rest[:n]
 
 
-def _prime_matrix(M: CartierMatrix, cols=slice(None)) -> np.ndarray:
-    """The columns cols of M as the GF(p) matrix rho(M[:, cols]) (I (x) Phi),
-    read off M.digits.
+def _prime_matrix(M: CartierMatrix) -> np.ndarray:
+    """M as the GF(p) matrix rho(M) (I (x) Phi), read off M.digits.
 
     For k = 1 this is the matrix of residues itself.
     """
-    digits = M.digits[:, cols]
-    g, n, k = digits.shape
+    g, n, k = M.digits.shape
     if k == 1:
-        return digits.reshape(g, n)
+        return M.digits.reshape(g, n)
     p = M.field.p
     T, Phi = regular_representation(M.field)
-    blocks = np.tensordot(digits, T, axes=(2, 0)) % p @ Phi % p  # (g, n, k, k)
+    blocks = np.tensordot(M.digits, T, axes=(2, 0)) % p @ Phi % p  # (g, n, k, k)
     return blocks.transpose(0, 2, 1, 3).reshape(g * k, n * k)
 
 
@@ -150,15 +150,6 @@ def _over_field(prime_rank: int, k: int) -> int:
     return r
 
 
-def rank_of_columns(M: CartierMatrix, columns) -> int:
-    """Rank of the submatrix formed by the given column indices."""
-    cols = sorted(columns)
-    if not cols:
-        return 0
-    A = _prime_matrix(M, cols)
-    return _over_field(_echelon_int(A, M.field.p).shape[0], M.field.k)
-
-
 def rank(M: CartierMatrix) -> int:
     """Exact rank over the field (invariant under any field extension)."""
     return _over_field(_echelon_int(_prime_matrix(M), M.field.p).shape[0], M.field.k)
@@ -183,15 +174,22 @@ def _twisted_ranks(M: CartierMatrix):
 def twisted_rank_profile(M: CartierMatrix, factors: int | None = None) -> list[int]:
     """Ranks of M, M*M^(sigma^-1), ... for 1..factors twisted factors.
 
-    Defaults to g+1 factors: the rank provably stabilizes by g factors, so
-    the extra entry witnesses stationarity instead of assuming it.
+    Defaults to g+1 factors: the rank provably stabilizes by g factors.  The
+    chain stops at its first repeat, rank(A^n) = rank(A^(n+1)), which itself
+    witnesses stationarity (Fitting's lemma), and the rest of the list
+    repeats that rank.
     """
     g = M.dimension
     if factors is None:
         factors = g + 1
     if g == 0:
         return []
-    return list(itertools.islice(_twisted_ranks(M), factors))
+    profile: list[int] = []
+    for r in itertools.islice(_twisted_ranks(M), factors):
+        if profile and profile[-1] == r:
+            break
+        profile.append(r)
+    return profile + profile[-1:] * (factors - len(profile))
 
 
 def p_rank_stable(M: CartierMatrix) -> int:

@@ -156,47 +156,6 @@ class LPolynomial:
             A.append(-acc)
         return [self.q**s + 1 - a for s, a in enumerate(A, start=1)]
 
-    def predicted_count(self, s: int) -> int:
-        """N_s implied by this polynomial (predicted_counts)."""
-        if s < 1:
-            raise ValueError("s must be >= 1")
-        return self.predicted_counts(s)[-1]
-
-    def weil_bounds_ok(self) -> bool:
-        """Every reciprocal root has absolute value sqrt(q), decided exactly.
-
-        The reciprocal roots are the roots of P(T) = T^(2g) L(1/T), and the
-        functional equation makes P(T) = T^g h(T + q/T) for a monic integer
-        h of degree g.  A root alpha has |alpha| = sqrt(q) exactly when
-        x = alpha + q/alpha is real with x^2 <= 4q, so the bound holds when
-        the g roots x_i^2 of H(z) = h(x) h(-x), z = x^2, are all real and in
-        [0, 4q].  A Sturm sequence of the squarefree part of H counts its
-        distinct roots there (Kedlaya, "Search techniques for root-unitary
-        polynomials", 2008).
-        """
-        g, q, c = self.genus, self.q, self.coeffs
-        # h = c_g + sum_j c_(g-j) s_j(x) for s_j(T + q/T) = T^j + (q/T)^j:
-        # s_0 = 2, s_1 = x, s_j = x s_(j-1) - q s_(j-2)
-        h, s_prev, s_j = [c[g]] + [0] * g, [2], [0, 1]
-        for j in range(1, g + 1):
-            for i, a in enumerate(s_j):
-                h[i] += c[g - j] * a
-            s_prev, s_j = s_j, [a - q * b for a, b in
-                                itertools.zip_longest([0] + s_j, s_prev, fillvalue=0)]
-        H = [0] * (2 * g + 1)
-        for i, a in enumerate(h):
-            for j, b in enumerate(h):
-                H[i + j] += a * b * (-1) ** j
-        H = H[::2]  # h(x) h(-x) is even
-        H = _divmod_q(H, _gcd_q(H, _derivative(H)))[0]  # the squarefree part
-        sturm = [H]
-        nxt = _derivative(H)
-        while nxt:
-            sturm.append(nxt)
-            nxt = [-a for a in _divmod_q(sturm[-2], sturm[-1])[1]]
-        in_range = _sign_changes(sturm, 0) - _sign_changes(sturm, 4 * q) + (H[0] == 0)
-        return in_range == len(H) - 1
-
     def to_json(self) -> dict:
         return {"q": self.q, "coeffs": list(self.coeffs)}
 
@@ -268,40 +227,6 @@ def _cyclotomic_trace(a: list[int]) -> int:
     return len(a) * a[0] - sum(a[1:])
 
 
-# Polynomials over Q for the Sturm count: lists of coefficients, constant
-# first, with a nonzero last coefficient; the zero polynomial is [].
-
-
-def _derivative(a: list) -> list:
-    return [i * x for i, x in enumerate(a)][1:]
-
-
-def _divmod_q(a: list, b: list) -> tuple[list, list]:
-    """Quotient and remainder of a by the nonzero b over Q."""
-    rem = [Fraction(x) for x in a]
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        d, f = len(rem) - len(b), rem[-1] / b[-1]
-        quo[d] = f
-        for i, x in enumerate(b):
-            rem[i + d] -= f * x
-        while rem and not rem[-1]:
-            rem.pop()
-    return quo, rem
-
-
-def _gcd_q(a: list, b: list) -> list:
-    while b:
-        a, b = b, _divmod_q(a, b)[1]
-    return a
-
-
-def _sign_changes(polys: list[list], z) -> int:
-    """Sign changes along the values of polys at z, zeros skipped."""
-    values = [v for v in (sum(x * z**i for i, x in enumerate(a)) for a in polys) if v]
-    return sum((u < 0) != (v < 0) for u, v in itertools.pairwise(values))
-
-
 # ---------------------------------------------------------------------------
 # Slope polygons
 # ---------------------------------------------------------------------------
@@ -352,10 +277,6 @@ class SlopePolygon:
         for s in self.expanded():
             heights.append(heights[-1] + s)
         return heights
-
-    def is_symmetric(self) -> bool:
-        """Slope t and 1 - t occur with the same multiplicity."""
-        return all(self.multiplicity(1 - s) == m for s, m in self.slopes)
 
     def to_json(self) -> list[list[int]]:
         return [[s.numerator, s.denominator, m] for s, m in self.slopes]

@@ -39,15 +39,8 @@ def echelon_elements(rows: list[list[FieldElement]]) -> list[list[FieldElement]]
     return a[:r]
 
 
-def naive_rank_of_columns(M: CartierMatrix, columns) -> int:
-    cols = sorted(columns)
-    if not cols:
-        return 0
-    return len(echelon_elements([[row[j] for j in cols] for row in M.entries]))
-
-
 def naive_rank(M: CartierMatrix) -> int:
-    return naive_rank_of_columns(M, range(M.dimension))
+    return len(echelon_elements([list(row) for row in M.entries]))
 
 
 def naive_twisted_rank_profile(M: CartierMatrix, factors: int) -> list[int]:

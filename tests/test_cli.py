@@ -224,6 +224,16 @@ class TestCommands:
         assert main(["verify", path]) == 2
         assert "not 1 mod" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("p = 5\npole inf: 3\n", "f is regular at infinity"),
+        ("p = 5\npole 1: 3\n", "the first pole must be at infinity"),
+    ])
+    def test_verify_missing_infinite_pole(self, tmp_path, capsys, text, message):
+        """The hint names the substitution that moves a pole to infinity."""
+        assert main(["verify", write(tmp_path, text)]) == 2
+        hint = "substitute x -> e + 1/x to move a pole e of f there"
+        assert capsys.readouterr().err == f"error: {message}; {hint}\n"
+
     def test_zeta(self, tmp_path, capsys):
         path = write(tmp_path, "p = 3\npole inf: 0 0 1\n")
         assert main(["zeta", path, "--json"]) == 0

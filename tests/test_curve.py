@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ascart import GF, CurveSpec, PoleDatum, basis, kappa, partition_HA, validate
-from ascart.curve import BasisForm, embed_curve, order_key, ordered_basis
+from ascart.curve import BasisForm, order_key, ordered_basis
 from ascart.errors import (
     ConditionNotSatisfied,
     DuplicatePoleLocation,
@@ -15,11 +15,11 @@ from ascart.errors import (
     ZeroLeadingCoefficient,
 )
 from ascart.invariants import theorem_a_value
-from ascart.ratfunc import Poly, RatFunc
 from ascart.sweep import random_curve
 
-from conftest import PARTITION_MAX_P, admissible_families, curve, random_specs
+from conftest import PARTITION_MAX_P, admissible_families, curve, embed_curve, random_specs
 from naive_local import f_partial_fraction
+from naive_ratfunc import assemble
 
 
 class TestValidate:
@@ -80,22 +80,7 @@ class TestValidate:
         spec = curve(3, [2, 0, 1])
         inv = validate(spec)
         assert inv.g == 1
-        assert f_partial_fraction(spec).assemble().num.coeff(0) == GF(3)(2)
-
-
-class TestFromRational:
-    def test_round_trip(self):
-        spec = curve(3, [1, 0, 1], [(1, [1]), (2, [0, 2])])
-        f = f_partial_fraction(spec).assemble()
-        rebuilt = CurveSpec.from_rational(GF(3), f)
-        assert f_partial_fraction(rebuilt).assemble() == f
-        assert validate(rebuilt) == validate(spec)
-
-    def test_no_infinite_pole_hint(self):
-        F = GF(5)
-        f = RatFunc(Poly.constant(F, 1), Poly.x(F))
-        with pytest.raises(MissingInfinitePole):
-            CurveSpec.from_rational(F, f)
+        assert assemble(f_partial_fraction(spec)).num.coeff(0) == GF(3)(2)
 
 
 class TestBasis:

@@ -19,11 +19,11 @@ from ascart import (
     validate,
 )
 from ascart.cartier import CartierMatrix
-from ascart.curve import basis, embed_curve
+from ascart.curve import basis
 from ascart.errors import ConditionNotSatisfied, DNotCoprime
 from ascart.sweep import random_curve
 
-from conftest import curve, random_specs
+from conftest import curve, embed_curve, random_specs
 
 F3 = GF(3)
 F7 = GF(7)

@@ -2,7 +2,9 @@
 names, and no reference implementation under tests/ (naive_*.py) imports a
 private name of the package, so each stays an independent oracle.  No
 module rebinds a global either: process-wide state lives in caches.  Floating
-point stays inside the rank layer's exact products, and no result is a float."""
+point stays inside the rank layer's exact products, and no result is a float.
+Every public function or class of the package has a caller in the package,
+or a reason to stay in KEEP."""
 
 import ast
 import random
@@ -80,3 +82,32 @@ def test_ranks_are_python_ints(spec):
     M = cartier_matrix(spec)
     results = [rank(M), p_rank_stable(M), *twisted_rank_profile(M)]
     assert [type(r) for r in results] == [int] * len(results)
+
+
+# Public module-level names that no other code of the package refers to,
+# each with the reason it stays
+KEEP = {
+    "count_points": "the README's scalar count N_s, spanned by the benchmark's traced run",
+    "twisted_rank_profile": "the second derivation of the p-rank s, by the chain of row spaces",
+    "a_monomial_remark": "the a-number of y^p - y = x^d for p != 1 mod d (ROADMAP item 8)",
+    "partition_HA": "the paper's H/A partition of the basis (ROADMAP items 3 and 4)",
+    "kappa": "the pivot target of each form of H (ROADMAP items 3 and 4)",
+}
+
+
+def test_every_public_name_has_a_caller():
+    """A public module-level def or class of src/ascart (outside __init__,
+    whose re-exports do not count) is named by code outside its own
+    definition, or listed in KEEP: a name only tests reach belongs in
+    tests/."""
+    defined, named = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                defined[top.name] = top
+            named.extend((node.id, top) for node in ast.walk(top) if isinstance(node, ast.Name))
+    uncalled = {name for name, top in defined.items()
+                if not any(n == name and where is not top for n, where in named)}
+    assert uncalled == set(KEEP)
