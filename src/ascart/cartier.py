@@ -61,7 +61,9 @@ reduction code, so each serves as an oracle for the other:
 The output is the matrix only, cartier_matrix, the one gate of both
 pipelines (one validation, one size check, the g = 0 case): a column is the
 coordinate vector of C(omega_j) in the ordered basis, and entry (i, j) is
-the coefficient of omega_i in C(omega_j).
+the coefficient of omega_i in C(omega_j).  support(p, orders) is the
+pattern of the entries the layout reads, the only ones any curve with
+those pole orders can make nonzero.
 """
 
 from __future__ import annotations
@@ -451,6 +453,21 @@ class _Layout:
 
 
 _layout = functools.lru_cache(maxsize=64)(_Layout)
+
+
+def support(p: int, orders) -> np.ndarray:
+    """The g x g entries that the Cartier matrix of a curve with these pole
+    orders can make nonzero, as a read-only boolean pattern: the (row, col)
+    of every direct and product read of the cached layout (_Layout), of
+    genus g >= 1.  Every other entry is 0 by construction, so the term rank
+    of the pattern bounds the rank of every curve of the family."""
+    layout = _layout(p, tuple(orders))
+    g = len(layout.forms)
+    out = np.zeros((g, g), dtype=bool)
+    for table in layout.direct + layout.products:
+        out[table[-3], table[-2]] = True
+    out.setflags(write=False)
+    return out
 
 _CHUNK = 2**16  # digit products summed at a time by _gathered_products
 

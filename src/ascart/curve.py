@@ -32,7 +32,8 @@ with r >= (b - eps_j)*gamma_j, each with a pivot at
 
 and the complement A.  partition_HA(p, orders) returns (H, A), and
 kappa(p, orders, form) the pivot of a form of H; the a-number equals #A in
-that regime.
+that regime.  basis_orders(p, basis) reads the pole orders back off an
+ordered basis there.
 """
 
 from __future__ import annotations
@@ -231,6 +232,27 @@ def ordered_basis(p: int, orders) -> list[BasisForm]:
             b += 1
     forms.sort(key=order_key)
     return forms
+
+
+def basis_orders(p: int, basis) -> tuple[int, ...] | None:
+    """The pole orders whose ordered_basis in characteristic p is basis,
+    when p = 1 mod L; None when the recovered orders do not give it back.
+
+    There every d_j < p, so for j >= 1 the form x_j^(d_j) dx is the one of
+    pole j with the largest b, and d_0 follows from the genus g = len(basis),
+    2g/(p-1) = D = sum_j (d_j + 1) - 2.  Other bases may give None.
+    """
+    basis = list(basis)
+    top: dict = {}
+    for j, b, _ in basis:
+        top[j] = max(top.get(j, b), b)
+    m = len(top) - (0 in top)  # each finite pole has forms, infinity may have none
+    finite = [top.get(j, 0) for j in range(1, m + 1)]
+    D, rest = divmod(2 * len(basis), p - 1)
+    orders = (D + 1 - sum(d + 1 for d in finite), *finite)
+    if rest or min(orders) < 1 or ordered_basis(p, orders) != basis:
+        return None
+    return orders
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,7 +1,19 @@
 """Rank, a-number and p-rank from the Cartier matrix.
 
-The a-number is the corank: a = g - rank(M).  Every rank, over every field,
-comes from one exact fraction-free elimination on int64 arrays mod p, one
+The a-number is the corank: a = g - rank(M).  When p = 1 mod L the paper's
+proof gives the rank with no elimination, and rank checks that proof on
+each matrix first.  For the ordered basis of such (p, orders) a
+certificate is built once and cached (_certificate): the rows kappa(H) and
+columns H, H in basis order, and a Koenig vertex cover of #H lines of the
+layout's support (cartier.support).  A matrix whose block M[kappa(H), H]
+is triangular with a nonzero diagonal has rank >= #H, and one whose
+nonzero entries all lie in the cover's lines has rank <= #H.  Both sides
+are read off the matrix's own digits, so a wrong support or a false
+theorem cannot change a result: a matrix that fails either side, or whose
+basis has no certificate, falls back to the elimination.
+
+Every other rank, over every field, comes from one exact fraction-free
+elimination on int64 arrays mod p, one
 step per pivot, on the digits the matrix carries (CartierMatrix.digits).
 It walks the rows in order and skips a row that earlier pivots reduced to
 zero, so no step compacts the rows left.
@@ -44,12 +56,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cartier import CartierMatrix, cartier_matrix
-from .curve import CurveSpec, validate
+from .cartier import CartierMatrix, cartier_matrix, support
+from .curve import BasisForm, CurveSpec, basis_orders, kappa, partition_HA, validate
 from .errors import ConditionNotSatisfied, DNotCoprime
 from .finite_field import Field
 
@@ -150,8 +164,87 @@ def _over_field(prime_rank: int, k: int) -> int:
     return r
 
 
+class _Certificate(NamedTuple):
+    """The paper's pivot structure as a check on one matrix's digits, for
+    the ordered basis of some (p, orders) with p = 1 mod L.
+
+    rows and cols are the positions of kappa(H) and H, H in basis order;
+    (cover_rows, cover_cols) is a Koenig vertex cover of the layout's
+    support (cartier.support) of size #H.  A matrix whose entries are
+    nonzero at every flat index of diagonal and zero at every one of zeros
+    (the block M[kappa(H), H] below its diagonal, and every entry outside
+    the cover) has rank #H."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    cover_rows: np.ndarray
+    cover_cols: np.ndarray
+    diagonal: np.ndarray
+    zeros: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _certificate(p: int, basis: tuple[BasisForm, ...]) -> _Certificate | None:
+    """The certificate of the basis in characteristic p, or None when it is
+    no ordered basis with p = 1 mod L or kappa is not a maximum matching of
+    the support.
+
+    The cover comes from one alternating search, level by level, from the
+    rows that kappa leaves free: a row reaches every column of its support,
+    a column its matched row.  Reaching a free column is an augmenting path,
+    and then there is no certificate.  Otherwise, by Koenig's construction,
+    the rows not reached and the columns reached cover every entry of the
+    support, one end of each matched pair, so #H in all.
+    """
+    orders = basis_orders(p, basis)
+    if orders is None or (p - 1) % math.lcm(*orders):
+        return None
+    g = len(basis)
+    index = {form: i for i, form in enumerate(basis)}
+    H, _ = partition_HA(p, orders)
+    forms = [form for form in basis if form in H]
+    cols = np.array([index[form] for form in forms], dtype=np.intp)
+    rows = np.array([index[kappa(p, orders, form)] for form in forms], dtype=np.intp)
+    # the row kappa matches to each column: kappa keeps j and b and shifts
+    # r by a constant, so it is one to one
+    mate = np.full(g, -1)
+    mate[cols] = rows
+    S = support(p, orders)
+    rows_seen = np.ones(g, dtype=bool)
+    rows_seen[rows] = False
+    cols_seen, frontier = np.zeros(g, dtype=bool), rows_seen.copy()
+    while frontier.any():
+        reached = S[frontier].any(axis=0) & ~cols_seen
+        if (mate[reached] < 0).any():
+            return None
+        cols_seen |= reached
+        frontier = np.zeros(g, dtype=bool)
+        frontier[mate[reached]] = True
+        rows_seen |= frontier
+    zero = rows_seen[:, None] & ~cols_seen  # outside the cover
+    zero[rows[:, None], cols] |= np.tri(len(cols), k=-1, dtype=bool)
+    certificate = _Certificate(rows, cols, ~rows_seen, cols_seen, rows * g + cols,
+                               np.flatnonzero(zero))
+    for array in certificate:
+        array.setflags(write=False)  # shared by every matrix in this basis
+    return certificate
+
+
 def rank(M: CartierMatrix) -> int:
-    """Exact rank over the field (invariant under any field extension)."""
+    """Exact rank over the field (invariant under any field extension).
+
+    When the basis has a certificate (_certificate) and M passes it, the
+    rank is #H, read off M's own digits from both sides: the block
+    M[kappa(H), H] is triangular with a nonzero diagonal, so rank >= #H,
+    and every nonzero entry lies in a row or column of a cover of #H
+    lines, so rank <= #H.  Otherwise, one elimination (_echelon_int)."""
+    if not M.dimension:
+        return 0
+    certificate = _certificate(M.field.p, tuple(M.basis))
+    if certificate is not None:
+        nonzero = M.digits.any(axis=2).ravel()
+        if nonzero[certificate.diagonal].all() and not nonzero[certificate.zeros].any():
+            return len(certificate.diagonal)
     return _over_field(_echelon_int(_prime_matrix(M), M.field.p).shape[0], M.field.k)
 
 

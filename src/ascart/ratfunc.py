@@ -41,20 +41,12 @@ class Poly:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_ints(field: Field, ints) -> "Poly":
-        return Poly(field, [field(c) for c in ints])
-
-    @staticmethod
     def x(field: Field) -> "Poly":
         return Poly(field, [field.zero, field.one])
 
     @staticmethod
     def constant(field: Field, c) -> "Poly":
         return Poly(field, [field(c)])
-
-    @staticmethod
-    def monomial(field: Field, degree: int, c=1) -> "Poly":
-        return Poly(field, [field.zero] * degree + [field(c)])
 
     # -- basic queries --------------------------------------------------------
 

@@ -250,13 +250,6 @@ class SlopePolygon:
     def length(self) -> int:
         return sum(m for _, m in self.slopes)
 
-    def multiplicity(self, slope) -> int:
-        target = Fraction(slope)
-        for s, m in self.slopes:
-            if s == target:
-                return m
-        return 0
-
     def expanded(self) -> list[Fraction]:
         return [s for s, m in self.slopes for _ in range(m)]
 

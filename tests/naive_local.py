@@ -15,6 +15,8 @@ from ascart.curve import BasisForm, CurveSpec, basis
 from ascart.finite_field import FieldElement
 from ascart.ratfunc import PartialFraction, Poly
 
+from naive_ratfunc import monomial
+
 
 def f_partial_fraction(spec: CurveSpec) -> PartialFraction:
     """f as a PartialFraction, straight from the pole data."""
@@ -167,7 +169,7 @@ def naive_local_matrix(spec) -> CartierMatrix:
             g = f_power_pf(e)
             if j == 0:
                 if b:
-                    g = pf_mul(g, PartialFraction(Poly.monomial(field, b)))
+                    g = pf_mul(g, PartialFraction(monomial(field, b)))
             else:
                 loc = spec.poles[j].location
                 g = pf_mul(g, PartialFraction(Poly(field), {loc: {b: field.one}}))

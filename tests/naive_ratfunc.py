@@ -10,12 +10,23 @@ a PartialFraction back into a RatFunc and decompose(f) a RatFunc into a
 PartialFraction, so tests check that the two are exact inverses.
 cartier_rational(g) is C(g dx) by denominator amplification,
 g = num*den^(p-1) / den^p, for the operator's axioms and the pole rules
-on partial fractions.
+on partial fractions.  from_ints and monomial build test polynomials.
 """
 
 from ascart.cartier import cartier_poly
 from ascart.finite_field import FieldElement
 from ascart.ratfunc import PartialFraction, Poly, partial_fractions
+
+
+def from_ints(field, ints) -> Poly:
+    """The polynomial with coefficients field(c) for c in ints, lowest
+    degree first."""
+    return Poly(field, [field(c) for c in ints])
+
+
+def monomial(field, degree: int, c=1) -> Poly:
+    """c x^degree."""
+    return Poly(field, [field.zero] * degree + [field(c)])
 
 
 def power(a: Poly, n: int) -> Poly:

@@ -10,7 +10,8 @@ weil_bounds_ok(L) decides exactly whether every reciprocal root of L has
 absolute value sqrt(q), by a Sturm count over Q, and is_symmetric(polygon)
 whether slopes t and 1 - t come with equal multiplicities: two properties
 that every L-polynomial and Newton polygon of a curve has, which tests
-check on what ascart.zeta computes.
+check on what ascart.zeta computes.  multiplicity(polygon, slope) reads
+one slope's multiplicity.
 """
 
 import itertools
@@ -119,6 +120,11 @@ def _sign_changes(polys: list[list], z) -> int:
     return sum((u < 0) != (v < 0) for u, v in itertools.pairwise(values))
 
 
+def multiplicity(polygon, slope) -> int:
+    """How often the SlopePolygon has the slope, 0 if never."""
+    return dict(polygon.slopes).get(Fraction(slope), 0)
+
+
 def is_symmetric(polygon) -> bool:
     """Slope t and 1 - t of the SlopePolygon occur with the same multiplicity."""
-    return all(polygon.multiplicity(1 - s) == m for s, m in polygon.slopes)
+    return all(multiplicity(polygon, 1 - s) == m for s, m in polygon.slopes)

@@ -19,19 +19,20 @@ from ascart import (
     cartier_poly,
     kappa,
 )
-from ascart import cartier
+from ascart import cartier, invariants
 from ascart.cartier import CartierMatrix, _signs
 from ascart.cli import main
 from ascart.curve import BasisForm, basis, ordered_basis
 from ascart.errors import ConditionNotSatisfied, NotInH, NotInSpan, SeriesTooLarge
 from ascart.finite_field import _MAX_FIELD_SIZE, Field, is_prime
-from ascart.invariants import rank
+from ascart.invariants import rank, theorem_a_value
 from ascart.sweep import random_curve
 
 from conftest import (PARTITION_MAX_P, admissible_families, assert_pivot_structure, curve,
                       random_specs, random_split_ratfunc)
 from naive_local import cartier_local, f_partial_fraction, naive_local_matrix
-from naive_ratfunc import RatFunc, assemble, cartier_rational, decompose, power
+from naive_ratfunc import (RatFunc, assemble, cartier_rational, decompose, from_ints, monomial,
+                           power)
 from naive_rank import naive_rank
 
 F3 = GF(3)
@@ -40,13 +41,13 @@ F7 = GF(7)
 
 class TestCartierPoly:
     def test_p3_examples(self):
-        assert cartier_poly(Poly.from_ints(F3, [0, 0, 1])) == Poly.constant(F3, 1)
+        assert cartier_poly(from_ints(F3, [0, 0, 1])) == Poly.constant(F3, 1)
         assert cartier_poly(Poly.constant(F3, 1)).is_zero()
 
     def test_p7_examples(self):
-        x6 = Poly.monomial(F7, 6)
-        x9 = Poly.monomial(F7, 9)
-        x13 = Poly.monomial(F7, 13)
+        x6 = monomial(F7, 6)
+        x9 = monomial(F7, 9)
+        x13 = monomial(F7, 13)
         assert cartier_poly(x6) == Poly.constant(F7, 1)
         assert cartier_poly(x9).is_zero()
         assert cartier_poly(x13) == Poly.x(F7)
@@ -67,7 +68,7 @@ class TestCartierRational:
             assert cartier_rational(f) == f
 
     def test_polynomial_passthrough(self):
-        g = RatFunc(Poly.from_ints(F3, [0, 0, 1]))
+        g = RatFunc(from_ints(F3, [0, 0, 1]))
         assert cartier_rational(g) == RatFunc(Poly.constant(F3, 1))
 
     def test_double_pole_killed(self):
@@ -158,6 +159,28 @@ def test_local_series_matches_references(p, k, raw_orders, seed):
 )
 def test_local_series_examples(p, orders, k, seed):
     check_local_series(random_curve(GF(p, k), orders, random.Random(seed)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    k=st.integers(1, 3),
+    raw_orders=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=13, k=1, raw_orders=[4, 3], seed=0)  # p = 1 mod L
+@example(p=5, k=2, raw_orders=[3], seed=0)  # p != 1 mod L
+def test_rational_matrix_lies_inside_the_support(p, k, raw_orders, seed):
+    """The rational route never reads the local layout, so its matrix being
+    zero off cartier.support checks the support from outside, on both sides
+    of p = 1 mod L."""
+    orders = tuple(d for d in raw_orders if d % p)
+    genus = (sum(d + 1 for d in orders) - 2) * (p - 1) // 2
+    assume(orders and 1 <= genus <= 40 and len(orders) - 1 <= p**k)
+    M = cartier_matrix(random_curve(GF(p, k), orders, random.Random(seed)), "rational")
+    S = cartier.support(p, orders)
+    assert S.shape == (genus, genus) and S.dtype == bool and not S.flags.writeable
+    assert not (M.digits.any(axis=2) & ~S).any()
 
 
 def test_local_series_large_genus():
@@ -572,7 +595,7 @@ def test_monomial_outside_the_basis_is_refused(monkeypatch):
     """An image with a monomial outside the basis, x^3 dx where d_0 = 3, is a
     bug of the rational route: NotInSpan, never a wrong matrix."""
     def stray(spec, num, j, b, e, factors):
-        return Poly.monomial(spec.field, 3), Poly.constant(spec.field, 1)
+        return monomial(spec.field, 3), Poly.constant(spec.field, 1)
 
     monkeypatch.setattr(cartier, "_rational_image", stray)
     with pytest.raises(NotInSpan, match=r"monomial x\^3 dx falls outside the basis"):
@@ -607,12 +630,20 @@ def test_layout_of_every_admissible_family():
     both: a product read is one of H_l^e by x_j^b for j != l and b >= 1,
     its indices t - s and s lie inside the rows of H_l^e and x_j^b for
     every s of its term range, and its flat gather data name those
-    entries."""
+    entries.  The basis has a pivot certificate: the kappa matching lies in
+    the support and is maximum there, so the support's term rank is #H =
+    g - theorem_a_value, and rank's cover has #H lines."""
     for p, orders in admissible_families(PARTITION_MAX_P, 3):
         g = len(ordered_basis(p, orders))
         if not g:  # no layout at g = 0
             continue
-        layout = cartier._Layout(p, orders)
+        layout = cartier._layout(p, orders)
+        certificate = invariants._certificate(p, layout.forms)
+        assert certificate is not None, (p, orders)
+        H = len(certificate.cols)
+        assert H == g - theorem_a_value(p, orders), (p, orders)
+        assert cartier.support(p, orders)[certificate.rows, certificate.cols].all(), (p, orders)
+        assert certificate.cover_rows.sum() + certificate.cover_cols.sum() == H, (p, orders)
         entries = np.hstack([table[-3] * g + table[-2]
                              for table in layout.direct + layout.products])
         assert np.bincount(entries).max(initial=0) <= 1, (p, orders)

@@ -90,8 +90,6 @@ KEEP = {
     "count_points": "the README's scalar count N_s, spanned by the benchmark's traced run",
     "twisted_rank_profile": "the second derivation of the p-rank s, by the chain of row spaces",
     "a_monomial_remark": "the a-number of y^p - y = x^d for p != 1 mod d (ROADMAP item 8)",
-    "partition_HA": "the paper's H/A partition of the basis (ROADMAP items 3 and 4)",
-    "kappa": "the pivot target of each form of H (ROADMAP items 3 and 4)",
 }
 
 

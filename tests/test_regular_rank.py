@@ -4,13 +4,14 @@ The reference is tests/naive_rank.py: elimination on field elements with an
 entrywise pth_root twist, sharing no code with ascart.invariants.
 """
 
+import dataclasses
 import inspect
 import itertools
 import math
 import random
 import sys
 import threading
-from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +29,6 @@ from ascart.sweep import SweepConfig, random_curve, run_sweep
 
 from conftest import curve
 from naive_rank import echelon_elements, naive_rank, naive_twisted_rank_profile
-
-CURVES = Path(__file__).resolve().parent.parent / "curves"
 
 FIELDS = [(5, 2), (3, 2), (3, 3), (2, 3), (7, 2), (3, 7), (13, 1), (2, 2), (2, 4)]
 
@@ -282,17 +281,18 @@ class TestSharedElimination:
     @pytest.mark.parametrize("p,k,orders,seed", [(7, 1, (3,), 1), (13, 1, (4, 3), 2),
                                                  (5, 2, (4, 2), 3), (3, 7, (2, 1), 4)])
     def test_rank_then_p_rank_eliminate_once(self, p, k, orders, seed, monkeypatch):
-        """rank eliminates A; p_rank_stable squares A and eliminates the
-        power, one gk x gk array, once, unless a power vanishes first, which
-        happens exactly when s = 0 (y^7 - y = x^3 here)."""
+        """p = 1 mod L on these curves, so rank reads them off the pivot
+        certificate and builds no A; p_rank_stable squares A and eliminates
+        the power, one gk x gk array, once, unless a power vanishes first,
+        which happens exactly when s = 0 (y^7 - y = x^3 here)."""
         spec = random_curve(GF(p, k), orders, random.Random(seed))
         M = cartier_matrix(spec)
         gk, s = M.dimension * k, validate(spec).s
         calls = record_calls(monkeypatch, "_prime_matrix", "_echelon_int")
         assert rank(M) == naive_rank(M)
-        assert calls == {"_prime_matrix": [M], "_echelon_int": [(gk, gk)]}
+        assert calls == {"_prime_matrix": [], "_echelon_int": []}
         assert p_rank_stable(M) == s
-        assert calls == {"_prime_matrix": [M, M], "_echelon_int": [(gk, gk)] * (2 if s else 1)}
+        assert calls == {"_prime_matrix": [M], "_echelon_int": [(gk, gk)] * (1 if s else 0)}
 
     def test_round_trip_through_elements_stays_out(self):
         """Walk the code of the rank and p-rank route, following every
@@ -374,6 +374,75 @@ class TestSharedElimination:
         assert not [thread for thread in threads if thread.is_alive()]
         assert not errors
         assert results == {t: [serial[t]] * rounds for t in range(4)}
+
+
+# (p, k, orders) with k <= 3 and genus at most 42, on both sides of p = 1 mod L
+CERTIFIED = [(13, 1, (4, 3)), (5, 2, (4, 2)), (3, 3, (2, 1)), (7, 1, (3, 2)), (7, 2, (3,)),
+             (5, 3, (2, 1, 1))]
+UNCERTIFIED = [(5, 2, (3,)), (7, 1, (4, 1)), (5, 1, (3, 2)), (3, 3, (4,)), (2, 3, (3,)),
+               (11, 1, (3,))]
+
+
+class TestPivotCertificate:
+    @staticmethod
+    def eliminations(M):
+        """rank(M), checked against the reference, and how many times it
+        eliminated."""
+        with mock.patch.object(invariants, "_echelon_int", wraps=invariants._echelon_int) as spy:
+            r = rank(M)
+        assert r == naive_rank(M)
+        return spy.call_count
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(CERTIFIED + UNCERTIFIED),
+           pipeline=st.sampled_from(cartier.PIPELINES),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_certified_rank_matches_elimination(self, case, pipeline, seed, data):
+        """A curve with p = 1 mod L passes its basis's certificate, so rank
+        eliminates nothing; every other curve, and every copy of a certified
+        matrix broken at one digit the certificate reads, takes the
+        elimination.  All of them match the reference rank."""
+        p, k, orders = case
+        M = cartier_matrix(random_curve(GF(p, k), orders, random.Random(seed)), pipeline)
+        certificate = invariants._certificate(p, M.basis)
+        if case in UNCERTIFIED:
+            assert certificate is None
+            assert self.eliminations(M) == 1
+            return
+        assert self.eliminations(M) == 0
+        rows, cols = certificate.rows, certificate.cols
+        outside = np.argwhere(~certificate.cover_rows[:, None] & ~certificate.cover_cols)
+        nonzero = st.integers(1, p**k - 1).map(lambda n: [n // p**i % p for i in range(k)])
+        broken = []
+        i = data.draw(st.integers(0, len(cols) - 1))
+        broken.append(((rows[i], cols[i]), [0] * k))  # a pivot set to zero
+        if len(cols) > 1:  # a nonzero digit below the block's diagonal
+            j = data.draw(st.integers(0, len(cols) - 2))
+            i = data.draw(st.integers(j + 1, len(cols) - 1))
+            broken.append(((rows[i], cols[j]), data.draw(nonzero)))
+        if len(outside):  # a nonzero digit outside the cover
+            broken.append((tuple(outside[data.draw(st.integers(0, len(outside) - 1))]),
+                           data.draw(nonzero)))
+        for (row, col), entry in broken:
+            digits = M.digits.copy()
+            digits[row, col] = entry
+            assert self.eliminations(dataclasses.replace(M, entries=digits)) == 1
+
+    @pytest.mark.parametrize("case,calls", [((13, 1, (4, 3)), 0), ((7, 2, (3,)), 0),
+                                            ((7, 1, (4, 1)), 1), ((5, 2, (3,)), 1)])
+    def test_only_uncertified_curves_eliminate(self, case, calls):
+        p, k, orders = case
+        M = cartier_matrix(random_curve(GF(p, k), orders, random.Random(7)))
+        assert self.eliminations(M) == calls
+
+    def test_basis_of_no_family_eliminates(self):
+        """A basis that is no ordered_basis, here that of y^7 - y = x^3 less
+        its last form, has no certificate."""
+        M = cartier_matrix(curve(7, [0, 0, 0, 1]))
+        g = M.dimension - 1
+        N = CartierMatrix(M.field, M.basis[:g], M.digits[:g, :g])
+        assert invariants._certificate(7, N.basis) is None
+        assert self.eliminations(N) == 1
 
 
 class TestFittingStop:
@@ -511,13 +580,17 @@ class TestDivisibilityCheck:
         real = invariants._echelon_int
         monkeypatch.setattr(invariants, "_echelon_int", lambda rows, p: real(rows, p)[1:])
 
+    # y^5 - y = f of degree 3 over GF(25): p != 1 mod 3, so no pivot
+    # certificate, and rank eliminates
     def test_rank_not_multiple_of_k(self, monkeypatch):
-        M = cartier_matrix(random_curve(GF(3, 2), (2, 1), random.Random(5)))
+        M = cartier_matrix(random_curve(GF(5, 2), (3,), random.Random(5)))
         self.drop_a_row(monkeypatch)
         with pytest.raises(AssertionError, match="not a multiple of k = 2"):
             rank(M)
 
-    def test_cli_exits_3(self, monkeypatch, capsys):
+    def test_cli_exits_3(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "gf25_cubic.curve"
+        path.write_text("p = 5\nfield_degree = 2\npole inf: 1 (0,1) 2 1\n")
         self.drop_a_row(monkeypatch)
-        assert main(["anumber", str(CURVES / "p3_gf9_twopole.curve")]) == 3
+        assert main(["anumber", str(path)]) == 3
         assert "internal error (AssertionError)" in capsys.readouterr().err

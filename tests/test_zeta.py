@@ -30,7 +30,7 @@ from ascart.zeta import LPolynomial, SlopePolygon, l_from_counts
 from conftest import curve, embed_curve
 from naive_local import f_partial_fraction
 from naive_ratfunc import assemble
-from naive_zeta import is_symmetric, naive_trace_distribution, weil_bounds_ok
+from naive_zeta import is_symmetric, multiplicity, naive_trace_distribution, weil_bounds_ok
 
 
 def _product(factors):
@@ -200,7 +200,7 @@ class TestNewtonPolygon:
 
     def test_ordinary_contains_slope_zero(self):
         np_ = newton_polygon(LPolynomial((1, -1, 3), 3), 3)
-        assert np_.multiplicity(0) == 1
+        assert multiplicity(np_, 0) == 1
 
     def test_trivial(self):
         np_ = newton_polygon(LPolynomial((1,), 3), 3)
@@ -283,7 +283,7 @@ class TestEndToEnd:
         L = l_polynomial(spec)
         np_ = newton_polygon(L, spec.field.order)
         assert np_.length == 2 * inv.g == inv.D * (p - 1)
-        assert np_.multiplicity(0) == inv.s  # p-rank = slope-0 length
+        assert multiplicity(np_, 0) == inv.s  # p-rank = slope-0 length
         assert is_symmetric(np_)
         slopes = [t for t, _ in np_.slopes]
         assert slopes == sorted(set(slopes))
