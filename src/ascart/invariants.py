@@ -42,10 +42,25 @@ P = I_g (x) Phi the n-factor product has GF(p) rank rank(A^n) for the one
 matrix A = rho(M) P.  A is built block by block (rho(M_ij) Phi), never as
 a gk x gk Kronecker product; P is invertible, so A has the rank of rho(M).
 The images shrink at every step until one keeps them (Fitting's lemma),
-so the rank is stable from g factors on: s = rank(A^(2^m)) for 2^m >= g,
-m squarings and one elimination, or s = 0 as soon as a squared power is
-zero, with no elimination.  The products are float64, reduced as
-Z - floor(Z/p)*p, and exact: sums stay below 2^53 (_product_mod).
+so the rank is stable from g factors on.
+
+Both pipelines make every matrix upper triangular in the ordered basis,
+which sorts by the level r first: C(x_j^b y^r dx) = sum_e (-1)^e C(r,e)
+y^(r-e) C(x_j^b f^e dx) sends a form of level r to levels r - e <= r, and
+at e = 0 the only image on the diagonal is that of a logarithmic form
+x_j y^r dx (j >= 1, b = 1), which C fixes.  So the diagonal has m(p-1)
+nonzero entries, which is Deuring-Shafarevich.  When M's digits show that
+shape, A is block upper triangular, and its k x k diagonal blocks
+rho(M_ii) Phi are invertible when M_ii != 0 and zero otherwise.  The
+nonzero eigenvalues of A then have multiplicity k * #{i : M_ii != 0},
+which by Fitting's lemma is the rank of every high power of A, so
+s = #{i : M_ii != 0} with no product at all.  The check reads the digits,
+not the basis, so a matrix that is not upper triangular -- hand-built,
+read from JSON or in a permuted basis -- takes the general route:
+s = rank(A^(2^m)) for 2^m >= g, m squarings and one elimination, or s = 0
+as soon as a squared power is zero, with no elimination.  The products are
+float64, reduced as Z - floor(Z/p)*p, and exact: sums stay below 2^53
+(_product_mod).
 twisted_rank_profile derives s a second way, by the chain of bases V_n of
 the row spaces of A^n, one product V_n A and one elimination per factor up
 to the first repeated rank: the row space of A^(n+1) lies in that of A^n,
@@ -286,12 +301,21 @@ def twisted_rank_profile(M: CartierMatrix, factors: int | None = None) -> list[i
 
 
 def p_rank_stable(M: CartierMatrix) -> int:
-    """Stable rank of the twisted products, rank(A^(2^m)) for the least
-    2^m >= g, or 0 at the first squared power that is zero; equals the
-    p-rank m(p-1)."""
+    """Stable rank of the twisted products; equals the p-rank m(p-1).
+
+    When M's digits are zero below the diagonal, A = rho(M) (I (x) Phi) is
+    block upper triangular with diagonal blocks rho(M_ii) Phi, invertible
+    when M_ii != 0 and zero otherwise.  So the nonzero eigenvalues of A
+    have multiplicity k * #{i : M_ii != 0}, and by Fitting's lemma that is
+    the rank of every high power of A: the stable rank is the number of
+    nonzero diagonal entries.  Any other matrix takes rank(A^(2^m)) for the
+    least 2^m >= g, or 0 at the first squared power that is zero."""
     g = M.dimension
     if g == 0:
         return 0
+    nonzero = M.digits.any(axis=2)
+    if not np.tril(nonzero, -1).any():
+        return int(np.count_nonzero(nonzero.diagonal()))
     p = M.field.p
     A = _prime_matrix(M).astype(np.float64)
     for _ in range((g - 1).bit_length()):

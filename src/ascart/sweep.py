@@ -6,7 +6,9 @@ leading terms and no constant term at finite poles -- and computes the
 a-number and p-rank of each.  When p = 1 mod L the a-number must come out
 the same every time, equal to the closed-form value; the sweep makes that
 an executable check.  Outside that regime the sweep reports the observed
-distribution without a pass/fail verdict.
+distribution without a pass/fail verdict.  Every sample's p-rank must be
+m(p-1) (Deuring-Shafarevich) on both sides; one that is not is a bug and
+raises AssertionError.
 
 Sampling is splittable and reproducible: sample i uses its own
 random.Random seeded with the first 8 bytes of sha256("<seed>:<i>"), so
@@ -137,13 +139,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         seed_i = child_seed(config.seed, i)
         spec = random_curve(field, config.orders, random.Random(seed_i))
         M = cartier_matrix(spec, "local")
-        r = rank(M)
+        r, s, inv = rank(M), p_rank_stable(M), validate(spec)
+        if s != inv.s:  # Deuring-Shafarevich: a bug, never a mismatch
+            raise AssertionError(f"sample {i}: p-rank {s} is not m(p-1) = {inv.s}")
         results.append(
             SampleResult(
                 sample=i,
                 seed=seed_i,
                 a=M.dimension - r,
-                s=p_rank_stable(M),
+                s=s,
                 g=M.dimension,
                 rank=r,
             )

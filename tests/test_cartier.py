@@ -623,6 +623,19 @@ def test_local_read_outside_the_basis_is_refused(tmp_path, monkeypatch, capsys):
         cartier._layout.cache_clear()
 
 
+def assert_triangular_support(p, orders):
+    """The family's support is upper triangular in the ordered basis, with
+    its diagonal exactly at the logarithmic forms x_j y^r dx (j >= 1,
+    b = 1), m(p-1) of them: every matrix of the family is upper triangular,
+    with at most m(p-1) nonzero diagonal entries."""
+    S = cartier.support(p, orders)
+    assert not np.tril(S, -1).any(), (p, orders)
+    logarithmic = [i for i, form in enumerate(ordered_basis(p, orders))
+                   if form.j >= 1 and form.b == 1]
+    assert np.flatnonzero(S.diagonal()).tolist() == logarithmic, (p, orders)
+    assert len(logarithmic) == (len(orders) - 1) * (p - 1), (p, orders)
+
+
 def test_layout_of_every_admissible_family():
     """Every read of the local route's layout lands in the basis, at a
     matrix entry no other read fills (the scatter assigns), inside its
@@ -632,11 +645,13 @@ def test_layout_of_every_admissible_family():
     every s of its term range, and its flat gather data name those
     entries.  The basis has a pivot certificate: the kappa matching lies in
     the support and is maximum there, so the support's term rank is #H =
-    g - theorem_a_value, and rank's cover has #H lines."""
+    g - theorem_a_value, and rank's cover has #H lines.  The support is
+    upper triangular, with m(p-1) logarithmic forms on its diagonal."""
     for p, orders in admissible_families(PARTITION_MAX_P, 3):
         g = len(ordered_basis(p, orders))
         if not g:  # no layout at g = 0
             continue
+        assert_triangular_support(p, orders)
         layout = cartier._layout(p, orders)
         certificate = invariants._certificate(p, layout.forms)
         assert certificate is not None, (p, orders)
@@ -681,6 +696,20 @@ def test_layout_of_every_admissible_family():
             assert (0 <= power).all() and (power < layout.doubling.size).all(), (p, orders, l)
             assert (0 <= coef).all() and (coef < p).all(), (p, orders, l)
             assert len(coeff) == len(others) and (coeff < sum(orders) + len(orders)).all()
+
+
+def test_support_is_triangular_off_the_theorem():
+    """The support's shape needs no p = 1 mod L: it holds on every family
+    with p <= 13, up to 3 poles and orders <= 7 prime to p, outside it."""
+    families = 0
+    for p in filter(is_prime, range(2, 14)):
+        prime_to_p = [d for d in range(1, 8) if d % p]
+        for n in range(1, 4):
+            for orders in itertools.product(prime_to_p, repeat=n):
+                if (p - 1) % math.lcm(*orders) and ordered_basis(p, orders):
+                    assert_triangular_support(p, orders)
+                    families += 1
+    assert families == 1219
 
 
 def pivot_coefficient(M, p, orders, form):

@@ -352,6 +352,18 @@ class TestSweepCommand:
         out, err = capsys.readouterr()
         assert out == "" and "internal error (ZeroDivisionError)" in err
 
+    @pytest.mark.parametrize("orders", ["3", "4,1"])  # p = 1 mod L, and not
+    def test_p_rank_off_deuring_shafarevich_is_internal(self, orders, capsys, monkeypatch):
+        """A p-rank other than m(p-1) is a bug, on either side of p = 1 mod
+        L: exit 3, never a mismatch, and nothing on stdout."""
+        real = sweep.p_rank_stable
+        monkeypatch.setattr(sweep, "p_rank_stable", lambda M: real(M) + 1)
+        assert main(["sweep", "--p", "7", "--orders", orders, "--samples", "2"]) == 3
+        out, err = capsys.readouterr()
+        s = orders.count(",") * (7 - 1)  # m(p-1)
+        assert out == ""
+        assert f"internal error (AssertionError): sample 0: p-rank {s + 1} is not m(p-1) = {s}" in err
+
 
 class TestZetaGolden:
     """`ascart zeta` output on the shipped curves, captured from brute-force

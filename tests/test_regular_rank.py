@@ -69,6 +69,14 @@ def record_calls(monkeypatch, *names):
     return calls
 
 
+def reversed_order(M):
+    """M in its basis taken backwards: J M J for the reversal J, a
+    permutation similarity that commutes with I (x) Phi, so every twisted
+    rank, and the p-rank, stays.  A pipeline matrix becomes lower
+    triangular, so its p-rank takes the squaring route."""
+    return CartierMatrix(M.field, M.basis, M.digits[::-1, ::-1])
+
+
 def random_matrix(field, g, r, rng):
     """A g x g matrix of rank at most r: a g x r times an r x g product."""
     U = [[field.random_element(rng) for _ in range(r)] for _ in range(g)]
@@ -282,17 +290,22 @@ class TestSharedElimination:
                                                  (5, 2, (4, 2), 3), (3, 7, (2, 1), 4)])
     def test_rank_then_p_rank_eliminate_once(self, p, k, orders, seed, monkeypatch):
         """p = 1 mod L on these curves, so rank reads them off the pivot
-        certificate and builds no A; p_rank_stable squares A and eliminates
-        the power, one gk x gk array, once, unless a power vanishes first,
-        which happens exactly when s = 0 (y^7 - y = x^3 here)."""
+        certificate, and p_rank_stable reads the upper triangular digits:
+        neither builds A.  In the reversed basis the p-rank squares A and
+        eliminates the power, one gk x gk array, once, unless a power
+        vanishes first, which happens exactly when s = 0 (y^7 - y = x^3
+        here)."""
         spec = random_curve(GF(p, k), orders, random.Random(seed))
         M = cartier_matrix(spec)
         gk, s = M.dimension * k, validate(spec).s
-        calls = record_calls(monkeypatch, "_prime_matrix", "_echelon_int")
+        calls = record_calls(monkeypatch, "_prime_matrix", "_product_mod", "_echelon_int")
         assert rank(M) == naive_rank(M)
-        assert calls == {"_prime_matrix": [], "_echelon_int": []}
         assert p_rank_stable(M) == s
-        assert calls == {"_prime_matrix": [M], "_echelon_int": [(gk, gk)] * (1 if s else 0)}
+        assert calls == {"_prime_matrix": [], "_product_mod": [], "_echelon_int": []}
+        R = reversed_order(M)
+        assert p_rank_stable(R) == s
+        assert calls["_prime_matrix"] == [R]
+        assert calls["_echelon_int"] == [(gk, gk)] * (1 if s else 0)
 
     def test_round_trip_through_elements_stays_out(self):
         """Walk the code of the rank and p-rank route, following every
@@ -445,22 +458,80 @@ class TestPivotCertificate:
         assert self.eliminations(N) == 1
 
 
+class TestTriangularPRank:
+    # the cases of TestPivotCertificate up to genus 12, where the reference
+    # profile is quick; the genus 42 curve is in TestFittingStop
+    CASES = [case for case in CERTIFIED + UNCERTIFIED if genus(case[0], case[2]) <= 12]
+
+    @staticmethod
+    def route(M):
+        """p_rank_stable(M), checked against the last entry of the reference
+        profile, and how many times it built A, multiplied and eliminated."""
+        spies = [mock.patch.object(invariants, name, wraps=getattr(invariants, name))
+                 for name in ("_prime_matrix", "_product_mod", "_echelon_int")]
+        with spies[0] as built, spies[1] as products, spies[2] as eliminations:
+            s = p_rank_stable(M)
+        assert s == naive_twisted_rank_profile(M, M.dimension + 1)[-1]
+        return s, built.call_count, products.call_count, eliminations.call_count
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(CASES), pipeline=st.sampled_from(cartier.PIPELINES),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_pipeline_matrices_read_the_diagonal(self, case, pipeline, seed, data):
+        """Every pipeline matrix is upper triangular, and its p-rank m(p-1)
+        is read off the diagonal with no product.  A copy with one nonzero
+        digit below the diagonal -- on the first subdiagonal, or anywhere --
+        and the copy in the reversed basis take the squaring route; a copy
+        with one diagonal entry changed stays upper triangular and is read
+        off its own diagonal.  All of them match the reference."""
+        p, k, orders = case
+        M = cartier_matrix(random_curve(GF(p, k), orders, random.Random(seed)), pipeline)
+        g = M.dimension
+        nonzero = M.digits.any(axis=2)
+        assert not np.tril(nonzero, -1).any()
+        assert self.route(M) == ((len(orders) - 1) * (p - 1), 0, 0, 0)
+        # the reversed basis is lower triangular, unless M is diagonal
+        squares = int(np.triu(nonzero, 1).any())
+        assert self.route(reversed_order(M))[1] == squares
+        digit = st.integers(1, p**k - 1).map(lambda n: [n // p**i % p for i in range(k)])
+        i = data.draw(st.integers(0, g - 1))
+        diagonal = M.digits.copy()
+        diagonal[i, i] = [0] * k if nonzero[i, i] else data.draw(digit)
+        assert self.route(dataclasses.replace(M, entries=diagonal))[1:] == (0, 0, 0)
+        if g < 2:  # nothing lies below the diagonal
+            return
+        j = data.draw(st.integers(0, g - 2))
+        below = [(j + 1, j)]
+        j = data.draw(st.integers(0, g - 2))
+        below.append((data.draw(st.integers(j + 1, g - 1)), j))
+        for row, col in below:
+            broken = M.digits.copy()
+            broken[row, col] = data.draw(digit)
+            assert self.route(dataclasses.replace(M, entries=broken))[1] == 1
+
+
 class TestFittingStop:
     def test_nilpotent_stops_at_the_first_zero_power(self, monkeypatch):
-        # y^7 - y = x^3: g = 6, profile [2, 0, 0, ...], so A^2 = 0 already:
-        # one squaring, and no elimination
+        # y^7 - y = x^3: g = 6, profile [2, 0, 0, ...].  Its matrix is upper
+        # triangular with a zero diagonal, read with no product; in the
+        # reversed basis A^2 = 0 already: one squaring, and no elimination
         M = cartier_matrix(curve(7, [0, 0, 0, 1]))
         calls = record_calls(monkeypatch, "_product_mod", "_echelon_int")
         assert p_rank_stable(M) == 0
+        assert calls == {"_product_mod": [], "_echelon_int": []}
+        assert p_rank_stable(reversed_order(M)) == 0
         assert calls == {"_product_mod": [(6, 6)], "_echelon_int": []}
 
     def test_non_nilpotent_takes_every_squaring(self, monkeypatch):
-        # y^13 - y over GF(13) with orders (4, 3): g = 42, s = 12, so no
-        # power vanishes: 2^6 >= 42 takes six squarings and one elimination
+        # y^13 - y over GF(13) with orders (4, 3): g = 42, s = 12, read off
+        # the diagonal.  In the reversed basis no power vanishes: 2^6 >= 42
+        # takes six squarings and one elimination
         spec = random_curve(GF(13), (4, 3), random.Random(1))
         M = cartier_matrix(spec)
         calls = record_calls(monkeypatch, "_product_mod", "_echelon_int")
         assert p_rank_stable(M) == validate(spec).s == 12
+        assert calls == {"_product_mod": [], "_echelon_int": []}
+        assert p_rank_stable(reversed_order(M)) == 12
         assert calls == {"_product_mod": [(42, 42)] * 6, "_echelon_int": [(42, 42)]}
 
     def test_profile_keeps_its_explicit_count(self, monkeypatch):
