@@ -41,22 +41,25 @@ reduction code, so each serves as an oracle for the other:
     for z = 1/(e_j - e_l), so each pole's stack of them is one gather from
     one geometric table of every z per curve, built by doubling, times a
     coefficient table, and sum_j f_j(x_j) is one contraction of that stack.
-    The powers H_l^e (e <= p-2) are the only series products, truncated
-    convolutions of int64 digit arrays.  C keeps the coefficients at
-    exponents -1 mod p in x at infinity and 1 mod p in 1/u at a finite
-    pole, so of the products H_l^e x_j^b only those coefficients are
-    computed, each as a gathered dot product sum_s H_l^e[t-s] x_j^b[s] over
-    the terms where x_j^b can be nonzero.  What depends on (p, orders) alone
-    is a cached layout (_Layout): the basis, the coefficients of each
-    pole's stack (binomials mod p, by Pascal's rule) and the positions of
-    their powers of z, the doubling plan of the geometric table, and at
-    each pole two flat read tables, one for the coefficients read off H_l^e
-    and one for those of the products, with the matrix entry and sign of
-    each and, for a product, its term range and gather data.  Its guard
-    that no read falls outside the basis runs once per (p, orders); per
-    curve, each pole is one gather from H_l^e, the gathered dot products in
-    chunks of bounded size, and their signed scatters, and the p-th root is
-    taken once, on the matrix.
+    The powers H_l^e (e <= p-2) are the only series products, each one
+    truncated convolution of H_l^(e-1) with H_l cut after its last nonzero
+    term (_powers).  H_l is a polynomial, of degree at most d_0 + d_l, at
+    infinity when f has no finite pole and at the finite pole of a curve
+    with one, so there each product is by a few terms.  C keeps the
+    coefficients at exponents -1 mod p in x at infinity and 1 mod p in 1/u
+    at a finite pole, so of the products H_l^e x_j^b only those
+    coefficients are computed, each as a gathered dot product
+    sum_s H_l^e[t-s] x_j^b[s] over the terms where x_j^b can be nonzero.
+    What depends on (p, orders) alone is a cached layout (_Layout): the
+    basis, the coefficients of each pole's stack (binomials mod p, by
+    Pascal's rule) and the positions of their powers of z, the doubling
+    plan of the geometric table, and at each pole two flat read tables, one
+    for the coefficients read off H_l^e and one for those of the products,
+    with the matrix entry and sign of each and, for a product, its term
+    range and gather data.  Its guard that no read falls outside the basis
+    runs once per (p, orders); per curve, each pole is one gather from
+    H_l^e, the gathered dot products in chunks of bounded size, and their
+    signed scatters, and the p-th root is taken once, on the matrix.
 
 The output is the matrix only, cartier_matrix, the one gate of both
 pipelines (one validation, one size check, the g = 0 case): a column is the
@@ -233,40 +236,31 @@ def _decompose(pair, loc_to_j: dict) -> PartialFraction:
 # ---------------------------------------------------------------------------
 
 
-def _series_mul(field: Field, a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The first n terms of a_i * b for every series a_i of the batch a.
-
-    A series over GF(p^k) is an int64 array (..., N, k) of N coefficients,
-    each the digit row of a field element.  Entries stay below 2^63 while
-    n*k*(p-1)^2 does, which the digit cap ensures (cartier_matrix).
-    """
-    a, b = a[..., :n, :], b[:n]
-    k, slot, rows, gap = field.k, 2 * field.k - 1, a.shape[-2], len(b) - 1
-    # Kronecker packing: a slot of 2k-1 entries holds the schoolbook
-    # product of two digit vectors, and rows `width` slots apart hold
-    # the products of different series, so one convolution makes all.
-    # Only the last row's product needs no room after it.
-    width = max(n, rows + gap)
-    pa = np.zeros(a.shape[:-2] + (width, slot), dtype=np.int64)
-    pa[..., :rows, :k] = a
-    pb = np.zeros((len(b), slot), dtype=np.int64)
-    pb[:, :k] = b
-    c = np.convolve(pa.ravel()[: pa.size - min(width - rows, gap) * slot], pb.ravel())
-    c = c[: pa.size].reshape(pa.shape)[..., :n, :] % field.p @ field.reduction
-    return np.remainder(c, field.p, out=c)
-
-
 def _powers(field: Field, s: np.ndarray, m: int, n: int) -> np.ndarray:
-    """s^0, ..., s^m to n terms each, for the series s, by doubling: the
-    (m+1, n, k) digits.  The local pipeline builds the powers H_l^e with it."""
-    out = np.zeros((m + 1, n, field.k), dtype=np.int64)
+    """s^0, ..., s^m to n terms each, for the series s: the (m+1, n, k)
+    digits.  The local pipeline builds the powers H_l^e with it.
+
+    A series over GF(p^k) is an int64 array (N, k) of N coefficients, each
+    the digit row of a field element.  Each s^e is one truncated
+    np.convolve of s^(e-1) with s, both packed in slots of 2k-1 entries, so
+    that a slot holds the schoolbook product of two digit rows; s is cut
+    after its last nonzero term, once, so a polynomial H_l costs a product
+    by its few terms.  Entries stay below 2^63 while n*k*(p-1)^2 does,
+    which the digit cap ensures (cartier_matrix).
+    """
+    p, k, slot = field.p, field.k, 2 * field.k - 1
+    out = np.zeros((m + 1, n, k), dtype=np.int64)
     out[0, 0, 0] = 1
     out[1:2, : len(s)] = s[:n]
-    top = 1
-    while top < m:  # s^(top+1), ..., s^(2top) as s^1, ..., s^top times s^top
-        new = min(2 * top, m)
-        out[top + 1 : new + 1] = _series_mul(field, out[1 : new - top + 1], out[top], n)
-        top = new
+    if m < 2:
+        return out
+    step = np.zeros((np.flatnonzero(out[1].any(axis=1)).max(initial=0) + 1, slot), dtype=np.int64)
+    step[:, :k] = out[1, : len(step)]
+    last = np.zeros((n, slot), dtype=np.int64)
+    for e in range(2, m + 1):
+        last[:, :k] = out[e - 1]
+        c = np.convolve(last.ravel(), step.ravel())[: n * slot].reshape(n, slot)
+        out[e] = c % p @ field.reduction % p
     return out
 
 
@@ -545,8 +539,8 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
 
     The int64 sums stay exact for series of N terms: each of the k^2 digit
     sums of a product read, before the fold to k digits, adds at most N
-    digit products, each at most (p-1)^2, and an entry of a series product
-    (_series_mul) at most N*k, so every sum is at most N*k*(p-1)^2 < 2^35
+    digit products, each at most (p-1)^2, and an entry of a power
+    (_powers) at most N*k, so every sum is at most N*k*(p-1)^2 < 2^35
     under the digit cap (cartier_matrix).  The contraction adds one digit
     product per stacked power, fewer than D + 2 <= 2g + 2 of them, so its
     sums stay below (2g + 2)*(p-1)^2 < 2^35 too.  The fold and the scatter
@@ -615,7 +609,8 @@ class _DigitStore:
             if len(digits) == g * g:
                 digits = digits.reshape(g, g, field.k)
         if digits.shape != (g, g, field.k):
-            raise ValueError(f"a basis of {g} forms needs a {g} x {g} matrix")
+            raise ValueError(f"a basis of {g} forms needs a {g} x {g} matrix "
+                             f"of {field.k}-digit entries")
         if digits.size and not 0 <= digits.min() <= digits.max() < field.p:
             raise ValueError(f"matrix digits must lie in [0, {field.p})")
         digits.setflags(write=False)
@@ -671,10 +666,11 @@ class CartierMatrix:
         field = Field.from_json(data["field"])
         forms = tuple(BasisForm(*f) for f in data["basis"])
         g = len(forms)
-        flat = field.digit_array(map(field, data["entries"]))  # each entry as field() reads it
+        # the raw digits, so the constructor's checks cover them too
+        flat = np.array(data["entries"] or np.zeros((0, field.k), dtype=np.int64))
         if len(flat) != g * g:
             raise ValueError("entry count does not match basis size")
-        return CartierMatrix(field, forms, flat.reshape(g, g, field.k))
+        return CartierMatrix(field, forms, flat.reshape(g, g, *flat.shape[1:]))
 
 
 def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:

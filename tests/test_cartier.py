@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import json
 import math
 import random
 
@@ -215,6 +216,45 @@ def test_binomial_tables_against_comb(p):
     assert not binom[p, 1:p].any() and not negative[p, 1:p].any()
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 13])
+def test_powers_against_field_products(p, k, m, monkeypatch):
+    """_powers gives s^0, ..., s^m to n terms, against running FieldElement
+    products, for a full series, one with a zero constant term, one with
+    zero tail terms, a one-term series and one shorter than n.  At m = 0
+    (e_max at p = 2) only s^0 is built, and at m <= 1 no product is."""
+    def product(*args):
+        raise AssertionError(f"_powers took a product at m = {m}")
+
+    if m <= 1:
+        monkeypatch.setattr(np, "convolve", product)
+    field, n = GF(p, k), 7
+    rng = random.Random(p * 100 + k * 10 + m)
+
+    def element():
+        return field.random_element(rng, nonzero=True)
+
+    zeros = [field.zero] * n
+    cases = {
+        "full": [element() for _ in range(n)],
+        "zero constant": [field.zero] + [element() for _ in range(n - 1)],
+        "zero tail": [element(), field.zero, element()] + zeros[3:],
+        "one term": [element()],
+        "short": [element(), element()],
+    }
+    for name, s in cases.items():
+        padded = (s + zeros)[:n]
+        expected = [[field.one] + zeros[1:]]
+        while len(expected) <= m:
+            last = expected[-1]
+            expected.append([sum((last[i] * padded[t - i] for i in range(t + 1)), field.zero)
+                             for t in range(n)])
+        powers = cartier._powers(field, field.digit_array(s), m, n)
+        assert powers.shape == (m + 1, n, k), name
+        assert field.element_rows(powers) == tuple(map(tuple, expected)), name
+
+
 @pytest.mark.parametrize("p,k", [(7, 1), (5, 2), (3, 7)])
 def test_geometric_table_against_field_powers(p, k):
     """Each row of _geometric holds z^0, ..., z^(n-1) of its z, against
@@ -274,14 +314,24 @@ class TestLocalSeriesGuards:
         # at the cap of 2^20: 16,933,591,188 at p = 2039, k = 1, D = 1 (g = 1019)
         assert worst[0] < 2**63, f"N*k*(p-1)^2 = {worst[0]:,} at (p, k, D) = {worst[1:]}"
 
+    def test_cap_curve(self):
+        """y^1009 - y = x^3, g = 1008, the largest genus of a cubic under the
+        digit cap: the rank is g - a from the closed form, and the matrix is
+        upper triangular with a zero diagonal, so the p-rank is 0."""
+        M = cartier_matrix(curve(1009, [0, 0, 0, 1]))
+        assert M.dimension == 1008
+        assert rank(M) == 1008 - theorem_a_value(1009, (3,)) == 336
+        assert not np.tril(M.digits.any(axis=2)).any()
+        assert invariants.p_rank_stable(M) == 0
+
     def test_series_route_names_nothing_of_the_rational_route(self):
         """The two pipelines must stay independent oracles: walk the code of
         the series route, following every function of the cartier module it
         calls, and look for the rational route.  Neither route reads the
         pivot structure or the closed form that the corank is checked
         against (CLOSED_FORM)."""
-        names = names_reached(cartier._local_matrix, cartier._Layout, cartier._series_mul,
-                              cartier._powers, cartier._signs, cartier._gathered_products,
+        names = names_reached(cartier._local_matrix, cartier._Layout, cartier._powers,
+                              cartier._signs, cartier._gathered_products,
                               cartier._digit_fold, cartier._binomials,
                               cartier._negative_binomials, cartier._doubling,
                               cartier._geometric)
@@ -298,7 +348,7 @@ class TestLocalSeriesGuards:
         # the decompositions' terms go straight to digits: no scaled copies
         # of a PartialFraction, no lists of elements turned into digits
         assert not names & {"digit_array", "scale"}
-        series = {"_series_mul", "_powers", "_Layout", "_layout", "convolve", "_local_matrix",
+        series = {"_powers", "_Layout", "_layout", "convolve", "_local_matrix",
                   "_gathered_products", "_digit_fold", "_CHUNK", "reduceat", "_binomials",
                   "_negative_binomials", "_doubling", "_Doubling", "_geometric", "_closed_forms"}
         assert not names & series
@@ -469,9 +519,10 @@ class TestMatrix:
             cartier_matrix(curve(3, [0, 0, 1]), "fast")
 
     def test_json_round_trip(self):
-        spec = curve(3, [0, 0, 1], [(1, [1])], k=2)
-        M = cartier_matrix(spec)
-        assert CartierMatrix.from_json(M.to_json()) == M
+        # through JSON text, also for the empty basis of genus 0
+        for spec in (curve(3, [0, 0, 1], [(1, [1])], k=2), curve(3, [0, 1])):
+            M = cartier_matrix(spec)
+            assert CartierMatrix.from_json(json.loads(json.dumps(M.to_json()))) == M
 
 
 class TestMatrixDigits:
@@ -517,6 +568,17 @@ class TestMatrixDigits:
 
     def test_empty_matrix(self):
         self.check(CartierMatrix(GF(3, 2), (), ()))
+
+    @pytest.mark.parametrize("p,k,entries,message", [
+        (13, 1, [[13]], "must lie in"),
+        (13, 1, [[-1]], "must lie in"),
+        (13, 1, [[1.7]], "must be integers"),
+        (3, 2, [[1]], "1 x 1 matrix of 2-digit entries"),
+    ], ids=["p", "negative", "float", "one-digit"])
+    def test_from_json_refuses_malformed_digits(self, p, k, entries, message):
+        data = {"field": GF(p, k).to_json(), "basis": [[0, 0, 0]], "entries": entries}
+        with pytest.raises(ValueError, match=message):
+            CartierMatrix.from_json(data)
 
     def test_digits_are_a_private_copy(self):
         M = cartier_matrix(random_curve(GF(13), (4, 3), random.Random(1)))  # g = 42
