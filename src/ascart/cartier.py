@@ -24,8 +24,13 @@ reduction code, so each serves as an oracle for the other:
     p-th root (_rational_image), and decompose the unreduced quotient
     C(G dx)/h once per (j, b, e), with no gcd; the pole factors
     (x - e_l)^i and the powers N^e of f's numerator are tabulated once per
-    curve.  A column is a signed sum of the decompositions' digits, each
-    read once per (j, b, e) (_rational_columns);
+    curve.  All of it is ratfunc's arithmetic on digit arrays, with no field
+    element in between: each product is one Kronecker product of big ints,
+    the polynomial rule one strided slice of the digits times the field's
+    pth_root_matrix (cartier_poly), and each decomposition is read off as
+    digit rows.  A column is a signed sum of those rows, each decomposition
+    computed once per (j, b, e) and the matrix written in one scatter
+    (_rational_columns);
   * local -- read the principal part of g = x_j^b f^e at each pole off its
     Laurent series in the paper's local parameter there, w = 1/x at
     infinity and u = x - e_l at a finite pole, and apply the pole rules to
@@ -93,12 +98,10 @@ _MAX_DIGITS = 2**20  # on g^2 * k, the digits of a Cartier matrix
 
 
 def cartier_poly(g: Poly) -> Poly:
-    """C(g dx) for polynomial g: keep degrees = -1 mod p, take p-th roots."""
-    p = g.field.p
-    out = [
-        g.coeff(a * p + p - 1).pth_root() for a in range(g.degree() // p + 2)
-    ]
-    return Poly(g.field, out)
+    """C(g dx) for polynomial g: keep degrees = -1 mod p, take p-th roots,
+    as one strided slice of its digits times the field's pth_root_matrix."""
+    field = g.field
+    return Poly(field, g.digits[field.p - 1 :: field.p] @ field.pth_root_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +129,10 @@ def _pole_factors(spec: CurveSpec) -> list[list[Poly]]:
     power that N and the amplified images read, as -m mod p < p and
     ceil(m/p) <= d_l for m <= (e + 1)*d_l, e <= p - 2.  Each power is one
     product by x - e_l from the one before."""
-    field, x = spec.field, Poly.x(spec.field)
-    tables = []
+    field, tables = spec.field, []
     for datum in spec.poles[1:]:
-        table = [Poly.constant(field, 1), x - Poly.constant(field, datum.location)]
+        lin = np.array([np.negative(datum.location.digits), field.one.digits])  # x - e_l
+        table = [Poly.constant(field, 1), Poly(field, lin)]
         while len(table) < max(field.p, datum.order + 1):
             table.append(table[-1] * table[1])
         tables.append(table)
@@ -176,8 +179,8 @@ def _rational_image(spec: CurveSpec, num: Poly, j: int, b: int, e: int, factors)
         if m:
             bottoms.append(table[-(-m // p)])
     top = _product(field, tops)
-    if j == 0:  # times x^b, a shift
-        top = Poly(field, (field.zero,) * b + top.coeffs)
+    if j == 0 and b:  # times x^b, a shift
+        top = Poly(field, np.vstack([np.zeros((b, field.k), dtype=np.int64), top.digits]))
     return cartier_poly(top), _product(field, bottoms)
 
 
@@ -198,23 +201,44 @@ def _rational_columns(spec: CurveSpec, forms) -> np.ndarray:
         powers.append(powers[-1] * powers[1])
 
     @functools.cache
-    def decomposition(j: int, b: int, e: int) -> list[tuple[tuple[int, int], np.ndarray]]:
-        """C(x_j^b f^e dx) as ((j', b'), digits) pairs, one per term x_j'^b' dx."""
-        pf = _decompose(_rational_image(spec, powers[e], j, b, e, factors), loc_to_j)
-        terms = [((0, n), c) for n, c in enumerate(pf.poly.coeffs)]
-        for loc, tail in pf.tails.items():  # at the curve's poles only (_decompose)
-            terms.extend(((loc_to_j[loc], n), c) for n, c in tail.items())
-        return [(key, np.array(c.digits)) for key, c in terms if not c.is_zero()]
+    def decomposition(j: int, b: int, e: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+        """C(x_j^b f^e dx) as its terms x_j'^b' dx with a nonzero coefficient:
+        the keys (j', b') and the digit rows of the coefficients."""
+        image = _rational_image(spec, powers[e], j, b, e, factors)
+        if image[0].is_zero():
+            return [], []
+        pf = _decompose(image, loc_to_j)
+        # x^n of the poly part from n = 0, then (x - e_l)^-n = x_l^n of each
+        # tail from n = 1, at the curve's poles only (_decompose)
+        keys, rows = [], []
+        parts = [(0, 0, pf.poly.digits)]
+        parts += [(loc_to_j[loc], 1, tail) for loc, tail in pf.tail_digits.items()]
+        for pole, first, digits in parts:
+            for power, row in enumerate(digits.tolist(), first):
+                if any(row):
+                    keys.append((pole, power))
+                    rows.append(row)
+        return keys, rows
 
-    out = np.zeros((len(forms), len(forms), field.k), dtype=np.int64)
+    # each entry is written once: within a column, each e <= r reads its own
+    # y-layer r - e, and each decomposition names a term once
+    entries, cols, signs, rows = [], [], [], []
     for col, (j, b, r) in enumerate(forms):
         for e, s in enumerate(sign[r, : r + 1].tolist()):
-            for (pole, power), digits in decomposition(j, b, e):
-                form = BasisForm(pole, power, r - e)
-                if form not in index:
+            keys, digits = decomposition(j, b, e)
+            for pole, power in keys:
+                entry = index.get((pole, power, r - e))
+                if entry is None:
+                    form = BasisForm(pole, power, r - e)
                     raise NotInSpan(f"monomial {form.label()} falls outside the basis")
-                out[index[form], col] += s * digits
-    return out % field.p
+                entries.append(entry)
+            cols += [col] * len(keys)
+            signs += [s] * len(keys)
+            rows += digits
+    out = np.zeros((len(forms), len(forms), field.k), dtype=np.int64)
+    if rows:
+        out[entries, cols] = np.array(signs)[:, None] * np.array(rows) % field.p
+    return out
 
 
 def _decompose(pair, loc_to_j: dict) -> PartialFraction:
@@ -466,15 +490,11 @@ def support(p: int, orders) -> np.ndarray:
 _CHUNK = 2**16  # digit products summed at a time by _gathered_products
 
 
-@functools.lru_cache(maxsize=64)
 def _digit_fold(field: Field) -> np.ndarray:
     """The (k^2, k) matrix taking the k x k digit products a_i b_j of two
     elements, flattened, to the digits of their product: row i*k + j is
-    t^(i+j) mod m, read off field.reduction."""
-    k = field.k
-    fold = field.reduction[np.add.outer(np.arange(k), np.arange(k)).ravel()]
-    fold.setflags(write=False)
-    return fold
+    t^(i+j) mod m, field.multiplication flattened."""
+    return field.multiplication.reshape(field.k**2, field.k)
 
 
 def _geometric(field: Field, z: np.ndarray, plan: _Doubling) -> np.ndarray:
@@ -664,7 +684,15 @@ class CartierMatrix:
     @staticmethod
     def from_json(data: dict) -> "CartierMatrix":
         field = Field.from_json(data["field"])
-        forms = tuple(BasisForm(*f) for f in data["basis"])
+        forms = []
+        for form in data["basis"]:
+            if not (isinstance(form, (list, tuple)) and len(form) == 3
+                    and all(type(v) is int and v >= 0 for v in form)):
+                raise ValueError(f"basis form {form!r} is not three non-negative ints")
+            forms.append(BasisForm(*form))
+        if len(set(forms)) != len(forms):
+            raise ValueError("basis lists a form twice")
+        forms = tuple(forms)
         g = len(forms)
         # the raw digits, so the constructor's checks cover them too
         flat = np.array(data["entries"] or np.zeros((0, field.k), dtype=np.int64))

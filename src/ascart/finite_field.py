@@ -183,13 +183,15 @@ class Field:
     too.  A Field compares equal to any Field with the same (p, k, modulus).
 
     Batch code holds elements as rows of k int64 digits; digit_array and
-    element_rows convert, and two read-only arrays give the tables for such
-    rows: reduction, (2k-1, k), whose row i is t^i mod m, and
+    element_rows convert, and three read-only arrays give the tables for such
+    rows: reduction, (2k-1, k), whose row i is t^i mod m; multiplication,
+    (k, k, k), whose [d, i] is t^(d+i) mod m, so that M = c @ multiplication
+    % p is the k x k matrix of a -> c*a, a @ M % p the digits of c*a; and
     pth_root_matrix, (k, k), with a @ pth_root_matrix = pth_root(a).
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "reduction", "pth_root_matrix",
-                 "_zero", "_one", "_fold", "_phi", "_trace")
+    __slots__ = ("p", "k", "modulus", "order", "reduction", "multiplication",
+                 "pth_root_matrix", "_zero", "_one", "_fold", "_phi", "_trace")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         # The cap comes before the trial-division primality test, which would
@@ -230,8 +232,9 @@ class Field:
         )
         self.reduction = np.eye(2 * k - 1, k, dtype=np.int64)
         self.reduction[k:] = np.array(self._fold, dtype=np.int64).reshape(k, k - 1).T
+        self.multiplication = self.reduction[np.add.outer(np.arange(k), np.arange(k))]
         self.pth_root_matrix = np.array(self._phi, dtype=np.int64).T
-        for table in (self.reduction, self.pth_root_matrix):
+        for table in (self.reduction, self.multiplication, self.pth_root_matrix):
             table.setflags(write=False)  # shared by everything over the field
 
     # -- construction -------------------------------------------------------

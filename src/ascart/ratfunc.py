@@ -1,18 +1,39 @@
 """Polynomials and partial fractions over GF(p^k), for the rational pipeline.
 
-A Poly stores coefficients in ascending degree with trailing zeros trimmed;
-the zero polynomial has an empty coefficient tuple.  A PartialFraction is a
-polynomial part plus, per finite pole e, the principal part
-sum_n c_n (x-e)^(-n) stored as {e: {n: c_n}} with zero coefficients
-dropped, so decompositions are unique and comparable.
+A Poly stores its coefficients once, as digits: a read-only (n, k) int64
+array whose row i is the digit row of the coefficient of x^i, with zero top
+rows trimmed, so the zero polynomial has no rows.  coeffs, coeff and
+leading are views that build field elements from those digits on each
+read.  A PartialFraction is a polynomial part plus, per finite pole e, the
+principal part sum_n c_n (x-e)^(-n), stored the same way: an (n, k) digit
+array per pole, row n - 1 the digits of c_n, zero top rows trimmed and a
+pole with no nonzero c_n dropped, so decompositions are unique and
+comparable.  Its tails view builds {e: {n: c_n}} with the zero c_n dropped.
+
+All arithmetic is on digit rows.  A product of two polynomials is one
+Kronecker substitution (Harvey, J. Symb. Comput. 2009) on Python ints: each
+coefficient's k digits go in a slot of 2k-1 unsigned fields, so that one
+big-int multiply puts in slot s the schoolbook product of the digit rows i
+and j, summed over i + j = s; np.frombuffer reads the slots back, and one
+fold by field.reduction takes each to k digits, mod p.  A field of the
+product sums at most min(n_a, n_b)*k digit products, each at most (p-1)^2.
+The fields are of the narrowest unsigned type that holds that slot bound,
+and the bound must stay below 2^63 (_SLOT_BOUND), so that the sums read as
+int64; a longer product is taken in chunks of the shorter factor that keep
+it.  In the rational Cartier pipeline every factor has fewer than 10g + 4
+terms and p - 1 <= 2g, so under the digit cap g^2*k <= 2^20 (cartier_matrix)
+the bound stays below 2^36 and no product is chunked; it is about 2^22 at
+the cap.  A product by one field element c, in division, synthetic
+division and the series of a principal part, is a mat-vec with its k x k
+multiplication matrix, c @ field.multiplication.
 
 partial_fractions() decomposes an unreduced pair (num, den) of
 polynomials, not necessarily coprime nor den monic: a surplus top
 coefficient of a principal part comes out zero and is dropped, so no gcd
 is taken.  The rational Cartier pipeline decomposes each image this way
-and reads only the decomposition's poly and tails; no pipeline multiplies
-partial fractions (the local Cartier pipeline multiplies truncated Laurent
-series; see ascart.cartier).
+and reads only the decomposition's digits; no pipeline multiplies partial
+fractions (the local Cartier pipeline multiplies truncated Laurent series;
+see ascart.cartier).
 
 Denominators must split into linear factors at a caller's list of
 candidate roots, the pole locations of a curve for instance.  A factor
@@ -22,123 +43,217 @@ IrreducibleDenominatorFactor.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import IrreducibleDenominatorFactor
 from .finite_field import Field, FieldElement
 
+_SLOT_BOUND = 2**63  # on every field of a Kronecker product, so that it reads as int64
+
+
+def _trimmed(digits: np.ndarray) -> np.ndarray:
+    """A read-only view of digits without its zero top rows."""
+    n = len(digits)
+    while n and not any(digits[n - 1].tolist()):
+        n -= 1
+    if n < len(digits):
+        digits = digits[:n]
+    digits.flags.writeable = False
+    return digits
+
+
+def _poly(field: Field, digits: np.ndarray) -> "Poly":
+    """The Poly of digits, int64 and reduced mod p, kept without a copy."""
+    poly = object.__new__(Poly)
+    poly.field, poly.digits = field, _trimmed(digits)
+    return poly
+
+
+def _element(field: Field, row: np.ndarray) -> FieldElement:
+    """The element with the reduced digit row row."""
+    return FieldElement(field, tuple(row.tolist()))
+
+
+def _times(field: Field, c) -> np.ndarray:
+    """The k x k matrix of a -> c*a on digit rows, for the digit row c:
+    (a @ it) % p is the digit row of c*a."""
+    return np.asarray(c) @ field.multiplication % field.p
+
+
+def _kronecker(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The reduced digits of the product of the nonempty digit arrays a and
+    b, by one big-int multiply, in fields of the narrowest unsigned type
+    that holds min(len(a), len(b))*k*(p-1)^2 < _SLOT_BOUND."""
+    p, k = field.p, field.k
+    slot, n = 2 * k - 1, len(a) + len(b) - 1
+    width = np.min_scalar_type(min(len(a), len(b)) * k * (p - 1) ** 2).newbyteorder("<")
+    packed = []
+    for rows in (a, b):
+        fields = np.zeros((len(rows), slot), dtype=width)
+        fields[:, :k] = rows
+        packed.append(int.from_bytes(fields.tobytes(), "little"))
+    product = (packed[0] * packed[1]).to_bytes(width.itemsize * n * slot, "little")
+    sums = np.frombuffer(product, dtype=width).reshape(n, slot).astype(np.int64) % p
+    return sums if k == 1 else sums @ field.reduction % p
+
+
+def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The reduced digits of the product of the nonempty digit arrays a and
+    b: one Kronecker product, or one per chunk of the shorter factor short
+    enough for the slot bound, summed at their offsets."""
+    if len(a) < len(b):
+        a, b = b, a
+    chunk = (_SLOT_BOUND - 1) // (field.k * (field.p - 1) ** 2)
+    if len(b) <= chunk:
+        return _kronecker(field, a, b)
+    out = np.zeros((len(a) + len(b) - 1, field.k), dtype=np.int64)
+    for s in range(0, len(b), chunk):
+        part = _kronecker(field, a, b[s : s + chunk])
+        out[s : s + len(part)] += part
+    return out % field.p
+
+
+def _divide_linear(a: np.ndarray, times: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic division of the nonempty digits a by x - e, for times the
+    multiplication matrix of e: the quotient's digits and the remainder's
+    digit row, by Horner's rule from the top."""
+    out = a.copy()
+    for i in range(len(a) - 2, -1, -1):
+        out[i] = (out[i + 1] @ times + out[i]) % p
+    return out[1:], out[0]
+
+
+def _taylor(a: np.ndarray, times: np.ndarray, p: int, depth: int) -> np.ndarray:
+    """The (depth, k) digits of the first depth coefficients of the digits
+    a expanded in powers of x - e, for times the multiplication matrix of e:
+    one synthetic division per coefficient."""
+    out = np.zeros((depth, times.shape[0]), dtype=np.int64)
+    for s in range(min(depth, len(a))):
+        a, out[s] = _divide_linear(a, times, p)
+    return out
+
 
 class Poly:
-    """Dense univariate polynomial over a Field, canonical form."""
+    """Dense univariate polynomial over a Field, canonical form, stored as
+    digits (see the module docstring)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "digits")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
+        """From coefficients lowest degree first, elements of field or ints,
+        or from an (n, k) integer array of their digits, taken mod p."""
+        if isinstance(coeffs, np.ndarray):
+            if coeffs.dtype.kind not in "iu" or coeffs.ndim != 2 or coeffs.shape[1] != field.k:
+                raise ValueError(f"polynomial digits must be an integer (n, {field.k}) array")
+            digits = coeffs.astype(np.int64, copy=False) % field.p
+        else:
+            rows = [field(c).digits for c in coeffs]
+            digits = np.array(rows, dtype=np.int64).reshape(len(rows), field.k)
+        self.field, self.digits = field, _trimmed(digits)
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def x(field: Field) -> "Poly":
-        return Poly(field, [field.zero, field.one])
+        return _poly(field, np.array([field.zero.digits, field.one.digits], dtype=np.int64))
 
     @staticmethod
     def constant(field: Field, c) -> "Poly":
-        return Poly(field, [field(c)])
+        return _poly(field, np.array([field(c).digits], dtype=np.int64))
 
     # -- basic queries --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        """The coefficients as elements, lowest degree first, built on read."""
+        return self.field.element_rows(self.digits[None])[0]
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.digits) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self.digits)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(len(self.digits))
 
     def coeff(self, i: int) -> FieldElement:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.digits):
+            return _element(self.field, self.digits[i])
         return self.field.zero
 
     def leading(self) -> FieldElement:
-        if not self.coeffs:
+        if not len(self.digits):
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _element(self.field, self.digits[-1])
 
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        a, b = self.digits, other.digits
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
+        out = a.copy()
+        out[: len(b)] += b
+        return _poly(self.field, out % self.field.p)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, [-c for c in self.coeffs])
+        return _poly(self.field, -self.digits % self.field.p)
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, (FieldElement, int)):
-            c = self.field(other)
-            return Poly(self.field, [a * c for a in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+            times = _times(field, field(other).digits)
+            return _poly(field, self.digits @ times % field.p)
+        if not len(self.digits) or not len(other.digits):
+            return Poly(field)
+        return _poly(field, _product(field, self.digits, other.digits))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly"):
+        """Long division by the digits of other made monic: one mat-vec per
+        quotient term."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree()
-        inv_lead = other.leading().inverse()
-        q = [self.field.zero] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and rem:
-            c = rem[-1] * inv_lead
-            shift = len(rem) - 1 - d
-            q[shift] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - c * oc
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return Poly(self.field, q), Poly(self.field, rem)
+        field, p, k, d = self.field, self.field.p, self.field.k, other.degree()
+        n = len(self.digits) - d  # terms of the quotient
+        if n <= 0:
+            return _poly(field, np.zeros((0, k), dtype=np.int64)), self
+        lower, lead = other.digits[:-1], other.leading()
+        monic = lead == field.one
+        if not monic:
+            inverse = _times(field, lead.inverse().digits)
+            lower = lower @ inverse % p
+        # row c of times_lower is c times the lower terms of the monic divisor
+        times_lower = (lower @ field.multiplication % p).reshape(k, d * k)
+        rem, q = self.digits.copy(), np.empty((n, k), dtype=np.int64)
+        for shift in range(n - 1, -1, -1):
+            q[shift] = c = rem[shift + d]
+            rem[shift : shift + d] -= (c @ times_lower).reshape(d, k)
+            rem[shift : shift + d] %= p
+        if not monic:
+            q = q @ inverse % p
+        return _poly(field, q), _poly(field, rem[:d])
 
     # -- local expansions around x = e ---------------------------------------
 
     def divmod_linear(self, e: FieldElement):
         """Synthetic division by (x - e): returns (quotient, remainder)."""
+        field = self.field
         if self.is_zero():
-            return self, self.field.zero
-        q = [self.field.zero] * (len(self.coeffs) - 1)
-        acc = self.field.zero
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * e + self.coeffs[i]
-            q[i - 1] = acc
-        rem = acc * e + self.coeffs[0]
-        return Poly(self.field, q), rem
+            return self, field.zero
+        q, r = _divide_linear(self.digits, _times(field, field(e).digits), field.p)
+        return _poly(field, q), _element(field, r)
 
     def taylor(self, e: FieldElement, depth: int) -> list[FieldElement]:
         """First `depth` coefficients of the expansion in powers of (x - e)."""
-        out, cur = [], self
-        for _ in range(depth):
-            cur, rem = cur.divmod_linear(e)
-            out.append(rem)
-        return out
+        field = self.field
+        digits = _taylor(self.digits, _times(field, field(e).digits), field.p, depth)
+        return list(field.element_rows(digits[None])[0])
 
     # -- identity -------------------------------------------------------------
 
@@ -146,11 +261,11 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.digits, other.digits)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.digits.tobytes()))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -167,33 +282,58 @@ class Poly:
         return " + ".join(reversed(parts))
 
 
-class PartialFraction:
-    """poly_part + sum over finite poles e of sum_n tails[e][n] * (x-e)^(-n)."""
+def _nonzero_tails(tails: dict) -> dict:
+    """The digit arrays of tails trimmed and read-only, the empty ones dropped."""
+    trimmed = {e: _trimmed(digits) for e, digits in tails.items()}
+    return {e: digits for e, digits in trimmed.items() if len(digits)}
 
-    __slots__ = ("poly", "tails")
+
+def _partial_fraction(poly: Poly, tails: dict) -> "PartialFraction":
+    """The PartialFraction of poly and tails, reduced (n, k) digit arrays,
+    kept without a copy."""
+    pf = object.__new__(PartialFraction)
+    pf.poly, pf.tail_digits = poly, _nonzero_tails(tails)
+    return pf
+
+
+class PartialFraction:
+    """poly_part + sum over finite poles e of sum_n tails[e][n] * (x-e)^(-n),
+    each principal part stored as digits (see the module docstring)."""
+
+    __slots__ = ("poly", "tail_digits")
 
     def __init__(self, poly: Poly, tails=None):
-        self.poly = poly
-        clean: dict[FieldElement, dict[int, FieldElement]] = {}
+        """tails maps each pole e to {n: c_n}, n >= 1 and c_n an element of
+        the field of poly or an int."""
+        field, digits = poly.field, {}
         for e, tail in (tails or {}).items():
-            t = {n: c for n, c in tail.items() if not c.is_zero()}
-            if t:
-                clean[e] = t
-        self.tails = clean
+            if min(tail, default=1) < 1:
+                raise ValueError("principal part orders must be >= 1")
+            digits[e] = np.zeros((max(tail, default=0), field.k), dtype=np.int64)
+            for n, c in tail.items():
+                digits[e][n - 1] = field(c).digits
+        self.poly, self.tail_digits = poly, _nonzero_tails(digits)
 
     @property
     def field(self) -> Field:
         return self.poly.field
 
+    @property
+    def tails(self) -> dict[FieldElement, dict[int, FieldElement]]:
+        """{e: {n: c_n}} with the zero c_n dropped, built on read."""
+        rows = self.field.element_rows
+        return {e: {n: c for n, c in enumerate(rows(digits[None])[0], 1) if c}
+                for e, digits in self.tail_digits.items()}
+
     def is_zero(self) -> bool:
-        return self.poly.is_zero() and not self.tails
+        return self.poly.is_zero() and not self.tail_digits
 
     # -- multiplication -------------------------------------------------------
 
     def __mul__(self, other: "PartialFraction") -> "PartialFraction":
         """The product, as one unreduced fraction decomposed at the poles of both."""
         (num, den), (other_num, other_den) = self._fraction(), other._fraction()
-        poles = self.tails.keys() | other.tails.keys()
+        poles = self.tail_digits.keys() | other.tail_digits.keys()
         return partial_fractions((num * other_num, den * other_den), candidates=poles)
 
     def _fraction(self) -> tuple[Poly, Poly]:
@@ -201,12 +341,12 @@ class PartialFraction:
         of (x-e)^nmax over its poles e, nmax the top order there."""
         field = self.field
         num, den = self.poly, Poly.constant(field, 1)
-        for e, tail in self.tails.items():
+        for e, digits in self.tail_digits.items():
             lin = Poly.x(field) - Poly.constant(field, e)
             # sum_n c_n (x-e)^(nmax-n) by Horner from c_1, over (x-e)^nmax
-            part, power = Poly.constant(field, tail.get(1, field.zero)), lin
-            for n in range(2, max(tail) + 1):
-                part = part * lin + Poly.constant(field, tail.get(n, field.zero))
+            part, power = _poly(field, digits[:1]), lin
+            for n in range(1, len(digits)):
+                part = part * lin + _poly(field, digits[n : n + 1])
                 power = power * lin
             num, den = num * power + part * den, den * power
         return num, den
@@ -215,14 +355,17 @@ class PartialFraction:
         return (
             isinstance(other, PartialFraction)
             and self.poly == other.poly
-            and self.tails == other.tails
+            and self.tail_digits.keys() == other.tail_digits.keys()
+            and all(np.array_equal(digits, other.tail_digits[e])
+                    for e, digits in self.tail_digits.items())
         )
 
     def __repr__(self) -> str:
         parts = [] if self.poly.is_zero() else [repr(self.poly)]
-        for e in sorted(self.tails, key=lambda v: v.counter()):
-            for n in sorted(self.tails[e]):
-                parts.append(f"{self.tails[e][n]!r}/(x-{e!r})^{n}")
+        tails = self.tails
+        for e in sorted(tails, key=lambda v: v.counter()):
+            for n in sorted(tails[e]):
+                parts.append(f"{tails[e][n]!r}/(x-{e!r})^{n}")
         return " + ".join(parts) if parts else "0"
 
 
@@ -241,39 +384,41 @@ def partial_fractions(pair, *, candidates) -> PartialFraction:
     poly_part, rem = divmod(num, den)
     if rem.is_zero():
         return PartialFraction(poly_part)
+    field, p, k = den.field, den.field.p, den.field.k
 
-    # root extraction with multiplicities; a candidate that is no root
-    # costs one synthetic division, whose remainder is the value there
-    roots: list[tuple[FieldElement, int]] = []
-    cofactor = den
+    # the multiplicity n of each candidate root e, and hat = den/(x-e)^n, by
+    # synthetic divisions of den; a candidate that is no root costs one,
+    # whose remainder is the value there
+    roots: dict[FieldElement, tuple[int, np.ndarray, np.ndarray]] = {}
+    found = 0
     for e in candidates:
-        if cofactor.degree() == 0:
+        if found == den.degree():
             break
-        mult = 0
-        while True:
-            q, r = cofactor.divmod_linear(e)
-            if not r.is_zero():
+        if e in roots:
+            continue
+        times, hat, n = _times(field, e.digits), den.digits, 0
+        while len(hat) > 1:
+            q, r = _divide_linear(hat, times, p)
+            if any(r.tolist()):
                 break
-            cofactor, mult = q, mult + 1
-        if mult:
-            roots.append((e, mult))
-    if cofactor.degree() > 0:
-        raise IrreducibleDenominatorFactor(cofactor.degree())
+            hat, n = q, n + 1
+        if n:
+            roots[e] = n, times, hat
+            found += n
+    if found < den.degree():
+        raise IrreducibleDenominatorFactor(den.degree() - found)
 
-    tails: dict[FieldElement, dict[int, FieldElement]] = {}
-    for e, n in roots:
-        # divide out (x-e)^n, expand num/cofactor as a series at e
-        hat = den
-        for _ in range(n):
-            hat, _zero = hat.divmod_linear(e)
-        a = rem.taylor(e, n)
-        b = hat.taylor(e, n)
-        b0_inv = b[0].inverse()
-        g: list[FieldElement] = []
+    tails: dict[FieldElement, np.ndarray] = {}
+    for e, (n, times, hat) in roots.items():
+        # the series rem/hat = a/b at e, to n terms
+        a, b = _taylor(rem.digits, times, p, n), _taylor(hat, times, p, n)
+        b0_inverse = _times(field, _element(field, b[0]).inverse().digits)
+        if n > 1:  # times_b[t] is the multiplication matrix of b_t
+            times_b = (b @ field.multiplication % p).transpose(1, 0, 2)
+        g = np.empty((n, k), dtype=np.int64)
         for s in range(n):
-            acc = a[s]
-            for t in range(s):
-                acc = acc - g[t] * b[s - t]
-            g.append(acc * b0_inv)
-        tails[e] = {n - s: g[s] for s in range(n)}
-    return PartialFraction(poly_part, tails)
+            # g_s = (a_s - sum_(0<t<=s) b_t g_(s-t)) / b_0
+            known = g[s - 1 :: -1].ravel() @ times_b[1 : s + 1].reshape(s * k, k) if s else 0
+            g[s] = (a[s] - known) % p @ b0_inverse % p
+        tails[e] = g[::-1]  # g_s is the coefficient of (x-e)^-(n-s)
+    return _partial_fraction(poly_part, tails)

@@ -11,9 +11,14 @@ PartialFraction, so tests check that the two are exact inverses.
 cartier_rational(g) is C(g dx) by denominator amplification,
 g = num*den^(p-1) / den^p, for the operator's axioms and the pole rules
 on partial fractions.  from_ints and monomial build test polynomials.
+
+Poly computes on digit rows; schoolbook, long_division,
+synthetic_division, taylor and principal_parts are the same operations in
+FieldElement arithmetic, one coefficient at a time, as references for it.
 """
 
 from ascart.cartier import cartier_poly
+from ascart.errors import IrreducibleDenominatorFactor
 from ascart.finite_field import FieldElement
 from ascart.ratfunc import PartialFraction, Poly, partial_fractions
 
@@ -27,6 +32,82 @@ def from_ints(field, ints) -> Poly:
 def monomial(field, degree: int, c=1) -> Poly:
     """c x^degree."""
     return Poly(field, [field.zero] * degree + [field(c)])
+
+
+def schoolbook(a: Poly, b: Poly) -> Poly:
+    """a * b, every coefficient product summed in element arithmetic."""
+    field, xs, ys = a.field, a.coeffs, b.coeffs
+    if not xs or not ys:
+        return Poly(field)
+    out = [field.zero] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] = out[i + j] + x * y
+    return Poly(field, out)
+
+
+def long_division(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """divmod(a, b) by long division, one quotient term at a time."""
+    field, rem, divisor = a.field, list(a.coeffs), b.coeffs
+    d, inv_lead = len(divisor) - 1, divisor[-1].inverse()
+    q = [field.zero] * max(0, len(rem) - d)
+    for shift in range(len(q) - 1, -1, -1):
+        c = q[shift] = rem[shift + d] * inv_lead
+        for i, y in enumerate(divisor):
+            rem[shift + i] = rem[shift + i] - c * y
+    return Poly(field, q), Poly(field, rem[:d])
+
+
+def synthetic_division(a: Poly, e: FieldElement) -> tuple[Poly, FieldElement]:
+    """a.divmod_linear(e) by Horner's rule: the quotient by x - e and a(e)."""
+    field, cs = a.field, a.coeffs
+    acc, q = field.zero, []
+    for c in reversed(cs):
+        acc = acc * e + c
+        q.append(acc)
+    rem = q.pop() if q else field.zero
+    return Poly(field, q[::-1]), rem
+
+
+def taylor(a: Poly, e: FieldElement, depth: int) -> list[FieldElement]:
+    """a.taylor(e, depth): one synthetic division per coefficient."""
+    out = []
+    for _ in range(depth):
+        a, rem = synthetic_division(a, e)
+        out.append(rem)
+    return out
+
+
+def principal_parts(num: Poly, den: Poly, candidates) -> PartialFraction:
+    """partial_fractions((num, den), candidates=candidates): the roots of den
+    among the candidates by synthetic division, then at each root e of
+    multiplicity n the series of rem/(den/(x-e)^n) to n terms, solved one
+    coefficient at a time."""
+    field = den.field
+    poly_part, rem = long_division(num, den)
+    cofactor, roots = den, {}
+    for e in candidates:
+        while cofactor.degree() > 0:
+            q, r = synthetic_division(cofactor, e)
+            if not r.is_zero():
+                break
+            cofactor, roots[e] = q, roots.get(e, 0) + 1
+    if cofactor.degree() > 0:
+        raise IrreducibleDenominatorFactor(cofactor.degree())
+    tails = {}
+    for e, n in roots.items():
+        hat = den
+        for _ in range(n):
+            hat = synthetic_division(hat, e)[0]
+        a, b = taylor(rem, e, n), taylor(hat, e, n)
+        g = []
+        for s in range(n):
+            acc = a[s]
+            for t in range(s):
+                acc = acc - g[t] * b[s - t]
+            g.append(acc / b[0])
+        tails[e] = {n - s: c for s, c in enumerate(g)}
+    return PartialFraction(poly_part, tails)
 
 
 def power(a: Poly, n: int) -> Poly:
@@ -56,8 +137,8 @@ def gcd(a: Poly, b: Poly) -> Poly:
 
 
 def derivative(a: Poly) -> Poly:
-    f = a.field
-    return Poly(f, [a.coeffs[i] * f(i) for i in range(1, len(a.coeffs))])
+    f, cs = a.field, a.coeffs
+    return Poly(f, [cs[i] * f(i) for i in range(1, len(cs))])
 
 
 def evaluate(a: Poly, x: FieldElement) -> FieldElement:

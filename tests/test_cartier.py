@@ -20,7 +20,7 @@ from ascart import (
     cartier_poly,
     kappa,
 )
-from ascart import cartier, invariants
+from ascart import cartier, invariants, ratfunc
 from ascart.cartier import CartierMatrix, _signs
 from ascart.cli import main
 from ascart.curve import BasisForm, basis, ordered_basis
@@ -189,6 +189,18 @@ def test_local_series_large_genus():
     check_local_series(spec)
 
 
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_pipelines_agree_at_genus_120(seed):
+    """local against rational far past the g <= 15 of the hypothesis
+    properties: p = 31 = 1 mod 15, orders (5, 3), g = 120, where a = 56 by
+    the closed form."""
+    spec = random_curve(GF(31), (5, 3), random.Random(seed))
+    local, rational = cartier_matrix(spec, "local"), cartier_matrix(spec, "rational")
+    assert local == rational
+    assert local.dimension == 120
+    assert local.dimension - rank(local) == theorem_a_value(31, (5, 3)) == 56
+
+
 @pytest.mark.parametrize("p,k,orders,seed", [(7, 1, (3, 2, 1), 0), (5, 2, (4, 2), 1)])
 def test_gathered_products_in_small_chunks(p, k, orders, seed, monkeypatch):
     """The product reads summed three terms at a time, so that most reads
@@ -343,8 +355,14 @@ class TestLocalSeriesGuards:
         assert not names & CLOSED_FORM
 
     def test_rational_route_names_nothing_of_the_series_route(self):
+        """The same walk from the rational route, into ratfunc and the
+        methods of Poly and PartialFraction: its products are Kronecker
+        products (from_bytes, frombuffer), never the series route's
+        convolutions, powers, digit fold or gathered sums."""
         names = names_reached(cartier._rational_columns)
-        assert {"partial_fractions", "cartier_poly", "_signs", "_rational_image"} <= names
+        assert {"partial_fractions", "cartier_poly", "_signs", "_rational_image",
+                "_kronecker", "from_bytes", "frombuffer", "_divide_linear", "_taylor"} <= names
+        assert not names & {"convolve", "_powers", "_digit_fold", "reduceat"}
         # the decompositions' terms go straight to digits: no scaled copies
         # of a PartialFraction, no lists of elements turned into digits
         assert not names & {"digit_array", "scale"}
@@ -360,7 +378,10 @@ CLOSED_FORM = {"partition_HA", "kappa", "theorem_a_value"}
 
 def names_reached(*roots) -> set[str]:
     """Every name in the code of the roots (functions, or classes for their
-    methods), following each function of the cartier module they name."""
+    methods and properties), following each function of the cartier and
+    ratfunc modules they name, and every method of Poly and PartialFraction
+    once either class is named."""
+    followed = (cartier, ratfunc)
     todo, seen, names = list(roots), set(), set()
     while todo:
         item = todo.pop()
@@ -368,15 +389,19 @@ def names_reached(*roots) -> set[str]:
             continue
         seen.add(item)
         members = vars(item).values() if isinstance(item, type) else [item]
+        members = [m.fget if isinstance(m, property) else getattr(m, "__func__", m)
+                   for m in members]
         codes = [f.__code__ for f in members if inspect.isfunction(f)]
         while codes:
             code = codes.pop()
             names.update(code.co_names)
             codes.extend(c for c in code.co_consts if inspect.iscode(c))
             for name in code.co_names:
-                target = vars(cartier).get(name)
-                if inspect.isfunction(target) and target.__module__ == cartier.__name__:
-                    todo.append(target)
+                for module in followed:
+                    target = vars(module).get(name)
+                    if target in (Poly, PartialFraction) or (
+                            inspect.isfunction(target) and target.__module__ == module.__name__):
+                        todo.append(target)
     return names
 
 
@@ -578,6 +603,20 @@ class TestMatrixDigits:
     def test_from_json_refuses_malformed_digits(self, p, k, entries, message):
         data = {"field": GF(p, k).to_json(), "basis": [[0, 0, 0]], "entries": entries}
         with pytest.raises(ValueError, match=message):
+            CartierMatrix.from_json(data)
+
+    @pytest.mark.parametrize("form", [[0, 0], [0, 0, 0, 0], [0, -1, 0], [0, 1.0, 0], [0, True, 0],
+                                      "x^0", 7],
+                             ids=["two", "four", "negative", "float", "bool", "string", "int"])
+    def test_from_json_refuses_a_malformed_form(self, form):
+        data = {"field": GF(13).to_json(), "basis": [form], "entries": [[1]]}
+        with pytest.raises(ValueError, match="not three non-negative ints"):
+            CartierMatrix.from_json(data)
+
+    def test_from_json_refuses_a_repeated_form(self):
+        data = {"field": GF(13).to_json(), "basis": [[0, 1, 0], [0, 1, 0]],
+                "entries": [[1], [0], [0], [1]]}
+        with pytest.raises(ValueError, match="lists a form twice"):
             CartierMatrix.from_json(data)
 
     def test_digits_are_a_private_copy(self):

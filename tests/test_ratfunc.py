@@ -3,18 +3,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ascart import GF, PartialFraction, Poly
+from ascart import GF, PartialFraction, Poly, ratfunc
 from ascart.errors import IrreducibleDenominatorFactor
 from ascart.ratfunc import partial_fractions
 
 from conftest import random_split_ratfunc
 from naive_local import binom_mod, pf_mul, pf_pow
 from naive_ratfunc import (RatFunc, assemble, decompose, derivative, evaluate, from_ints, gcd,
-                           power)
+                           long_division, power, principal_parts, schoolbook,
+                           synthetic_division, taylor)
 
 F3 = GF(3)
 F7 = GF(7)
@@ -114,6 +116,105 @@ class TestPolyArith:
     def test_mul_commutes(self, xs, ys):
         a, b = from_ints(F7, xs), from_ints(F7, ys)
         assert a * b == b * a
+
+
+# k > 1, p = 2, and GF(9999991), the largest prime field under the field
+# cap, whose digits fill the widest Kronecker fields (64 bits)
+BIG = GF(9999991)
+FIELDS = [GF(2), GF(2, 3), GF(3, 2), GF(7), GF(3, 7), BIG]
+
+
+def polys(field, max_size=8):
+    elements = st.integers(0, field.order - 1).map(field.from_counter)
+    return st.lists(elements, max_size=max_size).map(lambda cs: Poly(field, cs))
+
+
+def top_digits(field, n):
+    """The polynomial of n terms whose every digit is p - 1: each field of a
+    product with it holds the largest sum its length allows."""
+    return Poly(field, np.full((n, field.k), field.p - 1))
+
+
+class TestDigitArithmetic:
+    """Poly on digit rows against the element-wise references of
+    naive_ratfunc."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(FIELDS), data=st.data())
+    def test_product_is_the_schoolbook_product(self, field, data):
+        a, b = data.draw(polys(field)), data.draw(polys(field))
+        assert a * b == b * a == schoolbook(a, b)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_zero_and_one_term_products(self, field):
+        rng = random.Random(field.order)
+        zero, c = Poly(field), Poly.constant(field, field.random_element(rng, nonzero=True))
+        for a in (zero, c, Poly.x(field), random_poly(field, rng, 6)):
+            for b in (zero, c, Poly.x(field)):
+                assert a * b == b * a == schoolbook(a, b)
+        assert (zero * zero).is_zero() and (c * zero).is_zero()
+
+    @pytest.mark.parametrize("n_a,n_b", [(40, 30), (1, 50), (2, 2)])
+    def test_widest_fields(self, n_a, n_b):
+        """Every digit p - 1 in GF(9999991): the fields sum up to
+        min(n_a, n_b)*(p-1)^2, about 3*10^15, in 64-bit fields."""
+        a, b = top_digits(BIG, n_a), top_digits(BIG, n_b)
+        assert a * b == schoolbook(a, b)
+
+    @pytest.mark.parametrize("field", [GF(2, 3), GF(7), GF(3, 7)], ids=repr)
+    def test_chunks_of_the_shorter_factor(self, field, monkeypatch):
+        """With the slot bound lowered to three rows of the shorter factor
+        per product, a product of all-top digits comes in chunks, at their
+        offsets."""
+        monkeypatch.setattr(ratfunc, "_SLOT_BOUND", 3 * field.k * (field.p - 1) ** 2 + 1)
+        for n_a, n_b in [(10, 7), (4, 4), (9, 3), (5, 1)]:
+            a, b = top_digits(field, n_a), top_digits(field, n_b)
+            assert a * b == schoolbook(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(FIELDS), data=st.data())
+    def test_divmod_is_long_division(self, field, data):
+        a, b = data.draw(polys(field)), data.draw(polys(field))
+        assume(not b.is_zero())
+        q, r = divmod(a, b)
+        assert (q, r) == long_division(a, b)
+        assert schoolbook(q, b) + r == a and r.degree() < b.degree()
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(FIELDS), data=st.data())
+    def test_synthetic_division_and_taylor(self, field, data):
+        a = data.draw(polys(field))
+        e = data.draw(st.integers(0, field.order - 1).map(field.from_counter))
+        assert a.divmod_linear(e) == synthetic_division(a, e)
+        depth = data.draw(st.integers(0, a.degree() + 3))
+        assert a.taylor(e, depth) == taylor(a, e, depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field=st.sampled_from(FIELDS[:-1]), data=st.data())
+    def test_partial_fractions_solve_the_series_by_elements(self, field, data):
+        """Unreduced pairs with a non-monic split den and repeated roots."""
+        element = st.integers(0, field.order - 1).map(field.from_counter)
+        roots = data.draw(st.lists(element, min_size=1, max_size=3, unique=True))
+        unit = data.draw(st.integers(1, field.order - 1).map(field.from_counter))
+        den = Poly.constant(field, unit)
+        for e in roots:
+            den = den * linear_power(field, e, data.draw(st.integers(1, 4)))
+        num = data.draw(polys(field, 10))
+        candidates = data.draw(st.permutations(roots + data.draw(st.lists(element, max_size=2))))
+        pf = partial_fractions((num, den), candidates=candidates)
+        assert pf == principal_parts(num, den, candidates)
+        assert all(c for tail in pf.tails.values() for c in tail.values())
+
+    def test_digits_are_stored_once_and_read_only(self):
+        F = GF(3, 2)
+        a = Poly(F, [F.one, F.gen, F.zero, F.zero])
+        assert a.digits.dtype == np.int64 and a.digits.shape == (2, 2)
+        assert not a.digits.flags.writeable
+        assert a.coeffs == (F.one, F.gen) and a.coeff(5) == F.zero and a.leading() == F.gen
+        assert Poly(F, np.array([[4, 5], [3, 0]])) == Poly(F, [F((1, 2))])  # mod p, trimmed
+        assert Poly(F).digits.shape == (0, 2)
+        with pytest.raises(ValueError):
+            Poly(F, np.zeros((2, 3), dtype=np.int64))
 
 
 class TestRatFunc:
