@@ -46,15 +46,18 @@ reduction code, so each serves as an oracle for the other:
     for z = 1/(e_j - e_l), so each pole's stack of them is one gather from
     one geometric table of every z per curve, built by doubling, times a
     coefficient table, and sum_j f_j(x_j) is one contraction of that stack.
-    The powers H_l^e (e <= p-2) are the only series products, each one
-    truncated convolution of H_l^(e-1) with H_l cut after its last nonzero
-    term (_powers).  H_l is a polynomial, of degree at most d_0 + d_l, at
-    infinity when f has no finite pole and at the finite pole of a curve
-    with one, so there each product is by a few terms.  C keeps the
-    coefficients at exponents -1 mod p in x at infinity and 1 mod p in 1/u
-    at a finite pole, so of the products H_l^e x_j^b only those
-    coefficients are computed, each as a gathered dot product
-    sum_s H_l^e[t-s] x_j^b[s] over the terms where x_j^b can be nonzero.
+    Every series at pole l is read-sized: cut to the terms that C reads
+    there and the d_l + 1 of H_l's own principal part, never more than
+    (p-1)*d_l + 1 terms.  The powers H_l^e (e <= p-2) are the only series
+    products, each one truncated convolution of H_l^(e-1) with H_l cut
+    after its last nonzero term, one fold and one mod (_powers).  H_l is a
+    polynomial, of degree at most d_0 + d_l, at infinity when f has no
+    finite pole and at the finite pole of a curve with one, so there each
+    product is by a few terms.  C keeps the coefficients at exponents
+    -1 mod p in x at infinity and 1 mod p in 1/u at a finite pole, so of
+    the products H_l^e x_j^b only those coefficients are computed, each as
+    a gathered dot product sum_s H_l^e[t-s] x_j^b[s] over the terms where
+    x_j^b can be nonzero.
     What depends on (p, orders) alone is a cached layout (_Layout): the
     basis, the coefficients of each pole's stack (binomials mod p, by
     Pascal's rule) and the positions of their powers of z, the doubling
@@ -64,7 +67,8 @@ reduction code, so each serves as an oracle for the other:
     range and gather data.  Its guard that no read falls outside the basis
     runs once per (p, orders); per curve, each pole is one gather from
     H_l^e, the gathered dot products in chunks of bounded size, and their
-    signed scatters, and the p-th root is taken once, on the matrix.
+    signed scatters, and over GF(p^k), k > 1, the p-th root is taken once,
+    on the matrix.
 
 The output is the matrix only, cartier_matrix, the one gate of both
 pipelines (one validation, one size check, the g = 0 case): a column is the
@@ -262,30 +266,31 @@ def _decompose(pair, loc_to_j: dict) -> PartialFraction:
 
 def _powers(field: Field, s: np.ndarray, m: int, n: int) -> np.ndarray:
     """s^0, ..., s^m to n terms each, for the series s: the (m+1, n, k)
-    digits.  The local pipeline builds the powers H_l^e with it.
+    digits, a view of the packed powers.  The local pipeline builds the
+    powers H_l^e with it.
 
     A series over GF(p^k) is an int64 array (N, k) of N coefficients, each
-    the digit row of a field element.  Each s^e is one truncated
-    np.convolve of s^(e-1) with s, both packed in slots of 2k-1 entries, so
-    that a slot holds the schoolbook product of two digit rows; s is cut
-    after its last nonzero term, once, so a polynomial H_l costs a product
-    by its few terms.  Entries stay below 2^63 while n*k*(p-1)^2 does,
-    which the digit cap ensures (cartier_matrix).
+    the digit row of a field element.  Every power is kept packed, its
+    digit rows in slots of 2k-1 entries, so that a slot of a convolution
+    holds the schoolbook product of two digit rows.  Each s^e is then three
+    calls: one truncated np.convolve of s^(e-1) with s, cut once after its
+    last nonzero term so that a polynomial H_l costs a product by its few
+    terms; one fold of the unreduced slots to k digits by field.reduction;
+    and one np.remainder written into the next packed row.  A slot sums at
+    most n*k digit products of at most (p-1)^2, and the fold 2k-1 slots
+    times entries of at most p-1, so every sum is at most
+    (2k-1)*n*k*(p-1)^3, below 2^47 under the digit cap (cartier_matrix).
     """
     p, k, slot = field.p, field.k, 2 * field.k - 1
-    out = np.zeros((m + 1, n, k), dtype=np.int64)
-    out[0, 0, 0] = 1
-    out[1:2, : len(s)] = s[:n]
-    if m < 2:
-        return out
-    step = np.zeros((np.flatnonzero(out[1].any(axis=1)).max(initial=0) + 1, slot), dtype=np.int64)
-    step[:, :k] = out[1, : len(step)]
-    last = np.zeros((n, slot), dtype=np.int64)
-    for e in range(2, m + 1):
-        last[:, :k] = out[e - 1]
-        c = np.convolve(last.ravel(), step.ravel())[: n * slot].reshape(n, slot)
-        out[e] = c % p @ field.reduction % p
-    return out
+    packed = np.zeros((m + 1, n, slot), dtype=np.int64)
+    packed[0, 0, 0] = 1
+    packed[1:2, : len(s), :k] = s[:n]
+    if m >= 2:
+        step = packed[1, : np.flatnonzero(packed[1].any(axis=1)).max(initial=0) + 1].ravel()
+        for e in range(2, m + 1):
+            c = np.convolve(packed[e - 1].ravel(), step)[: n * slot].reshape(n, slot)
+            np.remainder(c @ field.reduction, p, out=packed[e, :, :k])
+    return packed[..., :k]
 
 
 def _binomials(p: int, b_max: int, n: int) -> np.ndarray:
@@ -374,11 +379,6 @@ class _Layout:
     def __init__(self, p: int, orders):
         self.orders = orders
         self.forms = forms = tuple(ordered_basis(p, orders))
-        # C(x_j^b f^e dx) reads H_l^e, or its product with the series of
-        # x_j^b, below index (e+1)*d_l since b <= d_l in every basis form,
-        # and e <= p-2; the one term more keeps the expansions of the other
-        # poles nonempty at p = 2.
-        self.sizes = [(p - 1) * d + 1 for d in orders]
         self.e_max = e_max = max(form.r for form in forms)
         js, bs, rs = np.array(forms).T
         # where[l, i, b]: position of x_l^b y^i dx in the basis, -1 outside
@@ -388,8 +388,8 @@ class _Layout:
         where = np.full((len(orders), e_max + 1, width), -1)
         where[js, rs, bs] = np.arange(len(forms))
         sign, e = _signs(p, e_max), np.arange(e_max + 1)
-        self.direct, self.products, self.gathers = [], [], []
-        for l, (d, n) in enumerate(zip(orders, self.sizes)):
+        self.sizes, self.direct, self.products, self.gathers = [], [], [], []
+        for l, d in enumerate(orders):
             # At pole l, x_j^b f^e = u^-(e*d + s) q_e with s = b for j = l,
             # as x_l^b = u^(-b), and s = 0 otherwise; q_e is H_l^e, or its
             # product with the series of x_j^b.  C keeps u^-n for n = 1 mod
@@ -420,6 +420,15 @@ class _Layout:
             tables = [np.stack([e_col, t, row, col, s])[:, direct],
                       np.stack([e_col, t, x, lo, hi, row, col, s])[:, product]]
             e_p, t_p, x_p, lo_p, hi_p = tables[1][:5]
+            # The series are read-sized: n terms hold every read, the term t
+            # of H_l^e read directly and, for a product, the terms up to
+            # t - lo of H_l^e and up to hi of x_j^b, and the d + 1 terms of
+            # H_l's own principal part.  Truncated series multiply exactly
+            # below u^n, and n <= (p-1)*d + 1, as t < (e+1)*d with b <= d
+            # in every basis form and e <= p-2.
+            n = 1 + int(max(d, tables[0][1].max(initial=0), (t_p - lo_p).max(initial=0),
+                            hi_p.max(initial=0)))
+            self.sizes.append(n)
             length = hi_p - lo_p + 1
             start = np.cumsum(length) - length
             tables.append(np.stack([e_p * n + t_p - lo_p + start, x_p * n + lo_p - start,
@@ -551,20 +560,22 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
     or u = x - e_l at a finite pole: the stack of the powers of every other
     x_j, one gather from that table times the layout's coefficients; H_l =
     u^d f, whose regular part sum_j f_j(x_j) is one contraction of the
-    stack with the coefficients of the f_j; then the powers H_l^e.  The
-    layout's direct reads gather their entries of H_l^e; its product reads
-    compute only the terms of H_l^e x_j^b that C keeps, as gathered dot
-    products (_gathered_products).  Both scatter, signed, into the matrix.
-    The p-th root, GF(p)-linear, is taken once, on the matrix.
+    stack with the coefficients of the f_j; then the powers H_l^e.  Every
+    series has the layout's read-sized N terms.  The layout's direct reads
+    gather their entries of H_l^e; its product reads compute only the terms
+    of H_l^e x_j^b that C keeps, as gathered dot products
+    (_gathered_products).  Both scatter, signed, into the matrix.  The p-th
+    root, GF(p)-linear, is taken once, on the matrix, and not at all over
+    GF(p), where it is the identity.
 
-    The int64 sums stay exact for series of N terms: each of the k^2 digit
-    sums of a product read, before the fold to k digits, adds at most N
-    digit products, each at most (p-1)^2, and an entry of a power
-    (_powers) at most N*k, so every sum is at most N*k*(p-1)^2 < 2^35
-    under the digit cap (cartier_matrix).  The contraction adds one digit
-    product per stacked power, fewer than D + 2 <= 2g + 2 of them, so its
-    sums stay below (2g + 2)*(p-1)^2 < 2^35 too.  The fold and the scatter
-    take residues mod p.
+    The int64 sums stay exact, as N <= (p-1)*d_l + 1: each of the k^2
+    digit sums of a product read, before the fold to k digits, adds at most
+    N digit products, each at most (p-1)^2, so it is at most
+    N*k*(p-1)^2 < 2^35 under the digit cap (cartier_matrix), and a power's
+    unreduced fold (_powers) is at most (2k-1)*N*k*(p-1)^3 < 2^47.  The
+    contraction adds one digit product per stacked power, fewer than
+    D + 2 <= 2g + 2 of them, so its sums stay below (2g + 2)*(p-1)^2 < 2^35
+    too.  The folds and the scatter take residues mod p.
     """
     field, p, k = spec.field, spec.field.p, spec.field.k
     layout = _layout(p, orders)
@@ -591,8 +602,10 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
         if len(sign):
             out[row, col] = sign[:, None] * _gathered_products(field, powers, xs,
                                                                layout.gathers[l]) % p
-    out = out @ field.pth_root_matrix  # the pth_root of each entry
-    return layout.forms, np.remainder(out, p, out=out)
+    if k > 1:  # the pth_root of each entry, the identity over GF(p)
+        out = out @ field.pth_root_matrix
+        np.remainder(out, p, out=out)
+    return layout.forms, out
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +720,11 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
     The one gate of both pipelines: the curve is validated once, and the
     digit cap, g^2 * k <= 2^20, is its only size check, before anything is
     built.  Every dense array has O(g^2 * k) entries, since e_max + 1 <= g
-    and the series have N = (p-1)*d_l + 1 <= 4g + 1 terms; as p - 1 <= 2g
-    for g >= 1, the local pipeline's int64 sums stay below
-    N*k*(p-1)^2 <= (4g + 1)*4*2^20 < 2^35.  At g = 0 neither pipeline runs.
+    and the series, read-sized, have at most N = (p-1)*d_l + 1 <= 4g + 1
+    terms.  As p - 1 <= 2g for g >= 1, the local pipeline's int64 sums stay
+    below N*k*(p-1)^2 <= (4g + 1)*4*2^20 < 2^35, and its powers' unreduced
+    folds below (2k-1)*N*k*(p-1)^3 < 2k^2*(4g + 1)*8g^3
+    <= 64*(g^2*k)^2 + 16*(g^2*k)^2 < 2^47.  At g = 0 neither pipeline runs.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")

@@ -300,6 +300,16 @@ def twisted_rank_profile(M: CartierMatrix, factors: int | None = None) -> list[i
     return profile + profile[-1:] * (factors - len(profile))
 
 
+@functools.lru_cache(maxsize=8)
+def _strictly_lower(g: int) -> np.ndarray:
+    """The flat positions i*g + j, i > j, of the entries of a g x g matrix
+    below its diagonal; read-only because the cache shares them."""
+    rows, cols = np.tril_indices(g, -1)
+    flat = rows * g + cols
+    flat.setflags(write=False)
+    return flat
+
+
 def p_rank_stable(M: CartierMatrix) -> int:
     """Stable rank of the twisted products; equals the p-rank m(p-1).
 
@@ -314,7 +324,7 @@ def p_rank_stable(M: CartierMatrix) -> int:
     if g == 0:
         return 0
     nonzero = M.digits.any(axis=2)
-    if not np.tril(nonzero, -1).any():
+    if not nonzero.ravel().take(_strictly_lower(g)).any():
         return int(np.count_nonzero(nonzero.diagonal()))
     p = M.field.p
     A = _prime_matrix(M).astype(np.float64)

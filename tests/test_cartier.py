@@ -233,8 +233,9 @@ def test_binomial_tables_against_comb(p):
 @pytest.mark.parametrize("p", [2, 3, 13])
 def test_powers_against_field_products(p, k, m, monkeypatch):
     """_powers gives s^0, ..., s^m to n terms, against running FieldElement
-    products, for a full series, one with a zero constant term, one with
-    zero tail terms, a one-term series and one shorter than n.  At m = 0
+    products, for a full series, one whose digits are all p - 1, one with a
+    zero constant term, one with zero tail terms, a one-term series and one
+    shorter than n.  At m = 0
     (e_max at p = 2) only s^0 is built, and at m <= 1 no product is."""
     def product(*args):
         raise AssertionError(f"_powers took a product at m = {m}")
@@ -250,6 +251,8 @@ def test_powers_against_field_products(p, k, m, monkeypatch):
     zeros = [field.zero] * n
     cases = {
         "full": [element() for _ in range(n)],
+        # every digit p - 1: the widest sums the unreduced fold takes
+        "all p - 1": list(field.element_rows(np.full((1, n, k), p - 1))[0]),
         "zero constant": [field.zero] + [element() for _ in range(n - 1)],
         "zero tail": [element(), field.zero, element()] + zeros[3:],
         "one term": [element()],
@@ -265,6 +268,19 @@ def test_powers_against_field_products(p, k, m, monkeypatch):
         powers = cartier._powers(field, field.digit_array(s), m, n)
         assert powers.shape == (m + 1, n, k), name
         assert field.element_rows(powers) == tuple(map(tuple, expected)), name
+
+
+@pytest.mark.parametrize("p,k,orders,seed", [(101, 1, (1, 1), 1), (97, 1, (2, 1), 2),
+                                          (11, 2, (1, 1), 3), (7, 2, (2, 1), 4)])
+def test_read_sized_series_agree_with_rational(p, k, orders, seed):
+    """local against rational on the shapes whose series read-sizing cuts
+    the most: at infinity, orders (1, 1) keep 2 of the (p-1)*d_0 + 1 terms
+    and orders (2, 1) about half of them."""
+    layout = cartier._layout(p, orders)
+    assert layout.sizes[0] <= (p - 1) * orders[0] // 2 + 1, layout.sizes
+    assert layout.sizes[0] == 2 or orders != (1, 1), layout.sizes
+    spec = random_curve(GF(p, k), orders, random.Random(seed))
+    assert cartier_matrix(spec, "local") == cartier_matrix(spec, "rational")
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (5, 2), (3, 7)])
@@ -311,20 +327,26 @@ class TestLocalSeriesGuards:
     def test_digit_cap_keeps_series_sums_in_int64(self):
         """The digit cap is the only size check, so it must bound every
         product of the local pipeline: N*k*(p-1)^2 < 2^63 for series of N
-        terms over GF(p^k).  With D = sum(d_l + 1) - 2, g = D*(p-1)/2, so a
+        terms over GF(p^k), and the unreduced fold of a power,
+        (2k-1)*N*k*(p-1)^3, too.  Read-sized series have at most the N
+        below.  With D = sum(d_l + 1) - 2, g = D*(p-1)/2, so a
         curve of genus g >= 1 under the cap, g^2*k <= cap, has
         p <= 2*sqrt(cap) + 1, p^k within the field cap, D no more than the
         cap allows at (p, k), and every order d <= D + 1, N = (p-1)*d + 1."""
         cap = cartier._MAX_DIGITS
-        worst = (0,)
+        worst, fold = (0,), (0,)
         for p in filter(is_prime, range(2, 2 * math.isqrt(cap) + 2)):
             for k in itertools.takewhile(lambda k: p**k <= _MAX_FIELD_SIZE, itertools.count(1)):
                 D = math.isqrt(4 * cap // k) // (p - 1)  # the largest with g^2*k <= cap
                 if D:
                     n = (p - 1) * (D + 1) + 1
                     worst = max(worst, (n * k * (p - 1) ** 2, p, k, D))
+                    fold = max(fold, ((2 * k - 1) * n * k * (p - 1) ** 3, p, k, D))
         # at the cap of 2^20: 16,933,591,188 at p = 2039, k = 1, D = 1 (g = 1019)
         assert worst[0] < 2**63, f"N*k*(p-1)^2 = {worst[0]:,} at (p, k, D) = {worst[1:]}"
+        # _powers folds its unreduced slots, 2k - 1 of them times entries of
+        # at most p - 1: 52,481,297,415,888 at p = 1447, k = 2, D = 1 (g = 723)
+        assert fold[0] < 2**46, f"(2k-1)*N*k*(p-1)^3 = {fold[0]:,} at (p, k, D) = {fold[1:]}"
 
     def test_cap_curve(self):
         """y^1009 - y = x^3, g = 1008, the largest genus of a cubic under the
@@ -776,6 +798,11 @@ def test_layout_of_every_admissible_family():
             e_d, t_d, _, col_d, _ = direct
             j_d, b_d = jb[col_d].T
             assert ((j_d == l) | (b_d == 0)).all(), (p, orders, l)
+            # read-sized: the fewest terms that hold every read and the
+            # d_l + 1 terms of H_l's own principal part
+            d = orders[l]
+            assert n == 1 + max([d, *t_d, *(t - lo), *hi]), (p, orders, l)
+            assert n <= (p - 1) * d + 1, (p, orders, l)
             for e_, t_, sign in ((e_d, t_d, direct[-1]), (e, t, products[-1])):
                 assert (0 <= e_).all() and (e_ <= layout.e_max).all(), (p, orders)
                 assert (0 <= t_).all() and (t_ < n).all(), (p, orders)

@@ -510,6 +510,15 @@ class TestTriangularPRank:
             assert self.route(dataclasses.replace(M, entries=broken))[1] == 1
 
 
+@pytest.mark.parametrize("g", [1, 2, 5, 42])
+def test_strictly_lower_positions(g):
+    """p_rank_stable's cached index of the entries below the diagonal: the
+    flat positions np.tril marks, read-only and one array per g."""
+    flat = invariants._strictly_lower(g)
+    assert flat.tolist() == np.flatnonzero(np.tril(np.ones((g, g), dtype=bool), -1)).tolist()
+    assert not flat.flags.writeable and invariants._strictly_lower(g) is flat
+
+
 class TestFittingStop:
     def test_nilpotent_stops_at_the_first_zero_power(self, monkeypatch):
         # y^7 - y = x^3: g = 6, profile [2, 0, 0, ...].  Its matrix is upper
