@@ -657,8 +657,8 @@ class CartierMatrix:
     Column j holds the coordinates of C(omega_j): entry (i, j) is the
     coefficient of omega_i.  The matrix is stored once, as digits, a
     read-only (g, g, k) int64 array of the entries' digits; equality and
-    hashing read it.  entries, entry and column are views that build exact
-    field elements from it on each read.  The constructor takes the
+    hashing read it.  entries is the view that builds exact field elements
+    from it on each read.  The constructor takes the
     entries as rows of elements or as a digit array (see _DigitStore).
     """
 
@@ -680,12 +680,6 @@ class CartierMatrix:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.field(self.digits[i, j])
-
-    def column(self, j: int) -> tuple[FieldElement, ...]:
-        return self.field.element_rows(self.digits[None, :, j])[0]
 
     def to_json(self) -> dict:
         return {

@@ -56,15 +56,13 @@ nonzero eigenvalues of A then have multiplicity k * #{i : M_ii != 0},
 which by Fitting's lemma is the rank of every high power of A, so
 s = #{i : M_ii != 0} with no product at all.  The check reads the digits,
 not the basis, so a matrix that is not upper triangular -- hand-built,
-read from JSON or in a permuted basis -- takes the general route:
-s = rank(A^(2^m)) for 2^m >= g, m squarings and one elimination, or s = 0
-as soon as a squared power is zero, with no elimination.  The products are
-float64, reduced as Z - floor(Z/p)*p, and exact: sums stay below 2^53
-(_product_mod).
-twisted_rank_profile derives s a second way, by the chain of bases V_n of
-the row spaces of A^n, one product V_n A and one elimination per factor up
-to the first repeated rank: the row space of A^(n+1) lies in that of A^n,
-so equal ranks mean equal spaces, and every later power keeps them.
+read from JSON or in a permuted basis -- takes the one general route,
+twisted_rank_profile: the chain of bases V_n of the row spaces of A^n, one
+product V_n A and one elimination per factor up to the first repeated
+rank.  The row space of A^(n+1) lies in that of A^n, so equal ranks mean
+equal spaces, every later power keeps them, and the repeated rank is s.
+The products are float64, reduced as Z - floor(Z/p)*p, and exact: sums
+stay below 2^53 (_product_mod).
 """
 
 from __future__ import annotations
@@ -80,27 +78,11 @@ import numpy as np
 from .cartier import CartierMatrix, cartier_matrix, support
 from .curve import BasisForm, CurveSpec, basis_orders, kappa, partition_HA, validate
 from .errors import ConditionNotSatisfied, DNotCoprime
-from .finite_field import Field
 
 
 # ---------------------------------------------------------------------------
 # Exact elimination over GF(p)
 # ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def regular_representation(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """GF(p)-matrices T[l] of x -> t^l * x (l < k) and Phi of x -> pth_root(x).
-
-    Column j of each matrix holds the digits of the image of t^j, so they act
-    on digit vectors from the left.  rho(c) = sum_l c.digits[l] * T[l] is
-    the matrix of multiplication by c, and rho(pth_root(c)) =
-    Phi @ rho(c) @ Phi^-1.  Built once per field from Field.reduction and
-    Field.pth_root_matrix; read-only because the cache shares them.
-    """
-    T = np.stack([field.reduction[l : l + field.k].T for l in range(field.k)])
-    T.setflags(write=False)
-    return T, field.pth_root_matrix.T
 
 
 def _echelon_int(rows: np.ndarray, p: int) -> np.ndarray:
@@ -132,17 +114,21 @@ def _echelon_int(rows: np.ndarray, p: int) -> np.ndarray:
 
 
 def _prime_matrix(M: CartierMatrix) -> np.ndarray:
-    """M as the GF(p) matrix rho(M) (I (x) Phi), read off M.digits.
+    """M as the GF(p) matrix rho(M) (I (x) Phi), read off M.digits and the
+    field's own tables.
 
-    For k = 1 this is the matrix of residues itself.
+    Block (i, j) is the matrix of x -> M_ij * pth_root(x) on digit columns:
+    row a of M_ij @ Field.multiplication holds M_ij * t^a, and
+    Field.pth_root_matrix turns those rows into M_ij * pth_root(t^a), column
+    a of the block.  For k = 1 this is the matrix of residues itself.
     """
     g, n, k = M.digits.shape
     if k == 1:
         return M.digits.reshape(g, n)
-    p = M.field.p
-    T, Phi = regular_representation(M.field)
-    blocks = np.tensordot(M.digits, T, axes=(2, 0)) % p @ Phi % p  # (g, n, k, k)
-    return blocks.transpose(0, 2, 1, 3).reshape(g * k, n * k)
+    field, p = M.field, M.field.p
+    X = np.tensordot(M.digits, field.multiplication, axes=(2, 0)) % p  # row a: M_ij * t^a
+    Y = field.pth_root_matrix @ X % p
+    return Y.transpose(0, 3, 1, 2).reshape(g * k, n * k)
 
 
 def _reduce_mod(Z: np.ndarray, p: int) -> np.ndarray:
@@ -318,21 +304,15 @@ def p_rank_stable(M: CartierMatrix) -> int:
     when M_ii != 0 and zero otherwise.  So the nonzero eigenvalues of A
     have multiplicity k * #{i : M_ii != 0}, and by Fitting's lemma that is
     the rank of every high power of A: the stable rank is the number of
-    nonzero diagonal entries.  Any other matrix takes rank(A^(2^m)) for the
-    least 2^m >= g, or 0 at the first squared power that is zero."""
+    nonzero diagonal entries.  Any other matrix takes the stable value of
+    the twisted chain, twisted_rank_profile."""
     g = M.dimension
     if g == 0:
         return 0
     nonzero = M.digits.any(axis=2)
     if not nonzero.ravel().take(_strictly_lower(g)).any():
         return int(np.count_nonzero(nonzero.diagonal()))
-    p = M.field.p
-    A = _prime_matrix(M).astype(np.float64)
-    for _ in range((g - 1).bit_length()):
-        A = _product_mod(A, A, p)
-        if not A.any():  # nilpotent: every later power is zero too
-            return 0
-    return _over_field(_echelon_int(A.astype(np.int64), p).shape[0], M.field.k)
+    return twisted_rank_profile(M)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def assert_pivot_structure(spec, M):
     targets = set()
     for w in H:
         t = kappa(spec.p, orders, w)
-        assert not M.entry(index[t], index[w]).is_zero(), w
+        assert not M.field(M.digits[index[t], index[w]]).is_zero(), w
         assert not M.digits[index[t], : index[w]].any(), w  # M.basis is in basis order
         targets.add(t)
     assert len(targets) == len(H)

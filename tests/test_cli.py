@@ -186,8 +186,8 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         M = CartierMatrix.from_json(data)
         assert M.dimension == 6
-        assert M.entry(0, 4) == GF(7)(1)  # row dx, column y^2 dx
-        assert M.entry(2, 5) == GF(7)(3)  # row y dx, column y^3 dx
+        assert M.field(M.digits[0, 4]) == GF(7)(1)  # row dx, column y^2 dx
+        assert M.field(M.digits[2, 5]) == GF(7)(3)  # row y dx, column y^3 dx
         assert M.to_json() == data
 
     def test_matrix_both_pipelines(self, tmp_path, capsys):

@@ -4,7 +4,8 @@ private name of the package, so each stays an independent oracle.  No
 module rebinds a global either: process-wide state lives in caches.  Floating
 point stays inside the rank layer's exact products, and no result is a float.
 Every public function or class of the package has a caller in the package,
-or a reason to stay in KEEP."""
+or a reason to stay in KEEP, and so does every public method or property,
+or it stays in METHOD_KEEP."""
 
 import ast
 import random
@@ -88,7 +89,6 @@ def test_ranks_are_python_ints(spec):
 # each with the reason it stays
 KEEP = {
     "count_points": "the README's scalar count N_s, spanned by the benchmark's traced run",
-    "twisted_rank_profile": "the second derivation of the p-rank s, by the chain of row spaces",
     "a_monomial_remark": "the a-number of y^p - y = x^d for p != 1 mod d (ROADMAP item 8)",
 }
 
@@ -109,3 +109,40 @@ def test_every_public_name_has_a_caller():
     uncalled = {name for name, top in defined.items()
                 if not any(n == name and where is not top for n, where in named)}
     assert uncalled == set(KEEP)
+
+
+# Public methods and properties, as Class.name, that no code of the package
+# names as an attribute, each with the reason it stays
+METHOD_KEEP = {
+    "CartierMatrix.from_json": "the hardened input route for `ascart matrix --json` output",
+    "Field.elements": "the whole field, which the naive references enumerate",
+    "FieldElement.pth_root": "timed by perfbench/run.py and patched by perfbench/tracing.py",
+    "Poly.coeff": "an element view of the naive references, held until ROADMAP item 10",
+    "Poly.divmod_linear": "an element view of the naive references, held until ROADMAP item 10",
+    "Poly.taylor": "an element view of the naive references, held until ROADMAP item 10",
+}
+
+
+def test_every_public_method_has_a_caller():
+    """A public method or property of a class of src/ascart is named as an
+    attribute (obj.name) by code of the package outside its own definition,
+    or listed in METHOD_KEEP.
+
+    Limits: dunders are not checked, since operators and protocols call them
+    without naming them; and names match by text only, so an attribute of
+    any object that shares a method's name counts as its caller."""
+    defined, attributes = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                defined.update((f"{cls.name}.{node.name}", node) for node in cls.body
+                               if isinstance(node, ast.FunctionDef)
+                               and not node.name.startswith("_"))
+        attributes.extend(node for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    uncalled = set()
+    for key, method in defined.items():
+        own = set(map(id, ast.walk(method)))
+        if not any(node.attr == method.name and id(node) not in own for node in attributes):
+            uncalled.add(key)
+    assert uncalled == set(METHOD_KEEP)

@@ -24,7 +24,6 @@ from ascart.cartier import CartierMatrix
 from ascart.cli import main
 from ascart.curve import BasisForm
 from ascart.finite_field import _MAX_FIELD_SIZE, Field, is_prime
-from ascart.invariants import regular_representation
 from ascart.sweep import SweepConfig, random_curve, run_sweep
 
 from conftest import curve
@@ -33,13 +32,20 @@ from naive_rank import echelon_elements, naive_rank, naive_twisted_rank_profile
 FIELDS = [(5, 2), (3, 2), (3, 3), (2, 3), (7, 2), (3, 7), (13, 1), (2, 2), (2, 4)]
 
 
-def rho(c):
-    T, _ = regular_representation(c.field)
-    return np.tensordot(np.array(c.digits), T, axes=(0, 0)) % c.field.p
-
-
 def digits(c):
     return np.array(c.digits)
+
+
+def rho(c):
+    """The GF(p) matrix of x -> c * x on digit columns, from the field's
+    multiplication table."""
+    return np.tensordot(digits(c), c.field.multiplication, axes=(0, 0)).T % c.field.p
+
+
+def block(c):
+    """_prime_matrix of the 1 x 1 matrix (c)."""
+    M = CartierMatrix(c.field, (BasisForm(0, 0, 0),), digits(c).reshape(1, 1, -1))
+    return invariants._prime_matrix(M)
 
 
 def genus(p, orders):
@@ -73,7 +79,7 @@ def reversed_order(M):
     """M in its basis taken backwards: J M J for the reversal J, a
     permutation similarity that commutes with I (x) Phi, so every twisted
     rank, and the p-rank, stays.  A pipeline matrix becomes lower
-    triangular, so its p-rank takes the squaring route."""
+    triangular, so its p-rank takes the twisted chain."""
     return CartierMatrix(M.field, M.basis, M.digits[::-1, ::-1])
 
 
@@ -89,41 +95,52 @@ def random_matrix(field, g, r, rng):
 
 
 class TestRegularRepresentation:
+    """_prime_matrix against field arithmetic: block (i, j) is the matrix of
+    x -> M_ij * pth_root(x), rho(M_ij) Phi for rho(c) the multiplication by c
+    and Phi the pth_root, both on digit columns."""
+
     @pytest.mark.parametrize("p,k", FIELDS)
     def test_multiplication_and_twist(self, p, k):
         F = GF(p, k)
-        T, Phi = regular_representation(F)
-        assert T.shape == (k, k, k) and Phi.shape == (k, k)
+        Phi = F.pth_root_matrix.T
+        assert F.multiplication.shape == (k, k, k) and Phi.shape == (k, k)
         r = random.Random(p * 100 + k)
         for _ in range(10):
             a, b = F.random_element(r), F.random_element(r)
+            assert (block(a) @ digits(b) % p == digits(a * b.pth_root())).all()
+            assert (block(a) == rho(a) @ Phi % p).all()
             assert (rho(a) @ digits(b) % p == digits(a * b)).all()
             assert (rho(a) @ rho(b) % p == rho(a * b)).all()
             assert (Phi @ digits(a) % p == digits(a.pth_root())).all()
             assert (Phi @ rho(a) % p == rho(a.pth_root()) @ Phi % p).all()
         assert (np.linalg.matrix_power(Phi, k) % p == np.eye(k, dtype=np.int64)).all()
+        M = random_matrix(F, 3, 2, r)
+        general = np.block([[block(c) for c in row] for row in M.entries])
+        assert (invariants._prime_matrix(M) == general).all()
 
     def test_prime_field_is_trivial(self):
-        T, Phi = regular_representation(GF(13))
-        assert T.tolist() == [[[1]]] and Phi.tolist() == [[1]]
+        F = GF(13)
+        assert F.multiplication.tolist() == [[[1]]] and F.pth_root_matrix.tolist() == [[1]]
+        assert block(F(5)).tolist() == [[5]]
 
     @pytest.mark.parametrize("p", [2, 13, 101])
     def test_prime_matrix_reshape_matches_general_route(self, p):
         """_prime_matrix's k = 1 shortcut is rho(M) (I (x) Phi) built block by
-        block from regular_representation(GF(p))."""
+        block from the tables of GF(p)."""
         F = GF(p)
-        _, Phi = regular_representation(F)
+        Phi = F.pth_root_matrix.T
         M = random_matrix(F, 6, 4, random.Random(p))
         general = np.block([[rho(c) @ Phi % p for c in row] for row in M.entries])
         assert (invariants._prime_matrix(M) == general).all()
 
     def test_cached_and_read_only(self):
-        T, Phi = regular_representation(GF(3, 2))
-        assert regular_representation(GF(3, 2))[0] is T
-        with pytest.raises(ValueError):
-            T[0, 0, 0] = 2
-        with pytest.raises(ValueError):
-            Phi[0, 0] = 2
+        """_prime_matrix reads tables each field builds once: GF gives one
+        field per (p, k), and its tables cannot be written."""
+        F = GF(3, 2)
+        assert GF(3, 2) is F
+        for table in (F.multiplication, F.pth_root_matrix):
+            with pytest.raises(ValueError):
+                table[0, 0] = 2
 
 
 class TestFieldDigitArrays:
@@ -291,13 +308,15 @@ class TestSharedElimination:
     def test_rank_then_p_rank_eliminate_once(self, p, k, orders, seed, monkeypatch):
         """p = 1 mod L on these curves, so rank reads them off the pivot
         certificate, and p_rank_stable reads the upper triangular digits:
-        neither builds A.  In the reversed basis the p-rank squares A and
-        eliminates the power, one gk x gk array, once, unless a power
-        vanishes first, which happens exactly when s = 0 (y^7 - y = x^3
-        here)."""
+        neither builds A.  In the reversed basis the p-rank builds A once and
+        runs the twisted chain: one elimination of A, gk x gk, then one of
+        each product V_n A, gk columns wide, up to the first repeat of the
+        rank s."""
         spec = random_curve(GF(p, k), orders, random.Random(seed))
         M = cartier_matrix(spec)
         gk, s = M.dimension * k, validate(spec).s
+        profile = twisted_rank_profile(M)
+        chain = profile[: profile.index(s) + 1]
         calls = record_calls(monkeypatch, "_prime_matrix", "_product_mod", "_echelon_int")
         assert rank(M) == naive_rank(M)
         assert p_rank_stable(M) == s
@@ -305,7 +324,8 @@ class TestSharedElimination:
         R = reversed_order(M)
         assert p_rank_stable(R) == s
         assert calls["_prime_matrix"] == [R]
-        assert calls["_echelon_int"] == [(gk, gk)] * (1 if s else 0)
+        assert calls["_product_mod"] == [(k * r, gk) for r in chain]
+        assert calls["_echelon_int"] == [(gk, gk)] + calls["_product_mod"]
 
     def test_round_trip_through_elements_stays_out(self):
         """Walk the code of the rank and p-rank route, following every
@@ -329,7 +349,7 @@ class TestSharedElimination:
                     if inspect.isfunction(target) and target.__module__ == invariants.__name__:
                         todo.append(target)
         assert {"digits", "_echelon_int", "_product_mod"} <= names
-        assert not names & {"entries", "digit_array", "entry", "column"}
+        assert not names & {"entries", "digit_array"}
 
     @pytest.mark.parametrize("p,k,orders", [(13, 1, (4, 3)), (5, 2, (4, 2))])
     def test_sweep_builds_no_matrix_elements(self, p, k, orders, monkeypatch):
@@ -481,7 +501,7 @@ class TestTriangularPRank:
         """Every pipeline matrix is upper triangular, and its p-rank m(p-1)
         is read off the diagonal with no product.  A copy with one nonzero
         digit below the diagonal -- on the first subdiagonal, or anywhere --
-        and the copy in the reversed basis take the squaring route; a copy
+        and the copy in the reversed basis take the twisted chain; a copy
         with one diagonal entry changed stays upper triangular and is read
         off its own diagonal.  All of them match the reference."""
         p, k, orders = case
@@ -491,8 +511,8 @@ class TestTriangularPRank:
         assert not np.tril(nonzero, -1).any()
         assert self.route(M) == ((len(orders) - 1) * (p - 1), 0, 0, 0)
         # the reversed basis is lower triangular, unless M is diagonal
-        squares = int(np.triu(nonzero, 1).any())
-        assert self.route(reversed_order(M))[1] == squares
+        general = int(np.triu(nonzero, 1).any())
+        assert self.route(reversed_order(M))[1] == general
         digit = st.integers(1, p**k - 1).map(lambda n: [n // p**i % p for i in range(k)])
         i = data.draw(st.integers(0, g - 1))
         diagonal = M.digits.copy()
@@ -509,6 +529,22 @@ class TestTriangularPRank:
             broken[row, col] = data.draw(digit)
             assert self.route(dataclasses.replace(M, entries=broken))[1] == 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(CERTIFIED + UNCERTIFIED),
+           pipeline=st.sampled_from(cartier.PIPELINES),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_permuted_pipeline_matrices_keep_the_p_rank(self, case, pipeline, seed, data):
+        """P M P^T is M in its basis taken in a random order, the same
+        operator: p_rank_stable, down the twisted chain unless P keeps M
+        upper triangular, and the stable twisted rank both give m(p-1)."""
+        p, k, orders = case
+        M = cartier_matrix(random_curve(GF(p, k), orders, random.Random(seed)), pipeline)
+        order = data.draw(st.permutations(range(M.dimension)))
+        P = CartierMatrix(M.field, tuple(M.basis[i] for i in order),
+                          M.digits[np.ix_(order, order)])
+        s = (len(orders) - 1) * (p - 1)
+        assert p_rank_stable(P) == twisted_rank_profile(P)[-1] == s
+
 
 @pytest.mark.parametrize("g", [1, 2, 5, 42])
 def test_strictly_lower_positions(g):
@@ -520,28 +556,31 @@ def test_strictly_lower_positions(g):
 
 
 class TestFittingStop:
-    def test_nilpotent_stops_at_the_first_zero_power(self, monkeypatch):
+    def test_nilpotent_stops_after_the_first_zero_power(self, monkeypatch):
         # y^7 - y = x^3: g = 6, profile [2, 0, 0, ...].  Its matrix is upper
         # triangular with a zero diagonal, read with no product; in the
-        # reversed basis A^2 = 0 already: one squaring, and no elimination
+        # reversed basis the chain meets A^2 = 0 and stops at its repeat,
+        # A^3: two products, the last of no rows, and three eliminations
         M = cartier_matrix(curve(7, [0, 0, 0, 1]))
         calls = record_calls(monkeypatch, "_product_mod", "_echelon_int")
         assert p_rank_stable(M) == 0
         assert calls == {"_product_mod": [], "_echelon_int": []}
         assert p_rank_stable(reversed_order(M)) == 0
-        assert calls == {"_product_mod": [(6, 6)], "_echelon_int": []}
+        assert calls == {"_product_mod": [(2, 6), (0, 6)],
+                         "_echelon_int": [(6, 6), (2, 6), (0, 6)]}
 
-    def test_non_nilpotent_takes_every_squaring(self, monkeypatch):
+    def test_non_nilpotent_stops_at_the_first_repeat(self, monkeypatch):
         # y^13 - y over GF(13) with orders (4, 3): g = 42, s = 12, read off
-        # the diagonal.  In the reversed basis no power vanishes: 2^6 >= 42
-        # takes six squarings and one elimination
+        # the diagonal.  In the reversed basis the chain's ranks are 22, 15,
+        # 12 and 12: three products and four eliminations
         spec = random_curve(GF(13), (4, 3), random.Random(1))
         M = cartier_matrix(spec)
         calls = record_calls(monkeypatch, "_product_mod", "_echelon_int")
         assert p_rank_stable(M) == validate(spec).s == 12
         assert calls == {"_product_mod": [], "_echelon_int": []}
         assert p_rank_stable(reversed_order(M)) == 12
-        assert calls == {"_product_mod": [(42, 42)] * 6, "_echelon_int": [(42, 42)]}
+        assert calls == {"_product_mod": [(22, 42), (15, 42), (12, 42)],
+                         "_echelon_int": [(42, 42), (22, 42), (15, 42), (12, 42)]}
 
     def test_profile_keeps_its_explicit_count(self, monkeypatch):
         # ranks 2, 0, 0: the chain stops at the repeat, the third factor,
