@@ -493,9 +493,6 @@ class FieldElement:
             return str(self.digits[0])
         return "(" + ",".join(str(d) for d in self.digits) + ")"
 
-    def to_json(self) -> list[int]:
-        return list(self.digits)
-
 
 # ---------------------------------------------------------------------------
 # Log tables

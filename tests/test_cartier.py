@@ -1,5 +1,6 @@
 """Cartier operator: axioms, dual pipelines, matrices, key terms."""
 
+import copy
 import dataclasses
 import inspect
 import itertools
@@ -208,7 +209,7 @@ def test_gathered_products_in_small_chunks(p, k, orders, seed, monkeypatch):
     reference matrix."""
     field = GF(p, k)
     monkeypatch.setattr(cartier, "_CHUNK", 3 * k**2)
-    lengths = np.hstack([length for _, _, length, _ in cartier._layout(p, orders).gathers])
+    _, _, lengths, _ = cartier._layout(p, orders).gathers  # every pole's product reads
     assert lengths.max() > 3 and lengths.sum() > 3 * len(lengths)
     spec = random_curve(field, orders, random.Random(seed))
     assert cartier_matrix(spec, "local").entries == naive_local_matrix(spec).entries
@@ -277,8 +278,9 @@ def test_read_sized_series_agree_with_rational(p, k, orders, seed):
     the most: at infinity, orders (1, 1) keep 2 of the (p-1)*d_0 + 1 terms
     and orders (2, 1) about half of them."""
     layout = cartier._layout(p, orders)
-    assert layout.sizes[0] <= (p - 1) * orders[0] // 2 + 1, layout.sizes
-    assert layout.sizes[0] == 2 or orders != (1, 1), layout.sizes
+    n = layout.poles[0].size
+    assert n <= (p - 1) * orders[0] // 2 + 1, n
+    assert n == 2 or orders != (1, 1), n
     spec = random_curve(GF(p, k), orders, random.Random(seed))
     assert cartier_matrix(spec, "local") == cartier_matrix(spec, "rational")
 
@@ -370,7 +372,7 @@ class TestLocalSeriesGuards:
                               cartier._negative_binomials, cartier._doubling,
                               cartier._geometric)
         assert {"convolve", "_signs", "_gathered_products", "reduceat", "_binomials",
-                "_negative_binomials", "_doubling", "_geometric"} <= names
+                "_negative_binomials", "_doubling", "_geometric", "_fold", "_Pole"} <= names
         rational = {"partial_fractions", "cartier_poly", "_rational_columns", "_rational_image",
                     "_decompose", "_f_numerator"}
         assert not names & rational
@@ -384,13 +386,14 @@ class TestLocalSeriesGuards:
         names = names_reached(cartier._rational_columns)
         assert {"partial_fractions", "cartier_poly", "_signs", "_rational_image",
                 "_kronecker", "from_bytes", "frombuffer", "_divide_linear", "_taylor"} <= names
-        assert not names & {"convolve", "_powers", "_digit_fold", "reduceat"}
+        assert not names & {"convolve", "_powers", "_digit_fold", "_fold", "reduceat"}
         # the decompositions' terms go straight to digits: no scaled copies
         # of a PartialFraction, no lists of elements turned into digits
         assert not names & {"digit_array", "scale"}
         series = {"_powers", "_Layout", "_layout", "convolve", "_local_matrix",
                   "_gathered_products", "_digit_fold", "_CHUNK", "reduceat", "_binomials",
-                  "_negative_binomials", "_doubling", "_Doubling", "_geometric", "_closed_forms"}
+                  "_negative_binomials", "_doubling", "_Doubling", "_geometric", "_closed_forms",
+                  "_fold", "_Pole"}
         assert not names & series
         assert not names & CLOSED_FORM
 
@@ -784,12 +787,28 @@ def test_layout_of_every_admissible_family():
         assert cartier.support(p, orders)[certificate.rows, certificate.cols].all(), (p, orders)
         assert certificate.cover_rows.sum() + certificate.cover_cols.sum() == H, (p, orders)
         entries = np.hstack([table[-3] * g + table[-2]
-                             for table in layout.direct + layout.products])
+                             for table in (layout.direct, layout.products)])
         assert np.bincount(entries).max(initial=0) <= 1, (p, orders)
         jb = np.array(layout.forms)[:, :2]
-        for l, n in enumerate(layout.sizes):
-            direct, products, gather = layout.direct[l], layout.products[l], layout.gathers[l]
-            assert direct.shape[0] == 5 and products.shape[0] == 8, (p, orders)
+        assert layout.direct.shape[0] == 6 and layout.products.shape[0] == 9, (p, orders)
+        assert len(layout.poles) == len(orders), (p, orders)
+        poles = np.hstack([layout.direct[0], layout.products[0]])
+        assert ((0 <= poles) & (poles < len(orders))).all(), (p, orders)
+        h0, x0, length, start = layout.gathers
+        assert (start == np.cumsum(length) - length).all(), (p, orders)
+        # the poles' columns of the power table and rows of the flat stack
+        # tile them, in pole order
+        power, coef = layout.stack
+        sizes = np.array([pole.size for pole in layout.poles])
+        spans = np.array([len(pole.f_rows) * pole.size for pole in layout.poles])
+        assert [pole.offset for pole in layout.poles] == (np.cumsum(sizes) - sizes).tolist()
+        assert [pole.stack for pole in layout.poles] == (np.cumsum(spans) - spans).tolist()
+        assert layout.width == sizes.sum() and len(power) == len(coef) == spans.sum()
+        assert (0 <= power).all() and (power < layout.doubling.size).all(), (p, orders)
+        assert (0 <= coef).all() and (coef < p).all(), (p, orders)
+        for l, pole in enumerate(layout.poles):
+            n, on_l, read_l = pole.size, layout.direct[0] == l, layout.products[0] == l
+            direct, products = layout.direct[1:, on_l], layout.products[1:, read_l]
             e, t, x, lo, hi, _, col, _ = products
             j, b = jb[col].T
             others = np.array([(jj, bb) for jj, d in enumerate(orders) if jj != l
@@ -804,27 +823,64 @@ def test_layout_of_every_admissible_family():
             d = orders[l]
             assert n == 1 + max([d, *t_d, *(t - lo), *hi]), (p, orders, l)
             assert n <= (p - 1) * d + 1, (p, orders, l)
+            # a band cuts only H_l of a pole whose one other pole is infinity
+            assert 1 <= pole.band <= n, (p, orders, l)
+            assert pole.band == n or len(orders) == 1 + (l > 0), (p, orders, l)
             for e_, t_, sign in ((e_d, t_d, direct[-1]), (e, t, products[-1])):
                 assert (0 <= e_).all() and (e_ <= layout.e_max).all(), (p, orders)
                 assert (0 <= t_).all() and (t_ < n).all(), (p, orders)
                 assert (sign % p != 0).all(), (p, orders)
+            # a direct read's flat row is term t_d of H_l^e_d in the power table
+            assert (layout.reads[on_l] == e_d * layout.width + pole.offset + t_d).all()
             # every s in [lo, hi]: 0 <= t - s and s < n, s >= 0
             assert (0 <= lo).all() and (lo <= hi).all() and (hi <= t).all(), (p, orders, l)
-            h0, x0, length, start = gather
-            assert (length == hi - lo + 1).all() and (start == np.cumsum(length) - length).all()
-            # term m of a read, s = lo + m - start, reads entries h0 - m and
-            # x0 + m; both are linear in m, so the two ends of each range
-            # decide it
-            for m, s in ((start, lo), (start + length - 1, hi)):
-                assert (h0 - m == e * n + t - s).all(), (p, orders, l)
-                assert (x0 + m == x * n + s).all(), (p, orders, l)
+            assert (length[read_l] == hi - lo + 1).all(), (p, orders, l)
+            # term m of a read, s = lo + m - start, reads row h0 - m of the
+            # power table and row x0 + m of the flat stack; both are linear
+            # in m, so the two ends of each range decide it
+            first, last = start[read_l], start[read_l] + length[read_l] - 1
+            for m, s in ((first, lo), (last, hi)):
+                assert (h0[read_l] - m == e * layout.width + pole.offset + t - s).all()
+                assert (x0[read_l] + m == pole.stack + x * n + s).all(), (p, orders, l)
             # the closed forms: one power of z and one coefficient per term
             # of the stack, and one coefficient of f_j per stacked power
-            power, coef, coeff = layout.stacks[l]
-            assert len(power) == len(coef) == len(others) * n, (p, orders, l)
-            assert (0 <= power).all() and (power < layout.doubling.size).all(), (p, orders, l)
-            assert (0 <= coef).all() and (coef < p).all(), (p, orders, l)
-            assert len(coeff) == len(others) and (coeff < sum(orders) + len(orders)).all()
+            f_rows = pole.f_rows
+            assert len(f_rows) == len(others) and (f_rows < sum(orders) + len(orders)).all()
+
+
+def test_band_holds_every_term_of_H(monkeypatch):
+    """H_l has no nonzero term at or past its band: on a random curve over
+    GF(p^k), k <= 3, of every admissible family, the local route with
+    every band widened to its pole's n_l terms hands _powers an H_l that
+    is 0 from the band on, and gives the same matrix.  A band cuts only
+    where f has at most one finite pole; elsewhere it is n_l, with nothing
+    past it to check."""
+    rng, powers, cut = random.Random(33), cartier._powers, 0
+    for p, orders in admissible_families(PARTITION_MAX_P, 3):
+        k = rng.randint(1, 3)
+        if not ordered_basis(p, orders) or len(orders) - 1 > p**k:
+            continue
+        if len(orders) > 2:  # every band n_l (test_layout_of_every_admissible_family)
+            continue
+        spec = random_curve(GF(p, k), orders, rng)
+        layout, seen = cartier._layout(p, orders), []
+        wide = copy.copy(layout)
+        wide.poles = [pole._replace(band=pole.size) for pole in layout.poles]
+
+        def spy(field, s, m, n, out=None):
+            seen.append(s.copy())
+            return powers(field, s, m, n, out=out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cartier, "_layout", lambda p, orders: wide)
+            patch.setattr(cartier, "_powers", spy)
+            _, digits = cartier._local_matrix(spec, orders)
+        assert (digits == cartier_matrix(spec).digits).all(), (p, orders, k)
+        assert len(seen) == len(orders), (p, orders, k)
+        for pole, h in zip(layout.poles, seen):
+            assert len(h) == pole.size and not h[pole.band :].any(), (p, orders, k)
+            cut += pole.band < pole.size
+    assert cut > 100, cut
 
 
 def test_support_is_triangular_off_the_theorem():
