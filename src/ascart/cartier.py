@@ -28,8 +28,15 @@ reduction code, so each serves as an oracle for the other:
     element in between: each product is one Kronecker product of big ints,
     the polynomial rule one strided slice of the digits times the field's
     pth_root_matrix (cartier_poly), and each decomposition is read off as
-    digit rows.  A column is a signed sum of those rows, each decomposition
-    computed once per (j, b, e) and the matrix written in one scatter
+    digit rows.  A column is a signed sum of those rows.  What depends on
+    (p, orders) alone is a cached plan (_RationalPlan): the basis, its
+    index, and one record per (j, b, e) that a column reads (_Image), with
+    the exponents of (x - e_l) in G and h, the shift x^b, the column, sign
+    and y-layer of each read, and whether G has degree p - 1 or more.  An
+    image whose G has a smaller degree is dead: C keeps only the degrees
+    = -1 mod p of G, so C(G dx) = 0 by degree alone, and the curve's pass
+    skips it.  A curve is then one pass: each live image built and
+    decomposed once, and the matrix written in one scatter
     (_rational_columns);
   * local -- read the principal part of g = x_j^b f^e at each pole off its
     Laurent series in the paper's local parameter there, w = 1/x at
@@ -172,78 +179,133 @@ def _f_numerator(spec: CurveSpec, factors) -> Poly:
     return num
 
 
-def _rational_image(spec: CurveSpec, num: Poly, j: int, b: int, e: int, factors):
-    """C(x_j^b f^e dx) as the unreduced pair (C(G dx), h), for num = N^e
-    (1 at e = 0) and the pole factors (_pole_factors), amplified pole by
-    pole.  With the pole multiplicities m_l = e*d_l (+ b at l = j),
-    x_j^b f^e = G / h^p for G = N^e x^b[j = 0] prod_l (x - e_l)^(-m_l mod p)
-    and h = prod_l (x - e_l)^ceil(m_l/p), and C(G/h^p dx) = C(G dx) / h."""
-    field, p = spec.field, spec.field.p
-    tops, bottoms = [num] if e else [], []
-    for l, (datum, table) in enumerate(zip(spec.poles[1:], factors), start=1):
-        m = e * datum.order + (b if l == j else 0)
-        if m % p:
-            tops.append(table[-m % p])
-        if m:
-            bottoms.append(table[-(-m // p)])
-    top = _product(field, tops)
-    if j == 0 and b:  # times x^b, a shift
-        top = Poly(field, np.vstack([np.zeros((b, field.k), dtype=np.int64), top.digits]))
-    return cartier_poly(top), _product(field, bottoms)
+class _Image(NamedTuple):
+    """One image C(x_j^b f^e dx) that columns of the rational pipeline read,
+    as its amplified form x_j^b f^e = G / h^p takes it (_rational_image).
+    With the pole multiplicities m_l = e*d_l (+ b at l = j) at the finite
+    poles l >= 1, tops and bottoms are the pairs (l - 1, -m_l mod p) and
+    (l - 1, ceil(m_l/p)) with a nonzero exponent: the powers of x - e_l in
+    G and in h, by their index in the pole factors (_pole_factors).  shift
+    is b at j = 0, the factor x^b of G, and 0 otherwise.  reads holds a
+    row (col, sign, y) for each column x_j^b y^r dx that reads the image,
+    in column order: its sign (-1)^e C(r, e) mod p (_signs) and its y-layer
+    y = r - e.
+
+    live is deg G >= p - 1, with
+    deg G = e*sum_j d_j + sum_l (-m_l mod p) + shift, exact as f_0 has a
+    nonzero leading coefficient (validate).  cartier_poly keeps only the
+    degrees = -1 mod p of G, so C(G dx) is 0 for a dead image."""
+
+    j: int
+    b: int
+    e: int
+    tops: tuple
+    bottoms: tuple
+    shift: int
+    reads: np.ndarray
+    live: bool
 
 
-def _rational_columns(spec: CurveSpec, forms) -> np.ndarray:
-    """The (g, g, k) digits of the Cartier matrix in the ordered basis forms,
-    by the rational pipeline: the column of x_j^b y^r dx is the signed sum
-    over e <= r of the decompositions of C(x_j^b f^e dx), each in y-layer
-    r - e.  The pole factors and the powers N^e are built once per curve,
-    and each (j, b, e) is decomposed once, for every column that reads it."""
+class _RationalPlan:
+    """The part of the rational pipeline that depends only on p and the pole
+    orders (of genus g >= 1): the ordered basis forms, e_max, the basis
+    index {form: column}, and images, one _Image for each distinct
+    (j, b, e) that a column x_j^b y^r dx reads (e <= r), sorted by
+    (j, b, e)."""
+
+    def __init__(self, p: int, orders):
+        self.forms = forms = tuple(ordered_basis(p, orders))
+        self.e_max = e_max = max(form.r for form in forms)
+        self.index = {form: i for i, form in enumerate(forms)}
+        # every read (col, e), e <= r, of every column, sorted by its image
+        # (j, b, e) and, within one, by column
+        js, bs, rs = np.array(forms).T
+        cols = np.repeat(np.arange(len(forms)), rs + 1)
+        es = np.arange(len(cols)) - np.repeat(np.cumsum(rs + 1) - rs - 1, rs + 1)
+        key = (js[cols] * (bs.max() + 1) + bs[cols]) * (e_max + 1) + es
+        order = np.argsort(key, kind="stable")
+        cols, es = cols[order], es[order]
+        reads = np.stack([cols, _signs(p, e_max)[rs[cols], es], rs[cols] - es], axis=1)
+        reads.setflags(write=False)  # shared by every curve with these orders
+        starts = np.unique(key[order], return_index=True)[1]
+        heads = np.stack([js[cols[starts]], bs[cols[starts]], es[starts]], axis=1)
+        bounds = [*starts.tolist(), len(cols)]
+        images = []
+        for (j, b, e), a, z in zip(heads.tolist(), bounds, bounds[1:]):
+            m = [e * d + (b if l == j else 0) for l, d in enumerate(orders)][1:]
+            tops = tuple((l, -n % p) for l, n in enumerate(m) if n % p)
+            bottoms = tuple((l, -(-n // p)) for l, n in enumerate(m) if n)
+            shift = b if j == 0 else 0
+            degree = e * sum(orders) + sum(n for _, n in tops) + shift
+            images.append(_Image(j, b, e, tops, bottoms, shift, reads[a:z], degree >= p - 1))
+        self.images = tuple(images)
+
+
+_rational_plan = functools.lru_cache(maxsize=64)(_RationalPlan)
+
+
+def _rational_image(spec: CurveSpec, num: Poly, image: _Image, factors):
+    """C(x_j^b f^e dx) as the unreduced pair (C(G dx), h), for an image
+    (j, b, e) of the plan (_Image), num = N^e (1 at e = 0) and the pole
+    factors (_pole_factors), amplified pole by pole: with the pole
+    multiplicities m_l = e*d_l (+ b at l = j), x_j^b f^e = G / h^p for
+    G = N^e x^b[j = 0] prod_l (x - e_l)^(-m_l mod p) and
+    h = prod_l (x - e_l)^ceil(m_l/p), and C(G/h^p dx) = C(G dx) / h.  The
+    image's tops, bottoms and shift hold those exponents."""
     field = spec.field
-    index = {form: i for i, form in enumerate(forms)}
+    tops = [num] if image.e else []
+    top = _product(field, tops + [factors[l][n] for l, n in image.tops])
+    if image.shift:  # times x^b, a shift
+        top = Poly(field, np.vstack([np.zeros((image.shift, field.k), dtype=np.int64),
+                                     top.digits]))
+    return cartier_poly(top), _product(field, [factors[l][n] for l, n in image.bottoms])
+
+
+def _rational_columns(spec: CurveSpec, plan: _RationalPlan) -> np.ndarray:
+    """The (g, g, k) digits of the Cartier matrix in the plan's ordered
+    basis, by the rational pipeline: the column of x_j^b y^r dx is the
+    signed sum over e <= r of the decompositions of C(x_j^b f^e dx), each
+    in y-layer r - e.  The pole factors and the powers N^e are built once
+    per curve, and each live image of the plan (_Image) is built and
+    decomposed once, for every column that reads it; a dead image, whose G
+    has degree below p - 1, is 0 by degree alone and is skipped.  The
+    matrix is written in one scatter."""
+    field = spec.field
     loc_to_j = {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
-    e_max = max(form.r for form in forms)
-    sign = _signs(field.p, e_max)
     factors = _pole_factors(spec)
     powers = [Poly.constant(field, 1), _f_numerator(spec, factors)]  # N^0, N^1, ...
-    while len(powers) <= e_max:
+    while len(powers) <= plan.e_max:
         powers.append(powers[-1] * powers[1])
-
-    @functools.cache
-    def decomposition(j: int, b: int, e: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
-        """C(x_j^b f^e dx) as its terms x_j'^b' dx with a nonzero coefficient:
-        the keys (j', b') and the digit rows of the coefficients."""
-        image = _rational_image(spec, powers[e], j, b, e, factors)
-        if image[0].is_zero():
-            return [], []
-        pf = _decompose(image, loc_to_j)
-        # x^n of the poly part from n = 0, then (x - e_l)^-n = x_l^n of each
-        # tail from n = 1, at the curve's poles only (_decompose)
-        keys, rows = [], []
-        parts = [(0, 0, pf.poly.digits)]
-        parts += [(loc_to_j[loc], 1, tail) for loc, tail in pf.tail_digits.items()]
-        for pole, first, digits in parts:
-            for power, row in enumerate(digits.tolist(), first):
-                if any(row):
-                    keys.append((pole, power))
-                    rows.append(row)
-        return keys, rows
-
     # each entry is written once: within a column, each e <= r reads its own
     # y-layer r - e, and each decomposition names a term once
     entries, cols, signs, rows = [], [], [], []
-    for col, (j, b, r) in enumerate(forms):
-        for e, s in enumerate(sign[r, : r + 1].tolist()):
-            keys, digits = decomposition(j, b, e)
-            for pole, power in keys:
-                entry = index.get((pole, power, r - e))
-                if entry is None:
-                    form = BasisForm(pole, power, r - e)
-                    raise NotInSpan(f"monomial {form.label()} falls outside the basis")
-                entries.append(entry)
-            cols += [col] * len(keys)
-            signs += [s] * len(keys)
-            rows += digits
-    out = np.zeros((len(forms), len(forms), field.k), dtype=np.int64)
+    for image in plan.images:
+        if not image.live:
+            continue
+        pair = _rational_image(spec, powers[image.e], image, factors)
+        if pair[0].is_zero():
+            continue
+        pf = _decompose(pair, loc_to_j)
+        # x^n of the poly part from n = 0, then (x - e_l)^-n = x_l^n of each
+        # tail from n = 1, at the curve's poles only (_decompose)
+        parts = [(0, 0, pf.poly.digits)]
+        parts += [(loc_to_j[loc], 1, tail) for loc, tail in pf.tail_digits.items()]
+        reads = image.reads.tolist()
+        for pole, first, digits in parts:
+            for power, row in enumerate(digits.tolist(), first):
+                if not any(row):
+                    continue
+                for col, s, y in reads:
+                    entry = plan.index.get((pole, power, y))
+                    if entry is None:
+                        form = BasisForm(pole, power, y)
+                        raise NotInSpan(f"monomial {form.label()} falls outside the basis")
+                    entries.append(entry)
+                    cols.append(col)
+                    signs.append(s)
+                    rows.append(row)
+    g = len(plan.forms)
+    out = np.zeros((g, g, field.k), dtype=np.int64)
     if rows:
         out[entries, cols] = np.array(signs)[:, None] * np.array(rows) % field.p
     return out
@@ -635,22 +697,28 @@ def _local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nd
     field, p, k = spec.field, spec.field.p, spec.field.k
     layout = _layout(p, orders)
     locs = [datum.location for datum in spec.poles]
-    # f_j as a polynomial in x_j; a finite pole's part has no constant term
-    polys = [field.digit_array(datum.coeffs) for datum in spec.poles]
-    polys[1:] = [np.vstack([np.zeros_like(c[:1]), c]) for c in polys[1:]]
-    coeffs = np.concatenate(polys)
-    z = field.digit_array(locs[1:] + [(locs[j] - locs[l]).inverse() for l, j in layout.pairs])
+    # the coefficients of every f_j as a polynomial in x_j, a finite pole's
+    # part with no constant term, then every z, in one conversion to digits
+    elements = list(spec.poles[0].coeffs)
+    for datum in spec.poles[1:]:
+        elements += [field.zero, *datum.coeffs]
+    split = len(elements)
+    elements += locs[1:] + [(locs[j] - locs[l]).inverse() for l, j in layout.pairs]
+    digits = field.digit_array(elements)
+    coeffs, z = digits[:split], digits[split:]
     power, coef = layout.stack
     xs = _geometric(field, z, layout.doubling).take(power, axis=0) * coef % p
     fold = _digit_fold(field)
     packed = np.zeros((layout.e_max + 1, layout.width, 2 * k - 1), dtype=np.int64)
-    for pole, d, poly in zip(layout.poles, orders, polys):
+    start = 0  # where f_l starts in coeffs
+    for pole, d in zip(layout.poles, orders):
         n, band, f_rows = pole.size, pole.band, pole.f_rows
         stack = xs[pole.stack : pole.stack + len(f_rows) * n]  # x_j^0, ..., x_j^(d_j), j != l
         # term t of sum_j f_j(x_j): the digit products of sum_(j,i) x_j^i[t] c_(j,i)
         f = (stack.reshape(len(f_rows), n * k).T @ coeffs[f_rows]).reshape(n, k * k)
         h = np.zeros((band, k), dtype=np.int64)  # H_l, cut to its band
-        h[: len(poly)] = poly[::-1]  # the own principal part times u^d
+        h[: d + 1] = coeffs[start : start + d + 1][::-1]  # the own principal part times u^d
+        start += d + 1
         h[d:] = (h[d:] + _fold(field, f[: band - d] % p, fold)) % p
         _powers(field, h, layout.e_max, n, out=packed[:, pole.offset : pole.offset + n])
     powers = packed[..., :k].reshape(-1, k)  # a view: the flat rows e*width + offset_l + t
@@ -789,7 +857,7 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
     if pipeline == "local":
         forms, digits = _local_matrix(spec, inv.orders)
     else:
-        forms = tuple(ordered_basis(field.p, inv.orders))
-        digits = _rational_columns(spec, forms)
+        plan = _rational_plan(field.p, inv.orders)
+        forms, digits = plan.forms, _rational_columns(spec, plan)
     return CartierMatrix(field, forms, digits)
 

@@ -374,7 +374,7 @@ class TestLocalSeriesGuards:
         assert {"convolve", "_signs", "_gathered_products", "reduceat", "_binomials",
                 "_negative_binomials", "_doubling", "_geometric", "_fold", "_Pole"} <= names
         rational = {"partial_fractions", "cartier_poly", "_rational_columns", "_rational_image",
-                    "_decompose", "_f_numerator"}
+                    "_decompose", "_f_numerator", "_RationalPlan", "_rational_plan"}
         assert not names & rational
         assert not names & CLOSED_FORM
 
@@ -383,7 +383,7 @@ class TestLocalSeriesGuards:
         methods of Poly and PartialFraction: its products are Kronecker
         products (from_bytes, frombuffer), never the series route's
         convolutions, powers, digit fold or gathered sums."""
-        names = names_reached(cartier._rational_columns)
+        names = names_reached(cartier._rational_columns, cartier._RationalPlan)
         assert {"partial_fractions", "cartier_poly", "_signs", "_rational_image",
                 "_kronecker", "from_bytes", "frombuffer", "_divide_linear", "_taylor"} <= names
         assert not names & {"convolve", "_powers", "_digit_fold", "_fold", "reduceat"}
@@ -393,7 +393,7 @@ class TestLocalSeriesGuards:
         series = {"_powers", "_Layout", "_layout", "convolve", "_local_matrix",
                   "_gathered_products", "_digit_fold", "_CHUNK", "reduceat", "_binomials",
                   "_negative_binomials", "_doubling", "_Doubling", "_geometric", "_closed_forms",
-                  "_fold", "_Pole"}
+                  "_fold", "_Pole", "support"}
         assert not names & series
         assert not names & CLOSED_FORM
 
@@ -435,8 +435,8 @@ def test_matrix_over_the_digit_cap_is_refused_before_building(pipeline, monkeypa
     def built(*args):
         raise AssertionError("a pipeline started past the cap")
 
-    monkeypatch.setattr(cartier, "_rational_columns", built)
-    monkeypatch.setattr(cartier, "_local_matrix", built)
+    for name in ("_rational_plan", "_rational_columns", "_layout", "_local_matrix"):
+        monkeypatch.setattr(cartier, name, built)
     # y^1031 - y = x^3 has g = 1030, and 1030^2 is over the 2^20 cap
     with pytest.raises(SeriesTooLarge, match="genus 1030 over GF"):
         cartier_matrix(curve(1031, [0, 0, 0, 1]), pipeline)
@@ -449,7 +449,7 @@ def test_genus_zero_needs_no_series_bound(pipeline, monkeypatch):
     def built(*args):
         raise AssertionError("a pipeline started at g = 0")
 
-    for name in ("_layout", "_local_matrix", "_rational_columns"):
+    for name in ("_layout", "_local_matrix", "_rational_plan", "_rational_columns"):
         monkeypatch.setattr(cartier, name, built)
     M = cartier_matrix(curve(2_200_013, [0, 1]), pipeline)
     assert M.basis == () and M.digits.shape == (0, 0, 1) and rank(M) == 0
@@ -702,11 +702,17 @@ def test_numerator_from_pole_data(p, k, orders, seed):
     assert cartier._f_numerator(spec, cartier._pole_factors(spec)) == f.num
 
 
-@pytest.mark.parametrize("p,k,orders", [(13, 1, (4, 3)), (5, 2, (4, 2)), (3, 7, (2, 1)),
-                                         (7, 1, (2, 1, 3))])
+@pytest.mark.parametrize("p,k,orders", [
+    (13, 1, (4, 3)), (5, 2, (4, 2)), (3, 7, (2, 1)), (7, 1, (2, 1, 3)),
+    # 2, 3 and 4 finite poles over GF(p^k), k = 1, 2, 3
+    (5, 1, (2, 1, 3)), (3, 2, (1, 2, 1)), (2, 3, (3, 1, 1)),
+    (7, 1, (3, 1, 2, 1)), (5, 2, (1, 1, 1, 2)), (3, 3, (2, 1, 1, 2)),
+    (5, 1, (2, 1, 1, 1, 1)), (3, 2, (1, 1, 2, 1, 1)), (2, 3, (1, 1, 1, 1, 3)),
+])
 def test_rational_route_reduces_no_fraction(p, k, orders, monkeypatch):
     """The rational route decomposes C(G dx)/h unreduced: no gcd is taken,
-    and the matrix is still the local pipeline's."""
+    and the matrix is still the local pipeline's, also where the plan's
+    images carry powers of several pole factors in G and in h."""
     specs = random_specs(p, orders, 2, seed=p * k, k=k)
 
     def gcd(self, other):
@@ -718,10 +724,56 @@ def test_rational_route_reduces_no_fraction(p, k, orders, monkeypatch):
         assert cartier_matrix(spec, "rational") == cartier_matrix(spec, "local")
 
 
+def test_rational_plan_of_every_admissible_family():
+    """The rational route's plan, for every admissible family: one image per
+    distinct (j, b, e) that a column x_j^b y^r dx reads, e <= r, with the
+    (col, sign, y) of each such read in column order; the exponents of the
+    amplified form x_j^b f^e = G / h^p, with m_l = e*d_l (+ b at l = j),
+    -m_l mod p in G and ceil(m_l/p) in h at each finite pole, and the shift
+    x^b at j = 0; and live exactly when deg G >= p - 1.  On a random curve
+    of the family over GF(p^k), k <= 3, deg G is the plan's degree, and
+    every dead image's G, built as that product of powers of f's numerator
+    N and of the x - e_l, has C(G dx) = 0."""
+    rng, dead = random.Random(34), 0
+    for p, orders in admissible_families(PARTITION_MAX_P, 3):
+        forms = ordered_basis(p, orders)
+        k = rng.randint(1, 3)
+        if not forms or len(orders) - 1 > p**k:
+            continue
+        plan = cartier._rational_plan(p, tuple(orders))
+        assert plan.forms == tuple(forms) and plan.e_max == max(form.r for form in forms)
+        reads = {}
+        for col, (j, b, r) in enumerate(forms):
+            for e in range(r + 1):
+                reads.setdefault((j, b, e), []).append([col, (-1) ** e * math.comb(r, e) % p,
+                                                        r - e])
+        assert [image[:3] for image in plan.images] == sorted(reads), (p, orders)
+        spec = random_curve(GF(p, k), orders, rng)
+        N = cartier._f_numerator(spec, cartier._pole_factors(spec))
+        x = Poly.x(spec.field)
+        lin = [x - Poly.constant(spec.field, datum.location) for datum in spec.poles[1:]]
+        for image in plan.images:
+            j, b, e = image[:3]
+            assert image.reads.tolist() == reads[j, b, e], (p, orders, j, b, e)
+            m = [e * d + (b if l == j else 0) for l, d in enumerate(orders)][1:]
+            assert image.tops == tuple((l, -n % p) for l, n in enumerate(m) if n % p)
+            assert image.bottoms == tuple((l, math.ceil(n / p)) for l, n in enumerate(m) if n)
+            assert image.shift == (b if j == 0 else 0), (p, orders, j, b, e)
+            degree = e * N.degree() + sum(n for _, n in image.tops) + image.shift
+            assert image.live == (degree >= p - 1), (p, orders, j, b, e)
+            if not image.live:
+                G = power(x, image.shift) * power(N, e)
+                for l, n in image.tops:
+                    G = G * power(lin[l], n)
+                assert G.degree() == degree and cartier_poly(G).is_zero(), (p, orders, j, b, e)
+                dead += 1
+    assert dead > 1000, dead
+
+
 def test_monomial_outside_the_basis_is_refused(monkeypatch):
     """An image with a monomial outside the basis, x^3 dx where d_0 = 3, is a
     bug of the rational route: NotInSpan, never a wrong matrix."""
-    def stray(spec, num, j, b, e, factors):
+    def stray(spec, num, image, factors):
         return monomial(spec.field, 3), Poly.constant(spec.field, 1)
 
     monkeypatch.setattr(cartier, "_rational_image", stray)
@@ -739,6 +791,7 @@ def test_local_read_outside_the_basis_is_refused(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cartier, "ordered_basis", without_dx)
     cartier._layout.cache_clear()
+    cartier._rational_plan.cache_clear()
     try:
         with pytest.raises(NotInSpan, match="monomial dx falls outside the basis"):
             cartier_matrix(curve(7, [0, 0, 0, 1]), "local")
@@ -748,6 +801,7 @@ def test_local_read_outside_the_basis_is_refused(tmp_path, monkeypatch, capsys):
         assert "internal error (NotInSpan)" in capsys.readouterr().err
     finally:
         cartier._layout.cache_clear()
+        cartier._rational_plan.cache_clear()
 
 
 def assert_triangular_support(p, orders):

@@ -441,7 +441,7 @@ class TestExitCodes:
 
     def test_foreign_pole_in_rational_pipeline_is_internal(self, tmp_path, capsys, monkeypatch):
         # a Cartier image with a pole at x = 2, where the curve has none
-        def stray(spec, num, j, b, e, factors):
+        def stray(spec, num, image, factors):
             lin = Poly.x(spec.field) - Poly.constant(spec.field, 2)
             return Poly.constant(spec.field, 1), lin
 
