@@ -484,7 +484,6 @@ class _Layout:
     coefficient."""
 
     def __init__(self, p: int, orders):
-        self.orders = orders
         self.forms = forms = tuple(ordered_basis(p, orders))
         self.e_max = e_max = max(form.r for form in forms)
         js, bs, rs = np.array(forms).T

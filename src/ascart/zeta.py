@@ -42,6 +42,7 @@ rational arithmetic only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -276,16 +277,18 @@ class SlopePolygon:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            a = 0
-            while q % p == 0:
-                q //= p
-                a += 1
-            if q != 1:
-                raise ValueError("q is not a prime power")
-            return p, a
-    raise ValueError("q must be >= 2")
+    """(p, a) with q = p^a and p prime: p is the least divisor of q, and a
+    q with no divisor up to isqrt(q) is prime."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    a = 0
+    while q % p == 0:
+        q //= p
+        a += 1
+    if q != 1:
+        raise ValueError("q is not a prime power")
+    return p, a
 
 
 def _ord(n: int, p: int) -> int:

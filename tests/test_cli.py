@@ -5,11 +5,13 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -39,9 +41,8 @@ from ascart.errors import (
 from ascart.zeta import SlopePolygon
 
 CURVES = Path(__file__).resolve().parent.parent / "curves"
-GOLDEN = Path(__file__).resolve().parent / "golden" / "zeta"
-SWEEP_GOLDEN = Path(__file__).resolve().parent / "golden" / "sweep"
-MATRIX_GOLDEN = Path(__file__).resolve().parent / "golden" / "matrix"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCALE = GOLDEN / "scale"
 
 CUBIC = "p = 7\npole inf: 0 0 0 1\n"
 TWO_POLE = "p = 3\npole inf: 0 0 1\npole 1: 1\n"
@@ -365,52 +366,126 @@ class TestSweepCommand:
         assert f"internal error (AssertionError): sample 0: p-rank {s + 1} is not m(p-1) = {s}" in err
 
 
-class TestZetaGolden:
-    """`ascart zeta` output on the shipped curves, captured from brute-force
-    enumeration over F_(q^s) for every s <= g."""
+FORMATS = {"txt": (), "json": ("--json",)}
 
-    @pytest.mark.parametrize("name", sorted(p.stem for p in CURVES.glob("*.curve")))
-    @pytest.mark.parametrize("fmt", ["txt", "json"])
-    def test_byte_identical(self, name, fmt, capsys):
-        args = ["zeta", str(CURVES / f"{name}.curve")]
-        if fmt == "json":
-            args.append("--json")
-        assert main(args) == 0
-        assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+_ZETA = "captured from brute-force enumeration over F_(q^s) for every s <= g"
+_MATRIX = ("captured while the rational pipeline still found denominator roots by "
+           "scanning the whole field")
+_SWEEP = ("captured from the element-wise elimination that rank and p-rank used "
+          "for extension fields before the regular representation")
+_ORACLE = "the two Cartier pipelines agree on this curve"
+_FULL_SERIES = "the local pipeline where H at infinity is a full series, not a polynomial"
 
 
-class TestMatrixGolden:
-    """`ascart matrix --pipeline both` on the shipped curves and on one curve
-    over GF(3^7) kept beside the goldens, captured while the rational
-    pipeline still found denominator roots by scanning the whole field."""
-
-    SPECS = sorted(CURVES.glob("*.curve")) + sorted(MATRIX_GOLDEN.glob("*.curve"))
-
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda path: path.stem)
-    @pytest.mark.parametrize("fmt", ["txt", "json"])
-    def test_byte_identical(self, spec, fmt, capsys):
-        args = ["matrix", str(spec), "--pipeline", "both"]
-        if fmt == "json":
-            args.append("--json")
-        assert main(args) == 0
-        golden = MATRIX_GOLDEN / f"{spec.stem}.{fmt}"
-        assert capsys.readouterr().out.encode() == golden.read_bytes()
+def _spec(stem):
+    return str(SCALE / f"{stem}.curve")
 
 
-class TestSweepGolden:
-    """`ascart sweep` over GF(5^2), captured from the element-wise elimination
-    that rank and p-rank used for extension fields before the regular
-    representation."""
+def _sweep(p, orders):
+    return ("sweep", "--p", str(p), "--orders", orders, "--samples", "1", "--seed", "1")
 
-    ARGS = ["sweep", "--p", "5", "--orders", "4,2", "--field-degree", "2",
-            "--samples", "20", "--seed", "3"]
 
-    @pytest.mark.parametrize("fmt", ["txt", "json"])
-    def test_byte_identical(self, fmt, capsys):
-        args = self.ARGS + (["--json"] if fmt == "json" else [])
-        assert main(args) == 0
-        golden = SWEEP_GOLDEN / f"p5_k2_o4-2_n20_s3.{fmt}"
-        assert capsys.readouterr().out.encode() == golden.read_bytes()
+class Golden(NamedTuple):
+    """A pinned CLI output: `ascart *argv` exits 0 and prints the golden file
+    byte for byte, within bound seconds when a bound is set."""
+
+    argv: tuple[str, ...]
+    golden: Path
+    reason: str
+    bound: float | None = None
+
+
+GOLDENS = [
+    *(Golden(("zeta", str(curve), *flags), GOLDEN / "zeta" / f"{curve.stem}.{fmt}", _ZETA)
+      for curve in sorted(CURVES.glob("*.curve")) for fmt, flags in FORMATS.items()),
+    *(Golden(("matrix", str(curve), "--pipeline", "both", *flags),
+             GOLDEN / "matrix" / f"{curve.stem}.{fmt}", _MATRIX)
+      for curve in sorted(CURVES.glob("*.curve")) + sorted((GOLDEN / "matrix").glob("*.curve"))
+      for fmt, flags in FORMATS.items()),
+    *(Golden(("sweep", "--p", "5", "--orders", "4,2", "--field-degree", "2", "--samples", "20",
+              "--seed", "3", *flags), GOLDEN / "sweep" / f"p5_k2_o4-2_n20_s3.{fmt}", _SWEEP)
+      for fmt, flags in FORMATS.items()),
+    # Scale rows, text only: the theorem near the digit cap and zeta over
+    # GF(3^14), each within a time bound that fails the row on a hang.
+    Golden(("zeta", _spec("p3_gf2187_o1-1")), SCALE / "zeta_p3_gf2187_o1-1.txt",
+           "whole-field enumeration of GF(3^14), 4.78 million elements; N_1 checked "
+           "against the scalar reference in tests/naive_zeta.py", 300),
+    Golden(("verify", _spec("p101_o5-4-2")), SCALE / "verify_p101_o5-4-2.txt",
+           "the local pipeline at g = 600, gathered dot products over series of up "
+           "to 501 terms", 30),
+    Golden(("oracle", _spec("p61_o5-3")), SCALE / "oracle_p61_o5-3.txt",
+           _ORACLE + ": g = 240, every image decomposed unreduced at the one finite pole",
+           60),
+    Golden(("verify", _spec("p61_o5-3")), SCALE / "verify_p61_o5-3.txt",
+           "the rank and a-number of the g = 240 curve", 60),
+    Golden(("oracle", _spec("p101_o5-4-2")), SCALE / "oracle_p101_o5-4-2.txt",
+           _ORACLE + ": the rational pipeline's Kronecker products at g = 600", 60),
+    Golden(("oracle", _spec("p1009_o3")), SCALE / "oracle_p1009_o3.txt",
+           _ORACLE + ": y^1009 - y = x^3 + 5x, g = 1008, at the digit cap", 60),
+    Golden(("oracle", _spec("p5_gf25_o9-3-2")), SCALE / "oracle_p5_gf25_o9-3-2.txt",
+           _ORACLE + ": two finite poles over GF(5^2), dense field elements", 60),
+    Golden(("oracle", _spec("p3_gf2187_o8-5-2")), SCALE / "oracle_p3_gf2187_o8-5-2.txt",
+           _ORACLE + ": two finite poles over GF(3^7), dense field elements", 60),
+    Golden(("anumber", _spec("p3_gf2187_o8-5-2")), SCALE / "anumber_p3_gf2187_o8-5-2.txt",
+           "the a-number of the GF(3^7) curve, where the formula does not apply", 60),
+    Golden(_sweep(1009, "3"), SCALE / "sweep_p1009_o3_n1_s1.txt",
+           "a sweep at the digit cap, g = 1008: the rank's pivot certificate and the "
+           "p-rank's triangular check with a zero diagonal", 30),
+    Golden(_sweep(673, "2,1"), SCALE / "sweep_p673_o2-1_n1_s1.txt",
+           _FULL_SERIES + ", cut to the 671 of 1345 terms C reads", 30),
+    Golden(_sweep(1009, "1,1"), SCALE / "sweep_p1009_o1-1_n1_s1.txt",
+           _FULL_SERIES + ", cut to the 2 of 1009 terms C reads", 30),
+    Golden(_sweep(409, "2,1,1"), SCALE / "sweep_p409_o2-1-1_n1_s1.txt",
+           "the local pipeline with two finite poles, every H_l a full series, g = 1020",
+           30),
+    Golden(_sweep(103, "5,4,2"), SCALE / "sweep_p103_o5-4-2_n1_s1.txt",
+           "the rank's elimination at scale, g = 612, where L = 20 does not divide p - 1",
+           60),
+]
+
+
+class _GoldenRows:
+    """One test for every row of GOLDENS, run in process through main.  The
+    Test*Golden classes below only pick the rows whose golden file lies in
+    their directory, so each golden keeps its test id.  The bound is a
+    SIGALRM timer that fails the row when it fires, so a hang fails at the
+    bound; pytest's Failed is a BaseException, which the CLI's catch-all
+    does not turn into exit 3."""
+
+    def pytest_generate_tests(self, metafunc):
+        rows = [row for row in GOLDENS if row.golden.parent.name == self.directory]
+        metafunc.parametrize("row", rows, ids=[f"{row.golden.suffix[1:]}-{row.golden.stem}"
+                                               for row in rows])
+
+    def test_byte_identical(self, row, capsys):
+        def overdue(signum, frame):
+            pytest.fail(f"ascart {' '.join(row.argv)} ran past its {row.bound} s bound")
+
+        previous = signal.signal(signal.SIGALRM, overdue)
+        signal.setitimer(signal.ITIMER_REAL, row.bound or 0)  # 0: no timer
+        try:
+            code = main(list(row.argv))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0, row.reason
+        assert capsys.readouterr().out.encode() == row.golden.read_bytes(), row.reason
+
+
+class TestZetaGolden(_GoldenRows):
+    directory = "zeta"
+
+
+class TestMatrixGolden(_GoldenRows):
+    directory = "matrix"
+
+
+class TestSweepGolden(_GoldenRows):
+    directory = "sweep"
+
+
+class TestScaleGolden(_GoldenRows):
+    directory = "scale"
 
 
 class TestExitCodes:
@@ -487,7 +562,7 @@ class TestExitCodes:
             raise AssertionError(f"enumerated F_(q^{s})")
 
         monkeypatch.setattr(zeta, "_trace_distribution", enumerated)
-        assert main(["zeta", str(MATRIX_GOLDEN / "p3_gf2187_o2-1.curve")]) == 2
+        assert main(["zeta", str(GOLDEN / "matrix" / "p3_gf2187_o2-1.curve")]) == 2
         assert "GF(3^21) exceeds the 10000000-element cap" in capsys.readouterr().err
 
     def test_local_series_past_int64_is_invalid_input(self, tmp_path, capsys):

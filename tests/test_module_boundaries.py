@@ -88,16 +88,48 @@ def test_ranks_are_python_ints(spec):
 # Public module-level names that no other code of the package refers to,
 # each with the reason it stays
 KEEP = {
+    "basis": "perfbench/tracing.py spans ascart.curve.basis by name; the traced run needs it",
     "count_points": "the README's scalar count N_s, spanned by the benchmark's traced run",
     "a_monomial_remark": "the a-number of y^p - y = x^d for p != 1 mod d (ROADMAP item 8)",
 }
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def bound_names(scope):
+    """The names a def or lambda binds itself, as a parameter or by
+    assignment; a nested def's bindings are its own."""
+    args = scope.args
+    names = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if arg}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def read_names(node, bound=frozenset()):
+    """The names node reads (Load context) that the innermost def around
+    each read does not bind."""
+    if isinstance(node, SCOPES):
+        bound = bound_names(node)
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from read_names(child, bound)
+
+
 def test_every_public_name_has_a_caller():
     """A public module-level def or class of src/ascart (outside __init__,
-    whose re-exports do not count) is named by code outside its own
+    whose re-exports do not count) is read by code outside its own
     definition, or listed in KEEP: a name only tests reach belongs in
-    tests/."""
+    tests/.  A field, a parameter or a local of the same name is no
+    caller."""
     defined, named = {}, []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
@@ -105,7 +137,7 @@ def test_every_public_name_has_a_caller():
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
                 defined[top.name] = top
-            named.extend((node.id, top) for node in ast.walk(top) if isinstance(node, ast.Name))
+            named.extend((name, top) for name in read_names(top))
     uncalled = {name for name, top in defined.items()
                 if not any(n == name and where is not top for n, where in named)}
     assert uncalled == set(KEEP)

@@ -212,6 +212,26 @@ class TestNewtonPolygon:
         np_ = newton_polygon(LPolynomial((1, 0, 9), 9), 9)
         assert np_.slopes == ((Fraction(1, 2), 2),)
 
+    def test_prime_power_matches_a_sieve(self):
+        """Every q below 5000 against the prime powers of a sieve: (p, a)
+        for q = p^a, ValueError for any other q, q < 2 included."""
+        N = 5000
+        composite = [False] * N
+        powers = {}
+        for p in range(2, N):
+            if not composite[p]:
+                composite[p * p::p] = [True] * len(range(p * p, N, p))
+                powers.update((p**a, (p, a)) for a in range(1, N.bit_length()) if p**a < N)
+        for q in range(-2, N):
+            if q in powers:
+                assert zeta._prime_power(q) == powers[q]
+            else:
+                with pytest.raises(ValueError):
+                    zeta._prime_power(q)
+        assert zeta._prime_power(9999991) == (9999991, 1)
+        assert zeta._prime_power(2**23) == (2, 23)
+        assert zeta._prime_power(3**14) == (3, 14)
+
     def test_collinear_point_merges_segments(self):
         # (2, 1) lies on the segment from (0, 0) to (4, 2)
         np_ = newton_polygon(LPolynomial((1, 0, 3, 0, 9), 3), 3)
