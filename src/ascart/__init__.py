@@ -12,7 +12,7 @@ The package computes, entirely in exact arithmetic over GF(p^k):
 See the README for the file format and the `ascart` command line tool.
 """
 
-from .cartier import CartierMatrix, cartier_matrix, cartier_poly
+from .cartier import CartierMatrix, cartier_matrix
 from .curve import (
     INF,
     BasisForm,
@@ -35,6 +35,7 @@ from .invariants import (
     twisted_rank_profile,
 )
 from .ratfunc import PartialFraction, Poly, partial_fractions
+from .rational import cartier_poly
 from .specfile import parse_spec, parse_spec_text
 from .sweep import SweepConfig, SweepReport, random_curve, run_sweep
 from .zeta import (

@@ -33,7 +33,7 @@ coefficient of a principal part comes out zero and is dropped, so no gcd
 is taken.  The rational Cartier pipeline decomposes each image this way
 and reads only the decomposition's digits; no pipeline multiplies partial
 fractions (the local Cartier pipeline multiplies truncated Laurent series;
-see ascart.cartier).
+see ascart.local).
 
 Denominators must split into linear factors at a caller's list of
 candidate roots, the pole locations of a curve for instance.  A factor

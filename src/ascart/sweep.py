@@ -23,7 +23,7 @@ import json
 import random
 from dataclasses import asdict, astuple, dataclass, fields
 
-from .cartier import cartier_matrix
+from .cartier import cartier_matrix, check_digit_cap
 from .curve import CurveSpec, PoleDatum, validate
 from .errors import ConditionNotSatisfied, FieldTooSmall
 from .finite_field import GF, Field
@@ -71,8 +71,10 @@ class SweepConfig:
             raise ValueError("sample count must be >= 1")
         if not self.orders or min(self.orders) < 1:
             raise ValueError("pole orders must be >= 1")
-        # the field, its room for the finite poles and the orders prime to p
-        validate(random_curve(GF(self.p, self.field_degree), self.orders, random.Random(0)))
+        # the field, its room for the finite poles, the orders prime to p and
+        # the digit cap on the genus, which (p, orders) alone decide
+        field = GF(self.p, self.field_degree)
+        check_digit_cap(validate(random_curve(field, self.orders, random.Random(0))).g, field)
 
 
 @dataclass(frozen=True)

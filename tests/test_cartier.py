@@ -21,10 +21,10 @@ from ascart import (
     cartier_poly,
     kappa,
 )
-from ascart import cartier, invariants, ratfunc
-from ascart.cartier import CartierMatrix, _signs
+from ascart import cartier, invariants, local, ratfunc, rational
+from ascart.cartier import CartierMatrix
 from ascart.cli import main
-from ascart.curve import BasisForm, basis, ordered_basis
+from ascart.curve import BasisForm, basis, binomial_signs, ordered_basis
 from ascart.errors import ConditionNotSatisfied, NotInH, NotInSpan, SeriesTooLarge
 from ascart.finite_field import _MAX_FIELD_SIZE, Field, is_prime
 from ascart.invariants import rank, theorem_a_value
@@ -208,8 +208,8 @@ def test_gathered_products_in_small_chunks(p, k, orders, seed, monkeypatch):
     span several chunks and leave some chunks empty, still give the
     reference matrix."""
     field = GF(p, k)
-    monkeypatch.setattr(cartier, "_CHUNK", 3 * k**2)
-    _, _, lengths, _ = cartier._layout(p, orders).gathers  # every pole's product reads
+    monkeypatch.setattr(local, "_CHUNK", 3 * k**2)
+    _, _, lengths, _ = local._layout(p, orders).gathers  # every pole's product reads
     assert lengths.max() > 3 and lengths.sum() > 3 * len(lengths)
     spec = random_curve(field, orders, random.Random(seed))
     assert cartier_matrix(spec, "local").entries == naive_local_matrix(spec).entries
@@ -221,8 +221,8 @@ def test_binomial_tables_against_comb(p):
     p, where Lucas' theorem makes some entries 0: C(p, t) for 0 < t < p, and
     C(p + t - 1, t) for 0 < t < p as well."""
     b_max, n = 2 * p + 1, 3 * p + 2
-    binom = cartier._binomials(p, b_max, n)
-    negative = cartier._negative_binomials(p, b_max, n)
+    binom = local._binomials(p, b_max, n)
+    negative = local._negative_binomials(p, b_max, n)
     assert binom.tolist() == [[math.comb(b, t) % p for t in range(n)] for b in range(b_max + 1)]
     assert negative.tolist() == [[math.comb(b + t - 1, t) % p if b else int(t == 0)
                                   for t in range(n)] for b in range(b_max + 1)]
@@ -266,7 +266,7 @@ def test_powers_against_field_products(p, k, m, monkeypatch):
             last = expected[-1]
             expected.append([sum((last[i] * padded[t - i] for i in range(t + 1)), field.zero)
                              for t in range(n)])
-        powers = cartier._powers(field, field.digit_array(s), m, n)
+        powers = local._powers(field, field.digit_array(s), m, n)
         assert powers.shape == (m + 1, n, k), name
         assert field.element_rows(powers) == tuple(map(tuple, expected)), name
 
@@ -277,7 +277,7 @@ def test_read_sized_series_agree_with_rational(p, k, orders, seed):
     """local against rational on the shapes whose series read-sizing cuts
     the most: at infinity, orders (1, 1) keep 2 of the (p-1)*d_0 + 1 terms
     and orders (2, 1) about half of them."""
-    layout = cartier._layout(p, orders)
+    layout = local._layout(p, orders)
     n = layout.poles[0].size
     assert n <= (p - 1) * orders[0] // 2 + 1, n
     assert n == 2 or orders != (1, 1), n
@@ -296,8 +296,8 @@ def test_geometric_table_against_field_powers(p, k):
     zs = [field.zero, field.one] + [field.random_element(rng, nonzero=True) for _ in range(3)]
     rows = [(z, n) for z in zs for n in (1, 2, 3, 4, 9, 40)]
     rng.shuffle(rows)
-    plan = cartier._doubling([n for _, n in rows])
-    table = cartier._geometric(field, field.digit_array([z for z, _ in rows]), plan)
+    plan = local._doubling([n for _, n in rows])
+    table = local._geometric(field, field.digit_array([z for z, _ in rows]), plan)
     assert table.shape == (plan.size, k) == (sum(n for _, n in rows), k)
     for (z, n), start in zip(rows, plan.starts.tolist()):
         expected = [field.one]
@@ -361,52 +361,43 @@ class TestLocalSeriesGuards:
         assert invariants.p_rank_stable(M) == 0
 
     def test_series_route_names_nothing_of_the_rational_route(self):
-        """The two pipelines must stay independent oracles: walk the code of
-        the series route, following every function of the cartier module it
-        calls, and look for the rational route.  Neither route reads the
-        pivot structure or the closed form that the corank is checked
-        against (CLOSED_FORM)."""
-        names = names_reached(cartier._local_matrix, cartier._Layout, cartier._powers,
-                              cartier._signs, cartier._gathered_products,
-                              cartier._digit_fold, cartier._binomials,
-                              cartier._negative_binomials, cartier._doubling,
-                              cartier._geometric)
-        assert {"convolve", "_signs", "_gathered_products", "reduceat", "_binomials",
+        """The two pipelines must stay independent oracles, which the import
+        graph checks (test_module_boundaries); this walk covers what it
+        cannot see.  Walk the code of the series route, following every
+        function of the local module it calls: it never reads the pivot
+        structure or the closed form that the corank is checked against
+        (CLOSED_FORM)."""
+        names = names_reached(local, local.local_matrix, local._Layout, local._powers,
+                              local._gathered_products, local._digit_fold, local._binomials,
+                              local._negative_binomials, local._doubling, local._geometric)
+        assert {"convolve", "binomial_signs", "_gathered_products", "reduceat", "_binomials",
                 "_negative_binomials", "_doubling", "_geometric", "_fold", "_Pole"} <= names
-        rational = {"partial_fractions", "cartier_poly", "_rational_columns", "_rational_image",
-                    "_decompose", "_f_numerator", "_RationalPlan", "_rational_plan"}
-        assert not names & rational
         assert not names & CLOSED_FORM
 
     def test_rational_route_names_nothing_of_the_series_route(self):
-        """The same walk from the rational route, into ratfunc and the
-        methods of Poly and PartialFraction: its products are Kronecker
-        products (from_bytes, frombuffer), never the series route's
-        convolutions, powers, digit fold or gathered sums."""
-        names = names_reached(cartier._rational_columns, cartier._RationalPlan)
-        assert {"partial_fractions", "cartier_poly", "_signs", "_rational_image",
+        """The same walk from the rational route, into the rational module,
+        ratfunc and the methods of Poly and PartialFraction: its products
+        are Kronecker products (from_bytes, frombuffer), never numpy's
+        convolutions or gathered sums."""
+        names = names_reached(rational, rational.rational_matrix, rational._RationalPlan)
+        assert {"partial_fractions", "cartier_poly", "binomial_signs", "_rational_image",
                 "_kronecker", "from_bytes", "frombuffer", "_divide_linear", "_taylor"} <= names
-        assert not names & {"convolve", "_powers", "_digit_fold", "_fold", "reduceat"}
+        assert not names & {"convolve", "reduceat"}
         # the decompositions' terms go straight to digits: no scaled copies
         # of a PartialFraction, no lists of elements turned into digits
         assert not names & {"digit_array", "scale"}
-        series = {"_powers", "_Layout", "_layout", "convolve", "_local_matrix",
-                  "_gathered_products", "_digit_fold", "_CHUNK", "reduceat", "_binomials",
-                  "_negative_binomials", "_doubling", "_Doubling", "_geometric", "_closed_forms",
-                  "_fold", "_Pole", "support"}
-        assert not names & series
         assert not names & CLOSED_FORM
 
 
 CLOSED_FORM = {"partition_HA", "kappa", "theorem_a_value"}
 
 
-def names_reached(*roots) -> set[str]:
+def names_reached(pipeline, *roots) -> set[str]:
     """Every name in the code of the roots (functions, or classes for their
-    methods and properties), following each function of the cartier and
-    ratfunc modules they name, and every method of Poly and PartialFraction
-    once either class is named."""
-    followed = (cartier, ratfunc)
+    methods and properties), following each function of the pipeline's
+    module and of ratfunc that they name, and every method of Poly and
+    PartialFraction once either class is named."""
+    followed = (pipeline, ratfunc)
     todo, seen, names = list(roots), set(), set()
     while todo:
         item = todo.pop()
@@ -430,13 +421,18 @@ def names_reached(*roots) -> set[str]:
     return names
 
 
+# what each pipeline builds, by the name the gate or the pipeline calls it
+BUILDERS = ((cartier, "rational_matrix"), (rational, "_rational_plan"),
+            (rational, "_rational_columns"), (cartier, "local_matrix"), (local, "_layout"))
+
+
 @pytest.mark.parametrize("pipeline", ["rational", "local"])
 def test_matrix_over_the_digit_cap_is_refused_before_building(pipeline, monkeypatch):
     def built(*args):
         raise AssertionError("a pipeline started past the cap")
 
-    for name in ("_rational_plan", "_rational_columns", "_layout", "_local_matrix"):
-        monkeypatch.setattr(cartier, name, built)
+    for module, name in BUILDERS:
+        monkeypatch.setattr(module, name, built)
     # y^1031 - y = x^3 has g = 1030, and 1030^2 is over the 2^20 cap
     with pytest.raises(SeriesTooLarge, match="genus 1030 over GF"):
         cartier_matrix(curve(1031, [0, 0, 0, 1]), pipeline)
@@ -449,8 +445,8 @@ def test_genus_zero_needs_no_series_bound(pipeline, monkeypatch):
     def built(*args):
         raise AssertionError("a pipeline started at g = 0")
 
-    for name in ("_layout", "_local_matrix", "_rational_plan", "_rational_columns"):
-        monkeypatch.setattr(cartier, name, built)
+    for module, name in BUILDERS:
+        monkeypatch.setattr(module, name, built)
     M = cartier_matrix(curve(2_200_013, [0, 1]), pipeline)
     assert M.basis == () and M.digits.shape == (0, 0, 1) and rank(M) == 0
 
@@ -497,24 +493,25 @@ class TestOperatorAxioms:
 
 
 class TestSigns:
-    """_signs: sign[r, e] = (-1)^e C(r, e) mod p, by Pascal's rule."""
+    """binomial_signs: sign[r, e] = (-1)^e C(r, e) mod p, by Pascal's rule."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
     def test_against_comb(self, p):
         e_max = min(p + 3, 40)  # past p - 2, where Pascal's rule wraps mod p
-        sign = _signs(p, e_max)
+        sign = binomial_signs(p, e_max)
         assert sign.shape == (e_max + 1, e_max + 1) and sign.dtype == np.int64
         assert sign.tolist() == [[(-1) ** e * math.comb(r, e) % p for e in range(e_max + 1)]
                                  for r in range(e_max + 1)]
 
     def test_small(self):
-        assert _signs(7, 2).tolist() == [[1, 0, 0], [1, 6, 0], [1, 5, 1]]  # (+1, -2, +1) mod 7
-        assert _signs(5, 0).tolist() == [[1]]
+        # (+1, -2, +1) mod 7
+        assert binomial_signs(7, 2).tolist() == [[1, 0, 0], [1, 6, 0], [1, 5, 1]]
+        assert binomial_signs(5, 0).tolist() == [[1]]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
     def test_no_entry_vanishes_below_p_minus_one(self, p):
         r = max(p - 2, 0)  # the largest y-power of a basis form
-        sign = _signs(p, r)
+        sign = binomial_signs(p, r)
         assert (sign != 0)[np.tril_indices(r + 1)].all()
         assert sign[r].tolist() == [(-1) ** e * math.comb(r, e) % p for e in range(r + 1)]
 
@@ -699,7 +696,7 @@ def test_numerator_from_pole_data(p, k, orders, seed):
     assume(len(orders) - 1 <= p**k)
     spec = random_curve(GF(p, k), orders, random.Random(seed))
     f = assemble(f_partial_fraction(spec))
-    assert cartier._f_numerator(spec, cartier._pole_factors(spec)) == f.num
+    assert rational._f_numerator(spec, rational._pole_factors(spec)) == f.num
 
 
 @pytest.mark.parametrize("p,k,orders", [
@@ -740,7 +737,7 @@ def test_rational_plan_of_every_admissible_family():
         k = rng.randint(1, 3)
         if not forms or len(orders) - 1 > p**k:
             continue
-        plan = cartier._rational_plan(p, tuple(orders))
+        plan = rational._rational_plan(p, tuple(orders))
         assert plan.forms == tuple(forms) and plan.e_max == max(form.r for form in forms)
         reads = {}
         for col, (j, b, r) in enumerate(forms):
@@ -749,7 +746,7 @@ def test_rational_plan_of_every_admissible_family():
                                                         r - e])
         assert [image[:3] for image in plan.images] == sorted(reads), (p, orders)
         spec = random_curve(GF(p, k), orders, rng)
-        N = cartier._f_numerator(spec, cartier._pole_factors(spec))
+        N = rational._f_numerator(spec, rational._pole_factors(spec))
         x = Poly.x(spec.field)
         lin = [x - Poly.constant(spec.field, datum.location) for datum in spec.poles[1:]]
         for image in plan.images:
@@ -776,7 +773,7 @@ def test_monomial_outside_the_basis_is_refused(monkeypatch):
     def stray(spec, num, image, factors):
         return monomial(spec.field, 3), Poly.constant(spec.field, 1)
 
-    monkeypatch.setattr(cartier, "_rational_image", stray)
+    monkeypatch.setattr(rational, "_rational_image", stray)
     with pytest.raises(NotInSpan, match=r"monomial x\^3 dx falls outside the basis"):
         cartier_matrix(curve(7, [0, 0, 0, 1]), "rational")
 
@@ -789,9 +786,9 @@ def test_local_read_outside_the_basis_is_refused(tmp_path, monkeypatch, capsys):
     def without_dx(p, orders):
         return [form for form in ordered_basis(p, orders) if form != BasisForm(0, 0, 0)]
 
-    monkeypatch.setattr(cartier, "ordered_basis", without_dx)
-    cartier._layout.cache_clear()
-    cartier._rational_plan.cache_clear()
+    monkeypatch.setattr(local, "ordered_basis", without_dx)
+    local._layout.cache_clear()
+    rational._rational_plan.cache_clear()
     try:
         with pytest.raises(NotInSpan, match="monomial dx falls outside the basis"):
             cartier_matrix(curve(7, [0, 0, 0, 1]), "local")
@@ -800,8 +797,8 @@ def test_local_read_outside_the_basis_is_refused(tmp_path, monkeypatch, capsys):
         assert main(["matrix", str(path)]) == 3
         assert "internal error (NotInSpan)" in capsys.readouterr().err
     finally:
-        cartier._layout.cache_clear()
-        cartier._rational_plan.cache_clear()
+        local._layout.cache_clear()
+        rational._rational_plan.cache_clear()
 
 
 def assert_triangular_support(p, orders):
@@ -833,7 +830,7 @@ def test_layout_of_every_admissible_family():
         if not g:  # no layout at g = 0
             continue
         assert_triangular_support(p, orders)
-        layout = cartier._layout(p, orders)
+        layout = local._layout(p, orders)
         certificate = invariants._certificate(p, layout.forms)
         assert certificate is not None, (p, orders)
         H = len(certificate.cols)
@@ -909,7 +906,7 @@ def test_band_holds_every_term_of_H(monkeypatch):
     is 0 from the band on, and gives the same matrix.  A band cuts only
     where f has at most one finite pole; elsewhere it is n_l, with nothing
     past it to check."""
-    rng, powers, cut = random.Random(33), cartier._powers, 0
+    rng, powers, cut = random.Random(33), local._powers, 0
     for p, orders in admissible_families(PARTITION_MAX_P, 3):
         k = rng.randint(1, 3)
         if not ordered_basis(p, orders) or len(orders) - 1 > p**k:
@@ -917,7 +914,7 @@ def test_band_holds_every_term_of_H(monkeypatch):
         if len(orders) > 2:  # every band n_l (test_layout_of_every_admissible_family)
             continue
         spec = random_curve(GF(p, k), orders, rng)
-        layout, seen = cartier._layout(p, orders), []
+        layout, seen = local._layout(p, orders), []
         wide = copy.copy(layout)
         wide.poles = [pole._replace(band=pole.size) for pole in layout.poles]
 
@@ -926,9 +923,9 @@ def test_band_holds_every_term_of_H(monkeypatch):
             return powers(field, s, m, n, out=out)
 
         with monkeypatch.context() as patch:
-            patch.setattr(cartier, "_layout", lambda p, orders: wide)
-            patch.setattr(cartier, "_powers", spy)
-            _, digits = cartier._local_matrix(spec, orders)
+            patch.setattr(local, "_layout", lambda p, orders: wide)
+            patch.setattr(local, "_powers", spy)
+            _, digits = local.local_matrix(spec, orders)
         assert (digits == cartier_matrix(spec).digits).all(), (p, orders, k)
         assert len(seen) == len(orders), (p, orders, k)
         for pole, h in zip(layout.poles, seen):

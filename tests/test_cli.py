@@ -28,7 +28,7 @@ from ascart import (
     validate,
     zeta,
 )
-from ascart import cartier
+from ascart import rational
 from ascart.cartier import CartierMatrix
 from ascart.cli import main
 from ascart.errors import (
@@ -328,6 +328,8 @@ class TestSweepCommand:
             (["--p", "7", "--orders", "0"], "pole orders must be >= 1"),
             (["--p", "7", "--orders", "7"], "pole 0 has order 7 divisible by p=7"),
             (["--p", "2", "--orders", "1,1,1,1"], "fewer than 3 finite poles"),
+            (["--p", "1031", "--orders", "3"],
+             "genus 1030 over GF(1031) exceeds the 1048576-digit cap"),
         ],
     )
     def test_invalid_config_leaves_the_csv_alone(self, args, message, tmp_path, capsys):
@@ -520,7 +522,7 @@ class TestExitCodes:
             lin = Poly.x(spec.field) - Poly.constant(spec.field, 2)
             return Poly.constant(spec.field, 1), lin
 
-        monkeypatch.setattr(cartier, "_rational_image", stray)
+        monkeypatch.setattr(rational, "_rational_image", stray)
         with pytest.raises(NotInSpan):
             cartier_matrix(parse_spec_text(TWO_POLE), "rational")
         assert main(["matrix", write(tmp_path, TWO_POLE), "--pipeline", "rational"]) == 3

@@ -5,7 +5,12 @@ module rebinds a global either: process-wide state lives in caches.  Floating
 point stays inside the rank layer's exact products, and no result is a float.
 Every public function or class of the package has a caller in the package,
 or a reason to stay in KEEP, and so does every public method or property,
-or it stays in METHOD_KEEP."""
+or it stays in METHOD_KEEP.
+
+The two Cartier pipelines, local and rational, check each other, so the
+import graph keeps them apart: neither reaches the other's module, the
+gate (cartier) or invariants, local does not reach ratfunc, and neither
+names the closed form that the corank is checked against."""
 
 import ast
 import random
@@ -13,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from ascart import GF, cartier_matrix, p_rank_stable, rank, twisted_rank_profile
+import ascart
+from ascart import GF, cartier_matrix, local, p_rank_stable, rank, rational, twisted_rank_profile
 from ascart.sweep import random_curve
 
 from conftest import curve
@@ -35,6 +41,97 @@ def test_no_private_import_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert not private
+
+
+MODULES = {path.stem for path in SRC.glob("*.py")}  # __init__ is the package
+
+
+def imported_modules(name: str) -> set[str]:
+    """The modules of the package that module name imports, anywhere in its
+    code: from .x import y, from . import x, import ascart.x, and their
+    absolute forms.  A name taken from the package itself (from . import y
+    for a y that is no module, or import ascart) is an import of __init__."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            top, _, rest = (node.module or "").partition(".")
+            if node.level:
+                module = node.module
+            elif top == "ascart":
+                module = rest
+            else:
+                continue
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name if alias.name in MODULES else "__init__"
+                             for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "ascart":
+                    found.add(rest.split(".")[0] or "__init__")
+    return found & MODULES
+
+
+def reached(name: str) -> set[str]:
+    """The modules of the package that module name imports, directly or
+    through other modules of the package."""
+    todo, seen = [name], set()
+    while todo:
+        for module in imported_modules(todo.pop()) - seen:
+            seen.add(module)
+            todo.append(module)
+    return seen
+
+
+@pytest.mark.parametrize("pipeline, banned", [
+    ("local", {"rational", "ratfunc", "invariants", "cartier"}),
+    ("rational", {"local", "invariants", "cartier"}),
+])
+def test_pipelines_reach_no_other_pipeline(pipeline, banned):
+    """Each Cartier pipeline shares no code with the other, the gate or the
+    rank layer, through any chain of imports (the package's __init__
+    reaches them all)."""
+    assert "curve" in reached(pipeline)
+    assert not reached(pipeline) & banned
+
+
+def test_ratfunc_is_the_rational_pipelines_arithmetic():
+    """The gate reaches both pipelines, and rational is the one module of
+    the package, besides __init__, that imports ratfunc."""
+    assert reached("cartier") >= {"local", "rational"}
+    importers = {name for name in MODULES if "ratfunc" in imported_modules(name)}
+    assert importers == {"__init__", "rational"}
+
+
+@pytest.mark.parametrize("pipeline", ["local", "rational"])
+def test_pipelines_name_no_closed_form(pipeline):
+    """Neither pipeline imports or reads partition_HA, kappa or
+    theorem_a_value, the closed form that its corank is checked against."""
+    tree = ast.parse((SRC / f"{pipeline}.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not named & {"partition_HA", "kappa", "theorem_a_value"}
+
+
+def test_cartier_keeps_its_names():
+    """ascart.cartier and the package still give the names the split moved,
+    the same objects as the pipeline modules that define them."""
+    from ascart.cartier import PIPELINES, CartierMatrix, cartier_matrix, cartier_poly, support
+
+    assert cartier_poly is rational.cartier_poly and support is local.support
+    assert PIPELINES == ("rational", "local")
+    assert (ascart.CartierMatrix, ascart.cartier_matrix, ascart.cartier_poly) == (
+        CartierMatrix, cartier_matrix, cartier_poly)
+    assert CartierMatrix.__module__ == cartier_matrix.__module__ == "ascart.cartier"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
