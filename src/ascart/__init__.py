@@ -20,8 +20,6 @@ from .curve import (
     CurveSpec,
     PoleDatum,
     basis,
-    kappa,
-    partition_HA,
     validate,
 )
 from .finite_field import GF, Field, FieldElement, embedding
@@ -29,7 +27,9 @@ from .invariants import (
     ANumberReport,
     a_monomial_remark,
     a_number,
+    kappa,
     p_rank_stable,
+    partition_HA,
     rank,
     theorem_a_value,
     twisted_rank_profile,

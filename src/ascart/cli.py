@@ -116,20 +116,17 @@ def cmd_anumber(args) -> int:
             print(f"a (pole-order formula) = {value}")
         return 0
     report = a_number(spec, pipeline=args.pipeline)
-    if args.method == "rank":
-        if args.json:
-            _print_json({"genus": report.g, "rank": report.rank, "a_rank": report.a_rank})
-        else:
-            print(f"g = {report.g}")
-            print(f"rank(M) = {report.rank}")
-            print(f"a (corank) = {report.a_rank}")
-        return 0
     if args.json:
+        if args.method == "rank":
+            _print_json({"genus": report.g, "rank": report.rank, "a_rank": report.a_rank})
+            return 0
         _print_json(report.to_json())
     else:
         print(f"g = {report.g}")
         print(f"rank(M) = {report.rank}")
         print(f"a (corank) = {report.a_rank}")
+        if args.method == "rank":
+            return 0
         if report.a_formula is not None:
             print(f"a (pole-order formula) = {report.a_formula}")
             print(f"match: {report.match}")

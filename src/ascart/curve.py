@@ -25,22 +25,10 @@ sorted by r, then pole index, then b.  Block j has (d_j + eps_j)*(p-1)/2
 elements, eps_0 = -1 and eps_j = 1 otherwise, so the total is the genus.
 binomial_signs() is the table of signs (-1)^e C(r, e) mod p by which both
 Cartier pipelines regroup the y^r substitution.
-
-When p = 1 mod L the pivot structure of the Cartier matrix depends on p and
-the pole orders alone, and is computed once per (p, orders): the forms H
-with r >= (b - eps_j)*gamma_j, each with a pivot at
-
-    kappa(x_j^b y^r dx) = x_j^b y^(r - (b - eps_j)*gamma_j) dx,
-
-and the complement A.  partition_HA(p, orders) returns (H, A), and
-kappa(p, orders, form) the pivot of a form of H; the a-number equals #A in
-that regime.  basis_orders(p, basis) reads the pole orders back off an
-ordered basis there.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,10 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ConditionNotSatisfied,
     DuplicatePoleLocation,
     MissingInfinitePole,
-    NotInH,
     PoleOrderDivisibleByP,
     ZeroLeadingCoefficient,
 )
@@ -247,62 +233,3 @@ def binomial_signs(p: int, e_max: int) -> np.ndarray:
     for r in range(1, e_max + 1):
         sign[r, 1:] = (sign[r - 1, 1:] - sign[r - 1, :-1]) % p
     return sign
-
-
-def basis_orders(p: int, basis) -> tuple[int, ...] | None:
-    """The pole orders whose ordered_basis in characteristic p is basis,
-    when p = 1 mod L; None when the recovered orders do not give it back.
-
-    There every d_j < p, so for j >= 1 the form x_j^(d_j) dx is the one of
-    pole j with the largest b, and d_0 follows from the genus g = len(basis),
-    2g/(p-1) = D = sum_j (d_j + 1) - 2.  Other bases may give None.
-    """
-    basis = list(basis)
-    top: dict = {}
-    for j, b, _ in basis:
-        top[j] = max(top.get(j, b), b)
-    m = len(top) - (0 in top)  # each finite pole has forms, infinity may have none
-    finite = [top.get(j, 0) for j in range(1, m + 1)]
-    D, rest = divmod(2 * len(basis), p - 1)
-    orders = (D + 1 - sum(d + 1 for d in finite), *finite)
-    if rest or min(orders) < 1 or ordered_basis(p, orders) != basis:
-        return None
-    return orders
-
-
-@functools.lru_cache(maxsize=64)
-def _pivots(p: int, orders: tuple[int, ...]) -> dict[BasisForm, BasisForm]:
-    """{omega: kappa(omega)} for the forms omega of H, in basis order.
-
-    Defined only when p = 1 mod L, where gamma_j = (p-1)/d_j is integral.
-    Callers must not mutate the cached dict.
-    """
-    L = math.lcm(*orders)
-    if (p - 1) % L:
-        raise ConditionNotSatisfied(
-            f"p = {p} is not 1 mod L = {L}; the partition needs integral "
-            "slopes gamma_j"
-        )
-    pivots = {}
-    for form in ordered_basis(p, orders):
-        eps = -1 if form.j == 0 else 1
-        r = form.r - (form.b - eps) * ((p - 1) // orders[form.j])
-        if r >= 0:
-            pivots[form] = BasisForm(form.j, form.b, r)
-    return pivots
-
-
-def partition_HA(p: int, orders) -> tuple[frozenset[BasisForm], frozenset[BasisForm]]:
-    """Split ordered_basis(p, orders) into the pivot forms H and the
-    complement A, when p = 1 mod L; the a-number equals #A there."""
-    H = frozenset(_pivots(p, tuple(orders)))
-    return H, frozenset(ordered_basis(p, orders)) - H
-
-
-def kappa(p: int, orders, form: BasisForm) -> BasisForm:
-    """The pivot target x_j^b y^(r - (b - eps_j)*gamma_j) dx of a form of H,
-    when p = 1 mod L; a form outside H raises NotInH."""
-    target = _pivots(p, tuple(orders)).get(form)
-    if target is None:
-        raise NotInH(f"{form.label()} is not in the pivot set H")
-    return target

@@ -1,16 +1,28 @@
 """Rank, a-number and p-rank from the Cartier matrix.
 
-The a-number is the corank: a = g - rank(M).  When p = 1 mod L the paper's
-proof gives the rank with no elimination, and rank checks that proof on
-each matrix first.  For the ordered basis of such (p, orders) a
-certificate is built once and cached (_certificate): the rows kappa(H) and
-columns H, H in basis order, and a Koenig vertex cover of #H lines of the
-layout's support (local.support).  A matrix whose block M[kappa(H), H]
-is triangular with a nonzero diagonal has rank >= #H, and one whose
-nonzero entries all lie in the cover's lines has rank <= #H.  Both sides
-are read off the matrix's own digits, so a wrong support or a false
-theorem cannot change a result: a matrix that fails either side, or whose
-basis has no certificate, falls back to the elimination.
+The a-number is the corank: a = g - rank(M).  When p = 1 mod L the pivot
+structure of the Cartier matrix depends on p and the pole orders alone,
+and is computed once per (p, orders): the forms H with
+r >= (b - eps_j)*gamma_j, each with a pivot at
+
+    kappa(x_j^b y^r dx) = x_j^b y^(r - (b - eps_j)*gamma_j) dx,
+
+and the complement A.  partition_HA(p, orders) returns (H, A), and
+kappa(p, orders, form) the pivot of a form of H; the a-number equals #A in
+that regime.  _basis_orders(p, basis) reads the pole orders back off an
+ordered basis there.  Neither Cartier pipeline reaches this module, so
+this closed form stays an independent check on both.
+
+There the paper's proof gives the rank with no elimination, and rank
+checks that proof on each matrix first.  For the ordered basis of such
+(p, orders) a certificate is built once and cached (_certificate): the rows
+kappa(H) and columns H, H in basis order, and a Koenig vertex cover of #H
+lines of the layout's support (local.support).  A matrix whose block
+M[kappa(H), H] is triangular with a nonzero diagonal has rank >= #H, and
+one whose nonzero entries all lie in the cover's lines has rank <= #H.
+Both sides are read off the matrix's own digits, so a wrong support or a
+false theorem cannot change a result: a matrix that fails either side, or
+whose basis has no certificate, falls back to the elimination.
 
 Every other rank, over every field, comes from one exact fraction-free
 elimination on int64 arrays mod p, one
@@ -76,8 +88,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cartier import CartierMatrix, cartier_matrix
-from .curve import BasisForm, CurveSpec, basis_orders, kappa, partition_HA, validate
-from .errors import ConditionNotSatisfied, DNotCoprime
+from .curve import BasisForm, CurveSpec, ordered_basis, validate
+from .errors import ConditionNotSatisfied, DNotCoprime, NotInH
 from .local import support
 
 
@@ -166,6 +178,65 @@ def _over_field(prime_rank: int, k: int) -> int:
     return r
 
 
+def _basis_orders(p: int, basis) -> tuple[int, ...] | None:
+    """The pole orders whose ordered_basis in characteristic p is basis,
+    when p = 1 mod L; None when the recovered orders do not give it back.
+
+    There every d_j < p, so for j >= 1 the form x_j^(d_j) dx is the one of
+    pole j with the largest b, and d_0 follows from the genus g = len(basis),
+    2g/(p-1) = D = sum_j (d_j + 1) - 2.  Other bases may give None.
+    """
+    basis = list(basis)
+    top: dict = {}
+    for j, b, _ in basis:
+        top[j] = max(top.get(j, b), b)
+    m = len(top) - (0 in top)  # each finite pole has forms, infinity may have none
+    finite = [top.get(j, 0) for j in range(1, m + 1)]
+    D, rest = divmod(2 * len(basis), p - 1)
+    orders = (D + 1 - sum(d + 1 for d in finite), *finite)
+    if rest or min(orders) < 1 or ordered_basis(p, orders) != basis:
+        return None
+    return orders
+
+
+@functools.lru_cache(maxsize=64)
+def _pivots(p: int, orders: tuple[int, ...]) -> dict[BasisForm, BasisForm]:
+    """{omega: kappa(omega)} for the forms omega of H, in basis order.
+
+    Defined only when p = 1 mod L, where gamma_j = (p-1)/d_j is integral.
+    Callers must not mutate the cached dict.
+    """
+    L = math.lcm(*orders)
+    if (p - 1) % L:
+        raise ConditionNotSatisfied(
+            f"p = {p} is not 1 mod L = {L}; the partition needs integral "
+            "slopes gamma_j"
+        )
+    pivots = {}
+    for form in ordered_basis(p, orders):
+        eps = -1 if form.j == 0 else 1
+        r = form.r - (form.b - eps) * ((p - 1) // orders[form.j])
+        if r >= 0:
+            pivots[form] = BasisForm(form.j, form.b, r)
+    return pivots
+
+
+def partition_HA(p: int, orders) -> tuple[frozenset[BasisForm], frozenset[BasisForm]]:
+    """Split ordered_basis(p, orders) into the pivot forms H and the
+    complement A, when p = 1 mod L; the a-number equals #A there."""
+    H = frozenset(_pivots(p, tuple(orders)))
+    return H, frozenset(ordered_basis(p, orders)) - H
+
+
+def kappa(p: int, orders, form: BasisForm) -> BasisForm:
+    """The pivot target x_j^b y^(r - (b - eps_j)*gamma_j) dx of a form of H,
+    when p = 1 mod L; a form outside H raises NotInH."""
+    target = _pivots(p, tuple(orders)).get(form)
+    if target is None:
+        raise NotInH(f"{form.label()} is not in the pivot set H")
+    return target
+
+
 class _Certificate(NamedTuple):
     """The paper's pivot structure as a check on one matrix's digits, for
     the ordered basis of some (p, orders) with p = 1 mod L.
@@ -198,7 +269,7 @@ def _certificate(p: int, basis: tuple[BasisForm, ...]) -> _Certificate | None:
     the rows not reached and the columns reached cover every entry of the
     support, one end of each matched pair, so #H in all.
     """
-    orders = basis_orders(p, basis)
+    orders = _basis_orders(p, basis)
     if orders is None or (p - 1) % math.lcm(*orders):
         return None
     g = len(basis)

@@ -113,16 +113,6 @@ def _powers(field: Field, s: np.ndarray, m: int, n: int, out=None) -> np.ndarray
     return packed[..., :k]
 
 
-def _binomials(p: int, b_max: int, n: int) -> np.ndarray:
-    """C(b, t) mod p for b <= b_max and t < n, by Pascal's rule: the terms
-    of (e + u)^b = sum_t C(b, t) e^(b-t) u^t."""
-    out = np.zeros((b_max + 1, n), dtype=np.int64)
-    out[:, 0] = 1
-    for b in range(1, b_max + 1):
-        out[b, 1:] = (out[b - 1, 1:] + out[b - 1, :-1]) % p
-    return out
-
-
 def _negative_binomials(p: int, b_max: int, n: int) -> np.ndarray:
     """C(b + t - 1, t) mod p for b <= b_max and t < n: the terms of
     (1 - z w)^(-b) = sum_t C(b + t - 1, t) z^t w^t.  Row 0 is the series 1,
@@ -301,7 +291,8 @@ class _Layout:
         pair = {lj: i for i, lj in enumerate(self.pairs)}
         coeffs = np.cumsum(np.array(orders) + 1) - np.array(orders) - 1  # where f_j starts
         if m > 1:
-            binom = _binomials(p, orders[0], orders[0] + 1)
+            # C(b, t) mod p: the signs (-1)^t C(b, t) times (-1)^t
+            binom = binomial_signs(p, orders[0]) * (1 - 2 * (np.arange(orders[0] + 1) % 2)) % p
             negative = _negative_binomials(p, max(orders[1:]), max(sizes))
         lengths = np.ones((m - 1) ** 2, dtype=np.int64)  # of each z row's powers read
         stacks = []

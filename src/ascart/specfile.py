@@ -10,8 +10,9 @@ most once):
 
 Field elements are written either as a bare integer (reduced mod p, the
 prime-subfield embedding) or as a base-p digit tuple (a0,a1,...) without
-spaces.  Finite-pole coefficient lists start at degree 1 by construction,
-so a well-formed file cannot smuggle in a constant term.
+spaces, each digit in [0, p); a tuple is never reduced.  Finite-pole
+coefficient lists start at degree 1 by construction, so a well-formed file
+cannot smuggle in a constant term.
 
 Example (y^7 - y = x^3):
 
@@ -30,15 +31,16 @@ def _parse_element(token: str, field: Field, lineno: int) -> FieldElement:
     if token.startswith("("):
         if not token.endswith(")"):
             raise ParseError(lineno, f"unterminated digit tuple {token!r}")
-        body = token[1:-1]
         try:
-            digits = [int(d) for d in body.split(",") if d != ""]
+            digits = [int(d) for d in token[1:-1].split(",")]
         except ValueError:
             raise ParseError(lineno, f"bad digit tuple {token!r}") from None
         if len(digits) > field.k:
             raise ParseError(
                 lineno, f"{token!r} has more than k={field.k} digits"
             )
+        if not all(0 <= d < field.p for d in digits):
+            raise ParseError(lineno, f"{token!r} has a digit outside [0, {field.p})")
         return field(digits)
     try:
         return field(int(token))

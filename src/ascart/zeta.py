@@ -157,9 +157,6 @@ class LPolynomial:
             A.append(-acc)
         return [self.q**s + 1 - a for s, a in enumerate(A, start=1)]
 
-    def to_json(self) -> dict:
-        return {"q": self.q, "coeffs": list(self.coeffs)}
-
 
 def l_from_counts(counts, q: int, g: int) -> LPolynomial:
     """L(u) from the counts N_1..N_g plus the functional equation.

@@ -217,16 +217,15 @@ def test_gathered_products_in_small_chunks(p, k, orders, seed, monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
 def test_binomial_tables_against_comb(p):
-    """The local route's Pascal-rule tables equal math.comb mod p, also past
-    p, where Lucas' theorem makes some entries 0: C(p, t) for 0 < t < p, and
-    C(p + t - 1, t) for 0 < t < p as well."""
+    """The local route's running-sum table equals math.comb mod p, also past
+    p, where Lucas' theorem makes some entries 0: C(p + t - 1, t) for
+    0 < t < p.  Its C(b, t) are the signs of curve.binomial_signs, which
+    TestSigns checks."""
     b_max, n = 2 * p + 1, 3 * p + 2
-    binom = local._binomials(p, b_max, n)
     negative = local._negative_binomials(p, b_max, n)
-    assert binom.tolist() == [[math.comb(b, t) % p for t in range(n)] for b in range(b_max + 1)]
     assert negative.tolist() == [[math.comb(b + t - 1, t) % p if b else int(t == 0)
                                   for t in range(n)] for b in range(b_max + 1)]
-    assert not binom[p, 1:p].any() and not negative[p, 1:p].any()
+    assert not negative[p, 1:p].any()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 6])
@@ -368,9 +367,9 @@ class TestLocalSeriesGuards:
         structure or the closed form that the corank is checked against
         (CLOSED_FORM)."""
         names = names_reached(local, local.local_matrix, local._Layout, local._powers,
-                              local._gathered_products, local._digit_fold, local._binomials,
+                              local._gathered_products, local._digit_fold,
                               local._negative_binomials, local._doubling, local._geometric)
-        assert {"convolve", "binomial_signs", "_gathered_products", "reduceat", "_binomials",
+        assert {"convolve", "binomial_signs", "_gathered_products", "reduceat",
                 "_negative_binomials", "_doubling", "_geometric", "_fold", "_Pole"} <= names
         assert not names & CLOSED_FORM
 

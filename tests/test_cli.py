@@ -28,7 +28,7 @@ from ascart import (
     validate,
     zeta,
 )
-from ascart import rational
+from ascart import invariants, rational
 from ascart.cartier import CartierMatrix
 from ascart.cli import main
 from ascart.errors import (
@@ -142,6 +142,13 @@ class TestParse:
             ("p = 7\n", "no poles"),
             ("", "does not set p"),
             ("p = 3\nfield_degree = 1\npole inf: 0 1\nfield_degree = 2\n", "before the poles"),
+            # a digit tuple is read as written, never reduced
+            ("p = 3\nfield_degree = 2\npole inf: 0 (5,7) 1\n", "'(5,7)' has a digit outside [0, 3)"),
+            ("p = 3\nfield_degree = 2\npole inf: 0 (-1,0) 1\n", "'(-1,0)' has a digit outside"),
+            ("p = 3\nfield_degree = 2\npole (0,3): 1\npole inf: 0 1\n", "outside [0, 3)"),
+            ("p = 3\nfield_degree = 3\npole inf: 0 (1,,2) 1\n", "bad digit tuple '(1,,2)'"),
+            ("p = 3\nfield_degree = 2\npole inf: 0 (1,) 1\n", "bad digit tuple"),
+            ("p = 3\nfield_degree = 2\npole inf: 0 () 1\n", "bad digit tuple"),
         ],
     )
     def test_parse_errors(self, text, fragment):
@@ -173,6 +180,13 @@ class TestCommands:
         assert main(["info", write(tmp_path, TWO_POLE), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["genus"] == 3 and data["p_rank"] == 2 and data["valid"]
+
+    def test_info_json_digit_out_of_range(self, tmp_path, capsys):
+        """(5,7) over GF(3^2) is refused, not read as (2,1)."""
+        path = write(tmp_path, "p = 3\nfield_degree = 2\npole inf: 0 (5,7) 1\n")
+        assert main(["info", path, "--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "valid": False, "error": "line 3: '(5,7)' has a digit outside [0, 3)"}
 
     def test_missing_file_returns_2(self, capsys):
         assert main(["info", "/nonexistent.curve"]) == 2
@@ -211,6 +225,27 @@ class TestCommands:
         assert main(["anumber", path, "--method", "rank", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert set(data) == {"genus", "rank", "a_rank"}
+
+    @pytest.mark.parametrize("text,flags,code,expected", [
+        (CUBIC, ["--method", "rank"], 0, "g = 6\nrank(M) = 2\na (corank) = 4\n"),
+        ("p = 5\npole inf: 0 0 0 1\n", ["--method", "rank"], 0,
+         "g = 4\nrank(M) = 0\na (corank) = 4\n"),
+        (CUBIC, [], 0, "g = 6\nrank(M) = 2\na (corank) = 4\n"
+                       "a (pole-order formula) = 4\nmatch: True\n"),
+        ("p = 5\npole inf: 0 0 0 1\n", [], 0, "g = 4\nrank(M) = 0\na (corank) = 4\n"
+         "pole-order formula: not applicable (p != 1 mod L)\n"),
+    ], ids=["rank", "rank-formula-na", "both", "both-formula-na"])
+    def test_anumber_text(self, text, flags, code, expected, tmp_path, capsys):
+        """The text of --method rank and of the default (both), byte for
+        byte, with the exit code."""
+        assert main(["anumber", write(tmp_path, text), *flags]) == code
+        assert capsys.readouterr().out == expected
+
+    def test_anumber_text_mismatch_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(invariants, "theorem_a_value", lambda p, orders: 5)
+        assert main(["anumber", write(tmp_path, CUBIC)]) == 1
+        assert capsys.readouterr().out == ("g = 6\nrank(M) = 2\na (corank) = 4\n"
+                                           "a (pole-order formula) = 5\nmatch: False\n")
 
     def test_anumber_formula_not_applicable(self, tmp_path):
         path = write(tmp_path, "p = 5\npole inf: 0 0 0 1\n")

@@ -18,12 +18,13 @@ from ascart import (
     twisted_rank_profile,
     validate,
 )
+from ascart import invariants
 from ascart.cartier import CartierMatrix
-from ascart.curve import basis
+from ascart.curve import basis, ordered_basis
 from ascart.errors import ConditionNotSatisfied, DNotCoprime
 from ascart.sweep import random_curve
 
-from conftest import curve, embed_curve, random_specs
+from conftest import PARTITION_MAX_P, admissible_families, curve, embed_curve, random_specs
 
 F3 = GF(3)
 F7 = GF(7)
@@ -231,3 +232,23 @@ class TestStructuralProperties:
         rep = a_number(spec)
         assert rep.match
         assert p_rank_stable(cartier_matrix(spec)) == validate(spec).s
+
+
+def test_basis_orders_reads_back_every_admissible_family():
+    """_basis_orders gives back the orders of every ordered basis with
+    p = 1 mod L, and None for that basis with its first two forms swapped.
+    Less its last form, a basis gives None unless what is left is itself
+    an ordered basis: of orders (1,), genus 0, after a genus-1 basis, or
+    of (1, 1) after (1, 1, 1) at p = 2."""
+    truncated = set()
+    for p, orders in admissible_families(PARTITION_MAX_P, 3):
+        forms = ordered_basis(p, orders)
+        assert invariants._basis_orders(p, forms) == orders
+        if len(forms) >= 2:
+            assert invariants._basis_orders(p, [forms[1], forms[0], *forms[2:]]) is None
+        if forms:
+            found = invariants._basis_orders(p, forms[:-1])
+            if found is not None:
+                assert ordered_basis(p, found) == forms[:-1]
+                truncated.add((p, orders, found))
+    assert truncated == {(2, (1, 1), (1,)), (3, (2,), (1,)), (2, (1, 1, 1), (1, 1))}

@@ -9,8 +9,10 @@ or it stays in METHOD_KEEP.
 
 The two Cartier pipelines, local and rational, check each other, so the
 import graph keeps them apart: neither reaches the other's module, the
-gate (cartier) or invariants, local does not reach ratfunc, and neither
-names the closed form that the corank is checked against."""
+gate (cartier) or invariants, and local does not reach ratfunc.  The
+closed form that the corank is checked against (partition_HA, kappa and
+theorem_a_value) lives in invariants, so neither pipeline can import it
+either."""
 
 import ast
 import random
@@ -19,7 +21,8 @@ from pathlib import Path
 import pytest
 
 import ascart
-from ascart import GF, cartier_matrix, local, p_rank_stable, rank, rational, twisted_rank_profile
+from ascart import (GF, cartier_matrix, invariants, local, p_rank_stable, rank, rational,
+                    twisted_rank_profile)
 from ascart.sweep import random_curve
 
 from conftest import curve
@@ -106,20 +109,14 @@ def test_ratfunc_is_the_rational_pipelines_arithmetic():
     assert importers == {"__init__", "rational"}
 
 
-@pytest.mark.parametrize("pipeline", ["local", "rational"])
-def test_pipelines_name_no_closed_form(pipeline):
-    """Neither pipeline imports or reads partition_HA, kappa or
-    theorem_a_value, the closed form that its corank is checked against."""
-    tree = ast.parse((SRC / f"{pipeline}.py").read_text(encoding="utf-8"))
-    named = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            named.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-    assert not named & {"partition_HA", "kappa", "theorem_a_value"}
+def test_closed_form_lives_in_invariants():
+    """The closed form is defined in invariants, which neither pipeline may
+    reach, and not in curve, which both import; the package re-exports it."""
+    closed_form = {"_pivots", "partition_HA", "kappa", "theorem_a_value"}
+    assert closed_form <= set(vars(invariants))
+    assert not closed_form & set(vars(ascart.curve))
+    assert "invariants" not in reached("curve")
+    assert (ascart.kappa, ascart.partition_HA) == (invariants.kappa, invariants.partition_HA)
 
 
 def test_cartier_keeps_its_names():
