@@ -34,7 +34,6 @@ the entries the local layout reads, are re-exported from their pipelines.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,58 +48,41 @@ PIPELINES = ("rational", "local")
 _MAX_DIGITS = 2**20  # on g^2 * k, the digits of a Cartier matrix
 
 
-class _DigitStore:
-    """The entries field of CartierMatrix, stored as digits.
+@dataclass(frozen=True, eq=False)
+class CartierMatrix:
+    """Matrix of the Cartier operator in the ordered basis.
 
-    Setting it, in the constructor or through dataclasses.replace, takes
-    rows of elements of the matrix's field or a (g, g, k) integer digit
-    array, each digit in [0, p), and keeps only a private read-only int64
-    copy, as the instance's digits.  Reading it builds the rows of elements
-    from those digits.
+    Column j holds the coordinates of C(omega_j): entry (i, j) is the
+    coefficient of omega_i.  The constructor takes the matrix as digits, a
+    (g, g, k) integer array, each digit in [0, p), and keeps only a private
+    read-only int64 copy; equality and hashing read it.  Rows of field
+    elements are refused.  entries is the view that builds exact field
+    elements from the digits on each read.
     """
 
-    def __get__(self, M, owner=None):
-        if M is None:
-            raise AttributeError("entries")  # so the dataclass field has no default
-        return M.field.element_rows(M.digits)
+    field: Field
+    basis: tuple[BasisForm, ...]
+    digits: np.ndarray
 
-    def __set__(self, M, value):
-        field, g = M.field, len(M.basis)
-        if isinstance(value, np.ndarray):
-            if value.dtype.kind not in "iu":
-                raise ValueError(f"matrix digits must be integers, not {value.dtype}")
-            digits = value.astype(np.int64)  # a copy: no alias of value can change it
-        else:
-            flat = list(itertools.chain.from_iterable(value))
-            if any(c.field != field for c in flat):
-                raise ValueError(f"matrix entries must lie in {field}")
-            digits = field.digit_array(flat)
-            if len(digits) == g * g:
-                digits = digits.reshape(g, g, field.k)
+    def __post_init__(self):
+        field, g, value = self.field, len(self.basis), self.digits
+        if not isinstance(value, np.ndarray):
+            raise ValueError(f"matrix digits must be an integer array, "
+                             f"not {type(value).__name__}")
+        if value.dtype.kind not in "iu":
+            raise ValueError(f"matrix digits must be integers, not {value.dtype}")
+        digits = value.astype(np.int64)  # a copy: no alias of value can change it
         if digits.shape != (g, g, field.k):
             raise ValueError(f"a basis of {g} forms needs a {g} x {g} matrix "
                              f"of {field.k}-digit entries")
         if digits.size and not 0 <= digits.min() <= digits.max() < field.p:
             raise ValueError(f"matrix digits must lie in [0, {field.p})")
         digits.setflags(write=False)
-        object.__setattr__(M, "digits", digits)  # the dataclass is frozen
+        object.__setattr__(self, "digits", digits)  # the dataclass is frozen
 
-
-@dataclass(frozen=True, eq=False)
-class CartierMatrix:
-    """Matrix of the Cartier operator in the ordered basis.
-
-    Column j holds the coordinates of C(omega_j): entry (i, j) is the
-    coefficient of omega_i.  The matrix is stored once, as digits, a
-    read-only (g, g, k) int64 array of the entries' digits; equality and
-    hashing read it.  entries is the view that builds exact field elements
-    from it on each read.  The constructor takes the
-    entries as rows of elements or as a digit array (see _DigitStore).
-    """
-
-    field: Field
-    basis: tuple[BasisForm, ...]
-    entries: tuple[tuple[FieldElement, ...], ...] = _DigitStore()
+    @property
+    def entries(self) -> tuple[tuple[FieldElement, ...], ...]:
+        return self.field.element_rows(self.digits)
 
     def _key(self) -> tuple:
         return self.field, self.basis, self.digits.tobytes()

@@ -31,6 +31,7 @@ from .errors import (
     ConditionNotSatisfied,
     FieldTooLarge,
     InconsistentCounts,
+    InvalidInput,
     NotInSpan,
     NotShrinkable,
 )
@@ -197,7 +198,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    orders = tuple(int(d) for d in args.orders.split(","))
+    try:
+        orders = tuple(int(d) for d in args.orders.split(","))
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
     config = SweepConfig(
         p=args.p,
         field_degree=args.field_degree,
@@ -278,7 +282,7 @@ def main(argv=None) -> int:
         # slope multiplicities are all divisible by p - 1; like NotInSpan,
         # each can only mean a bug.
         bug = exc
-    except (AscartError, ValueError, OSError) as exc:
+    except (AscartError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an unreachable assertion or any other bug

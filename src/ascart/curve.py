@@ -9,10 +9,11 @@ does change point counts).  For a finite pole they are the coefficients of
 f_j(x_j) in x_j = (x - e_j)^(-1), degrees 1..d_j, so a constant term cannot
 occur in well-formed data.
 
-validate() checks the normal form (pole orders prime to p, nonzero leading
-coefficients, distinct locations, infinity present and listed first) and
-returns the numeric invariants: D, L, the genus g = D(p-1)/2, the p-rank
-s = m(p-1), and, when p = 1 mod L, the slopes gamma_j = (p-1)/d_j.
+validate() checks the normal form (every element in the curve's field,
+pole orders prime to p, nonzero leading coefficients, distinct locations,
+infinity present and listed first) and returns the numeric invariants: D,
+L, the genus g = D(p-1)/2, the p-rank s = m(p-1), and, when p = 1 mod L,
+the slopes gamma_j = (p-1)/d_j.
 
 basis() enumerates the monomial basis of regular 1-forms, and
 ordered_basis() that of every curve with given p and pole orders: blocks
@@ -37,6 +38,7 @@ import numpy as np
 
 from .errors import (
     DuplicatePoleLocation,
+    ForeignElement,
     MissingInfinitePole,
     PoleOrderDivisibleByP,
     ZeroLeadingCoefficient,
@@ -150,8 +152,12 @@ def validate(spec: CurveSpec) -> CurveInvariants:
             raise DuplicatePoleLocation(f"two poles at {datum.location!r}")
         seen.add(datum.location)
 
-    orders = []
+    field, orders = spec.field, []
     for j, datum in enumerate(spec.poles):
+        for c in datum.coeffs if datum.is_infinite else (datum.location, *datum.coeffs):
+            if c.field is not field and c.field != field:  # GF shares fields: `is` first
+                raise ForeignElement(f"pole {j}: {c!r} does not lie in {field!r} "
+                                     f"(modulus {field.modulus})")
         d = datum.order
         if datum.is_infinite and d < 1:
             raise MissingInfinitePole(

@@ -1,9 +1,12 @@
 """Exception hierarchy for ascart.
 
-Every error the library raises deliberately derives from AscartError, so
-callers (and the CLI) can distinguish invalid input from genuine bugs.
-Mathematical *mismatches* (a verification that fails) are not exceptions;
-they are reported in result objects and exit codes.
+Every error that invalid input raises, from a spec file, a command-line
+argument or a curve built by hand, derives from AscartError, so callers
+(and the CLI, exit 2) can tell invalid input from genuine bugs (exit 3).
+A bare ValueError is a bug, or a call that breaks an API's contract, such
+as rows of elements for a CartierMatrix.  Mathematical *mismatches* (a
+verification that fails) are not exceptions; they are reported in result
+objects and exit codes.
 """
 
 
@@ -36,6 +39,10 @@ class PoleOrderDivisibleByP(AscartError):
 
 class ZeroLeadingCoefficient(AscartError):
     """The top coefficient of a pole's principal part vanishes."""
+
+
+class ForeignElement(AscartError):
+    """A coefficient or location of a curve lies in another field."""
 
 
 class DuplicatePoleLocation(AscartError):
@@ -87,6 +94,12 @@ class FieldTooLarge(AscartError, ValueError):
 
 class SeriesTooLarge(AscartError, ValueError):
     """A Cartier matrix too large to build: over the cap on its g^2 * k digits."""
+
+
+class InvalidInput(AscartError, ValueError):
+    """A value outside its domain that no other class names: a field degree
+    below 1, a sweep's sample count below 1 or pole orders that are not
+    integers of at least 1, or a spec file that is not UTF-8."""
 
 
 class ParseError(AscartError):

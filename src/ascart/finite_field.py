@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FieldTooLarge, FieldTooSmall, NotPrime
+from .errors import FieldTooLarge, FieldTooSmall, InvalidInput, NotPrime
 
 _MAX_FIELD_SIZE = 10**7
 
@@ -198,7 +198,7 @@ class Field:
         # run for hours on a large p.  k >= 24 gives p^k >= 2^24 > 10^7, so a
         # huge k never forms p**k.
         if k < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise InvalidInput("extension degree must be >= 1")
         if p >= 2 and (k >= _MAX_FIELD_SIZE.bit_length() or p**k > _MAX_FIELD_SIZE):
             raise FieldTooLarge(f"field GF({p}^{k}) exceeds the {_MAX_FIELD_SIZE}-element cap")
         if not is_prime(p):

@@ -8,11 +8,12 @@ most once):
     pole inf: c0 c1 ... c_d0       # coefficients of f_0, degrees 0..d_0
     pole <elem>: c1 ... c_dj       # principal part, degrees 1..d_j
 
-Field elements are written either as a bare integer (reduced mod p, the
-prime-subfield embedding) or as a base-p digit tuple (a0,a1,...) without
-spaces, each digit in [0, p); a tuple is never reduced.  Finite-pole
-coefficient lists start at degree 1 by construction, so a well-formed file
-cannot smuggle in a constant term.
+Every integer, p, k, a bare element or a digit, is an optional '-' and
+ASCII digits.  Field elements are written either as a bare integer
+(reduced mod p, the prime-subfield embedding) or as a base-p digit tuple
+(a0,a1,...) without spaces, each digit in [0, p); a tuple is never
+reduced.  Finite-pole coefficient lists start at degree 1 by construction,
+so a well-formed file cannot smuggle in a constant term.
 
 Example (y^7 - y = x^3):
 
@@ -23,18 +24,29 @@ Example (y^7 - y = x^3):
 from __future__ import annotations
 
 from .curve import CurveSpec, PoleDatum, validate
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 from .finite_field import GF, Field, FieldElement
+
+
+def _integer(text: str, lineno: int, message: str) -> int:
+    """text as an int if it is an optional '-' and ASCII digits, else
+    ParseError(message): int() alone would also read '+1', '1_0' and
+    non-ASCII digits, and raises ValueError past its digit limit."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ParseError(lineno, message)
 
 
 def _parse_element(token: str, field: Field, lineno: int) -> FieldElement:
     if token.startswith("("):
         if not token.endswith(")"):
             raise ParseError(lineno, f"unterminated digit tuple {token!r}")
-        try:
-            digits = [int(d) for d in token[1:-1].split(",")]
-        except ValueError:
-            raise ParseError(lineno, f"bad digit tuple {token!r}") from None
+        digits = [_integer(d, lineno, f"bad digit tuple {token!r}")
+                  for d in token[1:-1].split(",")]
         if len(digits) > field.k:
             raise ParseError(
                 lineno, f"{token!r} has more than k={field.k} digits"
@@ -42,10 +54,7 @@ def _parse_element(token: str, field: Field, lineno: int) -> FieldElement:
         if not all(0 <= d < field.p for d in digits):
             raise ParseError(lineno, f"{token!r} has a digit outside [0, {field.p})")
         return field(digits)
-    try:
-        return field(int(token))
-    except ValueError:
-        raise ParseError(lineno, f"bad field element {token!r}") from None
+    return field(_integer(token, lineno, f"bad field element {token!r}"))
 
 
 def parse_spec_text(text: str) -> CurveSpec:
@@ -81,10 +90,7 @@ def parse_spec_text(text: str) -> CurveSpec:
             key, value = key.strip(), value.strip()
             if field is not None:
                 raise ParseError(lineno, f"{key} must come before the poles")
-            try:
-                ivalue = int(value)
-            except ValueError:
-                raise ParseError(lineno, f"bad integer {value!r}") from None
+            ivalue = _integer(value, lineno, f"bad integer {value!r}")
             if key not in ("p", "field_degree"):
                 raise ParseError(lineno, f"unknown key {key!r}")
             if key in keys:
@@ -106,4 +112,8 @@ def parse_spec_text(text: str) -> CurveSpec:
 def parse_spec(path) -> CurveSpec:
     """Parse and validate a curve-spec file."""
     with open(path, encoding="utf-8") as fh:
-        return parse_spec_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(str(exc)) from None
+    return parse_spec_text(text)

@@ -25,7 +25,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 from .cartier import cartier_matrix, check_digit_cap
 from .curve import CurveSpec, PoleDatum, validate
-from .errors import ConditionNotSatisfied, FieldTooSmall
+from .errors import ConditionNotSatisfied, FieldTooSmall, InvalidInput
 from .finite_field import GF, Field
 from .invariants import p_rank_stable, rank, theorem_a_value
 
@@ -68,9 +68,9 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.samples < 1:
-            raise ValueError("sample count must be >= 1")
+            raise InvalidInput("sample count must be >= 1")
         if not self.orders or min(self.orders) < 1:
-            raise ValueError("pole orders must be >= 1")
+            raise InvalidInput("pole orders must be >= 1")
         # the field, its room for the finite poles, the orders prime to p and
         # the digit cap on the genus, which (p, orders) alone decide
         field = GF(self.p, self.field_degree)

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from ascart import GF, INF, CurveSpec, PoleDatum, Poly, embedding, kappa, partition_HA, validate
+from ascart import (GF, INF, CartierMatrix, CurveSpec, PoleDatum, Poly, embedding, kappa,
+                    partition_HA, validate)
 from ascart.invariants import rank
 from ascart.sweep import random_curve
 
@@ -55,6 +56,14 @@ def admissible_families(max_p, max_poles):
 @pytest.fixture
 def rng():
     return random.Random(20240501)
+
+
+def matrix_from_rows(field, basis, rows):
+    """The CartierMatrix whose entries are these rows of elements of field:
+    CartierMatrix takes only digits."""
+    g = len(basis)
+    digits = field.digit_array(itertools.chain.from_iterable(rows))
+    return CartierMatrix(field, tuple(basis), digits.reshape(g, g, field.k))
 
 
 def random_specs(p, orders, count, seed, k=1):

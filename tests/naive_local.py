@@ -15,6 +15,7 @@ from ascart.curve import BasisForm, CurveSpec, basis
 from ascart.finite_field import FieldElement
 from ascart.ratfunc import PartialFraction, Poly
 
+from conftest import matrix_from_rows
 from naive_ratfunc import monomial
 
 
@@ -193,4 +194,4 @@ def naive_local_matrix(spec) -> CartierMatrix:
             sign = (-1) ** e * binom_mod(form.r, e, field.p)
             accumulate(c_monomial_pf(form.j, form.b, e), field(sign), form.r - e, vec)
         columns.append(vec)
-    return CartierMatrix(field, tuple(forms), tuple(zip(*columns)))
+    return matrix_from_rows(field, forms, zip(*columns))

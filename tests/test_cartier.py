@@ -24,14 +24,16 @@ from ascart import (
 from ascart import cartier, invariants, local, ratfunc, rational
 from ascart.cartier import CartierMatrix
 from ascart.cli import main
-from ascart.curve import BasisForm, basis, binomial_signs, ordered_basis
-from ascart.errors import ConditionNotSatisfied, NotInH, NotInSpan, SeriesTooLarge
+from ascart.curve import (INF, BasisForm, CurveSpec, PoleDatum, basis, binomial_signs,
+                          ordered_basis)
+from ascart.errors import (ConditionNotSatisfied, ForeignElement, NotInH, NotInSpan,
+                           SeriesTooLarge)
 from ascart.finite_field import _MAX_FIELD_SIZE, Field, is_prime
 from ascart.invariants import rank, theorem_a_value
 from ascart.sweep import random_curve
 
 from conftest import (PARTITION_MAX_P, admissible_families, assert_pivot_structure, curve,
-                      random_specs, random_split_ratfunc)
+                      matrix_from_rows, random_specs, random_split_ratfunc)
 from naive_local import cartier_local, f_partial_fraction, naive_local_matrix
 from naive_ratfunc import (RatFunc, assemble, cartier_rational, decompose, from_ints, monomial,
                            power)
@@ -450,25 +452,40 @@ def test_genus_zero_needs_no_series_bound(pipeline, monkeypatch):
     assert M.basis == () and M.digits.shape == (0, 0, 1) and rank(M) == 0
 
 
-@pytest.mark.parametrize("build", [*cartier.PIPELINES, "from_json"])
-def test_matrix_is_built_from_digits(build, monkeypatch):
-    """Both pipelines and from_json hand CartierMatrix a digit array, never
-    rows of elements."""
-    spec = curve(3, [0, 0, 1], [(1, [1])], k=2)
-    reference = cartier_matrix(spec)
-    handed = []
+def test_rows_of_elements_are_refused():
+    """CartierMatrix takes digits only: rows of elements, as tuples, lists or
+    the empty rows, are refused with ValueError, in the constructor and
+    through dataclasses.replace, and entries is no field to replace."""
+    M = cartier_matrix(curve(3, [0, 0, 1], [(1, [1])], k=2))
+    for rows in (M.entries, [list(row) for row in M.entries], ()):
+        with pytest.raises(ValueError, match="matrix digits must be an integer array"):
+            CartierMatrix(M.field, M.basis, rows)
+        with pytest.raises(ValueError, match="matrix digits must be an integer array"):
+            dataclasses.replace(M, digits=rows)
+    with pytest.raises(TypeError, match="entries"):
+        dataclasses.replace(M, entries=M.entries)
+    assert [f.name for f in dataclasses.fields(CartierMatrix)] == ["field", "basis", "digits"]
 
-    def spy(field, forms, entries):
-        handed.append(entries)
-        return CartierMatrix(field, forms, entries)
 
-    monkeypatch.setattr(cartier, "CartierMatrix", spy)
-    if build == "from_json":
-        M = CartierMatrix.from_json(reference.to_json())
+@pytest.mark.parametrize("pipeline", cartier.PIPELINES)
+@pytest.mark.parametrize("where", ["modulus", "characteristic", "location"])
+def test_elements_of_another_field_are_refused(pipeline, where):
+    """validate refuses a coefficient or a location that lies in another
+    field than the curve's, so neither pipeline reads foreign digits; an
+    element of an equal field that GF did not build is accepted."""
+    F, other = GF(3, 2), Field(3, 2, modulus=(2, 2, 1))  # GF(3^2), not the default modulus
+    assert other != F
+    foreign = {"modulus": other.gen, "characteristic": GF(5)(2), "location": other.gen}[where]
+    if where == "location":
+        poles = (PoleDatum(INF, (F.zero, F.zero, F.one)), PoleDatum(foreign, (F.one,)))
     else:
-        M = cartier_matrix(spec, build)
-    assert [type(entries) for entries in handed] == [np.ndarray]
-    assert M == reference
+        poles = (PoleDatum(INF, (F.zero, F.zero, foreign)),)
+    with pytest.raises(ForeignElement, match=r"does not lie in GF\(3\^2\)"):
+        cartier_matrix(CurveSpec(F, poles), pipeline)
+    twin = Field(3, 2)
+    assert twin is not F and twin == F
+    spec = CurveSpec(F, (PoleDatum(INF, (F.zero, F.zero, twin.gen)),))
+    assert cartier_matrix(spec, pipeline) == cartier_matrix(curve(3, [0, 0, (0, 1)], k=2), pipeline)
 
 
 class TestOperatorAxioms:
@@ -595,26 +612,22 @@ class TestMatrixDigits:
         spec = random_specs(p, orders, 1, seed, k=k)[0]
         local, rational = cartier_matrix(spec, "local"), cartier_matrix(spec, "rational")
         rebuilt = CartierMatrix.from_json(local.to_json())
-        by_hand = CartierMatrix(local.field, local.basis, local.entries)
         from_digits = CartierMatrix(local.field, local.basis, local.digits.copy())
-        # M + I through dataclasses.replace: the digits follow the new rows
+        # M + I through dataclasses.replace: the entries follow the new digits
         F = local.field
         rows = tuple(tuple(c + F.one if i == j else c for j, c in enumerate(row))
                      for i, row in enumerate(local.entries))
-        shifted = dataclasses.replace(local, entries=rows)
-        equal = (local, rational, rebuilt, by_hand, from_digits)
+        shifted = dataclasses.replace(local, digits=matrix_from_rows(F, local.basis, rows).digits)
+        equal = (local, rational, rebuilt, from_digits)
         for M in (*equal, shifted):
             self.check(M)
         assert all(M == local and hash(M) == hash(local) and repr(M) == repr(local)
                    for M in equal)
         assert shifted.entries == rows
-        assert (shifted.digits == F.digit_array(itertools.chain(*rows)).reshape(local.digits.shape)).all()
-        assert rank(shifted) == naive_rank(shifted)
-        twin = CartierMatrix(F, local.basis, rows)
-        assert shifted == twin and hash(shifted) == hash(twin) and shifted != local
+        assert rank(shifted) == naive_rank(shifted) and shifted != local
 
     def test_empty_matrix(self):
-        self.check(CartierMatrix(GF(3, 2), (), ()))
+        self.check(matrix_from_rows(GF(3, 2), (), ()))
 
     @pytest.mark.parametrize("p,k,entries,message", [
         (13, 1, [[13]], "must lie in"),
@@ -665,20 +678,12 @@ class TestMatrixDigits:
         with pytest.raises(ValueError, match="matrix digits must"):
             CartierMatrix(M.field, M.basis, digits)
         with pytest.raises(ValueError, match="matrix digits must"):
-            dataclasses.replace(M, entries=digits)
-
-    def test_entries_must_lie_in_the_field(self):
-        other = Field(3, 2, modulus=(2, 2, 1))  # GF(3^2), but not the default modulus
-        assert other != GF(3, 2)
-        with pytest.raises(ValueError, match="matrix entries must lie in"):
-            CartierMatrix(GF(3, 2), (BasisForm(0, 0, 0),), ((other.gen,),))
+            dataclasses.replace(M, digits=digits)
 
     def test_shape_must_match_basis(self):
         M = cartier_matrix(curve(7, [0, 0, 0, 1]))
         with pytest.raises(ValueError, match="6 x 6"):
             CartierMatrix(M.field, M.basis, M.digits[:5, :5])
-        with pytest.raises(ValueError, match="6 x 6"):
-            CartierMatrix(M.field, M.basis, M.entries[:5])
 
 
 @settings(max_examples=40, deadline=None)

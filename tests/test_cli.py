@@ -28,7 +28,7 @@ from ascart import (
     validate,
     zeta,
 )
-from ascart import invariants, rational
+from ascart import cartier, invariants, rational
 from ascart.cartier import CartierMatrix
 from ascart.cli import main
 from ascart.errors import (
@@ -91,11 +91,11 @@ class TestParse:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(max_size=200), _LINES, _SPEC))
     def test_fuzzed_text_raises_only_input_errors(self, text):
-        """Any text either parses or raises an error the CLI maps to exit 2;
-        nothing else escapes."""
+        """Any text either parses or raises an AscartError, which the CLI
+        maps to exit 2; nothing else escapes, not even a ValueError."""
         try:
             parse_spec_text(text)
-        except (AscartError, ValueError):
+        except AscartError:
             pass
 
     def test_cubic(self):
@@ -149,6 +149,19 @@ class TestParse:
             ("p = 3\nfield_degree = 3\npole inf: 0 (1,,2) 1\n", "bad digit tuple '(1,,2)'"),
             ("p = 3\nfield_degree = 2\npole inf: 0 (1,) 1\n", "bad digit tuple"),
             ("p = 3\nfield_degree = 2\npole inf: 0 () 1\n", "bad digit tuple"),
+            # every integer is an optional '-' and ASCII digits, as int() alone is not
+            ("p = 1_3\npole inf: 0 1\n", "line 1: bad integer '1_3'"),
+            ("p = +13\npole inf: 0 1\n", "bad integer '+13'"),
+            ("p = 13\nfield_degree = \u0662\npole inf: 0 1\n", "bad integer"),
+            ("p = 13\npole inf: 0 1_0 1\n", "line 2: bad field element '1_0'"),
+            ("p = 13\npole inf: 0 \u0661 1\n", "bad field element '\u0661'"),
+            ("p = 13\npole inf: 0 +1 1\n", "bad field element '+1'"),
+            ("p = 13\npole inf: 0 --1 1\n", "bad field element '--1'"),
+            ("p = 13\npole inf: 0 " + "9" * 5000 + " 1\n", "bad field element"),
+            ("p = 13\nfield_degree = 2\npole inf: 0 (+1) 1\n", "bad digit tuple '(+1)'"),
+            ("p = 13\nfield_degree = 2\npole inf: 0 (1_0) 1\n", "bad digit tuple '(1_0)'"),
+            ("p = 13\nfield_degree = 2\npole inf: 0 (\u0661,0) 1\n", "bad digit tuple"),
+            ("p = 13\nfield_degree = 2\npole (+1): 1\npole inf: 0 1\n", "bad digit tuple"),
         ],
     )
     def test_parse_errors(self, text, fragment):
@@ -187,6 +200,20 @@ class TestCommands:
         assert main(["info", path, "--json"]) == 2
         assert json.loads(capsys.readouterr().out) == {
             "valid": False, "error": "line 3: '(5,7)' has a digit outside [0, 3)"}
+
+    @pytest.mark.parametrize("command", [["info"], ["info", "--json"], ["anumber"]])
+    def test_non_utf8_spec_is_invalid_input(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.curve"
+        path.write_bytes("# Cartier, \u00e9t\u00e9\np = 7\npole inf: 0 0 0 1\n".encode("latin-1"))
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        message = "'utf-8' codec can't decode byte 0xe9 in position 11: invalid continuation byte"
+        if command == ["info", "--json"]:
+            assert json.loads(out) == {"valid": False, "error": message} and err == ""
+        elif command == ["info"]:
+            assert (out, err) == (f"invalid curve: {message}\n", "")
+        else:
+            assert (out, err) == ("", f"error: {message}\n")
 
     def test_missing_file_returns_2(self, capsys):
         assert main(["info", "/nonexistent.curve"]) == 2
@@ -375,6 +402,23 @@ class TestSweepCommand:
         assert out == "" and message in err
         assert csv_path.read_bytes() == b"sample,seed\n0,1\n"
 
+    @pytest.mark.parametrize("args, stderr", [
+        (["--orders", "3,x"], "error: invalid literal for int() with base 10: 'x'\n"),
+        (["--orders", "2,,1"], "error: invalid literal for int() with base 10: ''\n"),
+        (["--orders", "3", "--samples", "0"], "error: sample count must be >= 1\n"),
+        (["--orders", "3,-1"], "error: pole orders must be >= 1\n"),
+        (["--orders", "3", "--field-degree", "0"], "error: extension degree must be >= 1\n"),
+    ])
+    def test_invalid_argument_is_an_input_error(self, args, stderr, capsys, monkeypatch):
+        """Each bad argument raises an AscartError, exit 2 with its stderr
+        byte for byte, not a bare ValueError, which would exit 3."""
+        def refused(config):
+            raise AssertionError("a bad argument reached the sweep")
+
+        monkeypatch.setattr(cli, "run_sweep", refused)
+        assert main(["sweep", "--p", "7", *args]) == 2
+        assert capsys.readouterr() == ("", stderr)
+
     @pytest.mark.parametrize("orders", ["0", "3,0", "3,-1"])
     def test_order_below_one_rejected_before_sampling(self, orders, capsys):
         assert main(["sweep", "--p", "7", "--orders", orders]) == 2
@@ -562,6 +606,18 @@ class TestExitCodes:
             cartier_matrix(parse_spec_text(TWO_POLE), "rational")
         assert main(["matrix", write(tmp_path, TWO_POLE), "--pipeline", "rational"]) == 3
         assert "internal error (NotInSpan)" in capsys.readouterr().err
+
+    def test_value_error_is_internal(self, capsys, monkeypatch):
+        """Only an AscartError is invalid input: a ValueError from inside a
+        pipeline is a bug, exit 3."""
+        def broken(spec, orders):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cartier, "local_matrix", broken)
+        assert main(["anumber", str(CURVES / "p7_x3.curve")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "internal error (ValueError): operands could not be broadcast together" in err
 
     def test_assertion_is_internal(self, tmp_path, capsys, monkeypatch):
         def broken(spec, pipeline="local"):

@@ -19,12 +19,12 @@ from ascart import (
     validate,
 )
 from ascart import invariants
-from ascart.cartier import CartierMatrix
 from ascart.curve import basis, ordered_basis
 from ascart.errors import ConditionNotSatisfied, DNotCoprime
 from ascart.sweep import random_curve
 
-from conftest import PARTITION_MAX_P, admissible_families, curve, embed_curve, random_specs
+from conftest import (PARTITION_MAX_P, admissible_families, curve, embed_curve, matrix_from_rows,
+                      random_specs)
 
 F3 = GF(3)
 F7 = GF(7)
@@ -35,7 +35,7 @@ def identity_matrix(field, g):
         tuple(field.one if i == j else field.zero for j in range(g)) for i in range(g)
     )
     forms = tuple(basis(curve(7, [0, 0, 0, 1]))[:g])
-    return CartierMatrix(field, forms, rows)
+    return matrix_from_rows(field, forms, rows)
 
 
 class TestRank:

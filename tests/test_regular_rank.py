@@ -26,7 +26,7 @@ from ascart.curve import BasisForm
 from ascart.finite_field import _MAX_FIELD_SIZE, Field, is_prime
 from ascart.sweep import SweepConfig, random_curve, run_sweep
 
-from conftest import curve
+from conftest import curve, matrix_from_rows
 from naive_rank import echelon_elements, naive_rank, naive_twisted_rank_profile
 
 FIELDS = [(5, 2), (3, 2), (3, 3), (2, 3), (7, 2), (3, 7), (13, 1), (2, 2), (2, 4)]
@@ -91,7 +91,7 @@ def random_matrix(field, g, r, rng):
         tuple(sum((U[i][l] * W[l][j] for l in range(r)), field.zero) for j in range(g))
         for i in range(g)
     )
-    return CartierMatrix(field, tuple(BasisForm(0, i, 0) for i in range(g)), rows)
+    return matrix_from_rows(field, [BasisForm(0, i, 0) for i in range(g)], rows)
 
 
 class TestRegularRepresentation:
@@ -459,7 +459,7 @@ class TestPivotCertificate:
         for (row, col), entry in broken:
             digits = M.digits.copy()
             digits[row, col] = entry
-            assert self.eliminations(dataclasses.replace(M, entries=digits)) == 1
+            assert self.eliminations(dataclasses.replace(M, digits=digits)) == 1
 
     @pytest.mark.parametrize("case,calls", [((13, 1, (4, 3)), 0), ((7, 2, (3,)), 0),
                                             ((7, 1, (4, 1)), 1), ((5, 2, (3,)), 1)])
@@ -517,7 +517,7 @@ class TestTriangularPRank:
         i = data.draw(st.integers(0, g - 1))
         diagonal = M.digits.copy()
         diagonal[i, i] = [0] * k if nonzero[i, i] else data.draw(digit)
-        assert self.route(dataclasses.replace(M, entries=diagonal))[1:] == (0, 0, 0)
+        assert self.route(dataclasses.replace(M, digits=diagonal))[1:] == (0, 0, 0)
         if g < 2:  # nothing lies below the diagonal
             return
         j = data.draw(st.integers(0, g - 2))
@@ -527,7 +527,7 @@ class TestTriangularPRank:
         for row, col in below:
             broken = M.digits.copy()
             broken[row, col] = data.draw(digit)
-            assert self.route(dataclasses.replace(M, entries=broken))[1] == 1
+            assert self.route(dataclasses.replace(M, digits=broken))[1] == 1
 
     @settings(max_examples=40, deadline=None)
     @given(case=st.sampled_from(CERTIFIED + UNCERTIFIED),
