@@ -48,7 +48,7 @@ PIPELINES = ("rational", "local")
 _MAX_DIGITS = 2**20  # on g^2 * k, the digits of a Cartier matrix
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class CartierMatrix:
     """Matrix of the Cartier operator in the ordered basis.
 
@@ -56,33 +56,48 @@ class CartierMatrix:
     coefficient of omega_i.  The constructor takes the matrix as digits, a
     (g, g, k) integer array, each digit in [0, p), and keeps only a private
     read-only int64 copy; equality and hashing read it.  Rows of field
-    elements are refused.  entries is the view that builds exact field
-    elements from the digits on each read.
+    elements as digits are refused.  entries is the view that builds exact
+    field elements from the digits on each read.  The keyword entries takes
+    rows of elements of field in place of digits, only so that the
+    benchmark's tests can edit a matrix with dataclasses.replace(M, entries=rows).
     """
 
     field: Field
     basis: tuple[BasisForm, ...]
     digits: np.ndarray
 
-    def __post_init__(self):
-        field, g, value = self.field, len(self.basis), self.digits
-        if not isinstance(value, np.ndarray):
+    def __init__(self, field: Field, basis: tuple[BasisForm, ...],
+                 digits: np.ndarray | None = None, *, entries=None):
+        g = len(basis)
+        if entries is not None:
+            flat = [c for row in entries for c in row]
+            if any(c.field != field for c in flat):
+                raise ValueError(f"matrix entries must lie in {field}")
+            digits = field.digit_array(flat)
+            if len(digits) == g * g:
+                digits = digits.reshape(g, g, field.k)
+        if not isinstance(digits, np.ndarray):
             raise ValueError(f"matrix digits must be an integer array, "
-                             f"not {type(value).__name__}")
-        if value.dtype.kind not in "iu":
-            raise ValueError(f"matrix digits must be integers, not {value.dtype}")
-        digits = value.astype(np.int64)  # a copy: no alias of value can change it
+                             f"not {type(digits).__name__}")
+        if digits.dtype.kind not in "iu":
+            raise ValueError(f"matrix digits must be integers, not {digits.dtype}")
+        digits = digits.astype(np.int64)  # a copy: no alias of the input can change it
         if digits.shape != (g, g, field.k):
             raise ValueError(f"a basis of {g} forms needs a {g} x {g} matrix "
                              f"of {field.k}-digit entries")
         if digits.size and not 0 <= digits.min() <= digits.max() < field.p:
             raise ValueError(f"matrix digits must lie in [0, {field.p})")
         digits.setflags(write=False)
-        object.__setattr__(self, "digits", digits)  # the dataclass is frozen
+        for name, value in ("field", field), ("basis", basis), ("digits", digits):
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
     @property
     def entries(self) -> tuple[tuple[FieldElement, ...], ...]:
         return self.field.element_rows(self.digits)
+
+    def __repr__(self) -> str:
+        return (f"CartierMatrix(field={self.field!r}, basis={self.basis!r}, "
+                f"entries={self.entries!r})")
 
     def _key(self) -> tuple:
         return self.field, self.basis, self.digits.tobytes()

@@ -8,8 +8,8 @@ most once):
     pole inf: c0 c1 ... c_d0       # coefficients of f_0, degrees 0..d_0
     pole <elem>: c1 ... c_dj       # principal part, degrees 1..d_j
 
-Every integer, p, k, a bare element or a digit, is an optional '-' and
-ASCII digits.  Field elements are written either as a bare integer
+Every integer, p, field_degree, a bare element or a digit, is an optional
+'-' and ASCII digits.  Field elements are written either as a bare integer
 (reduced mod p, the prime-subfield embedding) or as a base-p digit tuple
 (a0,a1,...) without spaces, each digit in [0, p); a tuple is never
 reduced.  Finite-pole coefficient lists start at degree 1 by construction,

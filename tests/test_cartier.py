@@ -452,18 +452,38 @@ def test_genus_zero_needs_no_series_bound(pipeline, monkeypatch):
     assert M.basis == () and M.digits.shape == (0, 0, 1) and rank(M) == 0
 
 
+@pytest.mark.parametrize("build", [*cartier.PIPELINES, "from_json"])
+def test_matrix_is_built_from_digits(build, monkeypatch):
+    """Both pipelines and from_json hand CartierMatrix a digit array, never
+    rows of elements: the keyword entries has no caller in the package."""
+    spec = curve(3, [0, 0, 1], [(1, [1])], k=2)
+    reference = cartier_matrix(spec)
+    handed = []
+
+    def spy(field, forms, digits):
+        handed.append(digits)
+        return CartierMatrix(field, forms, digits)
+
+    monkeypatch.setattr(cartier, "CartierMatrix", spy)
+    if build == "from_json":
+        M = CartierMatrix.from_json(reference.to_json())
+    else:
+        M = cartier_matrix(spec, build)
+    assert [type(digits) for digits in handed] == [np.ndarray]
+    assert M == reference
+
+
 def test_rows_of_elements_are_refused():
-    """CartierMatrix takes digits only: rows of elements, as tuples, lists or
-    the empty rows, are refused with ValueError, in the constructor and
-    through dataclasses.replace, and entries is no field to replace."""
+    """CartierMatrix takes digits: rows of elements, as tuples, lists or the
+    empty rows, are refused as digits with ValueError, in the constructor
+    and through dataclasses.replace.  Only the keyword entries takes rows."""
     M = cartier_matrix(curve(3, [0, 0, 1], [(1, [1])], k=2))
     for rows in (M.entries, [list(row) for row in M.entries], ()):
         with pytest.raises(ValueError, match="matrix digits must be an integer array"):
             CartierMatrix(M.field, M.basis, rows)
         with pytest.raises(ValueError, match="matrix digits must be an integer array"):
             dataclasses.replace(M, digits=rows)
-    with pytest.raises(TypeError, match="entries"):
-        dataclasses.replace(M, entries=M.entries)
+    assert dataclasses.replace(M, entries=M.entries) == M
     assert [f.name for f in dataclasses.fields(CartierMatrix)] == ["field", "basis", "digits"]
 
 
@@ -471,8 +491,7 @@ def test_rows_of_elements_are_refused():
 @pytest.mark.parametrize("where", ["modulus", "characteristic", "location"])
 def test_elements_of_another_field_are_refused(pipeline, where):
     """validate refuses a coefficient or a location that lies in another
-    field than the curve's, so neither pipeline reads foreign digits; an
-    element of an equal field that GF did not build is accepted."""
+    field than the curve's, so neither pipeline reads foreign digits."""
     F, other = GF(3, 2), Field(3, 2, modulus=(2, 2, 1))  # GF(3^2), not the default modulus
     assert other != F
     foreign = {"modulus": other.gen, "characteristic": GF(5)(2), "location": other.gen}[where]
@@ -482,7 +501,13 @@ def test_elements_of_another_field_are_refused(pipeline, where):
         poles = (PoleDatum(INF, (F.zero, F.zero, foreign)),)
     with pytest.raises(ForeignElement, match=r"does not lie in GF\(3\^2\)"):
         cartier_matrix(CurveSpec(F, poles), pipeline)
-    twin = Field(3, 2)
+
+
+@pytest.mark.parametrize("pipeline", cartier.PIPELINES)
+def test_elements_of_an_equal_field_are_accepted(pipeline):
+    """An element of a field equal to the curve's that GF did not build is
+    no foreign element."""
+    F, twin = GF(3, 2), Field(3, 2)
     assert twin is not F and twin == F
     spec = CurveSpec(F, (PoleDatum(INF, (F.zero, F.zero, twin.gen)),))
     assert cartier_matrix(spec, pipeline) == cartier_matrix(curve(3, [0, 0, (0, 1)], k=2), pipeline)
@@ -625,6 +650,8 @@ class TestMatrixDigits:
                    for M in equal)
         assert shifted.entries == rows
         assert rank(shifted) == naive_rank(shifted) and shifted != local
+        twin = dataclasses.replace(local, entries=rows)  # the keyword takes rows of elements
+        assert shifted == twin and hash(shifted) == hash(twin)
 
     def test_empty_matrix(self):
         self.check(matrix_from_rows(GF(3, 2), (), ()))
@@ -680,10 +707,18 @@ class TestMatrixDigits:
         with pytest.raises(ValueError, match="matrix digits must"):
             dataclasses.replace(M, digits=digits)
 
+    def test_entries_must_lie_in_the_field(self):
+        other = Field(3, 2, modulus=(2, 2, 1))  # GF(3^2), but not the default modulus
+        assert other != GF(3, 2)
+        with pytest.raises(ValueError, match="matrix entries must lie in"):
+            CartierMatrix(GF(3, 2), (BasisForm(0, 0, 0),), entries=((other.gen,),))
+
     def test_shape_must_match_basis(self):
         M = cartier_matrix(curve(7, [0, 0, 0, 1]))
         with pytest.raises(ValueError, match="6 x 6"):
             CartierMatrix(M.field, M.basis, M.digits[:5, :5])
+        with pytest.raises(ValueError, match="6 x 6"):
+            CartierMatrix(M.field, M.basis, entries=M.entries[:5])
 
 
 @settings(max_examples=40, deadline=None)
