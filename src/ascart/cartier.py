@@ -25,9 +25,9 @@ principal part of g off its Laurent series at each pole.  Neither imports
 the other, nor this module.
 
 The output is the matrix only, cartier_matrix, the one gate of both
-pipelines (one validation, one size check, check_digit_cap, the g = 0
-case): a column is the coordinate vector of C(omega_j) in the ordered
-basis, and entry (i, j) is the coefficient of omega_i in C(omega_j).
+pipelines (one size check, check_digit_cap, and the g = 0 case; a spec is
+valid once built): a column is the coordinate vector of C(omega_j) in the
+ordered basis, and entry (i, j) is the coefficient of omega_i in C(omega_j).
 cartier_poly, the polynomial rule, and support(p, orders), the pattern of
 the entries the local layout reads, are re-exported from their pipelines.
 """
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BasisForm, CurveSpec, validate
+from .curve import BasisForm, CurveSpec, validate  # noqa: F401 (kept as ascart.cartier.validate)
 from .errors import SeriesTooLarge
 from .finite_field import Field, FieldElement
 from .local import local_matrix, support
@@ -159,13 +159,13 @@ def check_digit_cap(g: int, field: Field) -> None:
 def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
     """The full matrix of the Cartier operator, by either pipeline.
 
-    The one gate of both pipelines: the curve is validated once, and the
-    digit cap (check_digit_cap) is its only size check, before anything is
-    built.  At g = 0 neither pipeline runs.
+    The one gate of both pipelines: it reads the invariants the spec took
+    when it was built, and the digit cap (check_digit_cap) is its only size
+    check, before anything is built.  At g = 0 neither pipeline runs.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
-    field, inv = spec.field, validate(spec)
+    field, inv = spec.field, spec.invariants
     check_digit_cap(inv.g, field)
     if not inv.g:
         return CartierMatrix(field, (), np.zeros((0, 0, field.k), dtype=np.int64))

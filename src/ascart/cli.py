@@ -25,7 +25,7 @@ import traceback
 from contextlib import nullcontext
 
 from .cartier import PIPELINES, cartier_matrix
-from .curve import CurveSpec, validate
+from .curve import CurveSpec
 from .errors import (
     AscartError,
     ConditionNotSatisfied,
@@ -36,7 +36,7 @@ from .errors import (
     NotShrinkable,
 )
 from .invariants import a_number, theorem_a_value
-from .specfile import parse_spec
+from .specfile import decimal_int, parse_spec
 from .sweep import SweepConfig, run_sweep
 from .zeta import compare_polygons, hodge_polygon, l_polynomial, newton_polygon
 
@@ -45,13 +45,9 @@ def _print_json(data) -> None:
     print(json.dumps(data, indent=2))
 
 
-def _load(args) -> CurveSpec:
-    return parse_spec(args.spec)
-
-
 def cmd_info(args) -> int:
     try:
-        spec = _load(args)
+        spec = parse_spec(args.spec)
     except (AscartError, OSError) as exc:
         if args.json:
             _print_json({"valid": False, "error": str(exc)})
@@ -60,7 +56,7 @@ def cmd_info(args) -> int:
             raise  # unreadable or oversized, not invalid: main reports it on stderr
         print(f"invalid curve: {exc}")
         return 2
-    inv = validate(spec)
+    inv = spec.invariants
     if args.json:
         _print_json({"valid": True, "p": spec.p, **inv.to_json()})
         return 0
@@ -86,7 +82,7 @@ def _matrix_for(spec: CurveSpec, pipeline: str):
 
 
 def cmd_matrix(args) -> int:
-    spec = _load(args)
+    spec = parse_spec(args.spec)
     M, agree = _matrix_for(spec, args.pipeline)
     if args.json:
         data = M.to_json()
@@ -106,8 +102,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_anumber(args) -> int:
-    spec = _load(args)
-    inv = validate(spec)
+    spec = parse_spec(args.spec)
+    inv = spec.invariants
     if args.method == "formula":
         value = theorem_a_value(spec.p, inv.orders)  # ConditionNotSatisfied -> 2
         if args.json:
@@ -139,8 +135,8 @@ def cmd_anumber(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load(args)
-    inv = validate(spec)
+    spec = parse_spec(args.spec)
+    inv = spec.invariants
     if not inv.theorem_applicable:
         raise ConditionNotSatisfied(
             f"p = {spec.p} is not 1 mod L = {inv.L}; nothing to verify"
@@ -158,8 +154,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    spec = _load(args)
-    inv = validate(spec)
+    spec = parse_spec(args.spec)
+    inv = spec.invariants
     L = l_polynomial(spec)
     np_ = newton_polygon(L, spec.field.order)
     hp = hodge_polygon(inv.orders)
@@ -189,7 +185,7 @@ def _render_slopes(poly) -> str:
 
 
 def cmd_oracle(args) -> int:
-    _, agree = _matrix_for(_load(args), "both")
+    _, agree = _matrix_for(parse_spec(args.spec), "both")
     if args.json:
         _print_json({"pipelines_agree": agree})
     else:
@@ -199,7 +195,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        orders = tuple(int(d) for d in args.orders.split(","))
+        orders = tuple(decimal_int(d) for d in args.orders.split(","))
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
     config = SweepConfig(
@@ -218,6 +214,14 @@ def cmd_sweep(args) -> int:
     if report.passed is False:
         return 1
     return 0
+
+
+def _int_argument(text: str) -> int:
+    """decimal_int(text), refused in argparse's words for type=int."""
+    try:
+        return decimal_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_command("oracle", cmd_oracle, "compare the two matrix pipelines")
 
     sw = sub.add_parser("sweep", help="randomized constancy sweep at fixed orders")
-    sw.add_argument("--p", type=int, required=True, help="characteristic")
+    sw.add_argument("--p", type=_int_argument, required=True, help="characteristic")
     sw.add_argument("--orders", required=True, help="pole orders d0,d1,...")
-    sw.add_argument("--field-degree", type=int, default=1)
-    sw.add_argument("--samples", type=int, default=100)
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--field-degree", type=_int_argument, default=1)
+    sw.add_argument("--samples", type=_int_argument, default=100)
+    sw.add_argument("--seed", type=_int_argument, default=0)
     sw.add_argument("--json", action="store_true")
     sw.add_argument("--csv", help="also write the sample table to this file")
     sw.set_defaults(func=cmd_sweep)

@@ -9,11 +9,13 @@ does change point counts).  For a finite pole they are the coefficients of
 f_j(x_j) in x_j = (x - e_j)^(-1), degrees 1..d_j, so a constant term cannot
 occur in well-formed data.
 
-validate() checks the normal form (every element in the curve's field,
-pole orders prime to p, nonzero leading coefficients, distinct locations,
-infinity present and listed first) and returns the numeric invariants: D,
-L, the genus g = D(p-1)/2, the p-rank s = m(p-1), and, when p = 1 mod L,
-the slopes gamma_j = (p-1)/d_j.
+A CurveSpec is valid by construction: building one calls validate(), which
+checks the normal form (every element in the curve's field, pole orders
+prime to p, nonzero leading coefficients, distinct locations, infinity
+present and listed first) and returns the numeric invariants, kept as
+spec.invariants: D, L, the genus g = D(p-1)/2, the p-rank s = m(p-1), and,
+when p = 1 mod L, the slopes gamma_j = (p-1)/d_j.  order_invariants() is
+the half that (p, orders) alone decide.
 
 basis() enumerates the monomial basis of regular 1-forms, and
 ordered_basis() that of every curve with given p and pole orders: blocks
@@ -30,6 +32,7 @@ Cartier pipelines regroup the y^r substitution.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -98,10 +101,15 @@ class PoleDatum:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """y^p - y = f(x) with f given pole by pole, infinity first."""
+    """y^p - y = f(x) with f given pole by pole, infinity first, validated
+    when built; invariants keeps validate's result, outside ==, hash and repr."""
 
     field: Field
     poles: tuple[PoleDatum, ...]
+    invariants: CurveInvariants = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "invariants", validate(self))
 
     @property
     def p(self) -> int:
@@ -137,13 +145,11 @@ class CurveInvariants:
 
 
 def validate(spec: CurveSpec) -> CurveInvariants:
-    """Check the normal form and return the curve's numeric invariants."""
-    p = spec.p
+    """Check the normal form and return the curve's numeric invariants;
+    CurveSpec calls it once, when the spec is built."""
     if not spec.poles or not spec.poles[0].is_infinite:
-        raise MissingInfinitePole(
-            "the first pole must be at infinity; substitute x -> e + 1/x to "
-            "move a pole e of f there"
-        )
+        raise MissingInfinitePole("the first pole must be at infinity; substitute "
+                                  "x -> e + 1/x to move a pole e of f there")
     seen: set = set()
     for datum in spec.poles[1:]:
         if datum.is_infinite:
@@ -151,38 +157,42 @@ def validate(spec: CurveSpec) -> CurveInvariants:
         if datum.location in seen:
             raise DuplicatePoleLocation(f"two poles at {datum.location!r}")
         seen.add(datum.location)
+    return order_invariants(spec.p, _orders(spec))
 
-    field, orders = spec.field, []
+
+def _orders(spec: CurveSpec):
+    """Each pole's order once its elements pass, yielded as order_invariants reads it."""
+    field = spec.field
     for j, datum in enumerate(spec.poles):
         for c in datum.coeffs if datum.is_infinite else (datum.location, *datum.coeffs):
             if c.field is not field and c.field != field:  # GF shares fields: `is` first
                 raise ForeignElement(f"pole {j}: {c!r} does not lie in {field!r} "
                                      f"(modulus {field.modulus})")
-        d = datum.order
-        if datum.is_infinite and d < 1:
-            raise MissingInfinitePole(
-                "f is regular at infinity; substitute x -> e + 1/x to move a "
-                "pole e of f there"
-            )
+        if datum.is_infinite and datum.order < 1:
+            raise MissingInfinitePole("f is regular at infinity; substitute x -> e + 1/x "
+                                      "to move a pole e of f there")
         if not datum.coeffs or datum.leading.is_zero():
             raise ZeroLeadingCoefficient(f"pole {j}: leading coefficient is zero")
+        yield datum.order
+
+
+def order_invariants(p: int, orders) -> CurveInvariants:
+    """The numeric invariants of every curve in characteristic p with these
+    pole orders, infinity first; PoleOrderDivisibleByP at the first order
+    that p divides."""
+    checked = []
+    for j, d in enumerate(orders):
         if d % p == 0:
             raise PoleOrderDivisibleByP(f"pole {j} has order {d} divisible by p={p}")
-        orders.append(d)
-
-    m = len(orders) - 1
-    D = sum(d + 1 for d in orders) - 2
-    L = math.lcm(*orders)
+        checked.append(d)
+    m = len(checked) - 1
+    D = sum(d + 1 for d in checked) - 2
+    L = math.lcm(*checked)
     applicable = (p - 1) % L == 0
     return CurveInvariants(
-        orders=tuple(orders),
-        m=m,
-        D=D,
-        L=L,
-        g=D * (p - 1) // 2,
-        s=m * (p - 1),
+        orders=tuple(checked), m=m, D=D, L=L, g=D * (p - 1) // 2, s=m * (p - 1),
         epsilon=tuple(-1 if j == 0 else 1 for j in range(m + 1)),
-        gamma=tuple((p - 1) // d for d in orders) if applicable else None,
+        gamma=tuple((p - 1) // d for d in checked) if applicable else None,
         theorem_applicable=applicable,
     )
 
@@ -213,7 +223,7 @@ def order_key(form: BasisForm) -> tuple[int, int, int]:
 
 def basis(spec: CurveSpec) -> list[BasisForm]:
     """The full ordered basis of regular 1-forms; its length is the genus."""
-    return ordered_basis(spec.p, validate(spec).orders)
+    return ordered_basis(spec.p, spec.invariants.orders)
 
 
 def ordered_basis(p: int, orders) -> list[BasisForm]:

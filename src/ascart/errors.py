@@ -1,12 +1,12 @@
 """Exception hierarchy for ascart.
 
 Every error that invalid input raises, from a spec file, a command-line
-argument or a curve built by hand, derives from AscartError, so callers
-(and the CLI, exit 2) can tell invalid input from genuine bugs (exit 3).
-A bare ValueError is a bug, or a call that breaks an API's contract, such
-as rows of elements for a CartierMatrix.  Mathematical *mismatches* (a
-verification that fails) are not exceptions; they are reported in result
-objects and exit codes.
+argument or a CurveSpec as it is built, derives from AscartError, so
+callers (and the CLI, exit 2) can tell invalid input from genuine bugs
+(exit 3).  A bare ValueError is a bug, or a call that breaks an API's
+contract, such as rows of elements for a CartierMatrix.  Mathematical
+*mismatches* (a verification that fails) are not exceptions; they are
+reported in result objects and exit codes.
 """
 
 

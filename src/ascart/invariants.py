@@ -88,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cartier import CartierMatrix, cartier_matrix
-from .curve import BasisForm, CurveSpec, ordered_basis, validate
+from .curve import BasisForm, CurveSpec, ordered_basis
 from .errors import ConditionNotSatisfied, DNotCoprime, NotInH
 from .local import support
 
@@ -432,7 +432,7 @@ def theorem_a_value(p: int, orders) -> int:
 
 def a_number(spec: CurveSpec, pipeline: str = "local") -> ANumberReport:
     """a = g - rank(M), with the closed form alongside when p = 1 mod L."""
-    inv = validate(spec)
+    inv = spec.invariants
     M = cartier_matrix(spec, pipeline)
     r = rank(M)
     a_rank = inv.g - r

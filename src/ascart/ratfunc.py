@@ -2,13 +2,13 @@
 
 A Poly stores its coefficients once, as digits: a read-only (n, k) int64
 array whose row i is the digit row of the coefficient of x^i, with zero top
-rows trimmed, so the zero polynomial has no rows.  coeffs, coeff and
-leading are views that build field elements from those digits on each
-read.  A PartialFraction is a polynomial part plus, per finite pole e, the
-principal part sum_n c_n (x-e)^(-n), stored the same way: an (n, k) digit
-array per pole, row n - 1 the digits of c_n, zero top rows trimmed and a
-pole with no nonzero c_n dropped, so decompositions are unique and
-comparable.  Its tails view builds {e: {n: c_n}} with the zero c_n dropped.
+rows trimmed, so the zero polynomial has no rows.  coeffs and leading are
+views that build field elements from those digits on each read.  A
+PartialFraction is a polynomial part plus, per finite pole e, the principal
+part sum_n c_n (x-e)^(-n), stored the same way: an (n, k) digit array per
+pole, row n - 1 the digits of c_n, zero top rows trimmed and a pole with no
+nonzero c_n dropped, so decompositions are unique and comparable.  Its
+tails view builds {e: {n: c_n}} with the zero c_n dropped.
 
 All arithmetic is on digit rows.  A product of two polynomials is one
 Kronecker substitution (Harvey, J. Symb. Comput. 2009) on Python ints: each
@@ -177,11 +177,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(len(self.digits))
 
-    def coeff(self, i: int) -> FieldElement:
-        if 0 <= i < len(self.digits):
-            return _element(self.field, self.digits[i])
-        return self.field.zero
-
     def leading(self) -> FieldElement:
         if not len(self.digits):
             raise ValueError("zero polynomial has no leading coefficient")
@@ -238,22 +233,6 @@ class Poly:
         if not monic:
             q = q @ inverse % p
         return _poly(field, q), _poly(field, rem[:d])
-
-    # -- local expansions around x = e ---------------------------------------
-
-    def divmod_linear(self, e: FieldElement):
-        """Synthetic division by (x - e): returns (quotient, remainder)."""
-        field = self.field
-        if self.is_zero():
-            return self, field.zero
-        q, r = _divide_linear(self.digits, _times(field, field(e).digits), field.p)
-        return _poly(field, q), _element(field, r)
-
-    def taylor(self, e: FieldElement, depth: int) -> list[FieldElement]:
-        """First `depth` coefficients of the expansion in powers of (x - e)."""
-        field = self.field
-        digits = _taylor(self.digits, _times(field, field(e).digits), field.p, depth)
-        return list(field.element_rows(digits[None])[0])
 
     # -- identity -------------------------------------------------------------
 

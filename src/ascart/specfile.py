@@ -23,22 +23,27 @@ Example (y^7 - y = x^3):
 
 from __future__ import annotations
 
-from .curve import CurveSpec, PoleDatum, validate
+from .curve import CurveSpec, PoleDatum
 from .errors import InvalidInput, ParseError
 from .finite_field import GF, Field, FieldElement
 
 
-def _integer(text: str, lineno: int, message: str) -> int:
-    """text as an int if it is an optional '-' and ASCII digits, else
-    ParseError(message): int() alone would also read '+1', '1_0' and
-    non-ASCII digits, and raises ValueError past its digit limit."""
+def decimal_int(text: str) -> int:
+    """text as an int if it is an optional '-' and ASCII digits, else ValueError
+    in int()'s words; int() alone also reads '+1', '1_0', ' 1' and non-ASCII
+    digits.  The integer rule of spec files and of the sweep's arguments."""
     digits = text[1:] if text.startswith("-") else text
-    if digits.isascii() and digits.isdigit():
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise ParseError(lineno, message)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _integer(text: str, lineno: int, message: str) -> int:
+    """decimal_int(text), or ParseError(message)."""
+    try:
+        return decimal_int(text)
+    except ValueError:
+        raise ParseError(lineno, message) from None
 
 
 def _parse_element(token: str, field: Field, lineno: int) -> FieldElement:
@@ -58,7 +63,7 @@ def _parse_element(token: str, field: Field, lineno: int) -> FieldElement:
 
 
 def parse_spec_text(text: str) -> CurveSpec:
-    """Parse and validate a curve spec from a string."""
+    """Parse a curve spec from a string; building the spec validates it."""
     keys: dict[str, int] = {}
     field: Field | None = None
     poles: list[PoleDatum] = []
@@ -104,9 +109,7 @@ def parse_spec_text(text: str) -> CurveSpec:
         raise ParseError(0, "file does not set p")
     if not poles:
         raise ParseError(0, "file defines no poles")
-    spec = CurveSpec(field, tuple(poles))
-    validate(spec)
-    return spec
+    return CurveSpec(field, tuple(poles))
 
 
 def parse_spec(path) -> CurveSpec:

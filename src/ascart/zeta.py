@@ -48,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curve import CurveSpec, validate
+from .curve import CurveSpec
 from .errors import InconsistentCounts, NotShrinkable
 from .finite_field import GF, embedding
 
@@ -60,8 +60,7 @@ from .finite_field import GF, embedding
 
 def count_points(spec: CurveSpec, s: int) -> int:
     """Number of points of the smooth projective curve over F_(q^s)."""
-    inv = validate(spec)
-    return (inv.m + 1) + spec.p * _trace_distribution(spec, s)[0]
+    return (spec.invariants.m + 1) + spec.p * _trace_distribution(spec, s)[0]
 
 
 def _trace_distribution(spec: CurveSpec, s: int) -> list[int]:
@@ -180,7 +179,7 @@ def l_from_counts(counts, q: int, g: int) -> LPolynomial:
 
 def l_polynomial(spec: CurveSpec) -> LPolynomial:
     """Recover L(u) from the trace distributions of f over F_q..F_(q^min(D,g))."""
-    inv = validate(spec)
+    inv = spec.invariants
     p, q, D, g = spec.p, spec.field.order, inv.D, inv.g
     if min(D, g):
         GF(p, spec.field.k * min(D, g))  # the largest field, so an oversized one fails first

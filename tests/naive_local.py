@@ -16,7 +16,7 @@ from ascart.finite_field import FieldElement
 from ascart.ratfunc import PartialFraction, Poly
 
 from conftest import matrix_from_rows
-from naive_ratfunc import monomial
+from naive_ratfunc import monomial, synthetic_division
 
 
 def f_partial_fraction(spec: CurveSpec) -> PartialFraction:
@@ -81,7 +81,7 @@ def pf_mul(lhs: PartialFraction, rhs: PartialFraction) -> PartialFraction:
         nmax = max(tail)
         quotients, rems, cur = [P], [], P
         for _ in range(nmax):
-            cur, rem = cur.divmod_linear(e)
+            cur, rem = synthetic_division(cur, e)
             quotients.append(cur)
             rems.append(rem)
         for n, c in tail.items():

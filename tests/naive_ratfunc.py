@@ -59,7 +59,8 @@ def long_division(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def synthetic_division(a: Poly, e: FieldElement) -> tuple[Poly, FieldElement]:
-    """a.divmod_linear(e) by Horner's rule: the quotient by x - e and a(e)."""
+    """The quotient of a by x - e and a(e), by Horner's rule in element
+    arithmetic: the reference of ratfunc._divide_linear."""
     field, cs = a.field, a.coeffs
     acc, q = field.zero, []
     for c in reversed(cs):
@@ -70,7 +71,8 @@ def synthetic_division(a: Poly, e: FieldElement) -> tuple[Poly, FieldElement]:
 
 
 def taylor(a: Poly, e: FieldElement, depth: int) -> list[FieldElement]:
-    """a.taylor(e, depth): one synthetic division per coefficient."""
+    """The first depth coefficients of a in powers of x - e, one synthetic
+    division per coefficient: the reference of ratfunc._taylor."""
     out = []
     for _ in range(depth):
         a, rem = synthetic_division(a, e)

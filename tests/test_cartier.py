@@ -725,13 +725,14 @@ class TestMatrixDigits:
 @given(
     p=st.sampled_from([2, 3, 5, 7, 13]),
     k=st.integers(1, 3),
-    orders=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    ranks=st.lists(st.integers(1, 5), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_numerator_from_pole_data(p, k, orders, seed):
+def test_numerator_from_pole_data(p, k, ranks, seed):
     """The rational pipeline's N = f * prod (x - e_l)^(d_l), built from the
-    pole data, is the numerator of the assembled f."""
-    orders = orders[:1] + [max(d, 1) for d in orders[1:]]
+    pole data, is the numerator of the assembled f.  Every order is
+    admissible: the n-th positive integer prime to p."""
+    orders = [n + (n - 1) // (p - 1) for n in ranks]
     assume(len(orders) - 1 <= p**k)
     spec = random_curve(GF(p, k), orders, random.Random(seed))
     f = assemble(f_partial_fraction(spec))

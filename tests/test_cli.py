@@ -408,6 +408,11 @@ class TestSweepCommand:
         (["--orders", "3", "--samples", "0"], "error: sample count must be >= 1\n"),
         (["--orders", "3,-1"], "error: pole orders must be >= 1\n"),
         (["--orders", "3", "--field-degree", "0"], "error: extension degree must be >= 1\n"),
+        # each order is an optional '-' and ASCII digits, as in a spec file
+        (["--orders", "\u0663"], "error: invalid literal for int() with base 10: '\u0663'\n"),
+        (["--orders", "1_0,+1"], "error: invalid literal for int() with base 10: '1_0'\n"),
+        (["--orders", "3,+1"], "error: invalid literal for int() with base 10: '+1'\n"),
+        (["--orders", "3, 1"], "error: invalid literal for int() with base 10: ' 1'\n"),
     ])
     def test_invalid_argument_is_an_input_error(self, args, stderr, capsys, monkeypatch):
         """Each bad argument raises an AscartError, exit 2 with its stderr
@@ -418,6 +423,34 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "run_sweep", refused)
         assert main(["sweep", "--p", "7", *args]) == 2
         assert capsys.readouterr() == ("", stderr)
+
+    @pytest.mark.parametrize("option, value", [
+        ("--p", "x"), ("--p", "+7"), ("--p", "\u0667"), ("--field-degree", "0_1"),
+        ("--samples", "1_0"), ("--samples", " 2"), ("--seed", "+5"), ("--seed", "\u0665"),
+    ])
+    def test_integer_option_follows_the_spec_file_rule(self, option, value, capsys,
+                                                        monkeypatch):
+        """--p, --field-degree, --samples and --seed are an optional '-' and
+        ASCII digits, or argparse refuses them, exit 2, in its words for
+        type=int."""
+        monkeypatch.setattr(cli, "run_sweep", lambda config: pytest.fail("swept"))
+        argv = {"--p": "7", "--orders": "3", option: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *(token for pair in argv.items() for token in pair)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(f"ascart sweep: error: argument {option}: invalid int value: "
+                            f"{value!r}\n")
+
+    def test_oversized_sweep_is_refused_before_any_draw(self, capsys, monkeypatch):
+        """The digit cap follows from (p, orders) alone: refusing it draws
+        no curve, however large the orders."""
+        drawn = []
+        monkeypatch.setattr(sweep, "random_curve", lambda *args: drawn.append(args))
+        assert main(["sweep", "--p", "7", "--orders", "200000", "--samples", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: Cartier matrix of genus 599997 over GF(7) "
+                                           "exceeds the 1048576-digit cap on g^2*k\n")
+        assert drawn == []
 
     @pytest.mark.parametrize("orders", ["0", "3,0", "3,-1"])
     def test_order_below_one_rejected_before_sampling(self, orders, capsys):

@@ -1,15 +1,22 @@
 """Normal form validation, invariants, basis enumeration, H/A partition."""
 
+import dataclasses
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from ascart import GF, CurveSpec, PoleDatum, basis, kappa, partition_HA, validate
-from ascart.curve import BasisForm, order_key, ordered_basis
+from ascart import (GF, CurveSpec, PoleDatum, a_number, basis, cartier_matrix, count_points,
+                    kappa, l_polynomial, partition_HA, validate)
+from ascart.cli import main
+from ascart.curve import BasisForm, order_invariants, order_key, ordered_basis
 from ascart.errors import (
     ConditionNotSatisfied,
     DuplicatePoleLocation,
     FieldTooSmall,
+    ForeignElement,
     MissingInfinitePole,
     PoleOrderDivisibleByP,
     ZeroLeadingCoefficient,
@@ -22,7 +29,15 @@ from naive_local import f_partial_fraction
 from naive_ratfunc import assemble
 
 
+def refused(error, message):
+    """pytest.raises(error) with exactly this message."""
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
+
+
 class TestValidate:
+    """Each error is raised when the spec is built, with the message
+    validate gave when it ran at first use."""
+
     def test_monomial_cubic(self):
         inv = validate(curve(7, [0, 0, 0, 1]))
         assert (inv.m, inv.D, inv.L, inv.g, inv.s) == (0, 2, 3, 6, 0)
@@ -38,8 +53,8 @@ class TestValidate:
         assert inv.epsilon == (-1, 1)
 
     def test_pole_order_divisible_by_p(self):
-        with pytest.raises(PoleOrderDivisibleByP):
-            validate(curve(3, [0, 0, 0, 1]))
+        with refused(PoleOrderDivisibleByP, "pole 0 has order 3 divisible by p=3"):
+            curve(3, [0, 0, 0, 1])
 
     def test_not_applicable(self):
         inv = validate(curve(3, [0, 0, 0, 0, 1]))  # d=4, 3 != 1 mod 4
@@ -47,40 +62,117 @@ class TestValidate:
         assert inv.gamma is None
 
     def test_duplicate_location(self):
-        with pytest.raises(DuplicatePoleLocation):
-            validate(curve(5, [0, 1], [(3, [1]), (3, [2])]))
+        with refused(DuplicatePoleLocation, "two poles at 3"):
+            curve(5, [0, 1], [(3, [1]), (3, [2])])
 
     def test_duplicate_infinity(self):
         F = GF(5)
-        spec = CurveSpec(
-            F, (PoleDatum.at_infinity(F, [0, 1]), PoleDatum.at_infinity(F, [0, 1]))
-        )
-        with pytest.raises(DuplicatePoleLocation):
-            validate(spec)
+        with refused(DuplicatePoleLocation, "infinity listed more than once"):
+            CurveSpec(F, (PoleDatum.at_infinity(F, [0, 1]), PoleDatum.at_infinity(F, [0, 1])))
 
     def test_missing_infinite_pole(self):
         F = GF(5)
-        spec = CurveSpec(F, (PoleDatum.finite(F, 1, [1]),))
-        with pytest.raises(MissingInfinitePole):
-            validate(spec)
-        with pytest.raises(MissingInfinitePole):
-            validate(CurveSpec(F, ()))
+        message = ("the first pole must be at infinity; substitute x -> e + 1/x to move "
+                   "a pole e of f there")
+        with refused(MissingInfinitePole, message):
+            CurveSpec(F, (PoleDatum.finite(F, 1, [1]),))
+        with refused(MissingInfinitePole, message):
+            CurveSpec(F, ())
 
     def test_constant_f0_is_not_a_pole(self):
-        with pytest.raises(MissingInfinitePole):
-            validate(curve(5, [2]))
+        with refused(MissingInfinitePole, "f is regular at infinity; substitute x -> e + 1/x "
+                                          "to move a pole e of f there"):
+            curve(5, [2])
 
     def test_zero_leading(self):
-        with pytest.raises(ZeroLeadingCoefficient):
-            validate(curve(5, [1, 1, 0]))
-        with pytest.raises(ZeroLeadingCoefficient):
-            validate(curve(5, [0, 1], [(1, [1, 0])]))
+        with refused(ZeroLeadingCoefficient, "pole 0: leading coefficient is zero"):
+            curve(5, [1, 1, 0])
+        with refused(ZeroLeadingCoefficient, "pole 1: leading coefficient is zero"):
+            curve(5, [0, 1], [(1, [1, 0])])
+
+    def test_foreign_element(self):
+        with refused(ForeignElement, "pole 0: 0 does not lie in GF(3^2) (modulus (1, 0, 1))"):
+            CurveSpec(GF(3, 2), (PoleDatum.at_infinity(GF(3), [0, 1]),))
+
+    @pytest.mark.parametrize("inf, finite, error, message", [
+        ([0, 0, 0, 0, 0, 1], [(1, [1, 0])], PoleOrderDivisibleByP,
+         "pole 0 has order 5 divisible by p=5"),
+        ([0, 0, 0, 0, 0, 1], [(0, [1]), (0, [1])], DuplicatePoleLocation, "two poles at 0"),
+        ([0, 1, 0], [(1, [1, 0, 0, 0, 0])], ZeroLeadingCoefficient,
+         "pole 0: leading coefficient is zero"),
+        ([0, 0, 1], [(1, [0, 0, 0, 0, 1]), (2, [1, 0])], PoleOrderDivisibleByP,
+         "pole 1 has order 5 divisible by p=5"),
+    ])
+    def test_first_fault_wins(self, inf, finite, error, message):
+        """With two faults, the error is the first in validate's order:
+        locations, then pole by pole its elements before its order."""
+        with refused(error, message):
+            curve(5, inf, finite)
+
+    def test_spec_keeps_its_invariants(self):
+        spec = curve(3, [0, 0, 1], [(1, [1])], k=2)
+        assert spec.invariants == validate(spec) == order_invariants(3, (2, 1))
+        order_three = PoleDatum.finite(spec.field, 1, [0, 0, 1])
+        with refused(PoleOrderDivisibleByP, "pole 1 has order 3 divisible by p=3"):
+            dataclasses.replace(spec, poles=(spec.poles[0], order_three))
+
+    def test_repr_eq_and_hash_read_the_pole_data_only(self):
+        """As before the spec kept its invariants: repr, == and hash read
+        field and poles only."""
+        spec = curve(3, [0, 0, 1], [(1, [1])], k=2)
+        assert repr(spec) == (
+            "CurveSpec(field=GF(3^2), poles=(PoleDatum(location=inf, coeffs=((0,0), (0,0), "
+            "(1,0))), PoleDatum(location=(1,0), coeffs=((1,0),))))")
+        twin = CurveSpec(GF(3, 2), tuple(spec.poles))
+        assert twin == spec and twin is not spec and hash(twin) == hash(spec)
+        assert hash(spec) == hash((spec.field, spec.poles))
+        assert spec != curve(3, [0, 0, 1], [(2, [1])], k=2)
+        assert [f.name for f in dataclasses.fields(spec) if f.compare] == ["field", "poles"]
 
     def test_constant_term_of_f0_retained(self):
         spec = curve(3, [2, 0, 1])
         inv = validate(spec)
         assert inv.g == 1
-        assert assemble(f_partial_fraction(spec)).num.coeff(0) == GF(3)(2)
+        assert assemble(f_partial_fraction(spec)).num.coeffs[0] == GF(3)(2)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The specs curve.validate is called on, under every name of the
+    package that binds it."""
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return validate(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ascart" and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("use", [
+    lambda spec: cartier_matrix(spec, "local"),
+    lambda spec: cartier_matrix(spec, "rational"),
+    a_number,
+    l_polynomial,
+    lambda spec: count_points(spec, 2),
+    basis,
+], ids=["local", "rational", "a_number", "l_polynomial", "count_points", "basis"])
+def test_a_built_spec_is_validated_once(use, validations):
+    """Building the spec validates it; no entry point checks it again."""
+    spec = curve(7, [0, 0, 0, 1])
+    assert validations == [spec]
+    use(spec)
+    assert validations == [spec]
+
+
+@pytest.mark.parametrize("command", ["info", "anumber", "verify", "zeta"])
+def test_a_command_validates_its_curve_once(command, validations, capsys):
+    path = Path(__file__).resolve().parent.parent / "curves" / "p7_x3.curve"
+    assert main([command, str(path)]) == 0
+    assert len(validations) == 1
 
 
 class TestBasis:

@@ -243,9 +243,6 @@ METHOD_KEEP = {
     "CartierMatrix.from_json": "the hardened input route for `ascart matrix --json` output",
     "Field.elements": "the whole field, which the naive references enumerate",
     "FieldElement.pth_root": "timed by perfbench/run.py and patched by perfbench/tracing.py",
-    "Poly.coeff": "an element view of the naive references, held until ROADMAP item 10",
-    "Poly.divmod_linear": "an element view of the naive references, held until ROADMAP item 10",
-    "Poly.taylor": "an element view of the naive references, held until ROADMAP item 10",
 }
 
 
