@@ -12,13 +12,9 @@ is one Kronecker product of big ints, the polynomial rule one strided slice
 of the digits times the field's pth_root_matrix (cartier_poly), and each
 decomposition is read off as digit rows.  A column is a signed sum of those
 rows.  What depends on (p, orders) alone is a cached plan (_RationalPlan):
-the basis, its index, and one record per (j, b, e) that a column reads
-(_Image), with the exponents of (x - e_l) in G and h, the shift x^b, the
-column, sign and y-layer of each read, and whether G has degree p - 1 or
-more.  An image whose G has a smaller degree is dead: C keeps only the
-degrees = -1 mod p of G, so C(G dx) = 0 by degree alone, and the curve's
-pass skips it.  A curve is then one pass: each live image built and
-decomposed once, and the matrix written in one scatter (_rational_columns).
+the basis, a record of each (j, b, e) whose image is not 0 by degree
+(_Image) and one table of where each term goes.  A curve is then one pass
+(_rational_columns): one decomposition per image, one guard, one scatter.
 
 rational_matrix(spec, orders) is the pipeline's entry point for the gate
 (cartier_matrix).  It shares no reduction code with the local pipeline
@@ -86,22 +82,21 @@ def _f_numerator(spec: CurveSpec, factors) -> Poly:
     return num
 
 
-class _Image(NamedTuple):
-    """One image C(x_j^b f^e dx) that columns of the rational pipeline read,
-    as its amplified form x_j^b f^e = G / h^p takes it (_rational_image).
-    With the pole multiplicities m_l = e*d_l (+ b at l = j) at the finite
-    poles l >= 1, tops and bottoms are the pairs (l - 1, -m_l mod p) and
-    (l - 1, ceil(m_l/p)) with a nonzero exponent: the powers of x - e_l in
-    G and in h, by their index in the pole factors (_pole_factors).  shift
-    is b at j = 0, the factor x^b of G, and 0 otherwise.  reads holds a
-    row (col, sign, y) for each column x_j^b y^r dx that reads the image,
-    in column order: its sign (-1)^e C(r, e) mod p (binomial_signs) and its
-    y-layer y = r - e.
+def _ragged(counts: np.ndarray) -> np.ndarray:
+    """0, ..., n - 1 for each n of counts, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    live is deg G >= p - 1, with
-    deg G = e*sum_j d_j + sum_l (-m_l mod p) + shift, exact as f_0 has a
-    nonzero leading coefficient (validate).  cartier_poly keeps only the
-    degrees = -1 mod p of G, so C(G dx) is 0 for a dead image."""
+
+class _Image(NamedTuple):
+    """An image C(x_j^b f^e dx) that columns of the rational pipeline read,
+    amplified as x_j^b f^e = G / h^p (_rational_image).  With m_l = e*d_l
+    (+ b at l = j) at the finite poles l >= 1, tops and bottoms are the
+    pairs (l - 1, -m_l mod p) and (l - 1, ceil(m_l/p)) with a nonzero
+    exponent: the powers of x - e_l in G and in h, by their index in the
+    pole factors (_pole_factors).  shift is b at j = 0, the factor x^b of
+    G, and 0 otherwise.  runs maps each pole i of C(G dx)/h to the slots
+    (first, count) of its terms: x^0..x^top, top = deg C(G dx) - deg h, at
+    i = 0, and x_i^1..x_i^n, x_i = 1/(x - e_i), at each bottom (i - 1, n)."""
 
     j: int
     b: int
@@ -109,43 +104,59 @@ class _Image(NamedTuple):
     tops: tuple
     bottoms: tuple
     shift: int
-    reads: np.ndarray
-    live: bool
+    runs: dict
 
 
 class _RationalPlan:
     """The part of the rational pipeline that depends only on p and the pole
-    orders (of genus g >= 1): the ordered basis forms, e_max, the basis
-    index {form: column}, and images, one _Image for each distinct
-    (j, b, e) that a column x_j^b y^r dx reads (e <= r), sorted by
-    (j, b, e)."""
+    orders (of genus g >= 1): the ordered basis forms, e_max, and images,
+    an _Image for each (j, b, e) that a column x_j^b y^r dx reads (e <= r),
+    sorted, but the dead ones: C keeps the degrees = -1 mod p of G, of exact
+    degree e*sum_j d_j + sum_l (-m_l mod p) + shift (validate), so C(G dx)
+    is 0 if that is below p - 1.  table has a column (slot, entry, col, sign)
+    for each slot and each read of its image, x_j^b y^r dx: the slot's term
+    x_i^n, in y-layer r - e, is entry (entry, col), -1 outside the basis,
+    times (-1)^e C(r, e) mod p; refused is (slot, i, n, r - e) at each -1."""
 
     def __init__(self, p: int, orders):
         self.forms = forms = tuple(ordered_basis(p, orders))
         self.e_max = e_max = max(form.r for form in forms)
-        self.index = {form: i for i, form in enumerate(forms)}
-        # every read (col, e), e <= r, of every column, sorted by its image
-        # (j, b, e) and, within one, by column
+        # in (j, b, r) order, column x_j^b y^e dx heads image (j, b, e), read
+        # by the columns from it to the end of its (j, b) group, a:z of order
         js, bs, rs = np.array(forms).T
-        cols = np.repeat(np.arange(len(forms)), rs + 1)
-        es = np.arange(len(cols)) - np.repeat(np.cumsum(rs + 1) - rs - 1, rs + 1)
-        key = (js[cols] * (bs.max() + 1) + bs[cols]) * (e_max + 1) + es
-        order = np.argsort(key, kind="stable")
-        cols, es = cols[order], es[order]
-        reads = np.stack([cols, binomial_signs(p, e_max)[rs[cols], es], rs[cols] - es], axis=1)
-        reads.setflags(write=False)  # shared by every curve with these orders
-        starts = np.unique(key[order], return_index=True)[1]
-        heads = np.stack([js[cols[starts]], bs[cols[starts]], es[starts]], axis=1)
-        bounds = [*starts.tolist(), len(cols)]
-        images = []
-        for (j, b, e), a, z in zip(heads.tolist(), bounds, bounds[1:]):
+        order = np.lexsort((rs, bs, js))
+        heads = [forms[col] for col in order.tolist()]
+        ends = {(j, b): z for z, (j, b, _) in enumerate(heads, 1)}
+        images, runs, slots = [], [], 0  # runs: (pole, count, a, z), in slot order
+        for a, (j, b, e) in enumerate(heads):
             m = [e * d + (b if l == j else 0) for l, d in enumerate(orders)][1:]
             tops = tuple((l, -n % p) for l, n in enumerate(m) if n % p)
             bottoms = tuple((l, -(-n // p)) for l, n in enumerate(m) if n)
             shift = b if j == 0 else 0
             degree = e * sum(orders) + sum(n for _, n in tops) + shift
-            images.append(_Image(j, b, e, tops, bottoms, shift, reads[a:z], degree >= p - 1))
-        self.images = tuple(images)
+            if degree >= p - 1:
+                top = (degree + 1) // p - 1 - sum(n for _, n in bottoms)
+                image_runs = {}
+                for pole, count in [(0, max(top + 1, 0)), *((l + 1, n) for l, n in bottoms)]:
+                    image_runs[pole], slots = (slots, count), slots + count
+                    runs.append((pole, count, a, ends[j, b]))
+                images.append(_Image(j, b, e, tops, bottoms, shift, image_runs))
+        self.images, self.slots = tuple(images), slots
+        # each slot of each run, from x^0 or x_i^1, then each read of its image
+        pole, count, a, z = np.array(runs, dtype=np.int64).reshape(-1, 4).T
+        power = (np.repeat(pole, count) > 0) + _ragged(count)
+        pole, a, reads = (np.repeat(v, count) for v in (pole, a, z - a))
+        slot, a = np.repeat(np.arange(slots), reads), np.repeat(a, reads)
+        col, e = order[a + _ragged(reads)], rs[order[a]]
+        pole, power, y = pole[slot], power[slot], rs[col] - e
+        # where[i, y, n]: position of x_i^n y^y dx in the basis, -1 outside it
+        where = np.full((len(orders), e_max + 1, max(bs.max(), power.max(initial=0)) + 1), -1)
+        where[js, rs, bs] = np.arange(len(forms))
+        entry = where[pole, y, power]
+        self.table = np.stack([slot, entry, col, binomial_signs(p, e_max)[rs[col], e]])
+        self.refused = np.stack([slot, pole, power, y])[:, entry < 0]
+        for table in (self.table, self.refused):
+            table.setflags(write=False)  # shared by every curve with these orders
 
 
 _rational_plan = functools.lru_cache(maxsize=64)(_RationalPlan)
@@ -172,50 +183,39 @@ def _rational_columns(spec: CurveSpec, plan: _RationalPlan) -> np.ndarray:
     """The (g, g, k) digits of the Cartier matrix in the plan's ordered
     basis, by the rational pipeline: the column of x_j^b y^r dx is the
     signed sum over e <= r of the decompositions of C(x_j^b f^e dx), each
-    in y-layer r - e.  The pole factors and the powers N^e are built once
-    per curve, and each live image of the plan (_Image) is built and
-    decomposed once, for every column that reads it; a dead image, whose G
-    has degree below p - 1, is 0 by degree alone and is skipped.  The
-    matrix is written in one scatter."""
-    field = spec.field
+    in y-layer r - e.  Each image of the plan (_Image) is decomposed once
+    into the slots of its terms; one guard refuses a nonzero slot read
+    outside the basis, and one signed scatter of the table writes M."""
+    field, g = spec.field, len(plan.forms)
     loc_to_j = {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
     factors = _pole_factors(spec)
     powers = [Poly.constant(field, 1), _f_numerator(spec, factors)]  # N^0, N^1, ...
     while len(powers) <= plan.e_max:
         powers.append(powers[-1] * powers[1])
-    # each entry is written once: within a column, each e <= r reads its own
-    # y-layer r - e, and each decomposition names a term once
-    entries, cols, signs, rows = [], [], [], []
+    terms = np.zeros((plan.slots, field.k), dtype=np.int64)
     for image in plan.images:
-        if not image.live:
-            continue
-        pair = _rational_image(spec, powers[image.e], image, factors)
-        if pair[0].is_zero():
-            continue
-        pf = _decompose(pair, loc_to_j)
+        pf = _decompose(_rational_image(spec, powers[image.e], image, factors), loc_to_j)
         # x^n of the poly part from n = 0, then (x - e_l)^-n = x_l^n of each
         # tail from n = 1, at the curve's poles only (_decompose)
-        parts = [(0, 0, pf.poly.digits)]
-        parts += [(loc_to_j[loc], 1, tail) for loc, tail in pf.tail_digits.items()]
-        reads = image.reads.tolist()
-        for pole, first, digits in parts:
-            for power, row in enumerate(digits.tolist(), first):
-                if not any(row):
-                    continue
-                for col, s, y in reads:
-                    entry = plan.index.get((pole, power, y))
-                    if entry is None:
-                        form = BasisForm(pole, power, y)
-                        raise NotInSpan(f"monomial {form.label()} falls outside the basis")
-                    entries.append(entry)
-                    cols.append(col)
-                    signs.append(s)
-                    rows.append(row)
-    g = len(plan.forms)
-    out = np.zeros((g, g, field.k), dtype=np.int64)
-    if rows:
-        out[entries, cols] = np.array(signs)[:, None] * np.array(rows) % field.p
-    return out
+        parts = [(0, pf.poly.digits)]
+        parts += [(loc_to_j[loc], tail) for loc, tail in pf.tail_digits.items()]
+        for pole, digits in parts:
+            first, count = image.runs.get(pole, (0, 0))
+            if len(digits) > count:  # a bug, named by its first term past the run
+                n = count + int(digits[count:].any(axis=1).argmax()) + (pole > 0)
+                form = BasisForm(pole, n, 0)  # as the image's own column reads it
+                where = "past its image's degree" if form in plan.forms else "outside the basis"
+                raise NotInSpan(f"monomial {form.label()} falls {where}")
+            terms[first : first + len(digits)] = digits
+    hit = terms[plan.refused[0]].any(axis=1)
+    if hit.any():
+        form = BasisForm(*plan.refused[1:, hit.argmax()].tolist())
+        raise NotInSpan(f"monomial {form.label()} falls outside the basis")
+    # one write per entry, as a column reads y-layer r - e for each e <= r
+    slot, entry, col, sign = plan.table  # entry -1 lands in the spare row g
+    out = np.zeros((g + 1, g, field.k), dtype=np.int64)
+    out[entry, col] = sign[:, None] * terms.take(slot, axis=0) % field.p
+    return out[:g]
 
 
 def _decompose(pair, loc_to_j: dict) -> PartialFraction:

@@ -25,7 +25,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 from .cartier import cartier_matrix, check_digit_cap
 from .curve import CurveSpec, PoleDatum, order_invariants
-from .errors import ConditionNotSatisfied, FieldTooSmall, InvalidInput
+from .errors import FieldTooSmall, InvalidInput
 from .finite_field import GF, Field
 from .invariants import p_rank_stable, rank, theorem_a_value
 
@@ -79,7 +79,9 @@ class SweepConfig:
         # the digit cap on the genus, which (p, orders) alone decide: no draw
         field = GF(self.p, self.field_degree)
         _finite_poles(field, self.orders)
-        check_digit_cap(order_invariants(self.p, self.orders).g, field)
+        # the family's invariants, read once; no field, so --json keeps its keys
+        object.__setattr__(self, "invariants", order_invariants(self.p, self.orders))
+        check_digit_cap(self.invariants.g, field)
 
 
 @dataclass(frozen=True)
@@ -136,20 +138,16 @@ class SweepReport:
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Draw the configured samples and check a-number constancy."""
-    field = GF(config.p, config.field_degree)
-    try:
-        theorem = theorem_a_value(config.p, config.orders)
-    except ConditionNotSatisfied:
-        theorem = None
-    p_rank = (len(config.orders) - 1) * (config.p - 1)  # m(p-1), Deuring-Shafarevich
+    field, inv = GF(config.p, config.field_degree), config.invariants
+    theorem = theorem_a_value(config.p, inv.orders) if inv.theorem_applicable else None
     results = []
     for i in range(config.samples):
         seed_i = child_seed(config.seed, i)
         spec = random_curve(field, config.orders, random.Random(seed_i))
         M = cartier_matrix(spec, "local")
         r, s = rank(M), p_rank_stable(M)
-        if s != p_rank:  # a bug, never a mismatch
-            raise AssertionError(f"sample {i}: p-rank {s} is not m(p-1) = {p_rank}")
+        if s != inv.s:  # m(p-1), Deuring-Shafarevich: a bug, never a mismatch
+            raise AssertionError(f"sample {i}: p-rank {s} is not m(p-1) = {inv.s}")
         results.append(
             SampleResult(
                 sample=i,

@@ -762,15 +762,21 @@ def test_rational_route_reduces_no_fraction(p, k, orders, monkeypatch):
 
 
 def test_rational_plan_of_every_admissible_family():
-    """The rational route's plan, for every admissible family: one image per
-    distinct (j, b, e) that a column x_j^b y^r dx reads, e <= r, with the
-    (col, sign, y) of each such read in column order; the exponents of the
+    """The rational route's plan, for every admissible family, against a
+    direct enumeration of every read: one image per distinct (j, b, e) that
+    a column x_j^b y^r dx reads, e <= r, sorted, with the exponents of the
     amplified form x_j^b f^e = G / h^p, with m_l = e*d_l (+ b at l = j),
     -m_l mod p in G and ceil(m_l/p) in h at each finite pole, and the shift
-    x^b at j = 0; and live exactly when deg G >= p - 1.  On a random curve
-    of the family over GF(p^k), k <= 3, deg G is the plan's degree, and
-    every dead image's G, built as that product of powers of f's numerator
-    N and of the x - e_l, has C(G dx) = 0."""
+    x^b at j = 0.  An image is in the plan exactly when deg G >= p - 1, and
+    every dead one's G, built as that product of powers of f's numerator N
+    and of the x - e_l on a random curve of the family over GF(p^k),
+    k <= 3, has that degree and C(G dx) = 0.  A live image's runs hold the
+    poly part x^0..x^top, top = deg C(G dx) - deg h, then (x - e_l)^-1..-n
+    for each (l, n) of h, and the table has one column per slot and read,
+    in that order: the slot's term in the read's y-layer r - e, its matrix
+    entry, -1 outside the basis, the reading column and the sign
+    (-1)^e C(r, e) mod p.  No read of any family falls outside the basis,
+    so the route's guard (refused) only ever catches a bug."""
     rng, dead = random.Random(34), 0
     for p, orders in admissible_families(PARTITION_MAX_P, 3):
         forms = ordered_basis(p, orders)
@@ -779,31 +785,52 @@ def test_rational_plan_of_every_admissible_family():
             continue
         plan = rational._rational_plan(p, tuple(orders))
         assert plan.forms == tuple(forms) and plan.e_max == max(form.r for form in forms)
-        reads = {}
+        index = {tuple(form): i for i, form in enumerate(forms)}
+        reads = {}  # (cols, signs, y-layers) of the reads of each (j, b, e)
         for col, (j, b, r) in enumerate(forms):
             for e in range(r + 1):
-                reads.setdefault((j, b, e), []).append([col, (-1) ** e * math.comb(r, e) % p,
-                                                        r - e])
-        assert [image[:3] for image in plan.images] == sorted(reads), (p, orders)
+                cols, signs, ys = reads.setdefault((j, b, e), ([], [], []))
+                cols.append(col)
+                signs.append((-1) ** e * math.comb(r, e) % p)
+                ys.append(r - e)
+        images = {image[:3]: image for image in plan.images}
+        assert list(images) == sorted(images) and images.keys() <= reads.keys(), (p, orders)
         spec = random_curve(GF(p, k), orders, rng)
         N = rational._f_numerator(spec, rational._pole_factors(spec))
         x = Poly.x(spec.field)
         lin = [x - Poly.constant(spec.field, datum.location) for datum in spec.poles[1:]]
-        for image in plan.images:
-            j, b, e = image[:3]
-            assert image.reads.tolist() == reads[j, b, e], (p, orders, j, b, e)
+        table, slot = ([], [], [], []), 0  # (slot, entry, col, sign)
+        for j, b, e in sorted(reads):
             m = [e * d + (b if l == j else 0) for l, d in enumerate(orders)][1:]
-            assert image.tops == tuple((l, -n % p) for l, n in enumerate(m) if n % p)
-            assert image.bottoms == tuple((l, math.ceil(n / p)) for l, n in enumerate(m) if n)
-            assert image.shift == (b if j == 0 else 0), (p, orders, j, b, e)
-            degree = e * N.degree() + sum(n for _, n in image.tops) + image.shift
-            assert image.live == (degree >= p - 1), (p, orders, j, b, e)
-            if not image.live:
-                G = power(x, image.shift) * power(N, e)
-                for l, n in image.tops:
+            tops = tuple((l, -n % p) for l, n in enumerate(m) if n % p)
+            bottoms = tuple((l, math.ceil(n / p)) for l, n in enumerate(m) if n)
+            shift = b if j == 0 else 0
+            degree = e * N.degree() + sum(n for _, n in tops) + shift
+            if degree < p - 1:
+                assert (j, b, e) not in images, (p, orders, j, b, e)
+                G = power(x, shift) * power(N, e)
+                for l, n in tops:
                     G = G * power(lin[l], n)
                 assert G.degree() == degree and cartier_poly(G).is_zero(), (p, orders, j, b, e)
                 dead += 1
+                continue
+            image = images[j, b, e]
+            assert (image.tops, image.bottoms, image.shift) == (tops, bottoms, shift)
+            top = (degree + 1) // p - 1 - sum(n for _, n in bottoms)
+            cols, signs, ys = reads[j, b, e]
+            runs, first = {}, slot
+            for pole, terms in [(0, range(top + 1))] + [(l + 1, range(1, n + 1))
+                                                         for l, n in bottoms]:
+                runs[pole] = (slot, len(terms))
+                for n in terms:
+                    table[1].extend([index.get((pole, n, y), -1) for y in ys])
+                slot += len(terms)
+            assert image.runs == runs, (p, orders, j, b, e)
+            table[0].extend(s for s in range(first, slot) for _ in cols)
+            table[2].extend(cols * (slot - first))
+            table[3].extend(signs * (slot - first))
+        assert plan.slots == slot and np.array_equal(plan.table, table), (p, orders)
+        assert -1 not in plan.table[1] and plan.refused.shape == (4, 0), (p, orders)
     assert dead > 1000, dead
 
 
@@ -816,6 +843,51 @@ def test_monomial_outside_the_basis_is_refused(monkeypatch):
     monkeypatch.setattr(rational, "_rational_image", stray)
     with pytest.raises(NotInSpan, match=r"monomial x\^3 dx falls outside the basis"):
         cartier_matrix(curve(7, [0, 0, 0, 1]), "rational")
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+@pytest.mark.parametrize("spec, stray, message", [
+    # the poly part x of an image whose only slot is x^0, where x dx is a form
+    (curve(7, [0, 0, 0, 1]), lambda x, one: (x, one),
+     r"monomial x dx falls past its image's degree"),
+    # 1/(x - 1)^4, a tail longer than every run at the pole x = 1
+    (curve(3, [0, 0, 1], [(1, [1])]), lambda x, one: (one, power(x - one, 4)),
+     r"monomial x1\^4 dx falls outside the basis"),
+])
+def test_part_longer_than_its_slots_is_refused(spec, stray, message, last, monkeypatch):
+    """A decomposition with a part longer than its run of slots, which the
+    degrees of its image rule out, is a bug of the rational route:
+    NotInSpan, naming its first term past the run, never an IndexError or
+    a ValueError from the write, also at the last image, whose run ends
+    the slots."""
+    plan = rational._rational_plan(spec.p, spec.invariants.orders)
+    x, one, real = Poly.x(spec.field), Poly.constant(spec.field, 1), rational._rational_image
+
+    def image_of(spec, num, image, factors):
+        if last and image is not plan.images[-1]:
+            return real(spec, num, image, factors)
+        return stray(x, one)
+
+    monkeypatch.setattr(rational, "_rational_image", image_of)
+    with pytest.raises(NotInSpan, match=message):
+        cartier_matrix(spec, "rational")
+
+
+def test_rational_read_outside_the_basis_is_refused(monkeypatch):
+    """A nonzero term that a column of the rational route reads outside the
+    basis is a bug, refused by the one guard of the curve's pass: with dx
+    dropped from the basis, C(f^2 dx) = 1 on y^7 - y = x^3 lands on it in
+    the column of y^2 dx, NotInSpan, never a wrong matrix."""
+    def without_dx(p, orders):
+        return [form for form in ordered_basis(p, orders) if form != BasisForm(0, 0, 0)]
+
+    monkeypatch.setattr(rational, "ordered_basis", without_dx)
+    rational._rational_plan.cache_clear()
+    try:
+        with pytest.raises(NotInSpan, match="monomial dx falls outside the basis"):
+            cartier_matrix(curve(7, [0, 0, 0, 1]), "rational")
+    finally:
+        rational._rational_plan.cache_clear()
 
 
 def test_local_read_outside_the_basis_is_refused(tmp_path, monkeypatch, capsys):

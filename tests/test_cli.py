@@ -344,6 +344,26 @@ class TestSweepCommand:
         assert data["theorem_a"] == 4
         assert len(data["results"]) == 8
 
+    @pytest.mark.parametrize("orders, theorem", [("3", 4), ("4,3", None)])
+    def test_family_is_read_once(self, orders, theorem, capsys, monkeypatch):
+        """One order_invariants call per sweep gives the digit cap's genus,
+        the theorem's condition and m(p-1); the JSON keeps its keys, as
+        the invariants are no field of the config."""
+        calls = []
+
+        def counted(p, orders):
+            calls.append((p, orders))
+            return invariants_of(p, orders)
+
+        invariants_of = sweep.order_invariants
+        monkeypatch.setattr(sweep, "order_invariants", counted)
+        assert main(["sweep", "--p", "7", "--orders", orders, "--samples", "2", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert calls == [(7, tuple(int(d) for d in orders.split(",")))]
+        assert list(data) == ["p", "field_degree", "orders", "samples", "seed", "generator",
+                              "theorem_a", "distinct_a", "pass", "results"]
+        assert data["theorem_a"] == theorem
+
     def test_exploratory_regime(self, capsys):
         # 3 != 1 mod 4: per-sample values reported, no verdict
         assert main(["sweep", "--p", "3", "--orders", "4", "--samples", "5",
@@ -536,6 +556,9 @@ GOLDENS = [
            _ORACLE + ": the rational pipeline's Kronecker products at g = 600", 60),
     Golden(("oracle", _spec("p1009_o3")), SCALE / "oracle_p1009_o3.txt",
            _ORACLE + ": y^1009 - y = x^3 + 5x, g = 1008, at the digit cap", 60),
+    Golden(("oracle", _spec("p1009_o1-1")), SCALE / "oracle_p1009_o1-1.txt",
+           _ORACLE + ": g = 1008 with every image of the rational pipeline live, "
+           "1008 of 1008", 60),
     Golden(("oracle", _spec("p5_gf25_o9-3-2")), SCALE / "oracle_p5_gf25_o9-3-2.txt",
            _ORACLE + ": two finite poles over GF(5^2), dense field elements", 60),
     Golden(("oracle", _spec("p3_gf2187_o8-5-2")), SCALE / "oracle_p3_gf2187_o8-5-2.txt",
