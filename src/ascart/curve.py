@@ -14,8 +14,9 @@ checks the normal form (every element in the curve's field, pole orders
 prime to p, nonzero leading coefficients, distinct locations, infinity
 present and listed first) and returns the numeric invariants, kept as
 spec.invariants: D, L, the genus g = D(p-1)/2, the p-rank s = m(p-1), and,
-when p = 1 mod L, the slopes gamma_j = (p-1)/d_j.  order_invariants() is
-the half that (p, orders) alone decide.
+when p = 1 mod L, the slopes gamma_j = (p-1)/d_j.  validate() on a built
+spec reads them back.  order_invariants() is the half that (p, orders)
+alone decide.
 
 basis() enumerates the monomial basis of regular 1-forms, and
 ordered_basis() that of every curve with given p and pole orders: blocks
@@ -146,7 +147,11 @@ class CurveInvariants:
 
 def validate(spec: CurveSpec) -> CurveInvariants:
     """Check the normal form and return the curve's numeric invariants;
-    CurveSpec calls it once, when the spec is built."""
+    CurveSpec calls it once, when the spec is built, and on a built spec it
+    returns the kept spec.invariants without reading the pole data again."""
+    kept = vars(spec).get("invariants")
+    if kept is not None:
+        return kept
     if not spec.poles or not spec.poles[0].is_infinite:
         raise MissingInfinitePole("the first pole must be at infinity; substitute "
                                   "x -> e + 1/x to move a pole e of f there")

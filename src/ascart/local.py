@@ -16,35 +16,41 @@ times a power of one z,
 
 for z = 1/(e_j - e_l), so the stacks of them of every pole are one gather
 from one geometric table of every z per curve, built by doubling, times a
-coefficient table, and sum_j f_j(x_j) at each pole is one contraction of
-its stack.
+coefficient table, and sum_j f_j(x_j) at every pole is one contraction of
+the stacks.
 
 Every series at pole l is read-sized: cut to the terms that C reads
 there and the d_l + 1 of H_l's own principal part, never more than
-(p-1)*d_l + 1 terms.  The powers H_l^e (e <= p-2) are the only series
-products, each one truncated convolution of H_l^(e-1) with H_l cut to
-its band, one fold and one mod (_powers).  The band is the most terms
-H_l can have: H_l is a polynomial, of degree at most d_0 + d_l, at
+(p-1)*d_l + 1 terms, and a pole that no read reaches has no series.
+The powers H_l^e (e <= p-2) are the only series products, each one
+truncated correlation of H_l^(e-1) with H_l, cut to its band and
+reversed once, one fold and one mod (_powers).  The band is the most
+terms H_l can have: H_l is a polynomial, of degree at most d_0 + d_l, at
 infinity when f has no finite pole and at the finite pole of a curve
 with one, so there each product is by a few terms.  C keeps the
 coefficients at exponents -1 mod p in x at infinity and 1 mod p in 1/u
 at a finite pole, so of the products H_l^e x_j^b only those
 coefficients are computed, each as a gathered dot product
 sum_s H_l^e[t-s] x_j^b[s] over the terms where x_j^b can be nonzero.
+Such a product read has the same value at every level r >= e of the
+binomial regrouping that reads it, so each distinct read is computed
+once and scattered to all of them.
 What depends on (p, orders) alone is a cached layout (_Layout): the
 basis, the coefficients of the stacks (binomials mod p, by Pascal's
 rule) and the positions of their powers of z, the doubling plan of the
-geometric table, each pole's band and its offsets in the flat tables,
-and two read tables across all poles, one for the coefficients read
-off the H_l^e and one for those of the products, with the matrix entry
-and sign of each and, for a product, its term range and gather data.
-Its guard that no read falls outside the basis runs once per
-(p, orders).  A curve is then one pass: every pole's powers written
-into one power table, one gather from it for every direct read, one
-call of the gathered dot products in chunks of bounded size for every
-product read, and their signed scatters.  Over GF(p) every fold of
-digit products is the product by [[1]] and is skipped (_fold); over
-GF(p^k), k > 1, the p-th root is taken once, on the matrix.
+geometric table, the index tables of the contraction, each pole's band
+and its offsets in the flat tables, and two read tables across all
+poles, one for the coefficients read off the H_l^e and one for those of
+the products, with the matrix entry and sign of each and, for the
+distinct products, their term ranges and gather data.  Its guard that
+no read falls outside the basis runs once per (p, orders).  A curve is
+then one pass: one contraction for every H_l, every pole's powers
+written into one power table, one gather from it for every direct read,
+one call of the gathered dot products in chunks of bounded size for
+every distinct product read, and their signed scatters.  Over GF(p)
+every fold of digit products is the product by [[1]] and is skipped
+(_fold); over GF(p^k), k > 1, the p-th root is taken once, on the
+matrix.
 
 local_matrix(spec, orders) is the pipeline's entry point for the gate
 (cartier_matrix).  support(p, orders) is the pattern of the entries the
@@ -86,30 +92,35 @@ def _digit_fold(field: Field) -> np.ndarray:
 def _powers(field: Field, s: np.ndarray, m: int, n: int, out=None) -> np.ndarray:
     """s^0, ..., s^m to n terms each, for the series s of at most n terms:
     the (m+1, n, k) digits, a view of the packed powers, written into out,
-    zero-filled packed rows (m+1, n, 2k-1), when given.  The local pipeline
-    builds the powers H_l^e with it, s being H_l cut to its band (_Layout).
+    zero-filled packed rows (m+1, n, 2k-1) with each power's terms and
+    slots contiguous, when given.  The local pipeline builds the powers
+    H_l^e with it, s being H_l cut to its band (_Layout).
 
     A series over GF(p^k) is an int64 array (N, k) of N coefficients, each
     the digit row of a field element.  Every power is kept packed, its
     digit rows in slots of 2k-1 entries, so that a slot of a convolution
     holds the schoolbook product of two digit rows.  Each s^e is then one
-    truncated np.convolve of s^(e-1) with s, so that a polynomial H_l
-    costs a product by its few terms, and one fold of the unreduced slots
-    to k digits mod p, written into the next packed row (_fold: one
-    product by field.reduction and one np.remainder, only the remainder
-    over GF(p)).  A slot sums at most
+    truncated convolution of s^(e-1) with s, so that a polynomial H_l
+    costs a product by its few terms: np.correlate with the packed s
+    reversed once, which is np.convolve without its per-call wrapper.
+    Then one fold of the unreduced slots to k digits mod p is written into
+    the next packed row (_fold: one product by field.reduction and one
+    np.remainder, only the remainder over GF(p)).  A slot sums at most
     n*k digit products of at most (p-1)^2, and the fold 2k-1 slots times
     entries of at most p-1, so every sum is at most (2k-1)*n*k*(p-1)^3,
     below 2^47 under the digit cap (check_digit_cap).
     """
     k, slot = field.k, 2 * field.k - 1
     packed = np.zeros((m + 1, n, slot), dtype=np.int64) if out is None else out
+    rows = packed.reshape(m + 1, n * slot)  # a view: each power as one flat row
     packed[0, 0, 0] = 1
     packed[1:2, : len(s), :k] = s[:n]
-    step = packed[1:2, : len(s)].ravel()  # no row at m = 0
+    step = rows[1:2, : len(s) * slot].ravel()[::-1].copy()  # reversed once; none at m = 0
+    # over GF(p) a slot is one digit, and a row of slots the digits of a power
+    shape, digits = ((n, slot), packed[..., :k]) if k > 1 else ((n,), rows)
     for e in range(2, m + 1):
-        c = np.convolve(packed[e - 1].ravel(), step)[: n * slot].reshape(n, slot)
-        _fold(field, c, field.reduction, out=packed[e, :, :k])
+        c = np.correlate(rows[e - 1], step, "full")[: n * slot]
+        _fold(field, c.reshape(shape), field.reduction, out=digits[e])
     return packed[..., :k]
 
 
@@ -154,19 +165,14 @@ def _doubling(lengths) -> _Doubling:
 
 
 class _Pole(NamedTuple):
-    """Where the series of one pole l sit in the flat tables of a _Layout.
-    Each has size = n_l terms; those of H_l^e are columns offset, ...,
-    offset + n_l - 1 of the power table, and H_l has no nonzero term at or
-    past band.  The stack of pole l is len(f_rows) series, from row stack
-    of the flat stack, and f_rows[i] is the row, in the concatenated digits
-    of the f_j, of the coefficient c_(j,i') of f_j that multiplies stacked
-    series i, x_j^i'."""
+    """Where the series of one pole l sit in the power table of a _Layout.
+    Each has size = n_l terms, 0 at a pole that no read reaches; those of
+    H_l^e are columns offset, ..., offset + n_l - 1 of the power table,
+    and H_l has no nonzero term at or past band."""
 
     size: int
     band: int
     offset: int
-    stack: int
-    f_rows: np.ndarray
 
 
 class _Layout:
@@ -177,22 +183,35 @@ class _Layout:
 
     The powers H_l^e of every pole fill one (e_max+1, width, k) power
     table, width = sum_l n_l: term t of H_l^e is its flat row
-    e*width + offset_l + t.  A direct read takes such a term itself: a
-    column (l, e, t, row, col, sign) of direct, naming the matrix entry
-    (row, col) it fills and its sign, with its flat row in reads.  A
-    product read takes term t of H_l^e x_j^b, sum_s H_l^e[t-s] x_j^b[s]
-    over its term range lo <= s <= hi: a column (l, e, t, x, lo, hi, row,
-    col, sign) of products, with x the position of x_j^b in pole l's stack
-    of the powers x_j^0, ..., x_j^(d_j) of every j != l.  gathers holds the
-    same reads as flat gather data (h0, x0, length, start): with the terms
-    of all reads numbered m = start, ..., start + length - 1, term m is the
-    product of row h0 - m of the power table and row x0 + m of the flat
-    stack.  A read outside the basis is refused here, once.
+    e*width + offset_l + t.  A pole that no read reaches has n_l = 0 and
+    no series at all.  A direct read takes such a term itself: a column
+    (l, e, t, row, col, sign) of direct, naming the matrix entry (row, col)
+    it fills and its sign, with its flat row in reads.  A product read
+    takes term t of H_l^e x_j^b, sum_s H_l^e[t-s] x_j^b[s] over its term
+    range lo <= s <= hi: a column (l, e, t, x, lo, hi, row, col, sign) of
+    products, with x the position of x_j^b in pole l's stack of the powers
+    x_j^0, ..., x_j^(d_j) of every j != l.  (l, e, t, x) fix lo and hi, so
+    the value of a product read is the same at every level r >= e that
+    reads it: gathers holds each distinct read once, and product column i
+    takes the value of distinct read inverse[i].  gathers is flat gather
+    data (h0, x0, length, start): with the terms of the distinct reads
+    numbered m = start, ..., start + length - 1, term m is the product of
+    row h0 - m of the power table and row x0 + m of the flat stack.  A read
+    outside the basis is refused here, once.
 
     band is the most terms H_l can have in the family: H_l = u^(d_l) f is
     a polynomial, of degree d_0 at infinity when f has no finite pole and
     d_0 + d_l at the finite pole of a curve with exactly one, and
-    otherwise a series, cut to its n_l terms.
+    otherwise a series, cut to its n_l terms.  Every H_l, to its n_l
+    terms, is built at rows offset_l, ..., offset_l + n_l - 1 of one flat
+    (width, k) table.  Its terms d_l + t are one contraction, (stack,
+    coeff_rows, groups, rows): term t of sum_j f_j(x_j) at pole l is
+    sum_(j,i) x_j^i[t] c_(j,i), a group of consecutive products, each of
+    stack row stack[m] and of row coeff_rows[m] of the concatenated digits
+    of the f_j, from groups[g] on, summed into flat row rows[g].  Its own
+    principal part, times u^d_l, its terms 0, ..., d_l, is own: the flat
+    rows and the rows of the coefficients of f_l.  A pole with no other
+    pole stacks nothing.
 
     Term t of x_j^b at pole l is a binomial coefficient mod p times a power
     of one z, a pole location e_j or, for a pair of finite poles, the
@@ -204,9 +223,9 @@ class _Layout:
         at e_l, x_j = -z/(1 - z u):        x_j^b[t] = (-1)^b C(b+t-1, t) z^(b+t),
 
     with the series 1 at b = 0.  stack is (power, coef): for each term of
-    the flat stack of every pole, the position of its power of z in the
-    flat table of the doubling plan doubling (_geometric) and its
-    coefficient."""
+    the flat stack of every pole, the stack of pole l its n_l terms of
+    each x_j^b in turn, the position of its power of z in the flat table
+    of the doubling plan doubling (_geometric) and its coefficient."""
 
     def __init__(self, p: int, orders):
         self.forms = forms = tuple(ordered_basis(p, orders))
@@ -257,49 +276,74 @@ class _Layout:
             # t - lo of H_l^e and up to hi of x_j^b, and the d + 1 terms of
             # H_l's own principal part.  Truncated series multiply exactly
             # below u^n, and n <= (p-1)*d + 1, as t < (e+1)*d with b <= d
-            # in every basis form and e <= p-2.
+            # in every basis form and e <= p-2.  A pole that no read reaches
+            # has no series.
             sizes.append(1 + int(max(d, t_d.max(initial=0), (t_p - lo_p).max(initial=0),
-                                     hi_p.max(initial=0))))
-        power, coef, f_rows = self._closed_forms(p, orders, sizes)
+                                     hi_p.max(initial=0))) if t_d.size + t_p.size else 0)
+        fs = np.cumsum(np.array(orders) + 1) - np.array(orders) - 1  # where f_l starts
+        power, coef, f_rows = self._closed_forms(p, orders, sizes, fs)
         spans = np.array([n * len(rows) for n, rows in zip(sizes, f_rows)])
         offsets, starts = np.cumsum(sizes) - sizes, np.cumsum(spans) - spans
         sizes, self.width = np.array(sizes), sum(sizes)
-        self.poles = []
-        for l, (n, rows) in enumerate(zip(sizes.tolist(), f_rows)):
+        # H_l's terms d_l, ..., n_l - 1 from the stack, none without another pole
+        terms = [n - d if n and len(rows) else 0 for n, rows, d in zip(sizes, f_rows, orders)]
+        stack = np.empty(np.dot(terms, [len(rows) for rows in f_rows]), dtype=np.int64)
+        coeff_rows, groups, at, own = np.empty_like(stack), [], [], []
+        self.poles, cut = [], 0
+        for l, (n, rows, d, count) in enumerate(zip(sizes.tolist(), f_rows, orders, terms)):
             # H_l is a polynomial where f has no pole but l and infinity
             band = min(n, sum(orders) + 1) if len(orders) == 1 + (l > 0) else n
-            self.poles.append(_Pole(n, band, int(offsets[l]), int(starts[l]), rows))
+            self.poles.append(_Pole(n, band, int(offsets[l])))
+            # group t: the term t of each stacked x_j^i and the row of c_(j,i)
+            block, t = slice(cut, cut + count * len(rows)), np.arange(count)
+            np.add.outer(starts[l] + t, n * np.arange(len(rows)),
+                         out=stack[block].reshape(count, len(rows)))
+            coeff_rows[block].reshape(count, len(rows))[:] = rows
+            groups.append(cut + len(rows) * t)
+            at.append(offsets[l] + d + t)
+            cut += count * len(rows)
+            i = np.arange(d + 1 if n else 0)
+            own.append((offsets[l] + i, fs[l] + d - i))
+        self.contraction = stack, coeff_rows, np.concatenate(groups), np.concatenate(at)
+        self.own = tuple(np.concatenate(part) for part in zip(*own))
         self.direct, self.products = np.hstack(direct), np.hstack(products)
+        del direct, products  # the per-pole pieces, freed before the sort below
         l, e, t = self.direct[:3]
         self.reads = e * self.width + offsets[l] + t
-        l, e, t, x, lo, hi = self.products[:6]
+        # One value per distinct product read: (l, e, t, x) fix lo and hi,
+        # so one int64 key names it, (l, x, e, t) in mixed radix, below
+        # (m+1)*(D+2)*(e_max+1)*max(n_l) <= (D+2)^3*(p-1)^2 <= (6g)^3 < 2^38
+        # under the digit cap, as x < D + 2, the series a pole stacks, and
+        # n_l <= (p-1)*(D+2).  Sorted by it, reads of one x_j^b are adjacent.
+        l, e, t, x = self.products[:4]
+        key = ((l * (sum(orders) + len(orders)) + x) * (self.e_max + 1) + e) * sizes.max() + t
+        _, first, self.inverse = np.unique(key, return_index=True, return_inverse=True)
+        l, e, t, x, lo, hi = self.products[:6, first]
         length = hi - lo + 1
         start = np.cumsum(length) - length
         self.gathers = np.stack([e * self.width + offsets[l] + t - lo + start,
                                  starts[l] + x * sizes[l] + lo - start, length, start])
         self.stack = power, coef
-        for table in (self.direct, self.products, self.reads, self.gathers, power, coef,
-                      *f_rows):
+        for table in (self.direct, self.products, self.reads, self.inverse, self.gathers,
+                      power, coef, *self.contraction, *self.own):
             table.setflags(write=False)  # shared by every curve with these orders
 
-    def _closed_forms(self, p: int, orders, sizes) -> tuple:
+    def _closed_forms(self, p: int, orders, sizes, fs) -> tuple:
         """pairs and doubling, and the stacks of series of these sizes from
-        the closed forms above: the flat power and coef of stack, and the
-        f_rows of each pole."""
+        the closed forms above: the flat power and coef of stack, and for
+        each pole the rows of the coefficients of the f_j, which start at
+        rows fs, that multiply its stacked series."""
         m = len(orders)
         self.pairs = [(l, j) for l in range(1, m) for j in range(1, m) if j != l]
         pair = {lj: i for i, lj in enumerate(self.pairs)}
-        coeffs = np.cumsum(np.array(orders) + 1) - np.array(orders) - 1  # where f_j starts
         if m > 1:
             # C(b, t) mod p: the signs (-1)^t C(b, t) times (-1)^t
             binom = binomial_signs(p, orders[0]) * (1 - 2 * (np.arange(orders[0] + 1) % 2)) % p
             negative = _negative_binomials(p, max(orders[1:]), max(sizes))
         lengths = np.ones((m - 1) ** 2, dtype=np.int64)  # of each z row's powers read
-        stacks = []
+        blocks, f_rows = [], []  # (z, power, coef) of each x_j^0, ..., x_j^(d_j) at each pole
         for l, n in enumerate(sizes):
-            t = np.arange(n)
-            rows = [(np.zeros(0, np.int64), np.zeros((0, n), np.int64),  # empty for one pole
-                     np.zeros((0, n), np.int64), np.zeros(0, np.int64))]
+            t, rows = np.arange(n), [np.zeros(0, np.int64)]  # no rows for one pole
             for j in range(m):
                 if j == l:
                     continue
@@ -313,15 +357,17 @@ class _Layout:
                 else:
                     z = m - 1 + pair[l, j]
                     power, coef = b + t, (1 - 2 * (b % 2)) * negative[b, t] % p
-                rows.append((np.full(len(b), z), power, coef, coeffs[j] + b[:, 0]))
-            z, power, coef, coeff = (np.concatenate(part) for part in zip(*rows))
-            np.maximum.at(lengths, z, power.max(axis=1, initial=0) + 1)
-            stacks.append((z, power, coef, coeff))
+                lengths[z] = max(lengths[z], power.max(initial=0) + 1)
+                blocks.append((z, power, coef))
+                rows.append(fs[j] + b[:, 0])
+            f_rows.append(np.concatenate(rows))
         self.doubling = _doubling(lengths)
-        power = np.concatenate([(self.doubling.starts[z, None] + power).ravel()
-                                for z, power, _, _ in stacks])
-        coef = np.concatenate([coef.ravel() for _, _, coef, _ in stacks])[:, None]
-        return power, coef, [coeff for *_, coeff in stacks]
+        cuts = np.cumsum([0] + [power.size for _, power, _ in blocks])
+        power = np.empty(cuts[-1], dtype=np.int64)
+        for (z, block, _), a, b in zip(blocks, cuts, cuts[1:]):
+            np.add(block.ravel(), self.doubling.starts[z], out=power[a:b])
+        coef = np.concatenate([coef.ravel() for *_, coef in blocks] or [np.zeros(0, np.int64)])
+        return power, coef[:, None], f_rows
 
 
 _layout = functools.lru_cache(maxsize=64)(_Layout)
@@ -400,16 +446,19 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
     one gather from it times the layout's coefficients gives the stack of
     every pole at once: at pole l, in the local parameter there, w = 1/x
     at infinity or u = x - e_l at a finite pole, the powers of every other
-    x_j.  Then each pole l builds H_l = u^d f, whose regular part
-    sum_j f_j(x_j) is one contraction of its stack with the coefficients of
-    the f_j, and writes its powers H_l^e, from H_l cut to its band, in
-    place into one power table (_powers).  Every series has the layout's
-    read-sized n_l terms.  One gather from that table serves every direct
-    read, and one call of _gathered_products every product read: only the
-    terms of H_l^e x_j^b that C keeps, as gathered dot products.  Both
-    scatter, signed, into the matrix.  The p-th root, GF(p)-linear, is
-    taken once, on the matrix, and not at all over GF(p), where it is the
-    identity.
+    x_j.  Then one contraction of every stack with the coefficients of the
+    f_j (the layout's contraction: one take, one digit product, one
+    np.add.reduceat and one fold) gives the regular part sum_j f_j(x_j) of
+    every H_l = u^d f at once, and one indexed write adds each pole's own
+    principal part.  Each pole that a read reaches writes its powers H_l^e,
+    from H_l cut to its band, in place into one power table (_powers).
+    Every series has the layout's read-sized n_l terms.  One gather from
+    that table serves every direct read, and one call of _gathered_products
+    every distinct product read: only the terms of H_l^e x_j^b that C
+    keeps, as gathered dot products, each once however many levels read
+    it.  Both scatter, signed, into the matrix, a product read through the
+    layout's inverse.  The p-th root, GF(p)-linear, is taken once, on the
+    matrix, and not at all over GF(p), where it is the identity.
 
     The int64 sums stay exact, as N <= (p-1)*d_l + 1: each of the k^2
     digit sums of a product read, before the fold to k digits, adds at most
@@ -417,8 +466,10 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
     N*k*(p-1)^2 < 2^35 under the digit cap (check_digit_cap), and a power's
     unreduced fold (_powers) is at most (2k-1)*N*k*(p-1)^3 < 2^47.  The
     contraction adds one digit product per stacked power, fewer than
-    D + 2 <= 2g + 2 of them, so its sums stay below (2g + 2)*(p-1)^2 < 2^35
-    too.  The folds and the scatter take residues mod p.
+    D + 2 <= 2g + 2 of them, so its sums stay below (2g + 2)*(p-1)^2 < 2^35,
+    and their unreduced fold over GF(p^k), k >= 2, below
+    k^2*(2g + 2)*(p-1)^3 < 2^48 in the field cap.  The folds and the
+    scatter take residues mod p.
     """
     field, p, k = spec.field, spec.field.p, spec.field.k
     layout = _layout(p, orders)
@@ -434,26 +485,33 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
     coeffs, z = digits[:split], digits[split:]
     power, coef = layout.stack
     xs = _geometric(field, z, layout.doubling).take(power, axis=0) * coef % p
-    fold = _digit_fold(field)
+    # every H_l to its n_l terms: its own principal part times u^d, then
+    # the digit products of sum_(j,i) x_j^i[t] c_(j,i) at its terms d + t
+    h = np.zeros((layout.width, k), dtype=np.int64)
+    rows, sources = layout.own
+    h[rows] = coeffs.take(sources, axis=0)
+    stack, coeff_rows, groups, rows = layout.contraction
+    if len(groups):
+        x, c = xs.take(stack, axis=0), coeffs.take(coeff_rows, axis=0)
+        # the k x k digit products, over GF(p) the one product, in place
+        terms = np.multiply(x, c, out=x) if k == 1 else x[:, :, None] * c[:, None, :]
+        sums = np.add.reduceat(terms.reshape(len(stack), k * k), groups)
+        h[rows] += _fold(field, sums, _digit_fold(field))
+    np.remainder(h, p, out=h)
     packed = np.zeros((layout.e_max + 1, layout.width, 2 * k - 1), dtype=np.int64)
-    start = 0  # where f_l starts in coeffs
-    for pole, d in zip(layout.poles, orders):
-        n, band, f_rows = pole.size, pole.band, pole.f_rows
-        stack = xs[pole.stack : pole.stack + len(f_rows) * n]  # x_j^0, ..., x_j^(d_j), j != l
-        # term t of sum_j f_j(x_j): the digit products of sum_(j,i) x_j^i[t] c_(j,i)
-        f = (stack.reshape(len(f_rows), n * k).T @ coeffs[f_rows]).reshape(n, k * k)
-        h = np.zeros((band, k), dtype=np.int64)  # H_l, cut to its band
-        h[: d + 1] = coeffs[start : start + d + 1][::-1]  # the own principal part times u^d
-        start += d + 1
-        h[d:] = (h[d:] + _fold(field, f[: band - d] % p, fold)) % p
-        _powers(field, h, layout.e_max, n, out=packed[:, pole.offset : pole.offset + n])
+    for pole in layout.poles:
+        if pole.size:
+            _powers(field, h[pole.offset : pole.offset + pole.band], layout.e_max, pole.size,
+                    out=packed[:, pole.offset : pole.offset + pole.size])
     powers = packed[..., :k].reshape(-1, k)  # a view: the flat rows e*width + offset_l + t
     out = np.zeros((len(layout.forms), len(layout.forms), k), dtype=np.int64)
     *_, row, col, sign = layout.direct
     out[row, col] = sign[:, None] * powers.take(layout.reads, axis=0) % p
     *_, row, col, sign = layout.products
     if len(sign):
-        out[row, col] = sign[:, None] * _gathered_products(field, powers, xs, layout.gathers) % p
+        values = _gathered_products(field, powers, xs, layout.gathers).take(layout.inverse, axis=0)
+        values *= sign[:, None]
+        out[row, col] = np.remainder(values, p, out=values)
     if k > 1:  # the pth_root of each entry, the identity over GF(p)
         out = out @ field.pth_root_matrix
         np.remainder(out, p, out=out)

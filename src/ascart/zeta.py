@@ -41,6 +41,7 @@ rational arithmetic only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -314,8 +315,13 @@ def newton_polygon(L: LPolynomial, q: int) -> SlopePolygon:
 
 
 def hodge_polygon(orders) -> SlopePolygon:
-    """Hodge polygon of f from its pole orders alone; total length D."""
-    orders = list(orders)
+    """Hodge polygon of f from its pole orders alone; total length D.  It
+    is built once per tuple of orders and kept (_hodge_polygon)."""
+    return _hodge_polygon(tuple(orders))
+
+
+@functools.lru_cache(maxsize=64)
+def _hodge_polygon(orders: tuple[int, ...]) -> SlopePolygon:
     m = len(orders) - 1
     slopes = [Fraction(0)] * m + [Fraction(1)] * m
     for d in orders:

@@ -130,6 +130,62 @@ def test_pipelines_agree_over_extensions(case, seed):
     assert cartier_matrix(spec, "rational").entries == cartier_matrix(spec, "local").entries
 
 
+@st.composite
+def small_families(draw, max_genus=42):
+    """(p, k, orders) with p <= 31, k <= 3, at most two finite poles,
+    every order prime to p and genus at most max_genus, built so that
+    every draw is admissible: the i-th positive integer prime to p is
+    i + (i - 1) // (p - 1), and each order leaves room for the next."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    k = draw(st.integers(1, 3))
+    room = 2 * max_genus // (p - 1) + 2  # for sum(d_j + 1) = D + 2
+    poles = draw(st.integers(1, min(3, room // 2)))
+    orders = []
+    for left in range(poles - 1, -1, -1):
+        top = room - 2 * left - 1  # the largest order that leaves 2 for each pole left
+        i = draw(st.integers(1, top - top // p))
+        orders.append(i + (i - 1) // (p - 1))
+        room -= orders[-1] + 1
+    return p, k, tuple(orders)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=small_families(), seed=st.integers(0, 2**32 - 1))
+@example(family=(13, 1, (4, 3)), seed=0)  # p = 1 mod L, the sweep_prime family
+@example(family=(5, 2, (3,)), seed=0)  # p != 1 mod L
+@example(family=(7, 3, (4, 2, 1)), seed=1)  # p != 1 mod L, two finite poles
+@example(family=(2, 2, (3, 1, 1)), seed=2)  # p = 2: every form at level 0
+def test_level_lift_and_sigma_on_both_pipelines(family, seed):
+    """Both pipelines' matrices satisfy the binomial regrouping's level
+    lift, M[(l,n,y),(j,b,r)] = C(r,y) M[(l,n,0),(j,b,r-y)] mod p and 0 for
+    y > r, and commute with sigma*: x_j^b y^r dx -> sum_i C(r,i) x_j^b y^i
+    dx, the action of y -> y + 1, which is defined over GF(p), on both
+    sides of p = 1 mod L."""
+    p, k, orders = family
+    assert all(d % p for d in orders) and len(orders) <= 3
+    forms = ordered_basis(p, orders)
+    assert (sum(d + 1 for d in orders) - 2) * (p - 1) // 2 == len(forms) <= 42
+    index = {form: i for i, form in enumerate(forms)}
+    g = len(forms)
+    lift = np.zeros((g, g), dtype=np.int64)  # C(r, y) where y <= r, else 0
+    source = np.zeros((g, g, 2), dtype=np.int64)  # the entry (l,n,0),(j,b,r-y)
+    sigma = np.zeros((g, g), dtype=np.int64)
+    for c, (j, b, r) in enumerate(forms):
+        for y in range(r + 1):
+            sigma[index[BasisForm(j, b, y)], c] = math.comb(r, y) % p
+        for a, (l, n, y) in enumerate(forms):
+            if y <= r:
+                lift[a, c] = math.comb(r, y) % p
+                source[a, c] = index[BasisForm(l, n, 0)], index[BasisForm(j, b, r - y)]
+    spec = random_curve(GF(p, k), orders, random.Random(seed))
+    for pipeline in ("local", "rational"):
+        M = cartier_matrix(spec, pipeline).digits
+        lifted = lift[..., None] * M[source[..., 0], source[..., 1]] % p
+        assert (M == lifted).all(), pipeline
+        assert (np.einsum("abd,bc->acd", M, sigma) % p
+                == np.einsum("ab,bcd->acd", sigma, M) % p).all(), pipeline
+
+
 def check_local_series(spec):
     """The series route against the partial-fraction reference and the
     rational pipeline."""
@@ -206,13 +262,16 @@ def test_pipelines_agree_at_genus_120(seed):
 
 @pytest.mark.parametrize("p,k,orders,seed", [(7, 1, (3, 2, 1), 0), (5, 2, (4, 2), 1)])
 def test_gathered_products_in_small_chunks(p, k, orders, seed, monkeypatch):
-    """The product reads summed three terms at a time, so that most reads
-    span several chunks and leave some chunks empty, still give the
-    reference matrix."""
+    """The distinct product reads summed three terms at a time, so that
+    most reads span several chunks and leave some chunks empty, still give
+    the reference matrix, with some distinct read scattered to several
+    levels."""
     field = GF(p, k)
     monkeypatch.setattr(local, "_CHUNK", 3 * k**2)
-    _, _, lengths, _ = local._layout(p, orders).gathers  # every pole's product reads
+    layout = local._layout(p, orders)
+    _, _, lengths, _ = layout.gathers  # every pole's distinct product reads
     assert lengths.max() > 3 and lengths.sum() > 3 * len(lengths)
+    assert len(lengths) < len(layout.inverse)
     spec = random_curve(field, orders, random.Random(seed))
     assert cartier_matrix(spec, "local").entries == naive_local_matrix(spec).entries
 
@@ -243,7 +302,7 @@ def test_powers_against_field_products(p, k, m, monkeypatch):
         raise AssertionError(f"_powers took a product at m = {m}")
 
     if m <= 1:
-        monkeypatch.setattr(np, "convolve", product)
+        monkeypatch.setattr(np, "correlate", product)
     field, n = GF(p, k), 7
     rng = random.Random(p * 100 + k * 10 + m)
 
@@ -276,12 +335,13 @@ def test_powers_against_field_products(p, k, m, monkeypatch):
                                           (11, 2, (1, 1), 3), (7, 2, (2, 1), 4)])
 def test_read_sized_series_agree_with_rational(p, k, orders, seed):
     """local against rational on the shapes whose series read-sizing cuts
-    the most: at infinity, orders (1, 1) keep 2 of the (p-1)*d_0 + 1 terms
-    and orders (2, 1) about half of them."""
+    the most: at infinity, no read of orders (1, 1) reaches the pole, so it
+    has no series (n = 0), and orders (2, 1) keep about half of the
+    (p-1)*d_0 + 1 terms."""
     layout = local._layout(p, orders)
     n = layout.poles[0].size
     assert n <= (p - 1) * orders[0] // 2 + 1, n
-    assert n == 2 or orders != (1, 1), n
+    assert (n == 0) == (orders == (1, 1)), n
     spec = random_curve(GF(p, k), orders, random.Random(seed))
     assert cartier_matrix(spec, "local") == cartier_matrix(spec, "rational")
 
@@ -371,7 +431,7 @@ class TestLocalSeriesGuards:
         names = names_reached(local, local.local_matrix, local._Layout, local._powers,
                               local._gathered_products, local._digit_fold,
                               local._negative_binomials, local._doubling, local._geometric)
-        assert {"convolve", "binomial_signs", "_gathered_products", "reduceat",
+        assert {"correlate", "binomial_signs", "_gathered_products", "reduceat",
                 "_negative_binomials", "_doubling", "_geometric", "_fold", "_Pole"} <= names
         assert not names & CLOSED_FORM
 
@@ -379,11 +439,11 @@ class TestLocalSeriesGuards:
         """The same walk from the rational route, into the rational module,
         ratfunc and the methods of Poly and PartialFraction: its products
         are Kronecker products (from_bytes, frombuffer), never numpy's
-        convolutions or gathered sums."""
+        correlations, convolutions or gathered sums."""
         names = names_reached(rational, rational.rational_matrix, rational._RationalPlan)
         assert {"partial_fractions", "cartier_poly", "binomial_signs", "_rational_image",
                 "_kronecker", "from_bytes", "frombuffer", "_divide_linear", "_taylor"} <= names
-        assert not names & {"convolve", "reduceat"}
+        assert not names & {"correlate", "convolve", "reduceat"}
         # the decompositions' terms go straight to digits: no scaled copies
         # of a PartialFraction, no lists of elements turned into digits
         assert not names & {"digit_array", "scale"}
@@ -932,11 +992,17 @@ def test_layout_of_every_admissible_family():
     series, with a unit sign.  Each read is direct or a product, never
     both: a product read is one of H_l^e by x_j^b for j != l and b >= 1,
     its indices t - s and s lie inside the rows of H_l^e and x_j^b for
-    every s of its term range, and its flat gather data name those
-    entries.  The basis has a pivot certificate: the kappa matching lies in
-    the support and is maximum there, so the support's term rank is #H =
-    g - theorem_a_value, and rank's cover has #H lines.  The support is
-    upper triangular, with m(p-1) logarithmic forms on its diagonal."""
+    every s of its term range, and the flat gather data of its distinct
+    read name those entries; the distinct reads are pairwise distinct, and
+    each is the read of one column at level r = e.  A pole that no read
+    reaches has no series (n_l = 0), and the contraction that builds every
+    H_l sums, for each of its terms d_l + t, the terms t of the stacked
+    x_j^b times the coefficient of f_j at x_j^b.  The basis has a pivot
+    certificate: the kappa matching lies in the support and is maximum
+    there, so the support's term rank is #H = g - theorem_a_value, and
+    rank's cover has #H lines.  The support is upper triangular, with
+    m(p-1) logarithmic forms on its diagonal."""
+    unread = 0
     for p, orders in admissible_families(PARTITION_MAX_P, 3):
         g = len(ordered_basis(p, orders))
         if not g:  # no layout at g = 0
@@ -958,36 +1024,56 @@ def test_layout_of_every_admissible_family():
         poles = np.hstack([layout.direct[0], layout.products[0]])
         assert ((0 <= poles) & (poles < len(orders))).all(), (p, orders)
         h0, x0, length, start = layout.gathers
+        inverse = layout.inverse
         assert (start == np.cumsum(length) - length).all(), (p, orders)
+        # one distinct read per value: no two with the same first terms and
+        # length
+        assert inverse.shape == layout.products[0].shape, (p, orders)
+        assert np.unique(np.stack([h0 - start, x0 + start, length]), axis=1).shape[1] \
+            == len(start), (p, orders)
+        # and each is the read of exactly one column at level r = e, its image
+        top = np.array(layout.forms)[layout.products[7], 2] == layout.products[1]
+        assert (np.sort(inverse[top]) == np.arange(len(start))).all(), (p, orders)
         # the poles' columns of the power table and rows of the flat stack
-        # tile them, in pole order
+        # tile them, in pole order: pole l stacks x_j^0, ..., x_j^(d_j) of
+        # every j != l, n_l terms each
         power, coef = layout.stack
         sizes = np.array([pole.size for pole in layout.poles])
-        spans = np.array([len(pole.f_rows) * pole.size for pole in layout.poles])
+        fs = np.cumsum(np.array(orders) + 1) - np.array(orders) - 1  # where f_j starts
+        others = [np.array([(jj, bb) for jj, d in enumerate(orders) if jj != l
+                            for bb in range(d + 1)], dtype=np.int64).reshape(-1, 2)
+                  for l in range(len(orders))]
+        spans = np.array([len(o) for o in others]) * sizes
+        stacks = np.cumsum(spans) - spans
         assert [pole.offset for pole in layout.poles] == (np.cumsum(sizes) - sizes).tolist()
-        assert [pole.stack for pole in layout.poles] == (np.cumsum(spans) - spans).tolist()
         assert layout.width == sizes.sum() and len(power) == len(coef) == spans.sum()
         assert (0 <= power).all() and (power < layout.doubling.size).all(), (p, orders)
         assert (0 <= coef).all() and (coef < p).all(), (p, orders)
+        stack, coeff_rows, groups, h_rows = layout.contraction
+        own_rows, own_sources = layout.own
+        terms = held = owned = 0  # how far the contraction and own tables are checked
         for l, pole in enumerate(layout.poles):
             n, on_l, read_l = pole.size, layout.direct[0] == l, layout.products[0] == l
             direct, products = layout.direct[1:, on_l], layout.products[1:, read_l]
             e, t, x, lo, hi, _, col, _ = products
             j, b = jb[col].T
-            others = np.array([(jj, bb) for jj, d in enumerate(orders) if jj != l
-                               for bb in range(d + 1)]).reshape(-1, 2)
-            assert (others[x] == jb[col]).all(), (p, orders, l)
+            assert (others[l][x] == jb[col]).all(), (p, orders, l)
             assert (j != l).all() and (b >= 1).all(), (p, orders, l)
             e_d, t_d, _, col_d, _ = direct
             j_d, b_d = jb[col_d].T
             assert ((j_d == l) | (b_d == 0)).all(), (p, orders, l)
             # read-sized: the fewest terms that hold every read and the
-            # d_l + 1 terms of H_l's own principal part
+            # d_l + 1 terms of H_l's own principal part, and none at a pole
+            # that no read reaches
             d = orders[l]
-            assert n == 1 + max([d, *t_d, *(t - lo), *hi]), (p, orders, l)
+            if len(t_d) + len(t):
+                assert n == 1 + max([d, *t_d, *(t - lo), *hi]), (p, orders, l)
+            else:
+                assert n == 0, (p, orders, l)
+                unread += 1
             assert n <= (p - 1) * d + 1, (p, orders, l)
             # a band cuts only H_l of a pole whose one other pole is infinity
-            assert 1 <= pole.band <= n, (p, orders, l)
+            assert (pole.band >= 1) == (n > 0) and pole.band <= n, (p, orders, l)
             assert pole.band == n or len(orders) == 1 + (l > 0), (p, orders, l)
             for e_, t_, sign in ((e_d, t_d, direct[-1]), (e, t, products[-1])):
                 assert (0 <= e_).all() and (e_ <= layout.e_max).all(), (p, orders)
@@ -997,27 +1083,44 @@ def test_layout_of_every_admissible_family():
             assert (layout.reads[on_l] == e_d * layout.width + pole.offset + t_d).all()
             # every s in [lo, hi]: 0 <= t - s and s < n, s >= 0
             assert (0 <= lo).all() and (lo <= hi).all() and (hi <= t).all(), (p, orders, l)
-            assert (length[read_l] == hi - lo + 1).all(), (p, orders, l)
-            # term m of a read, s = lo + m - start, reads row h0 - m of the
-            # power table and row x0 + m of the flat stack; both are linear
-            # in m, so the two ends of each range decide it
-            first, last = start[read_l], start[read_l] + length[read_l] - 1
-            for m, s in ((first, lo), (last, hi)):
-                assert (h0[read_l] - m == e * layout.width + pole.offset + t - s).all()
-                assert (x0[read_l] + m == pole.stack + x * n + s).all(), (p, orders, l)
-            # the closed forms: one power of z and one coefficient per term
-            # of the stack, and one coefficient of f_j per stacked power
-            f_rows = pole.f_rows
-            assert len(f_rows) == len(others) and (f_rows < sum(orders) + len(orders)).all()
+            # term m of the distinct read u of a product column, s = lo + m -
+            # start, reads row h0 - m of the power table and row x0 + m of
+            # the flat stack; both are linear in m, so the two ends of each
+            # range decide it
+            u = inverse[read_l]
+            assert (length[u] == hi - lo + 1).all(), (p, orders, l)
+            for m, s in ((start[u], lo), (start[u] + length[u] - 1, hi)):
+                assert (h0[u] - m == e * layout.width + pole.offset + t - s).all()
+                assert (x0[u] + m == stacks[l] + x * n + s).all(), (p, orders, l)
+            # the contraction: terms d, ..., n - 1 of H_l, each the group of
+            # the terms t of every stacked x_j^b and the rows of the
+            # coefficients of f_j at x_j^b, none without another pole
+            count = n - d if n and len(others[l]) else 0
+            c, ts = len(others[l]), np.arange(count)[:, None]
+            block = slice(terms, terms + count * c)
+            assert (stack[block].reshape(count, c) == stacks[l] + np.arange(c) * n + ts).all()
+            assert (coeff_rows[block].reshape(count, c)
+                    == fs[others[l][:, 0]] + others[l][:, 1]).all(), (p, orders, l)
+            assert (groups[held : held + count] == terms + ts[:, 0] * c).all(), (p, orders, l)
+            assert (h_rows[held : held + count] == pole.offset + d + ts[:, 0]).all()
+            terms, held = terms + count * c, held + count
+            # H_l's own principal part times u^d: c_i at term d - i
+            i = np.arange(d + 1 if n else 0)
+            assert (own_rows[owned : owned + len(i)] == pole.offset + i).all(), (p, orders, l)
+            assert (own_sources[owned : owned + len(i)] == fs[l] + d - i).all(), (p, orders, l)
+            owned += len(i)
+        assert (terms, held, owned) == (len(stack), len(groups), len(own_rows)), (p, orders)
+        assert len(coeff_rows) == len(stack) and len(h_rows) == len(groups), (p, orders)
+    assert unread, "no family has a pole that no read reaches"
 
 
 def test_band_holds_every_term_of_H(monkeypatch):
     """H_l has no nonzero term at or past its band: on a random curve over
     GF(p^k), k <= 3, of every admissible family, the local route with
     every band widened to its pole's n_l terms hands _powers an H_l that
-    is 0 from the band on, and gives the same matrix.  A band cuts only
-    where f has at most one finite pole; elsewhere it is n_l, with nothing
-    past it to check."""
+    is 0 from the band on, and gives the same matrix; a pole with no
+    series (n_l = 0) gets no call.  A band cuts only where f has at most
+    one finite pole; elsewhere it is n_l, with nothing past it to check."""
     rng, powers, cut = random.Random(33), local._powers, 0
     for p, orders in admissible_families(PARTITION_MAX_P, 3):
         k = rng.randint(1, 3)
@@ -1039,8 +1142,9 @@ def test_band_holds_every_term_of_H(monkeypatch):
             patch.setattr(local, "_powers", spy)
             _, digits = local.local_matrix(spec, orders)
         assert (digits == cartier_matrix(spec).digits).all(), (p, orders, k)
-        assert len(seen) == len(orders), (p, orders, k)
-        for pole, h in zip(layout.poles, seen):
+        series = [pole for pole in layout.poles if pole.size]
+        assert len(seen) == len(series), (p, orders, k)
+        for pole, h in zip(series, seen):
             assert len(h) == pole.size and not h[pole.band :].any(), (p, orders, k)
             cut += pole.band < pole.size
     assert cut > 100, cut

@@ -116,6 +116,21 @@ class TestValidate:
         with refused(PoleOrderDivisibleByP, "pole 1 has order 3 divisible by p=3"):
             dataclasses.replace(spec, poles=(spec.poles[0], order_three))
 
+    def test_validate_of_a_built_spec_reads_its_invariants(self, monkeypatch):
+        """On a built spec validate returns the kept invariants, the same
+        object, and walks no pole data: with _orders patched to raise, it
+        still returns them, while building a spec does raise."""
+        spec = curve(3, [0, 0, 1], [(1, [1])], k=2)
+        assert validate(spec) is spec.invariants
+
+        def walked(spec):
+            raise AssertionError("validate walked the pole data of a built spec")
+
+        monkeypatch.setattr("ascart.curve._orders", walked)
+        assert validate(spec) is spec.invariants
+        with pytest.raises(AssertionError, match="walked the pole data"):
+            curve(3, [0, 0, 1], [(1, [1])], k=2)
+
     def test_repr_eq_and_hash_read_the_pole_data_only(self):
         """As before the spec kept its invariants: repr, == and hash read
         field and poles only."""

@@ -258,6 +258,14 @@ class TestHodgePolygon:
             D = sum(d + 1 for d in orders) - 2
             assert hodge_polygon(orders).length == D
 
+    def test_built_once_per_tuple_of_orders(self):
+        """The polygon depends on the orders alone: equal orders, as a list
+        or a tuple, give the same polygon, and other orders another."""
+        hp = hodge_polygon([4, 3])
+        assert hodge_polygon((4, 3)) is hp and hodge_polygon([4, 3]) is hp
+        assert hodge_polygon((3, 4)) is not hp and hodge_polygon((3, 4)) == hp
+        assert hodge_polygon((4, 2)) != hp
+
 
 class TestComparePolygons:
     def test_equal_supersingular(self):
