@@ -12,36 +12,41 @@ the computation substitutes y^r = (y^p - f)^r and expands binomially,
     C(x_j^b y^r dx) = sum_e (-1)^e C(r,e) y^(r-e) C(x_j^b f^e dx),
 
 which regroups the multinomial expansion over the individual principal
-parts of f into powers of f itself and avoids enumerating tuples.  Since
-r <= p-2 for every basis form, all the binomial coefficients are units;
-both pipelines read them from one table of signs mod p
-(curve.binomial_signs).
+parts of f into powers of f itself and avoids enumerating tuples.  So the
+g images C(x_j^b f^e dx), one per basis form x_j^b y^e dx, written in the
+D_0 level-0 forms x_l^n dx, fix the matrix: M[(l,n,y),(j,b,r)] is
+(-1)^(r-y) C(r, r-y) times the coefficient of x_l^n dx in image
+(j, b, r-y) for y <= r, and 0 for y > r.  Since r <= p-2 for every basis
+form, the signs (curve.binomial_signs) are units.
 
-Two pipelines reduce the inner C(g dx) for rational g and never share
+Two pipelines compute the images as a (D_0, g, k) block and never share
 reduction code, so each serves as an oracle for the other: rational
-(ascart.rational), which amplifies g to a p-th power denominator and
-decomposes the quotient, and local (ascart.local), which reads the
-principal part of g off its Laurent series at each pole.  Neither imports
-the other, nor this module.
+(ascart.rational), which amplifies x_j^b f^e to a p-th power denominator
+and decomposes the quotient, and local (ascart.local), which reads the
+principal part of x_j^b f^e off its Laurent series at each pole.  Neither
+imports the other, nor this module, which alone applies the regrouping.
 
 The output is the matrix only, cartier_matrix, the one gate of both
-pipelines (one size check, check_digit_cap, and the g = 0 case; a spec is
-valid once built): a column is the coordinate vector of C(omega_j) in the
-ordered basis, and entry (i, j) is the coefficient of omega_i in C(omega_j).
-cartier_poly, the polynomial rule, and support(p, orders), the pattern of
-the entries the local layout reads, are re-exported from their pipelines.
+pipelines (one size check, check_digit_cap, the g = 0 case, and the lift
+of the images to the matrix; a spec is valid once built): a column is the
+coordinate vector of C(omega_j) in the ordered basis, and entry (i, j) is
+the coefficient of omega_i in C(omega_j).  support(p, orders) is the
+pattern of the entries any curve of a family can make nonzero;
+cartier_poly, the polynomial rule, is re-exported from its pipeline.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BasisForm, CurveSpec, validate  # noqa: F401 (kept as ascart.cartier.validate)
-from .errors import SeriesTooLarge
+from .curve import (BasisForm, CurveSpec, binomial_signs, ordered_basis,
+                    validate)  # noqa: F401 (validate kept as ascart.cartier.validate)
+from .errors import NotInSpan, SeriesTooLarge
 from .finite_field import Field, FieldElement
-from .local import local_matrix, support
+from .local import image_support, local_matrix
 from .rational import cartier_poly, rational_matrix
 
 PIPELINES = ("rational", "local")
@@ -144,16 +149,58 @@ class CartierMatrix:
 def check_digit_cap(g: int, field: Field) -> None:
     """Refuse a Cartier matrix of genus g over field past the digit cap,
     g^2 * k <= 2^20, with SeriesTooLarge: the only size check of both
-    pipelines, made before anything is built.  Every dense array has
-    O(g^2 * k) entries, since e_max + 1 <= g and the series, read-sized,
-    have at most N = (p-1)*d_l + 1 <= 4g + 1 terms.  As p - 1 <= 2g for
-    g >= 1, the local pipeline's int64 sums stay below
-    N*k*(p-1)^2 <= (4g + 1)*4*2^20 < 2^35, and its powers' unreduced folds
-    below (2k-1)*N*k*(p-1)^3 < 2k^2*(4g + 1)*8g^3
+    pipelines, made before anything is built.  The matrix, the gate's lift
+    (_lift) and the local series and powers have O(g^2 * k) entries, as
+    e_max + 1 <= g and a read-sized series has at most
+    N = (p-1)*d_l + 1 <= 4g + 1 terms; the block of images and the
+    pipelines' read tables, at most one entry per image and level-0 form,
+    have O(g * D_0 * k).  As p - 1 <= 2g for g >= 1, the local pipeline's
+    int64 sums stay below N*k*(p-1)^2 <= (4g + 1)*4*2^20 < 2^35, and its
+    powers' unreduced folds below (2k-1)*N*k*(p-1)^3 < 2k^2*(4g + 1)*8g^3
     <= 64*(g^2*k)^2 + 16*(g^2*k)^2 < 2^47."""
     if g**2 * field.k > _MAX_DIGITS:
         raise SeriesTooLarge(f"Cartier matrix of genus {g} over {field} exceeds "
                              f"the {_MAX_DIGITS}-digit cap on g^2*k")
+
+
+@functools.lru_cache(maxsize=64)
+def _lift(p: int, orders) -> tuple:
+    """The regrouping for the ordered basis of (p, orders), g >= 1, as one
+    gather: entry (l,n,y),(j,b,r) of the flat (g*g, k) matrix is coef times
+    row src, (l,n),(j,b,r-y), of the flat (D_0*g, k) block of images, with
+    coef = (-1)^(r-y) C(r, r-y) mod p for y <= r, and 0 for y > r.  refused
+    are the rows of the block that a column x_j^b y^r dx lifts past every
+    form x_l^n y^y dx, and beyond the first monomial past each x_l^n dx."""
+    forms = ordered_basis(p, orders)
+    js, bs, rs = np.array(forms).T
+    g, d0 = len(forms), int((rs == 0).sum())  # the level-0 forms come first
+    # at[j, b, r]: position of x_j^b y^r dx in the basis, -1 outside it
+    at = np.full((len(orders), bs.max() + 1, rs.max() + 1), -1)
+    at[js, bs, rs] = np.arange(g)
+    top = (at[js, bs] >= 0).sum(axis=1) - 1
+    e = rs - rs[:, None]  # row (l,n,y) reads column (j,b,r)'s image e = r - y
+    live, e = e >= 0, np.maximum(e, 0)
+    src = np.where(live, at[js, bs, 0][:, None] * g + at[js, bs, e], 0).ravel()
+    coef = np.where(live, binomial_signs(p, rs.max())[rs, e], 0).reshape(-1, 1)
+    refused = np.flatnonzero(top - rs > top[:d0, None])
+    for table in (src, coef, refused):
+        table.setflags(write=False)  # shared by every curve with these orders
+    beyond = tuple(BasisForm(j, b, t + 1) for (j, b, _), t in zip(forms[:d0], top.tolist()))
+    return src, coef, refused, beyond
+
+
+def support(p: int, orders) -> np.ndarray:
+    """The g x g entries that the Cartier matrix of a curve with these pole
+    orders can make nonzero, as a read-only boolean pattern: the lift of
+    the entries of the images that the local layout reads
+    (local.image_support), of genus g >= 1.  Every other entry is 0 by
+    construction, so the term rank of the pattern bounds the rank of every
+    curve of the family."""
+    src, coef, *_ = _lift(p, tuple(orders))
+    reads = image_support(p, orders)
+    out = (reads.ravel().take(src) & (coef[:, 0] > 0)).reshape(reads.shape[1], -1)
+    out.setflags(write=False)
+    return out
 
 
 def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
@@ -161,14 +208,25 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
 
     The one gate of both pipelines: it reads the invariants the spec took
     when it was built, and the digit cap (check_digit_cap) is its only size
-    check, before anything is built.  At g = 0 neither pipeline runs.
+    check, before anything is built.  At g = 0 neither pipeline runs.  One
+    gather (_lift) writes the matrix from the pipeline's block of images,
+    after one guard: a nonzero image coefficient that a column would lift
+    outside the basis is a bug, NotInSpan, never a wrong matrix.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
     field, inv = spec.field, spec.invariants
-    check_digit_cap(inv.g, field)
-    if not inv.g:
-        return CartierMatrix(field, (), np.zeros((0, 0, field.k), dtype=np.int64))
+    g, k = inv.g, field.k
+    check_digit_cap(g, field)
+    if not g:
+        return CartierMatrix(field, (), np.zeros((0, 0, k), dtype=np.int64))
     build = local_matrix if pipeline == "local" else rational_matrix
-    forms, digits = build(spec, inv.orders)
-    return CartierMatrix(field, forms, digits)
+    forms, images = build(spec, inv.orders)
+    src, coef, refused, beyond = _lift(field.p, inv.orders)
+    flat = images.reshape(-1, k)
+    stray = flat.take(refused, axis=0)
+    if stray.any():
+        form = beyond[refused[stray.any(axis=1).argmax()] // g]
+        raise NotInSpan(f"monomial {form.label()} falls outside the basis")
+    digits = np.multiply(flat.take(src, axis=0), coef)
+    return CartierMatrix(field, forms, np.remainder(digits, field.p, out=digits).reshape(g, g, k))

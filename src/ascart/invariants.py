@@ -17,7 +17,7 @@ There the paper's proof gives the rank with no elimination, and rank
 checks that proof on each matrix first.  For the ordered basis of such
 (p, orders) a certificate is built once and cached (_certificate): the rows
 kappa(H) and columns H, H in basis order, and a Koenig vertex cover of #H
-lines of the layout's support (local.support).  A matrix whose block
+lines of the family's support (cartier.support).  A matrix whose block
 M[kappa(H), H] is triangular with a nonzero diagonal has rank >= #H, and
 one whose nonzero entries all lie in the cover's lines has rank <= #H.
 Both sides are read off the matrix's own digits, so a wrong support or a
@@ -87,10 +87,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cartier import CartierMatrix, cartier_matrix
+from .cartier import CartierMatrix, cartier_matrix, support
 from .curve import BasisForm, CurveSpec, ordered_basis
 from .errors import ConditionNotSatisfied, DNotCoprime, NotInH
-from .local import support
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,7 @@ class _Certificate(NamedTuple):
 
     rows and cols are the positions of kappa(H) and H, H in basis order;
     (cover_rows, cover_cols) is a Koenig vertex cover of the layout's
-    support (local.support) of size #H.  A matrix whose entries are
+    support (cartier.support) of size #H.  A matrix whose entries are
     nonzero at every flat index of diagonal and zero at every one of zeros
     (the block M[kappa(H), H] below its diagonal, and every entry outside
     the cover) has rank #H."""

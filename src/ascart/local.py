@@ -1,10 +1,11 @@
 """The local pipeline of the Cartier matrix: truncated Laurent series at
 each pole.
 
-It reduces the inner C(g dx), g = x_j^b f^e, of the binomial regrouping
-(ascart.cartier) by reading the principal part of g at each pole off its
-Laurent series in the paper's local parameter there, w = 1/x at infinity
-and u = x - e_l at a finite pole, and applying the pole rules to it.  With
+It computes the images C(x_j^b f^e dx) of the binomial regrouping
+(ascart.cartier), one per basis form x_j^b y^e dx, by reading the
+principal part of x_j^b f^e at each pole off its Laurent series in the
+paper's local parameter there, w = 1/x at infinity and u = x - e_l at a
+finite pole, and applying the pole rules to it.  With
 f = u^(-d_l) H_l(u), the series H_l is the pole's own principal part plus
 the expansions there of f_0 and of the other poles' parts.  The series of
 the x_j there need no products: each term is a binomial coefficient mod p
@@ -22,41 +23,21 @@ the stacks.
 Every series at pole l is read-sized: cut to the terms that C reads
 there and the d_l + 1 of H_l's own principal part, never more than
 (p-1)*d_l + 1 terms, and a pole that no read reaches has no series.
-The powers H_l^e (e <= p-2) are the only series products, each one
-truncated correlation of H_l^(e-1) with H_l, cut to its band and
-reversed once, one fold and one mod (_powers).  The band is the most
-terms H_l can have: H_l is a polynomial, of degree at most d_0 + d_l, at
-infinity when f has no finite pole and at the finite pole of a curve
-with one, so there each product is by a few terms.  C keeps the
-coefficients at exponents -1 mod p in x at infinity and 1 mod p in 1/u
-at a finite pole, so of the products H_l^e x_j^b only those
+The powers H_l^e (e <= p-2) are the only series products (_powers).  C
+keeps the coefficients at exponents -1 mod p in x at infinity and 1 mod p
+in 1/u at a finite pole, so of the products H_l^e x_j^b only those
 coefficients are computed, each as a gathered dot product
 sum_s H_l^e[t-s] x_j^b[s] over the terms where x_j^b can be nonzero.
-Such a product read has the same value at every level r >= e of the
-binomial regrouping that reads it, so each distinct read is computed
-once and scattered to all of them.
-What depends on (p, orders) alone is a cached layout (_Layout): the
-basis, the coefficients of the stacks (binomials mod p, by Pascal's
-rule) and the positions of their powers of z, the doubling plan of the
-geometric table, the index tables of the contraction, each pole's band
-and its offsets in the flat tables, and two read tables across all
-poles, one for the coefficients read off the H_l^e and one for those of
-the products, with the matrix entry and sign of each and, for the
-distinct products, their term ranges and gather data.  Its guard that
-no read falls outside the basis runs once per (p, orders).  A curve is
-then one pass: one contraction for every H_l, every pole's powers
-written into one power table, one gather from it for every direct read,
-one call of the gathered dot products in chunks of bounded size for
-every distinct product read, and their signed scatters.  Over GF(p)
-every fold of digit products is the product by [[1]] and is skipped
-(_fold); over GF(p^k), k > 1, the p-th root is taken once, on the
-matrix.
+Each such coefficient is one read of one image, and no two reads
+coincide.  What depends on (p, orders) alone is a cached layout
+(_Layout), and a curve is one pass over its flat tables (local_matrix).
 
 local_matrix(spec, orders) is the pipeline's entry point for the gate
-(cartier_matrix).  support(p, orders) is the pattern of the entries the
-layout reads, the only ones any curve with those pole orders can make
-nonzero.  The pipeline shares no reduction code with the rational one
-(ascart.rational), so each serves as an oracle for the other.
+(cartier_matrix): the basis and the (D_0, g, k) block of images, which
+the gate lifts to the matrix.  image_support(p, orders) is the pattern of
+the block's entries the layout reads.  The pipeline shares no reduction
+code with the rational one (ascart.rational), so each serves as an oracle
+for the other.
 """
 
 from __future__ import annotations
@@ -184,20 +165,18 @@ class _Layout:
     The powers H_l^e of every pole fill one (e_max+1, width, k) power
     table, width = sum_l n_l: term t of H_l^e is its flat row
     e*width + offset_l + t.  A pole that no read reaches has n_l = 0 and
-    no series at all.  A direct read takes such a term itself: a column
-    (l, e, t, row, col, sign) of direct, naming the matrix entry (row, col)
-    it fills and its sign, with its flat row in reads.  A product read
-    takes term t of H_l^e x_j^b, sum_s H_l^e[t-s] x_j^b[s] over its term
-    range lo <= s <= hi: a column (l, e, t, x, lo, hi, row, col, sign) of
-    products, with x the position of x_j^b in pole l's stack of the powers
-    x_j^0, ..., x_j^(d_j) of every j != l.  (l, e, t, x) fix lo and hi, so
-    the value of a product read is the same at every level r >= e that
-    reads it: gathers holds each distinct read once, and product column i
-    takes the value of distinct read inverse[i].  gathers is flat gather
-    data (h0, x0, length, start): with the terms of the distinct reads
-    numbered m = start, ..., start + length - 1, term m is the product of
-    row h0 - m of the power table and row x0 + m of the flat stack.  A read
-    outside the basis is refused here, once.
+    no series at all.  Each read is one coefficient of one image, of the
+    level-0 form row < d0 in image col.  A direct read takes a term of
+    H_l^e itself: a column (l, e, t, row, col) of direct, with its flat
+    row in reads.  A product read takes term t of H_l^e x_j^b,
+    sum_s H_l^e[t-s] x_j^b[s] over its term range lo <= s <= hi: a column
+    (l, e, t, x, lo, hi, row, col) of products, with x the position of
+    x_j^b in pole l's stack of the powers x_j^0, ..., x_j^(d_j) of every
+    j != l.  gathers is its flat gather data (h0, x0, length, start): with
+    the terms of the product reads numbered m = start, ...,
+    start + length - 1, term m is the product of row h0 - m of the power
+    table and row x0 + m of the flat stack.  A read outside the level-0
+    forms is refused here, once.
 
     band is the most terms H_l can have in the family: H_l = u^(d_l) f is
     a polynomial, of degree d_0 at infinity when f has no finite pole and
@@ -214,52 +193,46 @@ class _Layout:
     pole stacks nothing.
 
     Term t of x_j^b at pole l is a binomial coefficient mod p times a power
-    of one z, a pole location e_j or, for a pair of finite poles, the
-    inverse 1/(e_j - e_l) of pairs[i], in that order (z row j - 1, or
-    len(orders) - 1 + i):
-
-        at infinity, x_j = w/(1 - e_j w):  x_j^b[t] = C(t-1, t-b) e_j^(t-b),
-        at e_l, x = e_l + u:               x^b[t] = C(b, t) e_l^(b-t),
-        at e_l, x_j = -z/(1 - z u):        x_j^b[t] = (-1)^b C(b+t-1, t) z^(b+t),
-
-    with the series 1 at b = 0.  stack is (power, coef): for each term of
-    the flat stack of every pole, the stack of pole l its n_l terms of
-    each x_j^b in turn, the position of its power of z in the flat table
-    of the doubling plan doubling (_geometric) and its coefficient."""
+    of one z (the closed forms above, with the series 1 at b = 0): a pole
+    location e_j or, for a pair of finite poles, the inverse 1/(e_j - e_l)
+    of pairs[i], in that order (z row j - 1, or len(orders) - 1 + i).
+    stack is (power, coef): for each term of the flat stack of every pole,
+    the stack of pole l its n_l terms of each x_j^b in turn, the position
+    of its power of z in the flat table of the doubling plan doubling
+    (_geometric) and its coefficient."""
 
     def __init__(self, p: int, orders):
         self.forms = forms = tuple(ordered_basis(p, orders))
         self.e_max = e_max = max(form.r for form in forms)
         js, bs, rs = np.array(forms).T
-        # where[l, i, b]: position of x_l^b y^i dx in the basis, -1 outside
-        # it, for every b of the basis (past p - 1 at p = 2) and every power
-        # read (at most first // p + 1, below)
+        self.d0 = d0 = int((rs == 0).sum())  # the level-0 forms, first in the basis
+        # where[l, b]: position of x_l^b dx in the basis, -1 outside it, for
+        # every b of the basis (past p - 1 at p = 2) and every power read
+        # (at most first // p + 1, below)
         b_end = max(bs.max(), (bs.max() + max(orders) * e_max) // p + 1) + 1
-        where = np.full((len(orders), e_max + 1, b_end), -1)
-        where[js, rs, bs] = np.arange(len(forms))
-        sign, e = binomial_signs(p, e_max), np.arange(e_max + 1)
+        where = np.full((len(orders), b_end), -1)
+        where[js[:d0], bs[:d0]] = np.arange(d0)
         sizes, direct, products = [], [], []
         for l, d in enumerate(orders):
-            # At pole l, x_j^b f^e = u^-(e*d + s) q_e with s = b for j = l,
-            # as x_l^b = u^(-b), and s = 0 otherwise; q_e is H_l^e, or its
-            # product with the series of x_j^b.  C keeps u^-n for n = 1 mod
-            # p (x^n for n = -1 mod p at infinity), the entry of q_e at
-            # t = e*d + s - n, as the coefficient of x_l^power dx in layer
-            # y = r - e of x_j^b y^r dx.
-            first = np.where(js == l, bs, 0)[:, None] + d * e - (p - 1 if l == 0 else 1)
-            t = first[..., None] - p * np.arange(first.max() // p + 1)
-            col, e_col, i = np.nonzero((t >= 0) & (e <= rs[:, None])[..., None])
-            power, y = i + (l > 0), rs[col] - e_col
-            row = where[l, y, power]
+            # Image col is C(x_j^b f^e dx) for the form x_j^b y^e dx of
+            # column col.  At pole l, x_j^b f^e = u^-(e*d + s) q_e with s = b
+            # for j = l, as x_l^b = u^(-b), and s = 0 otherwise; q_e is
+            # H_l^e, or its product with the series of x_j^b.  C keeps u^-n
+            # for n = 1 mod p (x^n for n = -1 mod p at infinity), the entry
+            # of q_e at t = e*d + s - n, as the coefficient of x_l^power dx.
+            first = np.where(js == l, bs, 0) + d * rs - (p - 1 if l == 0 else 1)
+            t = first[:, None] - p * np.arange(first.max() // p + 1)
+            col, i = np.nonzero(t >= 0)
+            power = i + (l > 0)
+            row = where[l, power]
             if (row < 0).any():
-                a = np.argmax(row < 0)
-                form = BasisForm(l, int(power[a]), int(y[a]))
+                form = BasisForm(l, int(power[np.argmax(row < 0)]), 0)
                 raise NotInSpan(f"monomial {form.label()} falls outside the basis")
-            t, j, b, s = t[col, e_col, i], js[col], bs[col], sign[rs[col], e_col]
+            t, j, b, e = t[col, i], js[col], bs[col], rs[col]
             # The series of x_j^b at l starts at w^b at infinity, as
             # x_j = w/(1 - e_j w), and is (e_l + u)^b, of degree b, for j = 0
             # at a finite pole.  A product read with an empty range is 0 and
-            # is dropped, leaving its matrix entry 0.
+            # is dropped, leaving its entry of the block 0.
             lo = b * (l == 0)
             hi = np.where((l > 0) & (j == 0), np.minimum(t, b), t)
             is_direct = (j == l) | (b == 0)
@@ -268,8 +241,8 @@ class _Layout:
             counts[l] = 0
             x = (np.cumsum(counts) - counts)[j] + b
             pole = np.full_like(t, l)
-            direct.append(np.stack([pole, e_col, t, row, col, s])[:, is_direct])
-            products.append(np.stack([pole, e_col, t, x, lo, hi, row, col, s])[:, is_product])
+            direct.append(np.stack([pole, e, t, row, col])[:, is_direct])
+            products.append(np.stack([pole, e, t, x, lo, hi, row, col])[:, is_product])
             t_d, (t_p, x_p, lo_p, hi_p) = direct[-1][2], products[-1][2:6]
             # The series are read-sized: n terms hold every read, the term t
             # of H_l^e read directly and, for a product, the terms up to
@@ -307,24 +280,15 @@ class _Layout:
         self.contraction = stack, coeff_rows, np.concatenate(groups), np.concatenate(at)
         self.own = tuple(np.concatenate(part) for part in zip(*own))
         self.direct, self.products = np.hstack(direct), np.hstack(products)
-        del direct, products  # the per-pole pieces, freed before the sort below
         l, e, t = self.direct[:3]
         self.reads = e * self.width + offsets[l] + t
-        # One value per distinct product read: (l, e, t, x) fix lo and hi,
-        # so one int64 key names it, (l, x, e, t) in mixed radix, below
-        # (m+1)*(D+2)*(e_max+1)*max(n_l) <= (D+2)^3*(p-1)^2 <= (6g)^3 < 2^38
-        # under the digit cap, as x < D + 2, the series a pole stacks, and
-        # n_l <= (p-1)*(D+2).  Sorted by it, reads of one x_j^b are adjacent.
-        l, e, t, x = self.products[:4]
-        key = ((l * (sum(orders) + len(orders)) + x) * (self.e_max + 1) + e) * sizes.max() + t
-        _, first, self.inverse = np.unique(key, return_index=True, return_inverse=True)
-        l, e, t, x, lo, hi = self.products[:6, first]
+        l, e, t, x, lo, hi = self.products[:6]
         length = hi - lo + 1
         start = np.cumsum(length) - length
         self.gathers = np.stack([e * self.width + offsets[l] + t - lo + start,
                                  starts[l] + x * sizes[l] + lo - start, length, start])
         self.stack = power, coef
-        for table in (self.direct, self.products, self.reads, self.inverse, self.gathers,
+        for table in (self.direct, self.products, self.reads, self.gathers,
                       power, coef, *self.contraction, *self.own):
             table.setflags(write=False)  # shared by every curve with these orders
 
@@ -373,18 +337,14 @@ class _Layout:
 _layout = functools.lru_cache(maxsize=64)(_Layout)
 
 
-def support(p: int, orders) -> np.ndarray:
-    """The g x g entries that the Cartier matrix of a curve with these pole
-    orders can make nonzero, as a read-only boolean pattern: the (row, col)
-    of every direct and product read of the cached layout (_Layout), of
-    genus g >= 1.  Every other entry is 0 by construction, so the term rank
-    of the pattern bounds the rank of every curve of the family."""
+def image_support(p: int, orders) -> np.ndarray:
+    """The (D_0, g) entries of the block of images that the cached layout
+    of a family of genus g >= 1 reads, the only ones any curve of the
+    family can make nonzero, as a boolean pattern."""
     layout = _layout(p, tuple(orders))
-    g = len(layout.forms)
-    out = np.zeros((g, g), dtype=bool)
+    out = np.zeros((layout.d0, len(layout.forms)), dtype=bool)
     for table in (layout.direct, layout.products):
-        out[table[-3], table[-2]] = True
-    out.setflags(write=False)
+        out[table[-2], table[-1]] = True
     return out
 
 
@@ -439,26 +399,23 @@ def _gathered_products(field: Field, powers: np.ndarray, xs: np.ndarray, gather)
 
 
 def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.ndarray]:
-    """The basis and the (g, g, k) digits of the Cartier matrix, by the
-    local pipeline, in one pass per curve over the layout's flat tables.
+    """The basis and the (D_0, g, k) block of images C(x_j^b f^e dx), one
+    per column, in the level-0 forms, by the local pipeline, in one pass
+    per curve over the layout's flat tables; the gate (cartier_matrix)
+    lifts them to the matrix.
 
-    One geometric table of every z the closed forms read (_geometric), and
-    one gather from it times the layout's coefficients gives the stack of
-    every pole at once: at pole l, in the local parameter there, w = 1/x
-    at infinity or u = x - e_l at a finite pole, the powers of every other
-    x_j.  Then one contraction of every stack with the coefficients of the
-    f_j (the layout's contraction: one take, one digit product, one
-    np.add.reduceat and one fold) gives the regular part sum_j f_j(x_j) of
-    every H_l = u^d f at once, and one indexed write adds each pole's own
-    principal part.  Each pole that a read reaches writes its powers H_l^e,
-    from H_l cut to its band, in place into one power table (_powers).
-    Every series has the layout's read-sized n_l terms.  One gather from
-    that table serves every direct read, and one call of _gathered_products
-    every distinct product read: only the terms of H_l^e x_j^b that C
-    keeps, as gathered dot products, each once however many levels read
-    it.  Both scatter, signed, into the matrix, a product read through the
-    layout's inverse.  The p-th root, GF(p)-linear, is taken once, on the
-    matrix, and not at all over GF(p), where it is the identity.
+    One geometric table of every z the closed forms read (_geometric),
+    gathered and times the layout's coefficients, gives the stack of every
+    pole at once: the powers of every other x_j in the pole's local
+    parameter.  One contraction of every stack with the coefficients of the
+    f_j gives the regular part sum_j f_j(x_j) of every H_l = u^d f, and one
+    indexed write adds each pole's own principal part.  Each pole that a
+    read reaches writes its powers H_l^e, from H_l cut to its band, into
+    one power table (_powers).  One gather from that table serves every
+    direct read, and one call of _gathered_products every product read,
+    and both scatter into the block.  Over GF(p) every fold of digit
+    products is the product by [[1]] and is skipped (_fold); over GF(p^k),
+    k > 1, the p-th root, GF(p)-linear, is taken once, on the block.
 
     The int64 sums stay exact, as N <= (p-1)*d_l + 1: each of the k^2
     digit sums of a product read, before the fold to k digits, adds at most
@@ -468,8 +425,8 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
     contraction adds one digit product per stacked power, fewer than
     D + 2 <= 2g + 2 of them, so its sums stay below (2g + 2)*(p-1)^2 < 2^35,
     and their unreduced fold over GF(p^k), k >= 2, below
-    k^2*(2g + 2)*(p-1)^3 < 2^48 in the field cap.  The folds and the
-    scatter take residues mod p.
+    k^2*(2g + 2)*(p-1)^3 < 2^48 in the field cap.  The folds take
+    residues mod p.
     """
     field, p, k = spec.field, spec.field.p, spec.field.k
     layout = _layout(p, orders)
@@ -504,15 +461,13 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
             _powers(field, h[pole.offset : pole.offset + pole.band], layout.e_max, pole.size,
                     out=packed[:, pole.offset : pole.offset + pole.size])
     powers = packed[..., :k].reshape(-1, k)  # a view: the flat rows e*width + offset_l + t
-    out = np.zeros((len(layout.forms), len(layout.forms), k), dtype=np.int64)
-    *_, row, col, sign = layout.direct
-    out[row, col] = sign[:, None] * powers.take(layout.reads, axis=0) % p
-    *_, row, col, sign = layout.products
-    if len(sign):
-        values = _gathered_products(field, powers, xs, layout.gathers).take(layout.inverse, axis=0)
-        values *= sign[:, None]
-        out[row, col] = np.remainder(values, p, out=values)
-    if k > 1:  # the pth_root of each entry, the identity over GF(p)
+    out = np.zeros((layout.d0, len(layout.forms), k), dtype=np.int64)
+    *_, row, col = layout.direct
+    out[row, col] = powers.take(layout.reads, axis=0)
+    *_, row, col = layout.products
+    if len(row):
+        out[row, col] = _gathered_products(field, powers, xs, layout.gathers)
+    if k > 1:  # the pth_root of each coefficient, the identity over GF(p)
         out = out @ field.pth_root_matrix
         np.remainder(out, p, out=out)
     return layout.forms, out

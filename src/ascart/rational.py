@@ -1,25 +1,28 @@
 """The rational pipeline of the Cartier matrix: one image of x_j^b f^e dx
-per (j, b, e), decomposed once.
+per basis form x_j^b y^e dx, decomposed once.
 
-It reduces the inner C(g dx), g = x_j^b f^e, of the binomial regrouping
-(ascart.cartier) by amplifying g pole by pole to a p-th power denominator,
-applying the polynomial rule to the numerator, dividing by the p-th root
-(_rational_image), and decomposing the unreduced quotient C(G dx)/h once
-per (j, b, e), with no gcd; the pole factors (x - e_l)^i and the powers N^e
-of f's numerator are tabulated once per curve.  All of it is ratfunc's
-arithmetic on digit arrays, with no field element in between: each product
-is one Kronecker product of big ints, the polynomial rule one strided slice
-of the digits times the field's pth_root_matrix (cartier_poly), and each
-decomposition is read off as digit rows.  A column is a signed sum of those
-rows.  What depends on (p, orders) alone is a cached plan (_RationalPlan):
-the basis, a record of each (j, b, e) whose image is not 0 by degree
-(_Image) and one table of where each term goes.  A curve is then one pass
-(_rational_columns): one decomposition per image, one guard, one scatter.
+It reduces the images C(x_j^b f^e dx) of the binomial regrouping
+(ascart.cartier) by amplifying x_j^b f^e pole by pole to a p-th power
+denominator, applying the polynomial rule to the numerator, dividing by
+the p-th root (_rational_image), and decomposing the unreduced quotient
+C(G dx)/h once per image, with no gcd; the pole factors (x - e_l)^i and
+the powers N^e of f's numerator are tabulated once per curve.  All of it
+is ratfunc's arithmetic on digit arrays, with no field element in
+between: each product is one Kronecker product of big ints, the
+polynomial rule one strided slice of the digits times the field's
+pth_root_matrix (cartier_poly), and each decomposition is read off as
+digit rows, the coefficients of the image at the level-0 forms.  What
+depends on (p, orders) alone is a cached plan (_RationalPlan): the basis,
+a record of each image that is not 0 by degree (_Image) and one table of
+the entry of the block of images each term fills.  A curve is then one
+pass (_rational_columns): one decomposition per image, one guard, one
+scatter.
 
 rational_matrix(spec, orders) is the pipeline's entry point for the gate
-(cartier_matrix).  It shares no reduction code with the local pipeline
-(ascart.local), so each serves as an oracle for the other, and it is the
-only module of the package that imports ratfunc.
+(cartier_matrix): the basis and the (D_0, g, k) block of images, which
+the gate lifts to the matrix.  It shares no reduction code with the local
+pipeline (ascart.local), so each serves as an oracle for the other, and
+it is the only module of the package that imports ratfunc.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import BasisForm, CurveSpec, binomial_signs, ordered_basis
+from .curve import BasisForm, CurveSpec, ordered_basis
 from .errors import IrreducibleDenominatorFactor, NotInSpan
 from .finite_field import Field
 from .ratfunc import PartialFraction, Poly, partial_fractions
@@ -82,13 +85,8 @@ def _f_numerator(spec: CurveSpec, factors) -> Poly:
     return num
 
 
-def _ragged(counts: np.ndarray) -> np.ndarray:
-    """0, ..., n - 1 for each n of counts, concatenated."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 class _Image(NamedTuple):
-    """An image C(x_j^b f^e dx) that columns of the rational pipeline read,
+    """An image C(x_j^b f^e dx) of the rational pipeline, for a basis form,
     amplified as x_j^b f^e = G / h^p (_rational_image).  With m_l = e*d_l
     (+ b at l = j) at the finite poles l >= 1, tops and bottoms are the
     pairs (l - 1, -m_l mod p) and (l - 1, ceil(m_l/p)) with a nonzero
@@ -109,26 +107,22 @@ class _Image(NamedTuple):
 
 class _RationalPlan:
     """The part of the rational pipeline that depends only on p and the pole
-    orders (of genus g >= 1): the ordered basis forms, e_max, and images,
-    an _Image for each (j, b, e) that a column x_j^b y^r dx reads (e <= r),
-    sorted, but the dead ones: C keeps the degrees = -1 mod p of G, of exact
-    degree e*sum_j d_j + sum_l (-m_l mod p) + shift (validate), so C(G dx)
-    is 0 if that is below p - 1.  table has a column (slot, entry, col, sign)
-    for each slot and each read of its image, x_j^b y^r dx: the slot's term
-    x_i^n, in y-layer r - e, is entry (entry, col), -1 outside the basis,
-    times (-1)^e C(r, e) mod p; refused is (slot, i, n, r - e) at each -1."""
+    orders (of genus g >= 1): the ordered basis forms, e_max, the number d0
+    of level-0 forms, and images, an _Image for the (j, b, e) of each basis
+    form x_j^b y^e dx, in basis order, but the dead ones: C keeps the
+    degrees = -1 mod p of G, of exact degree
+    e*sum_j d_j + sum_l (-m_l mod p) + shift (validate), so C(G dx) is 0 if
+    that is below p - 1.  table has a column (entry, col) for each slot:
+    its term x_i^n is the coefficient of the level-0 form x_i^n dx, row
+    entry of the block of images (-1 outside the basis), in the image of
+    column col; refused is (slot, i, n) at each -1."""
 
     def __init__(self, p: int, orders):
         self.forms = forms = tuple(ordered_basis(p, orders))
-        self.e_max = e_max = max(form.r for form in forms)
-        # in (j, b, r) order, column x_j^b y^e dx heads image (j, b, e), read
-        # by the columns from it to the end of its (j, b) group, a:z of order
-        js, bs, rs = np.array(forms).T
-        order = np.lexsort((rs, bs, js))
-        heads = [forms[col] for col in order.tolist()]
-        ends = {(j, b): z for z, (j, b, _) in enumerate(heads, 1)}
-        images, runs, slots = [], [], 0  # runs: (pole, count, a, z), in slot order
-        for a, (j, b, e) in enumerate(heads):
+        self.e_max = max(form.r for form in forms)
+        level = {(j, b): i for i, (j, b, r) in enumerate(forms) if r == 0}  # x_j^b dx
+        images, reads, slots = [], [], 0  # reads: (entry, col, pole, power), in slot order
+        for col, (j, b, e) in enumerate(forms):
             m = [e * d + (b if l == j else 0) for l, d in enumerate(orders)][1:]
             tops = tuple((l, -n % p) for l, n in enumerate(m) if n % p)
             bottoms = tuple((l, -(-n // p)) for l, n in enumerate(m) if n)
@@ -139,22 +133,14 @@ class _RationalPlan:
                 image_runs = {}
                 for pole, count in [(0, max(top + 1, 0)), *((l + 1, n) for l, n in bottoms)]:
                     image_runs[pole], slots = (slots, count), slots + count
-                    runs.append((pole, count, a, ends[j, b]))
+                    # x^0, ... or x_i^1, ...
+                    reads += [(level.get((pole, n), -1), col, pole, n)
+                              for n in range(pole > 0, count + (pole > 0))]
                 images.append(_Image(j, b, e, tops, bottoms, shift, image_runs))
-        self.images, self.slots = tuple(images), slots
-        # each slot of each run, from x^0 or x_i^1, then each read of its image
-        pole, count, a, z = np.array(runs, dtype=np.int64).reshape(-1, 4).T
-        power = (np.repeat(pole, count) > 0) + _ragged(count)
-        pole, a, reads = (np.repeat(v, count) for v in (pole, a, z - a))
-        slot, a = np.repeat(np.arange(slots), reads), np.repeat(a, reads)
-        col, e = order[a + _ragged(reads)], rs[order[a]]
-        pole, power, y = pole[slot], power[slot], rs[col] - e
-        # where[i, y, n]: position of x_i^n y^y dx in the basis, -1 outside it
-        where = np.full((len(orders), e_max + 1, max(bs.max(), power.max(initial=0)) + 1), -1)
-        where[js, rs, bs] = np.arange(len(forms))
-        entry = where[pole, y, power]
-        self.table = np.stack([slot, entry, col, binomial_signs(p, e_max)[rs[col], e]])
-        self.refused = np.stack([slot, pole, power, y])[:, entry < 0]
+        self.images, self.slots, self.d0 = tuple(images), slots, len(level)
+        entry, col, pole, power = np.array(reads, dtype=np.int64).reshape(-1, 4).T
+        self.table = np.stack([entry, col])
+        self.refused = np.stack([np.arange(slots), pole, power])[:, entry < 0]
         for table in (self.table, self.refused):
             table.setflags(write=False)  # shared by every curve with these orders
 
@@ -180,13 +166,12 @@ def _rational_image(spec: CurveSpec, num: Poly, image: _Image, factors):
 
 
 def _rational_columns(spec: CurveSpec, plan: _RationalPlan) -> np.ndarray:
-    """The (g, g, k) digits of the Cartier matrix in the plan's ordered
-    basis, by the rational pipeline: the column of x_j^b y^r dx is the
-    signed sum over e <= r of the decompositions of C(x_j^b f^e dx), each
-    in y-layer r - e.  Each image of the plan (_Image) is decomposed once
-    into the slots of its terms; one guard refuses a nonzero slot read
-    outside the basis, and one signed scatter of the table writes M."""
-    field, g = spec.field, len(plan.forms)
+    """The (D_0, g, k) block of images by the rational pipeline: column c
+    holds C(x_j^b f^e dx), for the form x_j^b y^e dx of column c, in the
+    plan's level-0 forms.  Each image of the plan (_Image) is decomposed
+    once into the slots of its terms; one guard refuses a nonzero slot
+    outside the basis, and one scatter of the table writes the block."""
+    field = spec.field
     loc_to_j = {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
     factors = _pole_factors(spec)
     powers = [Poly.constant(field, 1), _f_numerator(spec, factors)]  # N^0, N^1, ...
@@ -209,13 +194,12 @@ def _rational_columns(spec: CurveSpec, plan: _RationalPlan) -> np.ndarray:
             terms[first : first + len(digits)] = digits
     hit = terms[plan.refused[0]].any(axis=1)
     if hit.any():
-        form = BasisForm(*plan.refused[1:, hit.argmax()].tolist())
+        form = BasisForm(*plan.refused[1:, hit.argmax()].tolist(), 0)
         raise NotInSpan(f"monomial {form.label()} falls outside the basis")
-    # one write per entry, as a column reads y-layer r - e for each e <= r
-    slot, entry, col, sign = plan.table  # entry -1 lands in the spare row g
-    out = np.zeros((g + 1, g, field.k), dtype=np.int64)
-    out[entry, col] = sign[:, None] * terms.take(slot, axis=0) % field.p
-    return out[:g]
+    entry, col = plan.table  # entry -1 lands in the spare row d0
+    out = np.zeros((plan.d0 + 1, len(plan.forms), field.k), dtype=np.int64)
+    out[entry, col] = terms
+    return out[: plan.d0]
 
 
 def _decompose(pair, loc_to_j: dict) -> PartialFraction:
@@ -233,7 +217,8 @@ def _decompose(pair, loc_to_j: dict) -> PartialFraction:
 
 
 def rational_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.ndarray]:
-    """The basis and the (g, g, k) digits of the Cartier matrix, by the
-    rational pipeline, on the cached plan of (p, orders) (_RationalPlan)."""
+    """The basis and the (D_0, g, k) block of images C(x_j^b f^e dx), by the
+    rational pipeline, on the cached plan of (p, orders) (_RationalPlan):
+    the gate (cartier_matrix) lifts them to the matrix."""
     plan = _rational_plan(spec.field.p, orders)
     return plan.forms, _rational_columns(spec, plan)
