@@ -17,7 +17,7 @@ g images C(x_j^b f^e dx), one per basis form x_j^b y^e dx, written in the
 D_0 level-0 forms x_l^n dx, fix the matrix: M[(l,n,y),(j,b,r)] is
 (-1)^(r-y) C(r, r-y) times the coefficient of x_l^n dx in image
 (j, b, r-y) for y <= r, and 0 for y > r.  Since r <= p-2 for every basis
-form, the signs (curve.binomial_signs) are units.
+form, the signs are units; their table (_signs) is the lift's alone.
 
 Two pipelines compute the images as a (D_0, g, k) block and never share
 reduction code, so each serves as an oracle for the other: rational
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (BasisForm, CurveSpec, binomial_signs, ordered_basis,
+from .curve import (BasisForm, CurveSpec, ordered_basis,
                     validate)  # noqa: F401 (validate kept as ascart.cartier.validate)
 from .errors import NotInSpan, SeriesTooLarge
 from .finite_field import Field, FieldElement
@@ -149,18 +149,25 @@ class CartierMatrix:
 def check_digit_cap(g: int, field: Field) -> None:
     """Refuse a Cartier matrix of genus g over field past the digit cap,
     g^2 * k <= 2^20, with SeriesTooLarge: the only size check of both
-    pipelines, made before anything is built.  The matrix, the gate's lift
-    (_lift) and the local series and powers have O(g^2 * k) entries, as
-    e_max + 1 <= g and a read-sized series has at most
-    N = (p-1)*d_l + 1 <= 4g + 1 terms; the block of images and the
-    pipelines' read tables, at most one entry per image and level-0 form,
-    have O(g * D_0 * k).  As p - 1 <= 2g for g >= 1, the local pipeline's
-    int64 sums stay below N*k*(p-1)^2 <= (4g + 1)*4*2^20 < 2^35, and its
-    powers' unreduced folds below (2k-1)*N*k*(p-1)^3 < 2k^2*(4g + 1)*8g^3
-    <= 64*(g^2*k)^2 + 16*(g^2*k)^2 < 2^47."""
+    pipelines, made before anything is built.  Under it the gate's arrays,
+    the matrix and its lift (_lift), have O(g^2 * k) entries and the block
+    of images O(g * D_0 * k); as p - 1 <= 2g <= 2048 (g = D*(p-1)/2, D >= 1),
+    the lift's int32 indices stay below g^2 <= 2^20 and its products of a
+    digit and a sign below 2^22.  The local pipeline derives its own bounds
+    with its sums (local_matrix, _powers)."""
     if g**2 * field.k > _MAX_DIGITS:
         raise SeriesTooLarge(f"Cartier matrix of genus {g} over {field} exceeds "
                              f"the {_MAX_DIGITS}-digit cap on g^2*k")
+
+
+def _signs(p: int, e_max: int) -> np.ndarray:
+    """sign[r, e] = (-1)^e C(r, e) mod p for r, e <= e_max, by Pascal's rule:
+    the coefficient of y^(r-e) C(x_j^b f^e dx) in C(x_j^b y^r dx)."""
+    sign = np.zeros((e_max + 1, e_max + 1), dtype=np.int32)
+    sign[:, 0] = 1
+    for r in range(1, e_max + 1):
+        sign[r, 1:] = (sign[r - 1, 1:] - sign[r - 1, :-1]) % p
+    return sign
 
 
 @functools.lru_cache(maxsize=64)
@@ -168,20 +175,21 @@ def _lift(p: int, orders) -> tuple:
     """The regrouping for the ordered basis of (p, orders), g >= 1, as one
     gather: entry (l,n,y),(j,b,r) of the flat (g*g, k) matrix is coef times
     row src, (l,n),(j,b,r-y), of the flat (D_0*g, k) block of images, with
-    coef = (-1)^(r-y) C(r, r-y) mod p for y <= r, and 0 for y > r.  refused
-    are the rows of the block that a column x_j^b y^r dx lifts past every
-    form x_l^n y^y dx, and beyond the first monomial past each x_l^n dx."""
+    coef = (-1)^(r-y) C(r, r-y) mod p for y <= r, and 0 for y > r, both
+    int32 (check_digit_cap).  refused are the rows of the block that a
+    column x_j^b y^r dx lifts past every form x_l^n y^y dx, and beyond the
+    first monomial past each x_l^n dx."""
     forms = ordered_basis(p, orders)
     js, bs, rs = np.array(forms).T
     g, d0 = len(forms), int((rs == 0).sum())  # the level-0 forms come first
     # at[j, b, r]: position of x_j^b y^r dx in the basis, -1 outside it
-    at = np.full((len(orders), bs.max() + 1, rs.max() + 1), -1)
+    at = np.full((len(orders), bs.max() + 1, rs.max() + 1), -1, dtype=np.int32)
     at[js, bs, rs] = np.arange(g)
     top = (at[js, bs] >= 0).sum(axis=1) - 1
     e = rs - rs[:, None]  # row (l,n,y) reads column (j,b,r)'s image e = r - y
     live, e = e >= 0, np.maximum(e, 0)
     src = np.where(live, at[js, bs, 0][:, None] * g + at[js, bs, e], 0).ravel()
-    coef = np.where(live, binomial_signs(p, rs.max())[rs, e], 0).reshape(-1, 1)
+    coef = np.where(live, _signs(p, rs.max())[rs, e], 0).reshape(-1, 1)
     refused = np.flatnonzero(top - rs > top[:d0, None])
     for table in (src, coef, refused):
         table.setflags(write=False)  # shared by every curve with these orders
@@ -193,11 +201,13 @@ def support(p: int, orders) -> np.ndarray:
     """The g x g entries that the Cartier matrix of a curve with these pole
     orders can make nonzero, as a read-only boolean pattern: the lift of
     the entries of the images that the local layout reads
-    (local.image_support), of genus g >= 1.  Every other entry is 0 by
+    (local.image_support); (0, 0) at g = 0.  Every other entry is 0 by
     construction, so the term rank of the pattern bounds the rank of every
     curve of the family."""
-    src, coef, *_ = _lift(p, tuple(orders))
     reads = image_support(p, orders)
+    if not reads.size:  # genus 0: no forms, nothing to lift
+        return reads
+    src, coef, *_ = _lift(p, tuple(orders))
     out = (reads.ravel().take(src) & (coef[:, 0] > 0)).reshape(reads.shape[1], -1)
     out.setflags(write=False)
     return out
@@ -228,5 +238,6 @@ def cartier_matrix(spec: CurveSpec, pipeline: str = "local") -> CartierMatrix:
     if stray.any():
         form = beyond[refused[stray.any(axis=1).argmax()] // g]
         raise NotInSpan(f"monomial {form.label()} falls outside the basis")
-    digits = np.multiply(flat.take(src, axis=0), coef)
+    digits = flat.astype(np.int32).take(src, axis=0)  # int32: exact (check_digit_cap)
+    np.multiply(digits, coef, out=digits)
     return CartierMatrix(field, forms, np.remainder(digits, field.p, out=digits).reshape(g, g, k))

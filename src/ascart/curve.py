@@ -27,8 +27,6 @@ W_j of forms x_j^b y^r dx subject to
 
 sorted by r, then pole index, then b.  Block j has (d_j + eps_j)*(p-1)/2
 elements, eps_0 = -1 and eps_j = 1 otherwise, so the total is the genus.
-binomial_signs() is the table of signs (-1)^e C(r, e) mod p by which the
-Cartier gate regroups the y^r substitution.
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     DuplicatePoleLocation,
@@ -244,14 +240,3 @@ def ordered_basis(p: int, orders) -> list[BasisForm]:
     forms.sort(key=order_key)
     return forms
 
-
-def binomial_signs(p: int, e_max: int) -> np.ndarray:
-    """sign[r, e] = (-1)^e C(r, e) mod p for r, e <= e_max, by Pascal's rule:
-    the coefficient of y^(r-e) C(x_j^b f^e dx) in C(x_j^b y^r dx), read by
-    the Cartier gate's lift (ascart.cartier), which writes the matrix from
-    the pipelines' images; the local pipeline reads its C(b, t) too."""
-    sign = np.zeros((e_max + 1, e_max + 1), dtype=np.int64)
-    sign[:, 0] = 1
-    for r in range(1, e_max + 1):
-        sign[r, 1:] = (sign[r - 1, 1:] - sign[r - 1, :-1]) % p
-    return sign

@@ -18,7 +18,8 @@ times a power of one z,
 for z = 1/(e_j - e_l), so the stacks of them of every pole are one gather
 from one geometric table of every z per curve, built by doubling, times a
 coefficient table, and sum_j f_j(x_j) at every pole is one contraction of
-the stacks.
+the stacks.  Each coefficient is an entry of one table of C(b + t - 1, t)
+mod p (_negative_binomials), C(b, t) as C((b-t+1) + t-1, t).
 
 Every series at pole l is read-sized: cut to the terms that C reads
 there and the d_l + 1 of H_l's own principal part, never more than
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import BasisForm, CurveSpec, binomial_signs, ordered_basis
+from .curve import BasisForm, CurveSpec, ordered_basis
 from .errors import NotInSpan
 from .finite_field import Field
 
@@ -106,8 +107,8 @@ def _powers(field: Field, s: np.ndarray, m: int, n: int, out=None) -> np.ndarray
 
 
 def _negative_binomials(p: int, b_max: int, n: int) -> np.ndarray:
-    """C(b + t - 1, t) mod p for b <= b_max and t < n: the terms of
-    (1 - z w)^(-b) = sum_t C(b + t - 1, t) z^t w^t.  Row 0 is the series 1,
+    """C(b + t - 1, t) mod p for b <= b_max and t < n, the terms of
+    (1 - z w)^(-b), and C(b, t) at row b - t + 1.  Row 0 is the series 1,
     and row b is the running sum of row b - 1, as (1 - w)^(-1) = sum_t w^t."""
     out = np.zeros((b_max + 1, n), dtype=np.int64)
     out[0, 0] = 1
@@ -301,9 +302,7 @@ class _Layout:
         self.pairs = [(l, j) for l in range(1, m) for j in range(1, m) if j != l]
         pair = {lj: i for i, lj in enumerate(self.pairs)}
         if m > 1:
-            # C(b, t) mod p: the signs (-1)^t C(b, t) times (-1)^t
-            binom = binomial_signs(p, orders[0]) * (1 - 2 * (np.arange(orders[0] + 1) % 2)) % p
-            negative = _negative_binomials(p, max(orders[1:]), max(sizes))
+            negative = _negative_binomials(p, max(orders) + 1, max(sizes))
         lengths = np.ones((m - 1) ** 2, dtype=np.int64)  # of each z row's powers read
         blocks, f_rows = [], []  # (z, power, coef) of each x_j^0, ..., x_j^(d_j) at each pole
         for l, n in enumerate(sizes):
@@ -317,7 +316,7 @@ class _Layout:
                     z, power, coef = j - 1, s, np.where(t >= b, negative[b, s], 0)
                 elif j == 0:
                     s = np.minimum(t, b)
-                    z, power, coef = l - 1, b - s, np.where(t <= b, binom[b, s], 0)
+                    z, power, coef = l - 1, b - s, np.where(t <= b, negative[b - s + 1, s], 0)
                 else:
                     z = m - 1 + pair[l, j]
                     power, coef = b + t, (1 - 2 * (b % 2)) * negative[b, t] % p
@@ -339,12 +338,16 @@ _layout = functools.lru_cache(maxsize=64)(_Layout)
 
 def image_support(p: int, orders) -> np.ndarray:
     """The (D_0, g) entries of the block of images that the cached layout
-    of a family of genus g >= 1 reads, the only ones any curve of the
-    family can make nonzero, as a boolean pattern."""
-    layout = _layout(p, tuple(orders))
-    out = np.zeros((layout.d0, len(layout.forms)), dtype=bool)
-    for table in (layout.direct, layout.products):
-        out[table[-2], table[-1]] = True
+    of a family of genus g reads, the only ones any curve of the family can
+    make nonzero, as a read-only boolean pattern; (0, 0) at g = 0, which
+    has no layout."""
+    out = np.zeros((0, 0), dtype=bool)
+    if ordered_basis(p, orders):
+        layout = _layout(p, tuple(orders))
+        out = np.zeros((layout.d0, len(layout.forms)), dtype=bool)
+        for table in (layout.direct, layout.products):
+            out[table[-2], table[-1]] = True
+    out.setflags(write=False)
     return out
 
 

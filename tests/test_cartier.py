@@ -24,8 +24,7 @@ from ascart import (
 from ascart import cartier, invariants, local, ratfunc, rational
 from ascart.cartier import CartierMatrix
 from ascart.cli import main
-from ascart.curve import (INF, BasisForm, CurveSpec, PoleDatum, basis, binomial_signs,
-                          ordered_basis)
+from ascart.curve import INF, BasisForm, CurveSpec, PoleDatum, basis, ordered_basis
 from ascart.errors import (ConditionNotSatisfied, ForeignElement, NotInH, NotInSpan,
                            SeriesTooLarge)
 from ascart.finite_field import _MAX_FIELD_SIZE, Field, is_prime
@@ -286,13 +285,16 @@ def test_gathered_products_in_small_chunks(p, k, orders, seed, monkeypatch):
 def test_binomial_tables_against_comb(p):
     """The local route's running-sum table equals math.comb mod p, also past
     p, where Lucas' theorem makes some entries 0: C(p + t - 1, t) for
-    0 < t < p.  Its C(b, t) are the signs of curve.binomial_signs, which
-    TestSigns checks."""
+    0 < t < p.  It is the route's only binomial table: C(b, t), the terms
+    of x^b = (e_l + u)^b, is its entry C((b-t+1) + t-1, t)."""
     b_max, n = 2 * p + 1, 3 * p + 2
     negative = local._negative_binomials(p, b_max, n)
     assert negative.tolist() == [[math.comb(b + t - 1, t) % p if b else int(t == 0)
                                   for t in range(n)] for b in range(b_max + 1)]
     assert not negative[p, 1:p].any()
+    negative = local._negative_binomials(p, 13, 13)
+    assert [[negative[b - t + 1, t] for t in range(b + 1)] for b in range(13)] == [
+        [math.comb(b, t) % p for t in range(b + 1)] for b in range(13)]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 6])
@@ -437,7 +439,7 @@ class TestLocalSeriesGuards:
         names = names_reached(local, local.local_matrix, local._Layout, local._powers,
                               local._gathered_products, local._digit_fold,
                               local._negative_binomials, local._doubling, local._geometric)
-        assert {"correlate", "binomial_signs", "_gathered_products", "reduceat",
+        assert {"correlate", "_gathered_products", "reduceat",
                 "_negative_binomials", "_doubling", "_geometric", "_fold", "_Pole"} <= names
         assert not names & CLOSED_FORM
         assert not names & LIFT
@@ -455,13 +457,14 @@ class TestLocalSeriesGuards:
         # of a PartialFraction, no lists of elements turned into digits
         assert not names & {"digit_array", "scale"}
         assert not names & CLOSED_FORM
-        # the binomial regrouping is the gate's alone
-        assert not names & (LIFT | {"binomial_signs"})
+        # the binomial regrouping and its signs are the gate's alone
+        assert not names & LIFT
 
 
 CLOSED_FORM = {"partition_HA", "kappa", "theorem_a_value"}
-# the gate's regrouping of the images into the matrix (cartier._lift)
-LIFT = {"_lift"}
+# the gate's regrouping of the images into the matrix (cartier._lift) and
+# its sign table (cartier._signs)
+LIFT = {"_lift", "_signs"}
 
 
 def names_reached(pipeline, *roots) -> set[str]:
@@ -606,27 +609,52 @@ class TestOperatorAxioms:
 
 
 class TestSigns:
-    """binomial_signs: sign[r, e] = (-1)^e C(r, e) mod p, by Pascal's rule."""
+    """The gate's sign table, cartier._signs: sign[r, e] = (-1)^e C(r, e)
+    mod p, by Pascal's rule, read by the lift alone."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
     def test_against_comb(self, p):
         e_max = min(p + 3, 40)  # past p - 2, where Pascal's rule wraps mod p
-        sign = binomial_signs(p, e_max)
-        assert sign.shape == (e_max + 1, e_max + 1) and sign.dtype == np.int64
+        sign = cartier._signs(p, e_max)
+        assert sign.shape == (e_max + 1, e_max + 1) and sign.dtype == np.int32
         assert sign.tolist() == [[(-1) ** e * math.comb(r, e) % p for e in range(e_max + 1)]
                                  for r in range(e_max + 1)]
 
     def test_small(self):
         # (+1, -2, +1) mod 7
-        assert binomial_signs(7, 2).tolist() == [[1, 0, 0], [1, 6, 0], [1, 5, 1]]
-        assert binomial_signs(5, 0).tolist() == [[1]]
+        assert cartier._signs(7, 2).tolist() == [[1, 0, 0], [1, 6, 0], [1, 5, 1]]
+        assert cartier._signs(5, 0).tolist() == [[1]]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1009])
     def test_no_entry_vanishes_below_p_minus_one(self, p):
         r = max(p - 2, 0)  # the largest y-power of a basis form
-        sign = binomial_signs(p, r)
+        sign = cartier._signs(p, r)
         assert (sign != 0)[np.tril_indices(r + 1)].all()
         assert sign[r].tolist() == [(-1) ** e * math.comb(r, e) % p for e in range(r + 1)]
+
+
+@pytest.mark.parametrize("p,orders", [(2, (1, 1)), (13, (4, 3)), (101, (5, 4, 2)),
+                                      (509, (1, 1, 1))])
+def test_lift_tables_are_read_only_int32(p, orders):
+    """The lift's src and coef are shared by every curve of the family: one
+    read-only int32 entry each per matrix entry, 8 bytes per entry in all
+    (8,258,048 bytes at (1, 1, 1), p = 509, where g = 1016)."""
+    g = len(ordered_basis(p, orders))
+    src, coef, refused, _ = cartier._lift(p, orders)
+    for table in (src, coef):
+        assert table.dtype == np.int32 and not table.flags.writeable
+        assert table.size == g * g
+    assert not refused.flags.writeable
+
+
+@pytest.mark.parametrize("p", [2, 3, 13])
+def test_support_at_genus_zero(p):
+    """Orders (1,) give genus 0, where cartier_matrix returns the empty
+    matrix: both patterns are the read-only (0, 0) one."""
+    assert cartier_matrix(curve(p, [0, 1])).dimension == 0
+    for pattern in (cartier.support(p, (1,)), local.image_support(p, (1,))):
+        assert pattern.shape == (0, 0) and pattern.dtype == bool
+        assert not pattern.flags.writeable
 
 
 class TestMatrix:
