@@ -16,22 +16,25 @@ times a power of one z,
     at e_l, x_j^b = (-z/(1 - z u))^b:            (-1)^b C(b+t-1, t) z^(b+t)
 
 for z = 1/(e_j - e_l), so the stacks of them of every pole are one gather
-from one geometric table of every z per curve, built by doubling, times a
-coefficient table, and sum_j f_j(x_j) at every pole is one contraction of
-the stacks.  Each coefficient is an entry of one table of C(b + t - 1, t)
-mod p (_negative_binomials), C(b, t) as C((b-t+1) + t-1, t).
+from one rectangular geometric table of every z per curve, built by
+doubling every row at once, times a coefficient table, and
+sum_j f_j(x_j) at every pole is one contraction of the stacks.  Each
+coefficient is an entry of one table of C(b + t - 1, t) mod p
+(_negative_binomials), C(b, t) as C((b-t+1) + t-1, t).
 
 Every series at pole l is read-sized: cut to the terms that C reads
 there and the d_l + 1 of H_l's own principal part, never more than
 (p-1)*d_l + 1 terms, and a pole that no read reaches has no series.
-The powers H_l^e (e <= p-2) are the only series products (_powers).  C
+The powers H_l^e (e <= p-2) are the only series products, built for
+every pole at once, one fold per power (_powers).  C
 keeps the coefficients at exponents -1 mod p in x at infinity and 1 mod p
 in 1/u at a finite pole, so of the products H_l^e x_j^b only those
 coefficients are computed, each as a gathered dot product
 sum_s H_l^e[t-s] x_j^b[s] over the terms where x_j^b can be nonzero.
 Each such coefficient is one read of one image, and no two reads
 coincide.  What depends on (p, orders) alone is a cached layout
-(_Layout), and a curve is one pass over its flat tables (local_matrix).
+(_Layout), with the chunk cuts of its product reads cached per k
+(_chunks), and a curve is one pass over its flat tables (local_matrix).
 
 local_matrix(spec, orders) is the pipeline's entry point for the gate
 (cartier_matrix): the basis and the (D_0, g, k) block of images, which
@@ -71,38 +74,47 @@ def _digit_fold(field: Field) -> np.ndarray:
     return field.multiplication.reshape(field.k**2, field.k)
 
 
-def _powers(field: Field, s: np.ndarray, m: int, n: int, out=None) -> np.ndarray:
-    """s^0, ..., s^m to n terms each, for the series s of at most n terms:
-    the (m+1, n, k) digits, a view of the packed powers, written into out,
-    zero-filled packed rows (m+1, n, 2k-1) with each power's terms and
-    slots contiguous, when given.  The local pipeline builds the powers
-    H_l^e with it, s being H_l cut to its band (_Layout).
+def _powers(field: Field, h: np.ndarray, poles, m: int) -> np.ndarray:
+    """H_l^0, ..., H_l^m to n_l terms each, for every pole l of poles (a
+    _Pole each), from the (width, k) digits h of every H_l at its pole's
+    offset, zero at and past its band, the poles' terms tiling h: the
+    (m+1, width, k) digits, a view of the packed powers, term t of H_l^e at
+    [e, offset_l + t].  A pole with no series (n_l = 0) has no terms.
 
     A series over GF(p^k) is an int64 array (N, k) of N coefficients, each
     the digit row of a field element.  Every power is kept packed, its
     digit rows in slots of 2k-1 entries, so that a slot of a convolution
-    holds the schoolbook product of two digit rows.  Each s^e is then one
-    truncated convolution of s^(e-1) with s, so that a polynomial H_l
-    costs a product by its few terms: np.correlate with the packed s
-    reversed once, which is np.convolve without its per-call wrapper.
-    Then one fold of the unreduced slots to k digits mod p is written into
-    the next packed row (_fold: one product by field.reduction and one
+    holds the schoolbook product of two digit rows.  Each H_l^e is then
+    one truncated convolution of H_l^(e-1) with H_l cut to its band, so
+    that a polynomial H_l costs a product by its few terms: np.correlate
+    with the packed H_l reversed once, which is np.convolve without its
+    per-call wrapper, into one scratch row of every pole's slots.  Then one
+    fold of the unreduced slots of every pole to k digits mod p is written
+    into the next packed row (_fold: one product by field.reduction and one
     np.remainder, only the remainder over GF(p)).  A slot sums at most
     n*k digit products of at most (p-1)^2, and the fold 2k-1 slots times
     entries of at most p-1, so every sum is at most (2k-1)*n*k*(p-1)^3,
     below 2^47 under the digit cap (check_digit_cap).
     """
-    k, slot = field.k, 2 * field.k - 1
-    packed = np.zeros((m + 1, n, slot), dtype=np.int64) if out is None else out
-    rows = packed.reshape(m + 1, n * slot)  # a view: each power as one flat row
-    packed[0, 0, 0] = 1
-    packed[1:2, : len(s), :k] = s[:n]
-    step = rows[1:2, : len(s) * slot].ravel()[::-1].copy()  # reversed once; none at m = 0
+    k, slot, width = field.k, 2 * field.k - 1, len(h)
+    packed = np.zeros((m + 1, width, slot), dtype=np.int64)
+    rows = packed.reshape(m + 1, width * slot)  # a view: each power as one flat row
+    packed[1:2, :, :k] = h
+    scratch = np.empty(width * slot, dtype=np.int64)  # the poles' slots tile it
+    steps = []  # each pole's slots in every power and in scratch, and its band reversed once
+    for pole in poles:
+        if pole.size:
+            a, b = pole.offset * slot, (pole.offset + pole.size) * slot
+            rows[0, a] = 1
+            band = rows[1:2, a : a + pole.band * slot].ravel()  # none at m = 0
+            steps.append((rows[:, a:b], scratch[a:b], band[::-1].copy()))
     # over GF(p) a slot is one digit, and a row of slots the digits of a power
-    shape, digits = ((n, slot), packed[..., :k]) if k > 1 else ((n,), rows)
+    shape, digits = ((width, slot), packed[..., :k]) if k > 1 else ((width,), rows)
+    sums = scratch.reshape(shape)
     for e in range(2, m + 1):
-        c = np.correlate(rows[e - 1], step, "full")[: n * slot]
-        _fold(field, c.reshape(shape), field.reduction, out=digits[e])
+        for power, c, step in steps:
+            c[:] = np.correlate(power[e - 1], step, "full")[: len(c)]
+        _fold(field, sums, field.reduction, out=digits[e])
     return packed[..., :k]
 
 
@@ -115,35 +127,6 @@ def _negative_binomials(p: int, b_max: int, n: int) -> np.ndarray:
     for b in range(1, b_max + 1):
         out[b] = np.cumsum(out[b - 1]) % p
     return out
-
-
-class _Doubling(NamedTuple):
-    """How _geometric lays out and fills rows of given lengths n_r >= 1,
-    one row after another in a flat table of size entries: row r starts at
-    starts[r], its term 1 is set for the rows second, and each step is the
-    flat positions (dst, src, pivot) with z^dst = z^src * z^pivot."""
-
-    size: int
-    starts: np.ndarray
-    second: np.ndarray
-    steps: list
-
-
-def _doubling(lengths) -> _Doubling:
-    """The _Doubling of rows of these lengths.  With z^0, ..., z^(T-1) known
-    in every row longer than T, one step sets z^T, ..., z^(2T-2) there, as
-    z^1, ..., z^(T-1) times z^(T-1); T starts at 2."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    steps, top = [], 2
-    while top < lengths.max(initial=0):
-        rows = np.nonzero(lengths > top)[0]
-        count = np.minimum(lengths[rows], 2 * top - 1) - top
-        first = np.repeat(starts[rows], count)
-        s = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        steps.append((first + top + s, first + 1 + s, first + top - 1))
-        top = 2 * top - 1
-    return _Doubling(int(lengths.sum()), starts, np.nonzero(lengths > 1)[0], steps)
 
 
 class _Pole(NamedTuple):
@@ -199,8 +182,8 @@ class _Layout:
     of pairs[i], in that order (z row j - 1, or len(orders) - 1 + i).
     stack is (power, coef): for each term of the flat stack of every pole,
     the stack of pole l its n_l terms of each x_j^b in turn, the position
-    of its power of z in the flat table of the doubling plan doubling
-    (_geometric) and its coefficient."""
+    of its power of z in the flat geometric table of every z, z row r's
+    n_max powers from r*n_max on (_geometric), and its coefficient."""
 
     def __init__(self, p: int, orders):
         self.forms = forms = tuple(ordered_basis(p, orders))
@@ -294,7 +277,7 @@ class _Layout:
             table.setflags(write=False)  # shared by every curve with these orders
 
     def _closed_forms(self, p: int, orders, sizes, fs) -> tuple:
-        """pairs and doubling, and the stacks of series of these sizes from
+        """pairs and n_max, and the stacks of series of these sizes from
         the closed forms above: the flat power and coef of stack, and for
         each pole the rows of the coefficients of the f_j, which start at
         rows fs, that multiply its stacked series."""
@@ -303,7 +286,7 @@ class _Layout:
         pair = {lj: i for i, lj in enumerate(self.pairs)}
         if m > 1:
             negative = _negative_binomials(p, max(orders) + 1, max(sizes))
-        lengths = np.ones((m - 1) ** 2, dtype=np.int64)  # of each z row's powers read
+        self.n_max = 1  # the most powers of one z read
         blocks, f_rows = [], []  # (z, power, coef) of each x_j^0, ..., x_j^(d_j) at each pole
         for l, n in enumerate(sizes):
             t, rows = np.arange(n), [np.zeros(0, np.int64)]  # no rows for one pole
@@ -320,16 +303,13 @@ class _Layout:
                 else:
                     z = m - 1 + pair[l, j]
                     power, coef = b + t, (1 - 2 * (b % 2)) * negative[b, t] % p
-                lengths[z] = max(lengths[z], power.max(initial=0) + 1)
+                self.n_max = max(self.n_max, int(power.max(initial=0)) + 1)
                 blocks.append((z, power, coef))
                 rows.append(fs[j] + b[:, 0])
             f_rows.append(np.concatenate(rows))
-        self.doubling = _doubling(lengths)
-        cuts = np.cumsum([0] + [power.size for _, power, _ in blocks])
-        power = np.empty(cuts[-1], dtype=np.int64)
-        for (z, block, _), a, b in zip(blocks, cuts, cuts[1:]):
-            np.add(block.ravel(), self.doubling.starts[z], out=power[a:b])
-        coef = np.concatenate([coef.ravel() for *_, coef in blocks] or [np.zeros(0, np.int64)])
+        empty = [np.zeros(0, np.int64)]  # no blocks for one pole
+        power = np.concatenate([(z * self.n_max + b).ravel() for z, b, _ in blocks] or empty)
+        coef = np.concatenate([coef.ravel() for *_, coef in blocks] or empty)
         return power, coef[:, None], f_rows
 
 
@@ -354,50 +334,58 @@ def image_support(p: int, orders) -> np.ndarray:
 _CHUNK = 2**16  # digit products summed at a time by _gathered_products
 
 
-def _geometric(field: Field, z: np.ndarray, plan: _Doubling) -> np.ndarray:
-    """z_r^0, ..., z_r^(n_r - 1) for every row z_r of the (rows, k) digits z,
-    laid out flat by the plan (_doubling) of the lengths n_r: the
-    (plan.size, k) digits.  Each doubling step is one digit product of a
-    batch of known powers by one known power per row, folded to k digits
-    (_digit_fold); its sums stay below k^2 * p^3 < 2^63 within the field
+def _geometric(field: Field, z: np.ndarray, n: int) -> np.ndarray:
+    """z_r^0, ..., z_r^(n-1) for every row z_r of the (rows, k) digits z:
+    the (rows, n, k) digits.  With z^0, ..., z^(T-1) known, one doubling
+    step sets z^T, ..., z^(2T-2) of every row at once, as z^1, ..., z^(T-1)
+    times z^(T-1), one digit product folded to k digits (_digit_fold); T
+    starts at 2.  Its sums stay below k^2 * p^3 < 2^63 within the field
     cap."""
     k, fold = field.k, _digit_fold(field)
-    out = np.zeros((plan.size, k), dtype=np.int64)
-    out[plan.starts, 0] = 1
-    out[plan.starts[plan.second] + 1] = z[plan.second]
-    for dst, src, pivot in plan.steps:
-        terms = out.take(src, axis=0)[:, :, None] * out.take(pivot, axis=0)[:, None, :]
-        out[dst] = _fold(field, terms.reshape(len(dst), k * k), fold)
+    out = np.zeros((len(z), n, k), dtype=np.int64)
+    out[:, 0, 0] = 1
+    out[:, 1:2] = z[:, None]  # nothing at n = 1
+    top = 2
+    while top < n:
+        new = min(n, 2 * top - 1) - top
+        terms = out[:, 1 : 1 + new, :, None] * out[:, top - 1, None, None, :]
+        _fold(field, terms.reshape(len(z), new, k * k), fold, out=out[:, top : top + new])
+        top += new
     return out
 
 
-def _gathered_products(field: Field, powers: np.ndarray, xs: np.ndarray, gather) -> np.ndarray:
-    """The (reads, k) digits of the product reads of every pole: term t of
-    H_l^e x_j^b, sum_s H_l^e[t-s] x_j^b[s], for the power table powers and
-    the flat stack xs of the x_j powers, as gather (_Layout.gathers) lays
-    them out.
+@functools.lru_cache(maxsize=64)
+def _chunks(p: int, orders, window: int) -> tuple:
+    """The chunks (a, b, m0, m1) of the product reads of a family for
+    _gathered_products: reads a, ..., b - 1, those that start within one
+    window of terms, and their terms m0, ..., m1 - 1, so a chunk has at
+    most one read's terms more than the window, _CHUNK // k^2 over GF(p^k),
+    which keys the cache by k.  A window that lies inside a read that
+    started before it has none."""
+    _, _, length, start = _layout(p, orders).gathers
+    cuts = np.searchsorted(start, np.arange(0, start[-1] + length[-1], window)).tolist()
+    return tuple((a, b, int(start[a]), int(start[b - 1] + length[b - 1]))
+                 for a, b in zip(cuts, [*cuts[1:], len(start)]) if a < b)
 
-    The reads go in chunks, those that start within one window of
-    _CHUNK // k^2 terms, so a chunk has at most one read's terms more than
-    that.  Each chunk is one gather from the powers, one from xs, their
-    k x k digit products, one np.add.reduceat over each read's terms, and
-    one fold to k digits (_fold).
+
+def _gathered_products(field: Field, powers: np.ndarray, xs: np.ndarray, gather,
+                       chunks) -> np.ndarray:
+    """The (reads, k) digits of the product reads of every pole: term t of
+    H_l^e x_j^b, sum_s H_l^e[t-s] x_j^b[s], for the flat power table powers
+    and the flat stack xs of the x_j powers, as gather (_Layout.gathers) lays
+    them out, in the chunks of _chunks.  Each chunk is one gather from the
+    powers, one from xs, their k x k digit products, one np.add.reduceat
+    over each read's terms, and one fold of those sums to k digits (_fold).
     """
-    p, k = field.p, field.k
+    k = field.k
     h0, x0, length, start = gather
-    hs, xs = powers.reshape(-1, k), xs.reshape(-1, k)
     out = np.empty((len(start), k), dtype=np.int64)
-    windows = np.arange(0, start[-1] + length[-1], max(1, _CHUNK // k**2))
-    cuts = np.searchsorted(start, windows).tolist()
-    for a, b in zip(cuts, [*cuts[1:], len(start)]):
-        if a == b:  # the window lies inside a read that started before it
-            continue
-        m = np.arange(start[a], start[b - 1] + length[b - 1])
-        h = hs.take(np.repeat(h0[a:b], length[a:b]) - m, axis=0)
+    for a, b, m0, m1 in chunks:
+        m = np.arange(m0, m1)
+        h = powers.take(np.repeat(h0[a:b], length[a:b]) - m, axis=0)
         x = xs.take(np.repeat(x0[a:b], length[a:b]) + m, axis=0)
         terms = (h[:, :, None] * x[:, None, :]).reshape(len(m), k * k)
-        out[a:b] = _fold(field, np.add.reduceat(terms, start[a:b] - start[a]) % p,
-                         _digit_fold(field))
+        out[a:b] = _fold(field, np.add.reduceat(terms, start[a:b] - m0), _digit_fold(field))
     return out
 
 
@@ -412,24 +400,26 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
     pole at once: the powers of every other x_j in the pole's local
     parameter.  One contraction of every stack with the coefficients of the
     f_j gives the regular part sum_j f_j(x_j) of every H_l = u^d f, and one
-    indexed write adds each pole's own principal part.  Each pole that a
-    read reaches writes its powers H_l^e, from H_l cut to its band, into
-    one power table (_powers).  One gather from that table serves every
-    direct read, and one call of _gathered_products every product read,
-    and both scatter into the block.  Over GF(p) every fold of digit
-    products is the product by [[1]] and is skipped (_fold); over GF(p^k),
-    k > 1, the p-th root, GF(p)-linear, is taken once, on the block.
+    indexed write adds each pole's own principal part.  One call writes
+    the powers H_l^e of every pole that a read reaches, from H_l cut to
+    its band, into one power table (_powers).  One gather from that table
+    serves every direct read, and one call of _gathered_products every
+    product read, and both scatter into the block.  Over GF(p) every fold
+    of digit products is the product by [[1]] and is skipped (_fold); over
+    GF(p^k), k > 1, the p-th root, GF(p)-linear, is taken once, on the
+    block.
 
     The int64 sums stay exact, as N <= (p-1)*d_l + 1: each of the k^2
     digit sums of a product read, before the fold to k digits, adds at most
     N digit products, each at most (p-1)^2, so it is at most
-    N*k*(p-1)^2 < 2^35 under the digit cap (check_digit_cap), and a power's
-    unreduced fold (_powers) is at most (2k-1)*N*k*(p-1)^3 < 2^47.  The
-    contraction adds one digit product per stacked power, fewer than
-    D + 2 <= 2g + 2 of them, so its sums stay below (2g + 2)*(p-1)^2 < 2^35,
-    and their unreduced fold over GF(p^k), k >= 2, below
-    k^2*(2g + 2)*(p-1)^3 < 2^48 in the field cap.  The folds take
-    residues mod p.
+    N*k*(p-1)^2 < 2^35 under the digit cap (check_digit_cap), and their
+    unreduced fold over GF(p^k), k >= 2, k^2 of them times entries of at
+    most p - 1, at most k^2*N*(p-1)^3 < 2^45; a power's unreduced fold
+    (_powers) is at most (2k-1)*N*k*(p-1)^3 < 2^47.  The contraction adds
+    one digit product per stacked power, fewer than D + 2 <= 2g + 2 of
+    them, so its sums stay below (2g + 2)*(p-1)^2 < 2^35, and their
+    unreduced fold over GF(p^k), k >= 2, below k^2*(2g + 2)*(p-1)^3 < 2^48
+    in the field cap.  The folds take residues mod p.
     """
     field, p, k = spec.field, spec.field.p, spec.field.k
     layout = _layout(p, orders)
@@ -444,7 +434,7 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
     digits = field.digit_array(elements)
     coeffs, z = digits[:split], digits[split:]
     power, coef = layout.stack
-    xs = _geometric(field, z, layout.doubling).take(power, axis=0) * coef % p
+    xs = _geometric(field, z, layout.n_max).reshape(-1, k).take(power, axis=0) * coef % p
     # every H_l to its n_l terms: its own principal part times u^d, then
     # the digit products of sum_(j,i) x_j^i[t] c_(j,i) at its terms d + t
     h = np.zeros((layout.width, k), dtype=np.int64)
@@ -458,18 +448,15 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
         sums = np.add.reduceat(terms.reshape(len(stack), k * k), groups)
         h[rows] += _fold(field, sums, _digit_fold(field))
     np.remainder(h, p, out=h)
-    packed = np.zeros((layout.e_max + 1, layout.width, 2 * k - 1), dtype=np.int64)
-    for pole in layout.poles:
-        if pole.size:
-            _powers(field, h[pole.offset : pole.offset + pole.band], layout.e_max, pole.size,
-                    out=packed[:, pole.offset : pole.offset + pole.size])
-    powers = packed[..., :k].reshape(-1, k)  # a view: the flat rows e*width + offset_l + t
+    # a view: the flat rows e*width + offset_l + t
+    powers = _powers(field, h, layout.poles, layout.e_max).reshape(-1, k)
     out = np.zeros((layout.d0, len(layout.forms), k), dtype=np.int64)
     *_, row, col = layout.direct
     out[row, col] = powers.take(layout.reads, axis=0)
     *_, row, col = layout.products
     if len(row):
-        out[row, col] = _gathered_products(field, powers, xs, layout.gathers)
+        chunks = _chunks(p, orders, max(1, _CHUNK // k**2))
+        out[row, col] = _gathered_products(field, powers, xs, layout.gathers, chunks)
     if k > 1:  # the pth_root of each coefficient, the identity over GF(p)
         out = out @ field.pth_root_matrix
         np.remainder(out, p, out=out)

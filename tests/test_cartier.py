@@ -281,6 +281,25 @@ def test_gathered_products_in_small_chunks(p, k, orders, seed, monkeypatch):
     assert cartier_matrix(spec, "local").entries == naive_local_matrix(spec).entries
 
 
+@pytest.mark.parametrize("p,orders", [(5, (4, 2)), (7, (1, 2, 3))])
+def test_chunk_plan_is_keyed_by_k(p, orders, monkeypatch):
+    """With _CHUNK cut so that product reads span several chunks, whose
+    width in terms is _CHUNK // k^2, the block of images of one family at
+    k = 1 and at k = 2 equals the unpatched block and the rational
+    pipeline's block, each on its own cached chunk plan."""
+    rng, (_, _, lengths, _) = random.Random(p), local._layout(p, orders).gathers
+    specs = [random_curve(GF(p, k), orders, rng) for k in (1, 2)]
+    blocks = [local.local_matrix(spec, orders)[1] for spec in specs]
+    monkeypatch.setattr(local, "_CHUNK", 12)
+    plans = [local._chunks(p, orders, 12 // k**2) for k in (1, 2)]
+    assert lengths.max() > 3 and len(plans[0]) > 1 and plans[0] != plans[1]
+    for spec, block, plan in zip(specs, blocks, plans):
+        chunked = local.local_matrix(spec, orders)[1]
+        assert local._chunks(p, orders, 12 // spec.field.k**2) is plan
+        assert (chunked == block).all()
+        assert (block == rational.rational_matrix(spec, orders)[1]).all()
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
 def test_binomial_tables_against_comb(p):
     """The local route's running-sum table equals math.comb mod p, also past
@@ -301,11 +320,13 @@ def test_binomial_tables_against_comb(p):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3, 13])
 def test_powers_against_field_products(p, k, m, monkeypatch):
-    """_powers gives s^0, ..., s^m to n terms, against running FieldElement
-    products, for a full series, one whose digits are all p - 1, one with a
-    zero constant term, one with zero tail terms, a one-term series and one
-    shorter than n.  At m = 0
-    (e_max at p = 2) only s^0 is built, and at m <= 1 no product is."""
+    """_powers gives s^0, ..., s^m to n terms for every pole of one table,
+    against running FieldElement products, for a full series, one whose
+    digits are all p - 1, one with a zero constant term, one with zero tail
+    terms, a one-term series and one shorter than n, each a pole of n
+    terms banded to its length, between poles with no series, first and
+    last.  At m = 0 (e_max at p = 2) only s^0 is built, and at m <= 1 no
+    product is."""
     def product(*args):
         raise AssertionError(f"_powers took a product at m = {m}")
 
@@ -327,16 +348,66 @@ def test_powers_against_field_products(p, k, m, monkeypatch):
         "one term": [element()],
         "short": [element(), element()],
     }
-    for name, s in cases.items():
-        padded = (s + zeros)[:n]
-        expected = [[field.one] + zeros[1:]]
-        while len(expected) <= m:
-            last = expected[-1]
-            expected.append([sum((last[i] * padded[t - i] for i in range(t + 1)), field.zero)
-                             for t in range(n)])
-        powers = local._powers(field, field.digit_array(s), m, n)
-        assert powers.shape == (m + 1, n, k), name
-        assert field.element_rows(powers) == tuple(map(tuple, expected)), name
+    poles, h = [local._Pole(0, 0, 0)], []
+    for s in cases.values():
+        poles.append(local._Pole(n, len(s), len(h)))
+        h += (s + zeros)[:n]
+    poles.append(local._Pole(0, 0, len(h)))
+    powers = local._powers(field, field.digit_array(h), poles, m)
+    assert powers.shape == (m + 1, len(h), k)
+    for name, pole in zip(cases, poles[1:]):
+        assert field.element_rows(powers[:, pole.offset : pole.offset + n]) \
+            == running_powers(h[pole.offset : pole.offset + n], m), name
+
+
+def running_powers(s, m):
+    """s^0, ..., s^m to len(s) terms, for the list s of FieldElements, by
+    running FieldElement products."""
+    field, n = s[0].field, len(s)
+    expected = [(field.one,) + (field.zero,) * (n - 1)]
+    while len(expected) <= m:
+        last = expected[-1]
+        expected.append(tuple(sum((last[i] * s[t - i] for i in range(t + 1)), field.zero)
+                              for t in range(n)))
+    return tuple(expected)
+
+
+@pytest.mark.parametrize("p,orders", [(2, (3, 1)), (3, (2, 1)), (3, (1, 1, 1)), (13, (1, 1)),
+                                      (5, (4, 2)), (7, (1, 2, 3)), (13, (4, 3))])
+def test_power_table_of_every_pole(p, orders, monkeypatch):
+    """The power table of a random curve over GF(p^k), k <= 3, holds every
+    pole's H_l^0, ..., H_l^e_max to its n_l terms, against running
+    FieldElement products of the H_l it is given, and nothing at a pole
+    with no series, as at infinity at orders (1, 1), and (2, 1) at p = 3,
+    or at a pole whose H_l is cut to a band, as at (4, 3), p = 13.  At
+    e_max = 0 (p = 2) and e_max = 1 (p = 3) np.correlate does not run."""
+    layout, powers, seen = local._layout(p, orders), local._powers, []
+
+    def spy(field, h, poles, m):
+        out = powers(field, h, poles, m)
+        seen.append((field, h.copy(), poles, m, out.copy()))
+        return out
+
+    def product(*args):
+        raise AssertionError(f"_powers took a product at e_max = {layout.e_max}")
+
+    monkeypatch.setattr(local, "_powers", spy)
+    if layout.e_max <= 1:
+        monkeypatch.setattr(np, "correlate", product)
+    if orders in ((1, 1), (2, 1)):
+        assert layout.poles[0].size == 0
+    rng = random.Random(p * 10 + len(orders))
+    for k in (1, 2, 3):
+        local.local_matrix(random_curve(GF(p, k), orders, rng), orders)
+    for field, h, poles, m, out in seen:
+        assert poles == layout.poles and m == layout.e_max == p - 2
+        assert out.shape == (m + 1, layout.width, field.k)
+        for pole in poles:
+            if pole.size:
+                cut = slice(pole.offset, pole.offset + pole.size)
+                s = field.element_rows(h[None, cut])[0]
+                assert field.element_rows(out[:, cut]) == running_powers(s, m), (field, pole)
+    assert len(seen) == 3
 
 
 @pytest.mark.parametrize("p,k,orders,seed", [(101, 1, (1, 1), 1), (97, 1, (2, 1), 2),
@@ -357,22 +428,20 @@ def test_read_sized_series_agree_with_rational(p, k, orders, seed):
 @pytest.mark.parametrize("p,k", [(7, 1), (5, 2), (3, 7)])
 def test_geometric_table_against_field_powers(p, k):
     """Each row of _geometric holds z^0, ..., z^(n-1) of its z, against
-    running FieldElement products: rows of lengths 1, 2 and 3, and longer
-    ones that take several doubling steps, for z = 0, z = 1 and random z,
-    in one batch."""
+    running FieldElement products: every length n from 1 to 40, those of
+    1, 2 and 3 and longer ones that take several doubling steps, for z = 0,
+    z = 1 and random z, in one batch."""
     field = GF(p, k)
     rng = random.Random(p * k)
     zs = [field.zero, field.one] + [field.random_element(rng, nonzero=True) for _ in range(3)]
-    rows = [(z, n) for z in zs for n in (1, 2, 3, 4, 9, 40)]
-    rng.shuffle(rows)
-    plan = local._doubling([n for _, n in rows])
-    table = local._geometric(field, field.digit_array([z for z, _ in rows]), plan)
-    assert table.shape == (plan.size, k) == (sum(n for _, n in rows), k)
-    for (z, n), start in zip(rows, plan.starts.tolist()):
-        expected = [field.one]
-        while len(expected) < n:
-            expected.append(expected[-1] * z)
-        assert field.element_rows(table[None, start : start + n])[0] == tuple(expected), (z, n)
+    expected = [[field.one] for _ in zs]
+    for z, row in zip(zs, expected):
+        while len(row) < 40:
+            row.append(row[-1] * z)
+    for n in range(1, 41):
+        table = local._geometric(field, field.digit_array(zs), n)
+        assert table.shape == (len(zs), n, k)
+        assert field.element_rows(table) == tuple(tuple(row[:n]) for row in expected), n
 
 
 @pytest.mark.parametrize(
@@ -398,14 +467,15 @@ class TestLocalSeriesGuards:
     def test_digit_cap_keeps_series_sums_in_int64(self):
         """The digit cap is the only size check, so it must bound every
         product of the local pipeline: N*k*(p-1)^2 < 2^63 for series of N
-        terms over GF(p^k), and the unreduced fold of a power,
-        (2k-1)*N*k*(p-1)^3, too.  Read-sized series have at most the N
-        below.  With D = sum(d_l + 1) - 2, g = D*(p-1)/2, so a
-        curve of genus g >= 1 under the cap, g^2*k <= cap, has
+        terms over GF(p^k), the unreduced fold of a power,
+        (2k-1)*N*k*(p-1)^3, too, and over GF(p^k), k >= 2, the unreduced
+        fold of a product read's k^2 digit sums, k^2*N*(p-1)^3.  Read-sized
+        series have at most the N below.  With D = sum(d_l + 1) - 2,
+        g = D*(p-1)/2, so a curve of genus g >= 1 under the cap, g^2*k <= cap, has
         p <= 2*sqrt(cap) + 1, p^k within the field cap, D no more than the
         cap allows at (p, k), and every order d <= D + 1, N = (p-1)*d + 1."""
         cap = cartier._MAX_DIGITS
-        worst, fold = (0,), (0,)
+        worst, fold, read = (0,), (0,), (0,)
         for p in filter(is_prime, range(2, 2 * math.isqrt(cap) + 2)):
             for k in itertools.takewhile(lambda k: p**k <= _MAX_FIELD_SIZE, itertools.count(1)):
                 D = math.isqrt(4 * cap // k) // (p - 1)  # the largest with g^2*k <= cap
@@ -413,11 +483,16 @@ class TestLocalSeriesGuards:
                     n = (p - 1) * (D + 1) + 1
                     worst = max(worst, (n * k * (p - 1) ** 2, p, k, D))
                     fold = max(fold, ((2 * k - 1) * n * k * (p - 1) ** 3, p, k, D))
+                    if k >= 2:
+                        read = max(read, (k * k * n * (p - 1) ** 3, p, k, D))
         # at the cap of 2^20: 16,933,591,188 at p = 2039, k = 1, D = 1 (g = 1019)
         assert worst[0] < 2**63, f"N*k*(p-1)^2 = {worst[0]:,} at (p, k, D) = {worst[1:]}"
         # _powers folds its unreduced slots, 2k - 1 of them times entries of
         # at most p - 1: 52,481,297,415,888 at p = 1447, k = 2, D = 1 (g = 723)
         assert fold[0] < 2**46, f"(2k-1)*N*k*(p-1)^3 = {fold[0]:,} at (p, k, D) = {fold[1:]}"
+        # _gathered_products folds its sums unreduced: 34,987,531,610,592 at
+        # p = 1447, k = 2, D = 1 (g = 723)
+        assert read[0] < 2**45, f"k^2*N*(p-1)^3 = {read[0]:,} at (p, k, D) = {read[1:]}"
 
     def test_cap_curve(self):
         """y^1009 - y = x^3, g = 1008, the largest genus of a cubic under the
@@ -437,10 +512,10 @@ class TestLocalSeriesGuards:
         structure or the closed form that the corank is checked against
         (CLOSED_FORM)."""
         names = names_reached(local, local.local_matrix, local._Layout, local._powers,
-                              local._gathered_products, local._digit_fold,
-                              local._negative_binomials, local._doubling, local._geometric)
-        assert {"correlate", "_gathered_products", "reduceat",
-                "_negative_binomials", "_doubling", "_geometric", "_fold", "_Pole"} <= names
+                              local._chunks.__wrapped__, local._gathered_products,
+                              local._digit_fold, local._negative_binomials, local._geometric)
+        assert {"correlate", "_chunks", "_gathered_products", "reduceat",
+                "_negative_binomials", "_geometric", "_fold", "_Pole"} <= names
         assert not names & CLOSED_FORM
         assert not names & LIFT
 
@@ -1118,7 +1193,9 @@ def test_layout_of_every_admissible_family():
         stacks = np.cumsum(spans) - spans
         assert [pole.offset for pole in layout.poles] == (np.cumsum(sizes) - sizes).tolist()
         assert layout.width == sizes.sum() and len(power) == len(coef) == spans.sum()
-        assert (0 <= power).all() and (power < layout.doubling.size).all(), (p, orders)
+        # z row r's powers from r*n_max on, one row per pole location and pair
+        z_rows = len(orders) - 1 + len(layout.pairs)
+        assert (0 <= power).all() and (power < z_rows * layout.n_max).all(), (p, orders)
         assert (0 <= coef).all() and (coef < p).all(), (p, orders)
         stack, coeff_rows, groups, h_rows = layout.contraction
         own_rows, own_sources = layout.own
@@ -1186,9 +1263,9 @@ def test_layout_of_every_admissible_family():
 def test_band_holds_every_term_of_H(monkeypatch):
     """H_l has no nonzero term at or past its band: on a random curve over
     GF(p^k), k <= 3, of every admissible family, the local route with
-    every band widened to its pole's n_l terms hands _powers an H_l that
-    is 0 from the band on, and gives the same matrix; a pole with no
-    series (n_l = 0) gets no call.  A band cuts only where f has at most
+    every band widened to its pole's n_l terms hands _powers, in one call,
+    every H_l 0 from its band on, and gives the same matrix; a pole with
+    no series (n_l = 0) has no terms.  A band cuts only where f has at most
     one finite pole; elsewhere it is n_l, with nothing past it to check."""
     rng, powers, cut = random.Random(33), local._powers, 0
     for p, orders in admissible_families(PARTITION_MAX_P, 3):
@@ -1202,19 +1279,19 @@ def test_band_holds_every_term_of_H(monkeypatch):
         wide = copy.copy(layout)
         wide.poles = [pole._replace(band=pole.size) for pole in layout.poles]
 
-        def spy(field, s, m, n, out=None):
-            seen.append(s.copy())
-            return powers(field, s, m, n, out=out)
+        def spy(field, h, poles, m):
+            seen.append((h.copy(), poles))
+            return powers(field, h, poles, m)
 
         with monkeypatch.context() as patch:
             patch.setattr(local, "_layout", lambda p, orders: wide)
             patch.setattr(local, "_powers", spy)
             digits = cartier_matrix(spec, "local").digits
         assert (digits == cartier_matrix(spec).digits).all(), (p, orders, k)
-        series = [pole for pole in layout.poles if pole.size]
-        assert len(seen) == len(series), (p, orders, k)
-        for pole, h in zip(series, seen):
-            assert len(h) == pole.size and not h[pole.band :].any(), (p, orders, k)
+        [(h, poles)] = seen
+        assert poles == wide.poles and len(h) == layout.width, (p, orders, k)
+        for pole in layout.poles:
+            assert not h[pole.offset + pole.band : pole.offset + pole.size].any(), (p, orders, k)
             cut += pole.band < pole.size
     assert cut > 100, cut
 
