@@ -16,8 +16,8 @@ times a power of one z,
     at e_l, x_j^b = (-z/(1 - z u))^b:            (-1)^b C(b+t-1, t) z^(b+t)
 
 for z = 1/(e_j - e_l), so the stacks of them of every pole are one gather
-from one rectangular geometric table of every z per curve, built by
-doubling every row at once, times a coefficient table, and
+from one geometric table of every z per curve, a few rectangles each
+built by doubling its rows at once, times a coefficient table, and
 sum_j f_j(x_j) at every pole is one contraction of the stacks.  Each
 coefficient is an entry of one table of C(b + t - 1, t) mod p
 (_negative_binomials), C(b, t) as C((b-t+1) + t-1, t).
@@ -47,6 +47,7 @@ for the other.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -177,13 +178,14 @@ class _Layout:
     pole stacks nothing.
 
     Term t of x_j^b at pole l is a binomial coefficient mod p times a power
-    of one z (the closed forms above, with the series 1 at b = 0): a pole
-    location e_j or, for a pair of finite poles, the inverse 1/(e_j - e_l)
-    of pairs[i], in that order (z row j - 1, or len(orders) - 1 + i).
-    stack is (power, coef): for each term of the flat stack of every pole,
-    the stack of pole l its n_l terms of each x_j^b in turn, the position
-    of its power of z in the flat geometric table of every z, z row r's
-    n_max powers from r*n_max on (_geometric), and its coefficient."""
+    of one z (the closed forms above, with the series 1 at b = 0), a row of
+    z_rows: a pole location e_j, (0, j), or 1/(e_j - e_l) for finite poles
+    l != j, (l, j).  stack is (power, coef): for each term of the flat
+    stack of every pole, the stack of pole l its n_l terms of each x_j^b in
+    turn, the position of its power of z in the flat geometric table
+    (_geometric), and its coefficient.  Each of the table's rectangles
+    (count, n) holds the next count z rows, whose longest reads lie in one
+    range (2^(c-1), 2^c], to n, the longest: fewer than twice the stack's."""
 
     def __init__(self, p: int, orders):
         self.forms = forms = tuple(ordered_basis(p, orders))
@@ -277,16 +279,12 @@ class _Layout:
             table.setflags(write=False)  # shared by every curve with these orders
 
     def _closed_forms(self, p: int, orders, sizes, fs) -> tuple:
-        """pairs and n_max, and the stacks of series of these sizes from
-        the closed forms above: the flat power and coef of stack, and for
-        each pole the rows of the coefficients of the f_j, which start at
-        rows fs, that multiply its stacked series."""
+        """z_rows and rectangles, and the stacks of series of these sizes
+        from the closed forms above: the flat power and coef of stack, and
+        for each pole the rows of the coefficients of the f_j, which start
+        at rows fs, that multiply its stacked series."""
         m = len(orders)
-        self.pairs = [(l, j) for l in range(1, m) for j in range(1, m) if j != l]
-        pair = {lj: i for i, lj in enumerate(self.pairs)}
-        if m > 1:
-            negative = _negative_binomials(p, max(orders) + 1, max(sizes))
-        self.n_max = 1  # the most powers of one z read
+        negative = _negative_binomials(p, max(orders) + 1, max(sizes)) if m > 1 else None
         blocks, f_rows = [], []  # (z, power, coef) of each x_j^0, ..., x_j^(d_j) at each pole
         for l, n in enumerate(sizes):
             t, rows = np.arange(n), [np.zeros(0, np.int64)]  # no rows for one pole
@@ -296,19 +294,29 @@ class _Layout:
                 b = np.arange(orders[j] + 1)[:, None]
                 if l == 0:
                     s = np.maximum(t - b, 0)
-                    z, power, coef = j - 1, s, np.where(t >= b, negative[b, s], 0)
+                    z, power, coef = (0, j), s, np.where(t >= b, negative[b, s], 0)
                 elif j == 0:
                     s = np.minimum(t, b)
-                    z, power, coef = l - 1, b - s, np.where(t <= b, negative[b - s + 1, s], 0)
+                    z, power, coef = (0, l), b - s, np.where(t <= b, negative[b - s + 1, s], 0)
                 else:
-                    z = m - 1 + pair[l, j]
-                    power, coef = b + t, (1 - 2 * (b % 2)) * negative[b, t] % p
-                self.n_max = max(self.n_max, int(power.max(initial=0)) + 1)
-                blocks.append((z, power, coef))
+                    z, power, coef = (l, j), b + t, (1 - 2 * (b % 2)) * negative[b, t] % p
+                if n:
+                    blocks.append((z, power, coef))
                 rows.append(fs[j] + b[:, 0])
             f_rows.append(np.concatenate(rows))
+        length = {}  # the powers of each z read
+        for z, power, _ in blocks:
+            length[z] = max(length.get(z, 0), int(power.max()) + 1)
+        self.z_rows = tuple(sorted(length, key=length.get, reverse=True))
+        start, rectangles = {}, []
+        for _, group in itertools.groupby(self.z_rows, lambda z: (length[z] - 1).bit_length()):
+            group = list(group)  # its longest first
+            base = sum(count * n for count, n in rectangles)
+            start.update((z, base + i * length[group[0]]) for i, z in enumerate(group))
+            rectangles.append((len(group), length[group[0]]))
+        self.rectangles = tuple(rectangles)
         empty = [np.zeros(0, np.int64)]  # no blocks for one pole
-        power = np.concatenate([(z * self.n_max + b).ravel() for z, b, _ in blocks] or empty)
+        power = np.concatenate([(start[z] + b).ravel() for z, b, _ in blocks] or empty)
         coef = np.concatenate([coef.ravel() for *_, coef in blocks] or empty)
         return power, coef[:, None], f_rows
 
@@ -334,23 +342,27 @@ def image_support(p: int, orders) -> np.ndarray:
 _CHUNK = 2**16  # digit products summed at a time by _gathered_products
 
 
-def _geometric(field: Field, z: np.ndarray, n: int) -> np.ndarray:
-    """z_r^0, ..., z_r^(n-1) for every row z_r of the (rows, k) digits z:
-    the (rows, n, k) digits.  With z^0, ..., z^(T-1) known, one doubling
-    step sets z^T, ..., z^(2T-2) of every row at once, as z^1, ..., z^(T-1)
-    times z^(T-1), one digit product folded to k digits (_digit_fold); T
-    starts at 2.  Its sums stay below k^2 * p^3 < 2^63 within the field
-    cap."""
+def _geometric(field: Field, z: np.ndarray, rectangles) -> np.ndarray:
+    """z_r^0, ..., z_r^(n-1) for every row z_r of the (rows, k) digits z,
+    for each (count, n) of rectangles the next count rows to n powers: the
+    flat digits, each rectangle's (count, n, k) table after the one before.
+    With z^0, ..., z^(T-1) known, one doubling step sets z^T, ..., z^(2T-2)
+    of every row of a rectangle at once, as z^1, ..., z^(T-1) times
+    z^(T-1), one digit product folded to k digits (_digit_fold); T starts
+    at 2.  Its sums stay below k^2 * p^3 < 2^63 within the field cap."""
     k, fold = field.k, _digit_fold(field)
-    out = np.zeros((len(z), n, k), dtype=np.int64)
-    out[:, 0, 0] = 1
-    out[:, 1:2] = z[:, None]  # nothing at n = 1
-    top = 2
-    while top < n:
-        new = min(n, 2 * top - 1) - top
-        terms = out[:, 1 : 1 + new, :, None] * out[:, top - 1, None, None, :]
-        _fold(field, terms.reshape(len(z), new, k * k), fold, out=out[:, top : top + new])
-        top += new
+    out = np.zeros((sum(count * n for count, n in rectangles), k), dtype=np.int64)
+    row = base = 0
+    for count, n in rectangles:
+        table = out[base : base + count * n].reshape(count, n, k)
+        table[:, 0, 0] = 1
+        table[:, 1:2] = z[row : row + count, None]  # nothing at n = 1
+        top, row, base = 2, row + count, base + count * n
+        while top < n:
+            new = min(n, 2 * top - 1) - top
+            terms = table[:, 1 : 1 + new, :, None] * table[:, top - 1, None, None, :]
+            _fold(field, terms.reshape(count, new, k * k), fold, out=table[:, top : top + new])
+            top += new
     return out
 
 
@@ -430,11 +442,11 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
     for datum in spec.poles[1:]:
         elements += [field.zero, *datum.coeffs]
     split = len(elements)
-    elements += locs[1:] + [(locs[j] - locs[l]).inverse() for l, j in layout.pairs]
+    elements += [locs[j] if l == 0 else (locs[j] - locs[l]).inverse() for l, j in layout.z_rows]
     digits = field.digit_array(elements)
     coeffs, z = digits[:split], digits[split:]
     power, coef = layout.stack
-    xs = _geometric(field, z, layout.n_max).reshape(-1, k).take(power, axis=0) * coef % p
+    xs = _geometric(field, z, layout.rectangles).take(power, axis=0) * coef % p
     # every H_l to its n_l terms: its own principal part times u^d, then
     # the digit products of sum_(j,i) x_j^i[t] c_(j,i) at its terms d + t
     h = np.zeros((layout.width, k), dtype=np.int64)

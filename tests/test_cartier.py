@@ -430,7 +430,8 @@ def test_geometric_table_against_field_powers(p, k):
     """Each row of _geometric holds z^0, ..., z^(n-1) of its z, against
     running FieldElement products: every length n from 1 to 40, those of
     1, 2 and 3 and longer ones that take several doubling steps, for z = 0,
-    z = 1 and random z, in one batch."""
+    z = 1 and random z, in one batch, and the same rows again in a second
+    rectangle of length 41 - n after the first."""
     field = GF(p, k)
     rng = random.Random(p * k)
     zs = [field.zero, field.one] + [field.random_element(rng, nonzero=True) for _ in range(3)]
@@ -439,9 +440,14 @@ def test_geometric_table_against_field_powers(p, k):
         while len(row) < 40:
             row.append(row[-1] * z)
     for n in range(1, 41):
-        table = local._geometric(field, field.digit_array(zs), n)
-        assert table.shape == (len(zs), n, k)
-        assert field.element_rows(table) == tuple(tuple(row[:n]) for row in expected), n
+        rectangles = ((len(zs), n), (len(zs), 41 - n))
+        table = local._geometric(field, field.digit_array(zs + zs), rectangles)
+        assert table.shape == (41 * len(zs), k)
+        first, second = table[: n * len(zs)], table[n * len(zs) :]
+        assert field.element_rows(first.reshape(len(zs), n, k)) \
+            == tuple(tuple(row[:n]) for row in expected), n
+        assert field.element_rows(second.reshape(len(zs), 41 - n, k)) \
+            == tuple(tuple(row[: 41 - n]) for row in expected), n
 
 
 @pytest.mark.parametrize(
@@ -1117,6 +1123,29 @@ def assert_triangular_support(p, orders):
     assert len(logarithmic) == (len(orders) - 1) * (p - 1), (p, orders)
 
 
+def assert_geometric_table_is_read_sized(layout, orders):
+    """The z rows of the layout, each a pole location e_q, (0, q), or the
+    z = 1/(e_j - e_l) of a pair of finite poles, (l, j), appear once each,
+    and the rectangles hold them in order, each row's n powers from its
+    start on.  Every power index of the stack lies in its row, every row
+    is read, and no row is as long as twice the powers read of it, so the
+    table holds fewer than twice as many powers as the stack has terms."""
+    power = layout.stack[0]
+    m = len(orders)
+    assert len(set(layout.z_rows)) == len(layout.z_rows), orders
+    assert all(0 < q < m if l == 0 else 0 < l != q < m for l, q in layout.z_rows), orders
+    counts, widths = np.array(layout.rectangles, dtype=np.int64).reshape(-1, 2).T
+    assert counts.sum() == len(layout.z_rows) and (widths >= 1).all(), orders
+    n = np.repeat(widths, counts)
+    starts = np.cumsum(n) - n
+    assert (0 <= power).all() and (power < n.sum()).all(), orders
+    row = np.searchsorted(starts, power, side="right") - 1
+    read = np.zeros(len(n), dtype=np.int64)
+    np.maximum.at(read, row, power - starts[row] + 1)
+    assert (read >= 1).all() and (n < 2 * read).all(), orders
+    assert n.sum() < 2 * max(len(power), 1), orders
+
+
 def test_layout_of_every_admissible_family():
     """Every read of the local route's layout is at level 0: it lands on a
     level-0 form, row < d0, in the column of its image, x_j^b f^e for the
@@ -1193,9 +1222,7 @@ def test_layout_of_every_admissible_family():
         stacks = np.cumsum(spans) - spans
         assert [pole.offset for pole in layout.poles] == (np.cumsum(sizes) - sizes).tolist()
         assert layout.width == sizes.sum() and len(power) == len(coef) == spans.sum()
-        # z row r's powers from r*n_max on, one row per pole location and pair
-        z_rows = len(orders) - 1 + len(layout.pairs)
-        assert (0 <= power).all() and (power < z_rows * layout.n_max).all(), (p, orders)
+        assert_geometric_table_is_read_sized(layout, orders)
         assert (0 <= coef).all() and (coef < p).all(), (p, orders)
         stack, coeff_rows, groups, h_rows = layout.contraction
         own_rows, own_sources = layout.own
@@ -1258,6 +1285,34 @@ def test_layout_of_every_admissible_family():
         assert (terms, held, owned) == (len(stack), len(groups), len(own_rows)), (p, orders)
         assert len(coeff_rows) == len(stack) and len(h_rows) == len(groups), (p, orders)
     assert unread, "no family has a pole that no read reaches"
+
+
+@pytest.mark.parametrize(
+    "p,k,orders",
+    [
+        (2, 3, (5, 3, 1, 1, 1, 1)),
+        (7, 1, (4, 1, 3, 1, 2)),  # three rectangles
+        (5, 2, (3, 2, 2, 1, 1, 1, 1, 1)),
+        # under the digit cap, g = 323 and g^2*k = 1,043,290: 200 rows read to
+        # 248 powers, 39,800 pairs of finite poles read to 3
+        (2, 10, (247,) + (1,) * 200),
+    ],
+)
+def test_geometric_table_of_many_poles(p, k, orders):
+    """With many finite poles, whose pairs far outnumber the pole
+    locations and read few powers, the geometric table stays read-sized
+    (fewer powers than twice the stack's terms), and the local matrix of a
+    random curve equals the rational one wherever that is cheap."""
+    field = GF(p, k)
+    g = len(ordered_basis(p, orders))
+    cartier.check_digit_cap(g, field)
+    layout = local._layout(p, orders)
+    assert_geometric_table_is_read_sized(layout, orders)
+    m = len(orders)
+    assert len(layout.z_rows) == (m - 1) ** 2 and len(layout.rectangles) >= 2
+    if g < 50:
+        spec = random_curve(field, orders, random.Random(g))
+        assert cartier_matrix(spec, "local") == cartier_matrix(spec, "rational")
 
 
 def test_band_holds_every_term_of_H(monkeypatch):
