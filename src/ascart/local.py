@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -180,12 +181,13 @@ class _Layout:
     Term t of x_j^b at pole l is a binomial coefficient mod p times a power
     of one z (the closed forms above, with the series 1 at b = 0), a row of
     z_rows: a pole location e_j, (0, j), or 1/(e_j - e_l) for finite poles
-    l != j, (l, j).  stack is (power, coef): for each term of the flat
-    stack of every pole, the stack of pole l its n_l terms of each x_j^b in
-    turn, the position of its power of z in the flat geometric table
-    (_geometric), and its coefficient.  Each of the table's rectangles
-    (count, n) holds the next count z rows, whose longest reads lie in one
-    range (2^(c-1), 2^c], to n, the longest: fewer than twice the stack's."""
+    l != j, (l, j).  pairs holds each such (l, j) or (j, l) once, as l < j.
+    stack is (power, coef): for each term of the flat stack of every pole,
+    the stack of pole l its n_l terms of each x_j^b in turn, the position
+    of its power of z in the flat geometric table (_geometric), and its
+    coefficient.  Each of the table's rectangles (count, n) holds the next
+    count z rows, whose longest reads lie in one range (2^(c-1), 2^c], to
+    n, the longest: fewer than twice the stack's."""
 
     def __init__(self, p: int, orders):
         self.forms = forms = tuple(ordered_basis(p, orders))
@@ -279,7 +281,7 @@ class _Layout:
             table.setflags(write=False)  # shared by every curve with these orders
 
     def _closed_forms(self, p: int, orders, sizes, fs) -> tuple:
-        """z_rows and rectangles, and the stacks of series of these sizes
+        """z_rows, pairs and rectangles, and the stacks of series of these sizes
         from the closed forms above: the flat power and coef of stack, and
         for each pole the rows of the coefficients of the f_j, which start
         at rows fs, that multiply its stacked series."""
@@ -308,6 +310,7 @@ class _Layout:
         for z, power, _ in blocks:
             length[z] = max(length.get(z, 0), int(power.max()) + 1)
         self.z_rows = tuple(sorted(length, key=length.get, reverse=True))
+        self.pairs = sorted({(min(l, j), max(l, j)) for l, j in self.z_rows if l})
         start, rectangles = {}, []
         for _, group in itertools.groupby(self.z_rows, lambda z: (length[z] - 1).bit_length()):
             group = list(group)  # its longest first
@@ -401,16 +404,33 @@ def _gathered_products(field: Field, powers: np.ndarray, xs: np.ndarray, gather,
     return out
 
 
+def _inverses(values: list) -> list:
+    """1/v for each of the nonzero field elements values, with one
+    inversion: Montgomery's trick, 1/v_i = (v_0 ... v_(i-1)) / (v_0 ... v_i),
+    from the prefix products and the inverse of the last."""
+    if not values:
+        return []
+    prefix = list(itertools.accumulate(values, operator.mul))
+    inverse, out = prefix[-1].inverse(), []
+    for v, before in zip(reversed(values[1:]), reversed(prefix[:-1])):
+        out.append(inverse * before)
+        inverse = inverse * v  # 1/(v_0 ... v_(i-1))
+    out.append(inverse)
+    return out[::-1]
+
+
 def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.ndarray]:
     """The basis and the (D_0, g, k) block of images C(x_j^b f^e dx), one
     per column, in the level-0 forms, by the local pipeline, in one pass
     per curve over the layout's flat tables; the gate (cartier_matrix)
     lifts them to the matrix.
 
-    One geometric table of every z the closed forms read (_geometric),
-    gathered and times the layout's coefficients, gives the stack of every
-    pole at once: the powers of every other x_j in the pole's local
-    parameter.  One contraction of every stack with the coefficients of the
+    Every z = 1/(e_j - e_l) comes from one field inversion (_inverses),
+    the one at (j, l) the negative of the one at (l, j).  One geometric
+    table of every z the closed forms read (_geometric), gathered and
+    times the layout's coefficients, gives the stack of every pole at
+    once: the powers of every other x_j in the pole's local parameter.
+    One contraction of every stack with the coefficients of the
     f_j gives the regular part sum_j f_j(x_j) of every H_l = u^d f, and one
     indexed write adds each pole's own principal part.  One call writes
     the powers H_l^e of every pole that a read reaches, from H_l cut to
@@ -442,7 +462,10 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
     for datum in spec.poles[1:]:
         elements += [field.zero, *datum.coeffs]
     split = len(elements)
-    elements += [locs[j] if l == 0 else (locs[j] - locs[l]).inverse() for l, j in layout.z_rows]
+    # 1/(e_j - e_l) for each pair l < j of finite poles read, and its negative at (j, l)
+    inverse = dict(zip(layout.pairs, _inverses([locs[j] - locs[l] for l, j in layout.pairs])))
+    elements += [locs[j] if l == 0 else inverse[l, j] if l < j else -inverse[j, l]
+                 for l, j in layout.z_rows]
     digits = field.digit_array(elements)
     coeffs, z = digits[:split], digits[split:]
     power, coef = layout.stack

@@ -10,6 +10,12 @@ is prime to p.  So
 The enumeration runs on all of F_(q^s) at once in the log arithmetic of
 the field's Zech tables (Field.log_tables), so it reaches the field cap;
 the trace is additive, so Tr f(x) is the sum of its terms' traces mod p.
+Every level s a count needs is enumerated in one pass over the tower:
+the coefficients and pole locations are logged once, in the base field
+GF(q), and an element of log c there has log t_s*c mod q^s - 1 in
+F_(q^s), for t_s the log there of the image of GF(q)'s primitive
+element.  x = 0 is evaluated once, in GF(q), and Tr_(q^s/p)(a) =
+s*Tr_(q/p)(a) gives its trace at every level.
 
 The L-polynomial needs N_1..N_g, g = D(p-1)/2, but enumeration stops at
 s <= min(D, g).  Write the distribution of Tr f(x) over F_(q^s) as the
@@ -27,8 +33,8 @@ The numerator L(u) of the zeta function is recovered from N_1..N_g through
 the exponential power series identity (exact integer arithmetic; a
 non-integral coefficient raises InconsistentCounts) and completed to degree
 2g by the functional equation c_(2g-i) = q^(g-i) c_i.  Extension fields are
-built on the canonical modulus, with base-field data carried across by the
-canonical embedding.
+built on the canonical modulus, and the canonical embedding of GF(q) into
+each fixes its t_s.
 
 The q-adic Newton polygon is the lower convex hull of (i, ord_p(c_i)/a),
 q = p^a, recorded as a multiset of slopes with multiplicities.  The Hodge
@@ -46,12 +52,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .curve import CurveSpec
 from .errors import InconsistentCounts, NotShrinkable
-from .finite_field import GF, embedding
+from .finite_field import GF, Field, embedding
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +68,12 @@ from .finite_field import GF, embedding
 
 def count_points(spec: CurveSpec, s: int) -> int:
     """Number of points of the smooth projective curve over F_(q^s)."""
-    return (spec.invariants.m + 1) + spec.p * _trace_distribution(spec, s)[0]
+    return (spec.invariants.m + 1) + spec.p * _trace_distributions(spec, [s])[0][0]
 
 
-def _trace_distribution(spec: CurveSpec, s: int) -> list[int]:
-    """counts[c] = #{x in F_(q^s), x not a pole : Tr f(x) = c}, c in [0, p).
+def _trace_distributions(spec: CurveSpec, levels) -> list[list[int]]:
+    """For each s of levels, counts[c] = #{x in F_(q^s), x not a pole :
+    Tr f(x) = c}, c in [0, p).
 
     Every nonzero x is g^i for the primitive g of the field's log tables,
     so the terms of f are evaluated on all i at once in log arithmetic,
@@ -73,43 +81,113 @@ def _trace_distribution(spec: CurveSpec, s: int) -> list[int]:
     has log c + Z(i - c) with c = log(-e) (the only Zech lookup), and a
     power of it is a multiple.  Each term's trace is one table lookup, and
     since the trace is additive, Tr f(x) is the sum of those traces mod p.
-    x = 0 is evaluated on its own.
+
+    Every coefficient and pole location is logged once, in GF(q), and
+    reaches level s as t_s times that log (_tower).  The levels' ranges of
+    i are one range, run in chunks that may span several levels (_frames):
+    the exponents of every term are one (terms, chunk) array, each level's
+    part gathers from that level's tables, and one bincount of
+    level*p + trace counts every level, the poles in a bucket past the
+    last.  x = 0 is evaluated once, in GF(q), where
+    Tr_(q^s/p)(a) = s*Tr_(q/p)(a).
     """
-    base = spec.field
-    big = base if s == 1 else GF(base.p, base.k * s)
-    phi = embedding(base, big)
-    tables = big.log_tables()
-    n = big.order - 1
+    base, p, levels = spec.field, spec.field.p, tuple(levels)
+    tower = _tower(base, levels, _CHUNK)
+    tables = [F.log_tables() for F in tower.fields]
+    own = base.log_tables()
+    # every term is log(a) + j*x[r], for x[0] the log of x and x[r] that of
+    # x - e at the r-th nonzero pole location e; a zero a is no term
+    f0, finite = spec.poles[0].coeffs, spec.poles[1:]
+    places = [datum.location for datum in finite if datum.location]
+    terms, r = [(a.counter(), j, 0) for j, a in enumerate(f0)], 0
+    for datum in finite:
+        r += bool(datum.location)
+        terms += [(a.counter(), -m, r if datum.location else 0)
+                  for m, a in enumerate(datum.coeffs, 1)]
+    terms = [term for term in terms if term[0]]
+    cut, width = len(terms), len(terms) + len(places)
+    # the logs in GF(q) of the terms' coefficients, of every -e and every e
+    logs = own.log[[c for c, _, _ in terms] + [(-e).counter() for e in places]
+                   + [e.counter() for e in places]]
+    shift = logs[:, None] * tower.t % tower.n  # and at every level, t_s times those
+    holes = (shift[width:] + tower.bounds[:-1]).ravel().tolist()  # where each x = e is
+    mults, rows = np.array([(j, r) for _, j, r in terms], dtype=np.int64).T
+    mults = mults[:, None]
+    counts = np.zeros(len(levels) * p + 1, dtype=np.int64)
+    for start, spans, level, i, n in tower.frames or _frames(tower.bounds, tower.n, _CHUNK):
+        here = shift[:width].take(level, axis=1)
+        x = np.empty((1 + len(places), len(i)), dtype=np.int64)
+        x[0] = i
+        if places:
+            # at x = e this is log(-e), not the log of zero; x = e is a hole
+            z = i - here[cut:]
+            z %= n
+            for lv, a, b in spans:
+                x[1:, a:b] = tables[lv].zech[z[:, a:b]]
+            x[1:] += here[cut:]
+        # in place, as temporaries of a whole chunk cost as much as the arithmetic
+        e = x.take(rows, axis=0)
+        e *= mults
+        e += here[:cut]
+        e %= n
+        key = np.empty(len(i), dtype=np.int64)
+        for lv, a, b in spans:  # the tables are uint8 or uint16; the sums int64
+            tables[lv].trace.take(e[:, a:b]).sum(axis=0, out=key[a:b])
+        key %= p
+        key += level * p
+        key[[h - start for h in holes if start <= h < start + len(i)]] = len(levels) * p
+        counts += np.bincount(key, minlength=len(counts))
+    counts = counts[:-1].reshape(len(levels), p).tolist()
+    if len(places) == len(finite):  # x = 0 is not a pole: the same terms, in GF(q)
+        x0, nq = [0, *logs[cut:width].tolist()], base.order - 1
+        trace = sum(int(own.trace[(lg + j * x0[r]) % nq])
+                    for lg, (_, j, r) in zip(logs[:cut].tolist(), terms) if r or not j)
+        for row, s in zip(counts, levels):
+            row[s * trace % p] += 1
+    return counts
 
-    def log(a):
-        return int(tables.log[a.counter()])
 
-    f0 = [phi(c) for c in spec.poles[0].coeffs]
-    poles = [(phi(datum.location), [phi(c) for c in datum.coeffs]) for datum in spec.poles[1:]]
-    counts = np.zeros(base.p, dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        i = np.arange(start, min(start + _CHUNK, n))
-        terms = [(log(a) + j * i) % n for j, a in enumerate(f0) if a]
-        for e, coeffs in poles:
-            # at x = e this is log(-e), not the log of zero; x = e is taken out below
-            lx = (log(-e) + tables.zech[(i - log(-e)) % n]) % n if e else i
-            terms += [(log(a) - m * lx) % n for m, a in enumerate(coeffs, 1) if a]
-        # the table is uint8 or uint16, so widen before summing
-        trace = sum(tables.trace[t].astype(np.int64) for t in terms) % base.p
-        counts += np.bincount(trace, minlength=base.p)
-        for e, _ in poles:
-            if e and 0 <= (at := log(e) - start) < len(i):
-                counts[trace[at]] -= 1
-    if all(e for e, _ in poles):  # x = 0 is not a pole
-        val = f0[0]
-        for e, coeffs in poles:
-            for m, a in enumerate(coeffs, 1):
-                val = val + a * (-e) ** (-m)
-        counts[val.trace_to_prime()] += 1
-    return counts.tolist()
+class _Tower(NamedTuple):
+    """The fields F_(q^s) of the levels s, their n = q^s - 1 and t_s, the
+    bounds of their ranges of i in one concatenated range, and its frames
+    (_frames) when it fits in one chunk, else None."""
+
+    fields: tuple[Field, ...]
+    n: np.ndarray
+    t: np.ndarray
+    bounds: np.ndarray
+    frames: tuple | None
 
 
-# x = g^i for this many i at a time, so temporaries stay small at the cap
+@functools.lru_cache(maxsize=16)
+def _tower(base: Field, levels: tuple[int, ...], chunk: int) -> _Tower:
+    """The tower of base = GF(q) at levels, built once per (base, levels,
+    chunk).  t_s is the log in F_(q^s) of the image of the primitive element
+    of GF(q): the embedding is multiplicative, so an element of log c in
+    GF(q) has log t_s*c mod q^s - 1 there.  Only a tower of at most one
+    chunk keeps its frame, so no entry holds more than 3 * chunk integers."""
+    fields = tuple(base if s == 1 else GF(base.p, base.k * s) for s in levels)
+    t = [F.log_tables().log[embedding(base, F)(base.primitive()).counter()] for F in fields]
+    n = np.array([F.order - 1 for F in fields], dtype=np.int64)
+    bounds = np.concatenate([[0], np.cumsum(n)])
+    frames = tuple(_frames(bounds, n, chunk)) if bounds[-1] <= chunk else None
+    return _Tower(fields, n, np.array(t, dtype=np.int64), bounds, frames)
+
+
+def _frames(bounds: np.ndarray, n: np.ndarray, chunk: int):
+    """(start, spans, level, i, n) for each chunk of the concatenated range
+    of i: its first position, the spans (level, a, b) of its positions
+    a..b-1 on each level, and the level, i and n of each position."""
+    edges = bounds.tolist()
+    for start in range(0, edges[-1], chunk):
+        stop = min(start + chunk, edges[-1])
+        spans = [(lv, max(a, start) - start, min(b, stop) - start)
+                 for lv, (a, b) in enumerate(itertools.pairwise(edges)) if a < stop and b > start]
+        level = np.repeat([lv for lv, _, _ in spans], [b - a for _, a, b in spans])
+        yield start, spans, level, np.arange(start, stop) - bounds.take(level), n.take(level)
+
+
+# this many i of the tower's range at a time, so temporaries stay small at the cap
 _CHUNK = 1 << 16
 
 
@@ -182,9 +260,10 @@ def l_polynomial(spec: CurveSpec) -> LPolynomial:
     """Recover L(u) from the trace distributions of f over F_q..F_(q^min(D,g))."""
     inv = spec.invariants
     p, q, D, g = spec.p, spec.field.order, inv.D, inv.g
+    sums = []
     if min(D, g):
         GF(p, spec.field.k * min(D, g))  # the largest field, so an oversized one fails first
-    sums = [_cyclotomic(_trace_distribution(spec, s)) for s in range(1, min(D, g) + 1)]
+        sums = [_cyclotomic(c) for c in _trace_distributions(spec, range(1, min(D, g) + 1))]
     if D < g:
         # coefficients of L(f, psi, T) by Newton's identities n e_n = sum_s S_s e_(n-s)
         e = [[1] + [0] * (p - 2)]

@@ -1,10 +1,13 @@
 """Reference point enumeration, and exact checks on L-polynomials and polygons.
 
-naive_trace_distribution is the loop ascart.zeta._trace_distribution ran
-before it moved to the field's log tables.  It visits every x of F_(q^s)
-in FieldElement arithmetic, evaluates the polynomial part by Horner's rule
+naive_trace_distribution is the loop that point enumeration ran before it
+moved to the field's log tables.  For one level s it visits every x of
+F_(q^s) in FieldElement arithmetic, with the curve's data carried there by
+the canonical embedding, evaluates the polynomial part by Horner's rule
 and each principal part as a polynomial in 1/(x - e), and tallies the
-traces.  It reads no log table; tests compare the two routes.
+traces.  It reads no log table and takes no log in the base field; tests
+compare it with ascart.zeta._trace_distributions, which counts every
+level of a tower in one pass.
 
 weil_bounds_ok(L) decides exactly whether every reciprocal root of L has
 absolute value sqrt(q), by a Sturm count over Q, and is_symmetric(polygon)

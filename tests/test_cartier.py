@@ -27,7 +27,7 @@ from ascart.cli import main
 from ascart.curve import INF, BasisForm, CurveSpec, PoleDatum, basis, ordered_basis
 from ascart.errors import (ConditionNotSatisfied, ForeignElement, NotInH, NotInSpan,
                            SeriesTooLarge)
-from ascart.finite_field import _MAX_FIELD_SIZE, Field, is_prime
+from ascart.finite_field import _MAX_FIELD_SIZE, Field, FieldElement, is_prime
 from ascart.invariants import rank, theorem_a_value
 from ascart.sweep import random_curve
 
@@ -423,6 +423,21 @@ def test_read_sized_series_agree_with_rational(p, k, orders, seed):
     assert (n == 0) == (orders == (1, 1)), n
     spec = random_curve(GF(p, k), orders, random.Random(seed))
     assert cartier_matrix(spec, "local") == cartier_matrix(spec, "rational")
+
+
+@pytest.mark.parametrize("p,k,orders,seed", [(7, 1, (2, 1, 1, 1, 1), 0), (5, 2, (1, 1, 2, 1), 1),
+                                          (2, 3, (3, 1, 1, 1), 2), (13, 1, (4, 3), 3)])
+def test_one_inversion_per_curve(p, k, orders, seed, monkeypatch):
+    """Every z = 1/(e_j - e_l) of a curve comes from one FieldElement.inverse
+    (Montgomery's trick), and none with one finite pole; the block still
+    equals the rational pipeline's."""
+    spec = random_curve(GF(p, k), orders, random.Random(seed))
+    calls, inverse = [], FieldElement.inverse
+    monkeypatch.setattr(FieldElement, "inverse", lambda a: calls.append(a) or inverse(a))
+    block = local.local_matrix(spec, orders)[1]
+    assert len(calls) == (len(orders) > 2)
+    monkeypatch.undo()
+    assert (block == rational.rational_matrix(spec, orders)[1]).all()
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (5, 2), (3, 7)])

@@ -633,7 +633,8 @@ class TestExitCodes:
 
     def test_inconsistent_counts_is_internal(self, tmp_path, capsys, monkeypatch):
         fake = {1: [5, 0, 0, 0, 0], 2: [0, 25, 0, 0, 0]}
-        monkeypatch.setattr(zeta, "_trace_distribution", lambda spec, s: fake[s])
+        monkeypatch.setattr(zeta, "_trace_distributions",
+                            lambda spec, levels: [fake[s] for s in levels])
         assert main(["zeta", write(tmp_path, "p = 5\npole inf: 0 0 0 1\n")]) == 3
         assert "internal error (InconsistentCounts)" in capsys.readouterr().err
 
@@ -707,10 +708,10 @@ class TestExitCodes:
 
     def test_zeta_over_the_cap_fails_before_enumerating(self, capsys, monkeypatch):
         # GF(3^7), D = g = 3: the sums need GF(3^21), over the cap
-        def enumerated(spec, s):
-            raise AssertionError(f"enumerated F_(q^{s})")
+        def enumerated(spec, levels):
+            raise AssertionError(f"enumerated F_(q^s) for s in {list(levels)}")
 
-        monkeypatch.setattr(zeta, "_trace_distribution", enumerated)
+        monkeypatch.setattr(zeta, "_trace_distributions", enumerated)
         assert main(["zeta", str(GOLDEN / "matrix" / "p3_gf2187_o2-1.curve")]) == 2
         assert "GF(3^21) exceeds the 10000000-element cap" in capsys.readouterr().err
 

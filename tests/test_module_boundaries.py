@@ -246,6 +246,8 @@ METHOD_KEEP = {
     "CartierMatrix.from_json": "the hardened input route for `ascart matrix --json` output",
     "Field.elements": "the whole field, which the naive references enumerate",
     "FieldElement.pth_root": "timed by perfbench/run.py and patched by perfbench/tracing.py",
+    "FieldElement.trace_to_prime": "timed by perfbench/run.py, patched by perfbench/tracing.py "
+                                   "and read by the naive references; zeta reads trace tables",
 }
 
 
