@@ -33,8 +33,9 @@ coefficients are computed, each as a gathered dot product
 sum_s H_l^e[t-s] x_j^b[s] over the terms where x_j^b can be nonzero.
 Each such coefficient is one read of one image, and no two reads
 coincide.  What depends on (p, orders) alone is a cached layout
-(_Layout), with the chunk cuts of its product reads cached per k
-(_chunks), and a curve is one pass over its flat tables (local_matrix).
+(_Layout), with the chunks of its product reads and their gather indices
+cached per k (_chunks), and a curve is one pass over its flat tables
+(local_matrix).
 
 local_matrix(spec, orders) is the pipeline's entry point for the gate
 (cartier_matrix): the basis and the (D_0, g, k) block of images, which
@@ -371,36 +372,44 @@ def _geometric(field: Field, z: np.ndarray, rectangles) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _chunks(p: int, orders, window: int) -> tuple:
-    """The chunks (a, b, m0, m1) of the product reads of a family for
+    """The chunks (a, b, gather, offsets) of the product reads of a family for
     _gathered_products: reads a, ..., b - 1, those that start within one
-    window of terms, and their terms m0, ..., m1 - 1, so a chunk has at
-    most one read's terms more than the window, _CHUNK // k^2 over GF(p^k),
-    which keys the cache by k.  A window that lies inside a read that
-    started before it has none."""
-    _, _, length, start = _layout(p, orders).gathers
+    window of terms, so a chunk has at most one read's terms more than the
+    window, _CHUNK // k^2 over GF(p^k), which keys the cache by k.  gather
+    is (2, terms) of their terms' rows in the power table and in the stack
+    of the x_j powers, and offsets is where each read's terms start among
+    them, read-only and shared by every curve of the family.  A window that
+    lies inside a read that started before it has none."""
+    h0, x0, length, start = _layout(p, orders).gathers
     cuts = np.searchsorted(start, np.arange(0, start[-1] + length[-1], window)).tolist()
-    return tuple((a, b, int(start[a]), int(start[b - 1] + length[b - 1]))
-                 for a, b in zip(cuts, [*cuts[1:], len(start)]) if a < b)
+    chunks = []
+    for a, b in zip(cuts, [*cuts[1:], len(start)]):
+        if a < b:
+            m0, m1 = int(start[a]), int(start[b - 1] + length[b - 1])
+            m = np.arange(m0, m1)
+            gather = np.stack([np.repeat(h0[a:b], length[a:b]) - m,
+                               np.repeat(x0[a:b], length[a:b]) + m])
+            offsets = start[a:b] - m0
+            for table in (gather, offsets):
+                table.setflags(write=False)
+            chunks.append((a, b, gather, offsets))
+    return tuple(chunks)
 
 
-def _gathered_products(field: Field, powers: np.ndarray, xs: np.ndarray, gather,
-                       chunks) -> np.ndarray:
+def _gathered_products(field: Field, powers: np.ndarray, xs: np.ndarray, chunks) -> np.ndarray:
     """The (reads, k) digits of the product reads of every pole: term t of
     H_l^e x_j^b, sum_s H_l^e[t-s] x_j^b[s], for the flat power table powers
-    and the flat stack xs of the x_j powers, as gather (_Layout.gathers) lays
-    them out, in the chunks of _chunks.  Each chunk is one gather from the
-    powers, one from xs, their k x k digit products, one np.add.reduceat
-    over each read's terms, and one fold of those sums to k digits (_fold).
+    and the flat stack xs of the x_j powers, in the chunks of _chunks.
+    Each chunk is one gather from the powers, one from xs, their k x k
+    digit products, one np.add.reduceat over each read's terms, and one
+    fold of those sums to k digits (_fold).
     """
     k = field.k
-    h0, x0, length, start = gather
-    out = np.empty((len(start), k), dtype=np.int64)
-    for a, b, m0, m1 in chunks:
-        m = np.arange(m0, m1)
-        h = powers.take(np.repeat(h0[a:b], length[a:b]) - m, axis=0)
-        x = xs.take(np.repeat(x0[a:b], length[a:b]) + m, axis=0)
-        terms = (h[:, :, None] * x[:, None, :]).reshape(len(m), k * k)
-        out[a:b] = _fold(field, np.add.reduceat(terms, start[a:b] - m0), _digit_fold(field))
+    out = np.empty((chunks[-1][1], k), dtype=np.int64)  # the last chunk ends at the last read
+    for a, b, (h, x), offsets in chunks:
+        h, x = powers.take(h, axis=0), xs.take(x, axis=0)
+        terms = (h[:, :, None] * x[:, None, :]).reshape(len(h), k * k)
+        out[a:b] = _fold(field, np.add.reduceat(terms, offsets), _digit_fold(field))
     return out
 
 
@@ -491,7 +500,7 @@ def local_matrix(spec: CurveSpec, orders) -> tuple[tuple[BasisForm, ...], np.nda
     *_, row, col = layout.products
     if len(row):
         chunks = _chunks(p, orders, max(1, _CHUNK // k**2))
-        out[row, col] = _gathered_products(field, powers, xs, layout.gathers, chunks)
+        out[row, col] = _gathered_products(field, powers, xs, chunks)
     if k > 1:  # the pth_root of each coefficient, the identity over GF(p)
         out = out @ field.pth_root_matrix
         np.remainder(out, p, out=out)

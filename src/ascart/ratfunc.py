@@ -20,20 +20,33 @@ product sums at most min(n_a, n_b)*k digit products, each at most (p-1)^2.
 The fields are of the narrowest unsigned type that holds that slot bound,
 and the bound must stay below 2^63 (_SLOT_BOUND), so that the sums read as
 int64; a longer product is taken in chunks of the shorter factor that keep
-it.  In the rational Cartier pipeline every factor has fewer than 10g + 4
-terms and p - 1 <= 2g, so under the digit cap g^2*k <= 2^20 (cartier_matrix)
-the bound stays below 2^36 and no product is chunked; it is about 2^22 at
-the cap.  A product by one field element c, in division, synthetic
-division and the series of a principal part, is a mat-vec with its k x k
+it.  In the rational Cartier pipeline, with D = 2g/(p - 1), the shorter
+factor of each product has at most max(D + 2, p) terms: N, of degree
+sum_j d_j <= D + 1, in the powers N^e, and a power (x - e_l)^i, i < p, in
+the numerators G, and i <= d_l in the denominators h.  As p - 1 <= 2g,
+the bound is at most 4*g^2*k*(2g + 1) < 2^34 under the digit cap
+g^2*k <= 2^20 (cartier_matrix), and largest, 8.5*10^9, at
+y^2039 - y = x^2, g = 1019, so no product of the pipeline is chunked.
+A product by one field element c, in division, synthetic division and
+the series of a principal part, is a mat-vec with its k x k
 multiplication matrix, c @ field.multiplication.
 
 partial_fractions() decomposes an unreduced pair (num, den) of
 polynomials, not necessarily coprime nor den monic: a surplus top
 coefficient of a principal part comes out zero and is dropped, so no gcd
-is taken.  The rational Cartier pipeline decomposes each image this way
-and reads only the decomposition's digits; no pipeline multiplies partial
-fractions (the local Cartier pipeline multiplies truncated Laurent series;
-see ascart.local).
+is taken.  It also decomposes a sequence of numerators over one den in
+one pass, on the (B, n, k) stack of their digits: one long division, one
+root search of den, and at each root one Taylor expansion of the
+cofactor, at most one inverse and one series solve.  The long division
+subtracts one mat-vec, k digit products, from reduced digits: its sums
+lie within k*(p-1)^2 of [0, p).  At a root of multiplicity n, the series
+solve subtracts at most (n-1)*k digit products from a reduced digit,
+each at most (p-1)^2.  In the rational Cartier pipeline n <= d_l <= D + 1,
+so that is at most D*k*(p-1)^2 = 2g*k*(p-1) <= 4*g^2*k <= 2^22 under the
+cap.  The rational Cartier pipeline decomposes each group of images over
+one denominator this way and reads only the decompositions' digits; no
+pipeline multiplies partial fractions (the local Cartier pipeline
+multiplies truncated Laurent series; see ascart.local).
 
 Denominators must split into linear factors at a caller's list of
 candidate roots, the pole locations of a curve for instance.  A factor
@@ -58,7 +71,7 @@ def _trimmed(digits: np.ndarray) -> np.ndarray:
         n -= 1
     if n < len(digits):
         digits = digits[:n]
-    digits.flags.writeable = False
+    digits.setflags(write=False)
     return digits
 
 
@@ -113,23 +126,50 @@ def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out % field.p
 
 
+def _long_division(field: Field, a: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Long division of the stacked digits a, (B, n, k) with n >= d, by the
+    digits den of a nonzero polynomial of degree d, made monic: the
+    quotients' (B, n - d, k) digits and the remainders' (B, d, k), with one
+    mat-vec per quotient term for the whole stack."""
+    p, k, d = field.p, field.k, len(den) - 1
+    if a.shape[1] == d:  # no quotient term
+        return np.zeros((len(a), 0, k), dtype=np.int64), a
+    lower, lead = den[:-1], den[-1]
+    monic = tuple(lead.tolist()) == field.one.digits
+    if not monic:
+        inverse = _times(field, _element(field, lead).inverse().digits)
+        lower = lower @ inverse % p
+    # row c of times_lower is c times the lower terms of the monic divisor
+    times_lower = (lower @ field.multiplication % p).reshape(k, d * k)
+    rem, q = a.copy(), np.empty((len(a), a.shape[1] - d, k), dtype=np.int64)
+    for shift in range(q.shape[1] - 1, -1, -1):
+        q[:, shift] = c = rem[:, shift + d]
+        rem[:, shift : shift + d] -= (c @ times_lower).reshape(len(a), d, k)
+        rem[:, shift : shift + d] %= p
+    if not monic:
+        q = q @ inverse % p
+    return q, rem[:, :d]
+
+
 def _divide_linear(a: np.ndarray, times: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic division of the nonempty digits a by x - e, for times the
-    multiplication matrix of e: the quotient's digits and the remainder's
-    digit row, by Horner's rule from the top."""
+    """Synthetic division of the nonempty digits a, (n, k) or a stack of
+    them (B, n, k), by x - e, for times the multiplication matrix of e: the
+    quotients' digits and the remainders' digit rows, by Horner's rule from
+    the top."""
     out = a.copy()
-    for i in range(len(a) - 2, -1, -1):
-        out[i] = (out[i + 1] @ times + out[i]) % p
-    return out[1:], out[0]
+    for i in range(a.shape[-2] - 2, -1, -1):
+        out[..., i, :] = (out[..., i + 1, :] @ times + out[..., i, :]) % p
+    return out[..., 1:, :], out[..., 0, :]
 
 
 def _taylor(a: np.ndarray, times: np.ndarray, p: int, depth: int) -> np.ndarray:
     """The (depth, k) digits of the first depth coefficients of the digits
-    a expanded in powers of x - e, for times the multiplication matrix of e:
-    one synthetic division per coefficient."""
-    out = np.zeros((depth, times.shape[0]), dtype=np.int64)
-    for s in range(min(depth, len(a))):
-        a, out[s] = _divide_linear(a, times, p)
+    a expanded in powers of x - e, for times the multiplication matrix of e,
+    or their (B, depth, k) stack for a stack a: one synthetic division per
+    coefficient."""
+    out = np.zeros((*a.shape[:-2], depth, times.shape[0]), dtype=np.int64)
+    for s in range(min(depth, a.shape[-2])):
+        a, out[..., s, :] = _divide_linear(a, times, p)
     return out
 
 
@@ -210,29 +250,14 @@ class Poly:
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly"):
-        """Long division by the digits of other made monic: one mat-vec per
-        quotient term."""
+        """Long division by the digits of other made monic (_long_division)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        field, p, k, d = self.field, self.field.p, self.field.k, other.degree()
-        n = len(self.digits) - d  # terms of the quotient
-        if n <= 0:
-            return _poly(field, np.zeros((0, k), dtype=np.int64)), self
-        lower, lead = other.digits[:-1], other.leading()
-        monic = lead == field.one
-        if not monic:
-            inverse = _times(field, lead.inverse().digits)
-            lower = lower @ inverse % p
-        # row c of times_lower is c times the lower terms of the monic divisor
-        times_lower = (lower @ field.multiplication % p).reshape(k, d * k)
-        rem, q = self.digits.copy(), np.empty((n, k), dtype=np.int64)
-        for shift in range(n - 1, -1, -1):
-            q[shift] = c = rem[shift + d]
-            rem[shift : shift + d] -= (c @ times_lower).reshape(d, k)
-            rem[shift : shift + d] %= p
-        if not monic:
-            q = q @ inverse % p
-        return _poly(field, q), _poly(field, rem[:d])
+        field = self.field
+        if len(self.digits) <= other.degree():
+            return _poly(field, np.zeros((0, field.k), dtype=np.int64)), self
+        q, rem = _long_division(field, self.digits[None], other.digits)
+        return _poly(field, q[0]), _poly(field, rem[0])
 
     # -- identity -------------------------------------------------------------
 
@@ -261,15 +286,20 @@ class Poly:
         return " + ".join(reversed(parts))
 
 
-def _nonzero_tails(tails: dict) -> dict:
-    """The digit arrays of tails trimmed and read-only, the empty ones dropped."""
-    trimmed = {e: _trimmed(digits) for e, digits in tails.items()}
-    return {e: digits for e, digits in trimmed.items() if len(digits)}
+def _nonzero_tails(tails) -> dict:
+    """The digit arrays of the pairs (e, digits) of tails by e, trimmed and
+    read-only, the empty ones dropped."""
+    out = {}
+    for e, digits in tails:
+        digits = _trimmed(digits)
+        if len(digits):
+            out[e] = digits
+    return out
 
 
-def _partial_fraction(poly: Poly, tails: dict) -> "PartialFraction":
-    """The PartialFraction of poly and tails, reduced (n, k) digit arrays,
-    kept without a copy."""
+def _partial_fraction(poly: Poly, tails) -> "PartialFraction":
+    """The PartialFraction of poly and tails, pairs (e, digits) of reduced
+    (n, k) digit arrays, kept without a copy."""
     pf = object.__new__(PartialFraction)
     pf.poly, pf.tail_digits = poly, _nonzero_tails(tails)
     return pf
@@ -291,7 +321,7 @@ class PartialFraction:
             digits[e] = np.zeros((max(tail, default=0), field.k), dtype=np.int64)
             for n, c in tail.items():
                 digits[e][n - 1] = field(c).digits
-        self.poly, self.tail_digits = poly, _nonzero_tails(digits)
+        self.poly, self.tail_digits = poly, _nonzero_tails(digits.items())
 
     @property
     def field(self) -> Field:
@@ -348,7 +378,7 @@ class PartialFraction:
         return " + ".join(parts) if parts else "0"
 
 
-def partial_fractions(pair, *, candidates) -> PartialFraction:
+def partial_fractions(pair, *, candidates):
     """Exact partial fraction decomposition of num/den, for pair = (num, den).
 
     num and den need not be coprime nor den monic: the principal parts come
@@ -358,46 +388,77 @@ def partial_fractions(pair, *, candidates) -> PartialFraction:
     The roots of den are looked for among `candidates`, an iterable of
     elements of its field.  den must be a product of linear factors at those
     roots; otherwise IrreducibleDenominatorFactor is raised.
+
+    num may also be a sequence of polynomials over the one den: the result
+    is then the list of their decompositions, in order, from one root
+    search (_decompositions), and it raises exactly when one of its
+    numerators would alone.
     """
     num, den = pair
-    poly_part, rem = divmod(num, den)
-    if rem.is_zero():
-        return PartialFraction(poly_part)
-    field, p, k = den.field, den.field.p, den.field.k
+    if isinstance(num, Poly):
+        return _decompositions((num,), den, candidates)[0]
+    return _decompositions(tuple(num), den, candidates)
 
-    # the multiplicity n of each candidate root e, and hat = den/(x-e)^n, by
-    # synthetic divisions of den; a candidate that is no root costs one,
-    # whose remainder is the value there
-    roots: dict[FieldElement, tuple[int, np.ndarray, np.ndarray]] = {}
+
+def _decompositions(nums: tuple, den: Poly, candidates) -> list[PartialFraction]:
+    """The decompositions of num/den for each num of nums, on the (B, n, k)
+    stack of their digits: one long division, then, unless every remainder
+    is 0, one root search of den among the candidates, and at each root one
+    Taylor expansion of the cofactor, at most one inverse and one series
+    solve for the whole stack."""
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if not nums:
+        return []
+    field, p, k, d = den.field, den.field.p, den.field.k, den.degree()
+    stack = np.zeros((len(nums), max(d, *(len(num.digits) for num in nums)), k), dtype=np.int64)
+    for row, num in zip(stack, nums):
+        row[: len(num.digits)] = num.digits
+    q, rem = _long_division(field, stack, den.digits)
+    polys = [_poly(field, digits) for digits in q]
+    if not np.count_nonzero(rem):
+        return [_partial_fraction(poly, ()) for poly in polys]
+
+    # the multiplicity n of each candidate root e, by synthetic divisions of
+    # den; the last one, the first with a nonzero remainder b_0, divides
+    # hat = den/(x-e)^n as quotient*(x-e) + b_0, so b_0 = hat(e) and the
+    # rest of hat's Taylor data is quotient's.  A candidate that is no root
+    # costs one division, whose remainder is the value there.
+    roots: dict[FieldElement, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
     found = 0
     for e in candidates:
-        if found == den.degree():
+        if found == d:
             break
         if e in roots:
             continue
-        times, hat, n = _times(field, e.digits), den.digits, 0
-        while len(hat) > 1:
-            q, r = _divide_linear(hat, times, p)
-            if any(r.tolist()):
-                break
-            hat, n = q, n + 1
+        times, n = _times(field, e.digits), 0
+        quotient, b0 = _divide_linear(den.digits, times, p)
+        while not any(b0.tolist()):  # a nonzero constant hat ends it
+            quotient, b0 = _divide_linear(quotient, times, p)
+            n += 1
         if n:
-            roots[e] = n, times, hat
+            roots[e] = n, times, b0, quotient
             found += n
-    if found < den.degree():
-        raise IrreducibleDenominatorFactor(den.degree() - found)
+    if found < d:
+        raise IrreducibleDenominatorFactor(d - found)
 
-    tails: dict[FieldElement, np.ndarray] = {}
-    for e, (n, times, hat) in roots.items():
-        # the series rem/hat = a/b at e, to n terms
-        a, b = _taylor(rem.digits, times, p, n), _taylor(hat, times, p, n)
-        b0_inverse = _times(field, _element(field, b[0]).inverse().digits)
-        if n > 1:  # times_b[t] is the multiplication matrix of b_t
-            times_b = (b @ field.multiplication % p).transpose(1, 0, 2)
-        g = np.empty((n, k), dtype=np.int64)
-        for s in range(n):
-            # g_s = (a_s - sum_(0<t<=s) b_t g_(s-t)) / b_0
-            known = g[s - 1 :: -1].ravel() @ times_b[1 : s + 1].reshape(s * k, k) if s else 0
-            g[s] = (a[s] - known) % p @ b0_inverse % p
-        tails[e] = g[::-1]  # g_s is the coefficient of (x-e)^-(n-s)
-    return _partial_fraction(poly_part, tails)
+    tails = []  # (e, the stack of the digits of the principal parts at e)
+    for e, (n, times, b0, quotient) in roots.items():
+        # the series rem/hat = a/b at e, to n terms, of every numerator, with
+        # b_0 made 1: the series of (rem/b_0)/(hat/b_0)
+        a = _taylor(rem, times, p, n)
+        unit = tuple(b0.tolist()) == field.one.digits
+        if not unit:
+            inverse = _times(field, _element(field, b0).inverse().digits)
+            a = a @ inverse % p
+        if n > 1:  # rows (t-1)*k, ..., t*k - 1 of times_b: the multiplication matrix of b_t
+            b = _taylor(quotient, times, p, n - 1)
+            b = b if unit else b @ inverse % p
+            times_b = (b @ field.multiplication % p).transpose(1, 0, 2).reshape(-1, k)
+        for s in range(1, n):
+            # g_s = a_s - sum_(0<t<=s) b_t g_(s-t), in place of a_s; g_0 = a_0
+            known = a[:, s - 1 :: -1].reshape(len(nums), s * k) @ times_b[: s * k]
+            a[:, s] = (a[:, s] - known) % p
+        tails.append((e, a[:, ::-1]))  # g_s is the coefficient of (x-e)^-(n-s)
+    return [_partial_fraction(poly, [(e, digits[i]) for e, digits in tails])
+            for i, poly in enumerate(polys)]

@@ -1,22 +1,28 @@
 """The rational pipeline of the Cartier matrix: one image of x_j^b f^e dx
-per basis form x_j^b y^e dx, decomposed once.
+per basis form x_j^b y^e dx, decomposed with every image over the same
+denominator.
 
 It reduces the images C(x_j^b f^e dx) of the binomial regrouping
 (ascart.cartier) by amplifying x_j^b f^e pole by pole to a p-th power
 denominator, applying the polynomial rule to the numerator, dividing by
-the p-th root (_rational_image), and decomposing the unreduced quotient
-C(G dx)/h once per image, with no gcd; the pole factors (x - e_l)^i and
-the powers N^e of f's numerator are tabulated once per curve.  All of it
-is ratfunc's arithmetic on digit arrays, with no field element in
-between: each product is one Kronecker product of big ints, the
-polynomial rule one strided slice of the digits times the field's
-pth_root_matrix (cartier_poly), and each decomposition is read off as
-digit rows, the coefficients of the image at the level-0 forms.  What
-depends on (p, orders) alone is a cached plan (_RationalPlan): the basis,
-a record of each image that is not 0 by degree (_Image) and one table of
-the entry of the block of images each term fills.  A curve is then one
-pass (_rational_columns): one decomposition per image, one guard, one
-scatter.
+the p-th root (_rational_image), and decomposing the unreduced quotients
+C(G dx)/h, with no gcd, once per distinct denominator h: a curve's images
+share few of them (one on a curve with one finite pole), so the images
+are grouped by h, by its digits, and each group goes to partial_fractions
+as one stack of numerators over its h.  The pole factors (x - e_l)^i and
+f's numerator N are built once per curve by linear steps, each a one-row
+shift plus one product by the multiplication matrix of -e_l
+(_times_linear), N's tails by Horner in those steps; the powers N^e, the
+numerators G and the denominators h of several poles are Kronecker
+products of ratfunc.  All of it is arithmetic on digit arrays, with no
+field element in between: the polynomial rule is one strided slice of
+the digits times the field's pth_root_matrix (cartier_poly), and each
+decomposition is read off as digit rows, the coefficients of the image
+at the level-0 forms.  What depends on (p, orders) alone is a cached plan
+(_RationalPlan): the basis, a record of each image that is not 0 by
+degree (_Image) and one table of the entry of the block of images each
+term fills.  A curve is then one pass (_rational_columns): one
+decomposition per denominator, one guard, one scatter.
 
 rational_matrix(spec, orders) is the pipeline's entry point for the gate
 (cartier_matrix): the basis and the (D_0, g, k) block of images, which
@@ -45,19 +51,42 @@ def cartier_poly(g: Poly) -> Poly:
     return Poly(field, g.digits[field.p - 1 :: field.p] @ field.pth_root_matrix)
 
 
-def _pole_factors(spec: CurveSpec) -> list[list[Poly]]:
-    """(x - e_l)^i for i <= max(p - 1, d_l), at each finite pole e_l: every
-    power that N and the amplified images read, as -m mod p < p and
-    ceil(m/p) <= d_l for m <= (e + 1)*d_l, e <= p - 2.  Each power is one
-    product by x - e_l from the one before."""
-    field, tables = spec.field, []
+def _times_linear(digits: np.ndarray, constant: np.ndarray) -> np.ndarray:
+    """The unreduced digits of (x + c) a, for the (n, k) digits of a and the
+    k x k multiplication matrix constant of c: a one-row shift plus one
+    product by c, each entry below p + k*(p-1)^2."""
+    out = np.zeros((len(digits) + 1, digits.shape[1]), dtype=np.int64)
+    out[1:] = digits
+    out[:-1] += digits @ constant
+    return out
+
+
+class _PoleFactor(NamedTuple):
+    """The factor x - e_l of a finite pole e_l (_pole_factors): minus_e,
+    the k x k multiplication matrix of -e_l, and powers, the (x - e_l)^i
+    for i <= max(p - 1, d_l)."""
+
+    minus_e: np.ndarray
+    powers: list
+
+
+def _pole_factors(spec: CurveSpec) -> list[_PoleFactor]:
+    """The factor x - e_l of each finite pole e_l, with its powers
+    (x - e_l)^i for i <= max(p - 1, d_l): every power that N and the
+    amplified images read, as -m mod p < p and ceil(m/p) <= d_l for
+    m <= (e + 1)*d_l, e <= p - 2.  Each power is the one before times
+    x - e_l, one linear step (_times_linear) on its digits, with the
+    multiplication matrix of -e_l taken once per pole."""
+    field, p, factors = spec.field, spec.field.p, []
+    one = Poly.constant(field, 1)
     for datum in spec.poles[1:]:
-        lin = np.array([np.negative(datum.location.digits), field.one.digits])  # x - e_l
-        table = [Poly.constant(field, 1), Poly(field, lin)]
-        while len(table) < max(field.p, datum.order + 1):
-            table.append(table[-1] * table[1])
-        tables.append(table)
-    return tables
+        lin = Poly(field, np.array([np.negative(datum.location.digits), field.one.digits]))
+        minus_e = lin.digits[0] @ field.multiplication % p
+        powers = [one, lin]
+        while len(powers) < max(p, datum.order + 1):
+            powers.append(Poly(field, _times_linear(powers[-1].digits, minus_e)))
+        factors.append(_PoleFactor(minus_e, powers))
+    return factors
 
 
 def _product(field: Field, factors) -> Poly:
@@ -66,23 +95,35 @@ def _product(field: Field, factors) -> Poly:
 
 
 def _f_numerator(spec: CurveSpec, factors) -> Poly:
-    """N = f * prod_l (x - e_l)^(d_l), straight from the pole data and the
-    pole factors (_pole_factors).
+    """N = f * prod_l (x - e_l)^(d_l), straight from the pole data, by
+    linear steps (_times_linear) by the factor x - e_l of each finite pole
+    (_pole_factors).
 
-    Pole by pole: with N/D the parts so far and P = (x - e_l)^(d_l), adding
-    the part T/P at e_l, T = sum_n c_n (x - e_l)^(d_l - n), gives
-    (N P + T D) / (D P), with D = 1 before the first finite pole.
+    Pole by pole: with N/D the parts so far, adding the part
+    sum_n c_n (x - e_l)^(-n) at e_l, n = 1..d_l, gives
+    (N (x - e_l)^(d_l) + sum_n c_n (x - e_l)^(d_l - n) D) / (D (x - e_l)^(d_l)),
+    with D = 1 before the first finite pole: the numerator by Horner from
+    c_1, one step per coefficient, each adding c_n D, and D, for the next
+    pole, the power (x - e_l)^(d_l) of the first pole, then by d_l steps.
     """
-    field = spec.field
-    num, den = Poly(field, spec.poles[0].coeffs), []
-    for datum, table in zip(spec.poles[1:], factors):
-        tail = Poly.constant(field, datum.coeffs[0])
-        for c in datum.coeffs[1:]:  # Horner from c_1, the coefficient of lin^(d-1)
-            tail = tail * table[1] + Poly.constant(field, c)
-        power = table[datum.order]
-        num = num * power + _product(field, [tail, *den])
-        den.append(power)
-    return num
+    field, p = spec.field, spec.field.p
+    num = np.array([c.digits for c in spec.poles[0].coeffs], dtype=np.int64)
+    den = None  # D = 1 before the first finite pole
+    for l, (datum, factor) in enumerate(zip(spec.poles[1:], factors), 1):
+        coeffs = np.array([c.digits for c in datum.coeffs], dtype=np.int64)
+        # c_n D: c_n at D = 1, else D times the multiplication matrix of c_n
+        terms = (coeffs[:, None] if den is None
+                 else den @ (coeffs @ field.multiplication % p).swapaxes(0, 1))
+        for term in terms:
+            num = _times_linear(num, factor.minus_e)  # deg N > deg D, as d_0 >= 1
+            num[: len(term)] += term
+            num %= p
+        if den is None:  # D for the next pole, if any
+            den = factor.powers[datum.order].digits
+        elif l + 1 < len(spec.poles):
+            for _ in range(datum.order):
+                den = _times_linear(den, factor.minus_e) % p
+    return Poly(field, num)
 
 
 class _Image(NamedTuple):
@@ -148,9 +189,9 @@ class _RationalPlan:
 _rational_plan = functools.lru_cache(maxsize=64)(_RationalPlan)
 
 
-def _rational_image(spec: CurveSpec, num: Poly, image: _Image, factors):
+def _rational_image(spec: CurveSpec, num: Poly | None, image: _Image, factors):
     """C(x_j^b f^e dx) as the unreduced pair (C(G dx), h), for an image
-    (j, b, e) of the plan (_Image), num = N^e (1 at e = 0) and the pole
+    (j, b, e) of the plan (_Image), num = N^e (unread at e = 0) and the pole
     factors (_pole_factors), amplified pole by pole: with the pole
     multiplicities m_l = e*d_l (+ b at l = j), x_j^b f^e = G / h^p for
     G = N^e x^b[j = 0] prod_l (x - e_l)^(-m_l mod p) and
@@ -158,40 +199,47 @@ def _rational_image(spec: CurveSpec, num: Poly, image: _Image, factors):
     image's tops, bottoms and shift hold those exponents."""
     field = spec.field
     tops = [num] if image.e else []
-    top = _product(field, tops + [factors[l][n] for l, n in image.tops])
+    top = _product(field, tops + [factors[l].powers[n] for l, n in image.tops])
     if image.shift:  # times x^b, a shift
         top = Poly(field, np.vstack([np.zeros((image.shift, field.k), dtype=np.int64),
                                      top.digits]))
-    return cartier_poly(top), _product(field, [factors[l][n] for l, n in image.bottoms])
+    return cartier_poly(top), _product(field, [factors[l].powers[n] for l, n in image.bottoms])
 
 
 def _rational_columns(spec: CurveSpec, plan: _RationalPlan) -> np.ndarray:
     """The (D_0, g, k) block of images by the rational pipeline: column c
     holds C(x_j^b f^e dx), for the form x_j^b y^e dx of column c, in the
-    plan's level-0 forms.  Each image of the plan (_Image) is decomposed
-    once into the slots of its terms; one guard refuses a nonzero slot
-    outside the basis, and one scatter of the table writes the block."""
+    plan's level-0 forms.  The images of the plan (_Image) are grouped by
+    their denominator h, by its digits, and each group is decomposed in one
+    call, into the slots of each image's terms; one guard refuses a nonzero
+    slot outside the basis, and one scatter of the table writes the block."""
     field = spec.field
     loc_to_j = {datum.location: j for j, datum in enumerate(spec.poles) if j >= 1}
     factors = _pole_factors(spec)
-    powers = [Poly.constant(field, 1), _f_numerator(spec, factors)]  # N^0, N^1, ...
+    powers = [None, _f_numerator(spec, factors)]  # N^e, no N^0: e = 0 reads none
     while len(powers) <= plan.e_max:
         powers.append(powers[-1] * powers[1])
-    terms = np.zeros((plan.slots, field.k), dtype=np.int64)
+    groups = {}  # h's digits: h and the (image, C(G dx)) over it
     for image in plan.images:
-        pf = _decompose(_rational_image(spec, powers[image.e], image, factors), loc_to_j)
-        # x^n of the poly part from n = 0, then (x - e_l)^-n = x_l^n of each
-        # tail from n = 1, at the curve's poles only (_decompose)
-        parts = [(0, pf.poly.digits)]
-        parts += [(loc_to_j[loc], tail) for loc, tail in pf.tail_digits.items()]
-        for pole, digits in parts:
-            first, count = image.runs.get(pole, (0, 0))
-            if len(digits) > count:  # a bug, named by its first term past the run
-                n = count + int(digits[count:].any(axis=1).argmax()) + (pole > 0)
-                form = BasisForm(pole, n, 0)  # as the image's own column reads it
-                where = "past its image's degree" if form in plan.forms else "outside the basis"
-                raise NotInSpan(f"monomial {form.label()} falls {where}")
-            terms[first : first + len(digits)] = digits
+        top, h = _rational_image(spec, powers[image.e], image, factors)
+        groups.setdefault(h.digits.tobytes(), (h, []))[1].append((image, top))
+    terms = np.zeros((plan.slots, field.k), dtype=np.int64)
+    for h, members in groups.values():
+        decompositions = _decompose(([top for _, top in members], h), loc_to_j)
+        for (image, _), pf in zip(members, decompositions):
+            # x^n of the poly part from n = 0, then (x - e_l)^-n = x_l^n of
+            # each tail from n = 1, at the curve's poles only (_decompose)
+            parts = [(0, pf.poly.digits)]
+            parts += [(loc_to_j[loc], tail) for loc, tail in pf.tail_digits.items()]
+            for pole, digits in parts:
+                first, count = image.runs.get(pole, (0, 0))
+                if len(digits) > count:  # a bug, named by its first term past the run
+                    n = count + int(digits[count:].any(axis=1).argmax()) + (pole > 0)
+                    form = BasisForm(pole, n, 0)  # as the image's own column reads it
+                    where = ("past its image's degree" if form in plan.forms
+                             else "outside the basis")
+                    raise NotInSpan(f"monomial {form.label()} falls {where}")
+                terms[first : first + len(digits)] = digits
     hit = terms[plan.refused[0]].any(axis=1)
     if hit.any():
         form = BasisForm(*plan.refused[1:, hit.argmax()].tolist(), 0)
@@ -202,8 +250,9 @@ def _rational_columns(spec: CurveSpec, plan: _RationalPlan) -> np.ndarray:
     return out[: plan.d0]
 
 
-def _decompose(pair, loc_to_j: dict) -> PartialFraction:
-    # pair is an image (C(G dx), h) of _rational_image, unreduced.  A regular
+def _decompose(pair, loc_to_j: dict) -> list[PartialFraction]:
+    # pair is (tops, h), the numerators C(G dx) of the images of
+    # _rational_image over their one denominator h, unreduced.  A regular
     # differential, the Cartier image of one included, has poles in x only
     # where the curve does, so the finite pole locations are the only
     # candidate roots; a factor left elsewhere is a bug.

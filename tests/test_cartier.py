@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from ascart.curve import INF, BasisForm, CurveSpec, PoleDatum, basis, ordered_ba
 from ascart.errors import (ConditionNotSatisfied, ForeignElement, NotInH, NotInSpan,
                            SeriesTooLarge)
 from ascart.finite_field import _MAX_FIELD_SIZE, Field, FieldElement, is_prime
-from ascart.invariants import rank, theorem_a_value
+from ascart.invariants import a_monomial_remark, rank, theorem_a_value
+from ascart.specfile import parse_spec_text
 from ascart.sweep import random_curve
 
 from conftest import (PARTITION_MAX_P, admissible_families, assert_pivot_structure, curve,
@@ -286,16 +288,19 @@ def test_chunk_plan_is_keyed_by_k(p, orders, monkeypatch):
     """With _CHUNK cut so that product reads span several chunks, whose
     width in terms is _CHUNK // k^2, the block of images of one family at
     k = 1 and at k = 2 equals the unpatched block and the rational
-    pipeline's block, each on its own cached chunk plan."""
+    pipeline's block, each on its own cached chunk plan, whose gather
+    indices every curve of the family shares read-only."""
     rng, (_, _, lengths, _) = random.Random(p), local._layout(p, orders).gathers
     specs = [random_curve(GF(p, k), orders, rng) for k in (1, 2)]
     blocks = [local.local_matrix(spec, orders)[1] for spec in specs]
     monkeypatch.setattr(local, "_CHUNK", 12)
     plans = [local._chunks(p, orders, 12 // k**2) for k in (1, 2)]
-    assert lengths.max() > 3 and len(plans[0]) > 1 and plans[0] != plans[1]
+    cuts = [[chunk[:2] for chunk in plan] for plan in plans]  # each chunk's reads (a, b)
+    assert lengths.max() > 3 and len(plans[0]) > 1 and cuts[0] != cuts[1]
     for spec, block, plan in zip(specs, blocks, plans):
         chunked = local.local_matrix(spec, orders)[1]
         assert local._chunks(p, orders, 12 // spec.field.k**2) is plan
+        assert not any(table.flags.writeable for chunk in plan for table in chunk[2:])
         assert (chunked == block).all()
         assert (block == rational.rational_matrix(spec, orders)[1]).all()
 
@@ -514,6 +519,26 @@ class TestLocalSeriesGuards:
         # _gathered_products folds its sums unreduced: 34,987,531,610,592 at
         # p = 1447, k = 2, D = 1 (g = 723)
         assert read[0] < 2**45, f"k^2*N*(p-1)^3 = {read[0]:,} at (p, k, D) = {read[1:]}"
+
+    def test_digit_cap_keeps_rational_sums_in_int64(self):
+        """The same for the rational pipeline (ascart.ratfunc): the shorter
+        factor of each Kronecker product has at most max(D + 2, p) terms,
+        so its slots hold at most max(D + 2, p)*k*(p-1)^2, and the series
+        solve at a root of multiplicity n <= d_l <= D + 1 subtracts at most
+        D*k digit products, each at most (p-1)^2, from a digit below p."""
+        cap = cartier._MAX_DIGITS
+        slot, series = (0,), (0,)
+        for p in filter(is_prime, range(2, 2 * math.isqrt(cap) + 2)):
+            for k in itertools.takewhile(lambda k: p**k <= _MAX_FIELD_SIZE, itertools.count(1)):
+                D = math.isqrt(4 * cap // k) // (p - 1)  # the largest with g^2*k <= cap
+                if D:
+                    slot = max(slot, (max(D + 2, p) * k * (p - 1) ** 2, p, k, D))
+                    series = max(series, (D * k * (p - 1) ** 2 + p, p, k, D))
+        # 8,468,872,316 at p = 2039, k = 1, D = 1 (g = 1019), under the
+        # module's 4*g^2*k*(2g + 1) < 2^34
+        assert slot[0] < 2**33, f"max(D+2, p)*k*(p-1)^2 = {slot[0]:,} at (p, k, D) = {slot[1:]}"
+        # 4,183,279 at p = 1447, k = 2, D = 1 (g = 723), under 4*g^2*k + p
+        assert series[0] < 2**22, f"D*k*(p-1)^2 + p = {series[0]:,} at (p, k, D) = {series[1:]}"
 
     def test_cap_curve(self):
         """y^1009 - y = x^3, g = 1008, the largest genus of a cubic under the
@@ -955,6 +980,68 @@ def test_rational_route_reduces_no_fraction(p, k, orders, monkeypatch):
     monkeypatch.setattr(Poly, "gcd", gcd, raising=False)
     for spec in specs:
         assert cartier_matrix(spec, "rational") == cartier_matrix(spec, "local")
+
+
+SCALE = Path(__file__).resolve().parent / "golden" / "scale"
+
+
+@pytest.mark.parametrize("name, images, denominators", [
+    ("p61_o5-3", 234, 3), ("p5_gf25_o9-3-2", 23, 6),
+])
+def test_rational_route_decomposes_once_per_denominator(name, images, denominators,
+                                                        monkeypatch):
+    """The rational route groups a curve's images by their denominator h
+    and calls partial_fractions once per distinct h, with every image's
+    numerator over it, and the block is still the local pipeline's."""
+    spec = parse_spec_text((SCALE / f"{name}.curve").read_text())
+    orders = spec.invariants.orders
+    assert len(rational._rational_plan(spec.p, orders).images) == images
+    calls, real = [], rational.partial_fractions
+
+    def spy(pair, *, candidates):
+        calls.append(pair)
+        return real(pair, candidates=candidates)
+
+    monkeypatch.setattr(rational, "partial_fractions", spy)
+    block = rational.rational_matrix(spec, orders)[1]
+    assert len(calls) == len({den for _, den in calls}) == denominators
+    assert sum(len(nums) for nums, _ in calls) == images
+    assert (block == local.local_matrix(spec, orders)[1]).all()
+
+
+def hermitian_cells(max_p: int) -> list[tuple[int, int]]:
+    """Every (p, d) with p <= max_p prime, d >= 2 and d | p + 1."""
+    return [(p, d) for p in range(2, max_p + 1) if is_prime(p)
+            for d in range(2, p + 2) if (p + 1) % d == 0]
+
+
+def test_hermitian_quotients_are_superspecial():
+    """An oracle independent of the paper's closed form: for d | p + 1,
+    y^p - y = c x^d is a quotient of the Hermitian curve y^p + y = x^(p+1)
+    over the algebraic closure (scale x and y), which is superspecial.
+    Pullback of regular 1-forms along the quotient map is injective and
+    commutes with C, so C = 0 on the quotient and a = g.  On every such
+    cell with p <= 71 under the digit cap, both pipelines give the zero
+    matrix over GF(p^k), k <= 3 drawn, for a random c != 0; and
+    a_monomial_remark gives a = g on all 107 cells."""
+    cells = hermitian_cells(71)
+    assert len(cells) == 107
+    for p, d in cells:
+        assert a_monomial_remark(p, d) == (d - 1) * (p - 1) // 2, (p, d)
+    rng, checked = random.Random(27), 0
+    for p, d in cells:
+        g = (d - 1) * (p - 1) // 2
+        ks = [k for k in (1, 2, 3) if g * g * k <= 2**20]
+        if not ks:
+            continue
+        field = GF(p, rng.choice(ks))
+        c = field.random_element(rng, nonzero=True)
+        spec = CurveSpec(field, (PoleDatum.at_infinity(field, [0] * d + [c]),))
+        for pipeline in cartier.PIPELINES:
+            M = cartier_matrix(spec, pipeline)
+            assert M.dimension == g and not M.digits.any(), (p, d, field, pipeline)
+        checked += 1
+    assert checked == 99
 
 
 def test_rational_plan_of_every_admissible_family():

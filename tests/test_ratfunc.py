@@ -381,6 +381,76 @@ def test_unreduced_pair_errors():
     assert exc.value.degree == 2
 
 
+# GF(2), GF(3), GF(4), GF(5), GF(8), GF(9)
+STACK_FIELDS = [GF(2), GF(3), GF(2, 2), GF(5), GF(2, 3), GF(3, 2)]
+
+
+class TestStackedPartialFractions:
+    """partial_fractions((nums, den)) for a sequence nums over one den: the
+    list of the decompositions of each numerator alone, from one root
+    search, raising exactly when one of them would alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(STACK_FIELDS), data=st.data())
+    def test_each_numerator_as_alone_and_as_the_reference(self, field, data):
+        """Repeated roots, a non-monic den, numerators shorter and longer
+        than den, zero ones among them, and candidates with duplicates and
+        non-roots."""
+        element = st.integers(0, field.order - 1).map(field.from_counter)
+        roots = data.draw(st.lists(element, min_size=1, max_size=3, unique=True))
+        unit = data.draw(st.integers(1, field.order - 1).map(field.from_counter))
+        den = Poly.constant(field, unit)
+        for e in roots:
+            den = den * linear_power(field, e, data.draw(st.integers(1, 3)))
+        nums = data.draw(st.lists(polys(field, den.degree() + 4), min_size=1, max_size=5))
+        extra = data.draw(st.lists(element, max_size=2))
+        candidates = data.draw(st.permutations(roots + extra + roots[:1]))
+        stacked = partial_fractions((nums, den), candidates=candidates)
+        assert isinstance(stacked, list)
+        assert stacked == [partial_fractions((num, den), candidates=candidates) for num in nums]
+        assert stacked == [principal_parts(num, den, candidates) for num in nums]
+
+    def test_edge_numerators(self):
+        """Over GF(5), den = 3 (x - 1)^3 (x - 2): the zero numerator, a
+        constant, one of den's own degree, a multiple of den and one past
+        it, with every candidate listed twice."""
+        F = GF(5)
+        den = linear_power(F, F(1), 3) * linear_power(F, F(2), 1) * F(3)
+        nums = [Poly(F), Poly.constant(F, 4), from_ints(F, [1, 2, 3, 4, 1]),
+                den * from_ints(F, [2, 1]), from_ints(F, [0, 1, 0, 0, 0, 0, 0, 3])]
+        candidates = [F(2), F(1), F(2), F(1), F(4)]
+        stacked = partial_fractions((nums, den), candidates=candidates)
+        assert stacked == [principal_parts(num, den, candidates) for num in nums]
+        assert stacked[0].is_zero() and stacked[3] == PartialFraction(from_ints(F, [2, 1]))
+        assert stacked[1].poly.is_zero() and set(stacked[1].tails) == {F(1), F(2)}
+        assert stacked[4].poly.degree() == 3
+
+    @pytest.mark.parametrize("field", [GF(7), GF(2, 3), GF(3, 2)], ids=repr)
+    def test_missing_root_raises(self, field):
+        """A root of den missing from the candidates raises
+        IrreducibleDenominatorFactor, with the degree left over, as soon
+        as one numerator of the stack leaves a remainder; a stack of
+        multiples of den needs no root and raises nothing, as each of its
+        numerators alone."""
+        kept, missing, other = (field.from_counter(n) for n in (1, 2, 3))
+        den = linear_power(field, kept, 2) * linear_power(field, missing, 2)
+        multiples = [den * Poly.x(field), Poly(field), den]
+        assert partial_fractions((multiples, den), candidates=[kept]) == [
+            partial_fractions((num, den), candidates=[kept]) for num in multiples]
+        for num in multiples:  # a numerator that leaves a remainder, anywhere in the stack
+            for at in range(len(multiples) + 1):
+                stack = multiples[:at] + [Poly.constant(field, 1) + num] + multiples[at:]
+                with pytest.raises(IrreducibleDenominatorFactor) as exc:
+                    partial_fractions((stack, den), candidates=[kept, other])
+                assert exc.value.degree == 2
+
+    def test_zero_den_and_empty_stack(self):
+        F = GF(5)
+        with pytest.raises(ZeroDivisionError):
+            partial_fractions(([Poly.x(F)], Poly(F)), candidates=[F(1)])
+        assert partial_fractions(((), linear_power(F, F(1), 2)), candidates=[F(1)]) == []
+
+
 class TestBinomMod:
     def test_against_math_comb(self, rng):
         for p in (2, 3, 5, 7, 13):
